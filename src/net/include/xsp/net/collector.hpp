@@ -6,16 +6,19 @@
 // nonblocking reads. Per connection the service keeps an RxBuffer
 // (partial-frame reassembly), a trace::WireDecoder (stream validation +
 // per-stream StrId re-interning, so two producers' interned ids can never
-// collide after ingest), and lazy span-id/correlation-id remap tables
-// that translate each producer's sink-local ids into the server's
-// fleet-wide id space. Children publish before parents in the wire
-// stream, so the remap allocates on first sight of an id — a forward
-// parent reference simply mints the server id early.
+// collide after ingest), and span-id/correlation-id remap tables that
+// translate each producer's sink-local ids into the server's fleet-wide
+// id space a block of 1024 ids at a time (SpanSink::next_span_block).
+// Children publish before parents in the wire stream, so the remap
+// reserves a block on first sight of any id in it — a forward parent
+// reference simply mints the server id early.
 //
-// Per-connection memory is bounded (the I2PA always-on discipline): the
-// RxBuffer never holds more than one maximum frame (hard cap
+// Per-connection buffering is bounded (the I2PA always-on discipline):
+// the RxBuffer never holds more than one maximum frame (hard cap
 // max_frame_payload, default wire::kMaxFramePayload) plus a read chunk,
-// and decode scratch is reused. Hostile input — bad magic, oversized
+// and decode scratch is reused. The remap tables are the exception: one
+// entry per producer id block touched, kept for the connection's life
+// (xsp_connection_remap_blocks on /metrics). Hostile input — bad magic, oversized
 // length prefixes, unknown string ids, absurd annotation counts — throws
 // WireError inside the per-connection decode, which closes that
 // connection and increments connections_errored; the daemon itself never
@@ -34,11 +37,11 @@
 // the per-connection series because the scrape is built on the run()
 // thread that owns them. The exposition covers the service's own ingest
 // counters (xsp_ingested_spans_total and friends), one series per open
-// producer connection (bytes/frames/spans, labeled by accept id), the
-// producer-health counters carried by wire v3 Heartbeat frames (publish/
-// drop/outbox/reconnects as the *producer* counts them, plus heartbeat
-// age and a staleness flag), and finally whatever registry the embedding
-// daemon wired in (the sink's own xsp_trace_* series).
+// producer connection (bytes/frames/spans/remap blocks, labeled by accept
+// id), the producer-health counters carried by wire v3 Heartbeat frames
+// (publish/drop/outbox/reconnects as the *producer* counts them, plus
+// heartbeat age and a staleness flag), and finally whatever registry the
+// embedding daemon wired in (the sink's own xsp_trace_* series).
 #pragma once
 
 #include <atomic>

@@ -32,11 +32,16 @@ struct CollectorService::Connection {
   Socket sock;
   RxBuffer rx;
   trace::WireDecoder decoder;
-  /// Producer-local span id -> server-wide id, allocated lazily so a
-  /// child's forward reference to a not-yet-published parent mints the
-  /// parent's server id early and the later parent span reuses it.
-  std::unordered_map<SpanId, SpanId> span_remap;
-  std::unordered_map<std::uint64_t, std::uint64_t> corr_remap;
+  /// Producer id -> server-wide id, remapped a block at a time: producer
+  /// id p maps to base[p / kIdBlock] + p % kIdBlock, where base is a fresh
+  /// block the sink reserves the first time p's block appears. A child's
+  /// forward reference to a not-yet-published parent thus mints the
+  /// parent's server id early. Memory is one entry per producer block
+  /// touched: dense producer ids cost one entry per 1024 ids, a sparse id
+  /// a whole block. The tables are never pruned, so they still grow with
+  /// the stream, ~1000x more slowly than one entry per id.
+  std::unordered_map<std::uint64_t, SpanId> span_blocks;
+  std::unordered_map<std::uint64_t, std::uint64_t> corr_blocks;
   trace::SpanBatch scratch;
   /// Stream format version from the validated header; sizes the footer
   /// frame (wire::footer_size) so v1 producers keep working against a v2
@@ -51,6 +56,7 @@ struct CollectorService::Connection {
   std::uint64_t bytes = 0;
   std::uint64_t frames = 0;
   std::uint64_t spans = 0;
+  std::uint64_t remap_blocks = 0;  ///< span_blocks + corr_blocks entries
   /// Latest producer heartbeat (wire v3). got_heartbeat gates the
   /// xsp_producer_* series: v1/v2 producers never send one and expose
   /// nothing rather than zeros.
@@ -312,20 +318,26 @@ void CollectorService::parse_frames(Connection& conn) {
 void CollectorService::ingest_batch(Connection& conn) {
   // Strings were re-interned by the decoder; now lift the producer's
   // sink-local span/correlation ids into the server's fleet-wide space.
-  const auto map_span_id = [&conn, this](SpanId producer_id) -> SpanId {
-    if (producer_id == trace::kNoSpan) return trace::kNoSpan;
-    const auto [it, inserted] = conn.span_remap.emplace(producer_id, 0);
-    if (inserted) it->second = sink_.next_span_id();
-    return it->second;
-  };
-  for (Span& span : conn.scratch) {
-    span.id = map_span_id(span.id);
-    span.parent = map_span_id(span.parent);
-    if (span.correlation_id != 0) {
-      const auto [it, inserted] = conn.corr_remap.emplace(span.correlation_id, 0);
-      if (inserted) it->second = sink_.next_correlation_id();
-      span.correlation_id = it->second;
+  // Distinct producer blocks get disjoint server blocks, so the map is
+  // injective per connection; 0 (kNoSpan / no correlation) passes through.
+  constexpr std::uint64_t kBlock = trace::SpanSink::kIdBlock;
+  const auto remap = [&conn](auto& blocks, std::uint64_t producer_id,
+                             auto reserve) -> std::uint64_t {
+    if (producer_id == 0) return 0;
+    const auto [it, inserted] = blocks.try_emplace(producer_id / kBlock, 0);
+    if (inserted) {
+      it->second = reserve();
+      ++conn.remap_blocks;
     }
+    return it->second + producer_id % kBlock;
+  };
+  const auto span_block = [this] { return sink_.next_span_block(); };
+  const auto corr_block = [this] { return sink_.next_correlation_block(); };
+  for (Span& span : conn.scratch) {
+    span.id = remap(conn.span_blocks, span.id, span_block);
+    span.parent = remap(conn.span_blocks, span.parent, span_block);
+    span.correlation_id =
+        remap(conn.corr_blocks, span.correlation_id, corr_block);
     sink_.publish(span);
   }
   conn.spans += conn.scratch.size();
@@ -512,19 +524,24 @@ void CollectorService::build_metrics_text(std::string& out) {
   struct PerConn {
     std::string_view name;
     std::string_view help;
+    Kind kind;
     std::uint64_t Connection::*field;
   };
   static constexpr PerConn kPerConn[] = {
       {"xsp_connection_bytes_total", "Wire bytes received on this connection",
-       &Connection::bytes},
+       Kind::kCounter, &Connection::bytes},
       {"xsp_connection_frames_total", "Wire frames parsed on this connection",
-       &Connection::frames},
+       Kind::kCounter, &Connection::frames},
       {"xsp_connection_spans_total", "Spans ingested from this connection",
-       &Connection::spans},
+       Kind::kCounter, &Connection::spans},
+      {"xsp_connection_remap_blocks",
+       "Id-remap table entries held for this connection (one per 1024 "
+       "producer span or correlation ids touched)",
+       Kind::kGauge, &Connection::remap_blocks},
   };
   for (const PerConn& pc : kPerConn) {
     if (conns_.empty()) break;
-    append_family_header(out, pc.name, pc.help, Kind::kCounter);
+    append_family_header(out, pc.name, pc.help, pc.kind);
     for (const auto& conn : conns_)
       append_sample_line(out, pc.name, conn_label(conn->id), (*conn).*pc.field);
   }

@@ -102,6 +102,8 @@ class RemoteSink final : public SpanSink {
   // fleet-wide id space at ingest, so producers need no coordination.
   SpanId next_span_id() noexcept override;
   std::uint64_t next_correlation_id() noexcept override;
+  SpanId next_span_block() noexcept override;
+  std::uint64_t next_correlation_block() noexcept override;
   void publish(Span span) override;
 
   /// Enqueue already-sealed batches — the drain-subscriber shape, so a

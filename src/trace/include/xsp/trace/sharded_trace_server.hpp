@@ -89,6 +89,14 @@ class ShardedTraceServer final : public SpanSink {
     return next_corr_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// Block from the calling thread's shard (fleet-unique, like
+  /// next_span_id).
+  SpanId next_span_block() noexcept override;
+
+  std::uint64_t next_correlation_block() noexcept override {
+    return next_corr_.fetch_add(kIdBlock, std::memory_order_relaxed);
+  }
+
   /// Publish to the shard the policy selects.
   void publish(Span span) override;
 

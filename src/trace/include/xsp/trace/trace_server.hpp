@@ -108,9 +108,6 @@ class TraceServer final : public SpanSink {
   /// work and the worst-case count a crashing producer could strand.
   static constexpr std::size_t kBatchCapacity = 256;
 
-  /// Span ids per block handed to a publishing thread.
-  static constexpr SpanId kIdBlockSize = 1024;
-
   /// Batch vectors kept for reuse after recycle(); bounds idle memory at
   /// kFreelistCapacity * kBatchCapacity * sizeof(Span).
   static constexpr std::size_t kFreelistCapacity = 16;
@@ -130,13 +127,21 @@ class TraceServer final : public SpanSink {
   TraceServer& operator=(const TraceServer&) = delete;
 
   /// Allocate a fresh server-unique span id (never kNoSpan). Ids are
-  /// handed to threads in blocks, so concurrent tracers do not contend on
+  /// handed to threads in kIdBlock-sized blocks (the sequence
+  /// next_span_block draws from), so concurrent tracers do not contend on
   /// one counter cache line; ids are unique but not globally dense.
   SpanId next_span_id() noexcept override;
 
   /// Allocate a fresh correlation id for an async launch/execution pair.
   std::uint64_t next_correlation_id() noexcept override {
     return next_corr_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Reserve one whole id block from this server's stripe.
+  SpanId next_span_block() noexcept override;
+
+  std::uint64_t next_correlation_block() noexcept override {
+    return next_corr_.fetch_add(kIdBlock, std::memory_order_relaxed);
   }
 
   /// Publish one completed span. Thread-safe; appends to the calling

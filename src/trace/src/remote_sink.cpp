@@ -42,6 +42,14 @@ std::uint64_t RemoteSink::next_correlation_id() noexcept {
   return next_corr_.fetch_add(1, std::memory_order_relaxed);
 }
 
+SpanId RemoteSink::next_span_block() noexcept {
+  return next_id_.fetch_add(kIdBlock, std::memory_order_relaxed);
+}
+
+std::uint64_t RemoteSink::next_correlation_block() noexcept {
+  return next_corr_.fetch_add(kIdBlock, std::memory_order_relaxed);
+}
+
 void RemoteSink::publish(Span span) {
   published_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard lk(mu_);

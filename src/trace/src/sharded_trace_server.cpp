@@ -77,6 +77,10 @@ SpanId ShardedTraceServer::next_span_id() noexcept {
   return shards_[shard_for_current_thread()]->next_span_id();
 }
 
+SpanId ShardedTraceServer::next_span_block() noexcept {
+  return shards_[shard_for_current_thread()]->next_span_block();
+}
+
 void ShardedTraceServer::publish(Span span) {
   shards_[shard_for(span)]->publish(std::move(span));
 }

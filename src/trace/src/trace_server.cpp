@@ -96,17 +96,21 @@ thread_local IdBlock tls_id_block{nullptr, 0, 0, 0};
 
 }  // namespace
 
+SpanId TraceServer::next_span_block() noexcept {
+  // Global block number under the stripe: shard i of N allocates blocks
+  // i, i+N, i+2N, ... — disjoint across shards by construction. Block 0
+  // starts at id 1, so kNoSpan is never handed out.
+  const std::uint64_t k = next_block_.fetch_add(1, std::memory_order_relaxed);
+  return (stripe_.index + k * stripe_.stride) * kIdBlock + 1;
+}
+
 SpanId TraceServer::next_span_id() noexcept {
   IdBlock& block = tls_id_block;
   if (block.server == this && block.uid == uid_ && block.next != block.end) {
     return block.next++;
   }
-  // Global block number under the stripe: shard i of N allocates blocks
-  // i, i+N, i+2N, ... — disjoint across shards by construction. Block 0
-  // starts at id 1, so kNoSpan is never handed out.
-  const std::uint64_t k = next_block_.fetch_add(1, std::memory_order_relaxed);
-  const SpanId start = (stripe_.index + k * stripe_.stride) * kIdBlockSize + 1;
-  block = {this, uid_, start + 1, start + kIdBlockSize};
+  const SpanId start = next_span_block();
+  block = {this, uid_, start + 1, start + kIdBlock};
   return start;
 }
 

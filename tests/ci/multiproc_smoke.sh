@@ -34,9 +34,11 @@ INLINE_TAGS=64
 SOCK="/tmp/xsp_multiproc_$$.sock"
 OUT_DIR="$(mktemp -d /tmp/xsp_multiproc_out.XXXXXX)"
 DPID=""
+HPID=""
 
 cleanup() {
   [ -n "$DPID" ] && kill "$DPID" 2>/dev/null || true
+  [ -n "$HPID" ] && kill "$HPID" 2>/dev/null || true
   rm -f "$SOCK"
   rm -rf "$OUT_DIR"
 }
@@ -105,15 +107,33 @@ for p in $(seq 1 "$PRODUCERS"); do
   pids+=("$!")
 done
 
+# An idle producer connection held open across the mid-run scrape: the
+# fleet's producers can finish before the first scrape lands, and the
+# per-connection checks below need at least one open connection.
+python3 -c '
+import socket, sys, time
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+print("connected", flush=True)
+time.sleep(60)
+' "$SOCK" > "$OUT_DIR/holder.out" &
+HPID=$!
+for _ in $(seq 1 100); do
+  grep -q connected "$OUT_DIR/holder.out" && break
+  sleep 0.05
+done
+
 # Mid-run scrape: with the fleet still streaming, /metrics must answer
 # with exposition that parses — every non-comment line "name[{labels}]
-# value", every comment a HELP/TYPE header.
+# value", every comment a HELP/TYPE header — and every open producer
+# connection must expose its id-remap table size.
 scrape "$METRICS_URL" "$OUT_DIR/metrics_midrun.txt" \
   || fail "mid-run /metrics scrape failed"
 python3 - "$OUT_DIR/metrics_midrun.txt" <<'EOF' || fail "mid-run exposition does not parse"
 import re, sys
 families = 0
 samples = 0
+series = {}
 for line in open(sys.argv[1]):
     line = line.rstrip("\n")
     if not line:
@@ -122,11 +142,19 @@ for line in open(sys.argv[1]):
         assert re.match(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* ", line), line
         families += line.startswith("# TYPE")
         continue
-    m = re.match(r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? \S+$', line)
+    m = re.match(r'^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? \S+$', line)
     assert m, line
+    series.setdefault(m.group(1), set()).add(m.group(2))
     samples += 1
 assert families > 0 and samples > 0, "empty exposition"
+conns = series.get("xsp_connection_bytes_total", set())
+assert conns, "no open producer connection in the scrape"
+missing = conns - series.get("xsp_connection_remap_blocks", set())
+assert not missing, "connections without xsp_connection_remap_blocks: %s" % missing
 EOF
+kill "$HPID"
+wait "$HPID" 2>/dev/null || true
+HPID=""
 grep -q '^xsp_ingested_spans_total ' "$OUT_DIR/metrics_midrun.txt" \
   || fail "mid-run scrape lacks xsp_ingested_spans_total"
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <latch>
 #include <map>
 #include <sstream>
 #include <string>
@@ -212,11 +213,16 @@ TEST(RegistryConcurrencyTest, WritersVsScrapingReader) {
   CallbackHandle cb = reg.callback("xsp_stress_cb_total", "h", Kind::kCounter, {},
                                    [&cb_backing] { return static_cast<double>(cb_backing.load()); });
 
+  // Writers start only after the reader's first scrape: under load they
+  // could otherwise finish before the reader ever runs, leaving nothing
+  // scraped concurrently.
+  std::latch first_scrape(1);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      first_scrape.wait();
       for (std::uint64_t i = 0; i < kIncsPerWriter; ++i) {
         counter->inc();
         gauge->set(static_cast<std::int64_t>(i));
@@ -231,9 +237,14 @@ TEST(RegistryConcurrencyTest, WritersVsScrapingReader) {
     double last_counter = 0.0;
     double last_cb = 0.0;
     std::uint64_t scrapes = 0;
+    bool released = false;
     while (!stop.load(std::memory_order_acquire)) {
       buf.clear();
       reg.write_prometheus(buf);
+      if (!released) {
+        first_scrape.count_down();
+        released = true;
+      }
       const auto samples = parse_exposition(buf);
       if (samples.empty()) break;  // parse assertion already failed
       const double now_counter = samples.at("xsp_stress_total");

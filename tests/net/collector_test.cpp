@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -61,8 +64,9 @@ struct RunningCollector {
   CollectorService service;
   std::thread thread;
 
-  explicit RunningCollector(const Endpoint& ep, CollectorOptions copts = {})
-      : server(2, trace::PublishMode::kSync),
+  explicit RunningCollector(const Endpoint& ep, CollectorOptions copts = {},
+                            trace::PublishMode mode = trace::PublishMode::kSync)
+      : server(2, mode),
         service(ep, server, copts),
         thread([this] { service.run(); }) {}
   ~RunningCollector() { stop(); }
@@ -807,6 +811,204 @@ TEST(RemoteSinkSampling, BackpressureShedsSelectivelyBeforeBlindDrops) {
       << "sheds are an of-which breakdown of total drops";
   EXPECT_EQ(sink.spans_sampled_dropped(), 0u) << "rate 1.0 rejects nothing at admission";
   EXPECT_EQ(sink.spans_sent() + sink.spans_dropped(), sink.spans_published());
+}
+
+// --- block-granular id remap ------------------------------------------------
+
+/// Value of one `name{conn="<conn>"} <value>` sample in a scrape body, or
+/// -1 when the series is absent.
+long long series_value(const std::string& body, const std::string& name, int conn) {
+  const std::string key = name + "{conn=\"" + std::to_string(conn) + "\"} ";
+  const std::size_t at = body.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(body.substr(at + key.size()));
+}
+
+/// Producer-side ids of one crafted span.
+struct EdgeSpan {
+  SpanId id;
+  SpanId parent;
+  std::uint64_t corr;
+};
+
+constexpr std::uint64_t kMaxId = std::numeric_limits<std::uint64_t>::max();
+
+/// Producer ids on both sides of the remap's 1024-id block edges, up to
+/// UINT64_MAX. The first eight spans each name the next as parent, so
+/// every parent is published after its child (1025 -> 2047 even in a later
+/// batch), and 1023 -> 1024, 2047 -> 2048, 2048 -> MAX-1 cross an edge.
+/// Correlation pairs 1023 and 1024 straddle an edge; span 2 points back
+/// at an already-published parent and carries no correlation id.
+constexpr EdgeSpan kEdgeSpans[] = {
+    {1, 1023, 1023},
+    {1023, 1024, 1023},
+    {1024, 1025, 1024},
+    {1025, 2047, 1024},
+    {2047, 2048, 2047},
+    {2048, kMaxId - 1, 2047},
+    {kMaxId - 1, kMaxId, kMaxId},
+    {kMaxId, kNoSpan, kMaxId},
+    {2, 1, 0},
+};
+constexpr std::size_t kEdgeFirstBatch = 4;
+
+TEST(CollectorRemap, BlockEdgeIdsStayInjectiveAndResolvePerConnection) {
+  constexpr std::uint32_t kNameId = 0x00DD0001;
+  constexpr std::uint32_t kTracerId = 0x00DD0002;
+  constexpr std::size_t kN = std::size(kEdgeSpans);
+  // Two connections send the same producer ids; only the tracer differs.
+  // A span's index in kEdgeSpans rides in `begin`, which ingest keeps.
+  const auto stream = [&](std::string_view tracer) {
+    std::vector<Span> spans;
+    for (std::size_t i = 0; i < kN; ++i) {
+      Span s;
+      s.id = kEdgeSpans[i].id;
+      s.parent = kEdgeSpans[i].parent;
+      s.correlation_id = kEdgeSpans[i].corr;
+      s.name = StrId::from_raw(kNameId);
+      s.tracer = StrId::from_raw(kTracerId);
+      s.begin = static_cast<TimePoint>(i);
+      s.end = s.begin + 1;
+      spans.push_back(s);
+    }
+    const std::vector<Span> first(spans.begin(), spans.begin() + kEdgeFirstBatch);
+    const std::vector<Span> second(spans.begin() + kEdgeFirstBatch, spans.end());
+    return std::array<std::string, 3>{
+        header_bytes() +
+            frame(trace::wire::FrameType::kStringDelta,
+                  delta_entry(kNameId, "edge_op") + delta_entry(kTracerId, tracer)),
+        frame(trace::wire::FrameType::kSpanBatch, span_batch_payload(first)),
+        frame(trace::wire::FrameType::kSpanBatch, span_batch_payload(second))};
+  };
+  const auto a_parts = stream("remap_a");
+  const auto b_parts = stream("remap_b");
+
+  const Endpoint ep = uds_endpoint("col_remap_edges");
+  CollectorOptions copts;
+  copts.metrics_endpoint = "tcp://127.0.0.1:0";
+  RunningCollector collector(ep, copts);
+  Socket a = try_connect(ep, 1000);
+  Socket b = try_connect(ep, 1000);
+  ASSERT_TRUE(a.valid());
+  ASSERT_TRUE(b.valid());
+  for (std::size_t part = 0; part < a_parts.size(); ++part) {
+    ASSERT_TRUE(send_all(a, a_parts[part]));
+    ASSERT_TRUE(send_all(b, b_parts[part]));
+  }
+  ASSERT_TRUE(wait_until([&] { return collector.service.stats().spans_ingested == 2 * kN; }));
+
+  // Sparse ids cost a block each: span blocks {0, 1, 2, MAX/1024} plus
+  // correlation blocks {0, 1, MAX/1024} on each connection.
+  const std::string body = scrape_metrics(*collector.service.metrics_endpoint());
+  EXPECT_EQ(series_value(body, "xsp_connection_remap_blocks", 1), 7) << body;
+  EXPECT_EQ(series_value(body, "xsp_connection_remap_blocks", 2), 7) << body;
+
+  a.shutdown_write();
+  b.shutdown_write();
+  (void)read_to_eof(a);
+  (void)read_to_eof(b);
+  collector.stop();
+  collector.server.flush();
+  const std::vector<Span> spans = collector.server.take_trace();
+  ASSERT_EQ(spans.size(), 2 * kN);
+
+  std::vector<SpanId> all_ids;
+  std::map<std::string, std::vector<std::uint64_t>> corrs_by_tracer;
+  for (const char* tracer : {"remap_a", "remap_b"}) {
+    std::vector<const Span*> by_index(kN, nullptr);
+    for (const Span& s : spans) {
+      if (s.tracer == tracer) by_index.at(static_cast<std::size_t>(s.begin)) = &s;
+    }
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_NE(by_index[i], nullptr) << tracer << " lost span " << i;
+      all_ids.push_back(by_index[i]->id);
+    }
+    for (std::size_t i = 0; i < kN; ++i) {
+      const Span& s = *by_index[i];
+      // Every parent edge resolves to its parent's server id.
+      if (kEdgeSpans[i].parent == kNoSpan) {
+        EXPECT_EQ(s.parent, kNoSpan);
+      } else {
+        std::size_t j = 0;
+        while (kEdgeSpans[j].id != kEdgeSpans[i].parent) ++j;
+        EXPECT_EQ(s.parent, by_index[j]->id)
+            << tracer << ": parent of producer span " << kEdgeSpans[i].id;
+      }
+      // Correlation pairs match exactly when their producer ids do.
+      EXPECT_EQ(s.correlation_id == 0, kEdgeSpans[i].corr == 0);
+      if (s.correlation_id != 0) corrs_by_tracer[tracer].push_back(s.correlation_id);
+      for (std::size_t j = 0; j < kN; ++j) {
+        EXPECT_EQ(s.correlation_id == by_index[j]->correlation_id,
+                  kEdgeSpans[i].corr == kEdgeSpans[j].corr)
+            << tracer << ": correlation of spans " << i << " and " << j;
+      }
+    }
+  }
+  // Ids are unique within each connection and disjoint across the two.
+  std::sort(all_ids.begin(), all_ids.end());
+  EXPECT_TRUE(std::adjacent_find(all_ids.begin(), all_ids.end()) == all_ids.end())
+      << "duplicate remapped span id";
+  EXPECT_EQ(std::count(all_ids.begin(), all_ids.end(), kNoSpan), 0);
+  std::vector<std::uint64_t>& ca = corrs_by_tracer["remap_a"];
+  std::vector<std::uint64_t>& cb = corrs_by_tracer["remap_b"];
+  std::sort(ca.begin(), ca.end());
+  std::sort(cb.begin(), cb.end());
+  std::vector<std::uint64_t> shared;
+  std::set_intersection(ca.begin(), ca.end(), cb.begin(), cb.end(),
+                        std::back_inserter(shared));
+  EXPECT_TRUE(shared.empty()) << "correlation ids shared across connections";
+  EXPECT_EQ(collector.service.stats().connections_errored, 0u);
+}
+
+TEST(CollectorRemap, DenseIdsCostOneRemapBlockPer1024Ids) {
+  // ~1M dense producer ids over one connection: span i carries span ids
+  // 2i+1 (itself) and 2i+2 (a never-published parent) and correlation id
+  // i+1. The remap table must hold about one entry per 1024 of them.
+  constexpr std::uint64_t kSpans = 350'000;
+  constexpr std::uint64_t kIds = 3 * kSpans;
+  constexpr std::size_t kBatch = 256;
+  constexpr std::uint32_t kNameId = 0x00DE0001;
+
+  const Endpoint ep = uds_endpoint("col_remap_dense");
+  CollectorOptions copts;
+  copts.metrics_endpoint = "tcp://127.0.0.1:0";
+  RunningCollector collector(ep, copts, trace::PublishMode::kAsync);
+  // A consuming sink keeps the daemon's memory flat over the stream.
+  collector.server.add_drain_subscriber([](const trace::SpanBatches&) {},
+                                        trace::DrainHandoff::kConsume);
+
+  Socket producer = try_connect(ep, 1000);
+  ASSERT_TRUE(producer.valid());
+  ASSERT_TRUE(send_all(producer, header_bytes() +
+                                     frame(trace::wire::FrameType::kStringDelta,
+                                           delta_entry(kNameId, "dense_op"))));
+  std::vector<Span> batch(kBatch);
+  for (std::uint64_t first = 0; first < kSpans; first += kBatch) {
+    batch.resize(std::min<std::uint64_t>(kBatch, kSpans - first));
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      const std::uint64_t i = first + k;
+      batch[k].id = 2 * i + 1;
+      batch[k].parent = 2 * i + 2;
+      batch[k].correlation_id = i + 1;
+      batch[k].name = StrId::from_raw(kNameId);
+    }
+    ASSERT_TRUE(send_all(producer, frame(trace::wire::FrameType::kSpanBatch,
+                                         span_batch_payload(batch))));
+  }
+  ASSERT_TRUE(wait_until(
+      [&] { return collector.service.stats().spans_ingested == kSpans; }, 60000));
+
+  const std::string body = scrape_metrics(*collector.service.metrics_endpoint());
+  const long long blocks = series_value(body, "xsp_connection_remap_blocks", 1);
+  const auto bound = static_cast<long long>((kIds + trace::SpanSink::kIdBlock - 1) /
+                                            trace::SpanSink::kIdBlock + 2);
+  EXPECT_LE(blocks, bound) << body;
+  EXPECT_GE(blocks, static_cast<long long>(kIds / trace::SpanSink::kIdBlock)) << body;
+
+  producer.shutdown_write();
+  (void)read_to_eof(producer);
+  collector.stop();
+  EXPECT_EQ(collector.service.stats().connections_errored, 0u);
 }
 
 }  // namespace

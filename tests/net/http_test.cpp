@@ -299,9 +299,10 @@ TEST(MetricsEndpoint, SlowlorisClientDoesNotStallOtherScrapes) {
 
 TEST(MetricsEndpoint, BinaryGarbageGets400) {
   ScrapableCollector collector(uds_endpoint("http_junk"));
+  static constexpr char kGarbage[] = "\x00\x01\x02\x03 / HTTP/1.0\r\n\r\n";
   const std::string resp =
       http_exchange(collector.scrape_endpoint(),
-                    std::string("\x00\x01\x02\x03 / HTTP/1.0\r\n\r\n", 21));
+                    std::string(kGarbage, sizeof kGarbage - 1));
   if (!resp.empty()) {
     EXPECT_EQ(resp.compare(0, 12, "HTTP/1.0 400"), 0) << resp;
   }

@@ -68,9 +68,9 @@ TEST(ShardedTraceServer, IdStripesAreDisjointPerShard) {
   ShardedTraceServer server(3, PublishMode::kSync);
   for (std::size_t i = 0; i < server.shard_count(); ++i) {
     const SpanId first = server.shard(i).next_span_id();
-    const std::uint64_t block = (first - 1) / TraceServer::kIdBlockSize;
+    const std::uint64_t block = (first - 1) / TraceServer::kIdBlock;
     EXPECT_EQ(block % server.shard_count(), i);
-    EXPECT_EQ((first - 1) % TraceServer::kIdBlockSize, 0u);
+    EXPECT_EQ((first - 1) % TraceServer::kIdBlock, 0u);
   }
 }
 
