@@ -8,11 +8,20 @@
 // The tree is built once from a fixed set of intervals (spans of one trace)
 // and then queried many times, so a static centered interval tree is the
 // right structure: O(n log n) build, O(log n + k) stabbing query.
+//
+// Layout: the tree is flat. Nodes live in one array in build (pre-)order,
+// the root first, and link to their children by int32 index (-1 = none).
+// Every interval is stored at exactly one node — the first whose center it
+// crosses — so the crossing sets of all nodes partition the input: they sit
+// in two contiguous entry arrays, `by_lo_` (each node's slice ascending by
+// lo) and `by_hi_` (the same slice descending by hi), and a node names its
+// slice by offset and count. A build performs a constant number of
+// allocations whatever the input size, and a query none.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "xsp/common/time.hpp"
@@ -32,7 +41,14 @@ class IntervalTree {
   IntervalTree() = default;
 
   explicit IntervalTree(std::vector<Entry> entries) : size_(entries.size()) {
-    root_ = build(std::move(entries));
+    if (entries.empty()) return;
+    const std::size_t n = entries.size();
+    nodes_.reserve(n);  // every node holds at least its center's interval
+    by_lo_.reserve(n);
+    by_hi_.reserve(n);
+    std::vector<TimePoint> points(2 * n);
+    std::vector<Entry> rights(n);
+    build(entries.data(), n, points, rights);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -41,7 +57,24 @@ class IntervalTree {
   /// Invoke `fn(const Entry&)` for every interval containing point `p`.
   template <typename Fn>
   void visit_stabbing(TimePoint p, Fn&& fn) const {
-    visit_stabbing_impl(root_.get(), p, fn);
+    std::int32_t i = nodes_.empty() ? -1 : 0;
+    while (i >= 0) {
+      const Node& node = nodes_[static_cast<std::size_t>(i)];
+      const Entry* lo_first = by_lo_.data() + node.first;
+      if (p < node.center) {
+        // Only intervals with lo <= p can contain p; by_lo is sorted asc.
+        for (const Entry* e = lo_first; e != lo_first + node.count && e->lo <= p; ++e) fn(*e);
+        i = node.left;
+      } else if (p > node.center) {
+        // Only intervals with hi >= p can contain p; by_hi is sorted desc.
+        const Entry* hi_first = by_hi_.data() + node.first;
+        for (const Entry* e = hi_first; e != hi_first + node.count && e->hi >= p; ++e) fn(*e);
+        i = node.right;
+      } else {
+        for (const Entry* e = lo_first; e != lo_first + node.count; ++e) fn(*e);  // all cross
+        return;
+      }
+    }
   }
 
   /// All entries whose interval fully contains [lo, hi].
@@ -56,102 +89,92 @@ class IntervalTree {
   /// All entries overlapping [lo, hi] (closed-interval overlap).
   [[nodiscard]] std::vector<const Entry*> overlapping(TimePoint lo, TimePoint hi) const {
     std::vector<const Entry*> out;
-    collect_overlapping(root_.get(), lo, hi, out);
+    if (!nodes_.empty()) collect_overlapping(0, lo, hi, out);
     return out;
   }
 
  private:
   struct Node {
     TimePoint center = 0;
-    // Intervals crossing `center`, sorted two ways for pruned scans.
-    std::vector<Entry> by_lo;  // ascending lo
-    std::vector<Entry> by_hi;  // descending hi
-    std::unique_ptr<Node> left;   // intervals entirely left of center
-    std::unique_ptr<Node> right;  // intervals entirely right of center
+    std::uint32_t first = 0;  ///< slice start in by_lo_ and by_hi_
+    std::uint32_t count = 0;  ///< intervals crossing `center`
+    std::int32_t left = -1;   ///< intervals entirely left of center
+    std::int32_t right = -1;  ///< intervals entirely right of center
   };
 
-  static std::unique_ptr<Node> build(std::vector<Entry> entries) {
-    if (entries.empty()) return nullptr;
-    // Median of endpoints keeps the tree balanced for adversarial inputs.
-    std::vector<TimePoint> points;
-    points.reserve(entries.size() * 2);
-    for (const auto& e : entries) {
-      points.push_back(e.lo);
-      points.push_back(e.hi);
+  /// Build the subtree over `entries[0, n)` and return its node index.
+  /// Reorders the range in place (lefts first, then rights), keeping each
+  /// side in input order; `points` and `rights` are scratch of >= 2n / n.
+  std::int32_t build(Entry* entries, std::size_t n, std::vector<TimePoint>& points,
+                     std::vector<Entry>& rights) {
+    if (n == 0) return -1;
+    // Median of endpoints keeps the tree balanced for adversarial inputs:
+    // each side holds at most half the intervals, so depth <= log2(n).
+    for (std::size_t i = 0; i < n; ++i) {
+      points[2 * i] = entries[i].lo;
+      points[2 * i + 1] = entries[i].hi;
     }
-    auto mid = points.begin() + static_cast<std::ptrdiff_t>(points.size() / 2);
-    std::nth_element(points.begin(), mid, points.end());
+    const auto mid = points.begin() + static_cast<std::ptrdiff_t>(n);
+    std::nth_element(points.begin(), mid, points.begin() + static_cast<std::ptrdiff_t>(2 * n));
     const TimePoint center = *mid;
 
-    auto node = std::make_unique<Node>();
-    node->center = center;
-    std::vector<Entry> lefts, rights;
-    for (auto& e : entries) {
+    const auto index = static_cast<std::int32_t>(nodes_.size());
+    const auto first = static_cast<std::uint32_t>(by_lo_.size());
+    std::size_t lefts = 0;
+    std::size_t right_count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Entry& e = entries[i];
       if (e.hi < center) {
-        lefts.push_back(std::move(e));
+        entries[lefts++] = e;
       } else if (e.lo > center) {
-        rights.push_back(std::move(e));
+        rights[right_count++] = e;
       } else {
-        node->by_lo.push_back(e);
-        node->by_hi.push_back(std::move(e));
+        by_lo_.push_back(e);
+        by_hi_.push_back(e);
       }
     }
-    std::sort(node->by_lo.begin(), node->by_lo.end(),
+    std::copy_n(rights.begin(), right_count, entries + lefts);
+    const auto count = static_cast<std::uint32_t>(by_lo_.size() - first);
+    std::sort(by_lo_.begin() + first, by_lo_.end(),
               [](const Entry& a, const Entry& b) { return a.lo < b.lo; });
-    std::sort(node->by_hi.begin(), node->by_hi.end(),
+    std::sort(by_hi_.begin() + first, by_hi_.end(),
               [](const Entry& a, const Entry& b) { return a.hi > b.hi; });
-    node->left = build(std::move(lefts));
-    node->right = build(std::move(rights));
-    return node;
+    nodes_.push_back({center, first, count, -1, -1});
+
+    const std::int32_t left = build(entries, lefts, points, rights);
+    const std::int32_t right = build(entries + lefts, right_count, points, rights);
+    nodes_[static_cast<std::size_t>(index)].left = left;
+    nodes_[static_cast<std::size_t>(index)].right = right;
+    return index;
   }
 
-  template <typename Fn>
-  static void visit_stabbing_impl(const Node* node, TimePoint p, Fn& fn) {
-    while (node != nullptr) {
-      if (p < node->center) {
-        // Only intervals with lo <= p can contain p; by_lo is sorted asc.
-        for (const auto& e : node->by_lo) {
-          if (e.lo > p) break;
-          fn(e);
+  void collect_overlapping(std::int32_t i, TimePoint lo, TimePoint hi,
+                           std::vector<const Entry*>& out) const {
+    while (i >= 0) {
+      const Node& node = nodes_[static_cast<std::size_t>(i)];
+      const Entry* lo_first = by_lo_.data() + node.first;
+      if (hi < node.center) {
+        for (const Entry* e = lo_first; e != lo_first + node.count && e->lo <= hi; ++e) {
+          out.push_back(e);
         }
-        node = node->left.get();
-      } else if (p > node->center) {
-        // Only intervals with hi >= p can contain p; by_hi is sorted desc.
-        for (const auto& e : node->by_hi) {
-          if (e.hi < p) break;
-          fn(e);
+        i = node.left;
+      } else if (lo > node.center) {
+        const Entry* hi_first = by_hi_.data() + node.first;
+        for (const Entry* e = hi_first; e != hi_first + node.count && e->hi >= lo; ++e) {
+          out.push_back(e);
         }
-        node = node->right.get();
+        i = node.right;
       } else {
-        for (const auto& e : node->by_lo) fn(e);  // all cross the center
-        return;
+        for (const Entry* e = lo_first; e != lo_first + node.count; ++e) out.push_back(e);
+        if (node.left >= 0) collect_overlapping(node.left, lo, hi, out);
+        i = node.right;
       }
     }
   }
 
-  static void collect_overlapping(const Node* node, TimePoint lo, TimePoint hi,
-                                  std::vector<const Entry*>& out) {
-    if (node == nullptr) return;
-    if (hi < node->center) {
-      for (const auto& e : node->by_lo) {
-        if (e.lo > hi) break;
-        out.push_back(&e);
-      }
-      collect_overlapping(node->left.get(), lo, hi, out);
-    } else if (lo > node->center) {
-      for (const auto& e : node->by_hi) {
-        if (e.hi < lo) break;
-        out.push_back(&e);
-      }
-      collect_overlapping(node->right.get(), lo, hi, out);
-    } else {
-      for (const auto& e : node->by_lo) out.push_back(&e);
-      collect_overlapping(node->left.get(), lo, hi, out);
-      collect_overlapping(node->right.get(), lo, hi, out);
-    }
-  }
-
-  std::unique_ptr<Node> root_;
+  std::vector<Node> nodes_;
+  std::vector<Entry> by_lo_;
+  std::vector<Entry> by_hi_;
   std::size_t size_ = 0;
 };
 

@@ -14,17 +14,21 @@
 // the caller knows a serialized re-run is needed.
 //
 // Storage: nodes live in one flat vector ordered by (begin, id), with a
-// side index from span id to vector position. The per-level interval trees
-// are built once per assembly and queried with allocation-free stabbing
-// visits, so assembling a trace of n spans performs O(n log n) work and
-// O(n) allocations total rather than per-lookup.
+// flat open-addressed side index from span id to vector position. Assembly
+// copies each span once, straight into its final node: it sorts 24-byte
+// (begin, id, source) keys rather than nodes, correlates async halves by
+// sorting small (correlation id, arrival, span) records, and builds an
+// interval tree only for the levels some node's parent search uses. A
+// trace of n spans costs O(n log n) work and a bounded number of heap
+// allocations: a constant number of arrays plus one children list per
+// parent node — none per span (src/trace/README.md, "Assembly").
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
+#include <stdexcept>
 #include <vector>
 
 #include "xsp/trace/span.hpp"
@@ -77,8 +81,12 @@ class Timeline {
   [[nodiscard]] const std::vector<SpanId>& roots() const noexcept { return roots_; }
 
   /// Node lookup; throws std::out_of_range on an unknown id.
-  [[nodiscard]] const TimelineNode& node(SpanId id) const { return nodes_[index_.at(id)]; }
-  [[nodiscard]] bool contains(SpanId id) const { return index_.count(id) != 0; }
+  [[nodiscard]] const TimelineNode& node(SpanId id) const {
+    const std::uint32_t pos = position(id);
+    if (pos == kAbsent) throw std::out_of_range("Timeline::node: unknown span id");
+    return nodes_[pos];
+  }
+  [[nodiscard]] bool contains(SpanId id) const { return position(id) != kAbsent; }
 
   /// All node ids at a stack level, ordered by begin time.
   [[nodiscard]] std::vector<SpanId> at_level(int level) const;
@@ -101,17 +109,44 @@ class Timeline {
   /// Number of launch/execution pairs that were merged during assembly.
   [[nodiscard]] std::size_t correlated_async_count() const noexcept { return correlated_async_; }
 
-  /// Launch spans with no matching execution span (or vice versa) are kept
-  /// as regular nodes; this counts them.
+  /// Launch spans with no matching execution span (or vice versa), and
+  /// every launch or execution span beyond the first of its kind for one
+  /// correlation id, are kept as regular nodes; this counts them.
   [[nodiscard]] std::size_t unmatched_async_count() const noexcept { return unmatched_async_; }
 
  private:
   void walk_from(SpanId id, int depth,
                  const std::function<void(const TimelineNode&, int depth)>& fn) const;
 
-  /// Ordered by (span.begin, span.id); `index_` maps span id -> position.
+  static constexpr std::uint32_t kAbsent = UINT32_MAX;
+
+  /// One slot of the id index; `pos == kAbsent` marks an empty slot.
+  struct IndexSlot {
+    SpanId id = kNoSpan;
+    std::uint32_t pos = kAbsent;
+  };
+
+  /// The index slot holding `id`, or the empty slot where it would go.
+  /// Probing starts at the id modulo the (prime) table size, so ids issued
+  /// in sequence — as tracers issue them — land in neighbouring slots and
+  /// a walk in id order reads the index in order.
+  [[nodiscard]] std::size_t find_slot(SpanId id) const noexcept {
+    const auto size = static_cast<std::uint32_t>(index_.size());
+    std::size_t i = static_cast<std::uint32_t>(id ^ (id >> 32)) % size;
+    while (index_[i].pos != kAbsent && index_[i].id != id) i = i + 1 == size ? 0 : i + 1;
+    return i;
+  }
+
+  /// Position of `id` in nodes_, or kAbsent.
+  [[nodiscard]] std::uint32_t position(SpanId id) const noexcept {
+    return index_.empty() ? kAbsent : index_[find_slot(id)].pos;
+  }
+
+  /// Ordered by (span.begin, span.id); `index_` maps span id -> position,
+  /// linear probing over a table of prime size at most half full. A
+  /// duplicated id resolves to its first node.
   std::vector<TimelineNode> nodes_;
-  std::unordered_map<SpanId, std::uint32_t> index_;
+  std::vector<IndexSlot> index_;
   std::vector<SpanId> roots_;
   std::size_t ambiguous_ = 0;
   std::size_t correlated_async_ = 0;

@@ -1,7 +1,6 @@
 #include "xsp/trace/timeline.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "xsp/trace/interval_tree.hpp"
@@ -10,187 +9,338 @@ namespace xsp::trace {
 
 namespace {
 
-/// The interval a node uses when *searching for its parent*. Async events
-/// search with their CPU-side launch window: the launch call happens inside
-/// the parent layer's interval even when the device-side execution outlives
-/// the layer (Section III-B).
-struct SearchInterval {
-  TimePoint lo;
-  TimePoint hi;
+/// An async span waiting for its other half. Sorting by (correlation id,
+/// arrival) puts each id's spans together in publication order, so the
+/// first launch and the first execution of an id form its pair.
+struct AsyncRecord {
+  std::uint64_t correlation_id;
+  std::uint64_t arrival;
+  const Span* span;
 };
 
-SearchInterval parent_search_interval(const TimelineNode& n) {
-  if (n.is_async) return {n.launch_begin, n.launch_end};
-  return {n.span.begin, n.span.end};
+/// What one node is built from: a span, plus the launch half when the
+/// node is a correlated launch/execution pair.
+struct Source {
+  const Span* span;
+  const Span* launch;
+};
+
+/// Sort key of one node. Nodes are ordered by (begin, id); `source` (an
+/// index into the sources) makes the order total even for duplicated ids.
+struct NodeKey {
+  TimePoint begin;
+  SpanId id;
+  std::uint32_t source;
+};
+static_assert(sizeof(NodeKey) == 24);
+
+/// Merge the launch half of a correlated pair into the node that holds
+/// its execution span: parent, CPU window, and the annotations the
+/// execution side lacks.
+void merge_launch(TimelineNode& into, const Span& launch) {
+  Span& span = into.span;
+  // The launch span carries the explicit parent (if any) and the CPU
+  // window used for interval-containment parent search.
+  if (span.parent == kNoSpan) span.parent = launch.parent;
+  into.launch_begin = launch.begin;
+  into.launch_end = launch.end;
+  into.is_async = true;
+  for (const auto& e : launch.tags) {
+    if (span.tags.count(e.key) == 0 && !span.tags.set(e.key, e.value)) span.note_dropped();
+  }
+  for (const auto& e : launch.metrics) {
+    if (span.metrics.count(e.key) == 0 && !span.metrics.set(e.key, e.value)) {
+      span.note_dropped();
+    }
+  }
+  for (const auto& e : launch.inline_tags) {
+    if (span.inline_tags.count(e.key) == 0 && !span.inline_tags.set(e.key, e.value())) {
+      span.note_dropped();
+    }
+  }
+  span.note_dropped(launch.dropped_annotations);
+}
+
+/// Sort `v` by `less`, a strict total order. A natural merge sort: it
+/// finds the ascending runs already present, then merges neighbouring
+/// runs pass by pass, so an input made of r sorted runs costs O(n log r).
+/// That is the shape assembly sees — each tracer publishes its spans in
+/// time order and correlation ids are issued in launch order — where an
+/// introsort's median-of-three pivots degrade towards its heapsort
+/// fallback. Random input costs O(n log n), like any merge sort.
+template <typename T, typename Less>
+void sort_runs(std::vector<T>& v, Less less) {
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    if (less(v[i], v[i - 1])) bounds.push_back(i);
+  }
+  bounds.push_back(v.size());
+  if (bounds.size() <= 2) return;
+  std::vector<T> out(v.size());
+  std::vector<std::size_t> merged;
+  while (bounds.size() > 2) {
+    merged.assign(1, 0);
+    for (std::size_t r = 0; r + 1 < bounds.size(); r += 2) {
+      const auto first = v.begin() + static_cast<std::ptrdiff_t>(bounds[r]);
+      const auto mid = v.begin() + static_cast<std::ptrdiff_t>(bounds[r + 1]);
+      const std::size_t end = r + 2 < bounds.size() ? bounds[r + 2] : bounds[r + 1];
+      std::merge(first, mid, mid, v.begin() + static_cast<std::ptrdiff_t>(end),
+                 out.begin() + static_cast<std::ptrdiff_t>(bounds[r]), less);
+      merged.push_back(end);
+    }
+    v.swap(out);
+    bounds.swap(merged);
+  }
+}
+
+/// Smallest prime >= n (n >= 2), by trial division: a few thousand
+/// divisions for a million-node timeline, against a second of assembly.
+std::size_t prime_at_least(std::size_t n) {
+  for (;; ++n) {
+    bool prime = true;
+    for (std::size_t d = 2; d * d <= n && prime; ++d) prime = n % d != 0;
+    if (prime) return n;
+  }
+}
+
+/// A set of stack levels, ascending (a handful: the paper has at most
+/// five), with a node count per level.
+class Levels {
+ public:
+  static constexpr std::size_t kNone = SIZE_MAX;
+
+  void add(int level) {
+    const auto it = std::lower_bound(levels_.begin(), levels_.end(), level);
+    const auto i = it - levels_.begin();
+    if (it == levels_.end() || *it != level) {
+      levels_.insert(it, level);
+      counts_.insert(counts_.begin() + i, 0);
+    }
+    ++counts_[static_cast<std::size_t>(i)];
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return levels_.size(); }
+  [[nodiscard]] int level(std::size_t index) const noexcept { return levels_[index]; }
+  [[nodiscard]] std::size_t count(std::size_t index) const noexcept { return counts_[index]; }
+
+  /// Index of a level in the set.
+  [[nodiscard]] std::size_t index_of(int level) const noexcept {
+    return static_cast<std::size_t>(std::lower_bound(levels_.begin(), levels_.end(), level) -
+                                    levels_.begin());
+  }
+
+  /// Index of the level a node at `level` searches for its parent: the
+  /// nearest level below it in the set. Levels with no tracer attached are
+  /// skipped (e.g. kernels parent directly onto layers when no ML-library
+  /// tracer ran — Section III-E extensibility); nothing searches below the
+  /// application level.
+  [[nodiscard]] std::size_t parent_of(int level) const noexcept {
+    const std::size_t i = index_of(level);
+    if (i == 0 || levels_[i - 1] < kApplicationLevel) return kNone;
+    return i - 1;
+  }
+
+ private:
+  std::vector<int> levels_;
+  std::vector<std::size_t> counts_;
+};
+
+/// Steps 1-2 of assembly, up to but excluding any node copy.
+struct NodePlan {
+  std::vector<Source> sources;  ///< what each node is built from
+  std::vector<NodeKey> keys;    ///< one per node, in final node order
+  Levels levels;                ///< every level holding a node
+  Levels searching;             ///< levels holding a node that searches
+  std::size_t correlated = 0;
+  std::size_t unmatched = 0;
+};
+
+NodePlan plan_nodes(const SpanBatches& batches, const AssembleOptions& options) {
+  std::size_t span_count = 0;
+  for (const auto& batch : batches) span_count += batch.size();
+
+  NodePlan plan;
+  plan.sources.reserve(span_count);
+  plan.keys.reserve(span_count);
+  const auto add_source = [&](const Span* span, const Span* launch) {
+    plan.keys.push_back({span->begin, span->id, static_cast<std::uint32_t>(plan.sources.size())});
+    plan.sources.push_back({span, launch});
+    plan.levels.add(span->level);
+    const bool has_parent =
+        span->parent != kNoSpan || (launch != nullptr && launch->parent != kNoSpan);
+    if (!(options.trust_explicit_parents && has_parent)) plan.searching.add(span->level);
+  };
+
+  // --- Step 1: correlate launch/execution pairs. -------------------------
+  // Regular spans become node sources directly. Async spans are sorted by
+  // correlation id; the first launch and first execution of an id merge
+  // into one node carrying the execution span's timing and metrics plus
+  // the launch window. Every other async span — the halves of an
+  // incomplete pair, and any launch or execution beyond the first of its
+  // kind for an id — degrades to a regular node (counted).
+  std::vector<AsyncRecord> async;
+  async.reserve(span_count);
+  for (const auto& batch : batches) {
+    for (const auto& s : batch) {
+      if (options.correlate_async && s.kind != SpanKind::kRegular && s.correlation_id != 0) {
+        async.push_back({s.correlation_id, async.size(), &s});
+      } else {
+        add_source(&s, nullptr);
+      }
+    }
+  }
+  sort_runs(async, [](const AsyncRecord& a, const AsyncRecord& b) {
+    if (a.correlation_id != b.correlation_id) return a.correlation_id < b.correlation_id;
+    return a.arrival < b.arrival;
+  });
+  for (std::size_t first = 0; first < async.size();) {
+    std::size_t last = first;
+    const Span* launch = nullptr;
+    const Span* exec = nullptr;
+    for (; last < async.size() && async[last].correlation_id == async[first].correlation_id;
+         ++last) {
+      const Span* s = async[last].span;
+      if (s->kind == SpanKind::kLaunch && launch == nullptr) {
+        launch = s;
+      } else if (s->kind == SpanKind::kExecution && exec == nullptr) {
+        exec = s;
+      } else {
+        add_source(s, nullptr);
+        ++plan.unmatched;
+      }
+    }
+    if (launch != nullptr && exec != nullptr) {
+      add_source(exec, launch);
+      ++plan.correlated;
+    } else {
+      add_source(launch != nullptr ? launch : exec, nullptr);
+      ++plan.unmatched;
+    }
+    first = last;
+  }
+
+  // --- Step 2: order the nodes. -------------------------------------------
+  // Deterministic order regardless of publication order (async publication
+  // may interleave arbitrarily): by begin time, then id.
+  sort_runs(plan.keys, [](const NodeKey& a, const NodeKey& b) {
+    if (a.begin != b.begin) return a.begin < b.begin;
+    if (a.id != b.id) return a.id < b.id;
+    return a.source < b.source;
+  });
+  return plan;
 }
 
 }  // namespace
 
 Timeline Timeline::assemble(const SpanBatches& batches, const AssembleOptions& options) {
+  using Tree = IntervalTree<std::uint32_t>;
   Timeline tl;
+  Levels levels;
+  // Entries of the interval tree of each level some node searches; a
+  // level no node searches (in a leveled run: the kernel level, and the
+  // model level once layers carry explicit parents) gets no tree.
+  std::vector<std::vector<Tree::Entry>> entries;
+  std::vector<bool> searched;
 
-  std::size_t span_count = 0;
-  for (const auto& batch : batches) span_count += batch.size();
+  {  // The plan (keys, sources) is scratch: freed once the nodes exist.
+    NodePlan plan = plan_nodes(batches, options);
+    levels = std::move(plan.levels);
+    tl.correlated_async_ = plan.correlated;
+    tl.unmatched_async_ = plan.unmatched;
+    entries.resize(levels.size());
+    searched.assign(levels.size(), false);
+    for (std::size_t i = 0; i < plan.searching.size(); ++i) {
+      const std::size_t target = levels.parent_of(plan.searching.level(i));
+      if (target == Levels::kNone || searched[target]) continue;
+      searched[target] = true;
+      entries[target].reserve(levels.count(target));
+    }
 
-  // --- Step 1: correlate launch/execution pairs. -------------------------
-  // Group async spans by correlation id; merge each complete pair into one
-  // node carrying the execution span's timing and metrics plus the launch
-  // window. Incomplete pairs degrade to regular nodes (counted).
-  std::unordered_map<std::uint64_t, Span> pending_launch;
-  std::unordered_map<std::uint64_t, Span> pending_exec;
+    // --- Step 3: copy each span once, into its final node. ---------------
+    // Alongside: the id index, and the tree entries, whose payload is the
+    // node position.
+    const std::size_t n = plan.keys.size();
+    tl.nodes_.reserve(n);
+    tl.index_.assign(prime_at_least(2 * n + 2), IndexSlot{});
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const Source& src = plan.sources[plan.keys[i].source];
+      TimelineNode& node = tl.nodes_.emplace_back(*src.span);
+      if (src.launch != nullptr) merge_launch(node, *src.launch);
+      const Span& s = node.span;
 
-  std::vector<TimelineNode> merged;
-  merged.reserve(span_count);
+      IndexSlot& slot = tl.index_[tl.find_slot(s.id)];
+      if (slot.pos == kAbsent) slot = {s.id, i};
 
-  for (const auto& batch : batches) {
-    for (const auto& s : batch) {
-      if (options.correlate_async && s.kind == SpanKind::kLaunch && s.correlation_id != 0) {
-        pending_launch.emplace(s.correlation_id, s);
-      } else if (options.correlate_async && s.kind == SpanKind::kExecution &&
-                 s.correlation_id != 0) {
-        pending_exec.emplace(s.correlation_id, s);
-      } else {
-        TimelineNode n;
-        n.span = s;
-        merged.push_back(std::move(n));
-      }
+      const std::size_t l = levels.index_of(s.level);
+      if (searched[l]) entries[l].push_back({s.begin, s.end, i});
     }
   }
+  const std::size_t n = tl.nodes_.size();
+  std::vector<Tree> trees(levels.size());
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    if (searched[l]) trees[l] = Tree(std::move(entries[l]));
+  }
 
-  for (auto& [corr, exec] : pending_exec) {
-    auto it = pending_launch.find(corr);
-    TimelineNode n;
-    if (it != pending_launch.end()) {
-      Span& launch = it->second;
-      n.span = std::move(exec);
-      // The launch span carries the explicit parent (if any) and the CPU
-      // window used for interval-containment parent search.
-      if (n.span.parent == kNoSpan) n.span.parent = launch.parent;
-      n.launch_begin = launch.begin;
-      n.launch_end = launch.end;
-      n.is_async = true;
-      // Preserve launch-side annotations that the execution side lacks.
-      for (const auto& e : launch.tags) {
-        if (n.span.tags.count(e.key) == 0 && !n.span.tags.set(e.key, e.value)) {
-          n.span.note_dropped();
+  // --- Step 4: resolve parents. -------------------------------------------
+  // parent_pos[i] is the position of node i's parent, or kAbsent for a
+  // root (no parent, or an explicit parent that is not in the trace).
+  std::vector<std::uint32_t> parent_pos(n, kAbsent);
+  std::vector<std::uint32_t> child_count(n, 0);
+  std::size_t root_count = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    TimelineNode& node = tl.nodes_[i];
+    if (options.trust_explicit_parents && node.span.parent != kNoSpan) {
+      parent_pos[i] = tl.position(node.span.parent);
+    } else if (const std::size_t target = levels.parent_of(node.span.level);
+               target != Levels::kNone) {
+      // Async events search with their CPU-side launch window: the launch
+      // call happens inside the parent layer's interval even when the
+      // device-side execution outlives the layer (Section III-B).
+      const TimePoint lo = node.is_async ? node.launch_begin : node.span.begin;
+      const TimePoint hi = node.is_async ? node.launch_end : node.span.end;
+      // Smallest enclosing interval is the immediate parent; a tie
+      // between distinct enclosing intervals means parallel events.
+      std::uint32_t best = kAbsent;
+      Ns best_duration = 0;
+      std::size_t equal_best = 0;
+      trees[target].visit_stabbing(lo, [&](const Tree::Entry& e) {
+        if (e.lo > lo || e.hi < hi) return;  // must contain [lo, hi]
+        const Ns duration = e.hi - e.lo;
+        if (best == kAbsent || duration < best_duration) {
+          best = e.value;
+          best_duration = duration;
+          equal_best = 1;
+        } else if (duration == best_duration) {
+          ++equal_best;
         }
-      }
-      for (const auto& e : launch.metrics) {
-        if (n.span.metrics.count(e.key) == 0 && !n.span.metrics.set(e.key, e.value)) {
-          n.span.note_dropped();
-        }
-      }
-      for (const auto& e : launch.inline_tags) {
-        if (n.span.inline_tags.count(e.key) == 0 &&
-            !n.span.inline_tags.set(e.key, e.value())) {
-          n.span.note_dropped();
-        }
-      }
-      n.span.note_dropped(launch.dropped_annotations);
-      pending_launch.erase(it);
-      ++tl.correlated_async_;
+      });
+      parent_pos[i] = best;
+      node.ambiguous_parent = equal_best > 1;
+      if (node.ambiguous_parent) ++tl.ambiguous_;
+    }
+    if (parent_pos[i] == kAbsent) {
+      ++root_count;
     } else {
-      n.span = std::move(exec);
-      ++tl.unmatched_async_;
+      ++child_count[parent_pos[i]];
     }
-    merged.push_back(std::move(n));
-  }
-  for (auto& [corr, launch] : pending_launch) {
-    (void)corr;
-    TimelineNode n;
-    n.span = std::move(launch);
-    ++tl.unmatched_async_;
-    merged.push_back(std::move(n));
   }
 
-  // Deterministic order regardless of publication order (async publication
-  // may interleave arbitrarily): sort by begin time, then id.
-  std::sort(merged.begin(), merged.end(), [](const TimelineNode& a, const TimelineNode& b) {
-    if (a.span.begin != b.span.begin) return a.span.begin < b.span.begin;
-    return a.span.id < b.span.id;
-  });
-
-  // --- Step 2: build the parent index once. ------------------------------
-  // Per-level interval trees whose payload is the node's position in
-  // `merged`, so candidate inspection during the stabbing visit is an array
-  // access instead of a hash lookup, and no per-query candidate vectors are
-  // materialized.
-  std::map<int, std::vector<IntervalTree<std::uint32_t>::Entry>> level_entries;
-  for (std::uint32_t i = 0; i < merged.size(); ++i) {
-    const Span& s = merged[i].span;
-    level_entries[s.level].push_back({s.begin, s.end, i});
+  // --- Step 5: materialize the hierarchy. ---------------------------------
+  // Nodes are in begin-time order, so walking them in order keeps children
+  // lists and roots deterministic; each list is allocated once, exactly.
+  tl.roots_.reserve(root_count);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (child_count[i] != 0) tl.nodes_[i].children.reserve(child_count[i]);
   }
-  std::map<int, IntervalTree<std::uint32_t>> level_trees;
-  for (auto& [level, entries] : level_entries) {
-    level_trees.emplace(level, IntervalTree<std::uint32_t>(std::move(entries)));
-  }
-
-  // --- Step 3: resolve parents. -------------------------------------------
-  for (auto& n : merged) {
-    SpanId parent = kNoSpan;
-    bool ambiguous = false;
-
-    if (options.trust_explicit_parents && n.span.parent != kNoSpan) {
-      parent = n.span.parent;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    TimelineNode& node = tl.nodes_[i];
+    if (parent_pos[i] == kAbsent) {
+      node.parent = kNoSpan;
+      tl.roots_.push_back(node.span.id);
     } else {
-      // The parent lives one level higher; levels with no tracer attached
-      // are skipped (e.g. kernels parent directly onto layers when no
-      // ML-library tracer ran — Section III-E extensibility).
-      auto tree_it = level_trees.end();
-      for (int parent_level = n.span.level - 1; parent_level >= kApplicationLevel;
-           --parent_level) {
-        tree_it = level_trees.find(parent_level);
-        if (tree_it != level_trees.end()) break;
-      }
-      if (tree_it != level_trees.end()) {
-        const auto [lo, hi] = parent_search_interval(n);
-        // Smallest enclosing interval is the immediate parent; a tie
-        // between distinct enclosing intervals means parallel events.
-        const TimelineNode* best = nullptr;
-        Ns best_duration = 0;
-        std::size_t equal_best = 0;
-        tree_it->second.visit_stabbing(lo, [&](const IntervalTree<std::uint32_t>::Entry& e) {
-          if (e.lo > lo || e.hi < hi) return;  // must contain [lo, hi]
-          const TimelineNode& candidate = merged[e.value];
-          const Ns duration = candidate.span.duration();
-          if (best == nullptr || duration < best_duration) {
-            best = &candidate;
-            best_duration = duration;
-            equal_best = 1;
-          } else if (duration == best_duration) {
-            ++equal_best;
-          }
-        });
-        if (best != nullptr) {
-          parent = best->span.id;
-          ambiguous = equal_best > 1;
-        }
-      }
+      node.parent = tl.nodes_[parent_pos[i]].span.id;
+      tl.nodes_[parent_pos[i]].children.push_back(node.span.id);
     }
-
-    n.parent = parent;
-    n.ambiguous_parent = ambiguous;
-    if (ambiguous) ++tl.ambiguous_;
-  }
-
-  // --- Step 4: materialize the hierarchy. ---------------------------------
-  // `merged` is already in begin-time order, so walking it in order keeps
-  // children lists and roots deterministic.
-  tl.index_.reserve(merged.size());
-  for (std::uint32_t i = 0; i < merged.size(); ++i) {
-    tl.index_.emplace(merged[i].span.id, i);
-  }
-  tl.nodes_ = std::move(merged);
-  for (auto& n : tl.nodes_) {
-    const SpanId id = n.span.id;
-    if (n.parent != kNoSpan) {
-      if (auto it = tl.index_.find(n.parent); it != tl.index_.end()) {
-        tl.nodes_[it->second].children.push_back(id);
-        continue;
-      }
-      n.parent = kNoSpan;
-    }
-    tl.roots_.push_back(id);
   }
   return tl;
 }

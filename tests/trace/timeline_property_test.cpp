@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "xsp/common/rng.hpp"
@@ -142,6 +144,330 @@ TEST_P(TimelineRandomized, ShuffledPublicationOrderIsIrrelevant) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineRandomized,
                          ::testing::Values(11u, 22u, 33u, 44u, 55u, 66u, 77u, 88u));
+
+// --- Full assembly against a brute-force oracle ----------------------------
+// The generator covers what the nested one above does not: launch/execution
+// pairs whose parent search uses the launch window, unmatched halves,
+// duplicate correlation ids, explicit parents (valid and dangling) mixed
+// with interval search, parallel equal-duration parents, an optional
+// library and application level, and publication split over many batches
+// in shuffled order.
+
+Span make_span(SpanId id, int level, TimePoint begin, TimePoint end,
+               SpanKind kind = SpanKind::kRegular, std::uint64_t corr = 0) {
+  Span s;
+  s.id = id;
+  s.level = level;
+  s.begin = begin;
+  s.end = end;
+  s.kind = kind;
+  s.correlation_id = corr;
+  s.name = "span_" + std::to_string(id);
+  return s;
+}
+
+/// Random leveled trace in arrival order, split into publication batches.
+SpanBatches random_async_trace(std::uint64_t seed, bool duplicate_correlation_ids) {
+  SplitMix64 rng(seed);
+  const bool library_level = rng.below(2) == 0;
+  const bool application_level = rng.below(2) == 0;
+  std::vector<Span> spans;
+  SpanId next_id = 1;
+  std::uint64_t next_corr = 1;
+
+  const SpanId app_id = next_id++;
+  const SpanId model_id = next_id++;
+  TimePoint t = 10;
+  const int layers = 6 + static_cast<int>(rng.below(6));
+  for (int l = 0; l < layers; ++l) {
+    const TimePoint layer_begin = t;
+    // Container for the launches: a library span inside the layer when the
+    // library level is present (most of the time), else the layer itself.
+    std::vector<Span> children;
+    TimePoint kt = layer_begin + 1 + static_cast<TimePoint>(rng.below(4));
+    SpanId layer_id = next_id++;
+    const int kernels = 1 + static_cast<int>(rng.below(5));
+    for (int k = 0; k < kernels; ++k) {
+      SpanId container = layer_id;
+      Span library;
+      const bool wrap = library_level && rng.below(4) != 0;
+      if (wrap) {
+        library = make_span(next_id++, kLibraryLevel, kt, 0);
+        container = library.id;
+        kt += 1 + static_cast<TimePoint>(rng.below(3));
+      }
+      if (rng.below(5) == 0) {
+        // A synchronous kernel-level span (e.g. a host-side memset).
+        const TimePoint len = 1 + static_cast<TimePoint>(rng.below(20));
+        children.push_back(make_span(next_id++, kKernelLevel, kt, kt + len));
+        kt += len + 1;
+      } else {
+        const std::uint64_t corr = next_corr++;
+        Span launch = make_span(next_id++, kKernelLevel, kt,
+                                kt + 1 + static_cast<TimePoint>(rng.below(4)),
+                                SpanKind::kLaunch, corr);
+        // The device side starts after the launch and may outlive the layer.
+        const TimePoint exec_begin = launch.end + static_cast<TimePoint>(rng.below(40));
+        Span exec = make_span(next_id++, kKernelLevel, exec_begin,
+                              exec_begin + 1 + static_cast<TimePoint>(rng.below(120)),
+                              SpanKind::kExecution, corr);
+        exec.level = rng.below(8) == 0 ? kKernelLevel + 1 : kKernelLevel;
+        switch (rng.below(8)) {
+          case 0: launch.parent = container; break;    // explicit, correct
+          case 1: exec.parent = container; break;      // explicit on the device side
+          case 2: launch.parent = 1'000'000; break;    // dangling explicit parent
+          default: break;
+        }
+        const std::uint64_t drop = rng.below(10);
+        if (drop != 0) children.push_back(launch);  // unmatched execution half
+        if (drop != 1) children.push_back(exec);    // unmatched launch half
+        if (duplicate_correlation_ids && rng.below(6) == 0) {
+          // A second launch or execution span reusing the id.
+          const bool dup_launch = rng.below(2) == 0;
+          Span dup = dup_launch ? launch : exec;
+          dup.id = next_id++;
+          dup.begin += 1;
+          dup.end += 2;
+          children.push_back(dup);
+        }
+        kt = launch.end + 1 + static_cast<TimePoint>(rng.below(3));
+      }
+      if (wrap) {
+        library.end = kt + static_cast<TimePoint>(rng.below(3));
+        kt = library.end + 1;
+        children.push_back(library);
+      }
+    }
+    const TimePoint layer_end = kt + static_cast<TimePoint>(rng.below(5));
+    Span layer = make_span(layer_id, kLayerLevel, layer_begin, layer_end);
+    if (rng.below(2) == 0) layer.parent = model_id;
+    spans.push_back(layer);
+    if (rng.below(4) == 0) {
+      // A parallel branch with the identical interval: every span searching
+      // the layer level inside it has two equal-duration candidates.
+      Span branch = make_span(next_id++, kLayerLevel, layer_begin, layer_end);
+      spans.push_back(branch);
+    }
+    spans.insert(spans.end(), children.begin(), children.end());
+    t = layer_end + 1 + static_cast<TimePoint>(rng.below(10));
+  }
+  Span model = make_span(model_id, kModelLevel, 5, t + 5);
+  spans.push_back(model);
+  if (application_level) spans.push_back(make_span(app_id, kApplicationLevel, 0, t + 10));
+
+  // Shuffle, then split into many batches (some empty).
+  for (std::size_t i = spans.size(); i > 1; --i) {
+    std::swap(spans[i - 1], spans[rng.below(i)]);
+  }
+  SpanBatches batches;
+  std::size_t at = 0;
+  while (at < spans.size()) {
+    const std::size_t n = std::min<std::size_t>(rng.below(8), spans.size() - at);
+    batches.emplace_back(spans.begin() + static_cast<std::ptrdiff_t>(at),
+                         spans.begin() + static_cast<std::ptrdiff_t>(at + n));
+    at += n;
+  }
+  return batches;
+}
+
+struct OracleNode {
+  SpanId id = kNoSpan;
+  int level = 0;
+  TimePoint begin = 0;
+  TimePoint end = 0;
+  TimePoint search_lo = 0;  // launch window for async events
+  TimePoint search_hi = 0;
+  SpanId explicit_parent = kNoSpan;
+  bool is_async = false;
+};
+
+struct OracleResult {
+  std::vector<OracleNode> nodes;
+  std::set<SpanId> merged_launches;  // launch ids folded into a merged node
+  std::map<SpanId, std::set<SpanId>> parents;  // every equally-good parent
+  std::size_t correlated = 0;
+  std::size_t unmatched = 0;
+  std::size_t ambiguous = 0;
+};
+
+OracleNode regular_node(const Span& s) {
+  return {s.id, s.level, s.begin, s.end, s.begin, s.end, s.parent, false};
+}
+
+/// Brute force: per correlation id, the first launch and the first
+/// execution in arrival order form the pair; every other async span stays
+/// a regular node and counts as unmatched. Parents: a trusted explicit
+/// reference if it names a node, else the smallest enclosing span at the
+/// nearest present lower level; a tie on duration is ambiguous.
+OracleResult oracle(const SpanBatches& batches, const AssembleOptions& options) {
+  OracleResult out;
+  std::map<std::uint64_t, std::vector<const Span*>> groups;
+  for (const auto& batch : batches) {
+    for (const auto& s : batch) {
+      if (options.correlate_async && s.kind != SpanKind::kRegular && s.correlation_id != 0) {
+        groups[s.correlation_id].push_back(&s);
+      } else {
+        out.nodes.push_back(regular_node(s));
+      }
+    }
+  }
+  for (const auto& [corr, group] : groups) {
+    const Span* launch = nullptr;
+    const Span* exec = nullptr;
+    for (const Span* s : group) {
+      if (s->kind == SpanKind::kLaunch && launch == nullptr) {
+        launch = s;
+      } else if (s->kind == SpanKind::kExecution && exec == nullptr) {
+        exec = s;
+      }
+    }
+    if (launch == nullptr || exec == nullptr) launch = exec = nullptr;
+    for (const Span* s : group) {
+      if (s == launch || s == exec) continue;
+      out.nodes.push_back(regular_node(*s));
+      ++out.unmatched;
+    }
+    if (launch != nullptr) {
+      OracleNode n = regular_node(*exec);
+      n.search_lo = launch->begin;
+      n.search_hi = launch->end;
+      if (n.explicit_parent == kNoSpan) n.explicit_parent = launch->parent;
+      n.is_async = true;
+      out.nodes.push_back(n);
+      out.merged_launches.insert(launch->id);
+      ++out.correlated;
+    }
+  }
+
+  std::set<int> levels;
+  std::set<SpanId> ids;
+  for (const auto& n : out.nodes) {
+    levels.insert(n.level);
+    ids.insert(n.id);
+  }
+  for (const auto& n : out.nodes) {
+    std::set<SpanId>& best = out.parents[n.id];
+    if (options.trust_explicit_parents && n.explicit_parent != kNoSpan) {
+      best.insert(ids.count(n.explicit_parent) != 0 ? n.explicit_parent : kNoSpan);
+      continue;
+    }
+    auto below = levels.lower_bound(n.level);
+    if (below == levels.begin() || *std::prev(below) < kApplicationLevel) {
+      best.insert(kNoSpan);
+      continue;
+    }
+    const int parent_level = *std::prev(below);
+    Ns best_duration = 0;
+    for (const auto& c : out.nodes) {
+      if (c.level != parent_level || c.begin > n.search_lo || c.end < n.search_hi) continue;
+      const Ns d = c.end - c.begin;
+      if (best.empty() || d < best_duration) {
+        best = {c.id};
+        best_duration = d;
+      } else if (d == best_duration) {
+        best.insert(c.id);
+      }
+    }
+    if (best.empty()) best.insert(kNoSpan);
+    if (best.size() > 1) ++out.ambiguous;
+  }
+  return out;
+}
+
+void expect_matches_oracle(const SpanBatches& batches, const AssembleOptions& options) {
+  const OracleResult want = oracle(batches, options);
+  const Timeline tl = Timeline::assemble(batches, options);
+
+  ASSERT_EQ(tl.size(), want.nodes.size());
+  EXPECT_EQ(tl.correlated_async_count(), want.correlated);
+  EXPECT_EQ(tl.unmatched_async_count(), want.unmatched);
+  EXPECT_EQ(tl.ambiguous_count(), want.ambiguous);
+  for (const SpanId launch : want.merged_launches) EXPECT_FALSE(tl.contains(launch));
+
+  // Expected children of every parent (kNoSpan = roots), in (begin, id)
+  // order, from the parents assembly chose.
+  std::map<SpanId, std::vector<std::tuple<TimePoint, SpanId>>> children;
+  for (const auto& n : want.nodes) {
+    ASSERT_TRUE(tl.contains(n.id)) << "span " << n.id;
+    const TimelineNode& got = tl.node(n.id);
+    const std::set<SpanId>& parents = want.parents.at(n.id);
+    EXPECT_EQ(parents.count(got.parent), 1u) << "span " << n.id << " parent " << got.parent;
+    EXPECT_EQ(got.ambiguous_parent, parents.size() > 1) << "span " << n.id;
+    EXPECT_EQ(got.is_async, n.is_async) << "span " << n.id;
+    EXPECT_EQ(got.span.begin, n.begin);
+    EXPECT_EQ(got.span.end, n.end);
+    if (n.is_async) {
+      EXPECT_EQ(got.launch_begin, n.search_lo);
+      EXPECT_EQ(got.launch_end, n.search_hi);
+    }
+    children[got.parent].emplace_back(n.begin, n.id);
+  }
+  const auto ids_of = [](std::vector<std::tuple<TimePoint, SpanId>> v) {
+    std::sort(v.begin(), v.end());
+    std::vector<SpanId> ids;
+    for (const auto& [begin, id] : v) ids.push_back(id);
+    return ids;
+  };
+  EXPECT_EQ(tl.roots(), ids_of(children[kNoSpan]));
+  for (const auto& n : want.nodes) {
+    EXPECT_EQ(tl.children(n.id), ids_of(children[n.id])) << "children of " << n.id;
+  }
+}
+
+class TimelineOracle : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  static std::vector<AssembleOptions> all_options() {
+    std::vector<AssembleOptions> out;
+    for (const bool correlate : {true, false}) {
+      for (const bool trust : {true, false}) {
+        AssembleOptions o;
+        o.correlate_async = correlate;
+        o.trust_explicit_parents = trust;
+        out.push_back(o);
+      }
+    }
+    return out;
+  }
+};
+
+TEST_P(TimelineOracle, MatchesBruteForce) {
+  const SpanBatches batches = random_async_trace(GetParam(), /*duplicate_correlation_ids=*/false);
+  for (const auto& options : all_options()) {
+    SCOPED_TRACE(::testing::Message() << "correlate=" << options.correlate_async
+                                      << " trust=" << options.trust_explicit_parents);
+    expect_matches_oracle(batches, options);
+  }
+}
+
+TEST_P(TimelineOracle, MatchesBruteForceWithDuplicateCorrelationIds) {
+  const SpanBatches batches = random_async_trace(GetParam(), /*duplicate_correlation_ids=*/true);
+  for (const auto& options : all_options()) {
+    SCOPED_TRACE(::testing::Message() << "correlate=" << options.correlate_async
+                                      << " trust=" << options.trust_explicit_parents);
+    expect_matches_oracle(batches, options);
+  }
+}
+
+TEST(TimelineOracleCoverage, GeneratorExercisesEveryCase) {
+  // Guard against a generator change silently dropping a case: over the
+  // seeds below, each feature shows up at least once.
+  std::size_t correlated = 0, unmatched = 0, ambiguous = 0, batches = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const SpanBatches b = random_async_trace(seed, true);
+    const Timeline tl = Timeline::assemble(b);
+    correlated += tl.correlated_async_count();
+    unmatched += tl.unmatched_async_count();
+    ambiguous += tl.ambiguous_count();
+    batches += b.size();
+  }
+  EXPECT_GT(correlated, 0u);
+  EXPECT_GT(unmatched, 0u);
+  EXPECT_GT(ambiguous, 0u);
+  EXPECT_GT(batches, 12u * 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TimelineOracle,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u));
 
 }  // namespace
 }  // namespace xsp::trace
