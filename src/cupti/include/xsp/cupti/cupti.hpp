@@ -15,8 +15,8 @@
 //                     over 100x" — Section III-C).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -75,8 +75,26 @@ struct ApiRecord {
   TimePoint end = 0;
 };
 
-/// Per-kernel metric values, keyed by metric name.
-using MetricValues = std::map<std::string, double>;
+/// One activity record's metric values, in metric-name order. Fixed
+/// capacity (every supported metric at most once), so capturing a kernel's
+/// counters allocates nothing.
+struct MetricValues {
+  struct Entry {
+    common::StrId name;
+    double value = 0;
+  };
+  static constexpr std::size_t kCapacity = 4;
+
+  std::array<Entry, kCapacity> entries{};
+  std::uint8_t count = 0;
+
+  [[nodiscard]] std::size_t size() const noexcept { return count; }
+  [[nodiscard]] bool empty() const noexcept { return count == 0; }
+  [[nodiscard]] const Entry* begin() const noexcept { return entries.data(); }
+  [[nodiscard]] const Entry* end() const noexcept { return entries.data() + count; }
+  /// The value of `name`; throws std::out_of_range when absent.
+  [[nodiscard]] double at(common::StrId name) const;
+};
 
 /// RAII profiling session. Construction validates options; start() attaches
 /// to the device (and charges the attach cost); stop() detaches and charges
@@ -95,7 +113,8 @@ class CuptiProfiler {
   /// collection on real hardware serializes and replays kernels).
   void start();
 
-  /// Detach and restore the device's previous replay/serialization state.
+  /// Detach and restore the device's previous replay, serialization and
+  /// activity-recording state.
   void stop();
 
   [[nodiscard]] bool running() const noexcept { return running_; }
@@ -115,12 +134,16 @@ class CuptiProfiler {
   void flush_activities();
 
   /// Activity records captured so far (after flush_activities()/stop()).
+  /// Kept whenever activities or metrics are enabled: metric values belong
+  /// to the record they were read for.
   [[nodiscard]] const std::vector<sim::ActivityRecord>& activity_records() const noexcept {
     return activities_;
   }
 
-  /// Metric values per correlation id (empty unless metrics were requested).
-  [[nodiscard]] const std::map<std::uint64_t, MetricValues>& metric_records() const noexcept {
+  /// Metric values, one entry per activity_records() entry at the same
+  /// index (memcpy records carry none). Empty unless metrics were
+  /// requested.
+  [[nodiscard]] const std::vector<MetricValues>& metric_records() const noexcept {
     return metrics_;
   }
 
@@ -132,10 +155,17 @@ class CuptiProfiler {
   int subscription_ = 0;
   bool saved_serialized_ = false;
   int saved_replay_ = 1;
-  bool saved_record_activities_ = true;
+  bool saved_record_activities_ = false;
+  /// The requested metrics, deduplicated and name-sorted (the order
+  /// MetricValues keeps), each with the counter it reads. Resolved once.
+  struct MetricSlot {
+    common::StrId name;
+    double (*read)(const sim::ActivityRecord&) = nullptr;
+  };
+  std::vector<MetricSlot> metric_set_;
   std::vector<ApiRecord> api_records_;
   std::vector<sim::ActivityRecord> activities_;
-  std::map<std::uint64_t, MetricValues> metrics_;
+  std::vector<MetricValues> metrics_;
 };
 
 }  // namespace xsp::cupti

@@ -1,5 +1,7 @@
 #include "xsp/cupti/cupti.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -10,25 +12,40 @@ namespace {
 struct MetricInfo {
   const char* name;
   int replay_passes;
+  /// Reads the simulated hardware counter from a kernel's record.
+  double (*read)(const sim::ActivityRecord&);
 };
 
 // DRAM traffic counters sit behind the fewest shared hardware counter
 // registers and need the most replay passes; occupancy is derived from
 // cheap SM counters.
 constexpr MetricInfo kMetricTable[] = {
-    {kFlopCountSp, 4},
-    {kDramReadBytes, 12},
-    {kDramWriteBytes, 12},
-    {kAchievedOccupancy, 2},
+    {kFlopCountSp, 4, [](const sim::ActivityRecord& r) { return r.kernel.flops; }},
+    {kDramReadBytes, 12, [](const sim::ActivityRecord& r) { return r.kernel.dram_read_bytes; }},
+    {kDramWriteBytes, 12, [](const sim::ActivityRecord& r) { return r.kernel.dram_write_bytes; }},
+    {kAchievedOccupancy, 2, [](const sim::ActivityRecord& r) { return r.achieved_occupancy; }},
 };
+static_assert(std::size(kMetricTable) == MetricValues::kCapacity);
+
+const MetricInfo* find_metric(const std::string& metric) {
+  for (const auto& m : kMetricTable) {
+    if (metric == m.name) return &m;
+  }
+  return nullptr;
+}
 
 }  // namespace
 
-int metric_replay_passes(const std::string& metric) {
-  for (const auto& m : kMetricTable) {
-    if (metric == m.name) return m.replay_passes;
+double MetricValues::at(common::StrId name) const {
+  for (const Entry& e : *this) {
+    if (e.name == name) return e.value;
   }
-  return 0;
+  throw std::out_of_range("MetricValues::at: no metric \"" + name.str() + '"');
+}
+
+int metric_replay_passes(const std::string& metric) {
+  const MetricInfo* m = find_metric(metric);
+  return m != nullptr ? m->replay_passes : 0;
 }
 
 bool is_known_metric(const std::string& metric) { return metric_replay_passes(metric) > 0; }
@@ -46,10 +63,18 @@ CuptiProfiler::CuptiProfiler(sim::GpuDevice& device, CuptiOptions options)
     : device_(&device), options_(std::move(options)) {
   int passes = 0;
   for (const auto& m : options_.metrics) {
-    const int p = metric_replay_passes(m);
-    if (p == 0) throw std::invalid_argument("unknown GPU metric: " + m);
-    passes += p;
+    const MetricInfo* info = find_metric(m);
+    if (info == nullptr) throw std::invalid_argument("unknown GPU metric: " + m);
+    passes += info->replay_passes;
+    const common::StrId name(info->name);
+    if (std::none_of(metric_set_.begin(), metric_set_.end(),
+                     [name](const MetricSlot& s) { return s.name == name; })) {
+      metric_set_.push_back({name, info->read});
+    }
   }
+  std::sort(metric_set_.begin(), metric_set_.end(), [](const MetricSlot& a, const MetricSlot& b) {
+    return a.name.view() < b.name.view();
+  });
   replay_count_ = 1 + passes;
 }
 
@@ -65,10 +90,10 @@ void CuptiProfiler::start() {
 
   saved_serialized_ = device_->serialized();
   saved_replay_ = device_->replay_count();
-  saved_record_activities_ = true;
-  device_->set_record_activities(options_.enable_activities || !options_.metrics.empty());
+  saved_record_activities_ = device_->record_activities();
+  device_->set_record_activities(options_.enable_activities || !metric_set_.empty());
 
-  if (!options_.metrics.empty()) {
+  if (!metric_set_.empty()) {
     // Metric collection replays each kernel per counter group and
     // serializes launches, exactly the cost structure of nvprof/Nsight.
     device_->set_replay_count(replay_count_);
@@ -85,7 +110,7 @@ void CuptiProfiler::start() {
       rec.name = info.name;
       rec.begin = info.begin;
       rec.end = device_->clock().now();
-      api_records_.push_back(std::move(rec));
+      api_records_.push_back(rec);
       if (info.api == sim::ApiCallbackInfo::Api::kLaunchKernel ||
           info.api == sim::ApiCallbackInfo::Api::kMemcpy) {
         // Activity-buffer bookkeeping happens on the launch path too.
@@ -101,19 +126,23 @@ void CuptiProfiler::start() {
 }
 
 void CuptiProfiler::flush_activities() {
-  auto drained = device_->drain_activities();
-  for (auto& rec : drained) {
-    if (!options_.metrics.empty() && rec.type == sim::ActivityRecord::Type::kKernel) {
-      MetricValues values;
-      for (const auto& m : options_.metrics) {
-        if (m == kFlopCountSp) values[m] = rec.kernel.flops;
-        if (m == kDramReadBytes) values[m] = rec.kernel.dram_read_bytes;
-        if (m == kDramWriteBytes) values[m] = rec.kernel.dram_write_bytes;
-        if (m == kAchievedOccupancy) values[m] = rec.achieved_occupancy;
-      }
-      metrics_.emplace(rec.correlation_id, std::move(values));
+  std::vector<sim::ActivityRecord> drained = device_->drain_activities();
+  if (!options_.enable_activities && metric_set_.empty()) return;
+  const std::size_t first = activities_.size();
+  if (first == 0) {
+    activities_ = std::move(drained);
+  } else {
+    activities_.insert(activities_.end(), drained.begin(), drained.end());
+  }
+  if (metric_set_.empty()) return;
+  metrics_.resize(activities_.size());
+  for (std::size_t i = first; i < activities_.size(); ++i) {
+    const sim::ActivityRecord& rec = activities_[i];
+    if (rec.type != sim::ActivityRecord::Type::kKernel) continue;
+    MetricValues& values = metrics_[i];
+    for (const MetricSlot& slot : metric_set_) {
+      values.entries[values.count++] = {slot.name, slot.read(rec)};
     }
-    if (options_.enable_activities) activities_.push_back(std::move(rec));
   }
 }
 

@@ -14,9 +14,9 @@
 //     (Section IV-C).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <stdexcept>
 
 #include "xsp/dnn/tensor.hpp"
 #include "xsp/sim/gpu_spec.hpp"
@@ -87,13 +87,35 @@ ConvAlgo choose_conv_algo(const ConvParams& p, sim::GpuArch arch);
 enum class ScudnnTile : std::uint8_t { k128x64, k128x128 };
 ScudnnTile choose_scudnn_tile(const ConvParams& p, sim::GpuArch arch);
 
+/// The kernels one convolution launches, in launch order: at most three.
+/// Fixed capacity, so building a layer's launch sequence allocates nothing.
+class ConvKernels {
+ public:
+  static constexpr std::size_t kCapacity = 3;
+
+  /// Throws std::length_error past kCapacity.
+  void push_back(const sim::KernelDesc& k) {
+    if (size_ == kCapacity) throw std::length_error("ConvKernels: more than 3 kernels");
+    kernels_[size_++] = k;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] const sim::KernelDesc& operator[](std::size_t i) const { return kernels_[i]; }
+  [[nodiscard]] const sim::KernelDesc& back() const { return kernels_[size_ - 1]; }
+  [[nodiscard]] const sim::KernelDesc* begin() const noexcept { return kernels_.data(); }
+  [[nodiscard]] const sim::KernelDesc* end() const noexcept { return kernels_.data() + size_; }
+
+ private:
+  std::array<sim::KernelDesc, kCapacity> kernels_{};
+  std::size_t size_ = 0;
+};
+
 /// The kernel sequence a convolution algorithm launches. The main kernel is
 /// last; preceding kernels are the small setup launches (Figure 1 of the
 /// paper shows ShuffleTensor and OffsetComp ahead of the scudnn kernel).
-std::vector<sim::KernelDesc> conv_kernels(const ConvParams& p, ConvAlgo algo,
-                                          const sim::GpuSpec& gpu);
+ConvKernels conv_kernels(const ConvParams& p, ConvAlgo algo, const sim::GpuSpec& gpu);
 
 /// Convenience: kernels for the heuristically selected algorithm.
-std::vector<sim::KernelDesc> conv_kernels_auto(const ConvParams& p, const sim::GpuSpec& gpu);
+ConvKernels conv_kernels_auto(const ConvParams& p, const sim::GpuSpec& gpu);
 
 }  // namespace xsp::dnn

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 namespace xsp::dnn {
 
@@ -67,18 +66,16 @@ ScudnnTile choose_scudnn_tile(const ConvParams& p, sim::GpuArch arch) {
   return (p.out_channels >= 512 && gemm_m >= 8192) ? ScudnnTile::k128x128 : ScudnnTile::k128x64;
 }
 
-std::vector<sim::KernelDesc> conv_kernels(const ConvParams& p, ConvAlgo algo,
-                                          const sim::GpuSpec& gpu) {
+ConvKernels conv_kernels(const ConvParams& p, ConvAlgo algo, const sim::GpuSpec& gpu) {
   using sim::KernelClass;
   using sim::KernelDesc;
 
-  const std::string prefix = sim::arch_kernel_prefix(gpu.arch);
   const double in_bytes = p.input_shape().bytes();
   const double out_bytes = p.output_shape().bytes();
   const double w_bytes = p.weight_bytes();
   const double flops = p.flops();
 
-  std::vector<KernelDesc> kernels;
+  ConvKernels kernels;
 
   switch (algo) {
     case ConvAlgo::kImplicitGemm: {
@@ -97,7 +94,7 @@ std::vector<sim::KernelDesc> conv_kernels(const ConvParams& p, ConvAlgo algo,
       k.dram_read_bytes = in_bytes * std::min(6.0, input_read_amplification(p, gpu, 64) * 1.5) +
                           w_bytes;
       k.dram_write_bytes = out_bytes;
-      kernels.push_back(std::move(k));
+      kernels.push_back(k);
       break;
     }
 
@@ -115,7 +112,7 @@ std::vector<sim::KernelDesc> conv_kernels(const ConvParams& p, ConvAlgo algo,
       const double shuffle_bytes = std::min(in_bytes, 64e6) * 0.25;
       shuffle.dram_read_bytes = shuffle_bytes;
       shuffle.dram_write_bytes = shuffle_bytes;
-      kernels.push_back(std::move(shuffle));
+      kernels.push_back(shuffle);
 
       // Setup launch 2: offset precomputation (Figure 1's "OffsetComp").
       KernelDesc offsets;
@@ -126,10 +123,12 @@ std::vector<sim::KernelDesc> conv_kernels(const ConvParams& p, ConvAlgo algo,
       offsets.registers_per_thread = 16;
       offsets.dram_write_bytes =
           static_cast<double>(p.kernel_h * p.kernel_w * p.in_channels) * 4.0;
-      kernels.push_back(std::move(offsets));
+      kernels.push_back(offsets);
 
       KernelDesc main;
-      main.name = prefix + "_scudnn_128x" + std::to_string(tile_n) + "_relu_interior_nn_v1";
+      main.name = sim::arch_kernel_name(gpu.arch, tile == ScudnnTile::k128x64
+                                                      ? "_scudnn_128x64_relu_interior_nn_v1"
+                                                      : "_scudnn_128x128_relu_interior_nn_v1");
       main.klass = KernelClass::kConvImplicitPrecompGemm;
       const std::int64_t gemm_m = p.batch * p.out_h() * p.out_w();
       main.grid = {static_cast<int>(cdiv(gemm_m, 128) * cdiv(p.out_channels, tile_n)), 1, 1};
@@ -139,7 +138,7 @@ std::vector<sim::KernelDesc> conv_kernels(const ConvParams& p, ConvAlgo algo,
       main.flops = flops;
       main.dram_read_bytes = in_bytes * input_read_amplification(p, gpu, tile_n) + w_bytes;
       main.dram_write_bytes = out_bytes;
-      kernels.push_back(std::move(main));
+      kernels.push_back(main);
       break;
     }
 
@@ -154,10 +153,10 @@ std::vector<sim::KernelDesc> conv_kernels(const ConvParams& p, ConvAlgo algo,
       fwd.flops = static_cast<double>(p.input_shape().elements()) * 10.0;
       fwd.dram_read_bytes = in_bytes + w_bytes;
       fwd.dram_write_bytes = (in_bytes + w_bytes) * 1.25;  // complex halves padded
-      kernels.push_back(std::move(fwd));
+      kernels.push_back(fwd);
 
       KernelDesc cgemm;
-      cgemm.name = prefix + "_cgemm_32x32_tn";
+      cgemm.name = sim::arch_kernel_name(gpu.arch, "_cgemm_32x32_tn");
       cgemm.klass = KernelClass::kConvFft;
       const std::int64_t gemm_m = p.batch * p.out_h() * p.out_w();
       cgemm.grid = {static_cast<int>(cdiv(gemm_m, 32) * cdiv(p.out_channels, 32)), 1, 1};
@@ -170,7 +169,7 @@ std::vector<sim::KernelDesc> conv_kernels(const ConvParams& p, ConvAlgo algo,
       cgemm.flops = flops * 1.31;
       cgemm.dram_read_bytes = (in_bytes + w_bytes) * 0.6;
       cgemm.dram_write_bytes = out_bytes * 0.35;
-      kernels.push_back(std::move(cgemm));
+      kernels.push_back(cgemm);
 
       KernelDesc inv;
       inv.name = "fft2d_c2r_16x16";
@@ -181,13 +180,14 @@ std::vector<sim::KernelDesc> conv_kernels(const ConvParams& p, ConvAlgo algo,
       inv.flops = static_cast<double>(p.output_shape().elements()) * 10.0;
       inv.dram_read_bytes = out_bytes * 1.25;
       inv.dram_write_bytes = out_bytes;
-      kernels.push_back(std::move(inv));
+      kernels.push_back(inv);
       break;
     }
 
     case ConvAlgo::kWinograd: {
       KernelDesc k;
-      k.name = prefix + "_scudnn_winograd_128x128_ldg1_ldg4_relu_tile148t_nt_v1";
+      k.name = sim::arch_kernel_name(gpu.arch,
+                                     "_scudnn_winograd_128x128_ldg1_ldg4_relu_tile148t_nt_v1");
       k.klass = KernelClass::kConvWinograd;
       const std::int64_t tiles = cdiv(p.out_h(), 4) * cdiv(p.out_w(), 4) * p.batch;
       k.grid = {static_cast<int>(cdiv(tiles, 32) * cdiv(p.out_channels, 128)), 1, 1};
@@ -197,14 +197,14 @@ std::vector<sim::KernelDesc> conv_kernels(const ConvParams& p, ConvAlgo algo,
       k.flops = flops * 0.58;  // Winograd F(4x4,3x3) multiply reduction
       k.dram_read_bytes = in_bytes * 1.6 + w_bytes * 2.0;
       k.dram_write_bytes = out_bytes * 1.15;
-      kernels.push_back(std::move(k));
+      kernels.push_back(k);
       break;
     }
   }
   return kernels;
 }
 
-std::vector<sim::KernelDesc> conv_kernels_auto(const ConvParams& p, const sim::GpuSpec& gpu) {
+ConvKernels conv_kernels_auto(const ConvParams& p, const sim::GpuSpec& gpu) {
   return conv_kernels(p, choose_conv_algo(p, gpu.arch), gpu);
 }
 

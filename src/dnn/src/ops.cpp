@@ -30,7 +30,7 @@ BackendTraits backend_traits(EwBackend b) {
   return {1.0, 1.0, 1.0, 0.7};
 }
 
-std::string ew_kernel_name(EwOp op, EwBackend b) {
+const char* ew_kernel_name(EwOp op, EwBackend b) {
   if (b == EwBackend::kEigen) {
     switch (op) {
       case EwOp::kMul: return "Eigen::TensorCwiseBinaryOp<scalar_product_op>";
@@ -109,7 +109,7 @@ sim::KernelDesc elementwise_kernel(EwOp op, const Shape4& out, int n_inputs, EwB
 sim::KernelDesc gemm_kernel(std::int64_t m, std::int64_t n, std::int64_t k_dim,
                             const sim::GpuSpec& gpu) {
   sim::KernelDesc k;
-  k.name = std::string(sim::arch_kernel_prefix(gpu.arch)) + "_sgemm_128x64_tn";
+  k.name = sim::arch_kernel_name(gpu.arch, "_sgemm_128x64_tn");
   k.klass = sim::KernelClass::kGemm;
   k.grid = {static_cast<int>(cdiv(m, 128) * cdiv(n, 64)), 1, 1};
   k.block = {256, 1, 1};
@@ -138,7 +138,7 @@ sim::KernelDesc pooling_kernel(const Shape4& in, std::int64_t window, std::int64
   const std::int64_t out_w = std::max<std::int64_t>(1, (in.w - window) / std::max<std::int64_t>(1, stride) + 1);
   const Shape4 out{in.n, in.c, out_h, out_w};
   sim::KernelDesc k;
-  k.name = std::string("cudnn::pooling_fw_4d_kernel<") + (average ? "AVG" : "MAX") + ">";
+  k.name = average ? "cudnn::pooling_fw_4d_kernel<AVG>" : "cudnn::pooling_fw_4d_kernel<MAX>";
   k.klass = sim::KernelClass::kReduction;
   k.grid = {grid_for(out.elements(), 256), 1, 1};
   k.block = {256, 1, 1};

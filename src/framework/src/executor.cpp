@@ -50,8 +50,8 @@ int Executor::execute_layer(const Layer& layer) {
   const auto& gpu = device_->spec();
   int launched = 0;
 
-  const auto launch = [&](sim::KernelDesc k) {
-    device_->launch_kernel(sim::kDefaultStream, std::move(k));
+  const auto launch = [&](const sim::KernelDesc& k) {
+    device_->launch_kernel(sim::kDefaultStream, k);
     ++launched;
   };
 
@@ -75,7 +75,7 @@ int Executor::execute_layer(const Layer& layer) {
       p.stride = layer.stride;
       p.pad = layer.pad;
       p.pad_w = layer.pad_w2;
-      for (auto& k : dnn::conv_kernels_auto(p, gpu)) launch(std::move(k));
+      for (const auto& k : dnn::conv_kernels_auto(p, gpu)) launch(k);
       break;
     }
     case LayerType::kDepthwiseConv2D:
@@ -123,7 +123,7 @@ int Executor::execute_layer(const Layer& layer) {
     case LayerType::kPad: {
       auto k = dnn::concat_kernel(layer.output, gpu);
       k.name = "tensorflow::PadInputKernel";
-      launch(std::move(k));
+      launch(k);
       break;
     }
     case LayerType::kConcat:

@@ -20,6 +20,8 @@ struct SpanKeys {
   trace::StrId kind{"kind"};
   trace::StrId kind_kernel{"kernel"};
   trace::StrId kind_memcpy{"memcpy"};
+  trace::StrId launch_kernel{sim::api_name(sim::ApiCallbackInfo::Api::kLaunchKernel)};
+  trace::StrId memcpy_async{sim::api_name(sim::ApiCallbackInfo::Api::kMemcpy)};
   trace::StrId flop_count_sp{cupti::kFlopCountSp};
   trace::StrId dram_read_bytes{cupti::kDramReadBytes};
   trace::StrId dram_write_bytes{cupti::kDramWriteBytes};

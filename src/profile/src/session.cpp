@@ -1,8 +1,13 @@
 #include "xsp/profile/session.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "xsp/net/endpoint.hpp"
@@ -30,6 +35,24 @@ void set_inline_tag(trace::Span& s, trace::StrId key, std::string_view value) {
 
 void set_metric(trace::Span& s, trace::StrId key, double value) {
   if (!s.metrics.set(key, value)) s.note_dropped();
+}
+
+/// Room for format_dims of at most four values: "<n, c, h, w>" needs <= 88.
+using DimsText = std::array<char, 96>;
+
+/// Formats `dims` as open + values joined by `sep` + close, e.g. "[x,y,z]"
+/// or "<n, c, h, w>", with std::to_chars into `buf`: a span's launch dims
+/// and layer shape cost no string temporary.
+std::string_view format_dims(DimsText& buf, std::initializer_list<std::int64_t> dims, char open,
+                             std::string_view sep, char close) {
+  char* p = buf.data();
+  *p++ = open;
+  for (const std::int64_t* d = dims.begin(); d != dims.end(); ++d) {
+    if (d != dims.begin()) p = std::copy(sep.begin(), sep.end(), p);
+    p = std::to_chars(p, buf.data() + buf.size(), *d).ptr;
+  }
+  *p++ = close;
+  return {buf.data(), static_cast<std::size_t>(p - buf.data())};
 }
 
 }  // namespace
@@ -351,7 +374,10 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
       s.end = rec.end;
       s.parent = predict;
       set_tag(s, keys().layer_type, rec.type);
-      set_tag(s, keys().shape, rec.shape.str());
+      DimsText shape;
+      set_tag(s, keys().shape,
+              format_dims(shape, {rec.shape.n, rec.shape.c, rec.shape.h, rec.shape.w}, '<', ", ",
+                          '>'));
       set_metric(s, keys().layer_index, rec.index);
       set_metric(s, keys().alloc_bytes, rec.alloc_bytes);
       layer_tracer_->publish_completed(std::move(s));
@@ -382,7 +408,8 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
         continue;
       }
       trace::Span s;
-      s.name = sim::api_name(api.api);
+      s.name = api.api == sim::ApiCallbackInfo::Api::kLaunchKernel ? keys().launch_kernel
+                                                                    : keys().memcpy_async;
       s.kind = trace::SpanKind::kLaunch;
       s.begin = api.begin;
       s.end = api.end;
@@ -391,8 +418,11 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
       gpu_tracer_->publish_completed(std::move(s));
     }
 
+    // metric_records() is empty, or runs in step with activity_records().
+    const auto& activities = cupti_profiler->activity_records();
     const auto& metric_records = cupti_profiler->metric_records();
-    for (const auto& act : cupti_profiler->activity_records()) {
+    for (std::size_t i = 0; i < activities.size(); ++i) {
+      const sim::ActivityRecord& act = activities[i];
       trace::Span s;
       s.name = act.name;
       s.kind = trace::SpanKind::kExecution;
@@ -405,18 +435,17 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
         // tags keep them out of the process-lifetime StringTable. No
         // aggregation keys on them (analysis keys on kernel/layer_type/
         // shape), so nothing downstream loses its StrId.
-        set_inline_tag(s, keys().grid, "[" + std::to_string(act.kernel.grid.x) + "," +
-                                           std::to_string(act.kernel.grid.y) + "," +
-                                           std::to_string(act.kernel.grid.z) + "]");
-        set_inline_tag(s, keys().block, "[" + std::to_string(act.kernel.block.x) + "," +
-                                            std::to_string(act.kernel.block.y) + "," +
-                                            std::to_string(act.kernel.block.z) + "]");
+        const sim::Dim3& g = act.kernel.grid;
+        const sim::Dim3& b = act.kernel.block;
+        DimsText dims;
+        set_inline_tag(s, keys().grid, format_dims(dims, {g.x, g.y, g.z}, '[', ",", ']'));
+        set_inline_tag(s, keys().block, format_dims(dims, {b.x, b.y, b.z}, '[', ",", ']'));
         set_tag(s, keys().kind, keys().kind_kernel);
       } else {
         set_tag(s, keys().kind, keys().kind_memcpy);
       }
-      if (auto it = metric_records.find(act.correlation_id); it != metric_records.end()) {
-        for (const auto& [metric, value] : it->second) set_metric(s, metric, value);
+      if (!metric_records.empty()) {
+        for (const auto& [metric, value] : metric_records[i]) set_metric(s, metric, value);
       }
       gpu_tracer_->publish_completed(std::move(s));
     }

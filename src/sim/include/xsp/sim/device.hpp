@@ -11,13 +11,16 @@
 //                       (CUPTI callback API analogue),
 //   * activity records — buffered device-side execution records with
 //                       correlation ids (CUPTI activity API analogue),
+//                       only while a profiler has turned recording on,
 //   * replay           — metric collection re-executes kernels, multiplying
 //                       device time (CUPTI metric/event replay analogue).
+//
+// Names travel as interned StrIds, so with no profiler attached a launch
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -43,7 +46,7 @@ struct ApiCallbackInfo {
   };
   Api api = Api::kLaunchKernel;
   std::uint64_t correlation_id = 0;  ///< 0 for synchronize calls
-  std::string name;                  ///< kernel name / memcpy direction
+  common::StrId name;                ///< kernel name / memcpy direction
   TimePoint begin = 0;               ///< CPU-side API entry
   TimePoint end = 0;                 ///< CPU-side API return
 };
@@ -55,7 +58,7 @@ struct ActivityRecord {
   enum class Type : std::uint8_t { kKernel, kMemcpy };
   Type type = Type::kKernel;
   std::uint64_t correlation_id = 0;
-  std::string name;
+  common::StrId name;  ///< kernel name, or "Memcpy<direction>"
   StreamId stream = kDefaultStream;
   TimePoint begin = 0;
   TimePoint end = 0;
@@ -89,8 +92,8 @@ class GpuDevice {
 
   /// Asynchronously launch a kernel. Charges the CPU the runtime-API cost,
   /// schedules execution at the stream tail, fires API callbacks, and
-  /// buffers an activity record.
-  LaunchResult launch_kernel(StreamId stream, KernelDesc kernel);
+  /// buffers an activity record when recording is on.
+  LaunchResult launch_kernel(StreamId stream, const KernelDesc& kernel);
 
   /// Asynchronously enqueue a host<->device copy.
   LaunchResult enqueue_memcpy(StreamId stream, MemcpyDesc copy);
@@ -136,9 +139,11 @@ class GpuDevice {
     return activities_;
   }
 
-  /// Enable/disable activity buffering (disabled saves memory when no GPU
-  /// profiler is attached).
+  /// Enable/disable activity buffering. Off by default, like CUDA without
+  /// CUPTI: nothing drains the buffer unless a GPU profiler is attached, so
+  /// the profiler turns it on for its session.
   void set_record_activities(bool on) noexcept { record_activities_ = on; }
+  [[nodiscard]] bool record_activities() const noexcept { return record_activities_; }
 
   /// Total kernels launched since construction/reset.
   [[nodiscard]] std::uint64_t kernels_launched() const noexcept { return kernels_launched_; }
@@ -168,7 +173,7 @@ class GpuDevice {
   std::vector<std::pair<int, ApiCallback>> callbacks_;
   int next_subscriber_ = 1;
   std::vector<ActivityRecord> activities_;
-  bool record_activities_ = true;
+  bool record_activities_ = false;
   bool serialized_ = false;
   int replay_count_ = 1;
   std::uint64_t kernels_launched_ = 0;

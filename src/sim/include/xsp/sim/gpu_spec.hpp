@@ -8,7 +8,9 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 
+#include "xsp/common/string_table.hpp"
 #include "xsp/common/time.hpp"
 
 namespace xsp::sim {
@@ -23,6 +25,12 @@ const char* arch_name(GpuArch a);
 /// "cuDNN uses optimized kernels for GPU generations after Volta"; older
 /// generations fall back to the maxwell_* family (Section IV-C).
 const char* arch_kernel_prefix(GpuArch a);
+
+/// The interned name `<arch_kernel_prefix(a)><suffix>`, e.g.
+/// "volta_sgemm_128x64_tn". Composed in a stack buffer: no string
+/// temporary per kernel descriptor. Throws std::length_error when the
+/// composed name exceeds 128 bytes.
+common::StrId arch_kernel_name(GpuArch a, std::string_view suffix);
 
 /// Static description of one GPU system (Table VII row).
 struct GpuSpec {

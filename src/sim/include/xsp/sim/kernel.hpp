@@ -2,7 +2,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+
+#include "xsp/common/string_table.hpp"
 
 namespace xsp::sim {
 
@@ -34,9 +35,11 @@ const char* kernel_class_name(KernelClass c);
 
 /// Everything the device needs to execute (simulate) one kernel: identity,
 /// geometry, and analytic work/traffic counts. The counts play the role of
-/// the hardware performance counters CUPTI reads on real silicon.
+/// the hardware performance counters CUPTI reads on real silicon. The name
+/// is interned when the descriptor is built, so the descriptor is trivially
+/// copyable and a launch carries the name as a 4-byte id.
 struct KernelDesc {
-  std::string name;
+  common::StrId name;
   KernelClass klass = KernelClass::kElementwise;
   Dim3 grid;
   Dim3 block;

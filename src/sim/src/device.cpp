@@ -1,6 +1,8 @@
 #include "xsp/sim/device.hpp"
 
 #include <algorithm>
+#include <array>
+#include <string>
 #include <utility>
 
 namespace xsp::sim {
@@ -35,7 +37,7 @@ void GpuDevice::fire_callbacks(const ApiCallbackInfo& info) {
   }
 }
 
-LaunchResult GpuDevice::launch_kernel(StreamId stream, KernelDesc kernel) {
+LaunchResult GpuDevice::launch_kernel(StreamId stream, const KernelDesc& kernel) {
   ++kernels_launched_;
   const std::uint64_t corr = kernels_launched_;
 
@@ -63,14 +65,14 @@ LaunchResult GpuDevice::launch_kernel(StreamId stream, KernelDesc kernel) {
     rec.begin = exec_begin;
     rec.end = exec_end;
     rec.achieved_occupancy = occ.achieved;
-    rec.kernel = std::move(kernel);
-    activities_.push_back(std::move(rec));
+    rec.kernel = kernel;
+    activities_.push_back(rec);
   }
 
   ApiCallbackInfo info;
   info.api = ApiCallbackInfo::Api::kLaunchKernel;
   info.correlation_id = corr;
-  info.name = record_activities_ ? activities_.back().name : std::string{};
+  info.name = kernel.name;
   info.begin = api_begin;
   info.end = api_end;
   fire_callbacks(info);
@@ -79,6 +81,24 @@ LaunchResult GpuDevice::launch_kernel(StreamId stream, KernelDesc kernel) {
 
   return {corr, api_begin, api_end, exec_begin, exec_end};
 }
+
+namespace {
+
+/// A copy's API-callback name ("HtoD") and activity name ("MemcpyHtoD"),
+/// interned once per process.
+const std::pair<common::StrId, common::StrId>& memcpy_names(MemcpyDesc::Direction d) {
+  static const auto names = [] {
+    std::array<std::pair<common::StrId, common::StrId>, 3> n;
+    for (std::size_t i = 0; i < n.size(); ++i) {
+      const std::string dir = memcpy_direction_name(static_cast<MemcpyDesc::Direction>(i));
+      n[i] = {dir, "Memcpy" + dir};
+    }
+    return n;
+  }();
+  return names[static_cast<std::size_t>(d)];
+}
+
+}  // namespace
 
 LaunchResult GpuDevice::enqueue_memcpy(StreamId stream, MemcpyDesc copy) {
   ++kernels_launched_;
@@ -93,22 +113,23 @@ LaunchResult GpuDevice::enqueue_memcpy(StreamId stream, MemcpyDesc copy) {
   const TimePoint exec_end = exec_begin + duration;
   streams_[stream] = exec_end;
 
+  const auto& [direction_name, activity_name] = memcpy_names(copy.direction);
   if (record_activities_) {
     ActivityRecord rec;
     rec.type = ActivityRecord::Type::kMemcpy;
     rec.correlation_id = corr;
-    rec.name = std::string("Memcpy") + memcpy_direction_name(copy.direction);
+    rec.name = activity_name;
     rec.stream = stream;
     rec.begin = exec_begin;
     rec.end = exec_end;
     rec.copy = copy;
-    activities_.push_back(std::move(rec));
+    activities_.push_back(rec);
   }
 
   ApiCallbackInfo info;
   info.api = ApiCallbackInfo::Api::kMemcpy;
   info.correlation_id = corr;
-  info.name = memcpy_direction_name(copy.direction);
+  info.name = direction_name;
   info.begin = api_begin;
   info.end = api_end;
   fire_callbacks(info);

@@ -1,6 +1,7 @@
 #include "xsp/sim/gpu_spec.hpp"
 
 #include <array>
+#include <cstring>
 #include <stdexcept>
 
 namespace xsp::sim {
@@ -25,6 +26,17 @@ const char* arch_kernel_prefix(GpuArch a) {
       return "volta";
   }
   return "?";
+}
+
+common::StrId arch_kernel_name(GpuArch a, std::string_view suffix) {
+  const std::string_view prefix = arch_kernel_prefix(a);
+  std::array<char, 128> buf;
+  if (prefix.size() + suffix.size() > buf.size()) {
+    throw std::length_error("arch_kernel_name: kernel name too long");
+  }
+  std::memcpy(buf.data(), prefix.data(), prefix.size());
+  std::memcpy(buf.data() + prefix.size(), suffix.data(), suffix.size());
+  return common::StrId(std::string_view(buf.data(), prefix.size() + suffix.size()));
 }
 
 namespace {

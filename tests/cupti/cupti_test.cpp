@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <stdexcept>
+#include <string>
+
+#include "../trace/test_alloc_count.hpp"
 
 namespace xsp::cupti {
 namespace {
@@ -95,14 +99,37 @@ TEST(Cupti, MetricValuesComeFromHardwareCounters) {
   const auto r = dev.launch_kernel(sim::kDefaultStream, test_kernel());
   prof.stop();
 
+  // One entry per activity record, at the same index.
   const auto& metrics = prof.metric_records();
-  ASSERT_EQ(metrics.count(r.correlation_id), 1u);
-  const auto& values = metrics.at(r.correlation_id);
+  ASSERT_EQ(prof.activity_records().size(), 1u);
+  ASSERT_EQ(metrics.size(), 1u);
+  EXPECT_EQ(prof.activity_records()[0].correlation_id, r.correlation_id);
+  const auto& values = metrics[0];
   EXPECT_DOUBLE_EQ(values.at(kFlopCountSp), 1e7);
   EXPECT_DOUBLE_EQ(values.at(kDramReadBytes), 50e6);
   EXPECT_DOUBLE_EQ(values.at(kDramWriteBytes), 50e6);
   EXPECT_GT(values.at(kAchievedOccupancy), 0.0);
   EXPECT_LE(values.at(kAchievedOccupancy), 1.0);
+  EXPECT_THROW((void)values.at("no_such_counter"), std::out_of_range);
+}
+
+TEST(Cupti, MetricValuesAreNameOrderedAndDeduplicated) {
+  SimClock clock;
+  sim::GpuDevice dev(sim::tesla_v100(), clock);
+  CuptiOptions opts;
+  opts.metrics = {kFlopCountSp, kAchievedOccupancy, kDramWriteBytes, kFlopCountSp};
+  CuptiProfiler prof(dev, opts);
+  prof.start();
+  dev.enqueue_memcpy(sim::kDefaultStream, {sim::MemcpyDesc::Direction::kHostToDevice, 1e6});
+  dev.launch_kernel(sim::kDefaultStream, test_kernel());
+  prof.stop();
+
+  const auto& metrics = prof.metric_records();
+  ASSERT_EQ(metrics.size(), 2u);
+  EXPECT_TRUE(metrics[0].empty()) << "a memcpy has no kernel counters";
+  std::vector<std::string> names;
+  for (const auto& e : metrics[1]) names.push_back(e.name.str());
+  EXPECT_EQ(names, (std::vector<std::string>{kAchievedOccupancy, kDramWriteBytes, kFlopCountSp}));
 }
 
 TEST(Cupti, MetricCollectionSlowsExecutionDramatically) {
@@ -190,6 +217,67 @@ TEST(Cupti, StopRestoresDeviceState) {
   }
   EXPECT_TRUE(dev.serialized());
   EXPECT_EQ(dev.replay_count(), 2);
+}
+
+TEST(Cupti, StopRestoresActivityRecordingState) {
+  // A device records activities only while a profiler has turned that on;
+  // detaching must hand back whatever the owner had set, both ways.
+  for (const bool owner_setting : {false, true}) {
+    SimClock clock;
+    sim::GpuDevice dev(sim::tesla_v100(), clock);
+    dev.set_record_activities(owner_setting);
+    {
+      CuptiProfiler prof(dev, {});
+      prof.start();
+      EXPECT_TRUE(dev.record_activities());
+      prof.stop();
+    }
+    EXPECT_EQ(dev.record_activities(), owner_setting);
+    dev.launch_kernel(sim::kDefaultStream, test_kernel());
+    EXPECT_EQ(dev.activities().size(), owner_setting ? 1u : 0u);
+  }
+}
+
+TEST(Cupti, LaunchRecordsCarryKernelNameWithoutActivities) {
+  SimClock clock;
+  sim::GpuDevice dev(sim::tesla_v100(), clock);
+  CuptiOptions opts;
+  opts.enable_activities = false;
+  CuptiProfiler prof(dev, opts);
+  prof.start();
+  dev.launch_kernel(sim::kDefaultStream, test_kernel("conv"));
+  prof.stop();
+  ASSERT_FALSE(prof.api_records().empty());
+  EXPECT_EQ(prof.api_records()[0].api, sim::ApiCallbackInfo::Api::kLaunchKernel);
+  EXPECT_EQ(prof.api_records()[0].name, "conv");
+}
+
+TEST(Cupti, MetricCaptureAllocationsGrowLogarithmically) {
+  // Capturing four metrics per kernel stores them in fixed-capacity
+  // entries of one flat array: 10x the kernels may only add the doublings
+  // of the record vectors, never an allocation per kernel.
+  const sim::KernelDesc kernel =
+      test_kernel("a_kernel_name_longer_than_any_small_string_buffer");
+  const auto allocations = [&kernel](int kernels) {
+    SimClock clock;
+    sim::GpuDevice dev(sim::tesla_v100(), clock);
+    CuptiOptions opts;
+    opts.metrics = {kFlopCountSp, kDramReadBytes, kDramWriteBytes, kAchievedOccupancy};
+    CuptiProfiler prof(dev, opts);
+    const std::uint64_t before = g_xsp_test_alloc_count.load(std::memory_order_relaxed);
+    prof.start();
+    for (int i = 0; i < kernels; ++i) dev.launch_kernel(sim::kDefaultStream, kernel);
+    prof.stop();
+    const std::uint64_t during = g_xsp_test_alloc_count.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(prof.metric_records().size(), static_cast<std::size_t>(kernels));
+    return during;
+  };
+  constexpr int kFew = 100;
+  constexpr int kMany = 10 * kFew;
+  const std::uint64_t few = allocations(kFew);
+  const std::uint64_t many = allocations(kMany);
+  EXPECT_LE(many, few + std::bit_width(static_cast<unsigned>(kMany)))
+      << few << " allocations for " << kFew << " kernels, " << many << " for " << kMany;
 }
 
 TEST(Cupti, DestructorStopsRunningProfiler) {

@@ -109,9 +109,9 @@ TEST(ConvKernels, PrecompGemmLaunchesSetupKernels) {
   const auto kernels =
       conv_kernels(resnet_first_conv(256), ConvAlgo::kImplicitPrecompGemm, sim::tesla_v100());
   ASSERT_EQ(kernels.size(), 3u);
-  EXPECT_NE(kernels[0].name.find("Shuffle"), std::string::npos);
-  EXPECT_NE(kernels[1].name.find("Offsets"), std::string::npos);
-  EXPECT_NE(kernels[2].name.find("volta_scudnn_128x"), std::string::npos);
+  EXPECT_NE(kernels[0].name.view().find("Shuffle"), std::string_view::npos);
+  EXPECT_NE(kernels[1].name.view().find("Offsets"), std::string_view::npos);
+  EXPECT_NE(kernels[2].name.view().find("volta_scudnn_128x"), std::string_view::npos);
   // The main kernel carries all the flops.
   EXPECT_DOUBLE_EQ(kernels[2].flops, resnet_first_conv(256).flops());
 }
@@ -119,9 +119,9 @@ TEST(ConvKernels, PrecompGemmLaunchesSetupKernels) {
 TEST(ConvKernels, FftLaunchesTransformsAroundCgemm) {
   const auto kernels = conv_kernels(deep_7x7_conv(256), ConvAlgo::kFft, sim::tesla_v100());
   ASSERT_EQ(kernels.size(), 3u);
-  EXPECT_NE(kernels[0].name.find("fft2d_r2c"), std::string::npos);
-  EXPECT_NE(kernels[1].name.find("cgemm_32x32_tn"), std::string::npos);
-  EXPECT_NE(kernels[2].name.find("fft2d_c2r"), std::string::npos);
+  EXPECT_NE(kernels[0].name.view().find("fft2d_r2c"), std::string_view::npos);
+  EXPECT_NE(kernels[1].name.view().find("cgemm_32x32_tn"), std::string_view::npos);
+  EXPECT_NE(kernels[2].name.view().find("fft2d_c2r"), std::string_view::npos);
 }
 
 TEST(ConvKernels, ArchitecturePrefixesKernelNames) {
@@ -130,9 +130,9 @@ TEST(ConvKernels, ArchitecturePrefixesKernelNames) {
   const auto volta = conv_kernels(p, ConvAlgo::kImplicitPrecompGemm, sim::tesla_v100());
   const auto pascal = conv_kernels(p, ConvAlgo::kImplicitPrecompGemm, sim::tesla_p100());
   const auto maxwell = conv_kernels(p, ConvAlgo::kImplicitPrecompGemm, sim::tesla_m60());
-  EXPECT_EQ(volta.back().name.rfind("volta_", 0), 0u);
-  EXPECT_EQ(pascal.back().name.rfind("maxwell_", 0), 0u);
-  EXPECT_EQ(maxwell.back().name.rfind("maxwell_", 0), 0u);
+  EXPECT_EQ(volta.back().name.view().rfind("volta_", 0), 0u);
+  EXPECT_EQ(pascal.back().name.view().rfind("maxwell_", 0), 0u);
+  EXPECT_EQ(maxwell.back().name.view().rfind("maxwell_", 0), 0u);
 }
 
 TEST(ConvKernels, TuringPromotesMoreLayersTo128x128) {

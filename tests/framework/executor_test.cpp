@@ -116,6 +116,7 @@ TEST(Executor, MXLiteHasHigherEngineOverhead) {
 TEST(Executor, KernelsLaunchedMatchLayerTypes) {
   SimClock clock;
   sim::GpuDevice dev(sim::tesla_v100(), clock);
+  dev.set_record_activities(true);
   Executor ex(FrameworkKind::kTFlow, dev);
   ex.run(tiny_graph(1, true));
   const auto acts = dev.activities();
@@ -147,6 +148,7 @@ TEST(Executor, EveryLayerTypeExecutes) {
 
   SimClock clock;
   sim::GpuDevice dev(sim::tesla_v100(), clock);
+  dev.set_record_activities(true);
   Executor ex(FrameworkKind::kTFlow, dev);
   RunOptions opts;
   opts.enable_layer_profiling = true;
@@ -204,6 +206,7 @@ TEST(Executor, ReshapeLaunchesNothing) {
 
   SimClock clock;
   sim::GpuDevice dev(sim::tesla_v100(), clock);
+  dev.set_record_activities(true);
   Executor ex(FrameworkKind::kTFlow, dev);
   ex.run(g);
   // Only the Data memcpy.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "../trace/test_alloc_count.hpp"
 
 namespace xsp::sim {
 namespace {
@@ -74,6 +77,7 @@ TEST(GpuDevice, CorrelationIdsIncrease) {
 TEST(GpuDevice, ActivityRecordsMatchLaunches) {
   SimClock clock;
   GpuDevice dev(tesla_v100(), clock);
+  dev.set_record_activities(true);
   const auto r1 = dev.launch_kernel(kDefaultStream, small_kernel("x"));
   const auto r2 = dev.launch_kernel(kDefaultStream, small_kernel("y"));
   auto acts = dev.drain_activities();
@@ -87,12 +91,37 @@ TEST(GpuDevice, ActivityRecordsMatchLaunches) {
   EXPECT_TRUE(dev.drain_activities().empty());
 }
 
-TEST(GpuDevice, ActivityRecordingCanBeDisabled) {
+TEST(GpuDevice, ActivityRecordingIsOffUntilEnabled) {
+  // Like CUDA without CUPTI: nothing is buffered unless a profiler asked.
   SimClock clock;
   GpuDevice dev(tesla_v100(), clock);
-  dev.set_record_activities(false);
+  EXPECT_FALSE(dev.record_activities());
   dev.launch_kernel(kDefaultStream, small_kernel());
   EXPECT_TRUE(dev.activities().empty());
+  dev.set_record_activities(true);
+  dev.launch_kernel(kDefaultStream, small_kernel());
+  EXPECT_EQ(dev.activities().size(), 1u);
+  dev.set_record_activities(false);
+  dev.launch_kernel(kDefaultStream, small_kernel());
+  EXPECT_EQ(dev.activities().size(), 1u);
+}
+
+TEST(GpuDevice, UnprofiledLaunchAllocatesNothing) {
+  // Names longer than any small-string buffer: a name copied as a string
+  // anywhere on the launch path would allocate.
+  SimClock clock;
+  GpuDevice dev(tesla_v100(), clock);
+  const KernelDesc a = small_kernel("volta_scudnn_128x64_relu_interior_nn_v1");
+  const KernelDesc b = small_kernel("Eigen::TensorCwiseBinaryOp<scalar_product_op>");
+  const MemcpyDesc copy{MemcpyDesc::Direction::kHostToDevice, 1e6};
+  dev.enqueue_memcpy(kDefaultStream, copy);  // interns the memcpy names once
+  const std::uint64_t before = g_xsp_test_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) {
+    dev.launch_kernel(kDefaultStream, i % 2 == 0 ? a : b);
+    if (i % 100 == 0) dev.enqueue_memcpy(kDefaultStream, copy);
+  }
+  dev.synchronize();
+  EXPECT_EQ(g_xsp_test_alloc_count.load(std::memory_order_relaxed) - before, 0u);
 }
 
 TEST(GpuDevice, ApiCallbacksFireWithCorrelation) {
@@ -125,6 +154,7 @@ TEST(GpuDevice, CallbackClockAdvanceIsAttributedToApi) {
 TEST(GpuDevice, ReplayMultipliesStreamOccupancy) {
   SimClock clock;
   GpuDevice dev(tesla_v100(), clock);
+  dev.set_record_activities(true);
   dev.set_replay_count(4);
   const auto r = dev.launch_kernel(kDefaultStream, small_kernel());
   dev.synchronize();
@@ -139,6 +169,7 @@ TEST(GpuDevice, ReplayMultipliesStreamOccupancy) {
 TEST(GpuDevice, MemcpyActivitiesRecorded) {
   SimClock clock;
   GpuDevice dev(tesla_v100(), clock);
+  dev.set_record_activities(true);
   MemcpyDesc copy{MemcpyDesc::Direction::kHostToDevice, 64e6};
   const auto r = dev.enqueue_memcpy(kDefaultStream, copy);
   dev.synchronize_stream(kDefaultStream);
@@ -152,9 +183,11 @@ TEST(GpuDevice, MemcpyActivitiesRecorded) {
 TEST(GpuDevice, ResetClearsStateButKeepsSubscribers) {
   SimClock clock;
   GpuDevice dev(tesla_v100(), clock);
+  dev.set_record_activities(true);
   int callback_count = 0;
   dev.subscribe([&](const ApiCallbackInfo&) { ++callback_count; });
   dev.launch_kernel(kDefaultStream, small_kernel());
+  ASSERT_EQ(dev.activities().size(), 1u);
   dev.reset();
   EXPECT_TRUE(dev.activities().empty());
   EXPECT_EQ(dev.kernels_launched(), 0u);
@@ -165,6 +198,7 @@ TEST(GpuDevice, ResetClearsStateButKeepsSubscribers) {
 TEST(GpuDevice, KernelOrderOnStreamPreservedInActivities) {
   SimClock clock;
   GpuDevice dev(tesla_v100(), clock);
+  dev.set_record_activities(true);
   for (int i = 0; i < 10; ++i) {
     dev.launch_kernel(kDefaultStream, small_kernel("k" + std::to_string(i)));
   }

@@ -3,38 +3,13 @@
 // allocations — batch vectors circulate between the server's freelist and
 // its producer slots instead of being malloc'd and freed per batch.
 //
-// Allocation counting is done by overriding the global allocation
-// functions for this test binary (they only count; behaviour is
-// unchanged). new[]/delete[] funnel through these two by default.
+// Allocations are counted by the replacement operator new in
+// test_alloc_count.cpp (it only counts; behaviour is unchanged).
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include "test_alloc_count.hpp"
 #include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/trace_server.hpp"
-
-// GCC pairs the malloc-backed replacement operator new below with the
-// inlined operator delete and misreports a mismatch; both halves are ours
-// and consistently use malloc/free.
-#if defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-// Binary-wide counter (declared in test_alloc_count.hpp): other suites in
-// this binary assert on it too, e.g. streaming-export memory bounds.
-std::atomic<std::uint64_t> g_xsp_test_alloc_count{0};
-
-void* operator new(std::size_t size) {
-  g_xsp_test_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace xsp::trace {
 namespace {

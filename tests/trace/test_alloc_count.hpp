@@ -1,8 +1,8 @@
-// Shared allocation counter for the trace test binary. The global
-// operator new/delete replacements live in batch_recycling_test.cpp (one
-// definition per binary); any test in this suite can read the counter to
-// assert allocation behaviour — e.g. that streaming-export memory is
-// independent of span count.
+// Shared allocation counter. The global operator new/delete replacements
+// live in test_alloc_count.cpp, linked once into each binary that uses
+// this header; any test there can read the counter to assert allocation
+// behaviour — e.g. that streaming-export memory is independent of span
+// count, or that a kernel launch allocates nothing.
 #pragma once
 
 #include <atomic>
