@@ -69,9 +69,8 @@ int main() {
     opts.trace_shards = shards;
     const auto run = session.profile(graph, opts);
     if (shards == 1) single_spans = run.timeline.size();
-    std::printf("  %zu shard%s (%s routing): %zu spans, %zu roots, dropped_annotations=%llu%s\n",
-                shards, shards == 1 ? " " : "s", trace::shard_policy_name(opts.shard_policy),
-                run.timeline.size(), run.timeline.roots().size(),
+    std::printf("  %zu shard%s: %zu spans, %zu roots, dropped_annotations=%llu%s\n", shards,
+                shards == 1 ? "" : "s", run.timeline.size(), run.timeline.roots().size(),
                 static_cast<unsigned long long>(run.dropped_annotations),
                 run.timeline.size() == single_spans ? "" : "  << MISMATCH");
   }

@@ -4,9 +4,9 @@
 //
 // One poll(2) loop owns everything: the listener plus every connection's
 // nonblocking reads. Per connection the service keeps an RxBuffer
-// (partial-frame reassembly), a trace::WireDecoder (stream validation +
-// per-stream StrId re-interning, so two producers' interned ids can never
-// collide after ingest), and span-id/correlation-id remap tables that
+// (partial-frame reassembly), a trace::wire::FrameParser (every framing
+// rule, plus per-stream StrId re-interning, so two producers' interned ids
+// can never collide after ingest), and span-id/correlation-id remap tables that
 // translate each producer's sink-local ids into the server's fleet-wide
 // id space a block of 1024 ids at a time (SpanSink::next_span_block).
 // Children publish before parents in the wire stream, so the remap
@@ -19,10 +19,11 @@
 // and decode scratch is reused. The remap tables are the exception: one
 // entry per producer id block touched, kept for the connection's life
 // (xsp_connection_remap_blocks on /metrics). Hostile input — bad magic, oversized
-// length prefixes, unknown string ids, absurd annotation counts — throws
-// WireError inside the per-connection decode, which closes that
-// connection and increments connections_errored; the daemon itself never
-// dies from a client's bytes.
+// length prefixes, unknown frame types, unknown string ids, absurd
+// annotation counts — throws WireError inside the per-connection decode,
+// which closes that connection and increments connections_errored; the
+// daemon itself never dies from a client's bytes. A bad frame header is
+// rejected as soon as its 8 bytes arrive, before any of its payload.
 //
 // Lifecycle: run() blocks until stop() (SIGTERM handlers just call
 // stop(); it is an atomic store). Stopping enters a graceful drain: the
@@ -38,7 +39,7 @@
 // thread that owns them. The exposition covers the service's own ingest
 // counters (xsp_ingested_spans_total and friends), one series per open
 // producer connection (bytes/frames/spans/remap blocks, labeled by accept
-// id), the producer-health counters carried by wire v3 Heartbeat frames
+// id), the producer-health counters carried by wire Heartbeat frames
 // (publish/drop/outbox/reconnects as the *producer* counts them, plus
 // heartbeat age and a staleness flag), and finally whatever registry the
 // embedding daemon wired in (the sink's own xsp_trace_* series).
@@ -82,8 +83,8 @@ struct CollectorOptions {
   metrics::Registry* registry = nullptr;
   /// A producer whose heartbeats stop for longer than this while its
   /// connection stays open is flagged stale (xsp_producer_stale = 1).
-  /// Applies only to connections that have sent at least one heartbeat —
-  /// v1/v2 producers never do and are never flagged. <= 0 disables.
+  /// Applies only to connections that have sent at least one heartbeat;
+  /// one that has not sent any is never flagged. <= 0 disables.
   int heartbeat_stale_ms = 5000;
 };
 
@@ -100,7 +101,7 @@ struct CollectorStats {
   std::uint64_t footers_seen = 0;
   /// Wire frames fully parsed across all connections (all types).
   std::uint64_t frames_parsed = 0;
-  /// Wire v3 Heartbeat frames ingested (producer liveness beacons).
+  /// Heartbeat frames ingested (producer liveness beacons).
   std::uint64_t heartbeats_seen = 0;
   /// HTTP requests answered on the metrics endpoint (any status).
   std::uint64_t http_requests = 0;
@@ -150,9 +151,14 @@ class CollectorService {
   void accept_pending();
   /// Read + parse one connection; returns false when it should be closed.
   bool service_connection(Connection& conn);
-  /// Parse all complete frames in the rx buffer. Throws WireError.
+  /// Feed the rx buffer to the connection's parser, one whole parser
+  /// step at a time. Throws WireError.
   void parse_frames(Connection& conn);
   void ingest_batch(Connection& conn);
+  /// Fold `bytes` just read and whatever the parser decoded since the
+  /// last call into the service stats. Runs after every read, also one
+  /// whose parse threw, so frames decoded before a bad one still count.
+  void account(Connection& conn, std::size_t bytes);
   void close_connection(std::size_t index);
 
   void accept_http(Poller& poller);

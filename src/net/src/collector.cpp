@@ -31,7 +31,7 @@ std::string conn_label(std::uint64_t id) {
 struct CollectorService::Connection {
   Socket sock;
   RxBuffer rx;
-  trace::WireDecoder decoder;
+  wire::FrameParser parser;
   /// Producer id -> server-wide id, remapped a block at a time: producer
   /// id p maps to base[p / kIdBlock] + p % kIdBlock, where base is a fresh
   /// block the sink reserves the first time p's block appears. A child's
@@ -43,12 +43,6 @@ struct CollectorService::Connection {
   std::unordered_map<std::uint64_t, SpanId> span_blocks;
   std::unordered_map<std::uint64_t, std::uint64_t> corr_blocks;
   trace::SpanBatch scratch;
-  /// Stream format version from the validated header; sizes the footer
-  /// frame (wire::footer_size) so v1 producers keep working against a v2
-  /// daemon.
-  std::uint16_t version = wire::kVersion;
-  bool got_header = false;
-  bool done = false;     ///< footer seen; only EOF is acceptable after
   bool errored = false;  ///< hostile input or mid-frame disconnect
 
   // --- self-metrics (per-connection series on /metrics) ---
@@ -57,14 +51,17 @@ struct CollectorService::Connection {
   std::uint64_t frames = 0;
   std::uint64_t spans = 0;
   std::uint64_t remap_blocks = 0;  ///< span_blocks + corr_blocks entries
-  /// Latest producer heartbeat (wire v3). got_heartbeat gates the
-  /// xsp_producer_* series: v1/v2 producers never send one and expose
-  /// nothing rather than zeros.
-  bool got_heartbeat = false;
-  wire::Heartbeat hb{};
+  /// Parser counters already folded into the service stats (account()).
+  std::uint64_t strings = 0;
+  std::uint64_t heartbeats = 0;
+  bool footer_counted = false;
+  /// Arrival of the latest heartbeat. The xsp_producer_* series need a
+  /// heartbeat (heartbeats > 0): a producer that has not sent one yet
+  /// exposes nothing rather than zeros.
   Clock::time_point last_hb{};
 
-  explicit Connection(Socket s) : sock(std::move(s)) {}
+  Connection(Socket s, std::size_t max_frame_payload)
+      : sock(std::move(s)), parser(max_frame_payload) {}
 };
 
 /// One metrics-endpoint client. Request heads are parsed incrementally
@@ -190,7 +187,7 @@ void CollectorService::accept_pending() {
   for (;;) {
     Socket conn = listener_->accept();
     if (!conn.valid()) return;
-    conns_.push_back(std::make_unique<Connection>(std::move(conn)));
+    conns_.push_back(std::make_unique<Connection>(std::move(conn), opts_.max_frame_payload));
     conns_.back()->id = next_conn_id_++;
     open_conns_.store(conns_.size(), std::memory_order_relaxed);
     std::lock_guard lk(stats_mu_);
@@ -205,113 +202,65 @@ bool CollectorService::service_connection(Connection& conn) {
   for (;;) {
     std::size_t n = 0;
     const IoResult r = conn.sock.read_some(chunk, chunk_cap, n);
+    if (r == IoResult::kWouldBlock) return true;
     if (r == IoResult::kOk) {
       conn.rx.append(std::string_view(chunk, n));
       conn.bytes += n;
-      {
-        std::lock_guard lk(stats_mu_);
-        stats_.bytes_received += n;
-      }
-      try {
-        parse_frames(conn);
-      } catch (const WireError&) {
-        // Hostile or corrupt stream: drop this client, keep the daemon.
-        // Spans decoded before the bad frame were already published.
-        conn.errored = true;
-        return false;
-      }
-      continue;
     }
-    if (r == IoResult::kWouldBlock) return true;
-    // EOF or reset: the stream is over. EOF at a frame boundary (or
-    // after the footer) is a clean close; bytes stranded mid-frame mean
-    // the producer died or was cut mid-send — a truncated stream,
-    // counted as errored, though everything already decoded was kept.
-    if (r != IoResult::kClosed || conn.rx.size() != 0) conn.errored = true;
-    return false;
+    try {
+      if (r == IoResult::kOk) {
+        parse_frames(conn);
+      } else if (r == IoResult::kClosed) {
+        // EOF between frames or after the footer is a clean close; bytes
+        // stranded mid-frame mean the producer died or was cut mid-send.
+        // A connection that never sent a byte is a probe, not a stream.
+        if (conn.bytes > 0) conn.parser.end_of_input(conn.rx.size());
+      } else {
+        conn.errored = true;  // reset
+      }
+    } catch (const WireError&) {
+      // Hostile, corrupt or truncated stream: drop this client, keep the
+      // daemon. Spans decoded before the bad frame were already published.
+      conn.errored = true;
+    }
+    account(conn, n);
+    if (r != IoResult::kOk || conn.errored) return false;
   }
 }
 
 void CollectorService::parse_frames(Connection& conn) {
+  // Move whole parser steps out of the reassembly buffer. The parser
+  // judges each frame from its header, so a bad one throws before its
+  // payload is waited for.
   for (;;) {
-    const std::string_view data = conn.rx.data();
-    if (!conn.got_header) {
-      if (data.size() < sizeof(wire::Header)) return;
-      wire::Header header{};
-      std::memcpy(&header, data.data(), sizeof header);
-      conn.version = trace::WireDecoder::validate_header(header);
-      // A v1–v3 producer may stream the legacy (pre-inline-tag) span
-      // record; the decoder widens each one during batch decode.
-      conn.decoder.set_span_size(header.span_size);
-      conn.rx.consume(sizeof header);
-      conn.got_header = true;
-      continue;
-    }
-    if (data.size() < sizeof(wire::FrameHeader)) return;
-    if (conn.done) {
-      // Frames after the footer: corruption or a confused client. EOF is
-      // the only valid continuation.
-      throw WireError("xsp collector: data after footer frame");
-    }
-    wire::FrameHeader fh{};
-    std::memcpy(&fh, data.data(), sizeof fh);
-    const auto payload_size = static_cast<std::size_t>(fh.payload_size);
-    if (payload_size > opts_.max_frame_payload ||
-        payload_size > wire::kMaxFramePayload) {
-      throw WireError("xsp collector: frame payload length " +
-                      std::to_string(payload_size) + " exceeds the bound");
-    }
-    if (data.size() - sizeof fh < payload_size) return;  // reassembling
-    const std::string_view payload = data.substr(sizeof fh, payload_size);
+    const std::size_t want = conn.parser.wanted();
+    if (conn.rx.size() < want) return;
+    std::memcpy(conn.parser.buffer(conn.scratch), conn.rx.data().data(), want);
+    conn.rx.consume(want);
+    if (conn.parser.commit(conn.scratch)) ingest_batch(conn);
+  }
+}
 
-    switch (static_cast<wire::FrameType>(fh.type)) {
-      case wire::FrameType::kStringDelta: {
-        const std::uint64_t before = conn.decoder.strings_reinterned();
-        conn.decoder.decode_string_delta(payload);
-        std::lock_guard lk(stats_mu_);
-        stats_.strings_reinterned += conn.decoder.strings_reinterned() - before;
-        break;
-      }
-      case wire::FrameType::kSpanBatch: {
-        conn.decoder.decode_span_batch(payload, conn.scratch);
-        ingest_batch(conn);
-        break;
-      }
-      case wire::FrameType::kHeartbeat: {
-        // checked_heartbeat enforces the v3 gate: a heartbeat inside a
-        // stream that declared v1/v2 is a protocol violation, same as any
-        // malformed frame.
-        conn.hb = wire::checked_heartbeat(payload, conn.version);
-        conn.got_heartbeat = true;
-        conn.last_hb = Clock::now();
-        std::lock_guard lk(stats_mu_);
-        ++stats_.heartbeats_seen;
-        break;
-      }
-      case wire::FrameType::kFooter: {
-        // Older producers send shorter footer prefixes (11 fields for
-        // v1, 13 for v2/v3); the later-version fields decode as zero
-        // (see BinaryReader's matching rule).
-        if (payload_size != wire::footer_size(conn.version))
-          throw WireError("xsp collector: footer payload length mismatch");
-        wire::Footer footer{};
-        std::memcpy(&footer, payload.data(), payload_size);
-        conn.decoder.set_footer(footer);
-        conn.done = true;
-        std::lock_guard lk(stats_mu_);
-        ++stats_.footers_seen;
-        stats_.producer_dropped_spans += footer.remote_dropped_spans;
-        stats_.producer_reconnects += footer.remote_reconnects;
-        break;
-      }
-      default:
-        throw WireError("xsp collector: unknown frame type " +
-                        std::to_string(fh.type));
-    }
-    conn.rx.consume(sizeof fh + payload_size);
-    ++conn.frames;
-    std::lock_guard lk(stats_mu_);
-    ++stats_.frames_parsed;
+void CollectorService::account(Connection& conn, std::size_t bytes) {
+  const wire::FrameParser& p = conn.parser;
+  const std::uint64_t frames = p.frames() - conn.frames;
+  const std::uint64_t strings = p.strings_reinterned() - conn.strings;
+  const std::uint64_t heartbeats = p.heartbeats_seen() - conn.heartbeats;
+  const bool footer = p.saw_footer() && !conn.footer_counted;
+  conn.frames = p.frames();
+  conn.strings = p.strings_reinterned();
+  conn.heartbeats = p.heartbeats_seen();
+  conn.footer_counted = p.saw_footer();
+  if (heartbeats > 0) conn.last_hb = Clock::now();
+  std::lock_guard lk(stats_mu_);
+  stats_.bytes_received += bytes;
+  stats_.frames_parsed += frames;
+  stats_.strings_reinterned += strings;
+  stats_.heartbeats_seen += heartbeats;
+  if (footer) {
+    ++stats_.footers_seen;
+    stats_.producer_dropped_spans += p.footer().remote_dropped_spans;
+    stats_.producer_reconnects += p.footer().remote_reconnects;
   }
 }
 
@@ -546,11 +495,11 @@ void CollectorService::build_metrics_text(std::string& out) {
       append_sample_line(out, pc.name, conn_label(conn->id), (*conn).*pc.field);
   }
 
-  // Producer-health series from wire v3 heartbeats: the producer's *own*
+  // Producer-health series from heartbeat frames: the producer's *own*
   // accounting (published/dropped/outbox) surfaced while the stream is
   // live, plus how long ago the last beacon arrived. Only connections
-  // that have heartbeated expose these — a v1/v2 producer is silent, not
-  // flatlined at zero.
+  // that have heartbeated expose these — a producer that has not sent one
+  // yet is silent, not flatlined at zero.
   struct PerHb {
     std::string_view name;
     std::string_view help;
@@ -588,16 +537,16 @@ void CollectorService::build_metrics_text(std::string& out) {
   };
   const bool any_hb = [this] {
     for (const auto& conn : conns_)
-      if (conn->got_heartbeat) return true;
+      if (conn->heartbeats > 0) return true;
     return false;
   }();
   if (any_hb) {
     for (const PerHb& ph : kPerHb) {
       append_family_header(out, ph.name, ph.help, ph.kind);
       for (const auto& conn : conns_) {
-        if (!conn->got_heartbeat) continue;
+        if (conn->heartbeats == 0) continue;
         append_sample_line(out, ph.name, conn_label(conn->id),
-                           conn->hb.*ph.field);
+                           conn->parser.last_heartbeat().*ph.field);
       }
     }
     const auto now = Clock::now();
@@ -605,7 +554,7 @@ void CollectorService::build_metrics_text(std::string& out) {
                          "Seconds since this producer's last heartbeat",
                          Kind::kGauge);
     for (const auto& conn : conns_) {
-      if (!conn->got_heartbeat) continue;
+      if (conn->heartbeats == 0) continue;
       const double age =
           std::chrono::duration<double>(now - conn->last_hb).count();
       append_sample_line(out, "xsp_producer_heartbeat_age_seconds",
@@ -616,7 +565,7 @@ void CollectorService::build_metrics_text(std::string& out) {
         "1 when the producer's heartbeats stopped past the staleness bound",
         Kind::kGauge);
     for (const auto& conn : conns_) {
-      if (!conn->got_heartbeat) continue;
+      if (conn->heartbeats == 0) continue;
       const bool stale =
           opts_.heartbeat_stale_ms > 0 &&
           now - conn->last_hb >

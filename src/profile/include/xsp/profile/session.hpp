@@ -56,8 +56,6 @@ struct ProfileOptions {
   /// session's trace plumbing is shared with concurrent publishers — but
   /// any setting yields an identical assembled timeline.
   std::size_t trace_shards = 1;
-  /// How publishers map to shards when trace_shards != 1.
-  trace::ShardPolicy shard_policy = trace::ShardPolicy::kByThread;
   /// Deterministic timing jitter (fraction; 0 disables) + seed, for
   /// multi-run statistics.
   double timing_jitter = 0;

@@ -154,9 +154,9 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   // the next run's publication.
   if (server_ == nullptr ||
       server_->shard_count() != trace::ShardedTraceServer::resolve_shard_count(options.trace_shards) ||
-      server_->mode() != options.publish_mode || server_->policy() != options.shard_policy) {
-    auto fresh = std::make_unique<trace::ShardedTraceServer>(
-        options.trace_shards, options.publish_mode, options.shard_policy);
+      server_->mode() != options.publish_mode) {
+    auto fresh = std::make_unique<trace::ShardedTraceServer>(options.trace_shards,
+                                                             options.publish_mode);
     // Only the pointer swap is guarded: slot_telemetry() on a dashboard
     // thread must never catch the fleet mid-replacement.
     {

@@ -57,7 +57,7 @@ enum class ExportFormat : std::uint8_t {
   /// (metadata in the footer, so counts/drops can be filled in after the
   /// last span has streamed).
   kSpanJson,
-  /// XSP binary wire format v1 (wire.hpp): length-prefixed memcpy'd span
+  /// XSP binary wire format (wire.hpp): length-prefixed memcpy'd span
   /// batches + string-table deltas. Not a StreamingExporter format —
   /// handled by BinaryWriter; the StreamingExporter constructor rejects
   /// it with std::invalid_argument.

@@ -76,7 +76,7 @@ struct RemoteSinkOptions {
   int io_wait_ms = 20;
   /// How long close() waits for the daemon's end-of-stream ack.
   int drain_timeout_ms = 2000;
-  /// Cadence of wire v3 Heartbeat frames carrying the sink's live
+  /// Cadence of wire Heartbeat frames carrying the sink's live
   /// counters, sent from the sender thread while a connection is up —
   /// the signal the collector turns into per-producer staleness (a
   /// producer whose heartbeats stop mid-connection is dead or stalled).

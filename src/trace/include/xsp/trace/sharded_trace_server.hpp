@@ -13,10 +13,9 @@
 //   * Id uniqueness: shard i of N allocates id blocks striped i, i+N,
 //     i+2N, ... (TraceServer::IdStripe), so span ids are unique across the
 //     whole fleet with zero cross-shard coordination.
-//   * Routing: by publishing thread (default — keeps a producer's slot,
-//     id block, and batch all on one shard), by publishing tracer, or by
-//     span begin-time window. All selectors are branch-cheap and
-//     allocation-free.
+//   * Routing: by publishing thread — keeps a producer's slot, id block,
+//     and batch all on one shard. The selector is one thread-local load
+//     and a modulo.
 //   * Merge: take_batches() concatenates the per-shard batch lists —
 //     O(number of batches) handle moves, no span is touched. Ordering is
 //     restored downstream: Timeline::assemble begin-orders nodes anyway,
@@ -31,26 +30,10 @@
 #include <mutex>
 #include <vector>
 
-#include "xsp/common/time.hpp"
 #include "xsp/trace/span_sink.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 namespace xsp::trace {
-
-/// How publishers are routed to shards.
-enum class ShardPolicy : std::uint8_t {
-  /// Hash of the publishing thread (default): each producer thread sticks
-  /// to one shard, so its slot, id block, and collector stay shard-local.
-  kByThread,
-  /// Hash of the span's tracer id: all spans of one profiler land on one
-  /// shard regardless of which thread publishes them.
-  kByTracer,
-  /// Span begin-timestamp window: time-sliced traces, so one shard holds
-  /// a contiguous window of the timeline.
-  kByTimeWindow,
-};
-
-const char* shard_policy_name(ShardPolicy p);
 
 class ShardedTraceServer final : public SpanSink {
  public:
@@ -67,12 +50,9 @@ class ShardedTraceServer final : public SpanSink {
   /// construction with the same request.
   static std::size_t resolve_shard_count(std::size_t requested) noexcept;
 
-  /// `shard_count` 0 means default_shard_count(). `time_window` is only
-  /// used by ShardPolicy::kByTimeWindow.
+  /// `shard_count` 0 means default_shard_count().
   explicit ShardedTraceServer(std::size_t shard_count = 0,
-                              PublishMode mode = PublishMode::kAsync,
-                              ShardPolicy policy = ShardPolicy::kByThread,
-                              Ns time_window = kNsPerMs);
+                              PublishMode mode = PublishMode::kAsync);
   ~ShardedTraceServer() override = default;
 
   ShardedTraceServer(const ShardedTraceServer&) = delete;
@@ -97,7 +77,7 @@ class ShardedTraceServer final : public SpanSink {
     return next_corr_.fetch_add(kIdBlock, std::memory_order_relaxed);
   }
 
-  /// Publish to the shard the policy selects.
+  /// Publish to the calling thread's shard.
   void publish(Span span) override;
 
   /// Flush every shard.
@@ -160,7 +140,6 @@ class ShardedTraceServer final : public SpanSink {
   void remove_drain_subscriber(SubscriberId id);
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
-  [[nodiscard]] ShardPolicy policy() const noexcept { return policy_; }
   [[nodiscard]] PublishMode mode() const noexcept { return mode_; }
 
   /// Direct shard access (tests, per-shard telemetry).
@@ -195,11 +174,8 @@ class ShardedTraceServer final : public SpanSink {
   /// Same zero-hot-path-cost contract as TraceServer::bind_metrics.
   void bind_metrics(metrics::Registry& registry, const metrics::Labels& labels = {});
 
-  /// The shard index the given span would be routed to under the current
-  /// policy, from the current thread. Exposed so routing is testable.
-  [[nodiscard]] std::size_t shard_for(const Span& span) const noexcept;
-
-  /// The shard index kByThread routes the calling thread to.
+  /// The shard index publish() routes the calling thread to. Exposed so
+  /// routing is testable.
   [[nodiscard]] std::size_t shard_for_current_thread() const noexcept;
 
  private:
@@ -209,8 +185,6 @@ class ShardedTraceServer final : public SpanSink {
       const std::function<DrainSubscriber(std::size_t)>& make_fn, DrainHandoff handoff);
 
   PublishMode mode_;
-  ShardPolicy policy_;
-  Ns time_window_;
   std::vector<std::unique_ptr<TraceServer>> shards_;
 
   /// Fleet-level subscriber registry: one fleet id maps to the per-shard

@@ -1,4 +1,4 @@
-// XSP binary span-batch wire format (v4; v1–v3 accepted) and the
+// XSP binary span-batch wire format (v4, the only version) and the
 // format-agnostic serialization core shared by every exporter backend.
 //
 // The JSON path (StreamingExporter) tops out around 2.8M spans/s because
@@ -22,17 +22,21 @@
 //                    one SpanBatch frame per sealed batch (payload is the
 //                    batch memcpy'd whole). finish() appends a Footer frame
 //                    with the collection telemetry (TraceMeta).
-//   BinaryReader   — validating decoder: checks magic/version/endianness/
-//                    span-size, bounds every length prefix, re-interns the
-//                    deltas into this process's StringTable and rewrites
-//                    each span's StrIds, and yields SpanBatches ready for
-//                    Timeline::assemble or OnlineAnalyzer replay. Hostile
-//                    input (truncation, oversized prefixes, unknown ids,
+//   wire::FrameParser — the one parser: per-stream state and every
+//                    framing rule (header, length bounds, frame types,
+//                    span counts, footer, trailing bytes), re-interning
+//                    the deltas into this process's StringTable and
+//                    rewriting each span's StrIds. Hostile input
+//                    (truncation, oversized prefixes, unknown ids,
 //                    out-of-bounds annotation counts) throws WireError —
 //                    never UB.
+//   BinaryReader   — the istream driver over FrameParser, yielding
+//                    SpanBatches ready for Timeline::assemble or
+//                    OnlineAnalyzer replay. net::CollectorService is the
+//                    socket driver.
 //
-// Format spec (layout, delta semantics, versioning/compat rules):
-// src/trace/README.md, "XSP binary wire format v1".
+// Format spec (layout, delta semantics, the versioning rule):
+// src/trace/README.md, "XSP binary wire format".
 #pragma once
 
 #include <cstddef>
@@ -91,17 +95,15 @@ struct TraceMeta {
   /// and shed at publish. `published == sampled_kept + sampled_dropped`
   /// whenever a sampler was attached; both 0 when none was (every span
   /// implicitly admitted). Consumers rescale rate/count aggregates by the
-  /// effective sampling fraction (see analysis::OnlineAnalyzer). Wire v2
-  /// footer fields; a v1 stream decodes with both zero.
+  /// effective sampling fraction (see analysis::OnlineAnalyzer).
   std::uint64_t sampled_kept = 0;
   std::uint64_t sampled_dropped = 0;
-  /// Bounded-interning accounting (wire v4 footer fields): the string
-  /// table's configured byte budget (0 = unbounded) and the lifetime
-  /// count of intern() calls rejected at the budget or the id-space cap
-  /// (each resolved to the `<interned-cap>` sentinel instead of growing
-  /// the table). Non-zero rejected_interns means some annotation values
-  /// in the trace read as the sentinel. v1–v3 streams decode with both
-  /// zero.
+  /// Bounded-interning accounting: the string table's configured byte
+  /// budget (0 = unbounded) and the lifetime count of intern() calls
+  /// rejected at the budget or the id-space cap (each resolved to the
+  /// `<interned-cap>` sentinel instead of growing the table). Non-zero
+  /// rejected_interns means some annotation values in the trace read as
+  /// the sentinel.
   std::uint64_t strtab_budget_bytes = 0;
   std::uint64_t rejected_interns = 0;
 };
@@ -193,26 +195,13 @@ namespace wire {
 
 /// Stream header magic: "XSPB".
 inline constexpr char kMagic[4] = {'X', 'S', 'P', 'B'};
-/// Format version this build writes. v2 extended the v1 Footer with the
-/// sampling accounting fields (sampled_kept / sampled_dropped); v3 adds the
-/// Heartbeat frame type (periodic producer-side counters, the wire-level
-/// producer-health signal a collector turns into per-producer staleness);
-/// v4 widens the span record with the inline-tag map (non-interned value
-/// bytes riding in the span) and appends the bounded-interning footer
-/// fields (strtab_budget_bytes / rejected_interns). Frames and header
-/// layout are otherwise identical across versions.
+/// The format version: the one this build writes and the only one it
+/// reads. Any change to the header, frame, span, heartbeat or footer
+/// layout bumps it. Readers accept exactly one version until a persisted
+/// stream exists that must stay readable, so an older stream is rejected
+/// at open instead of misread. (Earlier development versions 1–3 never
+/// shipped.)
 inline constexpr std::uint16_t kVersion = 4;
-/// Oldest version this build still reads: v1–v3 streams decode normally,
-/// with later-version footer fields reported as zero, no heartbeats
-/// (pre-v3), and every span's inline-tag map empty (pre-v4).
-inline constexpr std::uint16_t kMinVersion = 1;
-/// The span record size every pre-v4 producer wrote (the v1 layout,
-/// frozen: everything in Span up to and excluding `inline_tags`, plus
-/// trailing padding). A v1–v3 stream header carries this span_size; the
-/// decoder widens each legacy record into the current Span by copying its
-/// legacy prefix and leaving the inline-tag map empty. Pinned by
-/// static_asserts in wire.cpp against the live Span layout.
-inline constexpr std::size_t kLegacySpanSize = 200;
 /// Endianness marker as written by the producer; a consumer reading the
 /// byte-swapped value rejects the stream (frames are host-endian memcpy).
 inline constexpr std::uint16_t kEndianMark = 0xFEFF;
@@ -232,16 +221,14 @@ enum class FrameType : std::uint8_t {
   kSpanBatch = 2,
   /// Payload: one Footer struct. Terminates the stream.
   kFooter = 3,
-  /// Payload: one Heartbeat struct (v3+). Periodic producer-health
-  /// counters; legal anywhere between header and footer. A heartbeat
-  /// frame in a v1/v2 stream is a protocol violation (WireError).
+  /// Payload: one Heartbeat struct. Periodic producer-health counters;
+  /// legal anywhere between header and footer.
   kHeartbeat = 4,
 };
 
 /// Fixed 16-byte stream header. span_size pins the producer's span layout
 /// so a consumer built against a different Span rejects the stream instead
-/// of misinterpreting it (the forward-compat rule: v1 consumers never
-/// guess).
+/// of misinterpreting it (consumers never guess).
 struct Header {
   char magic[4];
   std::uint16_t version;
@@ -277,52 +264,15 @@ struct Footer {
   std::uint64_t slot_bytes;
   std::uint64_t remote_dropped_spans;
   std::uint64_t remote_reconnects;
-  /// v2 fields — appended so a v1 footer is an exact prefix of a v2 one
-  /// (readers zero-fill when decoding a v1 stream).
   std::uint64_t sampled_kept;
   std::uint64_t sampled_dropped;
-  /// v4 fields — bounded-interning accounting, appended under the same
-  /// prefix rule (v1–v3 readers never see them; v4 readers zero-fill
-  /// when decoding older streams).
   std::uint64_t strtab_budget_bytes;
   std::uint64_t rejected_interns;
 };
+static_assert(sizeof(Footer) == 15 * sizeof(std::uint64_t));
 static_assert(std::is_trivially_copyable_v<Footer>);
 
-/// Byte size of the 11-field v1 footer payload (a prefix of Footer).
-inline constexpr std::size_t kFooterSizeV1 = 11 * sizeof(std::uint64_t);
-/// Byte size of the 13-field v2/v3 footer payload (also a prefix).
-inline constexpr std::size_t kFooterSizeV2 = 13 * sizeof(std::uint64_t);
-static_assert(kFooterSizeV2 == kFooterSizeV1 + 2 * sizeof(std::uint64_t));
-static_assert(sizeof(Footer) == kFooterSizeV2 + 2 * sizeof(std::uint64_t));
-
-/// Footer payload size a stream of the given version carries. Shared by
-/// every decode driver (BinaryReader, the collector daemon) so the
-/// version-to-size rule cannot drift between them.
-[[nodiscard]] inline constexpr std::size_t footer_size(std::uint16_t version) noexcept {
-  if (version <= 1) return kFooterSizeV1;
-  if (version <= 3) return kFooterSizeV2;
-  return sizeof(Footer);
-}
-
-/// Validate a SpanBatch frame's span count against its payload size,
-/// given the stream's validated per-span record size (the header's
-/// span_size: sizeof(Span) for v4 streams, kLegacySpanSize for v1–v3
-/// producers); returns the count. Shared by every decode driver so the
-/// bounds logic cannot drift between them. Throws WireError.
-std::uint32_t checked_span_count(std::size_t payload_size, std::uint32_t count,
-                                 std::size_t span_size = sizeof(Span));
-
-/// Materialize `count` spans from `raw` (exactly count * span_size raw
-/// record bytes) into `out` (overwritten). For the current record size
-/// this is one whole memcpy; for kLegacySpanSize records each span's
-/// legacy prefix is copied and its inline-tag map left empty (the v1–v3
-/// widening path). `span_size` must be a value validate_header accepted.
-/// Throws WireError on a size mismatch.
-void materialize_spans(std::string_view raw, std::uint32_t count, std::size_t span_size,
-                       SpanBatch& out);
-
-/// v3 heartbeat payload: a producer's live transport/sampling counters,
+/// Heartbeat payload: a producer's live transport/sampling counters,
 /// cumulative since the producer started (monotonic per stream except
 /// outbox_spans, an instantaneous depth). The collector exposes them as
 /// per-producer metrics and derives staleness from heartbeat arrival age
@@ -349,13 +299,6 @@ struct Heartbeat {
 };
 static_assert(sizeof(Heartbeat) == 9 * sizeof(std::uint64_t));
 static_assert(std::is_trivially_copyable_v<Heartbeat>);
-
-/// Validate a Heartbeat frame against the stream version and its payload
-/// size, and decode it. Shared by every decode driver (BinaryReader, the
-/// collector daemon) so the version gate cannot drift between them.
-/// Throws WireError for a heartbeat in a pre-v3 stream or a payload that
-/// is not exactly sizeof(Heartbeat).
-Heartbeat checked_heartbeat(std::string_view payload, std::uint16_t version);
 
 }  // namespace wire
 
@@ -397,7 +340,7 @@ class BinaryWriter {
   /// any time before finish().
   void set_meta(const TraceMeta& meta);
 
-  /// Emit a v3 Heartbeat frame carrying the producer's live counters, and
+  /// Emit a Heartbeat frame carrying the producer's live counters, and
   /// flush so the frame reaches the peer promptly (a buffered heartbeat
   /// measures nothing). Dropped after finish(), like batches.
   void write_heartbeat(const wire::Heartbeat& hb);
@@ -440,103 +383,118 @@ class BinaryWriter {
   TraceMeta meta_{};
 };
 
-/// The format-semantic half of binary-wire decoding, independent of where
-/// the bytes come from: holds one stream's producer-id -> local-StrId
-/// remap and footer state, and validates/re-interns payloads handed to it
-/// as memory. BinaryReader drives it from an istream; the collector
-/// daemon (net::CollectorService) drives one per connection from
-/// reassembled socket frames — per-stream remap is exactly what keeps two
-/// producers' ids from ever colliding after ingest. Hostile payloads
-/// throw WireError; nothing reaches UB. Single-threaded per instance.
-class WireDecoder {
+namespace wire {
+
+/// The one parser of the wire format. Every consumer drives it: the
+/// BinaryReader from an istream, net::CollectorService from a socket. It
+/// owns one stream's state and every framing rule: header validation, the
+/// payload bound, frame types, span count against payload size, the
+/// heartbeat and footer sizes, empty span batches, and bytes after the
+/// footer. It also keeps the producer-id -> local-StrId remap that
+/// re-interns the deltas, so two producers' ids never collide.
+///
+/// The parser is pull-driven, so a driver can put bytes straight where
+/// they belong. wanted() says how many bytes the next step needs, buffer()
+/// says where they go, and commit() judges them. A span-batch payload goes
+/// into the caller's SpanBatch, so a reader decodes with no staging copy.
+/// A frame is judged from its 8-byte header (a span batch also from its
+/// 4-byte count) before any payload is read, so a hostile length prefix
+/// is rejected without buffering it. Hostile bytes throw WireError;
+/// nothing reaches UB. Single-threaded per instance.
+class FrameParser {
  public:
-  WireDecoder();
+  /// `max_payload` bounds one frame's payload; it is capped at
+  /// kMaxFramePayload.
+  explicit FrameParser(std::size_t max_payload = kMaxFramePayload);
 
-  WireDecoder(const WireDecoder&) = delete;
-  WireDecoder& operator=(const WireDecoder&) = delete;
+  FrameParser(const FrameParser&) = delete;
+  FrameParser& operator=(const FrameParser&) = delete;
 
-  /// Validate a stream header (magic/version/endianness/span size) and
-  /// return the stream's format version (kMinVersion..kVersion — drivers
-  /// keep it to size the footer frame, wire::footer_size). A v4 header
-  /// must declare span_size == sizeof(Span); a v1–v3 header may instead
-  /// declare wire::kLegacySpanSize (a pre-inline-tag producer), which
-  /// drivers record via set_span_size so batch decode widens each legacy
-  /// record. Throws WireError on any mismatch.
-  static std::uint16_t validate_header(const wire::Header& header);
+  /// Bytes the next step needs (never 0). After the footer this is 1:
+  /// the stream may only end there, and any further byte is an error.
+  [[nodiscard]] std::size_t wanted() const noexcept;
 
-  /// Record the stream's validated per-span record size (the header's
-  /// span_size). Defaults to sizeof(Span); drivers call this right after
-  /// validate_header so decode_span_batch sizes and widens correctly.
-  void set_span_size(std::uint32_t span_size) noexcept { span_size_ = span_size; }
-  [[nodiscard]] std::uint32_t span_size() const noexcept { return span_size_; }
+  /// Where the driver writes the next wanted() bytes. For a span-batch
+  /// payload that is `spans` itself, resized to the frame's span count;
+  /// otherwise it is the parser's own scratch.
+  [[nodiscard]] char* buffer(SpanBatch& spans);
 
-  /// Parse a StringDelta payload: re-intern every entry into this
-  /// process's global StringTable and extend the remap. A repeated id is
-  /// tolerated if its bytes agree (idempotent replay); a redefinition
-  /// with different contents throws.
-  void decode_string_delta(std::string_view payload);
+  /// Judge the wanted() bytes just written to buffer(). Returns true when
+  /// `spans` holds a decoded, non-empty batch whose StrIds now name this
+  /// process's StringTable. Throws WireError on any violation.
+  bool commit(SpanBatch& spans);
 
-  /// Decode a whole SpanBatch payload (u32 count + count raw spans) into
-  /// `out` (overwritten): validates the count against the payload size,
-  /// memcpys the spans, and remaps every StrId field.
-  void decode_span_batch(std::string_view payload, SpanBatch& out);
+  /// The input ended with `partial` bytes of the next step in hand.
+  /// Returns when the stream may end here: nothing partial, and the
+  /// parser is between frames or past the footer. Otherwise throws a
+  /// WireError naming what was truncated.
+  void end_of_input(std::size_t partial) const;
 
-  /// Validate + remap every span of a batch in place (the zero-copy path
-  /// for drivers that already read the raw spans into the output buffer).
-  void remap_batch(SpanBatch& batch);
-
-  /// Record the stream's footer frame.
-  void set_footer(const wire::Footer& footer) noexcept {
-    footer_ = footer;
-    saw_footer_ = true;
-  }
-
-  /// Record a decoded heartbeat frame (latest wins; drivers call this
-  /// after wire::checked_heartbeat validated the payload).
-  void set_heartbeat(const wire::Heartbeat& hb) noexcept {
-    heartbeat_ = hb;
-    ++heartbeats_seen_;
-  }
-
-  /// Heartbeat frames decoded on this stream so far (0 for v1/v2).
-  [[nodiscard]] std::uint64_t heartbeats_seen() const noexcept { return heartbeats_seen_; }
-  /// The most recent heartbeat (zeros until heartbeats_seen() > 0).
-  [[nodiscard]] const wire::Heartbeat& last_heartbeat() const noexcept { return heartbeat_; }
-
-  [[nodiscard]] bool saw_footer() const noexcept { return saw_footer_; }
-  [[nodiscard]] const wire::Footer& footer() const noexcept { return footer_; }
-
+  /// True once the footer frame has been read.
+  [[nodiscard]] bool saw_footer() const noexcept { return state_ == State::kEnd; }
+  /// The footer frame's telemetry; zeros until saw_footer().
+  [[nodiscard]] const Footer& footer() const noexcept { return footer_; }
   /// Footer telemetry in TraceMeta shape (zeros until saw_footer()).
   [[nodiscard]] TraceMeta meta() const noexcept;
 
+  /// Heartbeat frames decoded so far.
+  [[nodiscard]] std::uint64_t heartbeats_seen() const noexcept { return heartbeats_seen_; }
+  /// The most recent heartbeat (zeros until heartbeats_seen() > 0).
+  [[nodiscard]] const Heartbeat& last_heartbeat() const noexcept { return heartbeat_; }
+
+  /// Complete frames parsed so far (all types).
+  [[nodiscard]] std::uint64_t frames() const noexcept { return frames_; }
   /// Spans decoded (validated + remapped) so far.
   [[nodiscard]] std::uint64_t spans_decoded() const noexcept { return spans_decoded_; }
-
   /// Distinct producer string ids re-interned so far.
   [[nodiscard]] std::uint64_t strings_reinterned() const noexcept {
     return static_cast<std::uint64_t>(remap_.size()) - 1;  // minus the implicit id 0
   }
 
  private:
+  enum class State : std::uint8_t {
+    kHeader,       ///< the 16-byte stream header
+    kFrameHeader,  ///< between frames: the next 8-byte frame header
+    kSpanCount,    ///< a span batch's u32 count
+    kSpans,        ///< a span batch's records, into the caller's batch
+    kPayload,      ///< a string-delta, heartbeat or footer payload
+    kEnd,          ///< past the footer: only end of input is legal
+  };
+
+  void check_header() const;
+  void start_frame();
+  void end_frame() noexcept;
+  void decode_string_delta();
   /// Producer id -> this process's StrId; throws WireError for an id no
   /// delta delivered.
   [[nodiscard]] common::StrId map_id(std::uint32_t producer_id) const;
   void remap_span(Span& span) const;
 
+  std::size_t max_payload_;
+  State state_ = State::kHeader;
+  FrameType type_ = FrameType::kStringDelta;
+  std::uint32_t payload_size_ = 0;
+  std::uint32_t span_count_ = 0;
+  /// Header, frame-header and span-count bytes.
+  alignas(8) char head_[sizeof(Header)] = {};
+  /// String-delta, heartbeat and footer payloads, reused across frames.
+  std::string payload_;
+
   std::unordered_map<std::uint32_t, std::uint32_t> remap_;
-  std::uint32_t span_size_ = static_cast<std::uint32_t>(sizeof(Span));
-  bool saw_footer_ = false;
-  wire::Footer footer_{};
-  wire::Heartbeat heartbeat_{};
+  Footer footer_{};
+  Heartbeat heartbeat_{};
   std::uint64_t heartbeats_seen_ = 0;
+  std::uint64_t frames_ = 0;
   std::uint64_t spans_decoded_ = 0;
 };
+
+}  // namespace wire
 
 /// Binary wire decoder. Validates the stream header on construction and
 /// yields re-interned span batches frame by frame; spans come out carrying
 /// StrIds of *this* process's global StringTable, so a decoded batch feeds
 /// Timeline::assemble, OnlineAnalyzer replay, or a StreamingExporter
-/// re-export directly. The istream driver over the WireDecoder core.
+/// re-export directly. The istream driver over wire::FrameParser.
 /// Single-threaded (one reader per stream).
 class BinaryReader {
  public:
@@ -560,47 +518,40 @@ class BinaryReader {
   /// True once the footer frame has been read. A stream without a footer
   /// is truncated-but-parseable: every complete frame before the cut
   /// decoded normally, only the final telemetry is missing.
-  [[nodiscard]] bool saw_footer() const noexcept { return decoder_.saw_footer(); }
+  [[nodiscard]] bool saw_footer() const noexcept { return parser_.saw_footer(); }
 
   /// The footer frame's telemetry; zeros until saw_footer().
-  [[nodiscard]] const wire::Footer& footer() const noexcept { return decoder_.footer(); }
+  [[nodiscard]] const wire::Footer& footer() const noexcept { return parser_.footer(); }
 
   /// Footer telemetry in TraceMeta shape (zeros until saw_footer()) —
   /// hand to a StreamingExporter when re-exporting as JSON.
-  [[nodiscard]] TraceMeta meta() const noexcept { return decoder_.meta(); }
+  [[nodiscard]] TraceMeta meta() const noexcept { return parser_.meta(); }
 
   /// Spans decoded so far.
-  [[nodiscard]] std::uint64_t spans_read() const noexcept { return decoder_.spans_decoded(); }
+  [[nodiscard]] std::uint64_t spans_read() const noexcept { return parser_.spans_decoded(); }
 
   /// Distinct producer string ids re-interned so far.
   [[nodiscard]] std::uint64_t strings_reinterned() const noexcept {
-    return decoder_.strings_reinterned();
+    return parser_.strings_reinterned();
   }
 
-  /// Heartbeat frames decoded so far (always 0 for v1/v2 streams).
+  /// Heartbeat frames decoded so far.
   [[nodiscard]] std::uint64_t heartbeats_seen() const noexcept {
-    return decoder_.heartbeats_seen();
+    return parser_.heartbeats_seen();
   }
 
   /// The most recent heartbeat (zeros until heartbeats_seen() > 0).
   [[nodiscard]] const wire::Heartbeat& last_heartbeat() const noexcept {
-    return decoder_.last_heartbeat();
+    return parser_.last_heartbeat();
   }
 
-  /// The stream's declared format version (from the validated header).
-  [[nodiscard]] std::uint16_t stream_version() const noexcept { return version_; }
-
  private:
-  void read_exact(void* dst, std::size_t n, const char* what);
+  /// Read the parser's next step into `out` or its scratch and judge it.
+  /// Returns true when `out` holds a batch; false at end of input.
+  bool step(SpanBatch& out);
 
   std::istream& in_;
-  WireDecoder decoder_;
-  std::string payload_;  ///< delta-payload scratch, reused across frames
-  std::uint16_t version_ = wire::kVersion;
-  /// The stream's per-span record size (validated header value); when it
-  /// is wire::kLegacySpanSize, batches read via scratch + widen instead
-  /// of the zero-copy path.
-  std::uint32_t span_size_ = static_cast<std::uint32_t>(sizeof(Span));
+  wire::FrameParser parser_;
   bool done_ = false;
 };
 

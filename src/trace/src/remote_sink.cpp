@@ -437,7 +437,7 @@ void RemoteSink::bind_metrics(metrics::Registry& registry, metrics::Labels label
      metrics::Kind::kCounter, [this, load] { return load(sampled_dropped_); });
   cb("xsp_remote_reconnects_total", "Reconnects performed (each opens a fresh wire epoch)",
      metrics::Kind::kCounter, [this, load] { return load(reconnects_); });
-  cb("xsp_remote_heartbeats_sent_total", "Wire v3 heartbeat frames emitted",
+  cb("xsp_remote_heartbeats_sent_total", "Wire heartbeat frames emitted",
      metrics::Kind::kCounter, [this, load] { return load(heartbeats_sent_); });
   cb("xsp_remote_connected", "1 while the socket connection is up",
      metrics::Kind::kGauge,

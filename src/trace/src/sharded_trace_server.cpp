@@ -20,15 +20,6 @@ std::uint64_t mixed_thread_key() noexcept {
 
 }  // namespace
 
-const char* shard_policy_name(ShardPolicy p) {
-  switch (p) {
-    case ShardPolicy::kByThread: return "by_thread";
-    case ShardPolicy::kByTracer: return "by_tracer";
-    case ShardPolicy::kByTimeWindow: return "by_time_window";
-  }
-  return "?";
-}
-
 std::size_t ShardedTraceServer::default_shard_count() noexcept {
   const unsigned hw = std::thread::hardware_concurrency();
   return std::clamp<std::size_t>(hw, 1, 8);
@@ -39,9 +30,8 @@ std::size_t ShardedTraceServer::resolve_shard_count(std::size_t requested) noexc
   return std::min(requested, kMaxShards);
 }
 
-ShardedTraceServer::ShardedTraceServer(std::size_t shard_count, PublishMode mode,
-                                       ShardPolicy policy, Ns time_window)
-    : mode_(mode), policy_(policy), time_window_(time_window > 0 ? time_window : kNsPerMs) {
+ShardedTraceServer::ShardedTraceServer(std::size_t shard_count, PublishMode mode)
+    : mode_(mode) {
   shard_count = resolve_shard_count(shard_count);
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
@@ -53,27 +43,9 @@ std::size_t ShardedTraceServer::shard_for_current_thread() const noexcept {
   return static_cast<std::size_t>(mixed_thread_key() >> 32) % shards_.size();
 }
 
-std::size_t ShardedTraceServer::shard_for(const Span& span) const noexcept {
-  switch (policy_) {
-    case ShardPolicy::kByTracer:
-      // StrIds are dense small integers; mix before reducing.
-      return static_cast<std::size_t>(
-                 (span.tracer.raw() * 0x9E3779B9u) >> 16) %
-             shards_.size();
-    case ShardPolicy::kByTimeWindow:
-      return static_cast<std::size_t>(static_cast<std::uint64_t>(span.begin) /
-                                      static_cast<std::uint64_t>(time_window_)) %
-             shards_.size();
-    case ShardPolicy::kByThread:
-    default:
-      return shard_for_current_thread();
-  }
-}
-
 SpanId ShardedTraceServer::next_span_id() noexcept {
-  // Always the thread's shard: cheapest selector, and striped blocks make
-  // any shard's ids fleet-unique, so routing of the *span* is free to
-  // differ (kByTracer/kByTimeWindow).
+  // Striped blocks make any shard's ids fleet-unique; the thread's own
+  // shard is simply the cheapest to reach.
   return shards_[shard_for_current_thread()]->next_span_id();
 }
 
@@ -82,7 +54,7 @@ SpanId ShardedTraceServer::next_span_block() noexcept {
 }
 
 void ShardedTraceServer::publish(Span span) {
-  shards_[shard_for(span)]->publish(std::move(span));
+  shards_[shard_for_current_thread()]->publish(std::move(span));
 }
 
 void ShardedTraceServer::flush() {

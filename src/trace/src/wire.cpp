@@ -8,19 +8,6 @@
 
 namespace xsp::trace {
 
-// The legacy-decode contract: a pre-v4 span record is exactly the bytes
-// of the current Span up to `inline_tags` plus trailing padding. Widening
-// copies offsetof(Span, inline_tags) bytes per record — never the full
-// legacy record, whose tail padding would overwrite the (zeroed)
-// inline-tag map. These pins fail the build the moment a Span edit breaks
-// either assumption.
-static_assert(offsetof(Span, inline_tags) <= wire::kLegacySpanSize,
-              "inline_tags must start within the legacy span record");
-static_assert(offsetof(Span, inline_tags) > offsetof(Span, dropped_annotations),
-              "inline_tags must ride after every legacy field");
-static_assert(sizeof(Span) > wire::kLegacySpanSize,
-              "the current span record must be a strict widening of the legacy one");
-
 // --- FrameSink --------------------------------------------------------------
 
 FrameSink::FrameSink(TryWriteFn fn, Fallible) : fn_(std::move(fn)) {
@@ -301,94 +288,188 @@ std::size_t BinaryWriter::sink_pending_bytes() const {
   return sink_.pending_bytes();
 }
 
-// --- WireDecoder ------------------------------------------------------------
+// --- FrameParser ------------------------------------------------------------
 
 namespace wire {
 
-std::uint32_t checked_span_count(std::size_t payload_size, std::uint32_t count,
-                                 std::size_t span_size) {
-  if (count > kMaxSpansPerFrame) {
-    throw WireError("xsp wire: span-batch count " + std::to_string(count) +
-                    " exceeds the per-frame bound");
-  }
-  if (payload_size != sizeof count + static_cast<std::size_t>(count) * span_size) {
-    throw WireError("xsp wire: span-batch payload length does not match its span count");
-  }
-  return count;
+namespace {
+
+template <typename T>
+T load(const char* bytes) {
+  T v{};
+  std::memcpy(&v, bytes, sizeof v);
+  return v;
 }
 
-void materialize_spans(std::string_view raw, std::uint32_t count, std::size_t span_size,
-                       SpanBatch& out) {
-  if (raw.size() != static_cast<std::size_t>(count) * span_size) {
-    throw WireError("xsp wire: span payload length does not match its span count");
-  }
-  if (span_size == sizeof(Span)) {
-    out.resize(count);
-    if (count > 0) std::memcpy(out.data(), raw.data(), raw.size());
-    return;
-  }
-  // Legacy (v1–v3) records: widen each one — copy the legacy field prefix
-  // and leave the appended inline-tag map in its value-initialized empty
-  // state. assign() (not resize()) so recycled output buffers cannot leak
-  // a previous batch's inline tags into the widened spans.
-  constexpr std::size_t kLegacyPrefix = offsetof(Span, inline_tags);
-  out.assign(count, Span{});
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::memcpy(&out[i], raw.data() + static_cast<std::size_t>(i) * span_size, kLegacyPrefix);
-  }
-}
+}  // namespace
 
-Heartbeat checked_heartbeat(std::string_view payload, std::uint16_t version) {
-  if (version < 3) {
-    throw WireError("xsp wire: heartbeat frame in a v" + std::to_string(version) +
-                    " stream (heartbeats require v3)");
-  }
-  if (payload.size() != sizeof(Heartbeat)) {
-    throw WireError("xsp wire: heartbeat payload length " + std::to_string(payload.size()) +
-                    " (expected " + std::to_string(sizeof(Heartbeat)) + ")");
-  }
-  Heartbeat hb{};
-  std::memcpy(&hb, payload.data(), sizeof hb);
-  return hb;
-}
-
-}  // namespace wire
-
-WireDecoder::WireDecoder() {
+FrameParser::FrameParser(std::size_t max_payload)
+    : max_payload_(max_payload < kMaxFramePayload ? max_payload : kMaxFramePayload) {
   remap_.emplace(0u, 0u);  // the reserved empty string maps to itself
 }
 
-std::uint16_t WireDecoder::validate_header(const wire::Header& header) {
-  if (std::memcmp(header.magic, wire::kMagic, sizeof wire::kMagic) != 0) {
+std::size_t FrameParser::wanted() const noexcept {
+  switch (state_) {
+    case State::kHeader: return sizeof(Header);
+    case State::kFrameHeader: return sizeof(FrameHeader);
+    case State::kSpanCount: return sizeof(std::uint32_t);
+    case State::kSpans: return static_cast<std::size_t>(span_count_) * sizeof(Span);
+    case State::kPayload: return payload_size_;
+    case State::kEnd: return 1;
+  }
+  return 1;
+}
+
+char* FrameParser::buffer(SpanBatch& spans) {
+  switch (state_) {
+    case State::kSpans:
+      // Decode straight into the caller's batch: one read into span
+      // memory, then in-place StrId rewrites — no intermediate copy.
+      spans.resize(span_count_);
+      return reinterpret_cast<char*>(spans.data());
+    case State::kPayload:
+      payload_.resize(payload_size_);
+      return payload_.data();
+    default:
+      return head_;
+  }
+}
+
+bool FrameParser::commit(SpanBatch& spans) {
+  switch (state_) {
+    case State::kHeader:
+      check_header();
+      state_ = State::kFrameHeader;
+      return false;
+    case State::kFrameHeader:
+      start_frame();
+      return false;
+    case State::kSpanCount: {
+      span_count_ = load<std::uint32_t>(head_);
+      if (span_count_ > kMaxSpansPerFrame) {
+        throw WireError("xsp wire: span-batch count " + std::to_string(span_count_) +
+                        " exceeds the per-frame bound");
+      }
+      if (payload_size_ != sizeof span_count_ + std::size_t{span_count_} * sizeof(Span)) {
+        throw WireError("xsp wire: span-batch payload length does not match its span count");
+      }
+      if (span_count_ > 0) {
+        state_ = State::kSpans;
+      } else {
+        end_frame();  // an empty batch frame is legal and yields nothing
+      }
+      return false;
+    }
+    case State::kSpans:
+      for (Span& span : spans) remap_span(span);
+      spans_decoded_ += spans.size();
+      end_frame();
+      return true;
+    case State::kPayload:
+      if (type_ == FrameType::kStringDelta) {
+        decode_string_delta();
+        end_frame();
+      } else if (type_ == FrameType::kHeartbeat) {
+        heartbeat_ = load<Heartbeat>(payload_.data());
+        ++heartbeats_seen_;
+        end_frame();
+      } else {
+        footer_ = load<Footer>(payload_.data());
+        end_frame();
+        state_ = State::kEnd;
+      }
+      return false;
+    case State::kEnd:
+      // The footer terminates the stream; trailing bytes are corruption
+      // (e.g. two concatenated exports), not data.
+      throw WireError("xsp wire: data after footer frame");
+  }
+  return false;
+}
+
+void FrameParser::end_of_input(std::size_t partial) const {
+  // Past the footer wanted() is 1, so `partial` is always 0 there.
+  if (partial == 0 && (state_ == State::kFrameHeader || state_ == State::kEnd)) return;
+  const char* what = "stream header";
+  if (state_ == State::kFrameHeader) {
+    what = "frame header";
+  } else if (state_ == State::kSpanCount) {
+    what = "span-batch count";
+  } else if (state_ == State::kSpans) {
+    what = "span-batch payload";
+  } else if (state_ == State::kPayload) {
+    what = type_ == FrameType::kStringDelta ? "string-delta payload"
+           : type_ == FrameType::kHeartbeat ? "heartbeat payload"
+                                            : "footer payload";
+  }
+  throw WireError(std::string("xsp wire: truncated ") + what + " (wanted " +
+                  std::to_string(wanted()) + " bytes, got " + std::to_string(partial) + ")");
+}
+
+void FrameParser::check_header() const {
+  const auto header = load<Header>(head_);
+  if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0) {
     throw WireError("xsp wire: bad magic (not an XSP binary trace)");
   }
-  if (header.endianness != wire::kEndianMark) {
+  if (header.endianness != kEndianMark) {
     throw WireError("xsp wire: endianness mismatch between producer and consumer");
   }
-  if (header.version < wire::kMinVersion || header.version > wire::kVersion) {
+  if (header.version != kVersion) {
     throw WireError("xsp wire: unsupported format version " + std::to_string(header.version) +
-                    " (this build reads v" + std::to_string(wire::kMinVersion) + "..v" +
-                    std::to_string(wire::kVersion) + ")");
+                    " (this build reads only v" + std::to_string(kVersion) + ")");
   }
-  // v4 streams must carry the current span record exactly; a v1–v3
-  // producer may instead declare the frozen legacy record size, which
-  // the batch decoder widens (drivers record it via set_span_size).
-  // Anything else is a build whose Span layout this one cannot read.
-  const bool span_size_ok =
-      header.span_size == sizeof(Span) ||
-      (header.version < 4 && header.span_size == wire::kLegacySpanSize);
-  if (!span_size_ok) {
+  if (header.span_size != sizeof(Span)) {
     throw WireError("xsp wire: span struct size mismatch (stream " +
                     std::to_string(header.span_size) + ", this build " +
                     std::to_string(sizeof(Span)) + ")");
   }
-  if (header.header_size != sizeof(wire::Header)) {
+  if (header.header_size != sizeof(Header)) {
     throw WireError("xsp wire: bad header size " + std::to_string(header.header_size));
   }
-  return header.version;
 }
 
-common::StrId WireDecoder::map_id(std::uint32_t producer_id) const {
+void FrameParser::start_frame() {
+  const auto fh = load<FrameHeader>(head_);
+  if (fh.payload_size > max_payload_) {
+    throw WireError("xsp wire: frame payload length " + std::to_string(fh.payload_size) +
+                    " exceeds the " + std::to_string(max_payload_) + "-byte bound");
+  }
+  type_ = static_cast<FrameType>(fh.type);
+  payload_size_ = fh.payload_size;
+  state_ = State::kPayload;
+  switch (type_) {
+    case FrameType::kStringDelta:
+      if (payload_size_ == 0) end_frame();  // an empty delta needs no payload step
+      return;
+    case FrameType::kSpanBatch:
+      if (payload_size_ < sizeof span_count_) {
+        throw WireError("xsp wire: span-batch frame too small for its span count");
+      }
+      state_ = State::kSpanCount;
+      return;
+    case FrameType::kHeartbeat:
+      if (payload_size_ != sizeof(Heartbeat)) {
+        throw WireError("xsp wire: heartbeat payload length " + std::to_string(payload_size_) +
+                        " (expected " + std::to_string(sizeof(Heartbeat)) + ")");
+      }
+      return;
+    case FrameType::kFooter:
+      if (payload_size_ != sizeof(Footer)) {
+        throw WireError("xsp wire: footer payload length mismatch (expected " +
+                        std::to_string(sizeof(Footer)) + " bytes, got " +
+                        std::to_string(payload_size_) + ")");
+      }
+      return;
+  }
+  throw WireError("xsp wire: unknown frame type " + std::to_string(fh.type));
+}
+
+void FrameParser::end_frame() noexcept {
+  ++frames_;
+  state_ = State::kFrameHeader;
+}
+
+common::StrId FrameParser::map_id(std::uint32_t producer_id) const {
   const auto it = remap_.find(producer_id);
   if (it == remap_.end()) {
     throw WireError("xsp wire: span references string id " + std::to_string(producer_id) +
@@ -397,17 +478,16 @@ common::StrId WireDecoder::map_id(std::uint32_t producer_id) const {
   return common::StrId::from_raw(it->second);
 }
 
-void WireDecoder::decode_string_delta(std::string_view payload) {
+void FrameParser::decode_string_delta() {
+  const std::string_view payload = payload_;
   const std::size_t payload_size = payload.size();
   std::size_t off = 0;
   while (off < payload_size) {
     if (payload_size - off < 2 * sizeof(std::uint32_t)) {
       throw WireError("xsp wire: truncated string-delta entry header");
     }
-    std::uint32_t id = 0;
-    std::uint32_t len = 0;
-    std::memcpy(&id, payload.data() + off, sizeof id);
-    std::memcpy(&len, payload.data() + off + sizeof id, sizeof len);
+    const auto id = load<std::uint32_t>(payload.data() + off);
+    const auto len = load<std::uint32_t>(payload.data() + off + sizeof id);
     off += 2 * sizeof(std::uint32_t);
     if (len > payload_size - off) {
       throw WireError("xsp wire: string-delta entry length " + std::to_string(len) +
@@ -428,23 +508,7 @@ void WireDecoder::decode_string_delta(std::string_view payload) {
   }
 }
 
-void WireDecoder::decode_span_batch(std::string_view payload, SpanBatch& out) {
-  std::uint32_t count = 0;
-  if (payload.size() < sizeof count) {
-    throw WireError("xsp wire: span-batch frame too small for its span count");
-  }
-  std::memcpy(&count, payload.data(), sizeof count);
-  wire::checked_span_count(payload.size(), count, span_size_);
-  wire::materialize_spans(payload.substr(sizeof count), count, span_size_, out);
-  remap_batch(out);
-}
-
-void WireDecoder::remap_batch(SpanBatch& batch) {
-  for (Span& span : batch) remap_span(span);
-  spans_decoded_ += batch.size();
-}
-
-void WireDecoder::remap_span(Span& span) const {
+void FrameParser::remap_span(Span& span) const {
   // A memcpy'd FlatMap's inline count is untrusted until checked —
   // iteration beyond capacity would read past the inline arrays. The
   // inline-tag map additionally bounds each entry's value size.
@@ -467,7 +531,7 @@ void WireDecoder::remap_span(Span& span) const {
   span.inline_tags.remap_keys(remap);
 }
 
-TraceMeta WireDecoder::meta() const noexcept {
+TraceMeta FrameParser::meta() const noexcept {
   TraceMeta m;
   m.dropped_annotations = footer_.dropped_annotations;
   m.shard_count = static_cast<std::size_t>(footer_.shard_count);
@@ -485,105 +549,33 @@ TraceMeta WireDecoder::meta() const noexcept {
   return m;
 }
 
+}  // namespace wire
+
 // --- BinaryReader -----------------------------------------------------------
 
 BinaryReader::BinaryReader(std::istream& in) : in_(in) {
-  wire::Header header{};
-  read_exact(&header, sizeof header, "stream header");
-  version_ = WireDecoder::validate_header(header);
-  span_size_ = header.span_size;
-  decoder_.set_span_size(span_size_);
+  SpanBatch none;  // the header step writes no spans
+  step(none);      // read and validate the stream header; a short one throws
 }
 
-void BinaryReader::read_exact(void* dst, std::size_t n, const char* what) {
-  in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
-  if (static_cast<std::size_t>(in_.gcount()) != n) {
-    throw WireError(std::string("xsp wire: truncated ") + what + " (wanted " +
-                    std::to_string(n) + " bytes, got " + std::to_string(in_.gcount()) + ")");
+bool BinaryReader::step(SpanBatch& out) {
+  const std::size_t n = parser_.wanted();
+  in_.read(parser_.buffer(out), static_cast<std::streamsize>(n));
+  const auto got = static_cast<std::size_t>(in_.gcount());
+  if (got != n) {
+    // Clean EOF between frames (a producer that died mid-export) or after
+    // the footer ends the stream; anything else throws here.
+    parser_.end_of_input(got);
+    done_ = true;
+    return false;
   }
+  return parser_.commit(out);
 }
 
 bool BinaryReader::next_batch(SpanBatch& out) {
   out.clear();
   while (!done_) {
-    wire::FrameHeader fh{};
-    in_.read(reinterpret_cast<char*>(&fh), sizeof fh);
-    const auto got = static_cast<std::size_t>(in_.gcount());
-    if (got == 0) {
-      // Clean EOF at a frame boundary: a producer that died mid-export.
-      // Everything decoded so far is valid; saw_footer() reports the gap.
-      done_ = true;
-      return false;
-    }
-    if (got != sizeof fh) throw WireError("xsp wire: truncated frame header");
-    const auto payload_size = static_cast<std::size_t>(fh.payload_size);
-    if (payload_size > wire::kMaxFramePayload) {
-      throw WireError("xsp wire: frame payload length " + std::to_string(payload_size) +
-                      " exceeds the " + std::to_string(wire::kMaxFramePayload) + "-byte bound");
-    }
-    switch (static_cast<wire::FrameType>(fh.type)) {
-      case wire::FrameType::kStringDelta: {
-        payload_.resize(payload_size);
-        read_exact(payload_.data(), payload_size, "string-delta payload");
-        decoder_.decode_string_delta(payload_);
-        break;
-      }
-      case wire::FrameType::kSpanBatch: {
-        std::uint32_t count = 0;
-        if (payload_size < sizeof count) {
-          throw WireError("xsp wire: span-batch frame too small for its span count");
-        }
-        read_exact(&count, sizeof count, "span-batch count");
-        wire::checked_span_count(payload_size, count, span_size_);
-        if (span_size_ == sizeof(Span)) {
-          // Decode straight into the caller's buffer: one read into span
-          // memory, then in-place StrId rewrites — no intermediate copy.
-          out.resize(count);
-          read_exact(out.data(), count * sizeof(Span), "span-batch payload");
-        } else {
-          // Legacy (v1–v3) records are narrower than Span: read them
-          // into scratch and widen each one (wire::materialize_spans).
-          payload_.resize(static_cast<std::size_t>(count) * span_size_);
-          read_exact(payload_.data(), payload_.size(), "span-batch payload");
-          wire::materialize_spans(payload_, count, span_size_, out);
-        }
-        decoder_.remap_batch(out);
-        if (count > 0) return true;
-        break;  // an empty batch frame is legal; keep scanning
-      }
-      case wire::FrameType::kHeartbeat: {
-        payload_.resize(payload_size);
-        read_exact(payload_.data(), payload_size, "heartbeat payload");
-        decoder_.set_heartbeat(wire::checked_heartbeat(payload_, version_));
-        break;  // telemetry, not data; keep scanning for spans
-      }
-      case wire::FrameType::kFooter: {
-        // The footer size follows the stream's declared version: a v1
-        // stream carries the 11-field prefix, v2/v3 the 13-field one,
-        // and a v4 stream the full struct (later-version fields decode
-        // as zero on older streams). Anything else — truncated or
-        // oversized — is corruption, not data.
-        const std::size_t expect = wire::footer_size(version_);
-        if (payload_size != expect) {
-          throw WireError("xsp wire: footer payload length mismatch (v" +
-                          std::to_string(version_) + " expects " +
-                          std::to_string(expect) + " bytes, got " +
-                          std::to_string(payload_size) + ")");
-        }
-        wire::Footer footer{};
-        read_exact(&footer, expect, "footer payload");
-        decoder_.set_footer(footer);
-        done_ = true;
-        // The footer terminates the stream; trailing bytes are corruption
-        // (e.g. two concatenated exports), not data.
-        if (in_.peek() != std::char_traits<char>::eof()) {
-          throw WireError("xsp wire: data after footer frame");
-        }
-        return false;
-      }
-      default:
-        throw WireError("xsp wire: unknown frame type " + std::to_string(fh.type));
-    }
+    if (step(out)) return true;
   }
   return false;
 }

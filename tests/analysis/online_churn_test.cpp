@@ -21,7 +21,6 @@ namespace {
 using trace::DrainHandoff;
 using trace::PublishMode;
 using trace::ShardedTraceServer;
-using trace::ShardPolicy;
 using trace::Span;
 using trace::TraceServer;
 
@@ -42,7 +41,7 @@ TEST(OnlineChurn, ConsumerAnalyzerCountsEverySpanAcrossThreadChurn) {
   constexpr std::size_t kWave = 16;
   constexpr std::size_t kSpansPerThread = 32;
 
-  ShardedTraceServer server(kShards, PublishMode::kAsync, ShardPolicy::kByThread);
+  ShardedTraceServer server(kShards, PublishMode::kAsync);
   OnlineAnalyzerOptions opts;
   opts.shard_count = kShards;
   OnlineAnalyzer analyzer(opts);

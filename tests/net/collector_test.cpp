@@ -23,6 +23,7 @@
 #include <tuple>
 #include <vector>
 
+#include "../trace/wire_builders.hpp"
 #include "net_test_util.hpp"
 #include "xsp/net/endpoint.hpp"
 #include "xsp/net/socket.hpp"
@@ -79,56 +80,12 @@ struct RunningCollector {
 
 // --- raw wire builders (crafted producer streams) ---------------------------
 
-template <typename T>
-void put_pod(std::string& out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-std::string header_bytes() {
-  trace::wire::Header h{};
-  std::memcpy(h.magic, trace::wire::kMagic, sizeof h.magic);
-  h.version = trace::wire::kVersion;
-  h.endianness = trace::wire::kEndianMark;
-  h.span_size = static_cast<std::uint32_t>(sizeof(Span));
-  h.header_size = static_cast<std::uint32_t>(sizeof(trace::wire::Header));
-  std::string out;
-  put_pod(out, h);
-  return out;
-}
-
-std::string frame(trace::wire::FrameType type, std::string_view payload,
-                  std::int64_t lie_about_size = -1) {
-  trace::wire::FrameHeader fh{};
-  fh.type = static_cast<std::uint8_t>(type);
-  fh.payload_size = lie_about_size >= 0 ? static_cast<std::uint32_t>(lie_about_size)
-                                        : static_cast<std::uint32_t>(payload.size());
-  std::string out;
-  put_pod(out, fh);
-  out.append(payload);
-  return out;
-}
-
-std::string delta_entry(std::uint32_t id, std::string_view s) {
-  std::string out;
-  put_pod(out, id);
-  put_pod(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-  return out;
-}
-
-std::string span_batch_payload(const std::vector<Span>& spans) {
-  std::string out;
-  put_pod(out, static_cast<std::uint32_t>(spans.size()));
-  out.append(reinterpret_cast<const char*>(spans.data()), spans.size() * sizeof(Span));
-  return out;
-}
-
-std::string footer_frame(const trace::wire::Footer& f) {
-  std::string payload;
-  put_pod(payload, f);
-  return frame(trace::wire::FrameType::kFooter, payload);
-}
+using trace::wiretest::delta_entry;
+using trace::wiretest::footer_frame;
+using trace::wiretest::frame;
+using trace::wiretest::header_bytes;
+using trace::wiretest::heartbeat_frame;
+using trace::wiretest::span_batch_payload;
 
 // --- fleet-member publication (identical remote and in-process) -------------
 
@@ -423,6 +380,24 @@ TEST(CollectorE2E, ConfiguredFrameBoundIsEnforced) {
   EXPECT_EQ(collector.service.stats().spans_ingested, 0u);
 }
 
+TEST(CollectorE2E, BadFrameHeaderErrorsBeforeItsPayloadArrives) {
+  // A client claims a 1 MiB payload for an unknown frame type, then
+  // stalls with the connection open. The frame header alone condemns the
+  // stream: the connection must be errored at once, not held open while
+  // the collector buffers toward the claimed size.
+  const Endpoint ep = uds_endpoint("col_stall");
+  RunningCollector collector(ep);
+  Socket s = try_connect(ep, 1000);
+  ASSERT_TRUE(s.valid());
+  ASSERT_TRUE(send_all(s, header_bytes() + frame(static_cast<trace::wire::FrameType>(99), "",
+                                                 /*lie_about_size=*/1 << 20)));
+  EXPECT_TRUE(wait_until(
+      [&] { return collector.service.stats().connections_errored == 1; }, 2000))
+      << "an unknown frame type must error the connection without its payload";
+  EXPECT_EQ(collector.service.open_connections(), 0u);
+  collector.stop();
+}
+
 // --- connection lifecycle ---------------------------------------------------
 
 TEST(CollectorE2E, GracefulDrainConsumesStreamInFlightAtStop) {
@@ -573,20 +548,7 @@ TEST(RemoteSinkLifecycle, DaemonDeathLeavesProducerAliveWithAccountedDrops) {
       << "every span ends up either sent or accounted dropped";
 }
 
-// --- wire v3 heartbeats: producer health at the daemon ----------------------
-
-std::string heartbeat_frame(const trace::wire::Heartbeat& hb) {
-  std::string payload;
-  put_pod(payload, hb);
-  return frame(trace::wire::FrameType::kHeartbeat, payload);
-}
-
-std::string v1_header_bytes() {
-  std::string out = header_bytes();
-  const auto version = std::uint16_t{1};
-  std::memcpy(out.data() + 4, &version, sizeof version);  // Header::version
-  return out;
-}
+// --- heartbeats: producer health at the daemon -----------------------------
 
 /// One full scrape against the daemon's metrics endpoint: raw HTTP/1.0
 /// exchange, returns the response body (empty on any failure).
@@ -610,7 +572,7 @@ TEST(CollectorHeartbeat, HeartbeatIngestExposesPerProducerSeriesAndStaleness) {
   ASSERT_NE(collector.service.metrics_endpoint(), nullptr);
   const Endpoint scrape_ep = *collector.service.metrics_endpoint();
 
-  // A v3 producer announces itself with a heartbeat carrying its counters.
+  // A producer announces itself with a heartbeat carrying its counters.
   Socket producer = try_connect(ep, 1000);
   ASSERT_TRUE(producer.valid());
   trace::wire::Heartbeat hb{};
@@ -665,28 +627,28 @@ TEST(CollectorHeartbeat, HeartbeatIngestExposesPerProducerSeriesAndStaleness) {
   EXPECT_EQ(collector.service.stats().connections_errored, 0u);
 }
 
-TEST(CollectorHeartbeat, PreV3ProducersGetConnectionSeriesButNoHealthSeries) {
-  const Endpoint ep = uds_endpoint("col_hb_v1");
+TEST(CollectorHeartbeat, ProducerWithoutHeartbeatGetsConnectionSeriesButNoHealthSeries) {
+  const Endpoint ep = uds_endpoint("col_hb_none");
   CollectorOptions copts;
   copts.metrics_endpoint = "tcp://127.0.0.1:0";
   RunningCollector collector(ep, copts);
   const Endpoint scrape_ep = *collector.service.metrics_endpoint();
 
-  // A v1 producer streams a span; it can never send heartbeats, so it
+  // A producer streams a span but has not sent a heartbeat yet, so it
   // must get per-connection transport series but no xsp_producer_* ones —
   // absence, not fabricated zeros (silence is not health data).
   Socket producer = try_connect(ep, 1000);
   ASSERT_TRUE(producer.valid());
   Span s;
   s.id = 1;
-  s.name = StrId("v1_op");
-  s.tracer = StrId("v1_tracer");
+  s.name = StrId("quiet_op");
+  s.tracer = StrId("quiet_tracer");
   s.begin = 0;
   s.end = 1;
-  std::string bytes = v1_header_bytes();
+  std::string bytes = header_bytes();
   bytes += frame(trace::wire::FrameType::kStringDelta,
-                 delta_entry(s.name.raw(), "v1_op") +
-                     delta_entry(s.tracer.raw(), "v1_tracer"));
+                 delta_entry(s.name.raw(), "quiet_op") +
+                     delta_entry(s.tracer.raw(), "quiet_tracer"));
   bytes += frame(trace::wire::FrameType::kSpanBatch, span_batch_payload({s}));
   ASSERT_TRUE(send_all(producer, bytes));
   ASSERT_TRUE(wait_until(
@@ -696,7 +658,8 @@ TEST(CollectorHeartbeat, PreV3ProducersGetConnectionSeriesButNoHealthSeries) {
   ASSERT_FALSE(body.empty());
   EXPECT_NE(body.find("xsp_connection_spans_total{conn=\"1\"} 1"), std::string::npos);
   EXPECT_EQ(body.find("xsp_producer_"), std::string::npos)
-      << "v1/v2 connections must not fabricate producer-health series\n" << body;
+      << "a connection without heartbeats must not fabricate producer-health series\n"
+      << body;
   EXPECT_NE(body.find("xsp_ingested_spans_total 1"), std::string::npos);
 
   producer.shutdown_write();

@@ -84,11 +84,10 @@ TEST(BatchRecycling, ShardedRecycleRefillsEveryShardFreelist) {
   // Round-robin distribution: after recycling 2N buffers into an N-shard
   // fleet, each shard can seal a batch without allocating a fresh vector.
   constexpr std::size_t kShards = 2;
-  ShardedTraceServer server(kShards, PublishMode::kSync, ShardPolicy::kByTimeWindow, 1);
-  // Window of 1ns: span at time t lands on shard t % kShards, letting one
-  // thread feed both shards.
+  ShardedTraceServer server(kShards, PublishMode::kSync);
+  // Publishing through shard(i) lets one thread feed both shards.
   for (std::size_t i = 0; i < 4 * TraceServer::kBatchCapacity * kShards; ++i) {
-    server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i % kShards)));
+    server.shard(i % kShards).publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
   }
   SpanBatches taken = server.take_batches();
   ASSERT_GE(taken.size(), 2 * kShards);
@@ -99,7 +98,7 @@ TEST(BatchRecycling, ShardedRecycleRefillsEveryShardFreelist) {
     EXPECT_EQ(server.shard(i).span_count(), 0u);
   }
   for (std::size_t i = 0; i < 2 * TraceServer::kBatchCapacity * kShards; ++i) {
-    server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i % kShards)));
+    server.shard(i % kShards).publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
   }
   EXPECT_EQ(server.span_count(), 2 * TraceServer::kBatchCapacity * kShards);
 }

@@ -198,10 +198,10 @@ TEST(DrainFanout, ThrowingObserverIsDetachedOthersKeepRunningNoSpansLost) {
 // --- sharded fan-out + load telemetry ---------------------------------------
 
 TEST(DrainFanout, ShardedShardAwareSubscriberReceivesCorrectShardIndices) {
-  // kByTimeWindow with a 1ns window routes span at time t to shard
-  // t % kShards, so one thread deterministically feeds every shard.
+  // Publishing through shard(i) lets one thread deterministically feed
+  // every shard.
   constexpr std::size_t kShards = 3;
-  ShardedTraceServer server(kShards, PublishMode::kSync, ShardPolicy::kByTimeWindow, 1);
+  ShardedTraceServer server(kShards, PublishMode::kSync);
 
   std::vector<std::uint64_t> per_shard(kShards, 0);
   server.add_drain_subscriber(
@@ -213,7 +213,7 @@ TEST(DrainFanout, ShardedShardAwareSubscriberReceivesCorrectShardIndices) {
 
   constexpr std::size_t kPerShard = 2 * TraceServer::kBatchCapacity;
   for (std::size_t i = 0; i < kShards * kPerShard; ++i) {
-    server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i % kShards)));
+    server.shard(i % kShards).publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
   }
   server.flush();
 
@@ -228,10 +228,10 @@ TEST(DrainFanout, ShardedShardAwareSubscriberReceivesCorrectShardIndices) {
 }
 
 TEST(DrainFanout, ShardLoadsAreCumulativeAcrossTakes) {
-  ShardedTraceServer server(2, PublishMode::kSync, ShardPolicy::kByTimeWindow, 1);
+  ShardedTraceServer server(2, PublishMode::kSync);
   for (int round = 0; round < 3; ++round) {
     for (std::size_t i = 0; i < 2 * TraceServer::kBatchCapacity; ++i) {
-      server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i % 2)));
+      server.shard(i % 2).publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
     }
     server.recycle(server.take_batches());
   }

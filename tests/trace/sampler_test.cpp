@@ -264,7 +264,7 @@ TEST(TraceServerSampling, InvariantHoldsUnderConcurrentPublishers) {
 }
 
 TEST(ShardedTraceServerSampling, InvariantAcrossShards) {
-  ShardedTraceServer fleet(4, PublishMode::kAsync, ShardPolicy::kByThread);
+  ShardedTraceServer fleet(4, PublishMode::kAsync);
   SamplerOptions opts;
   opts.rate = 0.25;
   fleet.set_sampler(std::make_shared<const Sampler>(opts));

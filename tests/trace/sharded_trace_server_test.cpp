@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <tuple>
 #include <unordered_set>
@@ -75,7 +76,7 @@ TEST(ShardedTraceServer, IdStripesAreDisjointPerShard) {
 }
 
 TEST(ShardedTraceServer, ByThreadRoutingSticksToOneShard) {
-  ShardedTraceServer server(4, PublishMode::kSync, ShardPolicy::kByThread);
+  ShardedTraceServer server(4, PublishMode::kSync);
   const std::size_t mine = server.shard_for_current_thread();
   for (int i = 0; i < 50; ++i) {
     server.publish(make_span(server.next_span_id(), i, i + 1));
@@ -83,35 +84,6 @@ TEST(ShardedTraceServer, ByThreadRoutingSticksToOneShard) {
   for (std::size_t i = 0; i < server.shard_count(); ++i) {
     EXPECT_EQ(server.shard(i).span_count(), i == mine ? 50u : 0u);
   }
-}
-
-TEST(ShardedTraceServer, ByTracerRoutingGroupsSpansByTracer) {
-  ShardedTraceServer server(4, PublishMode::kSync, ShardPolicy::kByTracer);
-  const StrId tracers[] = {"cupti", "framework_profiler", "model_timer"};
-  for (const StrId tracer : tracers) {
-    Span probe;
-    probe.tracer = tracer;
-    const std::size_t expected = server.shard_for(probe);
-    const std::size_t before = server.shard(expected).span_count();
-    for (int i = 0; i < 10; ++i) {
-      Span s = make_span(server.next_span_id(), i, i + 1);
-      s.tracer = tracer;
-      server.publish(std::move(s));
-    }
-    EXPECT_EQ(server.shard(expected).span_count(), before + 10);
-  }
-  EXPECT_EQ(server.span_count(), 30u);
-}
-
-TEST(ShardedTraceServer, ByTimeWindowRoutingSlicesTheTimeline) {
-  constexpr Ns kWindow = 1000;
-  ShardedTraceServer server(2, PublishMode::kSync, ShardPolicy::kByTimeWindow, kWindow);
-  // Window w lands on shard w % 2: [0,1000) -> 0, [1000,2000) -> 1, ...
-  for (int w = 0; w < 4; ++w) {
-    server.publish(make_span(server.next_span_id(), w * kWindow + 10, w * kWindow + 20));
-  }
-  EXPECT_EQ(server.shard(0).span_count(), 2u);
-  EXPECT_EQ(server.shard(1).span_count(), 2u);
 }
 
 /// Structural fingerprint of an assembled timeline, ignoring span ids
@@ -128,23 +100,26 @@ TEST(ShardedTraceServer, MergedAssemblyEqualsSingleServerAssembly) {
   // The same logical spans (a model span, two layers, kernels inside them)
   // published to a single server and to a 3-shard fleet must assemble to
   // identical hierarchies — merge order must not matter.
-  const auto publish_all = [](SpanSink& sink) {
-    sink.publish(make_span(sink.next_span_id(), 0, 1000, kModelLevel));
-    sink.publish(make_span(sink.next_span_id(), 100, 400, kLayerLevel));
-    sink.publish(make_span(sink.next_span_id(), 500, 900, kLayerLevel));
-    sink.publish(make_span(sink.next_span_id(), 150, 250, kKernelLevel));
-    sink.publish(make_span(sink.next_span_id(), 550, 650, kKernelLevel));
-    sink.publish(make_span(sink.next_span_id(), 700, 800, kKernelLevel));
+  const auto publish_all = [](SpanSink& ids, const std::function<void(Span)>& publish) {
+    publish(make_span(ids.next_span_id(), 0, 1000, kModelLevel));
+    publish(make_span(ids.next_span_id(), 100, 400, kLayerLevel));
+    publish(make_span(ids.next_span_id(), 500, 900, kLayerLevel));
+    publish(make_span(ids.next_span_id(), 150, 250, kKernelLevel));
+    publish(make_span(ids.next_span_id(), 550, 650, kKernelLevel));
+    publish(make_span(ids.next_span_id(), 700, 800, kKernelLevel));
   };
 
   TraceServer single(PublishMode::kSync);
-  publish_all(single);
+  publish_all(single, [&single](Span s) { single.publish(std::move(s)); });
   const Timeline single_tl = Timeline::assemble(single.take_batches());
 
-  // kByTimeWindow with a narrow window scatters the spans across shards,
-  // exercising a merge where one hierarchy spans all three shards.
-  ShardedTraceServer sharded(3, PublishMode::kSync, ShardPolicy::kByTimeWindow, 200);
-  publish_all(sharded);
+  // Round-robin over the shards scatters the spans, exercising a merge
+  // where one hierarchy spans all three shards.
+  ShardedTraceServer sharded(3, PublishMode::kSync);
+  std::size_t next = 0;
+  publish_all(sharded, [&sharded, &next](Span s) {
+    sharded.shard(next++ % sharded.shard_count()).publish(std::move(s));
+  });
   const Timeline sharded_tl = Timeline::assemble(sharded.take_batches());
 
   ASSERT_EQ(single_tl.size(), sharded_tl.size());
@@ -154,11 +129,11 @@ TEST(ShardedTraceServer, MergedAssemblyEqualsSingleServerAssembly) {
 }
 
 TEST(ShardedTraceServer, DroppedAnnotationsSumAcrossShards) {
-  ShardedTraceServer server(2, PublishMode::kSync, ShardPolicy::kByTimeWindow, 100);
+  ShardedTraceServer server(2, PublishMode::kSync);
   for (int w = 0; w < 4; ++w) {
     Span s = make_span(server.next_span_id(), w * 100, w * 100 + 50);
     s.dropped_annotations = 3;
-    server.publish(std::move(s));
+    server.shard(static_cast<std::size_t>(w) % 2).publish(std::move(s));
   }
   EXPECT_EQ(server.dropped_annotation_count(), 12u);
   EXPECT_GT(server.shard(0).dropped_annotation_count(), 0u);

@@ -139,7 +139,7 @@ TEST_P(SlotLifecycleRandomized, CollectedTimelineMatchesSingleThreadedOracle) {
        }},
       {"sharded_2_async",
        [](const std::vector<Span>& s, std::uint64_t rng_seed) {
-         ShardedTraceServer server(2, PublishMode::kAsync, ShardPolicy::kByThread);
+         ShardedTraceServer server(2, PublishMode::kAsync);
          return run_lifecycle(server, s, rng_seed);
        }},
   };

@@ -174,7 +174,7 @@ TEST(SlotChurnStress, TenThousandThreadsSingleServerAsyncConsume) {
 TEST(SlotChurnStress, TenThousandThreadsShardedAsyncConsume) {
   constexpr std::size_t kThreads = 10000;
   constexpr std::size_t kSpansPerThread = 24;
-  ShardedTraceServer server(4, PublishMode::kAsync, ShardPolicy::kByThread);
+  ShardedTraceServer server(4, PublishMode::kAsync);
   std::atomic<std::uint64_t> consumed{0};
   server.add_drain_subscriber(
       [&consumed](const SpanBatches& batches) {
@@ -187,7 +187,7 @@ TEST(SlotChurnStress, TenThousandThreadsShardedAsyncConsume) {
   const std::size_t peak = churn(server, kThreads, kSpansPerThread, [&server] { server.flush(); });
 
   EXPECT_EQ(consumed.load(), kThreads * kSpansPerThread);
-  // kByThread: each churned thread registers on exactly one shard, so
+  // Thread routing: each churned thread registers on exactly one shard, so
   // the fleet-wide bound matches the single-server one.
   EXPECT_LE(peak, 16u * 8u);
   EXPECT_EQ(server.live_slot_count(), 0u);
@@ -210,7 +210,7 @@ TEST(SlotChurnStress, SyncServersRetireOnFlushAndLoseNothing) {
   EXPECT_EQ(single.live_slot_count(), 0u);
   EXPECT_EQ(single.retired_slot_count(), kThreads);
 
-  ShardedTraceServer sharded(4, PublishMode::kSync, ShardPolicy::kByThread);
+  ShardedTraceServer sharded(4, PublishMode::kSync);
   std::uint64_t taken_sharded = 0;
   const std::size_t peak_sharded =
       churn(sharded, kThreads, kSpansPerThread, [&sharded, &taken_sharded] {

@@ -161,7 +161,7 @@ TEST(StreamingExport, ObserveModeTeesWithoutConsuming) {
 TEST(StreamingExport, ShardedConcurrentPublishersFunnelIntoOneValidDocument) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 1500;
-  ShardedTraceServer server(3, PublishMode::kAsync, ShardPolicy::kByThread);
+  ShardedTraceServer server(3, PublishMode::kAsync);
 
   std::string out;
   StreamingExporter exporter(

@@ -49,7 +49,7 @@
 //                     metrics endpoint and render the collector's ingest
 //                     counters plus a per-producer health table (spans
 //                     published/sent/dropped, outbox depth, heartbeat age,
-//                     staleness) from the wire v3 heartbeat series.
+//                     staleness) from the wire heartbeat series.
 //                     --runs scrapes, --interval-ms apart.
 #include <atomic>
 #include <cerrno>
