@@ -150,8 +150,8 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   // profiler per run. trace_shards == 1 is the plain single-server shape;
   // 0 lets the fleet size itself to the hardware. The fleet is reused
   // across runs when its configuration matches — take_batches() left it
-  // empty, and reuse is what lets the recycled batch buffers below feed
-  // the next run's publication.
+  // empty. The previous run's batches went to its timeline, so this run
+  // publishes into fresh batch buffers.
   if (server_ == nullptr ||
       server_->shard_count() != trace::ShardedTraceServer::resolve_shard_count(options.trace_shards) ||
       server_->mode() != options.publish_mode) {
@@ -455,8 +455,8 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   result.options = options;
   // Merge step: the per-shard batch lists concatenate in O(batches), and
   // assemble begin-orders the nodes, so shard count never changes the
-  // assembled timeline. Buffers go back to the shard freelists, feeding
-  // the next run on this session (the fleet outlives the run above).
+  // assembled timeline. The timeline keeps the batches: its nodes point
+  // at the spans in place.
   result.dropped_annotations = server_->dropped_annotation_count();
   result.trace_shards = server_->shard_count();
   // dropped_annotation_count() flushed every shard, so the admission
@@ -529,9 +529,7 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
                                options.stream_export_path);
     }
   }
-  trace::SpanBatches batches = server_->take_batches();
-  result.timeline = trace::Timeline::assemble(batches);
-  server_->recycle(std::move(batches));
+  result.timeline = trace::Timeline::assemble(server_->take_batches());
   result.model_latency = run.latency();
   result.pipeline_latency = pipeline_end - pipeline_begin;
   return result;

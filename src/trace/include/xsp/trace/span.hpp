@@ -217,7 +217,8 @@ static_assert(std::is_trivially_copyable_v<Span>);
 
 /// One producer batch of spans, and a trace as the list of batches it was
 /// published in. The server aggregates and hands off batch handles; spans
-/// are laid out once, by Timeline::assemble or an exporter.
+/// stay where they were published — Timeline::assemble keeps the batches
+/// and points into them.
 using SpanBatch = std::vector<Span>;
 using SpanBatches = std::vector<SpanBatch>;
 

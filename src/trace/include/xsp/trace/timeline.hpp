@@ -13,15 +13,20 @@
 // parallel events are serialized" — assembly records the ambiguity count so
 // the caller knows a serialized re-run is needed.
 //
-// Storage: nodes live in one flat vector ordered by (begin, id), with a
-// flat open-addressed side index from span id to vector position. Assembly
-// copies each span once, straight into its final node: it sorts 24-byte
-// (begin, id, source) keys rather than nodes, correlates async halves by
-// sorting small (correlation id, arrival, span) records, and builds an
-// interval tree only for the levels some node's parent search uses. A
-// trace of n spans costs O(n log n) work and a bounded number of heap
-// allocations: a constant number of arrays plus one children list per
-// parent node — none per span (src/trace/README.md, "Assembly").
+// Storage: the timeline owns the publication batches it was assembled
+// from and never copies a span. A pair's launch half is merged into its
+// execution span in place, inside the owned batch. Each node is 32 bytes
+// — a pointer to its span, the launch window, the parent's node position
+// and flags — in one flat vector ordered by (begin, id), with a flat
+// open-addressed side index from span id to position. Children are node
+// positions in one flat array with per-node offsets (CSR), filled in node
+// order. walk() follows positions with an explicit stack, so a hierarchy
+// of any depth walks without recursion. A trace of n spans costs
+// O(n log n) work and a constant number of heap allocations, none per
+// span or per parent (src/trace/README.md, "Assembly").
+//
+// Because nodes point into the owned batches, a Timeline is move-only;
+// moving it (or the RunTrace holding it) keeps every node valid.
 #pragma once
 
 #include <cstddef>
@@ -35,11 +40,12 @@
 
 namespace xsp::trace {
 
-/// One node in the assembled hierarchy.
+/// One node in the assembled hierarchy, as node() and walk() present it:
+/// a view built on the fly over the timeline's storage, valid while the
+/// timeline lives.
 struct TimelineNode {
-  Span span;  ///< merged view; for async events: execution timing + metrics
+  const Span& span;  ///< merged view; for async events: execution timing + metrics
   SpanId parent = kNoSpan;
-  std::vector<SpanId> children;  ///< ordered by begin time
   /// For async events: the CPU-side launch window (begin/end of the launch
   /// span). Zero-width for regular spans.
   TimePoint launch_begin = 0;
@@ -60,11 +66,17 @@ struct AssembleOptions {
 
 class Timeline {
  public:
+  Timeline() = default;
+  Timeline(const Timeline&) = delete;
+  Timeline& operator=(const Timeline&) = delete;
+  Timeline(Timeline&&) noexcept = default;
+  Timeline& operator=(Timeline&&) noexcept = default;
+
   /// Assemble a hierarchy from the raw spans of one run, in the publication
-  /// batches TraceServer::take_batches() hands off. Spans are copied out
-  /// (they are trivially copyable), so the caller keeps the batch buffers
-  /// and can hand them back via TraceServer::recycle().
-  static Timeline assemble(const SpanBatches& batches, const AssembleOptions& options = {});
+  /// batches TraceServer::take_batches() hands off. The timeline keeps the
+  /// batches: nodes refer to their spans in place, and each correlated
+  /// launch/execution pair is merged into its execution span.
+  static Timeline assemble(SpanBatches batches, const AssembleOptions& options = {});
 
   /// Convenience overload for a flat span vector (wrapped as one batch).
   static Timeline assemble(std::vector<Span> spans, const AssembleOptions& options = {}) {
@@ -81,28 +93,30 @@ class Timeline {
   [[nodiscard]] const std::vector<SpanId>& roots() const noexcept { return roots_; }
 
   /// Node lookup; throws std::out_of_range on an unknown id.
-  [[nodiscard]] const TimelineNode& node(SpanId id) const {
+  [[nodiscard]] TimelineNode node(SpanId id) const {
     const std::uint32_t pos = position(id);
     if (pos == kAbsent) throw std::out_of_range("Timeline::node: unknown span id");
-    return nodes_[pos];
+    return view(pos);
   }
   [[nodiscard]] bool contains(SpanId id) const { return position(id) != kAbsent; }
 
   /// All node ids at a stack level, ordered by begin time.
   [[nodiscard]] std::vector<SpanId> at_level(int level) const;
 
-  /// Children of `id` ordered by begin time (empty for a leaf).
-  [[nodiscard]] const std::vector<SpanId>& children(SpanId id) const {
-    return node(id).children;
-  }
+  /// Children of `id` ordered by begin time (empty for a leaf); built on
+  /// demand. Throws std::out_of_range on an unknown id.
+  [[nodiscard]] std::vector<SpanId> children(SpanId id) const;
 
   /// First node (in begin-time order) whose span name equals `name`.
   [[nodiscard]] std::optional<SpanId> find_by_name(StrId name) const;
 
-  /// Depth-first pre-order walk over the whole hierarchy.
+  /// Depth-first pre-order walk over the whole hierarchy: roots in begin
+  /// order, each followed by its subtree, children in begin order.
   void walk(const std::function<void(const TimelineNode&, int depth)>& fn) const;
 
-  /// Number of spans whose parent could not be determined unambiguously.
+  /// Number of spans whose parent could not be determined unambiguously:
+  /// parallel candidates of equal duration, or explicit parent references
+  /// that form a cycle (the earliest node of each cycle becomes a root).
   /// Non-zero means a serialized re-run is required for exact correlation.
   [[nodiscard]] std::size_t ambiguous_count() const noexcept { return ambiguous_; }
 
@@ -115,16 +129,32 @@ class Timeline {
   [[nodiscard]] std::size_t unmatched_async_count() const noexcept { return unmatched_async_; }
 
  private:
-  void walk_from(SpanId id, int depth,
-                 const std::function<void(const TimelineNode&, int depth)>& fn) const;
-
   static constexpr std::uint32_t kAbsent = UINT32_MAX;
+  /// Node::parent of an explicit reference not yet looked up (assembly only).
+  static constexpr std::uint32_t kUnresolved = UINT32_MAX - 1;
+
+  /// One assembled node. `parent` is a node position (kAbsent for a root).
+  struct Node {
+    const Span* span = nullptr;
+    TimePoint launch_begin = 0;
+    TimePoint launch_end = 0;
+    std::uint32_t parent = kAbsent;
+    bool is_async = false;
+    bool ambiguous_parent = false;
+  };
+  static_assert(sizeof(Node) == 32);
 
   /// One slot of the id index; `pos == kAbsent` marks an empty slot.
   struct IndexSlot {
     SpanId id = kNoSpan;
     std::uint32_t pos = kAbsent;
   };
+
+  [[nodiscard]] TimelineNode view(std::uint32_t pos) const {
+    const Node& n = nodes_[pos];
+    return {*n.span, n.parent == kAbsent ? kNoSpan : nodes_[n.parent].span->id,
+            n.launch_begin, n.launch_end, n.is_async, n.ambiguous_parent};
+  }
 
   /// The index slot holding `id`, or the empty slot where it would go.
   /// Probing starts at the id modulo the (prime) table size, so ids issued
@@ -142,11 +172,17 @@ class Timeline {
     return index_.empty() ? kAbsent : index_[find_slot(id)].pos;
   }
 
+  /// The spans every node points into; never resized after assembly.
+  SpanBatches batches_;
   /// Ordered by (span.begin, span.id); `index_` maps span id -> position,
   /// linear probing over a table of prime size at most half full. A
   /// duplicated id resolves to its first node.
-  std::vector<TimelineNode> nodes_;
+  std::vector<Node> nodes_;
   std::vector<IndexSlot> index_;
+  /// CSR children: node i's children are child_pos_[child_begin_[i],
+  /// child_begin_[i + 1]), in node (begin-time) order.
+  std::vector<std::uint32_t> child_begin_;
+  std::vector<std::uint32_t> child_pos_;
   std::vector<SpanId> roots_;
   std::size_t ambiguous_ = 0;
   std::size_t correlated_async_ = 0;

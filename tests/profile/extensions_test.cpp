@@ -116,7 +116,7 @@ TEST(ApplicationLevel, MultiModelPipelineUnderOneApplicationSpan) {
   const auto& root = tl.node(tl.roots()[0]);
   EXPECT_EQ(root.span.name, "VideoAnalyticsApp");
   EXPECT_EQ(root.span.level, trace::kApplicationLevel);
-  EXPECT_EQ(root.children.size(), 2u);
+  EXPECT_EQ(tl.children(root.span.id).size(), 2u);
 }
 
 }  // namespace

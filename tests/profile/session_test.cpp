@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -44,6 +45,28 @@ TEST(Session, ModelOnlyRunHasThreePipelineSpans) {
   EXPECT_TRUE(run.timeline.find_by_name("Output Post-Process").has_value());
   EXPECT_GT(run.model_latency, 0);
   EXPECT_GT(run.pipeline_latency, run.model_latency);
+}
+
+TEST(Session, MovedRunTraceOutlivesItsSessionAndSource) {
+  // The timeline owns the run's batches: a RunTrace moved out of a dead
+  // session still resolves and exports every span, byte for byte.
+  std::optional<RunTrace> source;
+  {
+    Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
+    source = s.profile(small_graph(), ProfileOptions::full(true));
+  }
+  const std::string exported = trace::to_span_json(source->timeline);
+  std::vector<trace::SpanId> ids;
+  source->timeline.walk([&](const trace::TimelineNode& n, int) { ids.push_back(n.span.id); });
+  ASSERT_EQ(ids.size(), source->timeline.size());
+
+  RunTrace moved = std::move(*source);
+  source.reset();
+  EXPECT_EQ(trace::to_span_json(moved.timeline), exported);
+  for (const trace::SpanId id : ids) {
+    ASSERT_TRUE(moved.timeline.contains(id)) << id;
+    EXPECT_EQ(moved.timeline.node(id).span.id, id);
+  }
 }
 
 TEST(Session, LayerSpansAreChildrenOfPrediction) {

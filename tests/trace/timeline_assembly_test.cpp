@@ -1,11 +1,13 @@
 // Timeline assembly: no span is lost to a reused correlation id, the id
-// index resolves ids of any shape, and the heap allocations assembly
-// performs do not grow with the number of async pairs.
+// index resolves ids of any shape, the heap allocations assembly performs
+// grow neither with the number of async pairs nor with the number of
+// parents, and a timeline stays valid when moved.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "test_alloc_count.hpp"
@@ -116,9 +118,11 @@ SpanBatches leveled_trace(int layers, int pairs_per_layer) {
   return batches;
 }
 
-std::uint64_t allocations_to_assemble(const SpanBatches& batches, std::size_t expected_pairs) {
+/// Heap allocations `Timeline::assemble` performs on `batches`, which it
+/// takes over (the caller's copy is made before counting starts).
+std::uint64_t allocations_to_assemble(SpanBatches batches, std::size_t expected_pairs) {
   const std::uint64_t before = g_xsp_test_alloc_count.load(std::memory_order_relaxed);
-  const Timeline tl = Timeline::assemble(batches);
+  const Timeline tl = Timeline::assemble(std::move(batches));
   const std::uint64_t during = g_xsp_test_alloc_count.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(tl.correlated_async_count(), expected_pairs);
   EXPECT_EQ(tl.unmatched_async_count(), 0u);
@@ -127,22 +131,67 @@ std::uint64_t allocations_to_assemble(const SpanBatches& batches, std::size_t ex
 
 TEST(TimelineAssembly, AllocationsDoNotGrowWithAsyncPairs) {
   constexpr int kLayers = 16;
-  const SpanBatches small = leveled_trace(kLayers, 8);
-  const SpanBatches large = leveled_trace(kLayers, 80);
-  const std::uint64_t small_allocs = allocations_to_assemble(small, kLayers * 8);
-  const std::uint64_t large_allocs = allocations_to_assemble(large, kLayers * 80);
+  const std::uint64_t small_allocs = allocations_to_assemble(leveled_trace(kLayers, 8), kLayers * 8);
+  const std::uint64_t large_allocs =
+      allocations_to_assemble(leveled_trace(kLayers, 80), kLayers * 80);
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   (void)small_allocs;
   (void)large_allocs;
 #else
-  // 10x the pairs (1152 more of them) may cost at most a logarithmic
-  // number of extra allocations — not one or more per pair.
-  const std::size_t large_spans = kLayers * (2 * 80 + 1) + 1;
-  const auto log_bound = static_cast<std::uint64_t>(std::ceil(std::log2(large_spans)));
-  EXPECT_LE(large_allocs, small_allocs + log_bound)
-      << "small " << small_allocs << " large " << large_allocs;
+  // 10x the pairs (1152 more of them): a fixed set of arrays either way.
+  EXPECT_EQ(large_allocs, small_allocs);
 #endif
+}
+
+TEST(TimelineAssembly, AllocationsDoNotGrowWithParents) {
+  constexpr int kPairs = 8;
+  const std::uint64_t small_allocs = allocations_to_assemble(leveled_trace(16, kPairs), 16 * kPairs);
+  const std::uint64_t large_allocs =
+      allocations_to_assemble(leveled_trace(160, kPairs), 160 * kPairs);
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  (void)small_allocs;
+  (void)large_allocs;
+#else
+  // 10x the layers, each the parent of its kernels: children live in one
+  // flat array, so no parent costs an allocation of its own.
+  EXPECT_EQ(large_allocs, small_allocs);
+#endif
+}
+
+static_assert(!std::is_copy_constructible_v<Timeline>);
+static_assert(std::is_nothrow_move_constructible_v<Timeline>);
+
+TEST(TimelineAssembly, MovedTimelineResolvesEverySpanAfterItsSourceIsGone) {
+  // Nodes point into the batches the timeline owns; moving the timeline
+  // moves those batches without relocating a span.
+  const SpanBatches batches = leveled_trace(4, 3);
+  std::vector<Span> published;
+  for (const auto& batch : batches) published.insert(published.end(), batch.begin(), batch.end());
+
+  std::optional<Timeline> source = Timeline::assemble(SpanBatches(batches));
+  const std::vector<SpanId> roots = source->roots();
+  Timeline moved = std::move(*source);
+  source.reset();
+
+  ASSERT_EQ(moved.size(), published.size() - moved.correlated_async_count());
+  EXPECT_EQ(moved.roots(), roots);
+  std::size_t walked = 0;
+  moved.walk([&](const TimelineNode&, int) { ++walked; });
+  EXPECT_EQ(walked, moved.size());
+  for (const Span& s : published) {
+    if (s.kind == SpanKind::kLaunch) {
+      EXPECT_FALSE(moved.contains(s.id));
+      continue;
+    }
+    ASSERT_TRUE(moved.contains(s.id)) << s.id;
+    const TimelineNode n = moved.node(s.id);
+    EXPECT_EQ(n.span.id, s.id);
+    EXPECT_EQ(n.span.begin, s.begin);
+    EXPECT_EQ(n.span.end, s.end);
+    EXPECT_EQ(n.is_async, s.kind == SpanKind::kExecution);
+  }
 }
 
 }  // namespace

@@ -110,7 +110,7 @@ TEST_P(TimelineRandomized, ChildrenIntervalsWithinParent) {
   const auto spans = random_nested_trace(GetParam(), 15, 3);
   const auto tl = Timeline::assemble(spans);
   tl.walk([&](const TimelineNode& n, int) {
-    for (const SpanId c : n.children) {
+    for (const SpanId c : tl.children(n.span.id)) {
       const auto& child = tl.node(c).span;
       EXPECT_GE(child.begin, n.span.begin);
       EXPECT_LE(child.end, n.span.end);
@@ -122,8 +122,9 @@ TEST_P(TimelineRandomized, ChildrenSortedByBeginTime) {
   const auto spans = random_nested_trace(GetParam(), 15, 3);
   const auto tl = Timeline::assemble(spans);
   tl.walk([&](const TimelineNode& n, int) {
-    for (std::size_t i = 1; i < n.children.size(); ++i) {
-      EXPECT_LE(tl.node(n.children[i - 1]).span.begin, tl.node(n.children[i]).span.begin);
+    const std::vector<SpanId> children = tl.children(n.span.id);
+    for (std::size_t i = 1; i < children.size(); ++i) {
+      EXPECT_LE(tl.node(children[i - 1]).span.begin, tl.node(children[i]).span.begin);
     }
   });
 }

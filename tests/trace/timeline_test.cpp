@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <vector>
+
+#include "xsp/trace/export.hpp"
 
 namespace xsp::trace {
 namespace {
@@ -223,6 +227,79 @@ TEST(Timeline, DeterministicRegardlessOfPublicationOrder) {
   for (std::size_t i = 0; i < ka.size(); ++i) {
     EXPECT_EQ(a.node(ka[i]).span.name, b.node(kb[i]).span.name);
     EXPECT_EQ(a.node(ka[i]).parent, b.node(kb[i]).parent);
+  }
+}
+
+TEST(Timeline, WalkHandlesDeepExplicitChain) {
+  // Each span names the previous one as its parent: a hierarchy 400k
+  // levels deep, which a recursive walk cannot follow on a default stack.
+  constexpr SpanId kDepth = 400'000;
+  std::vector<Span> spans;
+  spans.reserve(kDepth);
+  for (SpanId id = 1; id <= kDepth; ++id) {
+    const auto t = static_cast<TimePoint>(id);
+    spans.push_back(make(id, kLayerLevel, t, 2 * static_cast<TimePoint>(kDepth) - t, "s",
+                         id == 1 ? kNoSpan : id - 1));
+  }
+  const auto tl = Timeline::assemble(std::move(spans));
+  ASSERT_EQ(tl.size(), kDepth);
+  ASSERT_EQ(tl.roots().size(), 1u);
+
+  SpanId expected = 1;
+  tl.walk([&](const TimelineNode& n, int depth) {
+    EXPECT_EQ(n.span.id, expected);
+    EXPECT_EQ(depth, static_cast<int>(expected - 1));
+    ++expected;
+  });
+  EXPECT_EQ(expected, kDepth + 1);
+
+  // The export follows the same walk: every span, in pre-order.
+  const std::string json = to_span_json(tl);
+  const std::string marker = "{\"id\":";
+  SpanId next = 1;
+  for (std::size_t at = json.find(marker); at != std::string::npos;
+       at = json.find(marker, at + 1)) {
+    const auto id = std::strtoull(json.c_str() + at + marker.size(), nullptr, 10);
+    if (id != next) {
+      ADD_FAILURE() << "span " << id << " exported where " << next << " was due";
+      break;
+    }
+    ++next;
+  }
+  EXPECT_EQ(next, kDepth + 1);
+}
+
+TEST(Timeline, ExplicitParentCyclesBecomeCountedRoots) {
+  // A root, a span naming itself as parent, two spans naming each other,
+  // and a span hanging off that 2-cycle that begins before it: every span
+  // stays reachable, and the earliest span of each cycle becomes a root
+  // whose parent could not be determined.
+  std::vector<Span> spans;
+  spans.push_back(make(1, kModelLevel, 0, 100, "root"));
+  spans.push_back(make(2, kLayerLevel, 10, 20, "self", 2));
+  spans.push_back(make(3, kLayerLevel, 30, 40, "a", 4));
+  spans.push_back(make(4, kLayerLevel, 35, 38, "b", 3));
+  spans.push_back(make(5, kLayerLevel, 25, 28, "tail", 4));
+  const auto tl = Timeline::assemble(spans);
+  ASSERT_EQ(tl.size(), 5u);
+  EXPECT_EQ(tl.roots(), (std::vector<SpanId>{1, 2, 3}));
+  EXPECT_EQ(tl.ambiguous_count(), 2u);
+
+  EXPECT_EQ(tl.node(2).parent, kNoSpan);
+  EXPECT_TRUE(tl.node(2).ambiguous_parent);
+  EXPECT_EQ(tl.node(3).parent, kNoSpan);
+  EXPECT_TRUE(tl.node(3).ambiguous_parent);
+  EXPECT_EQ(tl.node(4).parent, 3u);
+  EXPECT_FALSE(tl.node(4).ambiguous_parent);
+  EXPECT_EQ(tl.node(5).parent, 4u);
+  EXPECT_EQ(tl.children(3), std::vector<SpanId>{4});
+
+  std::vector<SpanId> visited;
+  tl.walk([&](const TimelineNode& n, int) { visited.push_back(n.span.id); });
+  EXPECT_EQ(visited, (std::vector<SpanId>{1, 2, 3, 4, 5}));
+  const std::string json = to_span_json(tl);
+  for (const char* name : {"\"root\"", "\"self\"", "\"a\"", "\"b\"", "\"tail\""}) {
+    EXPECT_NE(json.find(name), std::string::npos) << name;
   }
 }
 
