@@ -1,5 +1,5 @@
 // Ablation: cross-process ingest throughput through the collector path —
-// RemoteSink -> UDS -> CollectorService -> ShardedTraceServer — against
+// RemoteSink -> UDS -> CollectorService -> 2-shard TraceServer — against
 // the in-process publication baseline the other ablations pin.
 //
 // Each iteration stands up a real daemon-in-miniature (listener + poll
@@ -30,7 +30,6 @@
 #include "xsp/net/collector.hpp"
 #include "xsp/net/endpoint.hpp"
 #include "xsp/trace/remote_sink.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 namespace {
@@ -68,7 +67,7 @@ void run_fleet(benchmark::State& state, int producers) {
   std::uint64_t total_spans = 0;
   std::uint64_t dropped = 0;
   for (auto _ : state) {
-    ShardedTraceServer server(2, PublishMode::kSync);
+    TraceServer server(2, PublishMode::kSync);
     net::CollectorService service(ep, server);
     std::thread daemon([&service] { service.run(); });
 

@@ -1,18 +1,17 @@
 // Ablation: drain-sweep cost vs. accumulated dead producer slots.
 //
-// Pre-reclamation, a (thread, server) producer slot lived until the
-// server died: a long-lived server fed by short-lived worker threads
-// accreted one ~50KB slot per thread, and EVERY drain pass — collector
-// tick, flush, take — swept all of them (a spinlock acquire + batch scan
-// per slot) forever. This ablation measures exactly that: churn N
-// threads through one server, then time steady-state flush() with slot
-// reclamation on (churned slots retired by the first sweep; the sweep
-// cost stays O(live slots)) vs. off (the pre-reclamation behaviour: the
-// sweep walks all N dead slots every time).
+// Before thread-exit slot reclamation, a (thread, server) producer slot
+// lived until the server died: a long-lived server fed by short-lived
+// worker threads accreted one ~50KB slot per thread, and EVERY drain
+// pass — collector tick, flush, take — swept all of them (a spinlock
+// acquire + batch scan per slot) forever. Reclamation retires a churned
+// slot in its first post-exit sweep, so the sweep cost stays O(live
+// slots). This bench churns N threads through one server, then times
+// steady-state flush():
 //
-//   dead:0/reclaim:{0,1}      — baseline, no churn (identical by design)
-//   dead:{1000,10000}/reclaim:0 — sweep cost grows with cumulative churn
-//   dead:{1000,10000}/reclaim:1 — sweep cost independent of churn
+//   dead:0                — baseline, no churn
+//   dead:{1000,10000}     — must match the baseline: the sweep cost is
+//                           independent of cumulative churn
 //
 // Record with --benchmark_format=json into
 // bench/results/BENCH_abl_slot_reclamation.json (see bench/README.md).
@@ -58,14 +57,11 @@ void churn_threads(TraceServer& server, std::size_t total) {
 
 void BM_DrainSweep(benchmark::State& state) {
   const auto dead_threads = static_cast<std::size_t>(state.range(0));
-  const bool reclaim = state.range(1) != 0;
 
   TraceServer server(PublishMode::kSync);
-  server.set_slot_reclamation(reclaim);
   churn_threads(server, dead_threads);
-  // Move the churned spans (and, with reclamation, the churned slots) out
-  // of the measurement: what remains is the steady-state sweep an idle
-  // long-lived server pays per drain.
+  // Move the churned spans and slots out of the measurement: what remains
+  // is the steady-state sweep an idle long-lived server pays per drain.
   (void)server.take_trace();
 
   for (auto _ : state) {
@@ -81,8 +77,10 @@ void BM_DrainSweep(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_DrainSweep)
-    ->ArgNames({"dead", "reclaim"})
-    ->ArgsProduct({{0, 1000, 10000}, {0, 1}})
+    ->ArgName("dead")
+    ->Arg(0)
+    ->Arg(1000)
+    ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -19,13 +19,11 @@
 #include <cstdio>
 #include <memory>
 
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 namespace {
 
 using xsp::trace::PublishMode;
-using xsp::trace::ShardedTraceServer;
 using xsp::trace::Span;
 using xsp::trace::SpanBatches;
 using xsp::trace::TraceServer;
@@ -152,17 +150,17 @@ void BM_PublishSyncRecycled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-/// Contended publication through a ShardedTraceServer: the same four
+/// Contended publication through a multi-shard TraceServer: the same four
 /// pre-spawned publisher threads as BM_PublishContended, fanned out across
 /// state.range(0) shards by the thread-hash selector. The merge step
 /// (take_batches concatenation + recycle) runs on thread 0. On multicore
 /// hardware this is the case that scales with shard count; on one core it
 /// shows the fleet does not regress under scheduler churn.
 void BM_PublishContendedSharded(benchmark::State& state) {
-  static std::unique_ptr<ShardedTraceServer> server;
+  static std::unique_ptr<TraceServer> server;
   if (state.thread_index() == 0) {
-    server = std::make_unique<ShardedTraceServer>(static_cast<std::size_t>(state.range(0)),
-                                                  PublishMode::kAsync);
+    server = std::make_unique<TraceServer>(static_cast<std::size_t>(state.range(0)),
+                                           PublishMode::kAsync);
   }
 
   std::size_t since_drain = 0;

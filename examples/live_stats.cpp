@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "xsp/analysis/online.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
+#include "xsp/trace/trace_server.hpp"
 
 int main() {
   using namespace xsp;
@@ -29,7 +29,7 @@ int main() {
   constexpr std::size_t kPublishers = 4;
   constexpr std::size_t kSpansPerPublisher = 50'000;
 
-  trace::ShardedTraceServer server(kShards, trace::PublishMode::kAsync);
+  trace::TraceServer server(kShards, trace::PublishMode::kAsync);
 
   analysis::OnlineAnalyzerOptions opts;
   opts.shard_count = server.shard_count();

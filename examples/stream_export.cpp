@@ -18,7 +18,7 @@
 #include "xsp/profile/session.hpp"
 #include "xsp/sim/gpu_spec.hpp"
 #include "xsp/trace/export.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
+#include "xsp/trace/trace_server.hpp"
 
 int main() {
   using namespace xsp;
@@ -39,7 +39,7 @@ int main() {
   // --- 2. unbounded span stream through a bounded exporter -----------------
   // A 4-shard fleet whose only consumer is the exporter: every drained
   // batch is written and recycled, nothing accumulates server-side.
-  trace::ShardedTraceServer server(4, trace::PublishMode::kAsync);
+  trace::TraceServer server(4, trace::PublishMode::kAsync);
   std::uint64_t bytes = 0;
   trace::StreamingExporter exporter(
       trace::ExportFormat::kSpanJson,

@@ -280,15 +280,16 @@ class OnlineAnalyzer {
   /// analyzer outlive a resharded fleet without losing history.
   void ensure_shard_count(std::size_t shard_count);
 
-  /// Adapter for TraceServer/ShardedTraceServer::add_drain_subscriber.
+  /// Adapter for TraceServer::add_drain_subscriber.
   /// The returned callable references *this: keep the analyzer alive
   /// until the subscriber is removed.
   [[nodiscard]] trace::DrainSubscriber subscriber() {
     return [this](const trace::SpanBatches& batches) { observe(batches); };
   }
 
-  /// Shard-aware adapter for the ShardedTraceServer overload, feeding the
-  /// per-shard load counters.
+  /// Shard-aware adapter (the ShardDrainSubscriber overload of
+  /// TraceServer::add_drain_subscriber), feeding the per-shard load
+  /// counters.
   [[nodiscard]] std::function<void(std::size_t, const trace::SpanBatches&)>
   shard_subscriber() {
     return [this](std::size_t shard, const trace::SpanBatches& batches) {

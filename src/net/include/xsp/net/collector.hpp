@@ -1,5 +1,5 @@
 // CollectorService: the ingest engine behind xsp_collectd — many producer
-// connections fanned into one SpanSink (in practice a ShardedTraceServer),
+// connections fanned into one SpanSink (in practice a TraceServer),
 // the multi-client intermediary shape of LDN's SOPI design (PAPERS.md).
 //
 // One poll(2) loop owns everything: the listener plus every connection's
@@ -26,7 +26,9 @@
 // rejected as soon as its 8 bytes arrive, before any of its payload.
 //
 // Lifecycle: run() blocks until stop() (SIGTERM handlers just call
-// stop(); it is an atomic store). Stopping enters a graceful drain: the
+// stop(): an atomic store plus a one-byte write to a self-pipe the poll
+// loop watches, so run() wakes at once instead of on a poll timeout — the
+// loop has none). Stopping enters a graceful drain: the
 // listener closes, existing connections keep draining until EOF/footer or
 // drain_timeout_ms, then the loop returns — the daemon half of the drain
 // protocol in src/trace/README.md (a producer's shutdown_write is "stream
@@ -69,8 +71,6 @@ struct CollectorOptions {
   std::size_t max_frame_payload = trace::wire::kMaxFramePayload;
   /// Bytes per read(2) into the reassembly buffer.
   std::size_t read_chunk = 64 * 1024;
-  /// Poll granularity — the latency bound on noticing stop().
-  int poll_timeout_ms = 50;
   /// How long a graceful drain waits for connected producers to finish.
   int drain_timeout_ms = 5000;
   /// URI of the HTTP self-metrics endpoint ("tcp://127.0.0.1:9464" or
@@ -130,9 +130,9 @@ class CollectorService {
   /// thread (the daemon's main thread, or a test's service thread).
   void run();
 
-  /// Request shutdown + drain. Thread-safe; callable from a signal
-  /// handler (plain atomic store).
-  void stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
+  /// Request shutdown + drain and wake run(). Thread-safe and
+  /// async-signal-safe (an atomic store and a write(2)).
+  void stop() noexcept;
 
   /// The endpoint actually bound (TCP port resolved if 0 was requested).
   [[nodiscard]] const Endpoint& endpoint() const;
@@ -175,6 +175,9 @@ class CollectorService {
   std::unique_ptr<Listener> listener_;
   std::vector<std::unique_ptr<Connection>> conns_;
   std::atomic<bool> stop_{false};
+  /// Self-pipe: stop() writes a byte to wake_tx_, run() polls wake_rx_.
+  Socket wake_rx_;
+  Socket wake_tx_;
 
   /// HTTP responder state (run() thread only past construction).
   std::unique_ptr<Listener> http_listener_;

@@ -1,7 +1,12 @@
 #include "xsp/net/collector.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -85,6 +90,14 @@ CollectorService::CollectorService(const Endpoint& endpoint,
     : sink_(sink),
       opts_(std::move(options)),
       listener_(std::make_unique<Listener>(endpoint)) {
+  int fds[2];
+  if (::pipe(fds) != 0) throw NetError(std::string("pipe: ") + std::strerror(errno));
+  wake_rx_ = Socket(fds[0]);
+  wake_tx_ = Socket(fds[1]);
+  for (const int fd : fds) {
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+  }
   if (!opts_.metrics_endpoint.empty()) {
     http_listener_ =
         std::make_unique<Listener>(Endpoint::parse(opts_.metrics_endpoint));
@@ -92,6 +105,16 @@ CollectorService::CollectorService(const Endpoint& endpoint,
 }
 
 CollectorService::~CollectorService() = default;
+
+void CollectorService::stop() noexcept {
+  stop_.store(true, std::memory_order_relaxed);
+  // Called from signal handlers: keep the interrupted code's errno. A
+  // full pipe (EAGAIN) already holds a wake-up.
+  const int saved = errno;
+  const char byte = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_tx_.fd(), &byte, 1);
+  errno = saved;
+}
 
 const Endpoint& CollectorService::endpoint() const {
   return listener_->endpoint();
@@ -112,10 +135,17 @@ std::size_t CollectorService::open_connections() const {
 
 void CollectorService::run() {
   Poller poller;
+  poller.watch(wake_rx_.fd(), Poller::kReadable);
   poller.watch(listener_->fd(), Poller::kReadable);
   if (http_listener_) poller.watch(http_listener_->fd(), Poller::kReadable);
   while (!stop_.load(std::memory_order_relaxed)) {
-    for (const Poller::Event& ev : poller.wait(opts_.poll_timeout_ms)) {
+    for (const Poller::Event& ev : poller.wait(-1)) {
+      if (ev.fd == wake_rx_.fd()) {
+        char sink[64];
+        while (::read(wake_rx_.fd(), sink, sizeof sink) > 0) {
+        }
+        continue;
+      }
       if (ev.fd == listener_->fd()) {
         if (ev.readable) {
           const std::size_t before = conns_.size();
@@ -161,13 +191,13 @@ void CollectorService::run() {
   http_conns_.clear();
   http_listener_.reset();
   listener_.reset();
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(opts_.drain_timeout_ms);
-  while (!conns_.empty() && std::chrono::steady_clock::now() < deadline) {
+  const auto deadline = Clock::now() + std::chrono::milliseconds(opts_.drain_timeout_ms);
+  for (auto now = Clock::now(); !conns_.empty() && now < deadline; now = Clock::now()) {
     Poller drain_poller;
     for (const auto& conn : conns_)
       drain_poller.watch(conn->sock.fd(), Poller::kReadable);
-    for (const Poller::Event& ev : drain_poller.wait(opts_.poll_timeout_ms)) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(deadline - now);
+    for (const Poller::Event& ev : drain_poller.wait(static_cast<int>(left.count()))) {
       for (std::size_t i = 0; i < conns_.size(); ++i) {
         if (conns_[i]->sock.fd() != ev.fd) continue;
         if (!service_connection(*conns_[i])) close_connection(i);

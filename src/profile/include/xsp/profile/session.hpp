@@ -30,7 +30,6 @@
 #include "xsp/sim/device.hpp"
 #include "xsp/trace/export.hpp"
 #include "xsp/trace/remote_sink.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/timeline.hpp"
 #include "xsp/trace/trace_server.hpp"
 #include "xsp/trace/tracer.hpp"
@@ -103,7 +102,7 @@ struct ProfileOptions {
   /// stats; 0 keeps the analyzer default.
   Ns live_stats_window = 0;
   /// Head-sampling rate in (0, 1]: the fraction of spans admitted into
-  /// the collection fleet (a trace::Sampler set on every shard). The
+  /// the collection fleet (one trace::Sampler shared by every shard). The
   /// decision is a deterministic hash of the correlation id, so a kept
   /// request keeps *all* of its spans across tracers and shards; 1.0
   /// (default) disables sampling entirely — the publish path is the
@@ -306,7 +305,7 @@ class Session {
   /// dashboard thread; calls INTO a live fleet are themselves
   /// thread-safe and need no session-level lock.
   mutable std::mutex server_mu_;
-  std::unique_ptr<trace::ShardedTraceServer> server_;
+  std::unique_ptr<trace::TraceServer> server_;
   /// Live-stats analyzer (ProfileOptions::live_stats). Created on the
   /// first live run and kept for the session's lifetime (reconfigured in
   /// place on shard/window changes, never silently replaced — lifetime

@@ -146,17 +146,16 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   if (options.strtab_budget_bytes != 0) {
     common::StringTable::global().set_budget_bytes(options.strtab_budget_bytes);
   }
-  // One (possibly sharded) collection fleet, one fresh tracer per
-  // profiler per run. trace_shards == 1 is the plain single-server shape;
-  // 0 lets the fleet size itself to the hardware. The fleet is reused
+  // One collection server, one fresh tracer per profiler per run.
+  // trace_shards == 1 is the plain single-shard shape; 0 lets the server
+  // size itself to the hardware. The fleet is reused
   // across runs when its configuration matches — take_batches() left it
   // empty. The previous run's batches went to its timeline, so this run
   // publishes into fresh batch buffers.
   if (server_ == nullptr ||
-      server_->shard_count() != trace::ShardedTraceServer::resolve_shard_count(options.trace_shards) ||
+      server_->shard_count() != trace::TraceServer::resolve_shard_count(options.trace_shards) ||
       server_->mode() != options.publish_mode) {
-    auto fresh = std::make_unique<trace::ShardedTraceServer>(options.trace_shards,
-                                                             options.publish_mode);
+    auto fresh = std::make_unique<trace::TraceServer>(options.trace_shards, options.publish_mode);
     // Only the pointer swap is guarded: slot_telemetry() on a dashboard
     // thread must never catch the fleet mid-replacement.
     {
@@ -207,7 +206,7 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   std::unique_ptr<trace::StreamingExporter> stream_exporter;
   std::unique_ptr<trace::BinaryWriter> binary_writer;
   struct SubscriberGuard {
-    trace::ShardedTraceServer* server = nullptr;
+    trace::TraceServer* server = nullptr;
     trace::SubscriberId stream_id = 0;
     trace::SubscriberId live_id = 0;
     trace::SubscriberId remote_id = 0;

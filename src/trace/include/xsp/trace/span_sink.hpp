@@ -4,10 +4,10 @@
 // (Section III-A): obtain ids and publish completed spans. Everything else
 // — aggregation, flushing, trace hand-off — is a consumer-side concern.
 // Splitting that producer surface out lets Tracer/ScopedSpan publish
-// through either a single TraceServer or a ShardedTraceServer (N servers
-// behind one selector) without caring which, and keeps the hot publish
-// call as one virtual dispatch into a `final` implementation the compiler
-// can devirtualize at concrete call sites. The block reservations serve
+// through a TraceServer (of any shard count) or a RemoteSink without
+// caring which, and keeps the hot publish call as one virtual dispatch
+// into a `final` implementation the compiler can devirtualize at
+// concrete call sites. The block reservations serve
 // relays (the collector) that lift another sink's ids into this one's id
 // space a block at a time instead of one id at a time.
 //

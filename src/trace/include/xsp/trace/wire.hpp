@@ -58,7 +58,7 @@ namespace xsp::trace {
 
 /// Collection-level telemetry to embed alongside the spans — the numbers
 /// an operator needs without scanning the trace. Populated from
-/// TraceServer::dropped_annotation_count() / ShardedTraceServer. Defined
+/// TraceServer::dropped_annotation_count() and shard_count(). Defined
 /// here, in the format-agnostic serialization core, because every backend
 /// ships it: the JSON exporter as its metadata footer, the binary writer
 /// as its Footer frame.

@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -83,6 +87,149 @@ class SlotRegistry {
 
 }  // namespace detail
 
+/// Slots are cache-line aligned: a producer's spinlock and batch head
+/// never share a line with another producer's.
+struct alignas(64) TraceServer::ProducerSlot {
+  /// Guards everything below except `shard`. Only the owning thread and
+  /// the shard's drain ever touch a slot, so this spinlock is effectively
+  /// uncontended on the publish path.
+  std::atomic_flag lock = ATOMIC_FLAG_INIT;
+  SpanBatch active;
+  SpanBatches sealed;
+  /// Annotation drops published through this slot since the last drain;
+  /// aggregated into the shard's counter when batches are taken.
+  std::uint64_t dropped = 0;
+  /// Sampler admissions/rejections through this slot since the last
+  /// drain; aggregated into the shard's lifetime counters exactly like
+  /// `dropped` above.
+  std::uint64_t sampled_kept = 0;
+  std::uint64_t sampled_dropped = 0;
+  /// Stable key of the owning thread: re-registration after a TLS cache
+  /// eviction finds this slot again instead of growing the registry.
+  std::uint64_t owner = 0;
+  /// Set (under the slot spinlock) by the owning thread's exit hook;
+  /// the next drain pass sweeps the slot one final time and retires it.
+  /// Cleared if the exited thread publishes again from a later TLS
+  /// destructor — the slot is resurrected rather than torn from under
+  /// an in-flight publish.
+  bool reclaimable = false;
+  /// The shard this slot drains into; fixed for the slot's life (a
+  /// retired slot is parked on, and reused from, the same shard).
+  Shard* shard = nullptr;
+
+  void acquire() noexcept {
+    int spins = 0;
+    while (lock.test_and_set(std::memory_order_acquire)) {
+      // The holder is the collector moving batch handles (sub-µs) — spin
+      // briefly, then yield so an oversubscribed core can run the holder.
+      if (++spins > 64) std::this_thread::yield();
+    }
+  }
+  void release() noexcept { lock.clear(std::memory_order_release); }
+};
+
+/// One shard: its producer slots, drain, held batches, batch freelist and
+/// (kAsync) collector thread. Each group sits on its own cache lines so
+/// the publish path, the drain and the freelist never false-share.
+struct TraceServer::Shard {
+  explicit Shard(std::size_t i) : index(i) {}
+
+  const std::size_t index;
+
+  alignas(64) std::mutex registry_mu;
+  std::vector<std::unique_ptr<ProducerSlot>> slots;
+  /// Retired slots parked for reuse (bounded by kSlotFreelistCapacity).
+  std::vector<std::unique_ptr<ProducerSlot>> free_slots;
+  /// Lifetime count of slot retirements.
+  std::uint64_t retired_slots = 0;
+
+  /// Serializes whole drain passes (slot sweep + trace append). Without
+  /// it, a flush could sweep the slots while a concurrent collector pass
+  /// still holds swept batches in its local staging — and hand the trace
+  /// off incomplete. Also the read side of the server's subscriber
+  /// registry.
+  alignas(64) std::mutex drain_mu;
+  /// Drain staging, reused across passes (guarded by drain_mu).
+  SpanBatches staging;
+  /// Drain-pass wall-time histogram (bind_metrics); null when unbound,
+  /// so an unbound pass costs one relaxed load.
+  std::atomic<metrics::Histogram*> drain_hist{nullptr};
+
+  alignas(64) std::mutex trace_mu;
+  SpanBatches trace;
+  std::uint64_t dropped_total = 0;
+  /// Lifetime total of spans drained out of the producer slots — the
+  /// shard's load counter. Atomic so telemetry reads race-free against a
+  /// collector mid-drain.
+  std::atomic<std::uint64_t> drained_spans{0};
+  /// Lifetime sampler admission counters, aggregated from the per-slot
+  /// counts at drain (atomic for the same reason as drained_spans).
+  std::atomic<std::uint64_t> sampled_kept{0};
+  std::atomic<std::uint64_t> sampled_dropped{0};
+
+  /// Freelist of cleared batch vectors (and, on shard 0, outer batch-list
+  /// vectors) fed by recycle(); drawn from by publish()/drain()/
+  /// take_batches().
+  alignas(64) std::mutex free_mu;
+  SpanBatches free_batches;
+  std::vector<SpanBatches> free_outers;
+
+  alignas(64) std::mutex wake_mu;
+  std::condition_variable wake_cv;
+  std::atomic<std::size_t> pending_batches{0};
+  std::thread collector;
+
+  /// Pop a recycled batch vector, or allocate a fresh one. Never blocks
+  /// (try-lock), so it is safe to call while holding a slot spinlock.
+  SpanBatch take_free_batch() {
+    SpanBatch batch;
+    if (free_mu.try_lock()) {
+      if (!free_batches.empty()) {
+        batch = std::move(free_batches.back());
+        free_batches.pop_back();
+      }
+      free_mu.unlock();
+    }
+    if (batch.capacity() < kBatchCapacity) batch.reserve(kBatchCapacity);
+    return batch;
+  }
+
+  void recycle_batch(SpanBatch batch) {
+    batch.clear();
+    if (batch.capacity() == 0) return;
+    std::lock_guard lk(free_mu);
+    if (free_batches.size() < kFreelistCapacity) free_batches.push_back(std::move(batch));
+  }
+
+  std::uint64_t slot_bytes() {
+    const auto bytes_of = [](ProducerSlot& slot) {
+      std::uint64_t bytes = sizeof(ProducerSlot);
+      // Capacities mutate under the slot spinlock (publish/seal); take it
+      // so the estimate is coherent. Telemetry-rate call, not a hot path.
+      slot.acquire();
+      bytes += slot.active.capacity() * sizeof(Span);
+      bytes += slot.sealed.capacity() * sizeof(SpanBatch);
+      for (const auto& batch : slot.sealed) bytes += batch.capacity() * sizeof(Span);
+      slot.release();
+      return bytes;
+    };
+    std::lock_guard lk(registry_mu);
+    std::uint64_t total = 0;
+    for (auto& slot : slots) total += bytes_of(*slot);
+    for (auto& slot : free_slots) total += bytes_of(*slot);
+    return total;
+  }
+};
+
+struct TraceServer::Subscriber {
+  SubscriberId id = 0;
+  ShardDrainSubscriber fn;
+  DrainHandoff handoff = DrainHandoff::kObserve;
+  /// Set by the drain pass that caught a throw from `fn`; every shard
+  /// skips it from then on, and the next add/remove erases it.
+  std::atomic<bool> detached{false};
+};
+
 namespace {
 
 struct IdBlock {
@@ -96,14 +243,6 @@ thread_local IdBlock tls_id_block{nullptr, 0, 0, 0};
 
 }  // namespace
 
-SpanId TraceServer::next_span_block() noexcept {
-  // Global block number under the stripe: shard i of N allocates blocks
-  // i, i+N, i+2N, ... — disjoint across shards by construction. Block 0
-  // starts at id 1, so kNoSpan is never handed out.
-  const std::uint64_t k = next_block_.fetch_add(1, std::memory_order_relaxed);
-  return (stripe_.index + k * stripe_.stride) * kIdBlock + 1;
-}
-
 SpanId TraceServer::next_span_id() noexcept {
   IdBlock& block = tls_id_block;
   if (block.server == this && block.uid == uid_ && block.next != block.end) {
@@ -114,11 +253,25 @@ SpanId TraceServer::next_span_id() noexcept {
   return start;
 }
 
-TraceServer::TraceServer(PublishMode mode, IdStripe stripe)
-    : mode_(mode), stripe_(stripe), uid_(next_server_uid()) {
-  if (stripe_.stride == 0) stripe_.stride = 1;
+std::size_t TraceServer::default_shard_count() noexcept {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return std::clamp<std::size_t>(hw, 1, 8);
+}
+
+std::size_t TraceServer::resolve_shard_count(std::size_t requested) noexcept {
+  if (requested == 0) requested = default_shard_count();
+  return std::min(requested, kMaxShards);
+}
+
+TraceServer::TraceServer(std::size_t shard_count, PublishMode mode)
+    : mode_(mode), uid_(next_server_uid()) {
+  shard_count = resolve_shard_count(shard_count);
+  shards_.reserve(shard_count);
+  for (std::size_t i = 0; i < shard_count; ++i) shards_.push_back(std::make_unique<Shard>(i));
   if (mode_ == PublishMode::kAsync) {
-    collector_ = std::thread([this] { collector_loop(); });
+    for (auto& shard : shards_) {
+      shard->collector = std::thread([this, s = shard.get()] { collector_loop(*s); });
+    }
   }
   // Discoverable by thread-exit hooks only once fully constructed.
   detail::SlotRegistry::instance().add(uid_, this);
@@ -130,10 +283,10 @@ TraceServer::~TraceServer() {
   // lock, so no sample callback can observe a half-destroyed server.
   {
     std::lock_guard lk(metrics_mu_);
-    drain_hist_.store(nullptr, std::memory_order_release);
+    for (auto& shard : shards_) shard->drain_hist.store(nullptr, std::memory_order_release);
     metrics_cbs_.clear();
     // drain_hist_refs_ stays populated until member destruction (after
-    // the collector join below): an in-flight drain pass may still hold
+    // the collector joins below): an in-flight drain pass may still hold
     // the raw pointer it loaded before the store above.
   }
   // Next, disappear from the exit-hook registry: remove() synchronizes
@@ -144,17 +297,20 @@ TraceServer::~TraceServer() {
   // The no-drop guarantee is that flush()/take_trace() return every span
   // published before them, at any point up to destruction — queued spans
   // are never lost while the server is alive. Destruction itself only
-  // joins the collector; whatever the owner chose not to take is freed
+  // joins the collectors; whatever the owner chose not to take is freed
   // with the slots.
-  if (collector_.joinable()) {
-    stop_.store(true, std::memory_order_release);
+  stop_.store(true, std::memory_order_release);
+  for (auto& shard : shards_) {
+    if (!shard->collector.joinable()) continue;
     {
-      std::lock_guard lk(wake_mu_);
+      std::lock_guard lk(shard->wake_mu);
     }
-    wake_cv_.notify_all();
-    collector_.join();
+    shard->wake_cv.notify_all();
+    shard->collector.join();
   }
 }
+
+bool TraceServer::has_collector() const noexcept { return shards_.front()->collector.joinable(); }
 
 namespace {
 
@@ -209,6 +365,18 @@ thread_local ThreadRecord tls_record;
 
 }  // namespace
 
+TraceServer::Shard& TraceServer::shard_of(std::uint64_t thread_key) const noexcept {
+  if (shards_.size() == 1) return *shards_.front();
+  // Mixed so consecutively created threads (consecutive keys) spread
+  // across shards instead of clustering.
+  const std::uint64_t mixed = thread_key * 0x9E3779B97F4A7C15ull;
+  return *shards_[static_cast<std::size_t>(mixed >> 32) % shards_.size()];
+}
+
+std::size_t TraceServer::shard_for_current_thread() const noexcept {
+  return shard_of(this_thread_key()).index;
+}
+
 TraceServer::ProducerSlot& TraceServer::local_slot() {
   if (tls_last_slot.server == this && tls_last_slot.uid == uid_) {
     return *static_cast<ProducerSlot*>(tls_last_slot.slot);
@@ -218,8 +386,8 @@ TraceServer::ProducerSlot& TraceServer::local_slot() {
     // Publishing after this thread's exit hook already ran (a TLS
     // destructor sequenced later than the record's). No future hook will
     // mark whatever we use now, so resurrect-or-register uncached: the
-    // slot simply lives until the server dies — the pre-reclamation
-    // lifetime. Nothing is lost, the slot is merely not reclaimed.
+    // slot simply lives until the server dies. Nothing is lost, the slot
+    // is merely not reclaimed.
     return register_slot(me, /*resurrect=*/true);
   }
   ThreadRecord& rec = tls_record;  // first use arms the exit hook
@@ -249,8 +417,9 @@ TraceServer::ProducerSlot& TraceServer::local_slot() {
 }
 
 TraceServer::ProducerSlot& TraceServer::register_slot(std::uint64_t thread_key, bool resurrect) {
-  std::lock_guard lk(registry_mu_);
-  for (const auto& existing : slots_) {
+  Shard& shard = shard_of(thread_key);
+  std::lock_guard lk(shard.registry_mu);
+  for (const auto& existing : shard.slots) {
     if (existing->owner == thread_key) {
       if (resurrect) {
         // Un-mark under the slot spinlock: a drain pass either retired
@@ -265,28 +434,29 @@ TraceServer::ProducerSlot& TraceServer::register_slot(std::uint64_t thread_key, 
     }
   }
   std::unique_ptr<ProducerSlot> owned;
-  if (!free_slots_.empty()) {
-    owned = std::move(free_slots_.back());
-    free_slots_.pop_back();
+  if (!shard.free_slots.empty()) {
+    owned = std::move(shard.free_slots.back());
+    shard.free_slots.pop_back();
   } else {
     owned = std::make_unique<ProducerSlot>();
+    owned->shard = &shard;
   }
   owned->owner = thread_key;
   owned->reclaimable = false;
   // A parked slot retired with an empty active batch kept its capacity;
   // otherwise draw a recycled buffer (or allocate, on the cold path).
-  if (owned->active.capacity() < kBatchCapacity) owned->active = take_free_batch_or_new();
+  if (owned->active.capacity() < kBatchCapacity) owned->active = shard.take_free_batch();
   ProducerSlot* slot = owned.get();
-  slots_.push_back(std::move(owned));
+  shard.slots.push_back(std::move(owned));
   return *slot;
 }
 
 void TraceServer::note_thread_exit(std::uint64_t thread_key) {
-  if (!reclaim_enabled_.load(std::memory_order_relaxed)) return;
+  Shard& shard = shard_of(thread_key);
   bool marked = false;
   {
-    std::lock_guard lk(registry_mu_);
-    for (auto& slot : slots_) {
+    std::lock_guard lk(shard.registry_mu);
+    for (auto& slot : shard.slots) {
       if (slot->owner == thread_key) {
         slot->acquire();
         slot->reclaimable = true;
@@ -301,37 +471,23 @@ void TraceServer::note_thread_exit(std::uint64_t thread_key) {
   // instead of waiting out the periodic timeout. (kSync retires on the
   // next flush/take, exactly like batch draining.)
   if (marked && mode_ == PublishMode::kAsync) {
-    pending_batches_.fetch_add(1, std::memory_order_release);
-    wake_cv_.notify_one();
+    shard.pending_batches.fetch_add(1, std::memory_order_release);
+    shard.wake_cv.notify_one();
   }
-}
-
-SpanBatch TraceServer::take_free_batch_or_new() {
-  SpanBatch batch;
-  if (free_mu_.try_lock()) {
-    if (!free_batches_.empty()) {
-      batch = std::move(free_batches_.back());
-      free_batches_.pop_back();
-    }
-    free_mu_.unlock();
-  }
-  if (batch.capacity() < kBatchCapacity) batch.reserve(kBatchCapacity);
-  return batch;
 }
 
 void TraceServer::publish(Span span) {
+  ProducerSlot& slot = local_slot();
   // Admission: one relaxed-ordered pointer load when no sampler is
   // attached — the rate-1.0 configuration must stay within noise of the
   // unsampled publish path (bench_abl_sampling pins this).
   const Sampler* sampler = sampler_ptr_.load(std::memory_order_acquire);
   if (sampler != nullptr && !sampler->admit(span)) {
-    ProducerSlot& slot = local_slot();
     slot.acquire();
     ++slot.sampled_dropped;
     slot.release();
     return;
   }
-  ProducerSlot& slot = local_slot();
   bool sealed = false;
   slot.acquire();
   if (sampler != nullptr) ++slot.sampled_kept;
@@ -339,7 +495,7 @@ void TraceServer::publish(Span span) {
   slot.active.push_back(std::move(span));
   if (slot.active.size() >= kBatchCapacity) {
     slot.sealed.push_back(std::move(slot.active));
-    slot.active = take_free_batch_or_new();
+    slot.active = slot.shard->take_free_batch();
     sealed = true;
   }
   slot.release();
@@ -347,16 +503,17 @@ void TraceServer::publish(Span span) {
     // Wake the collector once several batches are ready (its periodic
     // timeout bounds staleness); per-batch wakeups would have the collector
     // competing with producers for CPU.
-    if (pending_batches_.fetch_add(1, std::memory_order_release) + 1 >= 16) {
-      wake_cv_.notify_one();
+    Shard& shard = *slot.shard;
+    if (shard.pending_batches.fetch_add(1, std::memory_order_release) + 1 >= 16) {
+      shard.wake_cv.notify_one();
     }
   }
 }
 
-void TraceServer::drain(bool steal_active) {
-  // One drain pass at a time: batches must never sit in a concurrent
-  // pass's staging while another pass reports the slots empty.
-  std::lock_guard drain_lk(drain_mu_);
+void TraceServer::drain(Shard& shard, bool steal_active) {
+  // One drain pass per shard at a time: batches must never sit in a
+  // concurrent pass's staging while another pass reports the slots empty.
+  std::lock_guard drain_lk(shard.drain_mu);
   // Drain-latency self-metric: one steady_clock pair per pass (hundreds
   // of spans), and only when bound — unbound costs a relaxed load.
   struct DrainTimer {
@@ -372,28 +529,27 @@ void TraceServer::drain(bool steal_active) {
                           .count();
       hist->observe(static_cast<std::uint64_t>(ns));
     }
-  } drain_timer(drain_hist_.load(std::memory_order_acquire));
-  SpanBatches& taken = drain_staging_;
+  } drain_timer(shard.drain_hist.load(std::memory_order_acquire));
+  SpanBatches& taken = shard.staging;
   std::uint64_t dropped = 0;
   std::uint64_t s_kept = 0;
   std::uint64_t s_dropped = 0;
-  const bool reclaim = reclaim_enabled_.load(std::memory_order_relaxed);
   {
-    std::lock_guard lk(registry_mu_);
-    for (std::size_t i = 0; i < slots_.size();) {
-      ProducerSlot& slot = *slots_[i];
+    std::lock_guard lk(shard.registry_mu);
+    for (std::size_t i = 0; i < shard.slots.size();) {
+      ProducerSlot& slot = *shard.slots[i];
       slot.acquire();
       // A reclaimable slot gets a final sweep — sealed AND partial
       // batches — then retires, so an exiting thread's spans are taken
       // exactly once and never stranded in a parked slot.
-      const bool retire = reclaim && slot.reclaimable;
+      const bool retire = slot.reclaimable;
       for (auto& batch : slot.sealed) taken.push_back(std::move(batch));
       slot.sealed.clear();
       if ((steal_active || retire) && !slot.active.empty()) {
         taken.push_back(std::move(slot.active));
         // A retiring slot's replacement is never published into; leave it
         // empty rather than drawing down the batch freelist.
-        slot.active = retire ? SpanBatch{} : take_free_batch_or_new();
+        slot.active = retire ? SpanBatch{} : shard.take_free_batch();
       }
       dropped += slot.dropped;
       slot.dropped = 0;
@@ -409,247 +565,278 @@ void TraceServer::drain(bool steal_active) {
       // Unlink (order is irrelevant; swap-remove), scrub ownership, and
       // park for the next producer thread — or free, once the parking lot
       // is full. Safe outside the spinlock: the slot is unreachable the
-      // moment it leaves slots_ (its owner thread is exiting and its
+      // moment it leaves the registry (its owner thread is exiting and its
       // caches were invalidated before the reclaim mark was set).
-      std::unique_ptr<ProducerSlot> retired = std::move(slots_[i]);
-      slots_[i] = std::move(slots_.back());
-      slots_.pop_back();
+      std::unique_ptr<ProducerSlot> retired = std::move(shard.slots[i]);
+      shard.slots[i] = std::move(shard.slots.back());
+      shard.slots.pop_back();
       retired->owner = 0;
       retired->reclaimable = false;
-      ++retired_slots_;
-      if (free_slots_.size() < kSlotFreelistCapacity) {
-        free_slots_.push_back(std::move(retired));
+      ++shard.retired_slots;
+      if (shard.free_slots.size() < kSlotFreelistCapacity) {
+        shard.free_slots.push_back(std::move(retired));
       } else {
         // The slot dies, but its warmed batch buffer is still good: feed
         // the batch freelist instead of re-allocating the same ~47KB for
         // the next fresh registration. (No-op for a stolen-empty active.)
-        recycle_one(std::move(retired->active));
+        shard.recycle_batch(std::move(retired->active));
       }
     }
   }
-  // Sampler accounting is lifetime-monotonic (like drained_spans_) and
+  // Sampler accounting is lifetime-monotonic (like drained_spans) and
   // atomic, so it lands before the early-out below: a drain pass that
   // found nothing but sampled-out spans still records them.
-  if (s_kept != 0) sampled_kept_.fetch_add(s_kept, std::memory_order_relaxed);
-  if (s_dropped != 0)
-    sampled_dropped_.fetch_add(s_dropped, std::memory_order_relaxed);
+  if (s_kept != 0) shard.sampled_kept.fetch_add(s_kept, std::memory_order_relaxed);
+  if (s_dropped != 0) shard.sampled_dropped.fetch_add(s_dropped, std::memory_order_relaxed);
   if (taken.empty() && dropped == 0) return;
   if (!taken.empty()) {
     std::size_t drained = 0;
     for (const auto& batch : taken) drained += batch.size();
-    drained_spans_.fetch_add(drained, std::memory_order_relaxed);
+    shard.drained_spans.fetch_add(drained, std::memory_order_relaxed);
   }
-  // Streaming hooks: every subscriber sees the drained batches here, after
-  // the slot spinlocks are released (publishers are not blocked) and under
-  // drain_mu_ (subscriber calls never overlap for one server). Observers
-  // fan out in attach order, the consumer runs last; when a consumer is
-  // attached the buffers feed the freelist straight back and never touch
-  // trace_ — the bounded-memory path for unbounded traces.
-  bool consumed = false;
-  if (!taken.empty() && !subscribers_.empty()) {
-    for (std::size_t i = 0; i < subscribers_.size();) {
-      // add_drain_subscriber keeps the one consumer at the back, so plain
-      // attach-order iteration already delivers observers first.
-      try {
-        subscribers_[i].fn(taken);
-        if (subscribers_[i].handoff == DrainHandoff::kConsume) consumed = true;
-        ++i;
-      } catch (...) {
-        // A throwing subscriber is detached — only it. If the consumer
-        // threw, its spans fall through to in-server accumulation:
-        // re-delivering the still-staged batches next pass would duplicate
-        // them, and an exception escaping the collector thread would
-        // terminate the process.
-        subscribers_.erase(subscribers_.begin() + static_cast<std::ptrdiff_t>(i));
-      }
-    }
-  }
-  if (consumed) {
+  // Streaming hooks run after the slot spinlocks are released (publishers
+  // are not blocked). When the consumer took the batches the buffers feed
+  // the freelist straight back and never touch the held trace — the
+  // bounded-memory path for unbounded traces.
+  if (!taken.empty() && deliver(shard, taken)) {
     {
-      std::lock_guard lk(trace_mu_);
-      dropped_total_ += dropped;
+      std::lock_guard lk(shard.trace_mu);
+      shard.dropped_total += dropped;
     }
-    for (auto& batch : taken) recycle_one(std::move(batch));
+    for (auto& batch : taken) shard.recycle_batch(std::move(batch));
     taken.clear();
     return;
   }
   // Aggregation is batch-handle moves only; spans themselves stay put.
-  std::lock_guard lk(trace_mu_);
-  for (auto& batch : taken) trace_.push_back(std::move(batch));
+  std::lock_guard lk(shard.trace_mu);
+  for (auto& batch : taken) shard.trace.push_back(std::move(batch));
   taken.clear();
-  dropped_total_ += dropped;
+  shard.dropped_total += dropped;
 }
+
+bool TraceServer::deliver(Shard& shard, const SpanBatches& batches) {
+  bool consumed = false;
+  // add_subscriber keeps the one consumer at the back, so plain
+  // attach-order iteration already delivers observers first.
+  for (const auto& sub : subscribers_) {
+    if (sub->detached.load(std::memory_order_relaxed)) continue;
+    try {
+      sub->fn(shard.index, batches);
+      if (sub->handoff == DrainHandoff::kConsume) consumed = true;
+    } catch (...) {
+      // A throwing subscriber is detached — only it. If the consumer
+      // threw, its spans fall through to in-server accumulation:
+      // re-delivering the still-staged batches next pass would duplicate
+      // them, and an exception escaping the collector thread would
+      // terminate the process.
+      sub->detached.store(true, std::memory_order_relaxed);
+    }
+  }
+  return consumed;
+}
+
+namespace {
+
+/// Every shard's drain mutex, locked in shard order: the write side of
+/// the subscriber registry.
+template <typename Shards>
+std::vector<std::unique_lock<std::mutex>> lock_all_drains(const Shards& shards) {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards.size());
+  for (const auto& shard : shards) locks.emplace_back(shard->drain_mu);
+  return locks;
+}
+
+/// Sum `of(shard)` over every shard: how each server-wide count is made.
+template <typename Shards, typename Of>
+std::uint64_t sum_over(const Shards& shards, Of&& of) {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards) total += of(*shard);
+  return total;
+}
+
+}  // namespace
 
 SubscriberId TraceServer::add_drain_subscriber(DrainSubscriber subscriber,
                                                DrainHandoff handoff) {
   if (!subscriber) throw std::logic_error("TraceServer: null drain subscriber");
+  return add_subscriber(
+      [fn = std::move(subscriber)](std::size_t, const SpanBatches& batches) { fn(batches); },
+      handoff);
+}
+
+SubscriberId TraceServer::add_drain_subscriber(ShardDrainSubscriber subscriber,
+                                               DrainHandoff handoff) {
+  if (!subscriber) throw std::logic_error("TraceServer: null drain subscriber");
+  return add_subscriber(std::move(subscriber), handoff);
+}
+
+SubscriberId TraceServer::add_subscriber(ShardDrainSubscriber fn, DrainHandoff handoff) {
   // Synchronize with in-flight drains: the new subscriber sees every batch
   // drained after this call, none before it.
-  std::lock_guard lk(drain_mu_);
-  if (handoff == DrainHandoff::kConsume) {
-    for (const auto& sub : subscribers_) {
-      if (sub.handoff == DrainHandoff::kConsume) {
-        // Two consumers would each believe they own the span stream (the
-        // first one's buffers are recycled under the second one's feet).
-        // The pre-fan-out API silently replaced the first — error loudly
-        // instead.
-        throw std::logic_error(
-            "TraceServer: a kConsume drain subscriber is already attached "
-            "(at most one consumer; use kObserve for additional taps)");
-      }
-    }
+  const auto locks = lock_all_drains(shards_);
+  std::erase_if(subscribers_,
+                [](const auto& sub) { return sub->detached.load(std::memory_order_relaxed); });
+  const bool has_consumer =
+      !subscribers_.empty() && subscribers_.back()->handoff == DrainHandoff::kConsume;
+  if (handoff == DrainHandoff::kConsume && has_consumer) {
+    // Two consumers would each believe they own the span stream (the
+    // first one's buffers are recycled under the second one's feet).
+    throw std::logic_error(
+        "TraceServer: a kConsume drain subscriber is already attached "
+        "(at most one consumer; use kObserve for additional taps)");
   }
-  const SubscriberId id = next_subscriber_id_++;
-  Subscriber entry{id, std::move(subscriber), handoff};
-  if (handoff == DrainHandoff::kConsume || subscribers_.empty()) {
-    subscribers_.push_back(std::move(entry));
-  } else {
-    // Keep the consumer (if any) at the back: delivery is a plain forward
-    // walk, and observers must see a batch before its buffers are declared
-    // consumable.
-    const bool has_consumer = subscribers_.back().handoff == DrainHandoff::kConsume;
-    subscribers_.insert(has_consumer ? subscribers_.end() - 1 : subscribers_.end(),
-                        std::move(entry));
-  }
+  auto entry = std::make_unique<Subscriber>();
+  entry->id = next_subscriber_id_++;
+  entry->fn = std::move(fn);
+  entry->handoff = handoff;
+  const SubscriberId id = entry->id;
+  // Keep the consumer (if any) at the back: delivery is a plain forward
+  // walk, and observers must see a batch before its buffers are declared
+  // consumable.
+  subscribers_.insert(has_consumer ? subscribers_.end() - 1 : subscribers_.end(),
+                      std::move(entry));
   return id;
 }
 
 void TraceServer::remove_drain_subscriber(SubscriberId id) {
   // Synchronize with in-flight drains: after this returns, no drain pass
   // will call the removed subscriber (safe to destroy the exporter).
-  std::lock_guard lk(drain_mu_);
-  for (std::size_t i = 0; i < subscribers_.size(); ++i) {
-    if (subscribers_[i].id == id) {
-      subscribers_.erase(subscribers_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
+  const auto locks = lock_all_drains(shards_);
+  std::erase_if(subscribers_, [id](const auto& sub) {
+    return sub->id == id || sub->detached.load(std::memory_order_relaxed);
+  });
 }
 
 std::size_t TraceServer::drain_subscriber_count() {
-  std::lock_guard lk(drain_mu_);
-  return subscribers_.size();
+  const auto locks = lock_all_drains(shards_);
+  return static_cast<std::size_t>(std::count_if(
+      subscribers_.begin(), subscribers_.end(),
+      [](const auto& sub) { return !sub->detached.load(std::memory_order_relaxed); }));
 }
 
 std::size_t TraceServer::live_slot_count() {
-  std::lock_guard lk(registry_mu_);
-  return slots_.size();
+  return sum_over(shards_, [](Shard& shard) {
+    std::lock_guard lk(shard.registry_mu);
+    return shard.slots.size();
+  });
 }
 
 std::uint64_t TraceServer::retired_slot_count() {
-  std::lock_guard lk(registry_mu_);
-  return retired_slots_;
+  return sum_over(shards_, [](Shard& shard) {
+    std::lock_guard lk(shard.registry_mu);
+    return shard.retired_slots;
+  });
 }
 
 std::size_t TraceServer::pooled_slot_count() {
-  std::lock_guard lk(registry_mu_);
-  return free_slots_.size();
+  return sum_over(shards_, [](Shard& shard) {
+    std::lock_guard lk(shard.registry_mu);
+    return shard.free_slots.size();
+  });
 }
 
 std::uint64_t TraceServer::approx_slot_bytes() {
-  const auto slot_bytes = [](ProducerSlot& slot) {
-    std::uint64_t bytes = sizeof(ProducerSlot);
-    // Capacities mutate under the slot spinlock (publish/seal); take it
-    // so the estimate is coherent. Telemetry-rate call, not a hot path.
-    slot.acquire();
-    bytes += slot.active.capacity() * sizeof(Span);
-    bytes += slot.sealed.capacity() * sizeof(SpanBatch);
-    for (const auto& batch : slot.sealed) bytes += batch.capacity() * sizeof(Span);
-    slot.release();
-    return bytes;
-  };
-  std::lock_guard lk(registry_mu_);
-  std::uint64_t total = 0;
-  for (auto& slot : slots_) total += slot_bytes(*slot);
-  for (auto& slot : free_slots_) total += slot_bytes(*slot);
-  return total;
+  return sum_over(shards_, [](Shard& shard) { return shard.slot_bytes(); });
 }
 
-void TraceServer::bind_metrics(metrics::Registry& registry, metrics::Labels labels) {
+void TraceServer::bind_metrics(metrics::Registry& registry, const metrics::Labels& labels) {
   std::lock_guard lk(metrics_mu_);
   metrics_cbs_.clear();
-  const auto cb = [&](const char* name, const char* help, metrics::Kind kind,
-                      metrics::Sample sample) {
-    metrics_cbs_.push_back(registry.callback(name, help, kind, labels, std::move(sample)));
-  };
-  // Counters the server already maintains: sampled without flushing, so
-  // they advance at drain cadence and the publish path pays nothing.
-  cb("xsp_trace_drained_spans_total",
-     "Spans drained out of producer slots (admitted spans, at drain cadence)",
-     metrics::Kind::kCounter, [this] {
-       return static_cast<double>(drained_spans_.load(std::memory_order_relaxed));
-     });
-  cb("xsp_trace_sampled_kept_total", "Spans the admission sampler kept at publish",
-     metrics::Kind::kCounter, [this] {
-       return static_cast<double>(sampled_kept_.load(std::memory_order_relaxed));
-     });
-  cb("xsp_trace_sampled_dropped_total", "Spans the admission sampler shed at publish",
-     metrics::Kind::kCounter, [this] {
-       return static_cast<double>(sampled_dropped_.load(std::memory_order_relaxed));
-     });
-  cb("xsp_trace_dropped_annotations_total",
-     "Per-span annotation drops (tag/metric capacity overflow), as of the last drain",
-     metrics::Kind::kCounter, [this] {
-       std::lock_guard tl(trace_mu_);
-       return static_cast<double>(dropped_total_);
-     });
-  cb("xsp_trace_live_slots", "Producer slots currently registered",
-     metrics::Kind::kGauge, [this] {
-       std::lock_guard rl(registry_mu_);
-       return static_cast<double>(slots_.size());
-     });
-  cb("xsp_trace_retired_slots_total", "Producer slots retired by thread-exit reclamation",
-     metrics::Kind::kCounter, [this] {
-       std::lock_guard rl(registry_mu_);
-       return static_cast<double>(retired_slots_);
-     });
-  cb("xsp_trace_slot_bytes", "Approximate bytes resident in producer slots",
-     metrics::Kind::kGauge,
-     [this] { return static_cast<double>(approx_slot_bytes()); });
-  // The one new measurement: drain-pass wall time (see drain()).
-  drain_hist_refs_.push_back(registry.histogram(
-      "xsp_trace_drain_duration_ns", "Wall time of one drain pass in nanoseconds",
-      metrics::latency_buckets_ns(), labels));
-  drain_hist_.store(drain_hist_refs_.back().get(), std::memory_order_release);
+  for (auto& owned : shards_) {
+    Shard* shard = owned.get();
+    metrics::Labels shard_labels = labels;
+    shard_labels.push_back({"shard", std::to_string(shard->index)});
+    const auto cb = [&](const char* name, const char* help, metrics::Kind kind,
+                        metrics::Sample sample) {
+      metrics_cbs_.push_back(
+          registry.callback(name, help, kind, shard_labels, std::move(sample)));
+    };
+    // Counters the shard already maintains: sampled without flushing, so
+    // they advance at drain cadence and the publish path pays nothing.
+    cb("xsp_trace_drained_spans_total",
+       "Spans drained out of producer slots (admitted spans, at drain cadence)",
+       metrics::Kind::kCounter, [shard] {
+         return static_cast<double>(shard->drained_spans.load(std::memory_order_relaxed));
+       });
+    cb("xsp_trace_sampled_kept_total", "Spans the admission sampler kept at publish",
+       metrics::Kind::kCounter, [shard] {
+         return static_cast<double>(shard->sampled_kept.load(std::memory_order_relaxed));
+       });
+    cb("xsp_trace_sampled_dropped_total", "Spans the admission sampler shed at publish",
+       metrics::Kind::kCounter, [shard] {
+         return static_cast<double>(shard->sampled_dropped.load(std::memory_order_relaxed));
+       });
+    cb("xsp_trace_dropped_annotations_total",
+       "Per-span annotation drops (tag/metric capacity overflow), as of the last drain",
+       metrics::Kind::kCounter, [shard] {
+         std::lock_guard tl(shard->trace_mu);
+         return static_cast<double>(shard->dropped_total);
+       });
+    cb("xsp_trace_live_slots", "Producer slots currently registered",
+       metrics::Kind::kGauge, [shard] {
+         std::lock_guard rl(shard->registry_mu);
+         return static_cast<double>(shard->slots.size());
+       });
+    cb("xsp_trace_retired_slots_total", "Producer slots retired by thread-exit reclamation",
+       metrics::Kind::kCounter, [shard] {
+         std::lock_guard rl(shard->registry_mu);
+         return static_cast<double>(shard->retired_slots);
+       });
+    cb("xsp_trace_slot_bytes", "Approximate bytes resident in producer slots",
+       metrics::Kind::kGauge, [shard] { return static_cast<double>(shard->slot_bytes()); });
+    // The one new measurement: drain-pass wall time (see drain()).
+    drain_hist_refs_.push_back(registry.histogram(
+        "xsp_trace_drain_duration_ns", "Wall time of one drain pass in nanoseconds",
+        metrics::latency_buckets_ns(), shard_labels));
+    shard->drain_hist.store(drain_hist_refs_.back().get(), std::memory_order_release);
+  }
 }
 
-void TraceServer::collector_loop() {
-  std::unique_lock lk(wake_mu_);
+void TraceServer::collector_loop(Shard& shard) {
+  std::unique_lock lk(shard.wake_mu);
   while (!stop_.load(std::memory_order_acquire)) {
-    wake_cv_.wait_for(lk, std::chrono::milliseconds(50), [this] {
+    shard.wake_cv.wait_for(lk, std::chrono::milliseconds(50), [&] {
       return stop_.load(std::memory_order_acquire) ||
-             pending_batches_.load(std::memory_order_acquire) > 0;
+             shard.pending_batches.load(std::memory_order_acquire) > 0;
     });
-    pending_batches_.store(0, std::memory_order_release);
+    shard.pending_batches.store(0, std::memory_order_release);
     lk.unlock();
-    drain(/*steal_active=*/false);
+    drain(shard, /*steal_active=*/false);
     lk.lock();
   }
 }
 
 void TraceServer::flush() {
-  // The caller drains directly instead of waiting for the collector: this
-  // both bounds flush latency and keeps kSync (no collector) correct.
-  drain(/*steal_active=*/true);
+  // The caller drains directly instead of waiting for the collectors:
+  // this both bounds flush latency and keeps kSync (no collector) correct.
+  for (auto& shard : shards_) drain(*shard, /*steal_active=*/true);
 }
 
 std::size_t TraceServer::span_count() {
   flush();
-  std::lock_guard lk(trace_mu_);
-  std::size_t total = 0;
-  for (const auto& batch : trace_) total += batch.size();
-  return total;
-}
-
-std::uint64_t TraceServer::drained_span_count() {
-  flush();
-  return drained_spans_.load(std::memory_order_relaxed);
+  return sum_over(shards_, [](Shard& shard) {
+    std::lock_guard lk(shard.trace_mu);
+    std::size_t held = 0;
+    for (const auto& batch : shard.trace) held += batch.size();
+    return held;
+  });
 }
 
 std::uint64_t TraceServer::dropped_annotation_count() {
   flush();
-  std::lock_guard lk(trace_mu_);
-  return dropped_total_;
+  return sum_over(shards_, [](Shard& shard) {
+    std::lock_guard lk(shard.trace_mu);
+    return shard.dropped_total;
+  });
+}
+
+std::vector<std::uint64_t> TraceServer::shard_loads() {
+  flush();
+  std::vector<std::uint64_t> loads;
+  loads.reserve(shards_.size());
+  for (auto& shard : shards_) loads.push_back(shard->drained_spans.load(std::memory_order_relaxed));
+  return loads;
 }
 
 void TraceServer::set_sampler(std::shared_ptr<const Sampler> sampler) {
@@ -668,50 +855,67 @@ void TraceServer::set_sampler(std::shared_ptr<const Sampler> sampler) {
 
 std::uint64_t TraceServer::sampled_kept_count() {
   flush();
-  return sampled_kept_.load(std::memory_order_relaxed);
+  return sum_over(shards_, [](Shard& shard) {
+    return shard.sampled_kept.load(std::memory_order_relaxed);
+  });
 }
 
 std::uint64_t TraceServer::sampled_dropped_count() {
   flush();
-  return sampled_dropped_.load(std::memory_order_relaxed);
+  return sum_over(shards_, [](Shard& shard) {
+    return shard.sampled_dropped.load(std::memory_order_relaxed);
+  });
 }
 
 SpanBatches TraceServer::take_batches() {
   flush();
-  // Replace the outgoing trace's outer vector with a recycled one so the
-  // next aggregation cycle appends into pre-grown storage.
-  SpanBatches fresh;
+  // Start from a recycled outer vector. The first shard holding batches
+  // swaps its whole list out for it (so that shard's next aggregation
+  // cycle appends into pre-grown storage); the other shards' batch
+  // handles are appended.
+  SpanBatches merged;
   {
-    std::lock_guard lk(free_mu_);
-    if (!free_outers_.empty()) {
-      fresh = std::move(free_outers_.back());
-      free_outers_.pop_back();
+    Shard& home = *shards_.front();
+    std::lock_guard lk(home.free_mu);
+    if (!home.free_outers.empty()) {
+      merged = std::move(home.free_outers.back());
+      home.free_outers.pop_back();
     }
   }
-  std::lock_guard lk(trace_mu_);
-  dropped_total_ = 0;
-  return std::exchange(trace_, std::move(fresh));
-}
-
-void TraceServer::recycle_one(SpanBatch batch) {
-  batch.clear();
-  if (batch.capacity() == 0) return;
-  std::lock_guard lk(free_mu_);
-  if (free_batches_.size() < kFreelistCapacity) free_batches_.push_back(std::move(batch));
+  for (auto& shard : shards_) {
+    std::lock_guard lk(shard->trace_mu);
+    shard->dropped_total = 0;
+    if (merged.empty()) {
+      merged.swap(shard->trace);
+      continue;
+    }
+    merged.insert(merged.end(), std::make_move_iterator(shard->trace.begin()),
+                  std::make_move_iterator(shard->trace.end()));
+    shard->trace.clear();
+  }
+  return merged;
 }
 
 void TraceServer::recycle(SpanBatches batches) {
-  std::lock_guard lk(free_mu_);
-  for (auto& batch : batches) {
-    if (free_batches_.size() >= kFreelistCapacity) break;
-    batch.clear();
-    // Undersized vectors (partial batches from a steal) are still useful:
-    // take_free_batch_or_new() grows them to capacity on reuse.
-    if (batch.capacity() != 0) free_batches_.push_back(std::move(batch));
+  // Deal the buffers round-robin so every shard's freelist refills, not
+  // just the one the consumer thread would map to.
+  const std::size_t n = shards_.size();
+  for (std::size_t s = 0; s < n && s < batches.size(); ++s) {
+    Shard& shard = *shards_[s];
+    std::lock_guard lk(shard.free_mu);
+    for (std::size_t i = s; i < batches.size() && shard.free_batches.size() < kFreelistCapacity;
+         i += n) {
+      batches[i].clear();
+      // Undersized vectors (partial batches from a steal) are still useful:
+      // take_free_batch() grows them to capacity on reuse.
+      if (batches[i].capacity() != 0) shard.free_batches.push_back(std::move(batches[i]));
+    }
   }
   batches.clear();
-  if (free_outers_.size() < 4 && batches.capacity() != 0) {
-    free_outers_.push_back(std::move(batches));
+  Shard& home = *shards_.front();
+  std::lock_guard lk(home.free_mu);
+  if (home.free_outers.size() < 4 && batches.capacity() != 0) {
+    home.free_outers.push_back(std::move(batches));
   }
 }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "xsp/analysis/online.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 namespace xsp::analysis {
@@ -20,7 +19,6 @@ namespace {
 
 using trace::DrainHandoff;
 using trace::PublishMode;
-using trace::ShardedTraceServer;
 using trace::Span;
 using trace::TraceServer;
 
@@ -41,7 +39,7 @@ TEST(OnlineChurn, ConsumerAnalyzerCountsEverySpanAcrossThreadChurn) {
   constexpr std::size_t kWave = 16;
   constexpr std::size_t kSpansPerThread = 32;
 
-  ShardedTraceServer server(kShards, PublishMode::kAsync);
+  TraceServer server(kShards, PublishMode::kAsync);
   OnlineAnalyzerOptions opts;
   opts.shard_count = kShards;
   OnlineAnalyzer analyzer(opts);

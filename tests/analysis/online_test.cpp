@@ -26,7 +26,6 @@
 #include "xsp/profile/model_profile.hpp"
 #include "xsp/profile/session.hpp"
 #include "xsp/profile/span_keys.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 // GCC pairs the malloc-backed replacement operator new below with the
@@ -273,7 +272,7 @@ TEST(OnlineEquivalence, ShardedFourThreadStressMatchesOfflineAggregation) {
   // match the reference exactly.
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 5000;
-  trace::ShardedTraceServer server(4, trace::PublishMode::kAsync);
+  trace::TraceServer server(4, trace::PublishMode::kAsync);
 
   OnlineAnalyzerOptions opts;
   opts.shard_count = server.shard_count();

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <iterator>
@@ -29,7 +30,7 @@
 #include "xsp/net/socket.hpp"
 #include "xsp/trace/remote_sink.hpp"
 #include "xsp/trace/sampler.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
+#include "xsp/trace/trace_server.hpp"
 #include "xsp/trace/span_sink.hpp"
 #include "xsp/trace/wire.hpp"
 
@@ -61,7 +62,7 @@ bool wait_until(Pred pred, int timeout_ms = 5000) {
 /// A collector daemon in miniature: sharded server sink + service running
 /// on its own thread, stopped and joined on destruction.
 struct RunningCollector {
-  trace::ShardedTraceServer server;
+  trace::TraceServer server;
   CollectorService service;
   std::thread thread;
 
@@ -179,7 +180,7 @@ TEST(CollectorE2E, FourProducerFleetMatchesInProcessPublication) {
   constexpr int kProducers = 4;
   constexpr std::size_t kSpansEach = 400;
 
-  trace::ShardedTraceServer reference(2, trace::PublishMode::kSync);
+  trace::TraceServer reference(2, trace::PublishMode::kSync);
   for (int p = 0; p < kProducers; ++p) publish_fleet_member(reference, p, kSpansEach);
   reference.flush();
 
@@ -437,6 +438,47 @@ TEST(CollectorE2E, GracefulDrainConsumesStreamInFlightAtStop) {
   EXPECT_EQ(stats.footers_seen, 1u);
   EXPECT_EQ(stats.connections_closed, 1u);
   EXPECT_EQ(stats.connections_errored, 0u);
+}
+
+TEST(CollectorE2E, StopWakesAnIdleLoopAtOnce) {
+  // run() waits with no poll timeout, so only stop()'s self-pipe byte can
+  // wake an idle loop. A lost wake-up fails the bound below instead of
+  // hanging: a probe connection then wakes the loop so it can be joined.
+  const Endpoint ep = uds_endpoint("col_wake");
+  trace::TraceServer server(trace::PublishMode::kSync);
+  CollectorService service(ep, server);
+  std::atomic<bool> returned{false};
+  std::thread loop([&] {
+    service.run();
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let run() block
+  service.stop();
+  const bool woke = wait_until([&] { return returned.load(); });
+  if (!woke) (void)try_connect(ep, 1000);
+  loop.join();
+  EXPECT_TRUE(woke) << "stop() did not wake the poll loop";
+}
+
+TEST(CollectorE2E, DrainDeadlineCutsOffAStalledProducer) {
+  // A producer that never finishes its stream holds the graceful drain
+  // for exactly drain_timeout_ms, then is cut off and counted as errored.
+  const Endpoint ep = uds_endpoint("col_stall");
+  CollectorOptions copts;
+  copts.drain_timeout_ms = 200;
+  RunningCollector collector(ep, copts);
+  Socket producer = try_connect(ep, 1000);
+  ASSERT_TRUE(producer.valid());
+  ASSERT_TRUE(send_all(producer, header_bytes()));
+  ASSERT_TRUE(wait_until([&] { return collector.service.stats().bytes_received > 0; }));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  collector.stop();
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_GE(waited, std::chrono::milliseconds(200));
+  EXPECT_LT(waited, std::chrono::seconds(5));
+  EXPECT_EQ(collector.service.stats().connections_errored, 1u);
+  EXPECT_EQ(collector.service.open_connections(), 0u);
 }
 
 TEST(RemoteSinkLifecycle, ReconnectOpensFreshStreamAndStringDeltaEpoch) {

@@ -18,7 +18,7 @@
 #include "xsp/net/endpoint.hpp"
 #include "xsp/net/socket.hpp"
 #include "xsp/trace/remote_sink.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
+#include "xsp/trace/trace_server.hpp"
 
 namespace xsp::net {
 namespace {
@@ -152,7 +152,7 @@ bool wait_until(Pred pred, int timeout_ms = 5000) {
 
 /// Collector with its metrics endpoint live on an ephemeral TCP port.
 struct ScrapableCollector {
-  trace::ShardedTraceServer server;
+  trace::TraceServer server;
   CollectorService service;
   std::thread thread;
 

@@ -15,7 +15,7 @@
 #include "../trace/wire_builders.hpp"
 #include "net_test_util.hpp"
 #include "xsp/net/collector.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
+#include "xsp/trace/trace_server.hpp"
 #include "xsp/trace/wire.hpp"
 
 namespace xsp::net {
@@ -168,7 +168,7 @@ Outcome read_with_reader(const std::string& bytes) {
 
 TEST(WireParity, ReaderAndCollectorAgreeOnEveryStream) {
   const Endpoint ep = uds_endpoint("wire_parity");
-  trace::ShardedTraceServer server(1, trace::PublishMode::kSync);
+  trace::TraceServer server(trace::PublishMode::kSync);
   CollectorService service(ep, server);
   std::thread loop([&service] { service.run(); });
 

@@ -7,8 +7,11 @@
 // test_alloc_count.cpp (it only counts; behaviour is unchanged).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "on_shard.hpp"
 #include "test_alloc_count.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 namespace xsp::trace {
@@ -80,27 +83,49 @@ TEST(BatchRecycling, RecycledBuffersAreActuallyReused) {
   EXPECT_TRUE(reused);
 }
 
-TEST(BatchRecycling, ShardedRecycleRefillsEveryShardFreelist) {
-  // Round-robin distribution: after recycling 2N buffers into an N-shard
-  // fleet, each shard can seal a batch without allocating a fresh vector.
+TEST(BatchRecycling, RecycleRefillsEveryShardFreelist) {
+  // Round-robin distribution: after a take of 2N+ buffers from an N-shard
+  // server is recycled, a publisher on every shard seals its batches into
+  // recycled buffers instead of freshly allocated ones.
   constexpr std::size_t kShards = 2;
-  ShardedTraceServer server(kShards, PublishMode::kSync);
-  // Publishing through shard(i) lets one thread feed both shards.
-  for (std::size_t i = 0; i < 4 * TraceServer::kBatchCapacity * kShards; ++i) {
-    server.shard(i % kShards).publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
+  TraceServer server(kShards, PublishMode::kSync);
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    on_shard(server, shard, [&server] {
+      for (std::size_t i = 0; i < 4 * TraceServer::kBatchCapacity; ++i) {
+        server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
+      }
+    });
   }
   SpanBatches taken = server.take_batches();
   ASSERT_GE(taken.size(), 2 * kShards);
+  std::vector<const Span*> recycled;
+  for (const auto& b : taken) recycled.push_back(b.data());
   server.recycle(std::move(taken));
-  for (std::size_t i = 0; i < kShards; ++i) {
-    // Freelist contents are not directly observable; a second cycle that
-    // completes and balances per-shard counts exercises the reuse path.
-    EXPECT_EQ(server.shard(i).span_count(), 0u);
+  EXPECT_EQ(server.span_count(), 0u);
+
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    // Each new publisher takes over its shard's parked slot, whose own
+    // buffer becomes the first sealed batch; the replacement for it comes
+    // from that shard's freelist and becomes the second.
+    on_shard(server, shard, [&server] {
+      for (std::size_t i = 0; i < 2 * TraceServer::kBatchCapacity; ++i) {
+        server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
+      }
+    });
   }
-  for (std::size_t i = 0; i < 2 * TraceServer::kBatchCapacity * kShards; ++i) {
-    server.shard(i % kShards).publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
+  const SpanBatches again = server.take_batches();
+  std::size_t spans = 0;
+  std::size_t reused = 0;
+  for (const auto& b : again) {
+    spans += b.size();
+    reused += std::count(recycled.begin(), recycled.end(), b.data()) != 0 ? 1 : 0;
   }
-  EXPECT_EQ(server.span_count(), 2 * TraceServer::kBatchCapacity * kShards);
+  EXPECT_EQ(spans, 2 * TraceServer::kBatchCapacity * kShards);
+  // One recycled buffer per shard: had recycle() filled only one shard's
+  // freelist, the other shard would have allocated its replacement.
+  EXPECT_EQ(reused, kShards);
+  EXPECT_EQ(server.shard_loads(),
+            std::vector<std::uint64_t>(kShards, 6 * TraceServer::kBatchCapacity));
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "xsp/trace/sharded_trace_server.hpp"
+#include "on_shard.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 namespace xsp::trace {
@@ -198,10 +198,8 @@ TEST(DrainFanout, ThrowingObserverIsDetachedOthersKeepRunningNoSpansLost) {
 // --- sharded fan-out + load telemetry ---------------------------------------
 
 TEST(DrainFanout, ShardedShardAwareSubscriberReceivesCorrectShardIndices) {
-  // Publishing through shard(i) lets one thread deterministically feed
-  // every shard.
   constexpr std::size_t kShards = 3;
-  ShardedTraceServer server(kShards, PublishMode::kSync);
+  TraceServer server(kShards, PublishMode::kSync);
 
   std::vector<std::uint64_t> per_shard(kShards, 0);
   server.add_drain_subscriber(
@@ -212,26 +210,33 @@ TEST(DrainFanout, ShardedShardAwareSubscriberReceivesCorrectShardIndices) {
       DrainHandoff::kConsume);
 
   constexpr std::size_t kPerShard = 2 * TraceServer::kBatchCapacity;
-  for (std::size_t i = 0; i < kShards * kPerShard; ++i) {
-    server.shard(i % kShards).publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    on_shard(server, shard, [&server] {
+      for (std::size_t i = 0; i < kPerShard; ++i) {
+        server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
+      }
+    });
   }
   server.flush();
 
   for (std::size_t shard = 0; shard < kShards; ++shard) {
     EXPECT_EQ(per_shard[shard], kPerShard) << "shard " << shard;
-    // The server-side load counters tell the same story, and survive the
-    // consumer keeping the shards empty.
-    EXPECT_EQ(server.span_count(shard), kPerShard);
   }
+  // The server-side load counters tell the same story, and survive the
+  // consumer keeping the shards empty.
   EXPECT_EQ(server.shard_loads(), per_shard);
   EXPECT_TRUE(server.take_batches().empty());
 }
 
 TEST(DrainFanout, ShardLoadsAreCumulativeAcrossTakes) {
-  ShardedTraceServer server(2, PublishMode::kSync);
+  TraceServer server(2, PublishMode::kSync);
   for (int round = 0; round < 3; ++round) {
-    for (std::size_t i = 0; i < 2 * TraceServer::kBatchCapacity; ++i) {
-      server.shard(i % 2).publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
+    for (std::size_t shard = 0; shard < 2; ++shard) {
+      on_shard(server, shard, [&server] {
+        for (std::size_t i = 0; i < TraceServer::kBatchCapacity; ++i) {
+          server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
+        }
+      });
     }
     server.recycle(server.take_batches());
   }
@@ -243,18 +248,30 @@ TEST(DrainFanout, ShardLoadsAreCumulativeAcrossTakes) {
   EXPECT_EQ(loads[1], 3 * TraceServer::kBatchCapacity);
 }
 
-TEST(DrainFanout, ShardedSecondConsumerThrowsAndLeavesNoPartialSubscription) {
-  ShardedTraceServer server(4, PublishMode::kSync);
-  server.add_drain_subscriber([](const SpanBatches&) {}, DrainHandoff::kConsume);
-  EXPECT_THROW(
-      server.add_drain_subscriber([](std::size_t, const SpanBatches&) {},
-                                  DrainHandoff::kConsume),
-      std::logic_error);
-  // The failed attach unwound cleanly: every shard still has exactly the
-  // first consumer attached.
-  for (std::size_t i = 0; i < server.shard_count(); ++i) {
-    EXPECT_EQ(server.shard(i).drain_subscriber_count(), 1u) << "shard " << i;
+TEST(DrainFanout, ShardedSecondConsumerThrowsAndLeavesTheFirstInCharge) {
+  constexpr std::size_t kShards = 4;
+  TraceServer server(kShards, PublishMode::kSync);
+  std::vector<std::uint64_t> first(kShards, 0);
+  server.add_drain_subscriber(
+      [&first](std::size_t shard, const SpanBatches& b) { first[shard] += count_spans(b); },
+      DrainHandoff::kConsume);
+  bool second_called = false;
+  EXPECT_THROW(server.add_drain_subscriber(
+                   [&second_called](std::size_t, const SpanBatches&) { second_called = true; },
+                   DrainHandoff::kConsume),
+               std::logic_error);
+  EXPECT_EQ(server.drain_subscriber_count(), 1u);
+  // Consumer exclusivity is one check for the whole server: on every
+  // shard the first consumer still receives, and owns, the stream.
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    on_shard(server, shard, [&server] {
+      server.publish(make_span(server.next_span_id(), 0));
+    });
   }
+  server.flush();
+  EXPECT_EQ(first, std::vector<std::uint64_t>(kShards, 1));
+  EXPECT_FALSE(second_called);
+  EXPECT_TRUE(server.take_batches().empty());
 }
 
 TEST(DrainFanout, ConcurrentPublishersFanOutToObserverAndConsumer) {
@@ -262,7 +279,7 @@ TEST(DrainFanout, ConcurrentPublishersFanOutToObserverAndConsumer) {
   // every shard: both must account for every span exactly once.
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 3000;
-  ShardedTraceServer server(2, PublishMode::kAsync);
+  TraceServer server(2, PublishMode::kAsync);
 
   std::atomic<std::uint64_t> observed{0};
   std::atomic<std::uint64_t> consumed{0};
@@ -293,6 +310,61 @@ TEST(DrainFanout, ConcurrentPublishersFanOutToObserverAndConsumer) {
   std::uint64_t load_total = 0;
   for (const auto load : server.shard_loads()) load_total += load;
   EXPECT_EQ(load_total, kThreads * kPerThread);
+  EXPECT_TRUE(server.take_batches().empty());
+}
+
+TEST(DrainFanout, AttachDetachAndThrowsRaceMultiShardDrains) {
+  // The subscriber registry is read by every shard's collector under that
+  // shard's drain lock and changed under all of them. Race attach/detach
+  // of observers, and an observer that throws from whichever shard calls
+  // it first, against four async collectors: the consumer still sees
+  // every span exactly once, and the thrower is detached everywhere.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 20000;
+  TraceServer server(4, PublishMode::kAsync);
+  std::atomic<std::uint64_t> consumed{0};
+  server.add_drain_subscriber(
+      [&consumed](const SpanBatches& b) {
+        consumed.fetch_add(count_spans(b), std::memory_order_relaxed);
+      },
+      DrainHandoff::kConsume);
+  std::atomic<int> throws{0};
+  server.add_drain_subscriber(
+      [&throws](std::size_t, const SpanBatches&) {
+        throws.fetch_add(1, std::memory_order_relaxed);
+        throw std::runtime_error("observer failure");
+      },
+      DrainHandoff::kObserve);
+
+  std::atomic<bool> done{false};
+  std::thread churn([&server, &done] {
+    std::atomic<std::uint64_t> seen{0};
+    while (!done.load(std::memory_order_acquire)) {
+      const SubscriberId id = server.add_drain_subscriber(
+          [&seen](const SpanBatches& b) { seen.fetch_add(count_spans(b)); });
+      std::this_thread::yield();
+      server.remove_drain_subscriber(id);
+    }
+  });
+  std::vector<std::thread> producers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    producers.emplace_back([&server] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
+      }
+    });
+  }
+  for (auto& p : producers) p.join();
+  done.store(true, std::memory_order_release);
+  churn.join();
+  server.flush();
+
+  EXPECT_EQ(consumed.load(), kThreads * kPerThread);
+  // Shards draining concurrently may each catch the thrower once before
+  // the detach is visible to them, never more.
+  EXPECT_GE(throws.load(), 1);
+  EXPECT_LE(throws.load(), 4);
+  EXPECT_EQ(server.drain_subscriber_count(), 1u);
   EXPECT_TRUE(server.take_batches().empty());
 }
 

@@ -1,5 +1,5 @@
 // SpanSink id-block reservation (next_span_block / next_correlation_block)
-// on every sink: TraceServer, a 4-shard ShardedTraceServer and RemoteSink.
+// on every sink: TraceServer with 1 and 4 shards, and RemoteSink.
 // Blocks are raced against single-id allocation from four threads; every
 // id range handed out must be non-zero, kIdBlock wide for a block, and
 // disjoint from every other range — the guarantee the collector's
@@ -17,7 +17,6 @@
 
 #include "xsp/net/endpoint.hpp"
 #include "xsp/trace/remote_sink.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 namespace xsp::trace {
@@ -81,7 +80,7 @@ TEST(IdBlock, TraceServerBlocksNeverOverlapSingleIds) {
 }
 
 TEST(IdBlock, ShardedTraceServerBlocksNeverOverlapAcrossShards) {
-  ShardedTraceServer server(4, PublishMode::kSync);
+  TraceServer server(4, PublishMode::kSync);
   expect_blocks_disjoint(server);
 }
 

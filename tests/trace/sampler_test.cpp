@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 namespace xsp::trace {
@@ -264,7 +263,7 @@ TEST(TraceServerSampling, InvariantHoldsUnderConcurrentPublishers) {
 }
 
 TEST(ShardedTraceServerSampling, InvariantAcrossShards) {
-  ShardedTraceServer fleet(4, PublishMode::kAsync);
+  TraceServer fleet(4, PublishMode::kAsync);
   SamplerOptions opts;
   opts.rate = 0.25;
   fleet.set_sampler(std::make_shared<const Sampler>(opts));

@@ -1,8 +1,8 @@
-// Shard routing, id uniqueness, and merge-equivalence tests for
-// ShardedTraceServer: a multi-shard fleet must behave observably like one
-// server — same spans in, same assembled timeline out — while routing
-// publication across independent shards.
-#include "xsp/trace/sharded_trace_server.hpp"
+// Shard routing, id uniqueness, and merge-equivalence tests for a
+// multi-shard TraceServer: it must behave observably like one shard — same
+// spans in, same assembled timeline out — while routing publication across
+// independent shards.
+#include "xsp/trace/trace_server.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "on_shard.hpp"
 #include "xsp/trace/timeline.hpp"
 #include "xsp/trace/tracer.hpp"
 
@@ -29,16 +30,16 @@ Span make_span(SpanId id, TimePoint begin, TimePoint end, int level = kModelLeve
 }
 
 TEST(ShardedTraceServer, DefaultsToHardwareShardCountCapped) {
-  ShardedTraceServer server(0, PublishMode::kSync);
+  TraceServer server(0, PublishMode::kSync);
   EXPECT_GE(server.shard_count(), 1u);
   EXPECT_LE(server.shard_count(), 8u);
-  EXPECT_EQ(ShardedTraceServer(3, PublishMode::kSync).shard_count(), 3u);
+  EXPECT_EQ(TraceServer(3, PublishMode::kSync).shard_count(), 3u);
 }
 
 TEST(ShardedTraceServer, IdsAreUniqueAcrossShardsAndThreads) {
-  // Each shard stripes the id-block sequence; ids drawn by many threads
-  // (hashing to different shards) must never collide and never be kNoSpan.
-  ShardedTraceServer server(4, PublishMode::kSync);
+  // One id-block counter serves every shard; ids drawn by many threads
+  // (routed to different shards) must never collide and never be kNoSpan.
+  TraceServer server(4, PublishMode::kSync);
   constexpr int kThreads = 8;
   constexpr int kIdsPerThread = 5000;  // several blocks per thread
 
@@ -63,27 +64,32 @@ TEST(ShardedTraceServer, IdsAreUniqueAcrossShardsAndThreads) {
   }
 }
 
-TEST(ShardedTraceServer, IdStripesAreDisjointPerShard) {
-  // Directly check the stripe arithmetic: block numbers of shard i of N
-  // are ≡ i (mod N).
-  ShardedTraceServer server(3, PublishMode::kSync);
-  for (std::size_t i = 0; i < server.shard_count(); ++i) {
-    const SpanId first = server.shard(i).next_span_id();
-    const std::uint64_t block = (first - 1) / TraceServer::kIdBlock;
-    EXPECT_EQ(block % server.shard_count(), i);
-    EXPECT_EQ((first - 1) % TraceServer::kIdBlock, 0u);
-  }
-}
-
 TEST(ShardedTraceServer, ByThreadRoutingSticksToOneShard) {
-  ShardedTraceServer server(4, PublishMode::kSync);
+  TraceServer server(4, PublishMode::kSync);
   const std::size_t mine = server.shard_for_current_thread();
   for (int i = 0; i < 50; ++i) {
     server.publish(make_span(server.next_span_id(), i, i + 1));
   }
-  for (std::size_t i = 0; i < server.shard_count(); ++i) {
-    EXPECT_EQ(server.shard(i).span_count(), i == mine ? 50u : 0u);
+  const auto loads = server.shard_loads();
+  ASSERT_EQ(loads.size(), server.shard_count());
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    EXPECT_EQ(loads[i], i == mine ? 50u : 0u) << "shard " << i;
   }
+  EXPECT_EQ(server.span_count(), 50u);
+}
+
+TEST(ShardedTraceServer, ThreadsSpreadAcrossShards) {
+  // Consecutively started threads are routed by a mixed key, so a burst
+  // of them reaches every shard rather than clustering on one.
+  TraceServer server(4, PublishMode::kSync);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 64; ++t) {
+    workers.emplace_back([&server] {
+      server.publish(make_span(server.next_span_id(), 0, 1));
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (const std::uint64_t load : server.shard_loads()) EXPECT_GT(load, 0u);
 }
 
 /// Structural fingerprint of an assembled timeline, ignoring span ids
@@ -115,11 +121,13 @@ TEST(ShardedTraceServer, MergedAssemblyEqualsSingleServerAssembly) {
 
   // Round-robin over the shards scatters the spans, exercising a merge
   // where one hierarchy spans all three shards.
-  ShardedTraceServer sharded(3, PublishMode::kSync);
+  TraceServer sharded(3, PublishMode::kSync);
   std::size_t next = 0;
   publish_all(sharded, [&sharded, &next](Span s) {
-    sharded.shard(next++ % sharded.shard_count()).publish(std::move(s));
+    on_shard(sharded, next++ % sharded.shard_count(),
+             [&sharded, &s] { sharded.publish(s); });
   });
+  for (const std::uint64_t load : sharded.shard_loads()) EXPECT_EQ(load, 2u);
   const Timeline sharded_tl = Timeline::assemble(sharded.take_batches());
 
   ASSERT_EQ(single_tl.size(), sharded_tl.size());
@@ -129,27 +137,27 @@ TEST(ShardedTraceServer, MergedAssemblyEqualsSingleServerAssembly) {
 }
 
 TEST(ShardedTraceServer, DroppedAnnotationsSumAcrossShards) {
-  ShardedTraceServer server(2, PublishMode::kSync);
+  TraceServer server(2, PublishMode::kSync);
   for (int w = 0; w < 4; ++w) {
     Span s = make_span(server.next_span_id(), w * 100, w * 100 + 50);
     s.dropped_annotations = 3;
-    server.shard(static_cast<std::size_t>(w) % 2).publish(std::move(s));
+    on_shard(server, static_cast<std::size_t>(w) % 2, [&server, &s] { server.publish(s); });
   }
+  // Both shards drained annotated spans, and the total is their sum.
+  EXPECT_EQ(server.shard_loads(), (std::vector<std::uint64_t>{2, 2}));
   EXPECT_EQ(server.dropped_annotation_count(), 12u);
-  EXPECT_GT(server.shard(0).dropped_annotation_count(), 0u);
-  EXPECT_GT(server.shard(1).dropped_annotation_count(), 0u);
   // Taking the trace resets the aggregate along with the spans.
   (void)server.take_batches();
   EXPECT_EQ(server.dropped_annotation_count(), 0u);
 }
 
 TEST(ShardedTraceServerStress, NThreadsTimesMShardsLoseNothing) {
-  // N tracer threads publish through a ShardedTraceServer in async mode;
-  // every span must be aggregated exactly once across the fleet.
+  // N tracer threads publish through a 4-shard server in async mode;
+  // every span must be aggregated exactly once across the shards.
   constexpr int kThreads = 8;
   constexpr int kSpansPerThread = 4000;
 
-  ShardedTraceServer server(4, PublishMode::kAsync);
+  TraceServer server(4, PublishMode::kAsync);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -183,7 +191,7 @@ TEST(ShardedTraceServerStress, TakesRacingShardedPublishersLoseNothing) {
   constexpr int kProducers = 4;
   constexpr int kSpansPerProducer = 10000;
 
-  ShardedTraceServer server(2, PublishMode::kAsync);
+  TraceServer server(2, PublishMode::kAsync);
   std::atomic<bool> done{false};
   std::atomic<std::size_t> taken_total{0};
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "xsp/common/rng.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/timeline.hpp"
 #include "xsp/trace/trace_server.hpp"
 
@@ -139,7 +138,7 @@ TEST_P(SlotLifecycleRandomized, CollectedTimelineMatchesSingleThreadedOracle) {
        }},
       {"sharded_2_async",
        [](const std::vector<Span>& s, std::uint64_t rng_seed) {
-         ShardedTraceServer server(2, PublishMode::kAsync);
+         TraceServer server(2, PublishMode::kAsync);
          return run_lifecycle(server, s, rng_seed);
        }},
   };

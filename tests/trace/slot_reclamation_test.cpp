@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "test_alloc_count.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 namespace xsp::trace {
@@ -71,21 +70,6 @@ TEST(SlotReclamation, RetiredSlotsAreReusedBeforeGrowingTheRegistry) {
   EXPECT_EQ(server.pooled_slot_count(), 1u);
   EXPECT_LE(server.approx_slot_bytes(),
             std::uint64_t{2} * TraceServer::kBatchCapacity * sizeof(Span) + 4096);
-}
-
-TEST(SlotReclamation, DisabledReclamationAccretesSlotsButLosesNothing) {
-  // The ablation/escape-hatch switch: with reclamation off (set before
-  // the churn), dead slots accrete exactly as they did pre-reclamation.
-  TraceServer server(PublishMode::kSync);
-  server.set_slot_reclamation(false);
-  for (int round = 0; round < 8; ++round) {
-    std::thread producer([&server] { publish_n(server, 4); });
-    producer.join();
-    server.flush();
-  }
-  EXPECT_EQ(server.live_slot_count(), 8u);
-  EXPECT_EQ(server.retired_slot_count(), 0u);
-  EXPECT_EQ(server.take_trace().size(), 32u);
 }
 
 TEST(SlotReclamation, ThreadTouchingManyServersIsReclaimedOnAll) {
@@ -174,7 +158,7 @@ TEST(SlotChurnStress, TenThousandThreadsSingleServerAsyncConsume) {
 TEST(SlotChurnStress, TenThousandThreadsShardedAsyncConsume) {
   constexpr std::size_t kThreads = 10000;
   constexpr std::size_t kSpansPerThread = 24;
-  ShardedTraceServer server(4, PublishMode::kAsync);
+  TraceServer server(4, PublishMode::kAsync);
   std::atomic<std::uint64_t> consumed{0};
   server.add_drain_subscriber(
       [&consumed](const SpanBatches& batches) {
@@ -210,7 +194,7 @@ TEST(SlotChurnStress, SyncServersRetireOnFlushAndLoseNothing) {
   EXPECT_EQ(single.live_slot_count(), 0u);
   EXPECT_EQ(single.retired_slot_count(), kThreads);
 
-  ShardedTraceServer sharded(4, PublishMode::kSync);
+  TraceServer sharded(4, PublishMode::kSync);
   std::uint64_t taken_sharded = 0;
   const std::size_t peak_sharded =
       churn(sharded, kThreads, kSpansPerThread, [&sharded, &taken_sharded] {

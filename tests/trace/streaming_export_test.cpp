@@ -11,7 +11,6 @@
 #include "json_check.hpp"
 #include "test_alloc_count.hpp"
 #include "xsp/trace/export.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 namespace xsp::trace {
@@ -161,7 +160,7 @@ TEST(StreamingExport, ObserveModeTeesWithoutConsuming) {
 TEST(StreamingExport, ShardedConcurrentPublishersFunnelIntoOneValidDocument) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 1500;
-  ShardedTraceServer server(3, PublishMode::kAsync);
+  TraceServer server(3, PublishMode::kAsync);
 
   std::string out;
   StreamingExporter exporter(

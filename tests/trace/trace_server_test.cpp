@@ -94,21 +94,6 @@ TEST(TraceServer, DroppedAnnotationsAggregateAtAggregationTime) {
   EXPECT_EQ(server.dropped_annotation_count(), 0u);
 }
 
-TEST(TraceServer, IdStripesProduceDisjointIds) {
-  // Two striped servers (shard 0 and 1 of 2) must never hand out the same
-  // id, even across many blocks.
-  TraceServer even(PublishMode::kSync, IdStripe{0, 2});
-  TraceServer odd(PublishMode::kSync, IdStripe{1, 2});
-  std::vector<SpanId> ids;
-  for (int i = 0; i < 5000; ++i) {
-    ids.push_back(even.next_span_id());
-    ids.push_back(odd.next_span_id());
-  }
-  std::sort(ids.begin(), ids.end());
-  EXPECT_NE(ids.front(), kNoSpan);
-  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
-}
-
 TEST(TraceServer, DestructionWithQueuedSpansIsClean) {
   // No hang or crash when a server with pending async work is destroyed.
   auto server = std::make_unique<TraceServer>(PublishMode::kAsync);

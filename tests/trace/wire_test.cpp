@@ -21,7 +21,6 @@
 #include "wire_builders.hpp"
 #include "xsp/common/string_table.hpp"
 #include "xsp/trace/export.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/timeline.hpp"
 #include "xsp/trace/trace_server.hpp"
 #include "xsp/trace/tracer.hpp"
@@ -360,7 +359,7 @@ TEST(BinaryWire, RepeatedDeltaEntryWithSameBytesIsIdempotent) {
 TEST(BinaryWire, ConsumesShardedServerDrainAsSubscriber) {
   std::string out;
   BinaryWriter writer([&out](std::string_view chunk) { out.append(chunk); });
-  ShardedTraceServer server(4, PublishMode::kSync);
+  TraceServer server(4, PublishMode::kSync);
   const SubscriberId sub = server.add_drain_subscriber(
       [&writer](const SpanBatches& batches) { writer.write_batches(batches); },
       DrainHandoff::kConsume);

@@ -1,7 +1,7 @@
 // xsp_collectd — the cross-process trace collector daemon: accepts XSP
 // binary wire v4 streams from remote producers (trace::RemoteSink),
-// re-interns and re-ids every span into one fleet-wide
-// ShardedTraceServer, and fans the merged stream out to the same sinks an
+// re-interns and re-ids every span into one fleet-wide TraceServer
+// (--shards N), and fans the merged stream out to the same sinks an
 // in-process session would use.
 //
 //   xsp_collectd --listen unix:/tmp/xsp.sock --out fleet.xspb
@@ -63,7 +63,7 @@
 #include "xsp/net/collector.hpp"
 #include "xsp/net/endpoint.hpp"
 #include "xsp/trace/export.hpp"
-#include "xsp/trace/sharded_trace_server.hpp"
+#include "xsp/trace/trace_server.hpp"
 #include "xsp/trace/wire.hpp"
 
 namespace {
@@ -165,7 +165,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
 }
 
 // The signal handler may only do async-signal-safe work; stop() is a
-// relaxed atomic store, nothing more.
+// relaxed atomic store plus a write(2) that wakes the poll loop.
 net::CollectorService* g_service = nullptr;
 
 void handle_stop_signal(int) {
@@ -215,7 +215,7 @@ int run(const Options& opts) {
   if (opts.strtab_budget > 0) {
     common::StringTable::global().set_budget_bytes(opts.strtab_budget);
   }
-  trace::ShardedTraceServer server(opts.shards);
+  trace::TraceServer server(opts.shards);
   net::CollectorOptions copts;
   copts.max_frame_payload = opts.max_frame_bytes;
   copts.drain_timeout_ms = opts.drain_timeout_ms;
