@@ -1,8 +1,11 @@
 // Small formatting helpers shared by reports and benches.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 namespace xsp {
 
@@ -19,5 +22,13 @@ std::string fmt_count(std::int64_t v);
 
 /// Percent with a trailing % sign.
 std::string fmt_percent(double fraction, int digits = 2);
+
+/// Room for format_dims of at most four values: "<n, c, h, w>" needs <= 88.
+using DimsText = std::array<char, 96>;
+
+/// Formats `dims` as open + values joined by `sep` + close, e.g. "[x,y,z]"
+/// or "<n, c, h, w>", with std::to_chars into `buf`: no string temporary.
+std::string_view format_dims(DimsText& buf, std::initializer_list<std::int64_t> dims, char open,
+                             std::string_view sep, char close);
 
 }  // namespace xsp

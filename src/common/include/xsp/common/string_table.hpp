@@ -7,19 +7,30 @@
 // 32-bit interned ids; the bytes live once, in a sharded global table.
 //
 // Properties:
-//   * interning is thread-safe (sharded; shared-lock fast path on hit),
+//   * reads are lock-free: str(id) / view() / for_each_since load the
+//     shard's published size (acquire), bounds-check, and index a chunk,
+//   * interning is thread-safe (sharded; a per-thread cache answers
+//     repeats, and only a cache miss takes the shard mutex, which guards
+//     the lookup index and appends),
 //   * ids are stable for the process lifetime — resolution never dangles,
 //   * equal strings always intern to the equal id, so span-keyed
 //     aggregations compare and hash ids instead of bytes.
+//
+// Storage: each shard appends its strings to chunked storage. Chunk c
+// holds kFirstChunkSlots << c strings and, once allocated, never moves, so
+// a resolved reference stays valid while later interns grow the shard. A
+// writer constructs the string under the shard mutex and only then
+// publishes the new size with a release store; a reader that sees the
+// size therefore sees the string.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <mutex>
 #include <ostream>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -46,6 +57,7 @@ class StringTable {
   static StringTable& global();
 
   StringTable();
+  ~StringTable();
   StringTable(const StringTable&) = delete;
   StringTable& operator=(const StringTable&) = delete;
 
@@ -88,8 +100,10 @@ class StringTable {
     slot_limit_.store(limit, std::memory_order_relaxed);
   }
 
-  /// Resolve an id. Valid for the lifetime of the table (the global table
-  /// never evicts, so resolved references are stable).
+  /// Resolve an id without taking a lock. Valid for the lifetime of the
+  /// table (the global table never evicts, so resolved references are
+  /// stable). Throws std::out_of_range for an id the table never handed
+  /// out.
   [[nodiscard]] const std::string& str(std::uint32_t id) const;
   [[nodiscard]] std::string_view view(std::uint32_t id) const { return str(id); }
 
@@ -107,8 +121,9 @@ class StringTable {
   [[nodiscard]] std::size_t approx_bytes() const;
 
   /// Per-entry overhead charged by approx_bytes() on top of character
-  /// data: the deque's std::string header plus one index entry
-  /// (string_view key + id + bucket link).
+  /// data: the chunk slot's std::string header plus one index entry
+  /// (string_view key + id + bucket link). Chunk slots allocated but not
+  /// yet filled are not charged.
   static constexpr std::size_t kApproxEntryOverhead =
       sizeof(std::string) + sizeof(std::string_view) + sizeof(std::uint32_t) * 2 +
       sizeof(void*);
@@ -128,36 +143,68 @@ class StringTable {
   /// partition the table exactly once; the reserved empty string (id 0)
   /// is never delivered. Thread-safe against concurrent intern(): a
   /// string interned while the snapshot runs lands in this delta or the
-  /// next one, never in both and never lost. The callback runs under the
-  /// shard's shared lock — keep it cheap and do not intern from it.
+  /// next one, never in both and never lost. Takes no lock: the walk
+  /// stops at each shard's size as published when it reaches that shard,
+  /// so the callback may itself intern.
   /// `fn` is called as fn(std::uint32_t id, std::string_view s).
   template <typename Fn>
   void for_each_since(Cursor& cursor, Fn&& fn) const {
     for (std::uint32_t shard_idx = 0; shard_idx < kShardCount; ++shard_idx) {
       const Shard& shard = shards_[shard_idx];
-      std::shared_lock lk(shard.mu);
-      const auto end = static_cast<std::uint32_t>(shard.strings.size());
+      const std::uint32_t end = shard.size.load(std::memory_order_acquire);
       for (std::uint32_t slot = cursor.next[shard_idx]; slot < end; ++slot) {
         const std::uint32_t id = (slot << kShardBits) | shard_idx;
-        if (id != 0) fn(id, std::string_view(shard.strings[slot]));
+        if (id != 0) fn(id, std::string_view(shard.at(slot)));
       }
       cursor.next[shard_idx] = end;
     }
   }
 
  private:
+  /// Slots in a shard's first chunk; chunk c holds kFirstChunkSlots << c.
+  static constexpr std::uint32_t kFirstChunkBits = 8;
+  static constexpr std::uint32_t kFirstChunkSlots = 1u << kFirstChunkBits;
+  /// Enough chunks to hold kMaxSlotsPerShard slots.
+  static constexpr std::uint32_t kChunkCount = 32 - kShardBits - kFirstChunkBits + 1;
+
   /// Process-unique table generation: guards per-thread intern caches
   /// against a destroyed table whose address was reused.
   std::uint64_t uid_;
 
   struct Shard {
-    mutable std::shared_mutex mu;
-    // Views key into `strings`, whose elements have stable addresses.
+    /// Writers and index lookups only; readers never take it.
+    std::mutex mu;
+    // Views key into the chunks, whose elements never move.
     std::unordered_map<std::string_view, std::uint32_t> index;
-    std::deque<std::string> strings;
+    /// Raw storage; slots below `size` hold constructed strings.
+    std::array<std::string*, kChunkCount> chunks{};
+    /// Published slot count: stored (release) after the slot's string is
+    /// constructed, loaded (acquire) before any read.
+    std::atomic<std::uint32_t> size{0};
     /// Character bytes interned into this shard (for approx_bytes()).
-    std::size_t bytes = 0;
+    std::atomic<std::size_t> bytes{0};
+
+    /// The string in `slot`, which must be below a size loaded (acquire).
+    [[nodiscard]] const std::string& at(std::uint32_t slot) const noexcept {
+      const SlotPos pos = locate(slot);
+      return chunks[pos.chunk][pos.offset];
+    }
   };
+
+  struct SlotPos {
+    std::uint32_t chunk;
+    std::uint32_t offset;
+  };
+  /// Chunk c starts at slot kFirstChunkSlots * (2^c - 1).
+  static constexpr SlotPos locate(std::uint32_t slot) noexcept {
+    const auto chunk =
+        static_cast<std::uint32_t>(std::bit_width((slot >> kFirstChunkBits) + 1)) - 1;
+    return {chunk, slot - ((kFirstChunkSlots << chunk) - kFirstChunkSlots)};
+  }
+
+  /// Append `s` to `shard` (its mutex held or not yet shared) and publish
+  /// it; returns the new slot.
+  static std::uint32_t append(Shard& shard, std::string_view s);
 
   std::array<Shard, kShardCount> shards_;
 
@@ -216,6 +263,31 @@ class StrId {
 
  private:
   std::uint32_t id_ = 0;
+};
+
+/// Ids of a fixed, enumerated set of strings (operator, library and kernel
+/// names), each interned on its first use, so only the strings a process
+/// uses enter the table. Held as a function-local static; every lookup
+/// after the first is one load (acquire, pairing with the release store
+/// that published the id, so any thread may resolve it). A sentinel
+/// (over-budget) result is not kept: a later lookup retries.
+template <std::size_t N>
+class LazyStrIds {
+ public:
+  /// The id of entry `i`, whose text `text()` yields.
+  template <typename TextFn>
+  [[nodiscard]] StrId get(std::size_t i, TextFn&& text) {
+    std::uint32_t id = ids_[i].load(std::memory_order_acquire);
+    if (id == 0) {
+      StringTable& table = StringTable::global();
+      id = table.intern(text());
+      if (id != table.sentinel_id()) ids_[i].store(id, std::memory_order_release);
+    }
+    return StrId::from_raw(id);
+  }
+
+ private:
+  std::array<std::atomic<std::uint32_t>, N> ids_{};
 };
 
 struct StrIdHash {

@@ -1,5 +1,7 @@
 #include "xsp/common/format.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -36,6 +38,18 @@ std::string fmt_count(std::int64_t v) {
 
 std::string fmt_percent(double fraction, int digits) {
   return fmt_fixed(fraction * 100.0, digits) + "%";
+}
+
+std::string_view format_dims(DimsText& buf, std::initializer_list<std::int64_t> dims, char open,
+                             std::string_view sep, char close) {
+  char* p = buf.data();
+  *p++ = open;
+  for (const std::int64_t* d = dims.begin(); d != dims.end(); ++d) {
+    if (d != dims.begin()) p = std::copy(sep.begin(), sep.end(), p);
+    p = std::to_chars(p, buf.data() + buf.size(), *d).ptr;
+  }
+  *p++ = close;
+  return {buf.data(), static_cast<std::size_t>(p - buf.data())};
 }
 
 }  // namespace xsp

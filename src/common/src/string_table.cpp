@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <mutex>
+#include <new>
+#include <stdexcept>
 
 namespace xsp::common {
 
@@ -23,8 +26,7 @@ std::uint64_t next_table_uid() {
 StringTable::StringTable() : uid_(next_table_uid()) {
   // Reserve id 0 for the empty string: shard 0, slot 0.
   auto& shard = shards_[0];
-  shard.strings.emplace_back();
-  shard.index.emplace(std::string_view(shard.strings.back()), 0u);
+  shard.index.emplace(std::string_view(shard.at(append(shard, {}))), 0u);
   // Reserve the over-budget sentinel up front, before any budget can
   // apply: a rejected intern must always have a real, stable id to
   // return. Inserted directly (not via intern()) so that, like the
@@ -34,10 +36,37 @@ StringTable::StringTable() : uid_(next_table_uid()) {
   const std::size_t hash = std::hash<std::string_view>{}(kSentinel);
   const auto sentinel_shard_idx = static_cast<std::uint32_t>(hash & (kShardCount - 1));
   auto& sentinel_shard = shards_[sentinel_shard_idx];
-  const auto slot = static_cast<std::uint32_t>(sentinel_shard.strings.size());
-  sentinel_shard.strings.emplace_back(kSentinel);
+  const std::uint32_t slot = append(sentinel_shard, kSentinel);
   sentinel_id_ = (slot << kShardBits) | sentinel_shard_idx;
-  sentinel_shard.index.emplace(std::string_view(sentinel_shard.strings.back()), sentinel_id_);
+  sentinel_shard.index.emplace(std::string_view(sentinel_shard.at(slot)), sentinel_id_);
+}
+
+StringTable::~StringTable() {
+  for (Shard& shard : shards_) {
+    const std::uint32_t size = shard.size.load(std::memory_order_relaxed);
+    for (std::uint32_t slot = 0; slot < size; ++slot) {
+      const SlotPos pos = locate(slot);
+      std::destroy_at(shard.chunks[pos.chunk] + pos.offset);
+    }
+    for (std::string* chunk : shard.chunks) {
+      ::operator delete(static_cast<void*>(chunk));
+    }
+  }
+}
+
+std::uint32_t StringTable::append(Shard& shard, std::string_view s) {
+  const std::uint32_t slot = shard.size.load(std::memory_order_relaxed);
+  const SlotPos pos = locate(slot);
+  if (shard.chunks[pos.chunk] == nullptr) {
+    // First slot of a chunk: allocate raw storage; slots are constructed
+    // one at a time, so untouched pages of a large chunk stay unmapped.
+    const std::size_t slots = std::size_t{kFirstChunkSlots} << pos.chunk;
+    shard.chunks[pos.chunk] =
+        static_cast<std::string*>(::operator new(slots * sizeof(std::string)));
+  }
+  std::construct_at(shard.chunks[pos.chunk] + pos.offset, s);
+  shard.size.store(slot + 1, std::memory_order_release);
+  return slot;
 }
 
 namespace {
@@ -76,19 +105,12 @@ std::uint32_t StringTable::intern(std::string_view s) {
   std::string_view canonical;
   std::uint32_t id = 0;
   {
-    std::shared_lock lk(shard.mu);
-    if (auto it = shard.index.find(s); it != shard.index.end()) {
-      canonical = it->first;
-      id = it->second;
-    }
-  }
-  if (canonical.data() == nullptr) {
-    std::unique_lock lk(shard.mu);
+    std::lock_guard lk(shard.mu);
     if (auto it = shard.index.find(s); it != shard.index.end()) {
       canonical = it->first;
       id = it->second;
     } else {
-      const auto slot = static_cast<std::uint32_t>(shard.strings.size());
+      const std::uint32_t slot = shard.size.load(std::memory_order_relaxed);
       // Id-space guard: at slot_limit_ the shifted slot would wrap into
       // another shard's id range and collide. Saturate to the sentinel.
       if (slot >= slot_limit_.load(std::memory_order_relaxed)) {
@@ -111,10 +133,10 @@ std::uint32_t StringTable::intern(std::string_view s) {
         // exact per-call count.
         return sentinel_id_;
       }
-      shard.strings.emplace_back(s);
-      shard.bytes += s.size();
+      append(shard, s);
+      shard.bytes.fetch_add(s.size(), std::memory_order_relaxed);
       id = (slot << kShardBits) | shard_idx;
-      canonical = std::string_view(shard.strings.back());
+      canonical = std::string_view(shard.at(slot));
       shard.index.emplace(canonical, id);
     }
   }
@@ -124,16 +146,16 @@ std::uint32_t StringTable::intern(std::string_view s) {
 
 const std::string& StringTable::str(std::uint32_t id) const {
   const Shard& shard = shards_[id & (kShardCount - 1)];
-  std::shared_lock lk(shard.mu);
-  return shard.strings.at(id >> kShardBits);
+  const std::uint32_t slot = id >> kShardBits;
+  if (slot >= shard.size.load(std::memory_order_acquire)) {
+    throw std::out_of_range("StringTable::str: unknown id " + std::to_string(id));
+  }
+  return shard.at(slot);
 }
 
 std::size_t StringTable::size() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::shared_lock lk(shard.mu);
-    total += shard.strings.size();
-  }
+  for (const auto& shard : shards_) total += shard.size.load(std::memory_order_acquire);
   // Subtract the reserved entries (empty string + sentinel).
   return total - 2;
 }
@@ -141,8 +163,8 @@ std::size_t StringTable::size() const {
 std::size_t StringTable::approx_bytes() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    std::shared_lock lk(shard.mu);
-    total += shard.bytes + shard.strings.size() * kApproxEntryOverhead;
+    total += shard.bytes.load(std::memory_order_relaxed) +
+             shard.size.load(std::memory_order_acquire) * kApproxEntryOverhead;
   }
   // Exclude the reserved entries (empty string + sentinel), mirroring
   // size(); the sentinel's character bytes were never added to

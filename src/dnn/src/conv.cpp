@@ -80,7 +80,8 @@ ConvKernels conv_kernels(const ConvParams& p, ConvAlgo algo, const sim::GpuSpec&
   switch (algo) {
     case ConvAlgo::kImplicitGemm: {
       KernelDesc k;
-      k.name = "cudnn::detail::implicit_convolve_sgemm";
+      static const common::StrId kImplicitGemmName("cudnn::detail::implicit_convolve_sgemm");
+      k.name = kImplicitGemmName;
       k.klass = KernelClass::kConvImplicitGemm;
       const std::int64_t gemm_m = p.batch * p.out_h() * p.out_w();
       k.grid = {static_cast<int>(cdiv(gemm_m, 64) * cdiv(p.out_channels, 64)), 1, 1};
@@ -104,7 +105,8 @@ ConvKernels conv_kernels(const ConvParams& p, ConvAlgo algo, const sim::GpuSpec&
 
       // Setup launch 1: input layout shuffle (Figure 1's "ShuffleTensor").
       KernelDesc shuffle;
-      shuffle.name = "ShuffleInTensor3Simple";
+      static const common::StrId kShuffleName("ShuffleInTensor3Simple");
+      shuffle.name = kShuffleName;
       shuffle.klass = KernelClass::kDataMovement;
       shuffle.grid = {static_cast<int>(cdiv(p.input_shape().elements(), 1024)), 1, 1};
       shuffle.block = {256, 1, 1};
@@ -116,7 +118,8 @@ ConvKernels conv_kernels(const ConvParams& p, ConvAlgo algo, const sim::GpuSpec&
 
       // Setup launch 2: offset precomputation (Figure 1's "OffsetComp").
       KernelDesc offsets;
-      offsets.name = "computeOffsetsKernel";
+      static const common::StrId kOffsetsName("computeOffsetsKernel");
+      offsets.name = kOffsetsName;
       offsets.klass = KernelClass::kDataMovement;
       offsets.grid = {static_cast<int>(cdiv(p.kernel_h * p.kernel_w * p.in_channels, 256)), 1, 1};
       offsets.block = {256, 1, 1};
@@ -126,9 +129,9 @@ ConvKernels conv_kernels(const ConvParams& p, ConvAlgo algo, const sim::GpuSpec&
       kernels.push_back(offsets);
 
       KernelDesc main;
-      main.name = sim::arch_kernel_name(gpu.arch, tile == ScudnnTile::k128x64
-                                                      ? "_scudnn_128x64_relu_interior_nn_v1"
-                                                      : "_scudnn_128x128_relu_interior_nn_v1");
+      static sim::ArchKernelName k128x64("_scudnn_128x64_relu_interior_nn_v1");
+      static sim::ArchKernelName k128x128("_scudnn_128x128_relu_interior_nn_v1");
+      main.name = (tile == ScudnnTile::k128x64 ? k128x64 : k128x128)[gpu.arch];
       main.klass = KernelClass::kConvImplicitPrecompGemm;
       const std::int64_t gemm_m = p.batch * p.out_h() * p.out_w();
       main.grid = {static_cast<int>(cdiv(gemm_m, 128) * cdiv(p.out_channels, tile_n)), 1, 1};
@@ -145,7 +148,8 @@ ConvKernels conv_kernels(const ConvParams& p, ConvAlgo algo, const sim::GpuSpec&
     case ConvAlgo::kFft: {
       // Transform, complex GEMM, inverse transform.
       KernelDesc fwd;
-      fwd.name = "fft2d_r2c_16x16";
+      static const common::StrId kFwdName("fft2d_r2c_16x16");
+      fwd.name = kFwdName;
       fwd.klass = KernelClass::kDataMovement;
       fwd.grid = {static_cast<int>(cdiv(p.input_shape().elements(), 512)), 1, 1};
       fwd.block = {256, 1, 1};
@@ -156,7 +160,8 @@ ConvKernels conv_kernels(const ConvParams& p, ConvAlgo algo, const sim::GpuSpec&
       kernels.push_back(fwd);
 
       KernelDesc cgemm;
-      cgemm.name = sim::arch_kernel_name(gpu.arch, "_cgemm_32x32_tn");
+      static sim::ArchKernelName kCgemmName("_cgemm_32x32_tn");
+      cgemm.name = kCgemmName[gpu.arch];
       cgemm.klass = KernelClass::kConvFft;
       const std::int64_t gemm_m = p.batch * p.out_h() * p.out_w();
       cgemm.grid = {static_cast<int>(cdiv(gemm_m, 32) * cdiv(p.out_channels, 32)), 1, 1};
@@ -172,7 +177,8 @@ ConvKernels conv_kernels(const ConvParams& p, ConvAlgo algo, const sim::GpuSpec&
       kernels.push_back(cgemm);
 
       KernelDesc inv;
-      inv.name = "fft2d_c2r_16x16";
+      static const common::StrId kInvName("fft2d_c2r_16x16");
+      inv.name = kInvName;
       inv.klass = KernelClass::kDataMovement;
       inv.grid = {static_cast<int>(cdiv(p.output_shape().elements(), 512)), 1, 1};
       inv.block = {256, 1, 1};
@@ -186,8 +192,9 @@ ConvKernels conv_kernels(const ConvParams& p, ConvAlgo algo, const sim::GpuSpec&
 
     case ConvAlgo::kWinograd: {
       KernelDesc k;
-      k.name = sim::arch_kernel_name(gpu.arch,
-                                     "_scudnn_winograd_128x128_ldg1_ldg4_relu_tile148t_nt_v1");
+      static sim::ArchKernelName kWinogradName(
+          "_scudnn_winograd_128x128_ldg1_ldg4_relu_tile148t_nt_v1");
+      k.name = kWinogradName[gpu.arch];
       k.klass = KernelClass::kConvWinograd;
       const std::int64_t tiles = cdiv(p.out_h(), 4) * cdiv(p.out_w(), 4) * p.batch;
       k.grid = {static_cast<int>(cdiv(tiles, 32) * cdiv(p.out_channels, 128)), 1, 1};

@@ -30,7 +30,7 @@ BackendTraits backend_traits(EwBackend b) {
   return {1.0, 1.0, 1.0, 0.7};
 }
 
-const char* ew_kernel_name(EwOp op, EwBackend b) {
+const char* ew_kernel_text(EwOp op, EwBackend b) {
   if (b == EwBackend::kEigen) {
     switch (op) {
       case EwOp::kMul: return "Eigen::TensorCwiseBinaryOp<scalar_product_op>";
@@ -52,6 +52,15 @@ const char* ew_kernel_name(EwOp op, EwBackend b) {
     case EwOp::kTanh: return "mxnet::op::mxnet_generic_kernel<mshadow_op::tanh>";
   }
   return "?";
+}
+
+constexpr std::size_t kEwOpCount = static_cast<std::size_t>(EwOp::kTanh) + 1;
+
+/// ew_kernel_text(op, b), interned once per process.
+common::StrId ew_kernel_name(EwOp op, EwBackend b) {
+  static common::LazyStrIds<2 * kEwOpCount> ids;
+  return ids.get(2 * static_cast<std::size_t>(op) + (b == EwBackend::kEigen ? 0 : 1),
+                 [=] { return ew_kernel_text(op, b); });
 }
 
 /// Flops per output element. Comparisons are not floating-point operations,
@@ -109,7 +118,8 @@ sim::KernelDesc elementwise_kernel(EwOp op, const Shape4& out, int n_inputs, EwB
 sim::KernelDesc gemm_kernel(std::int64_t m, std::int64_t n, std::int64_t k_dim,
                             const sim::GpuSpec& gpu) {
   sim::KernelDesc k;
-  k.name = sim::arch_kernel_name(gpu.arch, "_sgemm_128x64_tn");
+  static sim::ArchKernelName kName("_sgemm_128x64_tn");
+  k.name = kName[gpu.arch];
   k.klass = sim::KernelClass::kGemm;
   k.grid = {static_cast<int>(cdiv(m, 128) * cdiv(n, 64)), 1, 1};
   k.block = {256, 1, 1};
@@ -127,8 +137,9 @@ sim::KernelDesc gemm_kernel(std::int64_t m, std::int64_t n, std::int64_t k_dim,
 
 sim::KernelDesc bias_add_kernel(const Shape4& out, EwBackend backend) {
   sim::KernelDesc k = elementwise_kernel(EwOp::kAdd, out, 1, backend);
-  k.name = backend == EwBackend::kEigen ? "tensorflow::BiasNCHWKernel"
-                                        : "mxnet::op::bias_kernel";
+  static const common::StrId kEigenName("tensorflow::BiasNCHWKernel");
+  static const common::StrId kMxName("mxnet::op::bias_kernel");
+  k.name = backend == EwBackend::kEigen ? kEigenName : kMxName;
   return k;
 }
 
@@ -138,7 +149,9 @@ sim::KernelDesc pooling_kernel(const Shape4& in, std::int64_t window, std::int64
   const std::int64_t out_w = std::max<std::int64_t>(1, (in.w - window) / std::max<std::int64_t>(1, stride) + 1);
   const Shape4 out{in.n, in.c, out_h, out_w};
   sim::KernelDesc k;
-  k.name = average ? "cudnn::pooling_fw_4d_kernel<AVG>" : "cudnn::pooling_fw_4d_kernel<MAX>";
+  static const common::StrId kAvgName("cudnn::pooling_fw_4d_kernel<AVG>");
+  static const common::StrId kMaxName("cudnn::pooling_fw_4d_kernel<MAX>");
+  k.name = average ? kAvgName : kMaxName;
   k.klass = sim::KernelClass::kReduction;
   k.grid = {grid_for(out.elements(), 256), 1, 1};
   k.block = {256, 1, 1};
@@ -154,7 +167,8 @@ sim::KernelDesc pooling_kernel(const Shape4& in, std::int64_t window, std::int64
 
 sim::KernelDesc softmax_kernel(const Shape4& in, const sim::GpuSpec& gpu) {
   sim::KernelDesc k;
-  k.name = "cudnn::softmax_fw_kernel";
+  static const common::StrId kName("cudnn::softmax_fw_kernel");
+  k.name = kName;
   k.klass = sim::KernelClass::kReduction;
   k.grid = {grid_for(in.n, 4), 1, 1};
   k.block = {128, 1, 1};
@@ -169,7 +183,8 @@ sim::KernelDesc softmax_kernel(const Shape4& in, const sim::GpuSpec& gpu) {
 
 sim::KernelDesc batchnorm_inference_kernel(const Shape4& in, const sim::GpuSpec& gpu) {
   sim::KernelDesc k;
-  k.name = "cudnn::bn_fw_inf_1C11_kernel_NCHW";
+  static const common::StrId kName("cudnn::bn_fw_inf_1C11_kernel_NCHW");
+  k.name = kName;
   k.klass = sim::KernelClass::kElementwise;
   k.grid = {grid_for(in.elements(), 1024), 1, 1};
   k.block = {256, 1, 1};
@@ -185,7 +200,8 @@ sim::KernelDesc batchnorm_inference_kernel(const Shape4& in, const sim::GpuSpec&
 sim::KernelDesc depthwise_conv_kernel(const Shape4& in, const Shape4& out, std::int64_t kernel_hw,
                                       const sim::GpuSpec& gpu) {
   sim::KernelDesc k;
-  k.name = "tensorflow::DepthwiseConv2dGPUKernelNCHW";
+  static const common::StrId kName("tensorflow::DepthwiseConv2dGPUKernelNCHW");
+  k.name = kName;
   k.klass = sim::KernelClass::kConvImplicitGemm;
   k.grid = {grid_for(out.elements(), 512), 1, 1};
   k.block = {256, 1, 1};
@@ -201,7 +217,8 @@ sim::KernelDesc depthwise_conv_kernel(const Shape4& in, const Shape4& out, std::
 
 sim::KernelDesc transpose_kernel(const Shape4& in, const sim::GpuSpec& gpu) {
   sim::KernelDesc k;
-  k.name = "tensorflow::SwapDimension1And2InTensor3";
+  static const common::StrId kName("tensorflow::SwapDimension1And2InTensor3");
+  k.name = kName;
   k.klass = sim::KernelClass::kDataMovement;
   k.grid = {grid_for(in.elements(), 512), 1, 1};
   k.block = {256, 1, 1};
@@ -215,7 +232,8 @@ sim::KernelDesc transpose_kernel(const Shape4& in, const sim::GpuSpec& gpu) {
 
 sim::KernelDesc where_kernel(std::int64_t elements, const sim::GpuSpec& gpu) {
   sim::KernelDesc k;
-  k.name = "tensorflow::WhereCudaKernel";
+  static const common::StrId kName("tensorflow::WhereCudaKernel");
+  k.name = kName;
   k.klass = sim::KernelClass::kDataMovement;
   k.grid = {grid_for(elements, 256), 1, 1};
   k.block = {256, 1, 1};
@@ -230,7 +248,8 @@ sim::KernelDesc where_kernel(std::int64_t elements, const sim::GpuSpec& gpu) {
 
 sim::KernelDesc concat_kernel(const Shape4& out, const sim::GpuSpec& gpu) {
   sim::KernelDesc k;
-  k.name = "tensorflow::concat_variable_kernel";
+  static const common::StrId kName("tensorflow::concat_variable_kernel");
+  k.name = kName;
   k.klass = sim::KernelClass::kDataMovement;
   k.grid = {grid_for(out.elements(), 1024), 1, 1};
   k.block = {256, 1, 1};
@@ -244,7 +263,8 @@ sim::KernelDesc concat_kernel(const Shape4& out, const sim::GpuSpec& gpu) {
 
 sim::KernelDesc reduce_kernel(const Shape4& in, const sim::GpuSpec& gpu) {
   sim::KernelDesc k;
-  k.name = "cub::DeviceReduceKernel";
+  static const common::StrId kName("cub::DeviceReduceKernel");
+  k.name = kName;
   k.klass = sim::KernelClass::kReduction;
   k.grid = {grid_for(in.elements(), 2048), 1, 1};
   k.block = {256, 1, 1};
@@ -259,7 +279,8 @@ sim::KernelDesc reduce_kernel(const Shape4& in, const sim::GpuSpec& gpu) {
 
 sim::KernelDesc resize_kernel(const Shape4& out, const sim::GpuSpec& gpu) {
   sim::KernelDesc k;
-  k.name = "tensorflow::ResizeBilinearKernel";
+  static const common::StrId kName("tensorflow::ResizeBilinearKernel");
+  k.name = kName;
   k.klass = sim::KernelClass::kElementwise;
   k.grid = {grid_for(out.elements(), 512), 1, 1};
   k.block = {256, 1, 1};

@@ -56,14 +56,14 @@ struct FrameworkTraits {
 FrameworkTraits traits_for(FrameworkKind kind);
 
 /// One record emitted by the framework profiler — the layer-level data XSP
-/// converts into spans (index, name, type, shape, latency, memory). Names
-/// and types are interned so per-layer record emission allocates nothing
-/// after the first run over a graph.
+/// converts into spans (index, name, type, shape, latency, memory). Name,
+/// type and shape tag are ids interned when the graph was built, so
+/// record emission interns nothing.
 struct LayerRecord {
   int index = 0;
   common::StrId name;
   common::StrId type;
-  dnn::Shape4 shape;
+  common::StrId shape;  ///< the layer's shape tag, "<n, c, h, w>"
   TimePoint begin = 0;
   TimePoint end = 0;
   double alloc_bytes = 0;
@@ -115,8 +115,9 @@ class Executor {
   /// Launch the kernels of one layer; returns the number launched.
   int execute_layer(const Layer& layer);
 
-  /// The library entry point a layer's device work goes through.
-  static const char* library_call_name(const Layer& layer, dnn::EwBackend backend);
+  /// The library entry point a layer's device work goes through, interned
+  /// once per process.
+  static common::StrId library_call_name(const Layer& layer, dnn::EwBackend backend);
 
   FrameworkTraits traits_;
   std::string name_;

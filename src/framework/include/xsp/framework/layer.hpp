@@ -8,10 +8,12 @@
 // sequence observed in the paper's Figure 4.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "xsp/common/string_table.hpp"
 #include "xsp/dnn/tensor.hpp"
 
 namespace xsp::framework {
@@ -42,14 +44,24 @@ enum class LayerType : std::uint8_t {
   kReshape,  ///< metadata-only
 };
 
+inline constexpr std::size_t kLayerTypeCount = static_cast<std::size_t>(LayerType::kReshape) + 1;
+
 /// TensorFlow-style operator name ("Conv2D", "DepthwiseConv2dNative", ...).
 const char* layer_type_name(LayerType t);
+/// layer_type_name(t), interned once per process.
+common::StrId layer_type_id(LayerType t);
+
+/// The interned shape tag of a layer, "<n, c, h, w>".
+common::StrId shape_tag_id(const dnn::Shape4& shape);
 
 /// One runtime layer. Shape and parameter fields carry exactly what the
 /// kernel builders need; unused fields stay at their defaults.
 struct Layer {
   LayerType type = LayerType::kReshape;
-  std::string name;
+  common::StrId name;
+  /// shape_tag_id(output), set when models::GraphBuilder builds the graph,
+  /// so profiling runs attach it to layer spans without formatting.
+  common::StrId shape_tag;
   dnn::Shape4 input;
   dnn::Shape4 output;
   /// Convolution / pooling geometry. `kernel_w2`/`pad_w2` of -1 mean a

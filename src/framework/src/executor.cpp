@@ -121,8 +121,9 @@ int Executor::execute_layer(const Layer& layer) {
       launch(dnn::pooling_kernel(layer.input, layer.kernel_hw, layer.stride, true, gpu));
       break;
     case LayerType::kPad: {
+      static const common::StrId kPadKernel("tensorflow::PadInputKernel");
       auto k = dnn::concat_kernel(layer.output, gpu);
-      k.name = "tensorflow::PadInputKernel";
+      k.name = kPadKernel;
       launch(k);
       break;
     }
@@ -147,9 +148,10 @@ int Executor::execute_layer(const Layer& layer) {
   return launched;
 }
 
-const char* Executor::library_call_name(const Layer& layer, dnn::EwBackend backend) {
-  const bool eigen = backend == dnn::EwBackend::kEigen;
-  switch (layer.type) {
+namespace {
+
+const char* library_call_text(LayerType type, bool eigen) {
+  switch (type) {
     case LayerType::kConv2D: return "cudnnConvolutionForward";
     case LayerType::kDepthwiseConv2D: return "tensorflow::LaunchDepthwiseConvOp";
     case LayerType::kFusedBatchNorm: return "cudnnBatchNormalizationForwardInference";
@@ -169,6 +171,15 @@ const char* Executor::library_call_name(const Layer& layer, dnn::EwBackend backe
     case LayerType::kData: return "cudaMemcpyAsync";
     default: return "tensorflow::LaunchKernelOp";
   }
+}
+
+}  // namespace
+
+common::StrId Executor::library_call_name(const Layer& layer, dnn::EwBackend backend) {
+  static common::LazyStrIds<2 * kLayerTypeCount> ids;
+  const bool eigen = backend == dnn::EwBackend::kEigen;
+  return ids.get(2 * static_cast<std::size_t>(layer.type) + (eigen ? 1 : 0),
+                 [&] { return library_call_text(layer.type, eigen); });
 }
 
 RunResult Executor::run(const Graph& graph, const RunOptions& options) {
@@ -214,8 +225,8 @@ RunResult Executor::run(const Graph& graph, const RunOptions& options) {
       LayerRecord rec;
       rec.index = index;
       rec.name = layer.name;
-      rec.type = layer_type_name(layer.type);
-      rec.shape = layer.output;
+      rec.type = layer_type_id(layer.type);
+      rec.shape = layer.shape_tag;
       rec.begin = layer_begin;
       rec.end = layer_end;
       rec.alloc_bytes = layer.alloc_bytes();

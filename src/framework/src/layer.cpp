@@ -1,5 +1,7 @@
 #include "xsp/framework/layer.hpp"
 
+#include "xsp/common/format.hpp"
+
 namespace xsp::framework {
 
 const char* layer_type_name(LayerType t) {
@@ -28,6 +30,16 @@ const char* layer_type_name(LayerType t) {
     case LayerType::kReshape: return "Reshape";
   }
   return "?";
+}
+
+common::StrId layer_type_id(LayerType t) {
+  static common::LazyStrIds<kLayerTypeCount> ids;
+  return ids.get(static_cast<std::size_t>(t), [t] { return layer_type_name(t); });
+}
+
+common::StrId shape_tag_id(const dnn::Shape4& shape) {
+  DimsText buf;
+  return format_dims(buf, {shape.n, shape.c, shape.h, shape.w}, '<', ", ", '>');
 }
 
 }  // namespace xsp::framework

@@ -7,10 +7,9 @@
 // while MXNet keeps a fused BatchNorm layer.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 
 #include "xsp/framework/layer.hpp"
 
@@ -94,17 +93,20 @@ class GraphBuilder {
   /// Number of layers emitted so far.
   [[nodiscard]] std::size_t layer_count() const noexcept { return graph_.layers.size(); }
 
-  [[nodiscard]] Graph build() && { return std::move(graph_); }
+  /// The finished graph, with each layer's shape tag interned: every
+  /// Graph that is executed comes out of here.
+  [[nodiscard]] Graph build() &&;
+  /// The graph so far; shape tags are not set until build().
   [[nodiscard]] const Graph& peek() const noexcept { return graph_; }
 
  private:
   Layer& append(LayerType type, const Shape4& output);
-  std::string next_name(LayerType type);
+  common::StrId next_name(LayerType type);
 
   Graph graph_;
   Shape4 cur_;
   bool decompose_batchnorm_;
-  std::map<LayerType, int> type_counts_;
+  std::array<int, framework::kLayerTypeCount> type_counts_{};
 };
 
 }  // namespace xsp::models

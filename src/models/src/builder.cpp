@@ -1,6 +1,9 @@
 #include "xsp/models/builder.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <utility>
 
 namespace xsp::models {
 
@@ -8,7 +11,7 @@ namespace {
 
 /// TensorFlow-style op-scope naming: first instance "conv2d", later ones
 /// "conv2d_1", "conv2d_2", ... with the op name appended ("conv2d/Conv2D").
-std::string scope_prefix(LayerType type) {
+std::string_view scope_prefix(LayerType type) {
   switch (type) {
     case LayerType::kConv2D: return "conv2d";
     case LayerType::kDepthwiseConv2D: return "depthwise_conv2d";
@@ -44,11 +47,20 @@ GraphBuilder::GraphBuilder(std::string model_name, std::int64_t batch, bool deco
   cur_ = {batch, 1, 1, 1};
 }
 
-std::string GraphBuilder::next_name(LayerType type) {
-  const int n = type_counts_[type]++;
-  const std::string prefix = scope_prefix(type);
-  const std::string scope = n == 0 ? prefix : prefix + "_" + std::to_string(n);
-  return scope + "/" + layer_type_name(type);
+common::StrId GraphBuilder::next_name(LayerType type) {
+  const int n = type_counts_[static_cast<std::size_t>(type)]++;
+  // "<prefix>[_<n>]/<type name>", composed in a stack buffer.
+  std::array<char, 128> buf;
+  const std::string_view prefix = scope_prefix(type);
+  const std::string_view op = layer_type_name(type);
+  char* p = std::copy(prefix.begin(), prefix.end(), buf.data());
+  if (n != 0) {
+    *p++ = '_';
+    p = std::to_chars(p, buf.data() + buf.size(), n).ptr;
+  }
+  *p++ = '/';
+  p = std::copy(op.begin(), op.end(), p);
+  return std::string_view(buf.data(), static_cast<std::size_t>(p - buf.data()));
 }
 
 Layer& GraphBuilder::append(LayerType type, const Shape4& output) {
@@ -60,6 +72,11 @@ Layer& GraphBuilder::append(LayerType type, const Shape4& output) {
   cur_ = output;
   graph_.layers.push_back(std::move(l));
   return graph_.layers.back();
+}
+
+Graph GraphBuilder::build() && {
+  for (Layer& l : graph_.layers) l.shape_tag = framework::shape_tag_id(l.output);
+  return std::move(graph_);
 }
 
 GraphBuilder& GraphBuilder::input(std::int64_t channels, std::int64_t h, std::int64_t w) {

@@ -1,15 +1,12 @@
 #include "xsp/profile/session.hpp"
 
-#include <algorithm>
-#include <array>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <initializer_list>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
+#include "xsp/common/format.hpp"
 #include "xsp/net/endpoint.hpp"
 #include "xsp/profile/span_keys.hpp"
 #include "xsp/trace/sampler.hpp"
@@ -35,24 +32,6 @@ void set_inline_tag(trace::Span& s, trace::StrId key, std::string_view value) {
 
 void set_metric(trace::Span& s, trace::StrId key, double value) {
   if (!s.metrics.set(key, value)) s.note_dropped();
-}
-
-/// Room for format_dims of at most four values: "<n, c, h, w>" needs <= 88.
-using DimsText = std::array<char, 96>;
-
-/// Formats `dims` as open + values joined by `sep` + close, e.g. "[x,y,z]"
-/// or "<n, c, h, w>", with std::to_chars into `buf`: a span's launch dims
-/// and layer shape cost no string temporary.
-std::string_view format_dims(DimsText& buf, std::initializer_list<std::int64_t> dims, char open,
-                             std::string_view sep, char close) {
-  char* p = buf.data();
-  *p++ = open;
-  for (const std::int64_t* d = dims.begin(); d != dims.end(); ++d) {
-    if (d != dims.begin()) p = std::copy(sep.begin(), sep.end(), p);
-    p = std::to_chars(p, buf.data() + buf.size(), *d).ptr;
-  }
-  *p++ = close;
-  return {buf.data(), static_cast<std::size_t>(p - buf.data())};
 }
 
 }  // namespace
@@ -117,8 +96,8 @@ void Session::bind_metrics(metrics::Registry* registry, metrics::Labels labels) 
   if (server_ != nullptr) server_->bind_metrics(*metrics_registry_, metrics_labels_);
   if (remote_ != nullptr) remote_->bind_metrics(*metrics_registry_, metrics_labels_);
   // Bounded-interning health: the process-global table's footprint and its
-  // lifetime rejection count. Samples are two relaxed atomic loads (plus
-  // sharded shared locks for approx_bytes), scrape-time only.
+  // lifetime rejection count. Samples are lock-free atomic loads (two per
+  // shard for approx_bytes), scrape-time only.
   strtab_series_.push_back(metrics_registry_->callback(
       "xsp_strtab_bytes", "Approximate resident bytes in the global string table",
       metrics::Kind::kGauge, metrics_labels_,
@@ -373,10 +352,7 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
       s.end = rec.end;
       s.parent = predict;
       set_tag(s, keys().layer_type, rec.type);
-      DimsText shape;
-      set_tag(s, keys().shape,
-              format_dims(shape, {rec.shape.n, rec.shape.c, rec.shape.h, rec.shape.w}, '<', ", ",
-                          '>'));
+      set_tag(s, keys().shape, rec.shape);
       set_metric(s, keys().layer_index, rec.index);
       set_metric(s, keys().alloc_bytes, rec.alloc_bytes);
       layer_tracer_->publish_completed(std::move(s));

@@ -6,6 +6,7 @@
 //  NVIDIA."                                              — paper, Table VII
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
 #include <string_view>
@@ -19,6 +20,8 @@ namespace xsp::sim {
 /// library dispatches to (volta_* vs maxwell_* — paper, Section IV-C).
 enum class GpuArch : std::uint8_t { kMaxwell, kPascal, kVolta, kTuring };
 
+inline constexpr std::size_t kGpuArchCount = static_cast<std::size_t>(GpuArch::kTuring) + 1;
+
 const char* arch_name(GpuArch a);
 
 /// Kernel-name prefix cuDNN-style libraries use for an architecture.
@@ -26,11 +29,22 @@ const char* arch_name(GpuArch a);
 /// generations fall back to the maxwell_* family (Section IV-C).
 const char* arch_kernel_prefix(GpuArch a);
 
-/// The interned name `<arch_kernel_prefix(a)><suffix>`, e.g.
-/// "volta_sgemm_128x64_tn". Composed in a stack buffer: no string
-/// temporary per kernel descriptor. Throws std::length_error when the
-/// composed name exceeds 128 bytes.
-common::StrId arch_kernel_name(GpuArch a, std::string_view suffix);
+/// One kernel's interned name `<arch_kernel_prefix(a)><suffix>` per
+/// architecture, e.g. "volta_sgemm_128x64_tn". Kernel builders hold one as
+/// a function-local static: each architecture's name is composed and
+/// interned on its first use, after which a descriptor picks it by index.
+/// `suffix` must outlive it (a string literal). Throws std::length_error
+/// when a composed name exceeds 128 bytes.
+class ArchKernelName {
+ public:
+  explicit constexpr ArchKernelName(std::string_view suffix) : suffix_(suffix) {}
+
+  [[nodiscard]] common::StrId operator[](GpuArch a);
+
+ private:
+  std::string_view suffix_;
+  common::LazyStrIds<kGpuArchCount> ids_;
+};
 
 /// Static description of one GPU system (Table VII row).
 struct GpuSpec {

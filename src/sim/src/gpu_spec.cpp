@@ -28,15 +28,17 @@ const char* arch_kernel_prefix(GpuArch a) {
   return "?";
 }
 
-common::StrId arch_kernel_name(GpuArch a, std::string_view suffix) {
-  const std::string_view prefix = arch_kernel_prefix(a);
+common::StrId ArchKernelName::operator[](GpuArch a) {
   std::array<char, 128> buf;
-  if (prefix.size() + suffix.size() > buf.size()) {
-    throw std::length_error("arch_kernel_name: kernel name too long");
-  }
-  std::memcpy(buf.data(), prefix.data(), prefix.size());
-  std::memcpy(buf.data() + prefix.size(), suffix.data(), suffix.size());
-  return common::StrId(std::string_view(buf.data(), prefix.size() + suffix.size()));
+  return ids_.get(static_cast<std::size_t>(a), [&] {
+    const std::string_view prefix = arch_kernel_prefix(a);
+    if (prefix.size() + suffix_.size() > buf.size()) {
+      throw std::length_error("ArchKernelName: kernel name too long");
+    }
+    std::memcpy(buf.data(), prefix.data(), prefix.size());
+    std::memcpy(buf.data() + prefix.size(), suffix_.data(), suffix_.size());
+    return std::string_view(buf.data(), prefix.size() + suffix_.size());
+  });
 }
 
 namespace {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -97,6 +100,93 @@ TEST(StringTable, ConcurrentInterningIsConsistent) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(per_thread[static_cast<std::size_t>(t)], per_thread[0]);
   }
+}
+
+std::string race_string(int writer, std::size_t i) {
+  return "race-w" + std::to_string(writer) + "-s" + std::to_string(i);
+}
+
+TEST(StringTable, ConcurrentReadersSeeEveryPublishedString) {
+  // Writers intern fresh strings while readers resolve every id handed
+  // out so far and walk for_each_since, all without locks on the read
+  // side. 4 x 8000 strings fill every shard's first chunks (256, 512,
+  // 1024 slots), so reads race chunk allocation too. Under TSan this
+  // checks the release/acquire publication of each shard's size.
+  StringTable table;
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 3;
+  constexpr std::size_t kPerWriter = 8000;
+  struct Published {
+    std::vector<std::uint32_t> ids = std::vector<std::uint32_t>(kPerWriter);
+    std::atomic<std::size_t> count{0};
+  };
+  std::vector<std::unique_ptr<Published>> published;
+  for (int w = 0; w < kWriters; ++w) published.push_back(std::make_unique<Published>());
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<std::size_t> mismatches{0};
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Published& out = *published[static_cast<std::size_t>(w)];
+      for (std::size_t i = 0; i < kPerWriter; ++i) {
+        out.ids[i] = table.intern(race_string(w, i));
+        out.count.store(i + 1, std::memory_order_release);
+      }
+      writers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      StringTable::Cursor cursor;
+      std::vector<std::size_t> checked(kWriters, 0);
+      bool last_round = false;
+      while (!last_round) {
+        last_round = writers_left.load(std::memory_order_acquire) == 0;
+        for (int w = 0; w < kWriters; ++w) {
+          const Published& in = *published[static_cast<std::size_t>(w)];
+          const std::size_t n = in.count.load(std::memory_order_acquire);
+          for (std::size_t& i = checked[static_cast<std::size_t>(w)]; i < n; ++i) {
+            if (table.view(in.ids[i]) != race_string(w, i)) mismatches.fetch_add(1);
+          }
+        }
+        table.for_each_since(cursor, [&](std::uint32_t id, std::string_view s) {
+          if (id == table.sentinel_id()) return;  // the one reserved entry delivered
+          if (s.rfind("race-w", 0) != 0 || table.view(id) != s) mismatches.fetch_add(1);
+        });
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(table.size(), kWriters * kPerWriter);
+  for (int w = 0; w < kWriters; ++w) {
+    for (std::size_t i = 0; i < kPerWriter; ++i) {
+      ASSERT_EQ(table.view(published[static_cast<std::size_t>(w)]->ids[i]), race_string(w, i));
+    }
+  }
+}
+
+TEST(StringTable, UnknownIdsThrowOutOfRange) {
+  StringTable table;
+  // A slot just past the published size, inside the shard's allocated
+  // first chunk.
+  const std::uint32_t id = table.intern("unknown-id-probe");
+  const std::uint32_t shard = id & (StringTable::kShardCount - 1);
+  const std::uint32_t next_slot = (id >> StringTable::kShardBits) + 1;
+  EXPECT_THROW((void)table.str((next_slot << StringTable::kShardBits) | shard),
+               std::out_of_range);
+  // Slots in chunks that were never allocated, up to the last id.
+  EXPECT_THROW((void)table.str((1u << 20 << StringTable::kShardBits) | shard), std::out_of_range);
+  EXPECT_THROW((void)table.view(0xFFFFFFFFu), std::out_of_range);
+  EXPECT_THROW((void)StrId::from_raw(0xFFFFFFFFu).view(), std::out_of_range);
+  // The reserved entries still resolve.
+  EXPECT_EQ(table.str(0), "");
+  EXPECT_EQ(table.str(table.sentinel_id()), StringTable::kSentinel);
+  EXPECT_EQ(table.view(id), "unknown-id-probe");
+  EXPECT_EQ(StrId::from_raw(0).view(), "");
+  EXPECT_EQ(StrId::from_raw(StringTable::global().sentinel_id()).view(), StringTable::kSentinel);
 }
 
 TEST(FlatMap, SetFindAtCount) {

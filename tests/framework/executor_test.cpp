@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "xsp/common/string_table.hpp"
 #include "xsp/models/builder.hpp"
+#include "xsp/models/registry.hpp"
 
 namespace xsp::framework {
 namespace {
@@ -234,6 +238,60 @@ TEST(Graph, SizeSumsParameters) {
   const auto g = tiny_graph(1, true);
   EXPECT_GT(g.graph_size_bytes(), 0);
   EXPECT_EQ(g.batch(), 1);
+}
+
+/// The shape tag as string concatenation formats it: the bytes every
+/// layer span carried before the tag was interned at graph build time.
+std::string concatenated_shape(const dnn::Shape4& s) {
+  return "<" + std::to_string(s.n) + ", " + std::to_string(s.c) + ", " + std::to_string(s.h) +
+         ", " + std::to_string(s.w) + ">";
+}
+
+TEST(InternOnce, LayerIdsEqualInterningTheFormattedStrings) {
+  const Graph g =
+      models::find_tensorflow_model("MLPerf_ResNet50_v1.5")->build(64, /*decompose_bn=*/true);
+  SimClock clock;
+  sim::GpuDevice dev(sim::tesla_v100(), clock);
+  Executor ex(FrameworkKind::kTFlow, dev);
+  RunOptions opts;
+  opts.enable_layer_profiling = true;
+  const RunResult run = ex.run(g, opts);
+  ASSERT_EQ(run.layer_records.size(), g.layers.size());
+  bool saw_spot_check = false;
+  for (std::size_t i = 0; i < g.layers.size(); ++i) {
+    const Layer& l = g.layers[i];
+    const LayerRecord& rec = run.layer_records[i];
+    EXPECT_EQ(rec.name, l.name);
+    EXPECT_EQ(rec.type, common::StrId(layer_type_name(l.type)));
+    EXPECT_EQ(l.shape_tag, common::StrId(concatenated_shape(l.output)));
+    EXPECT_EQ(rec.shape, l.shape_tag);
+    if (l.name == "conv2d_1/Conv2D") {
+      saw_spot_check = true;
+      EXPECT_EQ(rec.type, common::StrId("Conv2D"));
+      EXPECT_EQ(rec.shape, common::StrId("<64, 64, 55, 55>"));
+    }
+  }
+  EXPECT_TRUE(saw_spot_check);
+}
+
+TEST(InternOnce, RepeatedRunsAddNoTableEntries) {
+  const Graph g =
+      models::find_tensorflow_model("MLPerf_ResNet50_v1.5")->build(64, /*decompose_bn=*/true);
+  SimClock clock;
+  sim::GpuDevice dev(sim::tesla_v100(), clock);
+  Executor ex(FrameworkKind::kTFlow, dev);
+  RunOptions opts;
+  opts.enable_layer_profiling = true;
+  opts.enable_library_profiling = true;
+  // The first run may intern the process-lifetime kernel and library
+  // names; after it, a run over the same graph interns nothing.
+  (void)ex.run(g, opts);
+  const std::size_t before = common::StringTable::global().size();
+  for (int i = 0; i < 2; ++i) {
+    dev.reset();
+    (void)ex.run(g, opts);
+  }
+  EXPECT_EQ(common::StringTable::global().size(), before);
 }
 
 }  // namespace
