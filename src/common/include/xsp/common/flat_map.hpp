@@ -2,9 +2,9 @@
 // span annotations.
 //
 // Span tag/metric sets are small and bounded (a layer span carries two tags
-// and two metrics; a kernel execution span three tags and four metrics), so
-// node-based std::map storage paid one heap allocation per entry on the
-// publish hot path. FlatMap stores keys and values in separate inline
+// and two metrics; a kernel execution span carries its grid and block as
+// inline tags and up to four GPU metrics), so node-based std::map storage
+// paid one heap allocation per entry on the publish hot path. FlatMap stores keys and values in separate inline
 // arrays (struct-of-arrays keeps double values naturally aligned without
 // per-entry padding), making the containing Span trivially copyable: batch
 // hand-off and timeline assembly move spans with memcpy and destroy them

@@ -34,6 +34,10 @@ void set_metric(trace::Span& s, trace::StrId key, double value) {
   if (!s.metrics.set(key, value)) s.note_dropped();
 }
 
+// A kernel's CUPTI counters all fit the span's metric map, so capture can
+// never drop one to capacity.
+static_assert(trace::MetricMap::capacity() >= cupti::MetricValues::kCapacity);
+
 }  // namespace
 
 std::string ProfileOptions::level_string() const {

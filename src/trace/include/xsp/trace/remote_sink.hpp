@@ -3,7 +3,7 @@
 // instead of into an in-process TraceServer.
 //
 // Shape: publish() appends into a pending batch under a mutex (producer
-// cost is one lock + one 184-byte copy); sealed batches queue into a
+// cost is one lock + one copy of the 216-byte record); sealed batches queue into a
 // bounded outbox a background sender thread drains through a BinaryWriter
 // over a socket-backed fallible FrameSink. All network latency, blocking,
 // and failure lives on the sender thread — tracers never stall on the
@@ -104,7 +104,7 @@ class RemoteSink final : public SpanSink {
   std::uint64_t next_correlation_id() noexcept override;
   SpanId next_span_block() noexcept override;
   std::uint64_t next_correlation_block() noexcept override;
-  void publish(Span span) override;
+  void publish(const Span& span) override;
 
   /// Enqueue already-sealed batches — the drain-subscriber shape, so a
   /// profile::Session can forward its TraceServer drain to a collector

@@ -12,6 +12,20 @@
 // system's own hot path. Names, tracer ids, tag keys/values are interned
 // 32-bit StrIds and annotations live in flat inline-capacity storage —
 // building and publishing a typical span performs no heap allocation.
+//
+// Size: a Span is 216 bytes — a 56-byte header (ids, level, kind, the
+// drop counter, name, tracer, times, correlation id), 36 bytes of tags
+// (4 slots), 68 bytes of inline tags (2 slots of 27 value bytes) and 56
+// bytes of metrics (4 slots). The record is the profiler's unit of memory
+// traffic: publication copies it into a batch, the timeline keeps the
+// batches, and the wire ships it verbatim, so every byte is paid per span.
+// The capacities are sized from measured occupancy: over the whole model
+// zoo at every profiling level no span carries more than 2 tags, 4 metrics
+// (CUPTI's MetricValues::kCapacity — a kernel's counters) and 2 inline
+// tags (a kernel's grid and block text, up to 24 characters). The profile
+// suite's occupancy test pins that, and widening the record is a visible
+// decision: sizeof(Span) is asserted below and the wire format version
+// fingerprints it.
 #pragma once
 
 #include <cstdint>
@@ -61,11 +75,11 @@ enum class SpanKind : std::uint8_t {
 
 const char* kind_name(SpanKind k);
 
-/// Free-form string annotations (layer type, kernel grid, ...), interned.
+/// Free-form string annotations (layer type, shape, ...), interned.
 /// Capacities bound the span size; see FlatMap for the overflow contract.
-using TagMap = common::FlatMap<StrId, 6>;
+using TagMap = common::FlatMap<StrId, 4>;
 /// Numeric annotations (GPU counters, allocated bytes, ...).
-using MetricMap = common::FlatMap<double, 6>;
+using MetricMap = common::FlatMap<double, 4>;
 
 /// Inline value tags: the value bytes live IN the span, not in the
 /// process-wide StringTable. This is the annotation channel for
@@ -173,6 +187,12 @@ struct Span {
   SpanId parent = kNoSpan;
   int level = kModelLevel;
   SpanKind kind = SpanKind::kRegular;
+  /// Annotations rejected because tags/metrics/inline_tags hit capacity.
+  /// Non-zero means the trace lost fidelity for this span; exporters
+  /// surface it. Saturates at 0xFFFF (see note_dropped) — "at least
+  /// 65535 drops" must never wrap back to "clean". Sits in the padding
+  /// after `kind`.
+  std::uint16_t dropped_annotations = 0;
   StrId name;
   /// Name of the tracer that published this span (one per profiler).
   StrId tracer;
@@ -181,14 +201,10 @@ struct Span {
   /// Joins kLaunch/kExecution pairs; 0 when not applicable.
   std::uint64_t correlation_id = 0;
   TagMap tags;
-  MetricMap metrics;
-  /// Annotations rejected because tags/metrics/inline_tags hit capacity.
-  /// Non-zero means the trace lost fidelity for this span; exporters
-  /// surface it. Saturates at 0xFFFF (see note_dropped) — "at least
-  /// 65535 drops" must never wrap back to "clean".
-  std::uint16_t dropped_annotations = 0;
-  /// Non-interned value tags.
+  /// Non-interned value tags. Placed between the two 4-aligned blocks and
+  /// the 8-aligned metrics so the layout has no interior padding.
   InlineTagMap inline_tags;
+  MetricMap metrics;
 
   [[nodiscard]] Ns duration() const noexcept { return end - begin; }
 
@@ -214,6 +230,9 @@ struct Span {
 // The publish pipeline hands spans around in whole batches; triviality is
 // what makes a batch hand-off a pointer swap and a flatten a memcpy.
 static_assert(std::is_trivially_copyable_v<Span>);
+// The record's width is paid per span at every stage (see the header); a
+// change here is a deliberate layout change and bumps wire::kVersion.
+static_assert(sizeof(Span) == 216);
 
 /// One producer batch of spans, and a trace as the list of batches it was
 /// published in. The server aggregates and hands off batch handles; spans

@@ -48,8 +48,9 @@ class SpanSink {
   /// first; same guarantees as next_span_block (never contains 0).
   virtual std::uint64_t next_correlation_block() noexcept = 0;
 
-  /// Publish one completed span. Thread-safe.
-  virtual void publish(Span span) = 0;
+  /// Publish one completed span. Thread-safe. By reference: the sink's
+  /// own batch append is the one copy of the record publication makes.
+  virtual void publish(const Span& span) = 0;
 };
 
 }  // namespace xsp::trace

@@ -173,7 +173,7 @@ class TraceServer final : public SpanSink {
   /// a batch slot — and the outcome is counted per slot (sampled_kept /
   /// sampled_dropped) so `published == admitted + sampled_dropped` holds
   /// exactly.
-  void publish(Span span) override;
+  void publish(const Span& span) override;
 
   /// Attach (or clear, with nullptr) the head-sampling admission policy
   /// consulted by publish(). The hot path reads one raw pointer: with no

@@ -1,4 +1,4 @@
-// XSP binary span-batch wire format (v4, the only version) and the
+// XSP binary span-batch wire format (v5, the only version) and the
 // format-agnostic serialization core shared by every exporter backend.
 //
 // The JSON path (StreamingExporter) tops out around 2.8M spans/s because
@@ -20,8 +20,9 @@
 //                    StringDelta frame carrying only interns new since the
 //                    last flush (StringTable::for_each_since cursor), then
 //                    one SpanBatch frame per sealed batch (payload is the
-//                    batch memcpy'd whole). finish() appends a Footer frame
-//                    with the collection telemetry (TraceMeta).
+//                    batch memory itself, handed to the sink uncopied).
+//                    finish() appends a Footer frame with the collection
+//                    telemetry (TraceMeta).
 //   wire::FrameParser — the one parser: per-stream state and every
 //                    framing rule (header, length bounds, frame types,
 //                    span counts, footer, trailing bytes), re-interning
@@ -112,10 +113,10 @@ struct TraceMeta {
 /// append into a fixed-threshold internal buffer and are pushed to the
 /// underlying ostream/callback whenever the threshold is reached — the
 /// sink's footprint is independent of how many bytes stream through it.
-/// Writes at or above the threshold bypass the buffer entirely (after a
-/// flush, to preserve order), so a whole-batch memcpy payload is handed to
-/// the sink zero-copy. Thread-safe; bytes of concurrent write() calls
-/// never interleave.
+/// write_through() — and any write() at or above the threshold — bypasses
+/// the buffer entirely (after a flush, to preserve order), so a
+/// whole-batch span payload is handed to the sink zero-copy. Thread-safe;
+/// bytes of concurrent write() calls never interleave.
 ///
 /// Fallible sinks (sockets): construct with a TryWriteFn, which reports
 /// how many bytes it accepted. A short count keeps the unaccepted suffix
@@ -154,6 +155,13 @@ class FrameSink {
   /// which point the bytes were discarded, not sent.
   bool write(std::string_view bytes);
 
+  /// Append bytes without copying them through the buffer: flush what is
+  /// buffered, then pass `bytes` to the underlying sink directly. Bytes a
+  /// saturated sink does not accept are buffered as by write(). For bulk
+  /// payloads already laid out in the caller's memory (a span batch).
+  /// Same return contract as write().
+  bool write_through(std::string_view bytes);
+
   /// Push buffered bytes to the underlying sink. Returns true when the
   /// buffer fully drained; false when the sink is saturated (bytes remain
   /// pending, see pending_bytes()) or has failed.
@@ -177,6 +185,8 @@ class FrameSink {
  private:
   /// Drain buf_ into fn_; returns true when buf_ emptied. Caller holds mu_.
   bool drain_locked();
+  /// write_through() with mu_ held and bytes_ already counted.
+  bool write_through_locked(std::string_view bytes);
 
   TryWriteFn fn_;
   mutable std::mutex mu_;
@@ -199,9 +209,9 @@ inline constexpr char kMagic[4] = {'X', 'S', 'P', 'B'};
 /// reads. Any change to the header, frame, span, heartbeat or footer
 /// layout bumps it. Readers accept exactly one version until a persisted
 /// stream exists that must stay readable, so an older stream is rejected
-/// at open instead of misread. (Earlier development versions 1–3 never
-/// shipped.)
-inline constexpr std::uint16_t kVersion = 4;
+/// at open instead of misread. (Versions 1–4 are earlier layouts and are
+/// rejected like any other.)
+inline constexpr std::uint16_t kVersion = 5;
 /// Endianness marker as written by the producer; a consumer reading the
 /// byte-swapped value rejects the stream (frames are host-endian memcpy).
 inline constexpr std::uint16_t kEndianMark = 0xFEFF;
@@ -217,7 +227,7 @@ enum class FrameType : std::uint8_t {
   /// the producer-table interns new since the previous delta.
   kStringDelta = 1,
   /// Payload: u32 span_count, then span_count * sizeof(Span) raw span
-  /// bytes (one memcpy of a sealed publication batch).
+  /// bytes (a sealed publication batch's memory, verbatim).
   kSpanBatch = 2,
   /// Payload: one Footer struct. Terminates the stream.
   kFooter = 3,

@@ -50,7 +50,7 @@ std::uint64_t RemoteSink::next_correlation_block() noexcept {
   return next_corr_.fetch_add(kIdBlock, std::memory_order_relaxed);
 }
 
-void RemoteSink::publish(Span span) {
+void RemoteSink::publish(const Span& span) {
   published_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard lk(mu_);
   if (closed_) {
@@ -282,11 +282,11 @@ void RemoteSink::sender_loop() {
     if (!conn.writer->sink_failed()) {
       conn.writer->write_batch(batch);
       conn.spans_in_flight += batch.size();
-      // Latency bound for trickle producers: below the FrameSink's flush
-      // threshold encoded frames sit in its buffer, so once the outbox is
-      // empty push them to the socket now instead of waiting for 64 KiB
-      // to accumulate (a sparse stream would otherwise only ever reach
-      // the collector at close()).
+      // Latency bound for trickle producers: span payloads go to the
+      // socket as they are written, but bytes a saturated socket did not
+      // take wait in the FrameSink's buffer, so once the outbox is empty
+      // retry them now instead of at the next batch (a sparse stream would
+      // otherwise only ever finish reaching the collector at close()).
       bool idle;
       {
         std::lock_guard lk(mu_);

@@ -476,7 +476,7 @@ void TraceServer::note_thread_exit(std::uint64_t thread_key) {
   }
 }
 
-void TraceServer::publish(Span span) {
+void TraceServer::publish(const Span& span) {
   ProducerSlot& slot = local_slot();
   // Admission: one relaxed-ordered pointer load when no sampler is
   // attached — the rate-1.0 configuration must stay within noise of the
@@ -492,7 +492,7 @@ void TraceServer::publish(Span span) {
   slot.acquire();
   if (sampler != nullptr) ++slot.sampled_kept;
   if (span.dropped_annotations != 0) slot.dropped += span.dropped_annotations;
-  slot.active.push_back(std::move(span));
+  slot.active.push_back(span);
   if (slot.active.size() >= kBatchCapacity) {
     slot.sealed.push_back(std::move(slot.active));
     slot.active = slot.shard->take_free_batch();

@@ -50,7 +50,7 @@ void Tracer::finish_span(SpanId id, TimePoint t) {
   Span* s = find_open(id);
   if (s == nullptr) return;
   s->end = t;
-  server_->publish(std::move(*s));
+  server_->publish(*s);
   // Swap-erase: order of the open list is irrelevant.
   if (s != &open_.back()) *s = std::move(open_.back());
   open_.pop_back();
@@ -62,7 +62,7 @@ SpanId Tracer::publish_completed(Span span) {
   span.tracer = name_;
   span.level = level_;
   const SpanId id = span.id;
-  server_->publish(std::move(span));
+  server_->publish(span);
   return id;
 }
 

@@ -51,34 +51,44 @@ bool FrameSink::drain_locked() {
   return true;
 }
 
+bool FrameSink::write_through_locked(std::string_view bytes) {
+  // Flush what came before so order holds, then hand the caller's bytes
+  // to the sink directly — zero copies on the bulk path.
+  if (drain_locked()) {
+    while (!bytes.empty()) {
+      const std::size_t n = fn_(bytes);
+      if (n == kWriteError) {
+        failed_ = true;
+        buf_.clear();
+        return false;
+      }
+      if (n == 0) break;  // saturated mid-payload: buffer the rest
+      bytes.remove_prefix(n < bytes.size() ? n : bytes.size());
+    }
+  }
+  if (failed_) return false;
+  buf_.append(bytes);  // whatever the sink has not accepted yet
+  return true;
+}
+
 bool FrameSink::write(std::string_view bytes) {
   if (bytes.empty()) return !failed();
   std::lock_guard lk(mu_);
   if (failed_) return false;
   bytes_ += bytes.size();
-  if (bytes.size() >= kFlushThreshold) {
-    // Threshold-sized payloads (whole-batch span memcpys) skip the buffer:
-    // flush what came before so order holds, then hand the caller's bytes
-    // to the sink directly — zero copies on the bulk path.
-    if (drain_locked()) {
-      while (!bytes.empty()) {
-        const std::size_t n = fn_(bytes);
-        if (n == kWriteError) {
-          failed_ = true;
-          buf_.clear();
-          return false;
-        }
-        if (n == 0) break;  // saturated mid-payload: buffer the rest
-        bytes.remove_prefix(n < bytes.size() ? n : bytes.size());
-      }
-    }
-    if (failed_) return false;
-    buf_.append(bytes);  // whatever the sink has not accepted yet
-    return true;
-  }
+  // A threshold-sized write would flush the buffer at once anyway.
+  if (bytes.size() >= kFlushThreshold) return write_through_locked(bytes);
   buf_.append(bytes);
   if (buf_.size() >= kFlushThreshold) drain_locked();
   return !failed_;
+}
+
+bool FrameSink::write_through(std::string_view bytes) {
+  if (bytes.empty()) return !failed();
+  std::lock_guard lk(mu_);
+  if (failed_) return false;
+  bytes_ += bytes.size();
+  return write_through_locked(bytes);
 }
 
 bool FrameSink::flush() {
@@ -187,12 +197,14 @@ void BinaryWriter::append_span_frames_locked(const SpanBatch& batch) {
     fh.type = static_cast<std::uint8_t>(wire::FrameType::kSpanBatch);
     fh.payload_size = static_cast<std::uint32_t>(sizeof count + n * sizeof(Span));
     // Header + count via scratch, then the span payload straight from the
-    // batch memory — sizeof(Span) * n bytes in one write, no reformat.
+    // batch memory — sizeof(Span) * n bytes in one write, no reformat. The
+    // payload bypasses the sink's buffer because it is a span payload, at
+    // any record width and batch size.
     scratch_.clear();
     append_raw(scratch_, &fh, sizeof fh);
     append_raw(scratch_, &count, sizeof count);
     sink_.write(scratch_);
-    sink_.write({reinterpret_cast<const char*>(data), n * sizeof(Span)});
+    sink_.write_through({reinterpret_cast<const char*>(data), n * sizeof(Span)});
     data += n;
     remaining -= n;
     spans_written_ += n;

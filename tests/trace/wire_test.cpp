@@ -76,7 +76,7 @@ SpanBatches random_batches(std::uint64_t seed, std::size_t span_count) {
     }
     if (next() % 3 == 0) {
       // Inline value tags: per-span unique bytes that ride inside the
-      // record (wire v4) rather than the string table.
+      // record rather than the string table.
       char rid[InlineTagMap::kValueCapacity + 1];
       std::snprintf(rid, sizeof rid, "rv-%llu", static_cast<unsigned long long>(next()));
       s.inline_tags.set(tag_keys[0], rid);
@@ -413,6 +413,31 @@ std::uint64_t writer_allocations(std::size_t batches) {
   return during;
 }
 
+TEST(BinaryWire, SpanPayloadReachesTheSinkUncopied) {
+  // A span payload skips FrameSink's buffer because it is a span payload,
+  // whatever its byte size: the sink sees the batch's own memory in one
+  // callback. Nothing here depends on sizeof(Span), so a record-width
+  // change cannot quietly put full batches back on the copying path.
+  SpanBatch batch;
+  for (std::size_t i = 0; i < TraceServer::kBatchCapacity; ++i) {
+    batch.push_back(make_span(i + 1, static_cast<TimePoint>(i)));
+  }
+  const std::string_view payload(reinterpret_cast<const char*>(batch.data()),
+                                 batch.size() * sizeof(Span));
+  std::vector<std::string_view> chunks;
+  BinaryWriter writer([&chunks](std::string_view chunk) { chunks.push_back(chunk); });
+  writer.write_batch(batch);
+  std::size_t hits = 0;
+  for (const std::string_view chunk : chunks) {
+    if (chunk.data() == payload.data()) {
+      ++hits;
+      EXPECT_EQ(chunk.size(), payload.size()) << "payload split across callbacks";
+    }
+  }
+  EXPECT_EQ(hits, 1u) << "span payload went through the sink buffer";
+  writer.finish();
+}
+
 TEST(BinaryWire, WriterAllocationIsIndependentOfSpanCount) {
   const std::uint64_t small = writer_allocations(4);
   const std::uint64_t large = writer_allocations(256);  // 64x the spans
@@ -436,10 +461,10 @@ TEST(WireHostileInput, RejectsBadMagic) {
 }
 
 TEST(WireHostileInput, RejectsEveryOtherVersion) {
-  // One version is read: never-shipped development versions and future
-  // ones are rejected at open, not misread.
-  static_assert(wire::kVersion == 4);
-  for (const std::uint16_t version : {0, 1, 2, 3, 5}) {
+  // One version is read: earlier layouts and future ones are rejected at
+  // open, not misread.
+  static_assert(wire::kVersion == 5);
+  for (const std::uint16_t version : {0, 1, 2, 3, 4, 6}) {
     wire::Header h = valid_header();
     h.version = version;
     expect_wire_error(header_bytes(h), "unsupported format version");
@@ -607,8 +632,8 @@ TEST(WireHostileInput, RejectsAnnotationCountBeyondCapacity) {
   s.begin = 0;
   s.end = 1;
   std::string payload = span_batch_payload({s});
-  constexpr std::size_t kTagCountOffset =
-      offsetof(Span, tags) + 2 * 6 * sizeof(StrId);  // keys[6] + values[6], then count_
+  constexpr std::size_t kTagCountOffset =  // keys[N] + values[N], then count_
+      offsetof(Span, tags) + 2 * TagMap::capacity() * sizeof(StrId);
   payload[sizeof(std::uint32_t) + kTagCountOffset] = 0x7F;
   std::string bytes = header_bytes();
   bytes += frame(wire::FrameType::kSpanBatch, payload);

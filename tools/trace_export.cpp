@@ -15,7 +15,7 @@
 //   --level m|ml|mlg profiling levels (default mlg, no GPU metric replay)
 //   --gpu-metrics    collect the four GPU metrics too (implies mlg)
 //   --format chrome|spans|binary   output document (default chrome;
-//                    binary = XSP binary wire v4, src/trace/README.md)
+//                    binary = XSP binary wire v5, src/trace/README.md)
 //   --shards N       trace-server shards (default 1; 0 = per-core default)
 //   --out FILE       output path (required)
 //   --decode IN      decode mode: read binary wire file IN and re-export

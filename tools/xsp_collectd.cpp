@@ -1,5 +1,5 @@
 // xsp_collectd — the cross-process trace collector daemon: accepts XSP
-// binary wire v4 streams from remote producers (trace::RemoteSink),
+// binary wire v5 streams from remote producers (trace::RemoteSink),
 // re-interns and re-ids every span into one fleet-wide TraceServer
 // (--shards N), and fans the merged stream out to the same sinks an
 // in-process session would use.
