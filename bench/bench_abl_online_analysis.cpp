@@ -8,10 +8,10 @@
 // acceptance target is <10% publish-throughput cost for the attached
 // analyzer vs the no-subscriber drain.
 //
-//   BM_DrainNoSubscriber       publish -> flush -> take -> recycle, no hooks
+//   BM_DrainNoSubscriber       publish -> flush -> take -> drop, no hooks
 //   BM_DrainOnlineObserver     same cycle with the analyzer observing
 //   BM_DrainOnlineConsumer     publish -> flush; the analyzer consumes
-//                              (buffers recycle straight to the freelist)
+//                              (batches drop straight back to the pool)
 //   BM_ObserveBatchesOnly      analyzer aggregation alone, no server
 #include <benchmark/benchmark.h>
 
@@ -66,7 +66,6 @@ void BM_DrainNoSubscriber(benchmark::State& state) {
     publish_spans(server);
     SpanBatches taken = server.take_batches();
     benchmark::DoNotOptimize(taken.size());
-    server.recycle(std::move(taken));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSpansPerIter));
 }
@@ -81,7 +80,6 @@ void BM_DrainOnlineObserver(benchmark::State& state) {
     publish_spans(server);
     SpanBatches taken = server.take_batches();
     benchmark::DoNotOptimize(taken.size());
-    server.recycle(std::move(taken));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSpansPerIter));
   state.counters["spans_aggregated"] =

@@ -2,7 +2,7 @@
 //
 // Before thread-exit slot reclamation, a (thread, server) producer slot
 // lived until the server died: a long-lived server fed by short-lived
-// worker threads accreted one ~50KB slot per thread, and EVERY drain
+// worker threads accreted one ~55KB slot per thread, and EVERY drain
 // pass — collector tick, flush, take — swept all of them (a spinlock
 // acquire + batch scan per slot) forever. Reclamation retires a churned
 // slot in its first post-exit sweep, so the sweep cost stays O(live

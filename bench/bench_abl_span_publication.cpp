@@ -132,9 +132,10 @@ void BM_PublishSyncInlineTag(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-/// Single producer draining through take_batches() + recycle(): the
-/// intended steady-state hand-off, where batch buffers circulate through
-/// the server freelist instead of being malloc'd/freed per batch.
+/// Single producer draining through take_batches() and dropping the
+/// result: the intended steady-state hand-off, where batch blocks
+/// circulate through the batch pool instead of being malloc'd/freed per
+/// batch.
 void BM_PublishSyncRecycled(benchmark::State& state) {
   TraceServer server(PublishMode::kSync);
   std::size_t since_drain = 0;
@@ -143,17 +144,17 @@ void BM_PublishSyncRecycled(benchmark::State& state) {
     server.publish(make_span(server, i++));
     if (++since_drain == kDrainEvery) {
       since_drain = 0;
-      server.recycle(server.take_batches());
+      (void)server.take_batches();
     }
   }
-  server.recycle(server.take_batches());
+  (void)server.take_batches();
   state.SetItemsProcessed(state.iterations());
 }
 
 /// Contended publication through a multi-shard TraceServer: the same four
 /// pre-spawned publisher threads as BM_PublishContended, fanned out across
 /// state.range(0) shards by the thread-hash selector. The merge step
-/// (take_batches concatenation + recycle) runs on thread 0. On multicore
+/// (take_batches concatenation + drop) runs on thread 0. On multicore
 /// hardware this is the case that scales with shard count; on one core it
 /// shows the fleet does not regress under scheduler churn.
 void BM_PublishContendedSharded(benchmark::State& state) {
@@ -169,13 +170,13 @@ void BM_PublishContendedSharded(benchmark::State& state) {
     server->publish(make_span(*server, i++));
     if (state.thread_index() == 0 && ++since_drain == kDrainEvery) {
       since_drain = 0;
-      server->recycle(server->take_batches());
+      (void)server->take_batches();
     }
   }
   state.SetItemsProcessed(state.iterations());
 
   if (state.thread_index() == 0) {
-    server->recycle(server->take_batches());
+    (void)server->take_batches();
     server.reset();
   }
 }

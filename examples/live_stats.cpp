@@ -2,7 +2,7 @@
 //
 // A 4-shard fleet whose only consumer is an OnlineAnalyzer attached as a
 // kConsume drain subscriber: every drained batch is aggregated and its
-// buffers recycled to the shard freelists, so memory stays bounded while
+// block returned to the batch pool, so memory stays bounded while
 // the aggregates (per-kernel/per-layer-type totals, latency percentiles,
 // windowed rates, per-shard loads) stay current. Alongside it a second,
 // kObserve subscriber demonstrates fan-out: the two compose on the same

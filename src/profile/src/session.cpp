@@ -133,8 +133,8 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   // trace_shards == 1 is the plain single-shard shape; 0 lets the server
   // size itself to the hardware. The fleet is reused
   // across runs when its configuration matches — take_batches() left it
-  // empty. The previous run's batches went to its timeline, so this run
-  // publishes into fresh batch buffers.
+  // empty. The previous run's batches went to its timeline and return to
+  // the batch pool when it dies, so later runs publish into warm blocks.
   if (server_ == nullptr ||
       server_->shard_count() != trace::TraceServer::resolve_shard_count(options.trace_shards) ||
       server_->mode() != options.publish_mode) {
@@ -151,11 +151,10 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   } else {
     // A prior run that threw mid-publication may have left spans queued;
     // a reused fleet must start the run empty (and with drop counters
-    // zeroed), exactly like a fresh one. The discarded buffers refill the
-    // freelists. Span ids continue across runs, like the session clock
-    // does — per-run reproducibility is per fresh Session (see
-    // DeterministicAcrossIdenticalRuns), not per profile() call.
-    server_->recycle(server_->take_batches());
+    // zeroed), exactly like a fresh one. Span ids continue across runs,
+    // like the session clock does — per-run reproducibility is per fresh
+    // Session (see DeterministicAcrossIdenticalRuns), not per profile() call.
+    (void)server_->take_batches();
   }
   // Sampling admission: build (or drop) the policy before any tracer
   // publishes. One Sampler instance is shared by the fleet (admission),

@@ -234,16 +234,42 @@ static_assert(std::is_trivially_copyable_v<Span>);
 // change here is a deliberate layout change and bumps wire::kVersion.
 static_assert(sizeof(Span) == 216);
 
+/// Spans per publication batch: the unit the trace server seals and hands
+/// off, and the block BatchAllocator pools (256 × 216 B = 55,296 B).
+constexpr std::size_t kBatchCapacity = 256;
+constexpr std::size_t kBatchBytes = kBatchCapacity * sizeof(Span);
+
+/// SpanBatch's allocator. An allocation of exactly kBatchCapacity spans
+/// takes a block from a process-wide, mutex-guarded stack (batch_pool.cpp)
+/// and returns it wherever the batch dies (timeline, collector scratch,
+/// decoded file, sink outbox, discarded run), so leveled re-runs publish
+/// into warm pages. The stack calls operator new only when empty and never
+/// frees, so pooled + live batch bytes stay within the process's high-water
+/// mark of live batch bytes. Other sizes go straight to operator new.
+template <typename T>
+struct BatchAllocator;
+
+template <>
+struct BatchAllocator<Span> {
+  using value_type = Span;
+  [[nodiscard]] Span* allocate(std::size_t n);
+  void deallocate(Span* p, std::size_t n) noexcept;
+  friend bool operator==(const BatchAllocator&, const BatchAllocator&) noexcept { return true; }
+};
+
+/// Bytes parked in the batch pool: memory the profiler keeps on purpose.
+[[nodiscard]] std::uint64_t batch_pool_bytes() noexcept;
+
 /// One producer batch of spans, and a trace as the list of batches it was
 /// published in. The server aggregates and hands off batch handles; spans
 /// stay where they were published — Timeline::assemble keeps the batches
 /// and points into them.
-using SpanBatch = std::vector<Span>;
+using SpanBatch = std::vector<Span, BatchAllocator<Span>>;
 using SpanBatches = std::vector<SpanBatch>;
 
 /// Flatten publication batches into one contiguous span vector. Spans are
 /// trivially copyable, so each batch append lowers to one memcpy; the
-/// batches are left intact for the caller to recycle.
+/// batches are left intact.
 inline std::vector<Span> flatten_batches(const SpanBatches& batches) {
   std::size_t total = 0;
   for (const auto& batch : batches) total += batch.size();

@@ -78,10 +78,10 @@ class Timeline {
   /// launch/execution pair is merged into its execution span.
   static Timeline assemble(SpanBatches batches, const AssembleOptions& options = {});
 
-  /// Convenience overload for a flat span vector (wrapped as one batch).
-  static Timeline assemble(std::vector<Span> spans, const AssembleOptions& options = {}) {
+  /// Convenience overload for tests and benches: copies `spans` into one SpanBatch.
+  static Timeline assemble(const std::vector<Span>& spans, const AssembleOptions& options = {}) {
     SpanBatches batches;
-    batches.push_back(std::move(spans));
+    batches.emplace_back(spans.begin(), spans.end());
     return assemble(std::move(batches), options);
   }
 

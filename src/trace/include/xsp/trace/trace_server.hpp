@@ -19,8 +19,8 @@
 // flush() every span published happens-before the call is aggregated.
 //
 // Shards: a server runs as N shards (default 1). A shard owns producer
-// slots, a drain (and, in kAsync, a collector thread), its held batches
-// and a batch freelist. A publishing thread's slot is bound to one shard
+// slots, a drain (and, in kAsync, a collector thread) and its held
+// batches. A publishing thread's slot is bound to one shard
 // (a mixed thread key modulo N) when it registers, so concurrent
 // producers fan out across N drains instead of serializing on one, and a
 // publish costs the same one TLS slot lookup at any shard count.
@@ -77,9 +77,9 @@ enum class DrainHandoff : std::uint8_t {
   /// with the trace — the shape for "stream a copy while also assembling".
   kObserve,
   /// The subscriber *is* the consumer: after the callback returns, the
-  /// batch buffers go straight back to the server freelist and never
-  /// accumulate. Server memory stays bounded regardless of trace length;
-  /// take_batches()/take_trace() return nothing while attached.
+  /// batches are dropped (their blocks go back to the batch pool) and
+  /// never accumulate. Server memory stays bounded regardless of trace
+  /// length; take_batches()/take_trace() return nothing while attached.
   kConsume,
 };
 
@@ -108,18 +108,14 @@ using SubscriberId = std::uint64_t;
 /// TraceServer reference devirtualize.
 class TraceServer final : public SpanSink {
  public:
-  /// Spans per producer batch: the granularity at which the collector takes
-  /// work and the worst-case count a crashing producer could strand.
-  static constexpr std::size_t kBatchCapacity = 256;
-
-  /// Batch vectors each shard keeps for reuse after recycle(); bounds idle
-  /// memory at kFreelistCapacity * kBatchCapacity * sizeof(Span) per shard.
-  static constexpr std::size_t kFreelistCapacity = 16;
+  /// Spans per producer batch (span.hpp): the granularity at which the
+  /// collector takes work and the most a crashing producer could strand.
+  static constexpr std::size_t kBatchCapacity = trace::kBatchCapacity;
 
   /// Retired producer slots each shard parks for reuse: a new producer
   /// thread draws a parked slot before growing the registry, so
   /// steady-state thread churn recirculates a handful of slots instead of
-  /// allocating ~50KB per short-lived thread. Retired slots beyond the cap
+  /// allocating ~55KB per short-lived thread. Retired slots beyond the cap
   /// are destroyed outright — the freelist bounds idle slot memory, it is
   /// not a cache of record.
   static constexpr std::size_t kSlotFreelistCapacity = 8;
@@ -216,29 +212,22 @@ class TraceServer final : public SpanSink {
   /// Flush and move the aggregated trace out in publication batches — the
   /// zero-copy hand-off Timeline::assemble consumes directly. Span order
   /// across shards is arbitrary, exactly as it is across producer slots
-  /// of one shard; Timeline::assemble orders it.
+  /// of one shard; Timeline::assemble orders it. Dropping the result
+  /// returns its batch blocks to the batch pool.
   [[nodiscard]] SpanBatches take_batches();
-
-  /// Return batch buffers from a previous take_batches() for reuse once the
-  /// consumer is done with them. Recycled vectors are dealt round-robin to
-  /// the shard freelists that publish()/drain() draw replacement batches
-  /// from, making steady-state publication allocation-free end to end.
-  /// Dropping batches instead of recycling them is always safe — the
-  /// freelist is an optimization.
-  void recycle(SpanBatches batches);
 
   /// Attach a drain subscriber: the streaming hook. Subscribers observe
   /// batches as they drain instead of a consumer waiting for
   /// take_batches(); any number of kObserve subscribers may be attached
   /// at once (fan-out: a streaming exporter teeing to disk AND an online
   /// analyzer aggregating live), but at most ONE kConsume subscriber —
-  /// consuming hands the batch buffers to the freelist right after all
-  /// callbacks ran, so two consumers would each believe they own the
-  /// stream. Attaching a second consumer throws std::logic_error.
+  /// consuming drops the batches right after all callbacks ran, so two
+  /// consumers would each believe they own the stream. Attaching a second
+  /// consumer throws std::logic_error.
   ///
   /// Delivery order per drain pass: observers in attach order, the
   /// consumer last. With a consumer attached the publish → seal → drain →
-  /// deliver → recycle cycle runs in bounded memory for arbitrarily long
+  /// deliver → drop cycle runs in bounded memory for arbitrarily long
   /// traces and take_batches() returns nothing. Attaching/detaching
   /// synchronizes with in-flight drains on every shard; spans already
   /// aggregated before attach are NOT replayed (attach before publishing
@@ -276,7 +265,7 @@ class TraceServer final : public SpanSink {
   [[nodiscard]] std::size_t pooled_slot_count();
 
   /// Approximate bytes resident in producer slots, live and parked:
-  /// struct plus active/sealed batch capacities. The ~50KB-per-slot
+  /// struct plus active/sealed batch capacities. The ~55KB-per-slot
   /// figure operators size serving fleets with.
   [[nodiscard]] std::uint64_t approx_slot_bytes();
 
@@ -288,9 +277,10 @@ class TraceServer final : public SpanSink {
   /// instructions; values advance at drain cadence (they are sampled
   /// without forcing a flush). The one new measurement is a drain-pass
   /// wall-time histogram (xsp_trace_drain_duration_ns), observed once per
-  /// pass — nanoseconds per hundreds of spans. Rebinding replaces the
-  /// previous binding; the binding is removed when either the server or
-  /// the registry dies first (handles are weak).
+  /// pass — nanoseconds per hundreds of spans. The process-wide batch pool
+  /// is one series, xsp_trace_batch_pool_bytes, under `labels` alone.
+  /// Rebinding replaces the previous binding; the binding is removed when
+  /// either the server or the registry dies first (handles are weak).
   void bind_metrics(metrics::Registry& registry, const metrics::Labels& labels = {});
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
@@ -314,7 +304,7 @@ class TraceServer final : public SpanSink {
 
  private:
   struct ProducerSlot;  // one publishing thread's batch head
-  struct Shard;         // slots, drain, held batches, freelists, collector
+  struct Shard;         // slots, drain, held batches, collector
   struct Subscriber;    // one drain_subscribers_ entry
 
   /// The calling thread's slot for this server (registered on first use,

@@ -128,9 +128,9 @@ struct alignas(64) TraceServer::ProducerSlot {
   void release() noexcept { lock.clear(std::memory_order_release); }
 };
 
-/// One shard: its producer slots, drain, held batches, batch freelist and
-/// (kAsync) collector thread. Each group sits on its own cache lines so
-/// the publish path, the drain and the freelist never false-share.
+/// One shard: its producer slots, drain, held batches and (kAsync)
+/// collector thread. Each group sits on its own cache lines so the
+/// publish path and the drain never false-share.
 struct TraceServer::Shard {
   explicit Shard(std::size_t i) : index(i) {}
 
@@ -167,39 +167,10 @@ struct TraceServer::Shard {
   std::atomic<std::uint64_t> sampled_kept{0};
   std::atomic<std::uint64_t> sampled_dropped{0};
 
-  /// Freelist of cleared batch vectors (and, on shard 0, outer batch-list
-  /// vectors) fed by recycle(); drawn from by publish()/drain()/
-  /// take_batches().
-  alignas(64) std::mutex free_mu;
-  SpanBatches free_batches;
-  std::vector<SpanBatches> free_outers;
-
   alignas(64) std::mutex wake_mu;
   std::condition_variable wake_cv;
   std::atomic<std::size_t> pending_batches{0};
   std::thread collector;
-
-  /// Pop a recycled batch vector, or allocate a fresh one. Never blocks
-  /// (try-lock), so it is safe to call while holding a slot spinlock.
-  SpanBatch take_free_batch() {
-    SpanBatch batch;
-    if (free_mu.try_lock()) {
-      if (!free_batches.empty()) {
-        batch = std::move(free_batches.back());
-        free_batches.pop_back();
-      }
-      free_mu.unlock();
-    }
-    if (batch.capacity() < kBatchCapacity) batch.reserve(kBatchCapacity);
-    return batch;
-  }
-
-  void recycle_batch(SpanBatch batch) {
-    batch.clear();
-    if (batch.capacity() == 0) return;
-    std::lock_guard lk(free_mu);
-    if (free_batches.size() < kFreelistCapacity) free_batches.push_back(std::move(batch));
-  }
 
   std::uint64_t slot_bytes() {
     const auto bytes_of = [](ProducerSlot& slot) {
@@ -443,9 +414,7 @@ TraceServer::ProducerSlot& TraceServer::register_slot(std::uint64_t thread_key, 
   }
   owned->owner = thread_key;
   owned->reclaimable = false;
-  // A parked slot retired with an empty active batch kept its capacity;
-  // otherwise draw a recycled buffer (or allocate, on the cold path).
-  if (owned->active.capacity() < kBatchCapacity) owned->active = shard.take_free_batch();
+  owned->active.reserve(kBatchCapacity);  // no-op if a parked slot kept its block
   ProducerSlot* slot = owned.get();
   shard.slots.push_back(std::move(owned));
   return *slot;
@@ -467,7 +436,7 @@ void TraceServer::note_thread_exit(std::uint64_t thread_key) {
     }
   }
   // Retirement happens only inside a drain sweep; nudge the collector so
-  // a churn-heavy but otherwise idle server sheds the ~50KB promptly
+  // a churn-heavy but otherwise idle server sheds the ~55KB promptly
   // instead of waiting out the periodic timeout. (kSync retires on the
   // next flush/take, exactly like batch draining.)
   if (marked && mode_ == PublishMode::kAsync) {
@@ -494,8 +463,8 @@ void TraceServer::publish(const Span& span) {
   if (span.dropped_annotations != 0) slot.dropped += span.dropped_annotations;
   slot.active.push_back(span);
   if (slot.active.size() >= kBatchCapacity) {
-    slot.sealed.push_back(std::move(slot.active));
-    slot.active = slot.shard->take_free_batch();
+    slot.sealed.push_back(std::move(slot.active));  // leaves `active` empty
+    slot.active.reserve(kBatchCapacity);
     sealed = true;
   }
   slot.release();
@@ -547,9 +516,8 @@ void TraceServer::drain(Shard& shard, bool steal_active) {
       slot.sealed.clear();
       if ((steal_active || retire) && !slot.active.empty()) {
         taken.push_back(std::move(slot.active));
-        // A retiring slot's replacement is never published into; leave it
-        // empty rather than drawing down the batch freelist.
-        slot.active = retire ? SpanBatch{} : shard.take_free_batch();
+        // A retiring slot is never published into again: no new block.
+        if (!retire) slot.active.reserve(kBatchCapacity);
       }
       dropped += slot.dropped;
       slot.dropped = 0;
@@ -575,11 +543,6 @@ void TraceServer::drain(Shard& shard, bool steal_active) {
       ++shard.retired_slots;
       if (shard.free_slots.size() < kSlotFreelistCapacity) {
         shard.free_slots.push_back(std::move(retired));
-      } else {
-        // The slot dies, but its warmed batch buffer is still good: feed
-        // the batch freelist instead of re-allocating the same ~47KB for
-        // the next fresh registration. (No-op for a stolen-empty active.)
-        shard.recycle_batch(std::move(retired->active));
       }
     }
   }
@@ -595,15 +558,14 @@ void TraceServer::drain(Shard& shard, bool steal_active) {
     shard.drained_spans.fetch_add(drained, std::memory_order_relaxed);
   }
   // Streaming hooks run after the slot spinlocks are released (publishers
-  // are not blocked). When the consumer took the batches the buffers feed
-  // the freelist straight back and never touch the held trace — the
-  // bounded-memory path for unbounded traces.
+  // are not blocked). When the consumer took the batches they are dropped
+  // (their blocks go back to the batch pool) and never touch the held
+  // trace — the bounded-memory path for unbounded traces.
   if (!taken.empty() && deliver(shard, taken)) {
     {
       std::lock_guard lk(shard.trace_mu);
       shard.dropped_total += dropped;
     }
-    for (auto& batch : taken) shard.recycle_batch(std::move(batch));
     taken.clear();
     return;
   }
@@ -681,7 +643,7 @@ SubscriberId TraceServer::add_subscriber(ShardDrainSubscriber fn, DrainHandoff h
       !subscribers_.empty() && subscribers_.back()->handoff == DrainHandoff::kConsume;
   if (handoff == DrainHandoff::kConsume && has_consumer) {
     // Two consumers would each believe they own the span stream (the
-    // first one's buffers are recycled under the second one's feet).
+    // first one's batches are dropped under the second one's feet).
     throw std::logic_error(
         "TraceServer: a kConsume drain subscriber is already attached "
         "(at most one consumer; use kObserve for additional taps)");
@@ -743,6 +705,9 @@ std::uint64_t TraceServer::approx_slot_bytes() {
 void TraceServer::bind_metrics(metrics::Registry& registry, const metrics::Labels& labels) {
   std::lock_guard lk(metrics_mu_);
   metrics_cbs_.clear();
+  metrics_cbs_.push_back(registry.callback(
+      "xsp_trace_batch_pool_bytes", "Bytes parked in the process-wide span-batch pool",
+      metrics::Kind::kGauge, labels, [] { return static_cast<double>(batch_pool_bytes()); }));
   for (auto& owned : shards_) {
     Shard* shard = owned.get();
     metrics::Labels shard_labels = labels;
@@ -869,26 +834,11 @@ std::uint64_t TraceServer::sampled_dropped_count() {
 
 SpanBatches TraceServer::take_batches() {
   flush();
-  // Start from a recycled outer vector. The first shard holding batches
-  // swaps its whole list out for it (so that shard's next aggregation
-  // cycle appends into pre-grown storage); the other shards' batch
-  // handles are appended.
+  // Batch-handle moves only; each shard's list keeps its capacity.
   SpanBatches merged;
-  {
-    Shard& home = *shards_.front();
-    std::lock_guard lk(home.free_mu);
-    if (!home.free_outers.empty()) {
-      merged = std::move(home.free_outers.back());
-      home.free_outers.pop_back();
-    }
-  }
   for (auto& shard : shards_) {
     std::lock_guard lk(shard->trace_mu);
     shard->dropped_total = 0;
-    if (merged.empty()) {
-      merged.swap(shard->trace);
-      continue;
-    }
     merged.insert(merged.end(), std::make_move_iterator(shard->trace.begin()),
                   std::make_move_iterator(shard->trace.end()));
     shard->trace.clear();
@@ -896,34 +846,6 @@ SpanBatches TraceServer::take_batches() {
   return merged;
 }
 
-void TraceServer::recycle(SpanBatches batches) {
-  // Deal the buffers round-robin so every shard's freelist refills, not
-  // just the one the consumer thread would map to.
-  const std::size_t n = shards_.size();
-  for (std::size_t s = 0; s < n && s < batches.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard lk(shard.free_mu);
-    for (std::size_t i = s; i < batches.size() && shard.free_batches.size() < kFreelistCapacity;
-         i += n) {
-      batches[i].clear();
-      // Undersized vectors (partial batches from a steal) are still useful:
-      // take_free_batch() grows them to capacity on reuse.
-      if (batches[i].capacity() != 0) shard.free_batches.push_back(std::move(batches[i]));
-    }
-  }
-  batches.clear();
-  Shard& home = *shards_.front();
-  std::lock_guard lk(home.free_mu);
-  if (home.free_outers.size() < 4 && batches.capacity() != 0) {
-    home.free_outers.push_back(std::move(batches));
-  }
-}
-
-std::vector<Span> TraceServer::take_trace() {
-  SpanBatches batches = take_batches();
-  std::vector<Span> flat = flatten_batches(batches);
-  recycle(std::move(batches));
-  return flat;
-}
+std::vector<Span> TraceServer::take_trace() { return flatten_batches(take_batches()); }
 
 }  // namespace xsp::trace

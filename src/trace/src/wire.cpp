@@ -596,8 +596,7 @@ SpanBatches BinaryReader::read_all() {
   SpanBatches batches;
   SpanBatch batch;
   while (next_batch(batch)) {
-    batches.push_back(std::move(batch));
-    batch = SpanBatch();
+    batches.push_back(std::move(batch));  // leaves `batch` empty
   }
   return batches;
 }

@@ -62,7 +62,7 @@ std::string parity_delta() {
 std::string writer_stream() {
   std::string out;
   trace::BinaryWriter writer([&out](std::string_view chunk) { out.append(chunk); });
-  std::vector<Span> spans;
+  trace::SpanBatch spans;
   for (trace::SpanId id = 1; id <= 300; ++id) spans.push_back(parity_span(id));
   writer.write_batch(spans);
   writer.write_heartbeat(wire::Heartbeat{});

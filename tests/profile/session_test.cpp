@@ -269,7 +269,7 @@ TEST(Session, StreamExportSpanJsonCarriesRunTelemetryFooter) {
   EXPECT_GT(run.interned_strings, 0u);
   EXPECT_GT(run.interned_bytes, run.interned_strings);
   // ... and producer-slot health, next to it: the session's one publisher
-  // thread owns the one live slot, and its ~50KB shows up in slot_bytes.
+  // thread owns the one live slot, and its ~55KB shows up in slot_bytes.
   EXPECT_NE(streamed.find("\"live_slots\":" + std::to_string(run.live_slots)),
             std::string::npos);
   EXPECT_EQ(run.live_slots, 1u);

@@ -1,7 +1,8 @@
-// Batch-buffer recycling: once the freelist is warm, the steady-state
-// publish → seal → drain → take → recycle cycle must perform zero heap
-// allocations — batch vectors circulate between the server's freelist and
-// its producer slots instead of being malloc'd and freed per batch.
+// Batch recycling through the batch pool: once the pool is warm, the
+// steady-state publish → seal → drain → take → drop cycle allocates no
+// batch storage — dropped batches' blocks come back as the producer slots'
+// next batches instead of being malloc'd and freed per batch. The one
+// allocation left per cycle is take_batches()' outer handle vector.
 //
 // Allocations are counted by the replacement operator new in
 // test_alloc_count.cpp (it only counts; behaviour is unchanged).
@@ -26,7 +27,7 @@ Span make_span(SpanId id, TimePoint t) {
 }
 
 /// One full aggregation cycle: publish `batches` sealed batches' worth of
-/// spans, take the trace, hand the buffers back.
+/// spans, take the trace, drop it.
 template <typename Server>
 void cycle(Server& server, std::size_t batches) {
   for (std::size_t i = 0; i < batches * TraceServer::kBatchCapacity; ++i) {
@@ -36,32 +37,40 @@ void cycle(Server& server, std::size_t batches) {
   std::size_t total = 0;
   for (const auto& b : taken) total += b.size();
   ASSERT_EQ(total, batches * TraceServer::kBatchCapacity);
-  server.recycle(std::move(taken));
 }
 
 TEST(BatchRecycling, SteadyStatePublishIsAllocationFree) {
   // kSync keeps the test single-threaded and deterministic: no collector
-  // thread competes for batches, and the freelist try-lock always wins.
+  // thread competes for batches.
   TraceServer server(PublishMode::kSync);
 
-  // Warm-up: registers the producer slot, grows the sealed/staging/outer
-  // vectors, and fills the freelist.
+  // Warm-up: registers the producer slot, grows the sealed/staging/held
+  // vectors, and fills the batch pool.
   for (int round = 0; round < 3; ++round) cycle(server, 4);
 
+  constexpr int kRounds = 4;
+  g_xsp_test_alloc_watch_size.store(kBatchBytes, std::memory_order_relaxed);
   const std::uint64_t before = g_xsp_test_alloc_count.load(std::memory_order_relaxed);
-  for (int round = 0; round < 4; ++round) cycle(server, 4);
+  const std::uint64_t before_batches = g_xsp_test_alloc_watch_count.load(std::memory_order_relaxed);
+  for (int round = 0; round < kRounds; ++round) cycle(server, 4);
   const std::uint64_t during = g_xsp_test_alloc_count.load(std::memory_order_relaxed) - before;
+  const std::uint64_t during_batches =
+      g_xsp_test_alloc_watch_count.load(std::memory_order_relaxed) - before_batches;
+  g_xsp_test_alloc_watch_size.store(0, std::memory_order_relaxed);
 
+  EXPECT_EQ(during_batches, 0u) << "steady-state publish/drain/take/drop allocated batch storage";
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   // Sanitizer runtimes may allocate on their own; only require that the
-  // cycle completes (the functional recycling checks are in `cycle`).
+  // cycle completes (the functional checks are in `cycle`).
   (void)during;
 #else
-  EXPECT_EQ(during, 0u) << "steady-state publish/drain/take/recycle allocated";
+  // One allocation per round: the outer SpanBatches that take_batches()
+  // returns.
+  EXPECT_EQ(during, std::uint64_t{kRounds}) << "steady-state publish/drain/take/drop allocated";
 #endif
 }
 
-TEST(BatchRecycling, RecycledBuffersAreActuallyReused) {
+TEST(BatchRecycling, DroppedBuffersAreActuallyReused) {
   TraceServer server(PublishMode::kSync);
   for (std::size_t i = 0; i < TraceServer::kBatchCapacity; ++i) {
     server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
@@ -69,9 +78,9 @@ TEST(BatchRecycling, RecycledBuffersAreActuallyReused) {
   SpanBatches taken = server.take_batches();
   ASSERT_FALSE(taken.empty());
   const Span* recycled_data = taken.front().data();
-  server.recycle(std::move(taken));
+  taken.clear();
 
-  // The recycled buffer becomes the replacement active batch at the next
+  // The dropped buffer becomes the replacement active batch at the next
   // seal, so it shows up once two more batches have been sealed.
   for (std::size_t i = 0; i < 2 * TraceServer::kBatchCapacity; ++i) {
     server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
@@ -83,10 +92,10 @@ TEST(BatchRecycling, RecycledBuffersAreActuallyReused) {
   EXPECT_TRUE(reused);
 }
 
-TEST(BatchRecycling, RecycleRefillsEveryShardFreelist) {
-  // Round-robin distribution: after a take of 2N+ buffers from an N-shard
-  // server is recycled, a publisher on every shard seals its batches into
-  // recycled buffers instead of freshly allocated ones.
+TEST(BatchRecycling, DroppedBuffersServeEveryShard) {
+  // The pool is process-wide: after a take of 2N+ buffers from an N-shard
+  // server is dropped, a publisher on every shard seals its batches into
+  // dropped buffers instead of freshly allocated ones.
   constexpr std::size_t kShards = 2;
   TraceServer server(kShards, PublishMode::kSync);
   for (std::size_t shard = 0; shard < kShards; ++shard) {
@@ -100,13 +109,13 @@ TEST(BatchRecycling, RecycleRefillsEveryShardFreelist) {
   ASSERT_GE(taken.size(), 2 * kShards);
   std::vector<const Span*> recycled;
   for (const auto& b : taken) recycled.push_back(b.data());
-  server.recycle(std::move(taken));
+  taken.clear();
   EXPECT_EQ(server.span_count(), 0u);
 
   for (std::size_t shard = 0; shard < kShards; ++shard) {
     // Each new publisher takes over its shard's parked slot, whose own
     // buffer becomes the first sealed batch; the replacement for it comes
-    // from that shard's freelist and becomes the second.
+    // from the batch pool and becomes the second.
     on_shard(server, shard, [&server] {
       for (std::size_t i = 0; i < 2 * TraceServer::kBatchCapacity; ++i) {
         server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
@@ -121,8 +130,8 @@ TEST(BatchRecycling, RecycleRefillsEveryShardFreelist) {
     reused += std::count(recycled.begin(), recycled.end(), b.data()) != 0 ? 1 : 0;
   }
   EXPECT_EQ(spans, 2 * TraceServer::kBatchCapacity * kShards);
-  // One recycled buffer per shard: had recycle() filled only one shard's
-  // freelist, the other shard would have allocated its replacement.
+  // One dropped buffer per shard: every shard drew its replacement from
+  // the shared pool rather than allocating it.
   EXPECT_EQ(reused, kShards);
   EXPECT_EQ(server.shard_loads(),
             std::vector<std::uint64_t>(kShards, 6 * TraceServer::kBatchCapacity));

@@ -1,5 +1,5 @@
 // Property tests for the producer-slot lifecycle: a seeded interleaving
-// of publish / flush / take_batches / recycle / thread-exit against a
+// of publish / flush / take_batches / drop / thread-exit against a
 // live server must collect every span of the schedule exactly once, and
 // the timeline assembled from the collected batches must equal the
 // single-threaded oracle assembly of the same schedule — extending the
@@ -77,7 +77,6 @@ std::vector<Span> run_lifecycle(Server& server, const std::vector<Span>& schedul
     for (const auto& batch : batches) {
       collected.insert(collected.end(), batch.begin(), batch.end());
     }
-    server.recycle(std::move(batches));
   };
 
   while (next < schedule.size()) {

@@ -64,7 +64,7 @@ std::string stream_to_string(ExportFormat format, const SpanBatch& batch, bool w
 
 TEST(StreamingExport, BytesIdenticalToMaterializingWrappers) {
   const SpanBatch spans = linear_trace();
-  const Timeline timeline = Timeline::assemble(std::vector<Span>(spans));
+  const Timeline timeline = Timeline::assemble(SpanBatches{spans});
   ASSERT_EQ(timeline.size(), spans.size());
 
   EXPECT_EQ(stream_to_string(ExportFormat::kChromeTrace, spans, false, nullptr),

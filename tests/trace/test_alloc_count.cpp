@@ -16,9 +16,14 @@
 #endif
 
 std::atomic<std::uint64_t> g_xsp_test_alloc_count{0};
+std::atomic<std::size_t> g_xsp_test_alloc_watch_size{0};
+std::atomic<std::uint64_t> g_xsp_test_alloc_watch_count{0};
 
 void* operator new(std::size_t size) {
   g_xsp_test_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (size == g_xsp_test_alloc_watch_size.load(std::memory_order_relaxed)) {
+    g_xsp_test_alloc_watch_count.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }

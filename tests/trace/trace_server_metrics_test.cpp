@@ -115,6 +115,31 @@ TEST(TraceServerMetrics, EveryShardHasOneSeriesPerNameAndTheyAddUp) {
   EXPECT_EQ(sum_sampled_dropped, static_cast<double>(dropped));
 }
 
+TEST(TraceServerMetrics, BatchPoolBytesIsOneUnshardedGaugeThatCountsPooledBlocks) {
+  TraceServer server(2, PublishMode::kSync);
+  metrics::Registry registry;
+  server.bind_metrics(registry, {{"job", "test"}});
+  const auto pool_gauge = [&registry] {
+    const Scrape series = scrape(registry);
+    std::size_t families = 0;
+    for (const auto& [key, values] : series) families += key.first == "xsp_trace_batch_pool_bytes";
+    EXPECT_EQ(families, 1u);
+    const auto it = series.find({"xsp_trace_batch_pool_bytes", ""});
+    return it == series.end() || it->second.size() != 1 ? -1.0 : it->second.front();
+  };
+  EXPECT_NE(registry.text().find("xsp_trace_batch_pool_bytes{job=\"test\"}"), std::string::npos);
+
+  SpanBatch batch;
+  batch.reserve(kBatchCapacity);  // a pooled-size block, now live
+  const double before = pool_gauge();
+  EXPECT_EQ(before, static_cast<double>(batch_pool_bytes()));
+  batch = SpanBatch();  // the known drop
+  const double after = pool_gauge();
+  EXPECT_EQ(after, before + 55296.0);
+  EXPECT_EQ(after, static_cast<double>(batch_pool_bytes()));
+  EXPECT_EQ(static_cast<std::uint64_t>(after) % 55296u, 0u);  // whole blocks only
+}
+
 TEST(TraceServerMetrics, SeriesLeaveTheRegistryWithTheServer) {
   metrics::Registry registry;
   {
