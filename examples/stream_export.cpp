@@ -61,7 +61,7 @@ int main() {
   }
   server.flush();
   server.remove_drain_subscriber(sub);
-  exporter.set_meta({server.dropped_annotation_count(), server.shard_count()});
+  exporter.set_meta(server.meta());
   exporter.finish();
 
   std::printf("service mode: %llu spans -> %.1f MB of JSON through a %zu KB buffer; "

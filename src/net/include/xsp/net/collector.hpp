@@ -108,10 +108,14 @@ struct CollectorStats {
   /// Of http_requests: non-200 responses plus dropped hostile requests.
   std::uint64_t http_errors = 0;
   /// Summed from producer footers: spans the *producers* dropped before
-  /// the bytes ever reached us, and their reconnect counts — the fleet's
-  /// completeness story in two numbers.
+  /// the bytes ever reached us, their reconnect counts, and their sampling
+  /// accounting — the fleet's completeness story, so that per producer
+  /// published == sent + dropped + sampled_dropped balances from the
+  /// collector's own output.
   std::uint64_t producer_dropped_spans = 0;
   std::uint64_t producer_reconnects = 0;
+  std::uint64_t producer_sampled_kept = 0;
+  std::uint64_t producer_sampled_dropped = 0;
 };
 
 class CollectorService {

@@ -289,8 +289,11 @@ void CollectorService::account(Connection& conn, std::size_t bytes) {
   stats_.heartbeats_seen += heartbeats;
   if (footer) {
     ++stats_.footers_seen;
-    stats_.producer_dropped_spans += p.footer().remote_dropped_spans;
-    stats_.producer_reconnects += p.footer().remote_reconnects;
+    const trace::TraceMeta& meta = p.meta();
+    stats_.producer_dropped_spans += meta.remote_dropped_spans;
+    stats_.producer_reconnects += meta.remote_reconnects;
+    stats_.producer_sampled_kept += meta.sampled_kept;
+    stats_.producer_sampled_dropped += meta.sampled_dropped;
   }
 }
 

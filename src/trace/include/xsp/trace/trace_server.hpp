@@ -54,6 +54,7 @@
 #include "xsp/metrics/registry.hpp"
 #include "xsp/trace/span.hpp"
 #include "xsp/trace/span_sink.hpp"
+#include "xsp/trace/trace_meta.hpp"
 
 namespace xsp::trace {
 
@@ -269,16 +270,26 @@ class TraceServer final : public SpanSink {
   /// figure operators size serving fleets with.
   [[nodiscard]] std::uint64_t approx_slot_bytes();
 
+  /// The run telemetry the server can report, after one flush: every
+  /// per-shard field (annotation drops, slot health, sampler counts)
+  /// summed over the shards, shard_count, and the process-wide
+  /// StringTable fields. Callers fill what they own (remote_* fields,
+  /// per-run deltas).
+  [[nodiscard]] TraceMeta meta();
+
   /// Register every shard's health series with a metrics registry, each
   /// under `labels` plus {"shard","<i>"} — fleet totals are a PromQL sum
   /// over the shard dimension and a hot shard is visible as its own
-  /// series. The series are callback-backed reads of counters the server
-  /// already maintains, so the publish hot path gains ZERO new
-  /// instructions; values advance at drain cadence (they are sampled
-  /// without forcing a flush). The one new measurement is a drain-pass
-  /// wall-time histogram (xsp_trace_drain_duration_ns), observed once per
-  /// pass — nanoseconds per hundreds of spans. The process-wide batch pool
-  /// is one series, xsp_trace_batch_pool_bytes, under `labels` alone.
+  /// series. Every field meta() sums over the shards is one series,
+  /// xsp_trace_<key> (plus _total for a counter) with its kMetaFields help
+  /// text; xsp_trace_drained_spans_total is the shard's load. The series
+  /// are callback-backed reads of counters the server already maintains,
+  /// so the publish hot path gains ZERO new instructions; values advance
+  /// at drain cadence (they are sampled without forcing a flush). The one
+  /// new measurement is a drain-pass wall-time histogram
+  /// (xsp_trace_drain_duration_ns), observed once per pass — nanoseconds
+  /// per hundreds of spans. The process-wide batch pool is one series,
+  /// xsp_trace_batch_pool_bytes, under `labels` alone.
   /// Rebinding replaces the previous binding; the binding is removed when
   /// either the server or the registry dies first (handles are weak).
   void bind_metrics(metrics::Registry& registry, const metrics::Labels& labels = {});

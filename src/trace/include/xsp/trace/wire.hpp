@@ -54,60 +54,9 @@
 
 #include "xsp/common/string_table.hpp"
 #include "xsp/trace/span.hpp"
+#include "xsp/trace/trace_meta.hpp"
 
 namespace xsp::trace {
-
-/// Collection-level telemetry to embed alongside the spans — the numbers
-/// an operator needs without scanning the trace. Populated from
-/// TraceServer::dropped_annotation_count() and shard_count(). Defined
-/// here, in the format-agnostic serialization core, because every backend
-/// ships it: the JSON exporter as its metadata footer, the binary writer
-/// as its Footer frame.
-struct TraceMeta {
-  /// Server-level aggregate of per-span annotation drops (tag/metric
-  /// capacity overflow) for the run that produced the timeline.
-  std::uint64_t dropped_annotations = 0;
-  /// Number of trace-server shards the spans were collected across.
-  std::size_t shard_count = 1;
-  /// Global StringTable growth telemetry sampled at export time: distinct
-  /// interned strings and their approximate resident bytes. The table
-  /// never evicts, so a long-running service watches these to see
-  /// interned-annotation growth. 0/0 when not sampled.
-  std::uint64_t interned_strings = 0;
-  std::uint64_t interned_bytes = 0;
-  /// Producer-slot health sampled at export time (see
-  /// TraceServer::live_slot_count() et al.): slots currently registered,
-  /// slots retired by thread-exit reclamation over the collection fleet's
-  /// lifetime, and approximate bytes resident in slots. A live_slots
-  /// figure that tracks thread churn instead of live threads means
-  /// reclamation is off or broken. All 0 when not sampled.
-  std::uint64_t live_slots = 0;
-  std::uint64_t retired_slots = 0;
-  std::uint64_t slot_bytes = 0;
-  /// Remote-transport telemetry (trace::RemoteSink): spans dropped by the
-  /// producer because the bounded send buffer was full or a connection
-  /// died with frames still queued, and the number of reconnects the sink
-  /// performed. Non-zero remote_dropped_spans means the collector's copy
-  /// of the trace is incomplete — by accounted backpressure, never
-  /// silently. Both 0 when no remote sink was involved.
-  std::uint64_t remote_dropped_spans = 0;
-  std::uint64_t remote_reconnects = 0;
-  /// Sampling accounting (trace::Sampler): spans the admission policy kept
-  /// and shed at publish. `published == sampled_kept + sampled_dropped`
-  /// whenever a sampler was attached; both 0 when none was (every span
-  /// implicitly admitted). Consumers rescale rate/count aggregates by the
-  /// effective sampling fraction (see analysis::OnlineAnalyzer).
-  std::uint64_t sampled_kept = 0;
-  std::uint64_t sampled_dropped = 0;
-  /// Bounded-interning accounting: the string table's configured byte
-  /// budget (0 = unbounded) and the lifetime count of intern() calls
-  /// rejected at the budget or the id-space cap (each resolved to the
-  /// `<interned-cap>` sentinel instead of growing the table). Non-zero
-  /// rejected_interns means some annotation values in the trace read as
-  /// the sentinel.
-  std::uint64_t strtab_budget_bytes = 0;
-  std::uint64_t rejected_interns = 0;
-};
 
 /// Bounded-buffer byte sink: the serialization core's output seam. Bytes
 /// append into a fixed-threshold internal buffer and are pushed to the
@@ -259,27 +208,17 @@ struct FrameHeader {
 static_assert(sizeof(FrameHeader) == 8);
 static_assert(std::is_trivially_copyable_v<FrameHeader>);
 
-/// Trailing telemetry frame: the TraceMeta the JSON footer carries, plus
-/// the stream's own span/byte accounting. export_bytes counts every byte
-/// written before this frame (header, deltas, span batches).
+/// Trailing telemetry frame: the stream's own span/byte accounting, then
+/// the run's TraceMeta verbatim. export_bytes counts every byte written
+/// before this frame (header, deltas, span batches). A field added to
+/// TraceMeta grows the frame, which fails the size check below until
+/// kVersion is bumped with it.
 struct Footer {
   std::uint64_t span_count;
   std::uint64_t export_bytes;
-  std::uint64_t dropped_annotations;
-  std::uint64_t shard_count;
-  std::uint64_t interned_strings;
-  std::uint64_t interned_bytes;
-  std::uint64_t live_slots;
-  std::uint64_t retired_slots;
-  std::uint64_t slot_bytes;
-  std::uint64_t remote_dropped_spans;
-  std::uint64_t remote_reconnects;
-  std::uint64_t sampled_kept;
-  std::uint64_t sampled_dropped;
-  std::uint64_t strtab_budget_bytes;
-  std::uint64_t rejected_interns;
+  TraceMeta meta;
 };
-static_assert(sizeof(Footer) == 15 * sizeof(std::uint64_t));
+static_assert(sizeof(Footer) == 120, "footer layout changed: bump kVersion");
 static_assert(std::is_trivially_copyable_v<Footer>);
 
 /// Heartbeat payload: a producer's live transport/sampling counters,
@@ -442,10 +381,9 @@ class FrameParser {
 
   /// True once the footer frame has been read.
   [[nodiscard]] bool saw_footer() const noexcept { return state_ == State::kEnd; }
-  /// The footer frame's telemetry; zeros until saw_footer().
+  /// The footer frame's telemetry; defaults until saw_footer().
   [[nodiscard]] const Footer& footer() const noexcept { return footer_; }
-  /// Footer telemetry in TraceMeta shape (zeros until saw_footer()).
-  [[nodiscard]] TraceMeta meta() const noexcept;
+  [[nodiscard]] const TraceMeta& meta() const noexcept { return footer_.meta; }
 
   /// Heartbeat frames decoded so far.
   [[nodiscard]] std::uint64_t heartbeats_seen() const noexcept { return heartbeats_seen_; }
@@ -530,12 +468,12 @@ class BinaryReader {
   /// decoded normally, only the final telemetry is missing.
   [[nodiscard]] bool saw_footer() const noexcept { return parser_.saw_footer(); }
 
-  /// The footer frame's telemetry; zeros until saw_footer().
+  /// The footer frame's telemetry; defaults until saw_footer().
   [[nodiscard]] const wire::Footer& footer() const noexcept { return parser_.footer(); }
 
-  /// Footer telemetry in TraceMeta shape (zeros until saw_footer()) —
-  /// hand to a StreamingExporter when re-exporting as JSON.
-  [[nodiscard]] TraceMeta meta() const noexcept { return parser_.meta(); }
+  /// The footer's TraceMeta — hand to a StreamingExporter when
+  /// re-exporting as JSON.
+  [[nodiscard]] const TraceMeta& meta() const noexcept { return parser_.meta(); }
 
   /// Spans decoded so far.
   [[nodiscard]] std::uint64_t spans_read() const noexcept { return parser_.spans_decoded(); }

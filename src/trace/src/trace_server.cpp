@@ -190,7 +190,50 @@ struct TraceServer::Shard {
     for (auto& slot : free_slots) total += bytes_of(*slot);
     return total;
   }
+
+  /// A TraceMeta field a shard produces, read from its own counters
+  /// without flushing.
+  using Read = std::uint64_t (*)(Shard&);
+  struct MetaRow {
+    std::uint64_t TraceMeta::*member;
+    Read read;
+  };
+  /// Every such field: TraceServer::meta() sums each over the shards and
+  /// bind_metrics() exposes each as a per-shard series.
+  static const MetaRow kMeta[];
+  /// The kMeta reader of `member`; null for a field no shard produces.
+  static Read reader(std::uint64_t TraceMeta::*member);
 };
+
+const TraceServer::Shard::MetaRow TraceServer::Shard::kMeta[] = {
+    {&TraceMeta::dropped_annotations,
+     [](Shard& s) {
+       std::lock_guard lk(s.trace_mu);
+       return s.dropped_total;
+     }},
+    {&TraceMeta::live_slots,
+     [](Shard& s) -> std::uint64_t {
+       std::lock_guard lk(s.registry_mu);
+       return s.slots.size();
+     }},
+    {&TraceMeta::retired_slots,
+     [](Shard& s) {
+       std::lock_guard lk(s.registry_mu);
+       return s.retired_slots;
+     }},
+    {&TraceMeta::slot_bytes, [](Shard& s) { return s.slot_bytes(); }},
+    {&TraceMeta::sampled_kept,
+     [](Shard& s) { return s.sampled_kept.load(std::memory_order_relaxed); }},
+    {&TraceMeta::sampled_dropped,
+     [](Shard& s) { return s.sampled_dropped.load(std::memory_order_relaxed); }},
+};
+
+TraceServer::Shard::Read TraceServer::Shard::reader(std::uint64_t TraceMeta::*member) {
+  for (const MetaRow& row : kMeta) {
+    if (row.member == member) return row.read;
+  }
+  return nullptr;
+}
 
 struct TraceServer::Subscriber {
   SubscriberId id = 0;
@@ -678,17 +721,11 @@ std::size_t TraceServer::drain_subscriber_count() {
 }
 
 std::size_t TraceServer::live_slot_count() {
-  return sum_over(shards_, [](Shard& shard) {
-    std::lock_guard lk(shard.registry_mu);
-    return shard.slots.size();
-  });
+  return sum_over(shards_, Shard::reader(&TraceMeta::live_slots));
 }
 
 std::uint64_t TraceServer::retired_slot_count() {
-  return sum_over(shards_, [](Shard& shard) {
-    std::lock_guard lk(shard.registry_mu);
-    return shard.retired_slots;
-  });
+  return sum_over(shards_, Shard::reader(&TraceMeta::retired_slots));
 }
 
 std::size_t TraceServer::pooled_slot_count() {
@@ -699,7 +736,20 @@ std::size_t TraceServer::pooled_slot_count() {
 }
 
 std::uint64_t TraceServer::approx_slot_bytes() {
-  return sum_over(shards_, [](Shard& shard) { return shard.slot_bytes(); });
+  return sum_over(shards_, Shard::reader(&TraceMeta::slot_bytes));
+}
+
+TraceMeta TraceServer::meta() {
+  flush();
+  TraceMeta meta;
+  for (const Shard::MetaRow& row : Shard::kMeta) meta.*row.member = sum_over(shards_, row.read);
+  meta.shard_count = shards_.size();
+  const auto& table = common::StringTable::global();
+  meta.interned_strings = table.size();
+  meta.interned_bytes = table.approx_bytes();
+  meta.strtab_budget_bytes = table.budget_bytes();
+  meta.rejected_interns = table.rejected_interns();
+  return meta;
 }
 
 void TraceServer::bind_metrics(metrics::Registry& registry, const metrics::Labels& labels) {
@@ -712,7 +762,7 @@ void TraceServer::bind_metrics(metrics::Registry& registry, const metrics::Label
     Shard* shard = owned.get();
     metrics::Labels shard_labels = labels;
     shard_labels.push_back({"shard", std::to_string(shard->index)});
-    const auto cb = [&](const char* name, const char* help, metrics::Kind kind,
+    const auto cb = [&](std::string_view name, std::string_view help, metrics::Kind kind,
                         metrics::Sample sample) {
       metrics_cbs_.push_back(
           registry.callback(name, help, kind, shard_labels, std::move(sample)));
@@ -724,32 +774,14 @@ void TraceServer::bind_metrics(metrics::Registry& registry, const metrics::Label
        metrics::Kind::kCounter, [shard] {
          return static_cast<double>(shard->drained_spans.load(std::memory_order_relaxed));
        });
-    cb("xsp_trace_sampled_kept_total", "Spans the admission sampler kept at publish",
-       metrics::Kind::kCounter, [shard] {
-         return static_cast<double>(shard->sampled_kept.load(std::memory_order_relaxed));
-       });
-    cb("xsp_trace_sampled_dropped_total", "Spans the admission sampler shed at publish",
-       metrics::Kind::kCounter, [shard] {
-         return static_cast<double>(shard->sampled_dropped.load(std::memory_order_relaxed));
-       });
-    cb("xsp_trace_dropped_annotations_total",
-       "Per-span annotation drops (tag/metric capacity overflow), as of the last drain",
-       metrics::Kind::kCounter, [shard] {
-         std::lock_guard tl(shard->trace_mu);
-         return static_cast<double>(shard->dropped_total);
-       });
-    cb("xsp_trace_live_slots", "Producer slots currently registered",
-       metrics::Kind::kGauge, [shard] {
-         std::lock_guard rl(shard->registry_mu);
-         return static_cast<double>(shard->slots.size());
-       });
-    cb("xsp_trace_retired_slots_total", "Producer slots retired by thread-exit reclamation",
-       metrics::Kind::kCounter, [shard] {
-         std::lock_guard rl(shard->registry_mu);
-         return static_cast<double>(shard->retired_slots);
-       });
-    cb("xsp_trace_slot_bytes", "Approximate bytes resident in producer slots",
-       metrics::Kind::kGauge, [shard] { return static_cast<double>(shard->slot_bytes()); });
+    for (const MetaField& field : kMetaFields) {
+      const auto read = Shard::reader(field.member);
+      if (read == nullptr) continue;
+      std::string name = std::string("xsp_trace_") + field.key;
+      if (field.kind == metrics::Kind::kCounter) name += "_total";
+      cb(name, field.help, field.kind,
+         [shard, read] { return static_cast<double>(read(*shard)); });
+    }
     // The one new measurement: drain-pass wall time (see drain()).
     drain_hist_refs_.push_back(registry.histogram(
         "xsp_trace_drain_duration_ns", "Wall time of one drain pass in nanoseconds",
@@ -790,10 +822,7 @@ std::size_t TraceServer::span_count() {
 
 std::uint64_t TraceServer::dropped_annotation_count() {
   flush();
-  return sum_over(shards_, [](Shard& shard) {
-    std::lock_guard lk(shard.trace_mu);
-    return shard.dropped_total;
-  });
+  return sum_over(shards_, Shard::reader(&TraceMeta::dropped_annotations));
 }
 
 std::vector<std::uint64_t> TraceServer::shard_loads() {
@@ -820,16 +849,12 @@ void TraceServer::set_sampler(std::shared_ptr<const Sampler> sampler) {
 
 std::uint64_t TraceServer::sampled_kept_count() {
   flush();
-  return sum_over(shards_, [](Shard& shard) {
-    return shard.sampled_kept.load(std::memory_order_relaxed);
-  });
+  return sum_over(shards_, Shard::reader(&TraceMeta::sampled_kept));
 }
 
 std::uint64_t TraceServer::sampled_dropped_count() {
   flush();
-  return sum_over(shards_, [](Shard& shard) {
-    return shard.sampled_dropped.load(std::memory_order_relaxed);
-  });
+  return sum_over(shards_, Shard::reader(&TraceMeta::sampled_dropped));
 }
 
 SpanBatches TraceServer::take_batches() {

@@ -258,22 +258,7 @@ void BinaryWriter::write_heartbeat(const wire::Heartbeat& hb) {
 void BinaryWriter::finish() {
   std::lock_guard lk(mu_);
   if (finished_) return;
-  wire::Footer footer{};
-  footer.span_count = spans_written_;
-  footer.export_bytes = sink_.bytes_written();
-  footer.dropped_annotations = meta_.dropped_annotations;
-  footer.shard_count = meta_.shard_count;
-  footer.interned_strings = meta_.interned_strings;
-  footer.interned_bytes = meta_.interned_bytes;
-  footer.live_slots = meta_.live_slots;
-  footer.retired_slots = meta_.retired_slots;
-  footer.slot_bytes = meta_.slot_bytes;
-  footer.remote_dropped_spans = meta_.remote_dropped_spans;
-  footer.remote_reconnects = meta_.remote_reconnects;
-  footer.sampled_kept = meta_.sampled_kept;
-  footer.sampled_dropped = meta_.sampled_dropped;
-  footer.strtab_budget_bytes = meta_.strtab_budget_bytes;
-  footer.rejected_interns = meta_.rejected_interns;
+  const wire::Footer footer{spans_written_, sink_.bytes_written(), meta_};
   wire::FrameHeader fh{};
   fh.type = static_cast<std::uint8_t>(wire::FrameType::kFooter);
   fh.payload_size = static_cast<std::uint32_t>(sizeof footer);
@@ -541,24 +526,6 @@ void FrameParser::remap_span(Span& span) const {
   // value bytes ride in the span itself and pass through untouched —
   // high-cardinality values never touch this process's StringTable.
   span.inline_tags.remap_keys(remap);
-}
-
-TraceMeta FrameParser::meta() const noexcept {
-  TraceMeta m;
-  m.dropped_annotations = footer_.dropped_annotations;
-  m.shard_count = static_cast<std::size_t>(footer_.shard_count);
-  m.interned_strings = footer_.interned_strings;
-  m.interned_bytes = footer_.interned_bytes;
-  m.live_slots = footer_.live_slots;
-  m.retired_slots = footer_.retired_slots;
-  m.slot_bytes = footer_.slot_bytes;
-  m.remote_dropped_spans = footer_.remote_dropped_spans;
-  m.remote_reconnects = footer_.remote_reconnects;
-  m.sampled_kept = footer_.sampled_kept;
-  m.sampled_dropped = footer_.sampled_dropped;
-  m.strtab_budget_bytes = footer_.strtab_budget_bytes;
-  m.rejected_interns = footer_.rejected_interns;
-  return m;
 }
 
 }  // namespace wire

@@ -4,11 +4,12 @@
 # traces into it, then exact accounting — the daemon's spans_ingested
 # must equal the fleet's published-minus-dropped sum, every footer must
 # arrive, and the daemon's merged binary export must decode back to
-# valid JSON via trace_export. The daemon also serves /metrics (live
-# Prometheus exposition) on a loopback TCP port: the script scrapes it
-# mid-run, requires the exposition to parse, and asserts the wire-level
-# accounting invariant — xsp_ingested_spans_total equals the same fleet
-# sum — then drives one xsp_top --daemon scrape against it.
+# valid JSON via trace_export, with a footer that sums the producers'
+# drops. The daemon also serves /metrics (live Prometheus exposition) on
+# a loopback TCP port: the script scrapes it mid-run, requires the
+# exposition to parse, and asserts the wire-level accounting invariant —
+# xsp_ingested_spans_total equals the same fleet sum — then drives one
+# xsp_top --daemon scrape against it.
 #
 # Bounded interning rides the same harness: the daemon runs with a
 # string-table byte budget and every producer also streams a
@@ -165,6 +166,7 @@ done
 # Fleet-side accounting: what must have reached the daemon — the
 # session stream plus each producer's inline-tag side channel.
 expected=0
+fleet_dropped=0
 for p in $(seq 1 "$PRODUCERS"); do
   published="$(field published "$OUT_DIR/producer_$p.out")"
   dropped="$(field dropped "$OUT_DIR/producer_$p.out")"
@@ -173,6 +175,7 @@ for p in $(seq 1 "$PRODUCERS"); do
   [ -n "$published" ] || fail "producer $p printed no accounting"
   [ -n "$inline_published" ] || fail "producer $p printed no inline accounting"
   expected=$((expected + published - dropped + inline_published - inline_dropped))
+  fleet_dropped=$((fleet_dropped + dropped + inline_dropped))
 done
 
 # The accounting invariant on the live endpoint: with the fleet drained,
@@ -242,6 +245,17 @@ python3 -m json.tool "$OUT_DIR/fleet.json" > /dev/null \
 decoded="$(grep -o 'decoded [0-9]*' "$OUT_DIR/decode.out" | cut -d' ' -f2)"
 [ "$decoded" -eq "$ingested" ] || fail "decode saw $decoded spans, daemon ingested $ingested"
 
+# The footer end to end (producer footers -> daemon -> .xspb -> decode ->
+# JSON): the daemon's footer sums the producers' transport drops, and an
+# unsampled fleet sheds nothing.
+python3 - "$OUT_DIR/fleet.json" "$fleet_dropped" <<'EOF' \
+  || fail "decoded footer does not carry the fleet's accounting"
+import json, sys
+meta = json.load(open(sys.argv[1]))["metadata"]
+assert meta["remote_dropped_spans"] == int(sys.argv[2]), (meta, sys.argv[2])
+assert meta["sampled_dropped"] == 0, meta
+EOF
+
 echo "multiproc_smoke: OK — $PRODUCERS producers, $ingested spans ingested," \
      "$footers footers, /metrics invariant holds, strtab $scraped_strtab B" \
-     "under $STRTAB_BUDGET B budget, decode matches"
+     "under $STRTAB_BUDGET B budget, decode and its footer match"

@@ -242,7 +242,8 @@ TEST(CollectorE2E, CollidingFabricatedStrIdsNeverCrossContaminate) {
   constexpr std::uint32_t kNameId = 0x00CC0001;
   constexpr std::uint32_t kTracerId = 0x00CC0002;
   const auto stream_parts = [&](std::string_view name, std::string_view tracer,
-                                std::uint64_t footer_drops, std::uint64_t footer_reconnects) {
+                                std::uint64_t footer_drops, std::uint64_t footer_reconnects,
+                                std::uint64_t footer_kept, std::uint64_t footer_shed) {
     std::string delta = delta_entry(kNameId, name);
     delta += delta_entry(kTracerId, tracer);
     Span s;
@@ -253,15 +254,17 @@ TEST(CollectorE2E, CollidingFabricatedStrIdsNeverCrossContaminate) {
     s.end = 9;
     trace::wire::Footer f{};
     f.span_count = 1;
-    f.remote_dropped_spans = footer_drops;
-    f.remote_reconnects = footer_reconnects;
+    f.meta.remote_dropped_spans = footer_drops;
+    f.meta.remote_reconnects = footer_reconnects;
+    f.meta.sampled_kept = footer_kept;
+    f.meta.sampled_dropped = footer_shed;
     return std::make_pair(
         header_bytes() + frame(trace::wire::FrameType::kStringDelta, delta),
         frame(trace::wire::FrameType::kSpanBatch, span_batch_payload({s})) +
             footer_frame(f));
   };
-  const auto [a_head, a_tail] = stream_parts("collide_alpha", "collider_tracer_a", 3, 1);
-  const auto [b_head, b_tail] = stream_parts("collide_beta", "collider_tracer_b", 4, 2);
+  const auto [a_head, a_tail] = stream_parts("collide_alpha", "collider_tracer_a", 3, 1, 10, 30);
+  const auto [b_head, b_tail] = stream_parts("collide_beta", "collider_tracer_b", 4, 2, 20, 50);
 
   const Endpoint ep = uds_endpoint("col_collide");
   RunningCollector collector(ep);
@@ -299,6 +302,8 @@ TEST(CollectorE2E, CollidingFabricatedStrIdsNeverCrossContaminate) {
   EXPECT_EQ(stats.footers_seen, 2u);
   EXPECT_EQ(stats.producer_dropped_spans, 7u);  // 3 + 4, summed from footers
   EXPECT_EQ(stats.producer_reconnects, 3u);     // 1 + 2
+  EXPECT_EQ(stats.producer_sampled_kept, 30u);     // 10 + 20
+  EXPECT_EQ(stats.producer_sampled_dropped, 80u);  // 30 + 50
   EXPECT_EQ(stats.connections_closed, 2u);
   EXPECT_EQ(stats.connections_errored, 0u);
 }

@@ -215,7 +215,7 @@ TEST(Session, RunTraceCarriesCollectionTelemetry) {
   auto opts = ProfileOptions::model_layer();
   opts.trace_shards = 2;
   const auto run = s.profile(small_graph(), opts);
-  EXPECT_EQ(run.trace_shards, 2u);
+  EXPECT_EQ(run.shard_count, 2u);
   // The simulated profilers stay within annotation capacity.
   EXPECT_EQ(run.dropped_annotations, 0u);
   const auto meta = run.trace_meta();
@@ -300,9 +300,9 @@ TEST(Session, StreamExportBinaryRoundTripsThroughBinaryReader) {
   EXPECT_EQ(reader.spans_read(), run.streamed_spans);
   // The footer frame carries the same run telemetry the JSON footer does.
   EXPECT_EQ(reader.footer().span_count, run.streamed_spans);
-  EXPECT_EQ(reader.footer().shard_count, 2u);
-  EXPECT_EQ(reader.footer().live_slots, run.live_slots);
-  EXPECT_EQ(reader.footer().interned_strings, run.interned_strings);
+  EXPECT_EQ(reader.footer().meta.shard_count, 2u);
+  EXPECT_EQ(reader.footer().meta.live_slots, run.live_slots);
+  EXPECT_EQ(reader.footer().meta.interned_strings, run.interned_strings);
 
   // Decoded spans assemble into the same timeline the live run produced.
   const trace::Timeline replay = trace::Timeline::assemble(trace::flatten_batches(decoded));

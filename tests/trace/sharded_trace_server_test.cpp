@@ -8,12 +8,15 @@
 
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <tuple>
 #include <unordered_set>
 #include <vector>
 
 #include "on_shard.hpp"
+#include "xsp/common/string_table.hpp"
+#include "xsp/trace/sampler.hpp"
 #include "xsp/trace/timeline.hpp"
 #include "xsp/trace/tracer.hpp"
 
@@ -149,6 +152,52 @@ TEST(ShardedTraceServer, DroppedAnnotationsSumAcrossShards) {
   // Taking the trace resets the aggregate along with the spans.
   (void)server.take_batches();
   EXPECT_EQ(server.dropped_annotation_count(), 0u);
+}
+
+TEST(TraceServer, MetaMatchesTheAccessors) {
+  TraceServer server(2, PublishMode::kSync);
+  SamplerOptions sopts;
+  sopts.rate = 0.5;
+  server.set_sampler(std::make_shared<const Sampler>(sopts));
+  // Each shard gets a worker that exits (two retired slots); this
+  // thread's own slot stays live.
+  std::uint64_t corr = 1;
+  const auto publish = [&server, &corr](int n) {
+    for (int i = 0; i < n; ++i) {
+      Span s = make_span(server.next_span_id(), i, i + 1);
+      s.correlation_id = corr++;
+      s.dropped_annotations = 3;
+      server.publish(s);
+    }
+  };
+  on_shard(server, 0, [&] { publish(200); });
+  on_shard(server, 1, [&] { publish(200); });
+  publish(100);
+
+  const TraceMeta meta = server.meta();
+  EXPECT_EQ(meta.shard_count, 2u);
+  EXPECT_EQ(meta.sampled_kept + meta.sampled_dropped, 500u);
+  EXPECT_GT(meta.sampled_dropped, 0u);
+  EXPECT_EQ(meta.dropped_annotations, 3 * meta.sampled_kept);
+  EXPECT_EQ(meta.live_slots, 1u);
+  EXPECT_EQ(meta.retired_slots, 2u);
+  EXPECT_GT(meta.slot_bytes, 0u);
+  // Every field meta() fills equals its accessor (nothing publishes now).
+  EXPECT_EQ(meta.dropped_annotations, server.dropped_annotation_count());
+  EXPECT_EQ(meta.shard_count, server.shard_count());
+  EXPECT_EQ(meta.live_slots, server.live_slot_count());
+  EXPECT_EQ(meta.retired_slots, server.retired_slot_count());
+  EXPECT_EQ(meta.slot_bytes, server.approx_slot_bytes());
+  EXPECT_EQ(meta.sampled_kept, server.sampled_kept_count());
+  EXPECT_EQ(meta.sampled_dropped, server.sampled_dropped_count());
+  const auto& table = common::StringTable::global();
+  EXPECT_EQ(meta.interned_strings, table.size());
+  EXPECT_EQ(meta.interned_bytes, table.approx_bytes());
+  EXPECT_EQ(meta.strtab_budget_bytes, table.budget_bytes());
+  EXPECT_EQ(meta.rejected_interns, table.rejected_interns());
+  // The transport fields belong to a RemoteSink, not the server.
+  EXPECT_EQ(meta.remote_dropped_spans, 0u);
+  EXPECT_EQ(meta.remote_reconnects, 0u);
 }
 
 TEST(ShardedTraceServerStress, NThreadsTimesMShardsLoseNothing) {

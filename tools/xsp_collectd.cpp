@@ -305,23 +305,16 @@ int run(const Options& opts) {
     print_stats_json(service);
   }
 
-  // Everything accepted is published; push it through the drain seam and
-  // finalize the sinks with fleet-wide telemetry.
-  server.flush();
-  trace::TraceMeta meta;
-  meta.dropped_annotations = server.dropped_annotation_count();
-  meta.shard_count = server.shard_count();
-  const auto& table = common::StringTable::global();
-  meta.interned_strings = table.size();
-  meta.interned_bytes = table.approx_bytes();
-  meta.strtab_budget_bytes = table.budget_bytes();
-  meta.rejected_interns = table.rejected_interns();
-  meta.live_slots = server.live_slot_count();
-  meta.retired_slots = server.retired_slot_count();
-  meta.slot_bytes = server.approx_slot_bytes();
+  // Everything accepted is published; meta() pushes it through the drain
+  // seam. The sinks' footers then carry the server's own telemetry plus
+  // the producers' transport and sampling accounting, summed from their
+  // footers.
+  trace::TraceMeta meta = server.meta();
   const net::CollectorStats stats = service.stats();
   meta.remote_dropped_spans = stats.producer_dropped_spans;
   meta.remote_reconnects = stats.producer_reconnects;
+  meta.sampled_kept = stats.producer_sampled_kept;
+  meta.sampled_dropped = stats.producer_sampled_dropped;
 
   for (const trace::SubscriberId id : subscriptions)
     server.remove_drain_subscriber(id);
