@@ -7,6 +7,8 @@
 // timestamp/round-trip metric formatting did not regress emission speed.
 //
 //   BM_ExportChromeMaterialized  to_chrome_trace(timeline) -> std::string
+//   BM_ExportSpanJsonMaterialized to_span_json(timeline, meta) -> std::string
+//                                (the path perfbench's zoo_leveled times)
 //   BM_ExportChromeStreaming     StreamingExporter -> null sink, timeline walk
 //   BM_ExportChromeFromBatches   StreamingExporter -> null sink, raw batches
 //                                (the drain-subscriber path: no assembly at all)
@@ -66,6 +68,17 @@ void BM_ExportChromeMaterialized(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSpanCount));
 }
 BENCHMARK(BM_ExportChromeMaterialized);
+
+void BM_ExportSpanJsonMaterialized(benchmark::State& state) {
+  const Timeline timeline = synthetic_timeline();
+  const TraceMeta meta{};
+  for (auto _ : state) {
+    std::string json = to_span_json(timeline, meta);
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSpanCount));
+}
+BENCHMARK(BM_ExportSpanJsonMaterialized);
 
 void BM_ExportChromeStreaming(benchmark::State& state) {
   const Timeline timeline = synthetic_timeline();

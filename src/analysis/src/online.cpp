@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "xsp/trace/export.hpp"
+
 namespace xsp::analysis {
 
 // ------------------------------------------------------------------------
@@ -491,9 +493,8 @@ double shard_imbalance(const std::vector<std::uint64_t>& shard_spans) {
 
 namespace {
 
-// Local JSON emission mirroring the exporter's exactness rules (integers
-// exact, doubles shortest-round-trip, strings escaped); kept here so this
-// module stays independent of the exporter's internals.
+// Numbers for the JSON summary: integers exact, doubles shortest
+// round-trip. Strings are escaped as exported span text is.
 
 void append_uint(std::string& out, std::uint64_t v) {
   char buf[24];
@@ -522,33 +523,6 @@ void append_double(std::string& out, double v) {
 #endif
 }
 
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default: {
-        const auto u = static_cast<unsigned char>(c);
-        if (u < 0x20 || u == 0x7f) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[u >> 4];
-          out += kHex[u & 0xf];
-        } else {
-          out += c;
-        }
-      }
-    }
-  }
-  out += '"';
-}
-
 void append_rows(std::string& out, const std::vector<OnlineAggregate>& rows,
                  std::size_t max_rows) {
   out += '[';
@@ -557,7 +531,7 @@ void append_rows(std::string& out, const std::vector<OnlineAggregate>& rows,
     const OnlineAggregate& row = rows[i];
     if (i != 0) out += ',';
     out += "{\"key\":";
-    append_escaped(out, row.key.view());
+    trace::append_json_string(out, row.key.view());
     out += ",\"count\":";
     append_uint(out, row.count);
     out += ",\"total_ns\":";

@@ -13,6 +13,8 @@
 // long-running service can export an unbounded trace with bounded memory.
 // The classic to_chrome_trace()/to_span_json() helpers are thin wrappers
 // that drive the same core over an assembled timeline into a string.
+// One raw-cursor event writer formats every event (src/trace/README.md,
+// "Streaming export").
 // Batch framing and the byte sink live in wire.hpp (FrameSink): the same
 // seam the binary wire writer drives, so "which bytes" (JSON text vs
 // binary frames) is the only difference between export backends.
@@ -43,9 +45,9 @@
 
 namespace xsp::trace {
 
-// TraceMeta lives in wire.hpp (the format-agnostic serialization core);
-// every backend — this JSON exporter's metadata footer, the binary
-// writer's Footer frame — ships the same telemetry struct.
+// TraceMeta lives in trace_meta.hpp; every backend — this JSON exporter's
+// metadata footer, the binary writer's Footer frame — ships the same
+// telemetry struct.
 
 /// Output document shape of a streamed export.
 enum class ExportFormat : std::uint8_t {
@@ -72,10 +74,11 @@ const char* export_format_name(ExportFormat f);
 /// exporter's footprint is independent of how many spans pass through it
 /// (pinned by StreamingExport.ExporterAllocationIsIndependentOfSpanCount).
 ///
-/// Thread safety: write_span/write_batch/write_batches/set_meta/finish may
-/// be called from any thread; batches are formatted into a per-thread
-/// scratch buffer outside the sink lock, so N shard collector threads pay
-/// the lock only to splice finished chunks into the one ordered output.
+/// Thread safety: every write_*, set_meta and finish may be called from
+/// any thread; events are formatted into a per-thread chunk outside the
+/// sink lock, so N shard collector threads pay the lock only to splice
+/// finished chunks (one per kFlushThreshold bytes, and one per call) into
+/// the one ordered output.
 /// Events never interleave mid-object; cross-batch order is the arrival
 /// order at the sink, which is as arbitrary as publication order itself
 /// (viewers and re-analysis order by timestamp, not array position).
@@ -84,8 +87,9 @@ class StreamingExporter {
   using WriteFn = FrameSink::WriteFn;
 
   /// Internal buffer size at which buffered output is pushed to the sink
-  /// (the FrameSink threshold). The buffer may transiently exceed this by
-  /// one formatted event.
+  /// (the FrameSink threshold), and the size at which a formatted chunk
+  /// of events is spliced; a chunk that reaches it passes to the sink
+  /// without a copy through the buffer. Either may exceed it by one event.
   static constexpr std::size_t kFlushThreshold = FrameSink::kFlushThreshold;
 
   /// Stream to a sink callback. `with_metadata` selects the span-JSON
@@ -114,6 +118,10 @@ class StreamingExporter {
   /// Write every span of a batch list — the TraceServer drain-subscriber
   /// shape (parents: span.parent).
   void write_batches(const SpanBatches& batches);
+
+  /// Write every node of an assembled timeline in walk order (parents: the
+  /// timeline-resolved ones) — what to_chrome_trace/to_span_json drive.
+  void write_timeline(const Timeline& timeline);
 
   /// Set/update the metadata emitted in the span-JSON footer. May be
   /// called any time before finish() — telemetry like the dropped-
@@ -146,7 +154,10 @@ class StreamingExporter {
   [[nodiscard]] std::uint64_t bytes_written() const { return sink_.bytes_written(); }
 
  private:
-  void append_event(std::string& out, const Span& span, SpanId parent) const;
+  /// Format the events `for_each(emit)` emits — emit(span, parent) — into
+  /// the per-thread chunk, splicing it at each kFlushThreshold and at the end.
+  template <typename ForEach>
+  void write_events(ForEach&& for_each);
   /// Splice pre-formatted events (each ','-prefixed) into the output.
   void append_chunk_locked(std::string_view chunk, std::uint64_t span_count);
 
@@ -163,6 +174,10 @@ class StreamingExporter {
   /// set order after the built-in metadata fields.
   std::vector<std::pair<std::string, std::string>> footer_sections_;
 };
+
+/// Append `s` to `out` as a quoted JSON string, escaped exactly as exported
+/// span text is — for JSON built beside an export (footer sections).
+void append_json_string(std::string& out, std::string_view s);
 
 /// Chrome trace-event JSON ("traceEvents" array of complete "X" events).
 /// Stack levels map to track (tid) ids so the viewer shows one lane per

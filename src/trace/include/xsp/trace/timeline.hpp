@@ -31,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -111,8 +110,31 @@ class Timeline {
   [[nodiscard]] std::optional<SpanId> find_by_name(StrId name) const;
 
   /// Depth-first pre-order walk over the whole hierarchy: roots in begin
-  /// order, each followed by its subtree, children in begin order.
-  void walk(const std::function<void(const TimelineNode&, int depth)>& fn) const;
+  /// order, each followed by its subtree, children in begin order. Calls
+  /// fn(const TimelineNode&, int depth) once per node.
+  template <typename Fn>
+  void walk(Fn&& fn) const {
+    // Roots are the parentless nodes, in node order. Children are pushed in
+    // reverse so the first pops first: pre-order, at any depth.
+    struct Pending {
+      std::uint32_t pos;
+      int depth;
+    };
+    std::vector<Pending> stack;
+    const auto n = static_cast<std::uint32_t>(nodes_.size());
+    for (std::uint32_t root = 0; root < n; ++root) {
+      if (nodes_[root].parent != kAbsent) continue;
+      stack.push_back({root, 0});
+      while (!stack.empty()) {
+        const Pending at = stack.back();
+        stack.pop_back();
+        fn(view(at.pos), at.depth);
+        for (std::uint32_t c = child_begin_[at.pos + 1]; c-- > child_begin_[at.pos];) {
+          stack.push_back({child_pos_[c], at.depth + 1});
+        }
+      }
+    }
+  }
 
   /// Number of spans whose parent could not be determined unambiguously:
   /// parallel candidates of equal duration, or explicit parent references

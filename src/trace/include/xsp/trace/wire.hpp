@@ -1,14 +1,15 @@
 // XSP binary span-batch wire format (v5, the only version) and the
 // format-agnostic serialization core shared by every exporter backend.
 //
-// The JSON path (StreamingExporter) tops out around 2.8M spans/s because
-// every span is re-formatted as text. Spans are trivially copyable fixed-size
-// PODs whose strings are interned 32-bit StrIds, so the binary format moves
-// whole sealed batches with memcpy and ships string bytes exactly once, as
-// deltas of the process-wide StringTable — an order of magnitude more
-// throughput through the same drain-subscriber seam, and the on-disk /
-// on-socket format a cross-process collector daemon will speak (ROADMAP:
-// cross-process trace ingestion).
+// The JSON path (StreamingExporter) re-formats every span as text (its
+// throughput is recorded in bench/results/BENCH_abl_export_stream.json).
+// Spans are trivially copyable fixed-size PODs whose strings are interned
+// 32-bit StrIds, so the binary format moves whole sealed batches with
+// memcpy and ships string bytes exactly once, as deltas of the
+// process-wide StringTable — an order of magnitude more throughput through
+// the same drain-subscriber seam, and the on-disk / on-socket format a
+// cross-process collector daemon will speak (ROADMAP: cross-process trace
+// ingestion).
 //
 // Layered as:
 //   FrameSink      — bounded-buffer byte sink (ostream or callback), the

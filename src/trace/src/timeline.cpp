@@ -448,27 +448,4 @@ std::optional<SpanId> Timeline::find_by_name(StrId name) const {
   return std::nullopt;
 }
 
-void Timeline::walk(const std::function<void(const TimelineNode&, int depth)>& fn) const {
-  // Roots are the parentless nodes, in node order. Children are pushed in
-  // reverse so the first pops first: pre-order, at any depth.
-  struct Pending {
-    std::uint32_t pos;
-    int depth;
-  };
-  std::vector<Pending> stack;
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (nodes_[root].parent != kAbsent) continue;
-    stack.push_back({root, 0});
-    while (!stack.empty()) {
-      const Pending at = stack.back();
-      stack.pop_back();
-      fn(view(at.pos), at.depth);
-      for (std::uint32_t c = child_begin_[at.pos + 1]; c-- > child_begin_[at.pos];) {
-        stack.push_back({child_pos_[c], at.depth + 1});
-      }
-    }
-  }
-}
-
 }  // namespace xsp::trace

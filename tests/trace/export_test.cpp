@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "json_check.hpp"
 
@@ -224,6 +226,89 @@ TEST(Export, EscapingEdgeCasesSurviveARealJsonParse) {
     EXPECT_NE(json.find("\\u0001\\u001f\\b\\f"), std::string::npos);
     // No raw control bytes anywhere in the document.
     for (const char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+  }
+}
+
+/// Reference escaper: the byte-at-a-time algorithm the exporter's word
+/// scan replaced, kept here as the oracle for it.
+std::string reference_escaped(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default: {
+        const auto u = static_cast<unsigned char>(c);
+        if (u < 0x20 || u == 0x7f) {
+          constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[u >> 4];
+          out += kHex[u & 0xf];
+        } else {
+          out += c;
+        }
+      }
+    }
+  }
+  out += '"';
+  return out;
+}
+
+TEST(Export, EveryByteAtEveryOffsetEscapesLikeTheReference) {
+  // Every byte value at every offset 0..16 of strings of length 1..24 (and
+  // the empty string), so each byte lands at every position of an 8-byte
+  // word, in the scanned words and in the tail. Each string is the span's
+  // name, an interned tag value and an inline tag value at once.
+  std::vector<std::string> texts = {""};
+  for (std::size_t len = 1; len <= 24; ++len) {
+    for (std::size_t offset = 0; offset <= 16 && offset < len; ++offset) {
+      for (int byte = 0; byte <= 0xff; ++byte) {
+        std::string text(len, 'x');
+        text[offset] = static_cast<char>(byte);
+        texts.push_back(std::move(text));
+      }
+    }
+  }
+  SpanBatch batch;
+  batch.reserve(texts.size());
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    Span s;
+    s.id = i + 1;
+    s.name = texts[i];
+    s.begin = static_cast<TimePoint>(i);
+    s.end = s.begin + 1;
+    s.tags.set("tag", texts[i]);
+    s.inline_tags.set("inline", texts[i]);
+    ASSERT_EQ(s.inline_tags.value_or("inline"), texts[i]);
+    batch.push_back(s);
+  }
+  std::string json;
+  StreamingExporter exporter(ExportFormat::kSpanJson,
+                             [&json](std::string_view chunk) { json.append(chunk); });
+  exporter.write_batch(batch);
+  exporter.finish();
+  std::string error;
+  ASSERT_TRUE(valid_json(json, &error)) << error;
+
+  // Events appear in batch order; each field is checked where it sits.
+  std::size_t pos = 0;
+  const auto expect_field = [&](std::string_view key, const std::string& text) {
+    const std::string field = std::string(key) + reference_escaped(text);
+    pos = json.find(key, pos);
+    ASSERT_NE(pos, std::string::npos);
+    EXPECT_EQ(json.compare(pos, field.size(), field), 0)
+        << "text of " << text.size() << " bytes: " << json.substr(pos, field.size());
+    pos += field.size();
+  };
+  for (const std::string& text : texts) {
+    expect_field("\"name\":", text);
+    expect_field("\"tag\":", text);
+    expect_field("\"inline\":", text);
   }
 }
 

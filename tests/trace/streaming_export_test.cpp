@@ -3,6 +3,7 @@
 // the materializing wrappers as the byte-exact reference.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -60,20 +61,59 @@ std::string stream_to_string(ExportFormat format, const SpanBatch& batch, bool w
   return out;
 }
 
+/// linear_trace() widened to every shape an event can take — escapable
+/// names, tags and inline tags, dropped annotations, NaN, -0 and integer
+/// metrics on both sides of 2^53 — and long enough (over 64 KiB of events)
+/// that the wrappers splice several chunks.
+SpanBatch hostile_trace() {
+  SpanBatch spans = linear_trace();
+  spans.front().end = 100'000'000;
+  const double two_53 = 9007199254740992.0;
+  for (SpanId id = 7; id <= 700; ++id) {
+    Span child = make_span(id, static_cast<TimePoint>(id * 1000), /*parent=*/1);
+    child.level = id % 2 == 0 ? kLayerLevel : kKernelLevel;
+    child.kind = id % 3 == 0 ? SpanKind::kExecution : SpanKind::kRegular;
+    child.name = "conv \"" + std::to_string(id) + "\"\\\n\t\x01\x7f µs";
+    child.tracer = id % 5 == 0 ? "tracer\r" : "test";
+    child.correlation_id = id % 3 == 0 ? id : 0;
+    child.tags.set("layer_type", id % 4 == 0 ? "Conv2D" : "\"quoted\"\x1f");
+    if (id % 2 == 1) {
+      child.inline_tags.set("grid", "(" + std::to_string(id) + ",1,1)\b");
+      child.inline_tags.set("block\f", "(128,1,1)");
+    }
+    if (id % 7 == 0) child.note_dropped(static_cast<std::uint32_t>(id));
+    child.metrics.set("nan", std::nan(""));
+    child.metrics.set("neg_zero", -0.0);
+    child.metrics.set("two_53", two_53);
+    child.metrics.set("above_2_53", std::nextafter(two_53, 2 * two_53));
+    spans.push_back(child);
+  }
+  return spans;
+}
+
 // --- acceptance: one emission path ----------------------------------------
 
 TEST(StreamingExport, BytesIdenticalToMaterializingWrappers) {
-  const SpanBatch spans = linear_trace();
+  // The wrappers format timeline-walk events in chunks, write_batch formats
+  // a batch's events: two callers of the one event writer, so equal bytes
+  // here are the one-path guarantee.
+  const SpanBatch spans = hostile_trace();
   const Timeline timeline = Timeline::assemble(SpanBatches{spans});
   ASSERT_EQ(timeline.size(), spans.size());
 
-  EXPECT_EQ(stream_to_string(ExportFormat::kChromeTrace, spans, false, nullptr),
-            to_chrome_trace(timeline));
+  const std::string chrome = to_chrome_trace(timeline);
+  EXPECT_GT(chrome.size(), 2 * StreamingExporter::kFlushThreshold);
+  EXPECT_EQ(stream_to_string(ExportFormat::kChromeTrace, spans, false, nullptr), chrome);
   EXPECT_EQ(stream_to_string(ExportFormat::kSpanJson, spans, false, nullptr),
             to_span_json(timeline));
   const TraceMeta meta{5, 3};
-  EXPECT_EQ(stream_to_string(ExportFormat::kSpanJson, spans, true, &meta),
-            to_span_json(timeline, meta));
+  const std::string with_meta = to_span_json(timeline, meta);
+  EXPECT_EQ(stream_to_string(ExportFormat::kSpanJson, spans, true, &meta), with_meta);
+  std::string error;
+  EXPECT_TRUE(valid_json(chrome, &error)) << error;
+  EXPECT_TRUE(valid_json(with_meta, &error)) << error;
+  EXPECT_NE(with_meta.find("\"dropped_annotations\":7,"), std::string::npos);
+  EXPECT_NE(with_meta.find("\"above_2_53\":9007199254740994"), std::string::npos);
 }
 
 // --- consuming drain subscriber -------------------------------------------
@@ -103,7 +143,7 @@ TEST(StreamingExport, ConsumeModeStreamsEverySpanAndLeavesServerEmpty) {
   EXPECT_TRUE(server.take_batches().empty());
 }
 
-TEST(StreamingExport, ConsumeModeRecyclesBatchBuffersToTheFreelist) {
+TEST(StreamingExport, ConsumeModeReturnsBatchBuffersToThePool) {
   TraceServer server(PublishMode::kSync);
   std::vector<const Span*> seen;
   const SubscriberId sub = server.add_drain_subscriber(
@@ -120,8 +160,8 @@ TEST(StreamingExport, ConsumeModeRecyclesBatchBuffersToTheFreelist) {
   const Span* first = seen.front();
   seen.clear();
 
-  // The consumed buffer must come back out of the freelist for a later
-  // seal instead of being freed.
+  // The consumed buffer must go back to the batch pool and come out of it
+  // for a later seal instead of being freed.
   for (std::size_t i = 0; i < 2 * TraceServer::kBatchCapacity; ++i) {
     server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
   }
