@@ -6,8 +6,12 @@
 // google-benchmark ablation measures both against trace sizes from a few
 // hundred spans (one model) to hundreds of thousands (long-running
 // applications), in real host time. BM_TimelineAssemble times
-// Timeline::assemble end to end — correlation, ordering, tree builds and
-// parent search — over the publication batches of an M/L/G run.
+// Timeline::assemble end to end — correlation, ordering and parent
+// search — over the publication batches of an M/L/G run. Its layers are
+// disjoint, so assembly resolves them by one sorted sweep;
+// BM_TimelineAssembleOverlapping runs layers from two executor threads
+// that partially overlap, which assembly resolves through the interval
+// tree.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -86,8 +90,10 @@ void BM_LinearScanCorrelation(benchmark::State& state) {
 /// explicit parent, and 336 launch/execution pairs (335 kernels, one
 /// input memcpy) whose parents come from interval search. Layers, launches
 /// and executions are published by separate tracers, in 256-span batches,
-/// as a profiling session hands them to assembly.
-xsp::trace::SpanBatches resnet50_mlg_batches(int runs) {
+/// as a profiling session hands them to assembly. With `overlapping`, odd
+/// layers run on a second executor thread: each begins halfway through the
+/// layer before it, after that layer's launches, and ends after it.
+xsp::trace::SpanBatches resnet50_mlg_batches(int runs, bool overlapping = false) {
   using namespace xsp::trace;
   constexpr int kLayers = 230;
   constexpr int kKernels = 336;
@@ -118,6 +124,8 @@ xsp::trace::SpanBatches resnet50_mlg_batches(int runs) {
     xsp::TimePoint gpu = t;  // the device runs one kernel at a time
     int kernels_left = kKernels;
     for (int l = 0; l < kLayers; ++l) {
+      // Where the previous layer's last launch ends.
+      const xsp::TimePoint launched = launch_spans.empty() ? 0 : launch_spans.back().end;
       Span layer;
       layer.id = next_id++;
       layer.parent = predict.id;
@@ -157,6 +165,10 @@ xsp::trace::SpanBatches resnet50_mlg_batches(int runs) {
         exec_spans.push_back(exec);
       }
       layer.end = t = std::max(t + 1'000, gpu);  // the layer waits on its kernels
+      if (overlapping && l % 2 == 1) {
+        const Span& before = layer_spans.back();
+        layer.begin = std::max(before.begin + (before.end - before.begin) / 2, launched + 1);
+      }
       layer_spans.push_back(layer);
     }
     predict.end = t += 1'000;
@@ -178,8 +190,8 @@ xsp::trace::SpanBatches resnet50_mlg_batches(int runs) {
   return batches;
 }
 
-void BM_TimelineAssemble(benchmark::State& state) {
-  const auto batches = resnet50_mlg_batches(static_cast<int>(state.range(0)));
+void assemble_timelines(benchmark::State& state, bool overlapping) {
+  const auto batches = resnet50_mlg_batches(static_cast<int>(state.range(0)), overlapping);
   std::size_t spans = 0;
   for (const auto& batch : batches) spans += batch.size();
   const auto check = xsp::trace::Timeline::assemble(batches);
@@ -203,9 +215,14 @@ void BM_TimelineAssemble(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(spans));
 }
 
+void BM_TimelineAssemble(benchmark::State& state) { assemble_timelines(state, false); }
+
+void BM_TimelineAssembleOverlapping(benchmark::State& state) { assemble_timelines(state, true); }
+
 BENCHMARK(BM_IntervalTreeCorrelation)->Arg(256)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_LinearScanCorrelation)->Arg(256)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_TimelineAssemble)->ArgName("runs")->Arg(1)->Arg(16);
+BENCHMARK(BM_TimelineAssembleOverlapping)->ArgName("runs")->Arg(1)->Arg(16);
 
 }  // namespace
 

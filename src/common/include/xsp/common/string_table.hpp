@@ -53,8 +53,14 @@ class StringTable {
   /// The string the reserved over-budget sentinel id resolves to.
   static constexpr std::string_view kSentinel = "<interned-cap>";
 
-  /// The process-wide table all StrIds resolve against.
-  static StringTable& global();
+  /// The process-wide table all StrIds resolve against. A function-local
+  /// static, so namespace-scope StrIds may intern during static
+  /// initialisation; defined inline because every StrId read resolves
+  /// through it.
+  static StringTable& global() {
+    static StringTable table;
+    return table;
+  }
 
   StringTable();
   ~StringTable();
@@ -104,7 +110,12 @@ class StringTable {
   /// table (the global table never evicts, so resolved references are
   /// stable). Throws std::out_of_range for an id the table never handed
   /// out.
-  [[nodiscard]] const std::string& str(std::uint32_t id) const;
+  [[nodiscard]] const std::string& str(std::uint32_t id) const {
+    const Shard& shard = shards_[id & (kShardCount - 1)];
+    const std::uint32_t slot = id >> kShardBits;
+    if (slot >= shard.size.load(std::memory_order_acquire)) [[unlikely]] throw_unknown_id(id);
+    return shard.at(slot);
+  }
   [[nodiscard]] std::string_view view(std::uint32_t id) const { return str(id); }
 
   /// Number of distinct strings interned so far.
@@ -205,6 +216,9 @@ class StringTable {
   /// Append `s` to `shard` (its mutex held or not yet shared) and publish
   /// it; returns the new slot.
   static std::uint32_t append(Shard& shard, std::string_view s);
+
+  /// str()'s std::out_of_range, out of line so the read path stays small.
+  [[noreturn, gnu::cold]] static void throw_unknown_id(std::uint32_t id);
 
   std::array<Shard, kShardCount> shards_;
 

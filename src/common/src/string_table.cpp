@@ -9,11 +9,6 @@
 
 namespace xsp::common {
 
-StringTable& StringTable::global() {
-  static StringTable table;
-  return table;
-}
-
 namespace {
 
 std::uint64_t next_table_uid() {
@@ -144,13 +139,8 @@ std::uint32_t StringTable::intern(std::string_view s) {
   return id;
 }
 
-const std::string& StringTable::str(std::uint32_t id) const {
-  const Shard& shard = shards_[id & (kShardCount - 1)];
-  const std::uint32_t slot = id >> kShardBits;
-  if (slot >= shard.size.load(std::memory_order_acquire)) {
-    throw std::out_of_range("StringTable::str: unknown id " + std::to_string(id));
-  }
-  return shard.at(slot);
+void StringTable::throw_unknown_id(std::uint32_t id) {
+  throw std::out_of_range("StringTable::str: unknown id " + std::to_string(id));
 }
 
 std::size_t StringTable::size() const {

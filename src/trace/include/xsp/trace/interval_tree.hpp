@@ -1,9 +1,15 @@
-// Centered interval tree used to reconstruct span parent-child links.
+// Centered interval tree: the general structure for reconstructing span
+// parent-child links.
 //
 // "XSP's profile analysis builds an interval tree and populates it with
 //  intervals corresponding to the spans' start/end timestamps. Using the
 //  interval tree, XSP reconstructs the parent-child relationship by checking
 //  for interval set inclusion."                          — paper, Section III-A
+//
+// Timeline assembly resolves a level whose intervals are laminar (every two
+// nested or disjoint, as layers on one executor thread are) by one sorted
+// sweep instead, and builds this tree only for a level that is not: parallel
+// events whose intervals partially overlap (src/trace/README.md, "Assembly").
 //
 // The tree is built once from a fixed set of intervals (spans of one trace)
 // and then queried many times, so a static centered interval tree is the
@@ -86,13 +92,6 @@ class IntervalTree {
     return out;
   }
 
-  /// All entries overlapping [lo, hi] (closed-interval overlap).
-  [[nodiscard]] std::vector<const Entry*> overlapping(TimePoint lo, TimePoint hi) const {
-    std::vector<const Entry*> out;
-    if (!nodes_.empty()) collect_overlapping(0, lo, hi, out);
-    return out;
-  }
-
  private:
   struct Node {
     TimePoint center = 0;
@@ -146,30 +145,6 @@ class IntervalTree {
     nodes_[static_cast<std::size_t>(index)].left = left;
     nodes_[static_cast<std::size_t>(index)].right = right;
     return index;
-  }
-
-  void collect_overlapping(std::int32_t i, TimePoint lo, TimePoint hi,
-                           std::vector<const Entry*>& out) const {
-    while (i >= 0) {
-      const Node& node = nodes_[static_cast<std::size_t>(i)];
-      const Entry* lo_first = by_lo_.data() + node.first;
-      if (hi < node.center) {
-        for (const Entry* e = lo_first; e != lo_first + node.count && e->lo <= hi; ++e) {
-          out.push_back(e);
-        }
-        i = node.left;
-      } else if (lo > node.center) {
-        const Entry* hi_first = by_hi_.data() + node.first;
-        for (const Entry* e = hi_first; e != hi_first + node.count && e->hi >= lo; ++e) {
-          out.push_back(e);
-        }
-        i = node.right;
-      } else {
-        for (const Entry* e = lo_first; e != lo_first + node.count; ++e) out.push_back(e);
-        if (node.left >= 0) collect_overlapping(node.left, lo, hi, out);
-        i = node.right;
-      }
-    }
   }
 
   std::vector<Node> nodes_;

@@ -4,9 +4,13 @@
 //   1. join kLaunch/kExecution span pairs by correlation_id into one
 //      logical async event (timing/metrics from the execution span, parent
 //      derived from the launch span — Section III-B), and
-//   2. reconstruct missing parent references by interval set inclusion via
-//      an interval tree (Section III-A): span s1 is the parent of s2 iff
-//      s1's interval contains s2's and s1 is exactly one level higher.
+//   2. reconstruct missing parent references by interval set inclusion
+//      (Section III-A): span s1 is the parent of s2 iff s1's interval is the
+//      smallest that contains s2's at the nearest level above it. A level
+//      whose intervals are laminar (every two nested or disjoint, as layers
+//      on one executor thread are) resolves by one sorted stack sweep; any
+//      other level — parallel events that partially overlap — builds the
+//      paper's interval tree.
 //
 // When several candidate parents contain a span (parallel events), the
 // parent is ambiguous; XSP then "requires another profiling run where the
@@ -22,8 +26,10 @@
 // positions in one flat array with per-node offsets (CSR), filled in node
 // order. walk() follows positions with an explicit stack, so a hierarchy
 // of any depth walks without recursion. A trace of n spans costs
-// O(n log n) work and a constant number of heap allocations, none per
-// span or per parent (src/trace/README.md, "Assembly").
+// O(n log n) work at worst, close to linear for the usual input (a few
+// sorted runs, laminar levels), and a constant number of heap
+// allocations, none per span or per parent (src/trace/README.md,
+// "Assembly").
 //
 // Because nodes point into the owned batches, a Timeline is move-only;
 // moving it (or the RunTrace holding it) keeps every node valid.

@@ -34,14 +34,19 @@ struct NodeKey {
 };
 static_assert(sizeof(NodeKey) == 24);
 
-/// A node's pending parent search: the window a parent must contain and
-/// the level (an index into the trace's levels) it searches.
+/// A node's pending parent search: the window a parent must contain.
+/// Searches are kept per level searched.
 struct Search {
   TimePoint lo;
   TimePoint hi;
   std::uint32_t node;
-  std::uint32_t level;
 };
+
+/// A candidate parent: a node's interval and its position.
+using Entry = IntervalTree<std::uint32_t>::Entry;
+
+/// What a parent search found: no containing interval.
+constexpr std::uint32_t kNoParent = UINT32_MAX;
 
 /// Merge the launch half of a correlated pair into its execution span, in
 /// place: the launch's parent (if the execution lacks one) and the
@@ -120,20 +125,28 @@ class Levels {
  public:
   static constexpr std::size_t kNone = SIZE_MAX;
 
+  /// Count one node at `level`. Spans of one level arrive in long
+  /// stretches, so a node costs a compare and an increment: the set itself
+  /// changes only when the level does, and at close().
   void add(int level) {
-    // Spans of one level arrive in long stretches: the level added last
-    // is usually the one added next.
-    if (last_ < levels_.size() && levels_[last_] == level) {
-      ++counts_[last_];
-      return;
+    if (level != run_level_) {
+      close();
+      run_level_ = level;
     }
-    const auto it = std::lower_bound(levels_.begin(), levels_.end(), level);
-    last_ = static_cast<std::size_t>(it - levels_.begin());
-    if (it == levels_.end() || *it != level) {
-      levels_.insert(it, level);
-      counts_.insert(counts_.begin() + static_cast<std::ptrdiff_t>(last_), 0);
+    ++run_;
+  }
+
+  /// Add the stretch counted last to the set; call once counting ends.
+  void close() {
+    if (run_ == 0) return;
+    const auto it = std::lower_bound(levels_.begin(), levels_.end(), run_level_);
+    const auto i = static_cast<std::size_t>(it - levels_.begin());
+    if (it == levels_.end() || *it != run_level_) {
+      levels_.insert(it, run_level_);
+      counts_.insert(counts_.begin() + static_cast<std::ptrdiff_t>(i), 0);
     }
-    ++counts_[last_];
+    counts_[i] += run_;
+    run_ = 0;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return levels_.size(); }
@@ -160,7 +173,8 @@ class Levels {
  private:
   std::vector<int> levels_;
   std::vector<std::size_t> counts_;
-  std::size_t last_ = 0;  ///< index of the level added last
+  int run_level_ = 0;    ///< level of the stretch being counted
+  std::size_t run_ = 0;  ///< nodes counted in that stretch
 };
 
 /// Steps 1-2 of assembly: what each node is built from, in node order.
@@ -236,6 +250,8 @@ NodePlan plan_nodes(SpanBatches& batches, const AssembleOptions& options) {
     }
     first = last;
   }
+  plan.levels.close();
+  plan.searching.close();
 
   // --- Step 2: order the nodes. -------------------------------------------
   // Deterministic order regardless of publication order (async publication
@@ -248,19 +264,121 @@ NodePlan plan_nodes(SpanBatches& batches, const AssembleOptions& options) {
   return plan;
 }
 
+/// One open interval of the sweep, standing for `copies` identical
+/// intervals; `value` is the first of them in sweep order.
+struct Slot {
+  TimePoint lo;
+  TimePoint hi;
+  std::uint32_t value;
+  std::uint32_t copies;
+};
+
+/// Resolve the searches of one level by one sweep, if the level is
+/// laminar: every two of its intervals nested or disjoint, where identical
+/// intervals count as nested and closed intervals that share only an end
+/// point, [a,b] and [b,c], overlap. Calls found(search, parent position or
+/// kNoParent, ambiguous) per search. Returns false, possibly after some
+/// found() calls, when an entry partially overlaps an open one; the
+/// level then needs the interval tree.
+///
+/// Entries in (lo, hi descending, position) order and searches in lo order
+/// are swept together; both arrive nearly sorted, so sort_runs costs O(n).
+/// Open entries form a stack, each nested in the one below it, so their
+/// `hi` never grows upward. Before an entry or a search at lo, the entries
+/// that end before lo close; the search's parent is then the topmost open
+/// entry that reaches its hi, found by binary search. It is the smallest
+/// containing interval: every containing one is open and lies below it.
+template <typename Found>
+bool sweep_parents(std::vector<Entry>& entries, std::vector<Search>& searches,
+                   std::vector<Slot>& stack, Found&& found) {
+  sort_runs(entries, [](const Entry& a, const Entry& b) {
+    if (a.lo != b.lo) return a.lo < b.lo;
+    if (a.hi != b.hi) return a.hi > b.hi;
+    return a.value < b.value;
+  });
+  sort_runs(searches, [](const Search& a, const Search& b) {
+    if (a.lo != b.lo) return a.lo < b.lo;
+    return a.node < b.node;
+  });
+  stack.clear();
+  const auto close_before = [&](TimePoint lo) {
+    while (!stack.empty() && stack.back().hi < lo) stack.pop_back();
+  };
+  // Opens one entry; false when it partially overlaps the innermost open one.
+  const auto open = [&](const Entry& e) {
+    close_before(e.lo);
+    if (!stack.empty()) {
+      Slot& top = stack.back();
+      if (top.lo == e.lo && top.hi == e.hi) {
+        ++top.copies;
+        return true;
+      }
+      if (top.hi < e.hi) return false;
+    }
+    stack.push_back({e.lo, e.hi, e.value, 1});
+    return true;
+  };
+  std::size_t next = 0;
+  for (const Search& q : searches) {
+    for (; next < entries.size() && entries[next].lo <= q.lo; ++next) {
+      if (!open(entries[next])) return false;
+    }
+    close_before(q.lo);
+    const auto reaching = std::partition_point(stack.begin(), stack.end(),
+                                               [&](const Slot& s) { return s.hi >= q.hi; });
+    if (reaching == stack.begin()) {
+      found(q, kNoParent, false);
+    } else {
+      found(q, reaching[-1].value, reaching[-1].copies > 1);
+    }
+  }
+  for (; next < entries.size(); ++next) {
+    if (!open(entries[next])) return false;
+  }
+  return true;
+}
+
+/// Resolve the searches of one level through an interval tree: a stabbing
+/// query at each search's lo, keeping the smallest interval that contains
+/// the search window. A tie on duration between distinct intervals means
+/// parallel events. Calls found() like sweep_parents.
+template <typename Found>
+void tree_parents(std::vector<Entry> entries, const std::vector<Search>& searches,
+                  Found&& found) {
+  const IntervalTree<std::uint32_t> tree(std::move(entries));
+  for (const Search& q : searches) {
+    std::uint32_t best = kNoParent;
+    Ns best_duration = 0;
+    std::size_t equal_best = 0;
+    tree.visit_stabbing(q.lo, [&](const Entry& e) {
+      if (e.lo > q.lo || e.hi < q.hi) return;  // must contain [lo, hi]
+      const Ns duration = e.hi - e.lo;
+      if (best == kNoParent || duration < best_duration) {
+        best = e.value;
+        best_duration = duration;
+        equal_best = 1;
+      } else if (duration == best_duration) {
+        ++equal_best;
+      }
+    });
+    found(q, best, equal_best > 1);
+  }
+}
+
 }  // namespace
 
 Timeline Timeline::assemble(SpanBatches batches, const AssembleOptions& options) {
-  using Tree = IntervalTree<std::uint32_t>;
+  static_assert(kNoParent == kAbsent);
   Timeline tl;
   tl.batches_ = std::move(batches);
   Levels levels;
-  // Entries of the interval tree of each level some node searches; a
-  // level no node searches (in a leveled run: the kernel level, and the
-  // model level once layers carry explicit parents) gets no tree.
-  std::vector<std::vector<Tree::Entry>> entries;
+  // Per level some node searches: the level's nodes as candidate parents,
+  // and the searches aimed at it. A level no node searches (in a leveled
+  // run: the kernel level, and the model level once layers carry explicit
+  // parents) collects neither.
+  std::vector<std::vector<Entry>> entries;
+  std::vector<std::vector<Search>> searches;
   std::vector<bool> searched;
-  std::vector<Search> searches;
 
   {  // The plan (keys, sources) is scratch: freed once the nodes exist.
     NodePlan plan = plan_nodes(tl.batches_, options);
@@ -268,26 +386,25 @@ Timeline Timeline::assemble(SpanBatches batches, const AssembleOptions& options)
     tl.correlated_async_ = plan.correlated;
     tl.unmatched_async_ = plan.unmatched;
     entries.resize(levels.size());
+    searches.resize(levels.size());
     searched.assign(levels.size(), false);
-    std::size_t search_count = 0;
     for (std::size_t i = 0; i < plan.searching.size(); ++i) {
       const std::size_t target = levels.parent_of(plan.searching.level(i));
       if (target == Levels::kNone) continue;
-      search_count += plan.searching.count(i);
-      if (searched[target]) continue;
       searched[target] = true;
       entries[target].reserve(levels.count(target));
+      searches[target].reserve(plan.searching.count(i));
     }
-    searches.reserve(search_count);
 
     // --- Step 3: lay out the nodes in final order. ------------------------
     // A node points at its span where the batch holds it; a pair's launch
     // half is merged into its execution span there. Alongside: the id
-    // index, the tree entries (whose payload is the node position), and
-    // each node's parent source, read while the span is at hand. An
-    // explicit parent resolves now when the index already holds it: the
-    // index keeps each id's first node, so the whole index would give the
-    // same answer. Otherwise it waits for step 4, as do parent searches.
+    // index, the candidate-parent entries (whose payload is the node
+    // position), and each node's parent source, read while the span is at
+    // hand. An explicit parent resolves now when the index already holds
+    // it: the index keeps each id's first node, so the whole index would
+    // give the same answer. Otherwise it waits for step 4, as do parent
+    // searches.
     const std::size_t n = plan.keys.size();
     tl.nodes_.resize(n);
     tl.index_.assign(prime_at_least(2 * n + 2), IndexSlot{});
@@ -317,42 +434,35 @@ Timeline Timeline::assemble(SpanBatches batches, const AssembleOptions& options)
         // Async events search with their CPU-side launch window: the
         // launch call happens inside the parent layer's interval even when
         // the device-side execution outlives the layer (Section III-B).
-        searches.push_back({node.is_async ? node.launch_begin : s.begin,
-                            node.is_async ? node.launch_end : s.end, i,
-                            static_cast<std::uint32_t>(target)});
+        searches[target].push_back({node.is_async ? node.launch_begin : s.begin,
+                                    node.is_async ? node.launch_end : s.end, i});
       }
     }
   }
   const auto n = static_cast<std::uint32_t>(tl.nodes_.size());
-  std::vector<Tree> trees(levels.size());
-  for (std::size_t l = 0; l < levels.size(); ++l) {
-    if (searched[l]) trees[l] = Tree(std::move(entries[l]));
-  }
 
   // --- Step 4: resolve parents. -------------------------------------------
   // A node's parent is a position, or kAbsent for a root (no parent, or an
   // explicit parent that is not in the trace). For a search, the smallest
   // enclosing interval is the immediate parent; a tie between distinct
-  // enclosing intervals means parallel events.
-  for (const Search& q : searches) {
-    std::uint32_t best = kAbsent;
-    Ns best_duration = 0;
-    std::size_t equal_best = 0;
-    trees[q.level].visit_stabbing(q.lo, [&](const Tree::Entry& e) {
-      if (e.lo > q.lo || e.hi < q.hi) return;  // must contain [lo, hi]
-      const Ns duration = e.hi - e.lo;
-      if (best == kAbsent || duration < best_duration) {
-        best = e.value;
-        best_duration = duration;
-        equal_best = 1;
-      } else if (duration == best_duration) {
-        ++equal_best;
-      }
-    });
-    Node& node = tl.nodes_[q.node];
-    node.parent = best;
-    node.ambiguous_parent = equal_best > 1;
-    if (node.ambiguous_parent) ++tl.ambiguous_;
+  // enclosing intervals means parallel events. A laminar level resolves by
+  // one sweep; any other level (parallel events that partially overlap)
+  // builds the interval tree of Section III-A.
+  std::vector<Slot> stack;
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    if (!searched[l]) continue;
+    std::size_t ambiguous = 0;
+    const auto found = [&](const Search& q, std::uint32_t parent, bool ambiguous_parent) {
+      Node& node = tl.nodes_[q.node];
+      node.parent = parent;
+      node.ambiguous_parent = ambiguous_parent;
+      if (ambiguous_parent) ++ambiguous;
+    };
+    if (!sweep_parents(entries[l], searches[l], stack, found)) {
+      ambiguous = 0;
+      tree_parents(std::move(entries[l]), searches[l], found);
+    }
+    tl.ambiguous_ += ambiguous;
   }
   // Explicit parents later in node order resolve against the whole index.
   // Only an edge to the same or a later position can close a cycle.

@@ -18,7 +18,6 @@ TEST(IntervalTree, EmptyTreeHasNoMatches) {
   Tree t;
   EXPECT_TRUE(t.empty());
   EXPECT_TRUE(t.containing(0, 1).empty());
-  EXPECT_TRUE(t.overlapping(0, 1).empty());
 }
 
 TEST(IntervalTree, StabbingFindsContainingIntervals) {
@@ -52,18 +51,8 @@ TEST(IntervalTree, ContainingRequiresFullInclusion) {
   EXPECT_EQ(hits, (std::vector<int>{1, 3}));
 }
 
-TEST(IntervalTree, OverlappingFindsPartialOverlaps) {
-  auto t = make_tree({{0, 10, 1}, {20, 30, 2}, {40, 50, 3}});
-  auto res = t.overlapping(25, 45);
-  std::vector<int> hits;
-  for (const auto* e : res) hits.push_back(e->value);
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<int>{2, 3}));
-}
-
 TEST(IntervalTree, DisjointQueriesMissEverything) {
   auto t = make_tree({{0, 10, 1}, {20, 30, 2}});
-  EXPECT_TRUE(t.overlapping(11, 19).empty());
   EXPECT_TRUE(t.containing(11, 12).empty());
 }
 
@@ -100,22 +89,17 @@ TEST_P(IntervalTreeRandomized, MatchesBruteForce) {
     const auto lo = static_cast<TimePoint>(rng.below(10'500));
     const auto hi = lo + static_cast<TimePoint>(rng.below(300));
 
-    std::vector<int> expected_contain, expected_overlap;
+    std::vector<int> expected_contain;
     for (const auto& e : entries) {
       if (e.lo <= lo && e.hi >= hi) expected_contain.push_back(e.value);
-      if (e.lo <= hi && e.hi >= lo) expected_overlap.push_back(e.value);
     }
     std::sort(expected_contain.begin(), expected_contain.end());
-    std::sort(expected_overlap.begin(), expected_overlap.end());
 
-    std::vector<int> got_contain, got_overlap;
+    std::vector<int> got_contain;
     for (const auto* e : tree.containing(lo, hi)) got_contain.push_back(e->value);
-    for (const auto* e : tree.overlapping(lo, hi)) got_overlap.push_back(e->value);
     std::sort(got_contain.begin(), got_contain.end());
-    std::sort(got_overlap.begin(), got_overlap.end());
 
     EXPECT_EQ(got_contain, expected_contain) << "containing query [" << lo << "," << hi << "]";
-    EXPECT_EQ(got_overlap, expected_overlap) << "overlapping query [" << lo << "," << hi << "]";
   }
 }
 
@@ -133,7 +117,6 @@ TEST(IntervalTree, DegenerateAllIdenticalIntervals) {
 TEST(IntervalTree, PointIntervals) {
   auto t = make_tree({{5, 5, 1}, {7, 7, 2}});
   EXPECT_EQ(t.containing(5, 5).size(), 1u);
-  EXPECT_EQ(t.overlapping(0, 10).size(), 2u);
   EXPECT_TRUE(t.containing(5, 7).empty());
 }
 

@@ -415,38 +415,29 @@ void expect_matches_oracle(const SpanBatches& batches, const AssembleOptions& op
   }
 }
 
-class TimelineOracle : public ::testing::TestWithParam<std::uint64_t> {
- protected:
-  static std::vector<AssembleOptions> all_options() {
-    std::vector<AssembleOptions> out;
-    for (const bool correlate : {true, false}) {
-      for (const bool trust : {true, false}) {
-        AssembleOptions o;
-        o.correlate_async = correlate;
-        o.trust_explicit_parents = trust;
-        out.push_back(o);
-      }
+/// expect_matches_oracle under every combination of the assembly options.
+void expect_matches_oracle_for_all_options(const SpanBatches& batches) {
+  for (const bool correlate : {true, false}) {
+    for (const bool trust : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "correlate=" << correlate << " trust=" << trust);
+      AssembleOptions options;
+      options.correlate_async = correlate;
+      options.trust_explicit_parents = trust;
+      expect_matches_oracle(batches, options);
     }
-    return out;
-  }
-};
-
-TEST_P(TimelineOracle, MatchesBruteForce) {
-  const SpanBatches batches = random_async_trace(GetParam(), /*duplicate_correlation_ids=*/false);
-  for (const auto& options : all_options()) {
-    SCOPED_TRACE(::testing::Message() << "correlate=" << options.correlate_async
-                                      << " trust=" << options.trust_explicit_parents);
-    expect_matches_oracle(batches, options);
   }
 }
 
+class TimelineOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TimelineOracle, MatchesBruteForce) {
+  expect_matches_oracle_for_all_options(
+      random_async_trace(GetParam(), /*duplicate_correlation_ids=*/false));
+}
+
 TEST_P(TimelineOracle, MatchesBruteForceWithDuplicateCorrelationIds) {
-  const SpanBatches batches = random_async_trace(GetParam(), /*duplicate_correlation_ids=*/true);
-  for (const auto& options : all_options()) {
-    SCOPED_TRACE(::testing::Message() << "correlate=" << options.correlate_async
-                                      << " trust=" << options.trust_explicit_parents);
-    expect_matches_oracle(batches, options);
-  }
+  expect_matches_oracle_for_all_options(
+      random_async_trace(GetParam(), /*duplicate_correlation_ids=*/true));
 }
 
 TEST(TimelineOracleCoverage, GeneratorExercisesEveryCase) {
@@ -469,6 +460,121 @@ TEST(TimelineOracleCoverage, GeneratorExercisesEveryCase) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineOracle,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u));
+
+// --- Fixed cases for both parent-search paths -------------------------------
+// A level whose intervals are all nested or disjoint (laminar) resolves by
+// one sweep; any other level builds the interval tree. Each case runs under
+// every option set against the oracle.
+
+/// `spans` published in the given order, `per_batch` spans to a batch.
+SpanBatches batches_of(const std::vector<Span>& spans, std::size_t per_batch) {
+  SpanBatches batches;
+  for (std::size_t at = 0; at < spans.size(); at += per_batch) {
+    const std::size_t end = std::min(spans.size(), at + per_batch);
+    batches.emplace_back(spans.begin() + static_cast<std::ptrdiff_t>(at),
+                         spans.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  return batches;
+}
+
+/// A launch/execution pair: the launch's CPU window is the search window.
+void add_pair(std::vector<Span>& spans, SpanId id, std::uint64_t corr, TimePoint launch_begin,
+              TimePoint launch_end, TimePoint exec_begin, TimePoint exec_end) {
+  spans.push_back(
+      make_span(id, kKernelLevel, exec_begin, exec_end, SpanKind::kExecution, corr));
+  spans.push_back(
+      make_span(id + 1, kKernelLevel, launch_begin, launch_end, SpanKind::kLaunch, corr));
+}
+
+TEST(TimelineOracleFixed, LaminarLevelNestedDeepWithDuplicatesAndLateLaunches) {
+  // Layers nest four deep (1 > 2 > 3 > 6), with 4 an identical copy of 3:
+  // searches inside 3 but not 6 tie between 3 and 4. Launch windows arrive
+  // out of begin order: the device runs the kernels in another order than
+  // the host launched them.
+  std::vector<Span> spans;
+  spans.push_back(make_span(100, kModelLevel, 0, 3000));
+  spans.push_back(make_span(1, kLayerLevel, 100, 1000));
+  spans.push_back(make_span(2, kLayerLevel, 200, 800));
+  spans.push_back(make_span(3, kLayerLevel, 300, 500));
+  spans.push_back(make_span(4, kLayerLevel, 300, 500));  // identical to 3
+  spans.push_back(make_span(5, kLayerLevel, 600, 700));
+  spans.push_back(make_span(6, kLayerLevel, 350, 400));
+  spans.push_back(make_span(7, kLayerLevel, 1000, 1000));  // zero-width, at 1's end
+  spans.push_back(make_span(8, kLayerLevel, 1200, 1500));
+  spans.back().parent = 100;  // an explicit parent among searching siblings
+  add_pair(spans, 10, 1, 360, 380, 2000, 2100);  // in 6
+  add_pair(spans, 12, 2, 310, 320, 2200, 2300);  // in 3 and 4: a tie
+  add_pair(spans, 14, 3, 500, 500, 1900, 1950);  // at 3's and 4's end: a tie
+  add_pair(spans, 16, 4, 650, 690, 1800, 1850);  // in 5
+  add_pair(spans, 18, 5, 1000, 1000, 2400, 2500);  // in 7, the zero-width layer
+  add_pair(spans, 20, 6, 850, 900, 1700, 1750);  // in 1 only
+  add_pair(spans, 22, 7, 1100, 1150, 2600, 2700);  // in no layer
+  add_pair(spans, 24, 8, 1300, 1400, 1600, 1650);  // in 8
+  spans.push_back(make_span(26, kKernelLevel, 620, 630));  // synchronous, in 5
+  spans.push_back(make_span(27, kKernelLevel, 200, 800));  // synchronous, fills 2
+  std::reverse(spans.begin(), spans.end());
+  const SpanBatches batches = batches_of(spans, 3);
+
+  const Timeline tl = Timeline::assemble(batches);
+  EXPECT_EQ(tl.node(10).parent, 6u);
+  EXPECT_TRUE(tl.node(12).ambiguous_parent);
+  EXPECT_TRUE(tl.node(14).ambiguous_parent);
+  EXPECT_EQ(tl.node(18).parent, 7u);
+  EXPECT_EQ(tl.node(22).parent, kNoSpan);
+  EXPECT_EQ(tl.node(27).parent, 2u);
+  EXPECT_EQ(tl.ambiguous_count(), 2u);
+  expect_matches_oracle_for_all_options(batches);
+}
+
+TEST(TimelineOracleFixed, NonLaminarLevelWithPartialOverlapsAndEqualWidthTies) {
+  // Layers 2 and 3 partially overlap with equal widths (parallel branches
+  // of two executor threads); 4 nests in 3 but crosses 2's end.
+  std::vector<Span> spans;
+  spans.push_back(make_span(1, kLayerLevel, 0, 1000));
+  spans.push_back(make_span(2, kLayerLevel, 100, 400));
+  spans.push_back(make_span(3, kLayerLevel, 300, 600));
+  spans.push_back(make_span(4, kLayerLevel, 350, 450));
+  add_pair(spans, 10, 1, 320, 380, 700, 800);  // in 1, 2 and 3: 2 and 3 tie
+  add_pair(spans, 12, 2, 360, 390, 650, 690);  // in 4, the narrowest
+  add_pair(spans, 14, 3, 410, 440, 900, 950);  // in 4 and 3
+  add_pair(spans, 16, 4, 150, 200, 610, 640);  // in 2
+  add_pair(spans, 18, 5, 500, 700, 960, 990);  // in 1 only
+  const SpanBatches batches = batches_of(spans, 4);
+
+  const Timeline tl = Timeline::assemble(batches);
+  EXPECT_TRUE(tl.node(10).ambiguous_parent);
+  EXPECT_EQ(tl.node(12).parent, 4u);
+  EXPECT_EQ(tl.node(14).parent, 4u);
+  EXPECT_EQ(tl.node(16).parent, 2u);
+  EXPECT_EQ(tl.node(18).parent, 1u);
+  EXPECT_EQ(tl.ambiguous_count(), 1u);
+  expect_matches_oracle_for_all_options(batches);
+}
+
+TEST(TimelineOracleFixed, TouchingClosedIntervalsOverlapAtTheirSharedPoint) {
+  // [a,b] and [b,c] both contain b, so a zero-width search at b has two
+  // candidates: a tie when the widths are equal, else the narrower one.
+  struct Case {
+    TimePoint a;
+    TimePoint c;
+    SpanId parent;  // kNoSpan: a tie
+  };
+  for (const Case& k : {Case{100, 300, kNoSpan}, Case{100, 250, 2}, Case{150, 400, 1}}) {
+    SCOPED_TRACE(::testing::Message() << "layers [" << k.a << ",200] and [200," << k.c << "]");
+    std::vector<Span> spans;
+    spans.push_back(make_span(1, kLayerLevel, k.a, 200));
+    spans.push_back(make_span(2, kLayerLevel, 200, k.c));
+    spans.push_back(make_span(3, kKernelLevel, 200, 200));
+    const SpanBatches batches = batches_of(spans, 1);
+
+    const Timeline tl = Timeline::assemble(batches);
+    EXPECT_EQ(tl.node(3).ambiguous_parent, k.parent == kNoSpan);
+    if (k.parent != kNoSpan) {
+      EXPECT_EQ(tl.node(3).parent, k.parent);
+    }
+    expect_matches_oracle_for_all_options(batches);
+  }
+}
 
 }  // namespace
 }  // namespace xsp::trace
