@@ -47,7 +47,6 @@ struct ProfileOptions {
   /// Collect the four GPU metrics of Section III-D3 (requires gpu_level;
   /// expensive: kernels are replayed per counter group).
   bool gpu_metrics = false;
-  trace::PublishMode publish_mode = trace::PublishMode::kAsync;
   /// Trace-server shards to collect into. 1 (default) collects into a
   /// single server; 0 means one shard per hardware thread (capped); >1
   /// fans publication out across that many independent shards, merged at
@@ -208,13 +207,16 @@ class Session {
 
   /// Profile one inference of `graph` end-to-end: input pre-processing,
   /// model prediction, output post-processing, with the levels requested.
+  /// Starts no thread: the trace server is kSync, so the run's flush drains
+  /// its spans, and feeds the drain subscribers, on the calling thread. A
+  /// RemoteSink keeps its own sender thread for socket I/O.
   RunTrace profile(const framework::Graph& graph, const ProfileOptions& options);
 
   /// Point-in-time copy of the live online aggregates. Thread-safe and
   /// callable *during* a profile() run from another thread — the analyzer
-  /// observes batches as the shards drain them, so the snapshot tracks
-  /// publication, not run completion. Returns a default (all-zero)
-  /// snapshot until a run with ProfileOptions::live_stats has started.
+  /// observes batches as each run's flush drains them, so the snapshot
+  /// advances once per run. Returns a default (all-zero) snapshot until a
+  /// run with ProfileOptions::live_stats has started.
   [[nodiscard]] analysis::OnlineSnapshot live_snapshot() const;
 
   /// Forget accumulated live aggregates (the analyzer persists across

@@ -131,14 +131,15 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   }
   // One collection server, one fresh tracer per profiler per run.
   // trace_shards == 1 is the plain single-shard shape; 0 lets the server
-  // size itself to the hardware. The fleet is reused
-  // across runs when its configuration matches — take_batches() left it
-  // empty. The previous run's batches went to its timeline and return to
-  // the batch pool when it dies, so later runs publish into warm blocks.
+  // size itself to the hardware. It is kSync: meta() below drains the run
+  // on this thread. It is reused across runs when its shard count matches
+  // — take_batches() left it empty. The previous run's batches went to its
+  // timeline and return to the batch pool when it dies, so later runs
+  // publish into warm blocks.
   if (server_ == nullptr ||
-      server_->shard_count() != trace::TraceServer::resolve_shard_count(options.trace_shards) ||
-      server_->mode() != options.publish_mode) {
-    auto fresh = std::make_unique<trace::TraceServer>(options.trace_shards, options.publish_mode);
+      server_->shard_count() != trace::TraceServer::resolve_shard_count(options.trace_shards)) {
+    auto fresh =
+        std::make_unique<trace::TraceServer>(options.trace_shards, trace::PublishMode::kSync);
     // Only the pointer swap is guarded: slot_telemetry() on a dashboard
     // thread must never catch the fleet mid-replacement.
     {
@@ -430,9 +431,10 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   }
 
   RunTrace result;
-  // One flush settles every shard: the admission counters are final for
-  // the run, and worker threads that died during it have been reclaimed,
-  // so live_slots reports live producers, not cumulative churn.
+  // One flush drains every shard into the subscribers: the admission
+  // counters are final for the run, and worker threads that died during it
+  // have been reclaimed, so live_slots reports live producers, not
+  // cumulative churn.
   static_cast<trace::TraceMeta&>(result) = server_->meta();
   result.options = options;
   result.sampled_kept -= sampled_kept_before;

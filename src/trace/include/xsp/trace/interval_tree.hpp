@@ -23,6 +23,8 @@
 // lo) and `by_hi_` (the same slice descending by hi), and a node names its
 // slice by offset and count. A build performs a constant number of
 // allocations whatever the input size, and a query none.
+// An inverted interval (hi < lo) contains no point: the build drops it,
+// so it is never anyone's parent.
 #pragma once
 
 #include <algorithm>
@@ -46,7 +48,8 @@ class IntervalTree {
 
   IntervalTree() = default;
 
-  explicit IntervalTree(std::vector<Entry> entries) : size_(entries.size()) {
+  explicit IntervalTree(std::vector<Entry> entries) {
+    std::erase_if(entries, [](const Entry& e) { return e.hi < e.lo; });  // build() would loop
     if (entries.empty()) return;
     const std::size_t n = entries.size();
     nodes_.reserve(n);  // every node holds at least its center's interval
@@ -57,8 +60,8 @@ class IntervalTree {
     build(entries.data(), n, points, rights);
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return by_lo_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return by_lo_.empty(); }
 
   /// Invoke `fn(const Entry&)` for every interval containing point `p`.
   template <typename Fn>
@@ -150,7 +153,6 @@ class IntervalTree {
   std::vector<Node> nodes_;
   std::vector<Entry> by_lo_;
   std::vector<Entry> by_hi_;
-  std::size_t size_ = 0;
 };
 
 }  // namespace xsp::trace

@@ -64,6 +64,8 @@ namespace detail {
 class SlotRegistry;  // trace_server.cpp: uid-keyed weak map of live servers
 }
 
+/// Long-lived servers fed by other threads (the collector daemon) run kAsync;
+/// a Session runs kSync: it publishes each run in one burst, then drains it.
 enum class PublishMode : std::uint8_t {
   kSync,   ///< no collector thread; callers drain batches on flush()
   kAsync,  ///< a collector thread per shard drains sealed batches in the background
@@ -306,12 +308,6 @@ class TraceServer final : public SpanSink {
   /// The shard the calling thread's publishes go to. Exposed so routing
   /// is testable.
   [[nodiscard]] std::size_t shard_for_current_thread() const noexcept;
-
-  [[nodiscard]] PublishMode mode() const noexcept { return mode_; }
-
-  /// True while the background collector threads exist (kAsync only; kSync
-  /// must never spawn one).
-  [[nodiscard]] bool has_collector() const noexcept;
 
  private:
   struct ProducerSlot;  // one publishing thread's batch head

@@ -324,8 +324,6 @@ TraceServer::~TraceServer() {
   }
 }
 
-bool TraceServer::has_collector() const noexcept { return shards_.front()->collector.joinable(); }
-
 namespace {
 
 struct CacheEntry {

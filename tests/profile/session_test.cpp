@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "../trace/json_check.hpp"
+#include "../trace/thread_count.hpp"
 #include "xsp/models/builder.hpp"
 #include "xsp/trace/export.hpp"
 #include "xsp/trace/wire.hpp"
@@ -151,12 +152,25 @@ TEST(Session, ProfilingLevelsInflateModelLatency) {
   EXPECT_LT(mlg, mlgm);  // metric replay is the expensive step
 }
 
-TEST(Session, SyncPublishModeWorksToo) {
-  Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
-  auto opts = ProfileOptions::full(false);
-  opts.publish_mode = trace::PublishMode::kSync;
-  const auto run = s.profile(small_graph(), opts);
-  EXPECT_GT(run.timeline.size(), 10u);
+TEST(Session, ProfileStartsNoThread) {
+  // Counted while the session, and so its trace server, is still alive:
+  // a collector thread would outlive the run and show here.
+  auto streaming = ProfileOptions::full(false);
+  streaming.live_stats = true;
+  streaming.stream_export_path = ::testing::TempDir() + "xsp_no_thread.json";
+  for (const ProfileOptions& opts : {ProfileOptions::full(false), streaming}) {
+    Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
+    const std::size_t before = test::thread_count();
+    const auto run = s.profile(small_graph(), opts);
+    EXPECT_EQ(test::thread_count(), before) << "live_stats " << opts.live_stats;
+    EXPECT_GT(run.timeline.size(), 10u);
+    if (opts.live_stats) {
+      // The subscribers were fed by the run's own flush.
+      EXPECT_GT(run.streamed_spans, run.timeline.size());
+      EXPECT_GT(s.live_snapshot().spans, 0u);
+    }
+  }
+  std::remove(streaming.stream_export_path.c_str());
 }
 
 TEST(Session, ManualSpansNestByExplicitParent) {

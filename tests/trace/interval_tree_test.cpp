@@ -56,6 +56,24 @@ TEST(IntervalTree, DisjointQueriesMissEverything) {
   EXPECT_TRUE(t.containing(11, 12).empty());
 }
 
+TEST(IntervalTree, InvertedIntervalContainsNoPoint) {
+  // hi < lo: once made build() recurse until the stack overflowed.
+  const auto alone = make_tree({{10, 5, 1}});
+  EXPECT_TRUE(alone.empty());
+  int visits = 0;
+  for (const TimePoint p : {4, 5, 7, 10, 11}) {
+    alone.visit_stabbing(p, [&](const Tree::Entry&) { ++visits; });
+  }
+  EXPECT_EQ(visits, 0);
+  EXPECT_TRUE(alone.containing(10, 5).empty());
+
+  const auto mixed = make_tree({{0, 100, 1}, {10, 5, 2}, {20, 30, 3}});
+  EXPECT_EQ(mixed.size(), 2u);
+  std::vector<int> hits;
+  for (const auto* e : mixed.containing(10, 5)) hits.push_back(e->value);
+  EXPECT_EQ(hits, (std::vector<int>{1}));
+}
+
 TEST(IntervalTree, HandlesNestedSpanStructure) {
   // The shape timeline assembly produces: model contains layers contains
   // kernels; siblings are disjoint.

@@ -178,6 +178,34 @@ TEST(Timeline, SmallestEnclosingIntervalWins) {
   EXPECT_EQ(tl.ambiguous_count(), 0u);
 }
 
+TEST(Timeline, InvertedSpanOnOverlappingLevelIsNobodysParent) {
+  // Layers a and b partially overlap, so the layer level builds the
+  // interval tree. Layer 4 ends before it begins: it contains no point,
+  // so it must parent nothing, and everything else keeps its parent.
+  std::vector<Span> spans;
+  spans.push_back(make(1, kModelLevel, 0, 1000, "Predict"));
+  spans.push_back(make(2, kLayerLevel, 0, 100, "a"));
+  spans.push_back(make(3, kLayerLevel, 50, 200, "b"));
+  spans.push_back(make(10, kKernelLevel, 10, 20, "k_a"));
+  spans.push_back(make(11, kKernelLevel, 60, 70, "k_ab"));
+  spans.push_back(make(12, kKernelLevel, 110, 120, "k_b"));
+  spans.push_back(make(13, kKernelLevel, 75, 78, "k_in_inverted"));
+  spans.push_back(make(14, kKernelLevel, 90, 30, "k_inverted"));
+  const auto without = Timeline::assemble(spans);
+  spans.push_back(make(4, kLayerLevel, 80, 40, "inverted"));
+  const auto with = Timeline::assemble(spans);
+
+  ASSERT_EQ(with.size(), without.size() + 1);
+  for (const SpanId id : {1, 2, 3, 10, 11, 12, 13, 14}) {
+    EXPECT_EQ(with.node(id).parent, without.node(id).parent) << "span " << id;
+    EXPECT_EQ(with.node(id).ambiguous_parent, without.node(id).ambiguous_parent) << "span " << id;
+  }
+  EXPECT_TRUE(with.children(4).empty());
+  EXPECT_EQ(with.node(11).parent, 2u);
+  EXPECT_EQ(with.node(14).parent, 2u);
+  EXPECT_EQ(with.ambiguous_count(), without.ambiguous_count());
+}
+
 TEST(Timeline, AtLevelReturnsSpansInTimeOrder) {
   auto tl = Timeline::assemble(nested_trace());
   const auto kernels = tl.at_level(kKernelLevel);

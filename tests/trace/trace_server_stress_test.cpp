@@ -16,6 +16,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "thread_count.hpp"
 #include "xsp/trace/trace_server.hpp"
 #include "xsp/trace/tracer.hpp"
 
@@ -23,11 +24,13 @@ namespace xsp::trace {
 namespace {
 
 TEST(TraceServerLifecycle, SyncModeSpawnsNoCollectorThread) {
-  TraceServer sync_server(PublishMode::kSync);
-  EXPECT_FALSE(sync_server.has_collector());
-
-  TraceServer async_server(PublishMode::kAsync);
-  EXPECT_TRUE(async_server.has_collector());
+  const std::size_t before = test::thread_count();
+  {
+    TraceServer sync_server(PublishMode::kSync);
+    EXPECT_EQ(test::thread_count(), before);
+  }
+  TraceServer async_server(2, PublishMode::kAsync);
+  EXPECT_EQ(test::thread_count(), before + 2);  // one collector per shard
 }
 
 TEST(TraceServerLifecycle, SpansFromExitedThreadsSurvive) {
