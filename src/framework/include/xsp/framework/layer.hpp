@@ -60,7 +60,9 @@ struct Layer {
   LayerType type = LayerType::kReshape;
   common::StrId name;
   /// shape_tag_id(output), set when models::GraphBuilder builds the graph,
-  /// so profiling runs attach it to layer spans without formatting.
+  /// so profiling runs attach it to layer spans without formatting. The
+  /// builder keeps a per-thread cache by Shape4 value, so each distinct
+  /// shape is formatted and interned once, not once per layer.
   common::StrId shape_tag;
   dnn::Shape4 input;
   dnn::Shape4 output;

@@ -4,6 +4,7 @@
 #include <array>
 #include <charconv>
 #include <utility>
+#include <vector>
 
 namespace xsp::models {
 
@@ -39,6 +40,94 @@ std::string_view scope_prefix(LayerType type) {
   return "op";
 }
 
+/// Layer-name ids by (type, ordinal). A name depends on nothing else, so
+/// each is composed and interned once per thread, not once per layer of
+/// every graph. Ids are process-global, so the cache needs no lock.
+class NameIds {
+ public:
+  [[nodiscard]] common::StrId get(LayerType type, int n) {
+    std::vector<std::uint32_t>& ids = ids_[static_cast<std::size_t>(type)];
+    const auto slot = static_cast<std::size_t>(n);
+    if (slot < ids.size() && ids[slot] != 0) return common::StrId::from_raw(ids[slot]);
+    common::StringTable& table = common::StringTable::global();
+    std::array<char, 128> buf;
+    const std::uint32_t id = table.intern(compose(buf, type, n));
+    // An over-budget sentinel is not kept: a later build retries.
+    if (id != table.sentinel_id()) {
+      if (slot >= ids.size()) ids.resize(slot + 1);
+      ids[slot] = id;
+    }
+    return common::StrId::from_raw(id);
+  }
+
+ private:
+  /// "<prefix>[_<n>]/<type name>", composed in a stack buffer.
+  static std::string_view compose(std::array<char, 128>& buf, LayerType type, int n) {
+    const std::string_view prefix = scope_prefix(type);
+    const std::string_view op = framework::layer_type_name(type);
+    char* p = std::copy(prefix.begin(), prefix.end(), buf.data());
+    if (n != 0) {
+      *p++ = '_';
+      p = std::to_chars(p, buf.data() + buf.size(), n).ptr;
+    }
+    *p++ = '/';
+    p = std::copy(op.begin(), op.end(), p);
+    return {buf.data(), static_cast<std::size_t>(p - buf.data())};
+  }
+
+  std::array<std::vector<std::uint32_t>, framework::kLayerTypeCount> ids_;
+};
+
+/// Shape-tag ids by Shape4 value: an open-addressed table with linear
+/// probing, so a shape is formatted and interned once per thread. A pass
+/// over the zoo sees a few thousand distinct shapes. Slot id 0 marks an
+/// empty slot; a shape tag is never the empty string.
+class ShapeTagIds {
+ public:
+  [[nodiscard]] common::StrId get(const Shape4& shape) {
+    if (slots_.empty()) slots_.resize(kInitialSlots);
+    Slot& slot = find(slots_, shape);
+    if (slot.id != 0) return common::StrId::from_raw(slot.id);
+    const common::StrId tag = framework::shape_tag_id(shape);
+    // An over-budget sentinel is not kept: a later build retries.
+    if (tag.raw() == common::StringTable::global().sentinel_id()) return tag;
+    slot = {shape, tag.raw()};
+    if (++used_ * 4 > slots_.size() * 3) {
+      std::vector<Slot> old(slots_.size() * 2);
+      old.swap(slots_);
+      for (const Slot& s : old) {
+        if (s.id != 0) find(slots_, s.shape) = s;
+      }
+    }
+    return tag;
+  }
+
+ private:
+  struct Slot {
+    Shape4 shape;
+    std::uint32_t id = 0;
+  };
+  static constexpr std::size_t kInitialSlots = 1024;  // power of two
+
+  /// The slot holding `shape`, or the empty slot where it belongs.
+  static Slot& find(std::vector<Slot>& slots, const Shape4& shape) {
+    std::uint64_t h = static_cast<std::uint64_t>(shape.n);
+    for (const std::int64_t v : {shape.c, shape.h, shape.w}) {
+      h = (h ^ static_cast<std::uint64_t>(v)) * 0x9E3779B97F4A7C15ull;
+    }
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = static_cast<std::size_t>(h ^ (h >> 32)) & mask;
+    while (slots[i].id != 0 && !(slots[i].shape == shape)) i = (i + 1) & mask;
+    return slots[i];
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+};
+
+thread_local NameIds t_name_ids;
+thread_local ShapeTagIds t_shape_tag_ids;
+
 }  // namespace
 
 GraphBuilder::GraphBuilder(std::string model_name, std::int64_t batch, bool decompose_batchnorm)
@@ -48,19 +137,7 @@ GraphBuilder::GraphBuilder(std::string model_name, std::int64_t batch, bool deco
 }
 
 common::StrId GraphBuilder::next_name(LayerType type) {
-  const int n = type_counts_[static_cast<std::size_t>(type)]++;
-  // "<prefix>[_<n>]/<type name>", composed in a stack buffer.
-  std::array<char, 128> buf;
-  const std::string_view prefix = scope_prefix(type);
-  const std::string_view op = layer_type_name(type);
-  char* p = std::copy(prefix.begin(), prefix.end(), buf.data());
-  if (n != 0) {
-    *p++ = '_';
-    p = std::to_chars(p, buf.data() + buf.size(), n).ptr;
-  }
-  *p++ = '/';
-  p = std::copy(op.begin(), op.end(), p);
-  return std::string_view(buf.data(), static_cast<std::size_t>(p - buf.data()));
+  return t_name_ids.get(type, type_counts_[static_cast<std::size_t>(type)]++);
 }
 
 Layer& GraphBuilder::append(LayerType type, const Shape4& output) {
@@ -75,14 +152,15 @@ Layer& GraphBuilder::append(LayerType type, const Shape4& output) {
 }
 
 Graph GraphBuilder::build() && {
-  for (Layer& l : graph_.layers) l.shape_tag = framework::shape_tag_id(l.output);
+  ShapeTagIds& tags = t_shape_tag_ids;
+  for (Layer& l : graph_.layers) l.shape_tag = tags.get(l.output);
   return std::move(graph_);
 }
 
 GraphBuilder& GraphBuilder::input(std::int64_t channels, std::int64_t h, std::int64_t w) {
   const Shape4 out{cur_.n, channels, h, w};
   Layer& l = append(LayerType::kData, out);
-  l.name = "data/Data";
+  l.name = t_name_ids.get(LayerType::kData, 0);  // "data/Data" at any ordinal
   return *this;
 }
 

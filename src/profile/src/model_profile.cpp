@@ -1,8 +1,8 @@
 #include "xsp/profile/model_profile.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
+#include <vector>
 
 #include "xsp/profile/span_keys.hpp"
 
@@ -67,8 +67,11 @@ ModelProfile merge_runs(const RunTrace& m, const RunTrace& ml, const RunTrace& m
   }
 
   // --- layers: accurate records from the M/L run --------------------------
-  // Keyed by layer index so the M/L/G run's kernels can be attached.
-  std::map<int, std::size_t> layer_slot;
+  // Indexed by layer index so the M/L/G run's kernels can be attached: the
+  // executor numbers layers densely from 0. A negative index, or one no
+  // layer span carries, attaches nothing.
+  constexpr std::size_t kNoSlot = ~std::size_t{0};
+  std::vector<std::size_t> layer_slot;
   for (const auto id : ml.timeline.at_level(trace::kLayerLevel)) {
     const auto& span = ml.timeline.node(id).span;
     LayerView lv;
@@ -78,7 +81,11 @@ ModelProfile merge_runs(const RunTrace& m, const RunTrace& ml, const RunTrace& m
     lv.shape = span.tag_or(keys().shape);
     lv.latency = span.duration();
     lv.alloc_bytes = span.metric_or(keys().alloc_bytes, 0);
-    layer_slot[lv.index] = out.layers.size();
+    if (lv.index >= 0) {
+      const auto index = static_cast<std::size_t>(lv.index);
+      if (index >= layer_slot.size()) layer_slot.resize(index + 1, kNoSlot);
+      layer_slot[index] = out.layers.size();
+    }
     out.layers.push_back(std::move(lv));
   }
 
@@ -111,8 +118,9 @@ ModelProfile merge_runs(const RunTrace& m, const RunTrace& ml, const RunTrace& m
     }
 
     const std::size_t kid = out.kernels.size();
-    if (auto slot = layer_slot.find(kv.layer_index); slot != layer_slot.end()) {
-      LayerView& lv = out.layers[slot->second];
+    const auto index = static_cast<std::size_t>(kv.layer_index);
+    if (kv.layer_index >= 0 && index < layer_slot.size() && layer_slot[index] != kNoSlot) {
+      LayerView& lv = out.layers[layer_slot[index]];
       lv.kernel_ids.push_back(kid);
       if (!kv.is_memcpy) {
         lv.kernel_latency += kv.latency;

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string_view>
 #include <type_traits>
 #include <vector>
@@ -206,7 +207,15 @@ struct Span {
   InlineTagMap inline_tags;
   MetricMap metrics;
 
-  [[nodiscard]] Ns duration() const noexcept { return end - begin; }
+  /// end - begin, saturated to the range of Ns: a decoded span may carry
+  /// any pair of times, and their difference must not overflow.
+  [[nodiscard]] Ns duration() const noexcept {
+    Ns d;
+    if (__builtin_sub_overflow(end, begin, &d)) [[unlikely]] {
+      return end > begin ? std::numeric_limits<Ns>::max() : std::numeric_limits<Ns>::min();
+    }
+    return d;
+  }
 
   /// Record `n` annotation drops, saturating at 0xFFFF.
   void note_dropped(std::uint32_t n = 1) noexcept {

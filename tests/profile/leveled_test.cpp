@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "xsp/models/builder.hpp"
+#include "xsp/profile/span_keys.hpp"
 
 namespace xsp::profile {
 namespace {
@@ -151,6 +152,58 @@ TEST(Leveled, RepeatedLatencySummary) {
 TEST(Leveled, ModelLatencyDeterministicWithoutJitter) {
   LeveledRunner runner(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
   EXPECT_EQ(runner.model_latency(small_graph()), runner.model_latency(small_graph()));
+}
+
+trace::Span level_span(trace::SpanId id, int level, Ns begin, Ns end, int layer_index) {
+  trace::Span s;
+  s.id = id;
+  s.level = level;
+  s.name = "merge_span";
+  s.begin = begin;
+  s.end = end;
+  if (layer_index != -1) s.metrics.set(span_keys().layer_index, layer_index);
+  return s;
+}
+
+TEST(MergeRuns, KernelsAttachByLayerIndexOnly) {
+  // The M/L run carries layers 0 and 2 and one layer without an index.
+  RunTrace ml;
+  ml.timeline = trace::Timeline::assemble(std::vector<trace::Span>{
+      level_span(1, trace::kModelLevel, 0, 100, -1),
+      level_span(2, trace::kLayerLevel, 0, 30, 0),
+      level_span(3, trace::kLayerLevel, 30, 60, 2),
+      level_span(4, trace::kLayerLevel, 60, 90, -1),
+  });
+  // The M/L/G run's kernels sit under layers 0, 1 and 5, and one sits
+  // under no layer at all.
+  RunTrace mlg;
+  mlg.timeline = trace::Timeline::assemble(std::vector<trace::Span>{
+      level_span(1, trace::kModelLevel, 0, 100, -1),
+      level_span(2, trace::kLayerLevel, 0, 30, 0),
+      level_span(3, trace::kLayerLevel, 30, 60, 1),
+      level_span(4, trace::kLayerLevel, 60, 90, 5),
+      level_span(5, trace::kKernelLevel, 5, 10, -1),
+      level_span(6, trace::kKernelLevel, 35, 40, -1),
+      level_span(7, trace::kKernelLevel, 65, 70, -1),
+      level_span(8, trace::kKernelLevel, 95, 99, -1),
+  });
+  const ModelProfile profile = merge_runs(RunTrace{}, ml, mlg, "m", "sys", "fw", 1);
+
+  ASSERT_EQ(profile.kernels.size(), 4u);
+  EXPECT_EQ(profile.kernels[0].layer_index, 0);
+  EXPECT_EQ(profile.kernels[1].layer_index, 1);
+  EXPECT_EQ(profile.kernels[2].layer_index, 5);
+  EXPECT_EQ(profile.kernels[3].layer_index, -1);
+  ASSERT_EQ(profile.layers.size(), 3u);
+  // Only the kernel whose layer the M/L run has attaches; index 1 has no
+  // layer, 5 is past the last one, and -1 matches no layer, not even the
+  // one without an index.
+  EXPECT_EQ(profile.layers[0].index, 0);
+  EXPECT_EQ(profile.layers[0].kernel_ids, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(profile.layers[0].kernel_latency, 5);
+  EXPECT_TRUE(profile.layers[1].kernel_ids.empty());
+  EXPECT_EQ(profile.layers[2].index, -1);
+  EXPECT_TRUE(profile.layers[2].kernel_ids.empty());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -156,6 +157,29 @@ TEST(Export, ChromeTimestampsTrimTrailingZeros) {
   const auto json = to_chrome_trace(Timeline::assemble(spans));
   EXPECT_NE(json.find("\"ts\":1.5,"), std::string::npos) << json;
   EXPECT_NE(json.find("\"dur\":2,"), std::string::npos) << json;
+}
+
+TEST(Export, SpanWhoseDurationOverflowsExports) {
+  // A decoded span with begin near INT64_MIN: end - begin does not fit in
+  // Ns. Both exports print it, with the Chrome duration saturated.
+  std::vector<Span> spans;
+  Span s;
+  s.id = 1;
+  s.name = "decoded";
+  s.begin = std::numeric_limits<Ns>::min() + 3;
+  s.end = 1'000;
+  spans.push_back(s);
+  const Timeline timeline = Timeline::assemble(spans);
+
+  const auto json = to_span_json(timeline);
+  EXPECT_NE(json.find("\"begin_ns\":-9223372036854775805,\"end_ns\":1000,"),
+            std::string::npos)
+      << json;
+  EXPECT_TRUE(valid_json(json));
+
+  const auto chrome = to_chrome_trace(timeline);
+  EXPECT_NE(chrome.find("\"dur\":9223372036854775.807,"), std::string::npos) << chrome;
+  EXPECT_TRUE(valid_json(chrome));
 }
 
 TEST(Export, LargeIntegerMetricsPrintExactly) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace xsp::trace {
 namespace {
 
@@ -10,6 +12,29 @@ TEST(Span, DurationIsEndMinusBegin) {
   s.begin = us(10);
   s.end = us(35);
   EXPECT_EQ(s.duration(), us(25));
+}
+
+TEST(Span, DurationSaturatesInsteadOfOverflowing) {
+  // A decoded span may carry any two times; end - begin must not overflow.
+  constexpr Ns kMin = std::numeric_limits<Ns>::min();
+  constexpr Ns kMax = std::numeric_limits<Ns>::max();
+  Span s;
+  s.begin = kMin + 5;
+  s.end = 10;
+  EXPECT_EQ(s.duration(), kMax);
+  s.begin = kMax;
+  s.end = -2;
+  EXPECT_EQ(s.duration(), kMin);
+  // Differences that fit are exact, up to the edges.
+  s.begin = kMin;
+  s.end = -1;
+  EXPECT_EQ(s.duration(), kMax);
+  s.begin = 0;
+  s.end = kMin;
+  EXPECT_EQ(s.duration(), kMin);
+  s.begin = 7;
+  s.end = 3;
+  EXPECT_EQ(s.duration(), -4);
 }
 
 TEST(Span, DefaultsAreEmpty) {

@@ -263,28 +263,35 @@ TEST(BinaryWire, StreamingExporterRejectsBinaryFormat) {
 // --- string-delta semantics -------------------------------------------------
 
 TEST(BinaryWire, DeltaShipsStringsInternedBetweenFlushes) {
+  // The table is process-global: a repeated run needs strings no earlier
+  // iteration interned.
+  static int round = 0;
+  const std::string suffix = "_" + std::to_string(round++);
+  const std::string first_name = "wire_delta_first_unique_xyzzy" + suffix;
+  const std::string second_name = "wire_delta_second_unique_plugh" + suffix;
+
   std::string out;
   BinaryWriter writer([&out](std::string_view chunk) { out.append(chunk); });
   Span first = make_span(1, 0);
-  first.name = "wire_delta_first_unique_xyzzy";
+  first.name = first_name;
   writer.write_batch({first});
   const std::size_t after_first = out.size();
 
   // A string interned after the first flush must ride the second delta.
   Span second = make_span(2, 10);
-  second.name = "wire_delta_second_unique_plugh";
+  second.name = second_name;
   writer.write_batch({second});
   writer.finish();
 
-  EXPECT_EQ(out.find("wire_delta_first_unique_xyzzy") != std::string::npos, true);
-  EXPECT_NE(out.find("wire_delta_second_unique_plugh", after_first), std::string::npos);
+  EXPECT_EQ(out.find(first_name) != std::string::npos, true);
+  EXPECT_NE(out.find(second_name, after_first), std::string::npos);
   // ... and exactly once: string bytes ship once, not per span.
-  EXPECT_EQ(testjson::count_occurrences(out, "wire_delta_first_unique_xyzzy"), 1u);
+  EXPECT_EQ(testjson::count_occurrences(out, first_name), 1u);
 
   const SpanBatches decoded = decode(out);
   ASSERT_EQ(decoded.size(), 2u);
-  EXPECT_EQ(decoded[0][0].name, "wire_delta_first_unique_xyzzy");
-  EXPECT_EQ(decoded[1][0].name, "wire_delta_second_unique_plugh");
+  EXPECT_EQ(decoded[0][0].name, first_name);
+  EXPECT_EQ(decoded[1][0].name, second_name);
 }
 
 TEST(BinaryWire, RemapsForeignProducerIdsThroughReintern) {
