@@ -7,7 +7,9 @@
 // bounded outbox a background sender thread drains through a BinaryWriter
 // over a socket-backed fallible FrameSink. All network latency, blocking,
 // and failure lives on the sender thread — tracers never stall on the
-// collector.
+// collector. The pending batch is sealed at batch_spans, by flush() or
+// close(), and by a heartbeat tick that finds the outbox empty: a trickle
+// leaves within one heartbeat_interval_ms.
 //
 // Backpressure is bounded and *accounted*, never blocking and never
 // silent (the always-on-client memory discipline the I2PA evaluation

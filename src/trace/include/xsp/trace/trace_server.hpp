@@ -68,7 +68,11 @@ class SlotRegistry;  // trace_server.cpp: uid-keyed weak map of live servers
 /// a Session runs kSync: it publishes each run in one burst, then drains it.
 enum class PublishMode : std::uint8_t {
   kSync,   ///< no collector thread; callers drain batches on flush()
-  kAsync,  ///< a collector thread per shard drains sealed batches in the background
+  /// A collector thread per shard drains sealed batches in the background.
+  /// The first batch sealed since its last pass wakes it; 50 ms without a
+  /// seal makes it sweep partial batches too, so a live producer's trickle
+  /// is delivered without a flush().
+  kAsync,
 };
 
 // SpanBatch/SpanBatches live in span.hpp (shared with Timeline::assemble).

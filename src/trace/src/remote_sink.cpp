@@ -209,6 +209,9 @@ void RemoteSink::sender_loop() {
         cv_.wait(lk, pred);
       }
       if (outbox_.empty() && stop_) break;
+      // A heartbeat tick also seals the partial batch, as flush() does, so
+      // a trickle leaves within one interval instead of at batch_spans.
+      if (timed_out && !closed_) seal_locked();
       if (timed_out && outbox_.empty() && !conn.ok()) {
         // Pure heartbeat tick while disconnected: nothing to signal on.
         // Reconnecting belongs to the data path — an idle producer must

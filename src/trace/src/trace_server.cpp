@@ -172,6 +172,18 @@ struct TraceServer::Shard {
   std::atomic<std::size_t> pending_batches{0};
   std::thread collector;
 
+  /// Count one unit of collector work (a sealed batch or a retiring
+  /// slot); the first since the collector's last pass wakes it, so a pass
+  /// takes whatever arrived until it runs and costs one wake. Passing
+  /// through wake_mu before notifying keeps the wake from landing between
+  /// the collector's predicate check and its sleep: pending stays nonzero,
+  /// no later call would notify, and the shard would sleep out its period.
+  void wake() {
+    if (pending_batches.fetch_add(1, std::memory_order_release) != 0) return;
+    { std::lock_guard lk(wake_mu); }
+    wake_cv.notify_one();
+  }
+
   std::uint64_t slot_bytes() {
     const auto bytes_of = [](ProducerSlot& slot) {
       std::uint64_t bytes = sizeof(ProducerSlot);
@@ -480,10 +492,7 @@ void TraceServer::note_thread_exit(std::uint64_t thread_key) {
   // a churn-heavy but otherwise idle server sheds the ~55KB promptly
   // instead of waiting out the periodic timeout. (kSync retires on the
   // next flush/take, exactly like batch draining.)
-  if (marked && mode_ == PublishMode::kAsync) {
-    shard.pending_batches.fetch_add(1, std::memory_order_release);
-    shard.wake_cv.notify_one();
-  }
+  if (marked && mode_ == PublishMode::kAsync) shard.wake();
 }
 
 void TraceServer::publish(const Span& span) {
@@ -509,15 +518,7 @@ void TraceServer::publish(const Span& span) {
     sealed = true;
   }
   slot.release();
-  if (sealed && mode_ == PublishMode::kAsync) {
-    // Wake the collector once several batches are ready (its periodic
-    // timeout bounds staleness); per-batch wakeups would have the collector
-    // competing with producers for CPU.
-    Shard& shard = *slot.shard;
-    if (shard.pending_batches.fetch_add(1, std::memory_order_release) + 1 >= 16) {
-      shard.wake_cv.notify_one();
-    }
-  }
+  if (sealed && mode_ == PublishMode::kAsync) slot.shard->wake();
 }
 
 void TraceServer::drain(Shard& shard, bool steal_active) {
@@ -791,13 +792,16 @@ void TraceServer::bind_metrics(metrics::Registry& registry, const metrics::Label
 void TraceServer::collector_loop(Shard& shard) {
   std::unique_lock lk(shard.wake_mu);
   while (!stop_.load(std::memory_order_acquire)) {
-    shard.wake_cv.wait_for(lk, std::chrono::milliseconds(50), [&] {
+    const bool woken = shard.wake_cv.wait_for(lk, std::chrono::milliseconds(50), [&] {
       return stop_.load(std::memory_order_acquire) ||
              shard.pending_batches.load(std::memory_order_acquire) > 0;
     });
     shard.pending_batches.store(0, std::memory_order_release);
     lk.unlock();
-    drain(shard, /*steal_active=*/false);
+    // A quiet period (no batch sealed for 50 ms) also sweeps the partial
+    // batches, so a live producer's trickle is delivered within it instead
+    // of waiting for 256 spans or a flush().
+    drain(shard, /*steal_active=*/!woken);
     lk.lock();
   }
 }

@@ -745,6 +745,33 @@ TEST(CollectorHeartbeat, RemoteSinkHeartbeatsFlowEndToEnd) {
   EXPECT_GE(collector.service.stats().heartbeats_seen, 2u);
 }
 
+TEST(CollectorHeartbeat, LiveRemoteSinkTrickleArrivesWithoutFlush) {
+  // Ten spans never fill a batch, and the sink is neither flushed nor
+  // closed: its heartbeat tick must seal them, and the daemon's kAsync
+  // server must sweep them out of its live ingest thread's partial batch.
+  constexpr int kIntervalMs = 200;
+  std::atomic<std::size_t> delivered{0};
+  const Endpoint ep = uds_endpoint("col_trickle");
+  RunningCollector collector(ep, {}, trace::PublishMode::kAsync);
+  collector.server.add_drain_subscriber(
+      [&delivered](const trace::SpanBatches& batches) {
+        for (const auto& batch : batches) delivered.fetch_add(batch.size());
+      },
+      trace::DrainHandoff::kConsume);
+
+  trace::RemoteSinkOptions opts;
+  opts.heartbeat_interval_ms = kIntervalMs;
+  trace::RemoteSink sink(ep, opts);
+  publish_fleet_member(sink, 0, 10);
+  EXPECT_TRUE(wait_until([&] { return delivered.load() == 10; }, 3 * kIntervalMs))
+      << delivered.load() << " of 10 spans delivered";
+
+  sink.close();
+  collector.stop();
+  EXPECT_EQ(sink.spans_published(), sink.spans_sent() + sink.spans_dropped());
+  EXPECT_EQ(sink.spans_dropped(), 0u);
+}
+
 // --- sampling admission & selective shedding ------------------------------
 
 TEST(RemoteSinkSampling, PublishAdmissionHoldsTheInvariant) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -104,6 +107,90 @@ TEST(TraceServer, DestructionWithQueuedSpansIsClean) {
   }
   server.reset();
   SUCCEED();
+}
+
+/// A kAsync server whose consuming subscriber counts delivered spans, so
+/// a test can time how long published spans take to reach it.
+class DeliveryClock {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  DeliveryClock() {
+    server_.add_drain_subscriber(
+        [this](const SpanBatches& batches) {
+          std::size_t n = 0;
+          for (const auto& batch : batches) n += batch.size();
+          {
+            std::lock_guard lk(mu_);
+            delivered_ += n;
+          }
+          cv_.notify_all();
+        },
+        DrainHandoff::kConsume);
+  }
+
+  void publish(std::size_t spans) {
+    for (std::size_t i = 0; i < spans; ++i) {
+      server_.publish(make_span(server_.next_span_id(), 0, 1));
+    }
+    published_ += spans;
+  }
+
+  /// Time until every span published so far is delivered; `limit` when
+  /// that does not happen within it.
+  Clock::duration wait_delivered(Clock::duration limit) {
+    const auto t0 = Clock::now();
+    std::unique_lock lk(mu_);
+    cv_.wait_for(lk, limit, [&] { return delivered_ >= published_; });
+    return delivered_ >= published_ ? Clock::now() - t0 : limit;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t delivered_ = 0;
+  std::size_t published_ = 0;
+  // Last, so it dies (joining its collector) before what the subscriber uses.
+  TraceServer server_{PublishMode::kAsync};
+};
+
+// The collector's quiet period: a drain that waits it out was not woken.
+constexpr auto kQuietPeriod = std::chrono::milliseconds(50);
+
+TEST(TraceServerAsync, OneSealedBatchWakesTheCollector) {
+  // One sealed batch, then nothing: the seal itself must wake the
+  // collector rather than leave the batch for the quiet-period timeout.
+  DeliveryClock clock;
+  std::vector<DeliveryClock::Clock::duration> lags;
+  for (int burst = 0; burst < 20; ++burst) {
+    clock.publish(TraceServer::kBatchCapacity);  // the last span seals
+    lags.push_back(clock.wait_delivered(std::chrono::seconds(1)));
+  }
+  std::nth_element(lags.begin(), lags.begin() + lags.size() / 2, lags.end());
+  EXPECT_LT(lags[lags.size() / 2], std::chrono::milliseconds(10));
+}
+
+TEST(TraceServerAsync, LiveProducerTrickleDrainsWithoutFlush) {
+  // Ten spans never fill a batch and this thread stays alive, so only the
+  // quiet-period sweep of partial batches can deliver them.
+  DeliveryClock clock;
+  clock.publish(10);
+  EXPECT_LT(clock.wait_delivered(std::chrono::seconds(1)), std::chrono::seconds(1));
+}
+
+TEST(TraceServerAsync, BurstsRarelyWaitOutTheQuietPeriod) {
+  // Each burst seals one batch right after the previous delivery, racing
+  // the collector back to sleep: a wake lost in that window costs the
+  // whole quiet period. Stop early once the bound is already broken.
+  constexpr int kBursts = 1000;
+  constexpr int kAllowedSlow = kBursts / 100;
+  DeliveryClock clock;
+  int slow = 0;
+  for (int burst = 0; burst < kBursts && slow <= kAllowedSlow; ++burst) {
+    clock.publish(TraceServer::kBatchCapacity);
+    if (clock.wait_delivered(std::chrono::seconds(1)) >= kQuietPeriod) ++slow;
+  }
+  EXPECT_LE(slow, kAllowedSlow);
 }
 
 }  // namespace
