@@ -1,17 +1,11 @@
-// Ablation: interval-tree vs linear-scan parent reconstruction, and the
-// whole timeline assembly built on it.
+// Ablation: Timeline::assemble end to end, and its two parent searches.
 //
-// XSP's design choice (Section III-A) is an interval tree for the
-// set-inclusion queries that rebuild span parent-child links. This
-// google-benchmark ablation measures both against trace sizes from a few
-// hundred spans (one model) to hundreds of thousands (long-running
-// applications), in real host time. BM_TimelineAssemble times
-// Timeline::assemble end to end — correlation, ordering and parent
-// search — over the publication batches of an M/L/G run. Its layers are
-// disjoint, so assembly resolves them by one sorted sweep;
-// BM_TimelineAssembleOverlapping runs layers from two executor threads
-// that partially overlap, which assembly resolves through the interval
-// tree.
+// BM_TimelineAssemble times Timeline::assemble — correlation, ordering and
+// parent search — over the publication batches of an M/L/G run, in real
+// host time. Its layers are disjoint, so assembly resolves them by the
+// stack sweep of laminar levels; BM_TimelineAssembleOverlapping runs layers
+// from two executor threads that partially overlap, which assembly
+// resolves by the Fenwick sweep (src/trace/README.md, "Assembly").
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,69 +14,9 @@
 #include <vector>
 
 #include "xsp/common/rng.hpp"
-#include "xsp/trace/interval_tree.hpp"
 #include "xsp/trace/timeline.hpp"
 
 namespace {
-
-using xsp::trace::IntervalTree;
-using Entry = IntervalTree<int>::Entry;
-
-/// Layer-like intervals: disjoint siblings covering a long timeline.
-std::vector<Entry> make_layers(int n) {
-  std::vector<Entry> entries;
-  entries.reserve(static_cast<std::size_t>(n));
-  xsp::TimePoint t = 0;
-  xsp::SplitMix64 rng(42);
-  for (int i = 0; i < n; ++i) {
-    const auto len = static_cast<xsp::TimePoint>(1000 + rng.below(20000));
-    entries.push_back({t, t + len, i});
-    t += len + 100;
-  }
-  return entries;
-}
-
-/// Kernel-like query points: a few per layer.
-std::vector<std::pair<xsp::TimePoint, xsp::TimePoint>> make_queries(
-    const std::vector<Entry>& layers, int per_layer) {
-  std::vector<std::pair<xsp::TimePoint, xsp::TimePoint>> qs;
-  xsp::SplitMix64 rng(7);
-  for (const auto& l : layers) {
-    for (int i = 0; i < per_layer; ++i) {
-      const auto lo = l.lo + static_cast<xsp::TimePoint>(rng.below(
-                                 static_cast<std::uint64_t>(l.hi - l.lo) / 2 + 1));
-      qs.emplace_back(lo, lo + 10);
-    }
-  }
-  return qs;
-}
-
-void BM_IntervalTreeCorrelation(benchmark::State& state) {
-  const auto layers = make_layers(static_cast<int>(state.range(0)));
-  const auto queries = make_queries(layers, 3);
-  for (auto _ : state) {
-    IntervalTree<int> tree{std::vector<Entry>(layers)};
-    std::size_t found = 0;
-    for (const auto& [lo, hi] : queries) found += tree.containing(lo, hi).size();
-    benchmark::DoNotOptimize(found);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(queries.size()));
-}
-
-void BM_LinearScanCorrelation(benchmark::State& state) {
-  const auto layers = make_layers(static_cast<int>(state.range(0)));
-  const auto queries = make_queries(layers, 3);
-  for (auto _ : state) {
-    std::size_t found = 0;
-    for (const auto& [lo, hi] : queries) {
-      for (const auto& l : layers) {
-        if (l.lo <= lo && l.hi >= hi) ++found;
-      }
-    }
-    benchmark::DoNotOptimize(found);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(queries.size()));
-}
 
 /// Publication batches of `runs` back-to-back M/L/G predictions shaped
 /// like ResNet-50 at batch 64: three model-level spans (pre-process,
@@ -219,8 +153,6 @@ void BM_TimelineAssemble(benchmark::State& state) { assemble_timelines(state, fa
 
 void BM_TimelineAssembleOverlapping(benchmark::State& state) { assemble_timelines(state, true); }
 
-BENCHMARK(BM_IntervalTreeCorrelation)->Arg(256)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_LinearScanCorrelation)->Arg(256)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_TimelineAssemble)->ArgName("runs")->Arg(1)->Arg(16);
 BENCHMARK(BM_TimelineAssembleOverlapping)->ArgName("runs")->Arg(1)->Arg(16);
 

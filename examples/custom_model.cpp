@@ -3,7 +3,7 @@
 // public GraphBuilder API is profiled across all three stack levels with
 // no framework or library modification — the layer tracer consumes the
 // framework profiler's records, the GPU tracer consumes CUPTI records, and
-// the interval tree correlates kernels to layers.
+// interval-inclusion parent search correlates kernels to layers.
 #include <cstdio>
 
 #include "xsp/analysis/analyses.hpp"

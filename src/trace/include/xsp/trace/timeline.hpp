@@ -9,13 +9,14 @@
 //      smallest that contains s2's at the nearest level above it. A level
 //      whose intervals are laminar (every two nested or disjoint, as layers
 //      on one executor thread are) resolves by one sorted stack sweep; any
-//      other level — parallel events that partially overlap — builds the
-//      paper's interval tree.
+//      other level — parallel events that partially overlap — by one
+//      offline sweep over a Fenwick tree of the level's interval ends.
 //
 // When several candidate parents contain a span (parallel events), the
 // parent is ambiguous; XSP then "requires another profiling run where the
 // parallel events are serialized" — assembly records the ambiguity count so
-// the caller knows a serialized re-run is needed.
+// the caller knows a serialized re-run is needed. The earliest tied
+// candidate in node order stands as the parent meanwhile.
 //
 // Storage: the timeline owns the publication batches it was assembled
 // from and never copies a span. A pair's launch half is merged into its
@@ -60,10 +61,6 @@ struct TimelineNode {
 };
 
 struct AssembleOptions {
-  /// Parent search uses the launch span's interval for async events (the
-  /// launch happens inside the parent's CPU interval, while the execution
-  /// may complete after the parent returned).
-  bool correlate_async = true;
   /// When true, spans with an explicit parent reference keep it even if
   /// interval containment would disagree.
   bool trust_explicit_parents = true;

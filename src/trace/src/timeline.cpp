@@ -1,9 +1,8 @@
 #include "xsp/trace/timeline.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
-
-#include "xsp/trace/interval_tree.hpp"
 
 namespace xsp::trace {
 
@@ -43,7 +42,11 @@ struct Search {
 };
 
 /// A candidate parent: a node's interval and its position.
-using Entry = IntervalTree<std::uint32_t>::Entry;
+struct Entry {
+  TimePoint lo;
+  TimePoint hi;
+  std::uint32_t value;
+};
 
 /// What a parent search found: no containing interval.
 constexpr std::uint32_t kNoParent = UINT32_MAX;
@@ -214,7 +217,7 @@ NodePlan plan_nodes(SpanBatches& batches, const AssembleOptions& options) {
   async.reserve(span_count);
   for (auto& batch : batches) {
     for (auto& s : batch) {
-      if (options.correlate_async && s.kind != SpanKind::kRegular && s.correlation_id != 0) {
+      if (s.kind != SpanKind::kRegular && s.correlation_id != 0) {
         async.push_back({s.correlation_id, async.size(), &s});
       } else {
         add_source(&s, nullptr);
@@ -279,7 +282,7 @@ struct Slot {
 /// point, [a,b] and [b,c], overlap. Calls found(search, parent position or
 /// kNoParent, ambiguous) per search. Returns false, possibly after some
 /// found() calls, when an entry partially overlaps an open one; the
-/// level then needs the interval tree.
+/// level then needs fenwick_parents.
 ///
 /// Entries in (lo, hi descending, position) order and searches in lo order
 /// are swept together; both arrive nearly sorted, so sort_runs costs O(n).
@@ -338,30 +341,73 @@ bool sweep_parents(std::vector<Entry>& entries, std::vector<Search>& searches,
   return true;
 }
 
-/// Resolve the searches of one level through an interval tree: a stabbing
-/// query at each search's lo, keeping the smallest interval that contains
-/// the search window. A tie on duration between distinct intervals means
-/// parallel events. Calls found() like sweep_parents.
+/// The smallest intervals over a range of ends: their duration, the
+/// first position among them, and how many there are.
+struct Smallest {
+  std::uint64_t duration = UINT64_MAX;
+  std::uint32_t position = kNoParent;
+  std::uint32_t count = 0;
+};
+
+Smallest smaller(Smallest a, const Smallest& b) {
+  if (b.duration < a.duration) return b;
+  if (b.duration == a.duration) {
+    a.position = std::min(a.position, b.position);
+    a.count += b.count;
+  }
+  return a;
+}
+
+/// Resolve the searches of a level that is not laminar, by one offline
+/// sweep over the entries and searches sweep_parents left in lo order.
+/// Before a search, every entry with lo <= the search's lo enters a
+/// Fenwick tree over the level's distinct ends that answers suffix
+/// queries: node i combines the ranks [i, i + lowbit(i)). The search asks
+/// for the ends >= max(lo, hi), so each interval it sees contains both
+/// its window and the point lo (the rule for an inverted window), and it
+/// gets the smallest one; a tie on duration between distinct intervals
+/// means parallel events. Calls found() like sweep_parents.
 template <typename Found>
-void tree_parents(std::vector<Entry> entries, const std::vector<Search>& searches,
-                  Found&& found) {
-  const IntervalTree<std::uint32_t> tree(std::move(entries));
+void fenwick_parents(const std::vector<Entry>& entries, const std::vector<Search>& searches,
+                     Found&& found) {
+  std::vector<TimePoint> ends;
+  ends.reserve(entries.size());
+  for (const Entry& e : entries) ends.push_back(e.hi);
+  sort_runs(ends, std::less<>());
+  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  std::vector<Smallest> tree(ends.size() + 1);
+  // 1-based rank of the first end >= x. Successive calls on one `at` ask
+  // for nearby ends, so the search gallops out from the last answer: it
+  // costs O(log d) for an answer d ends away, and stays in cache.
+  const auto rank = [&](TimePoint x, std::size_t& at) {
+    std::size_t lo = 0, hi = ends.size(), step = 1;  // the answer lies in [lo, hi]
+    if (at < hi && ends[at] < x) {
+      for (lo = at + 1; at + step < hi && ends[at + step] < x; step *= 2) lo = at + step + 1;
+      hi = std::min(hi, at + step);
+    } else {
+      for (hi = at; step <= at && ends[at - step] >= x; step *= 2) hi = at - step;
+      lo = step <= at ? at - step + 1 : 0;
+    }
+    at = static_cast<std::size_t>(
+        std::lower_bound(ends.begin() + static_cast<std::ptrdiff_t>(lo),
+                         ends.begin() + static_cast<std::ptrdiff_t>(hi), x) -
+        ends.begin());
+    return at + 1;
+  };
+  std::size_t next = 0, entry_at = 0, search_at = 0;
   for (const Search& q : searches) {
-    std::uint32_t best = kNoParent;
-    Ns best_duration = 0;
-    std::size_t equal_best = 0;
-    tree.visit_stabbing(q.lo, [&](const Entry& e) {
-      if (e.lo > q.lo || e.hi < q.hi) return;  // must contain [lo, hi]
-      const Ns duration = e.hi - e.lo;
-      if (best == kNoParent || duration < best_duration) {
-        best = e.value;
-        best_duration = duration;
-        equal_best = 1;
-      } else if (duration == best_duration) {
-        ++equal_best;
-      }
-    });
-    found(q, best, equal_best > 1);
+    for (; next < entries.size() && entries[next].lo <= q.lo; ++next) {
+      const Entry& e = entries[next];
+      if (e.hi < e.lo) continue;  // contains no point
+      const Smallest s{static_cast<std::uint64_t>(e.hi) - static_cast<std::uint64_t>(e.lo),
+                       e.value, 1};
+      for (std::size_t i = rank(e.hi, entry_at); i > 0; i -= i & -i) tree[i] = smaller(tree[i], s);
+    }
+    Smallest best;
+    for (std::size_t i = rank(std::max(q.lo, q.hi), search_at); i < tree.size(); i += i & -i) {
+      best = smaller(best, tree[i]);
+    }
+    found(q, best.position, best.count > 1);
   }
 }
 
@@ -445,9 +491,10 @@ Timeline Timeline::assemble(SpanBatches batches, const AssembleOptions& options)
   // A node's parent is a position, or kAbsent for a root (no parent, or an
   // explicit parent that is not in the trace). For a search, the smallest
   // enclosing interval is the immediate parent; a tie between distinct
-  // enclosing intervals means parallel events. A laminar level resolves by
-  // one sweep; any other level (parallel events that partially overlap)
-  // builds the interval tree of Section III-A.
+  // enclosing intervals means parallel events, and the earliest of them in
+  // node order stands as the parent. A laminar level resolves by one stack
+  // sweep; any other level (parallel events that partially overlap) by
+  // fenwick_parents.
   std::vector<Slot> stack;
   for (std::size_t l = 0; l < levels.size(); ++l) {
     if (!searched[l]) continue;
@@ -460,7 +507,7 @@ Timeline Timeline::assemble(SpanBatches batches, const AssembleOptions& options)
     };
     if (!sweep_parents(entries[l], searches[l], stack, found)) {
       ambiguous = 0;
-      tree_parents(std::move(entries[l]), searches[l], found);
+      fenwick_parents(entries[l], searches[l], found);
     }
     tl.ambiguous_ += ambiguous;
   }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <tuple>
@@ -150,7 +152,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TimelineRandomized,
 // The generator covers what the nested one above does not: launch/execution
 // pairs whose parent search uses the launch window, unmatched halves,
 // duplicate correlation ids, explicit parents (valid and dangling) mixed
-// with interval search, parallel equal-duration parents, an optional
+// with interval search, parallel equal-duration parents, parallel layers
+// that partially overlap (so the layer level is not laminar), an optional
 // library and application level, and publication split over many batches
 // in shuffled order.
 
@@ -249,6 +252,12 @@ SpanBatches random_async_trace(std::uint64_t seed, bool duplicate_correlation_id
       Span branch = make_span(next_id++, kLayerLevel, layer_begin, layer_end);
       spans.push_back(branch);
     }
+    if (rng.below(4) == 0) {
+      // A parallel branch a few ticks behind: it partially overlaps the
+      // layer, so the layer level takes the non-laminar parent search.
+      const auto shift = 1 + static_cast<TimePoint>(rng.below(3));
+      spans.push_back(make_span(next_id++, kLayerLevel, layer_begin + shift, layer_end + shift));
+    }
     spans.insert(spans.end(), children.begin(), children.end());
     t = layer_end + 1 + static_cast<TimePoint>(rng.below(10));
   }
@@ -305,7 +314,7 @@ OracleResult oracle(const SpanBatches& batches, const AssembleOptions& options) 
   std::map<std::uint64_t, std::vector<const Span*>> groups;
   for (const auto& batch : batches) {
     for (const auto& s : batch) {
-      if (options.correlate_async && s.kind != SpanKind::kRegular && s.correlation_id != 0) {
+      if (s.kind != SpanKind::kRegular && s.correlation_id != 0) {
         groups[s.correlation_id].push_back(&s);
       } else {
         out.nodes.push_back(regular_node(s));
@@ -417,15 +426,39 @@ void expect_matches_oracle(const SpanBatches& batches, const AssembleOptions& op
 
 /// expect_matches_oracle under every combination of the assembly options.
 void expect_matches_oracle_for_all_options(const SpanBatches& batches) {
-  for (const bool correlate : {true, false}) {
-    for (const bool trust : {true, false}) {
-      SCOPED_TRACE(::testing::Message() << "correlate=" << correlate << " trust=" << trust);
-      AssembleOptions options;
-      options.correlate_async = correlate;
-      options.trust_explicit_parents = trust;
-      expect_matches_oracle(batches, options);
+  for (const bool trust : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "trust=" << trust);
+    AssembleOptions options;
+    options.trust_explicit_parents = trust;
+    expect_matches_oracle(batches, options);
+  }
+}
+
+/// Whether two spans of one level partially overlap, on a level some
+/// other span searches (the nearest present level below its own), found
+/// by brute force: such a level is not laminar.
+bool has_partial_overlap_on_searched_level(const SpanBatches& batches) {
+  std::vector<const Span*> spans;
+  std::set<int> levels;
+  for (const auto& batch : batches) {
+    for (const auto& s : batch) {
+      spans.push_back(&s);
+      levels.insert(s.level);
     }
   }
+  std::set<int> searched;
+  for (auto it = std::next(levels.begin()); it != levels.end(); ++it) {
+    if (*std::prev(it) >= kApplicationLevel) searched.insert(*std::prev(it));
+  }
+  for (const Span* a : spans) {
+    for (const Span* b : spans) {
+      if (a->level == b->level && searched.count(a->level) != 0 && a->begin < b->begin &&
+          b->begin <= a->end && a->end < b->end) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 class TimelineOracle : public ::testing::TestWithParam<std::uint64_t> {};
@@ -443,7 +476,7 @@ TEST_P(TimelineOracle, MatchesBruteForceWithDuplicateCorrelationIds) {
 TEST(TimelineOracleCoverage, GeneratorExercisesEveryCase) {
   // Guard against a generator change silently dropping a case: over the
   // seeds below, each feature shows up at least once.
-  std::size_t correlated = 0, unmatched = 0, ambiguous = 0, batches = 0;
+  std::size_t correlated = 0, unmatched = 0, ambiguous = 0, batches = 0, non_laminar = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const SpanBatches b = random_async_trace(seed, true);
     const Timeline tl = Timeline::assemble(b);
@@ -451,11 +484,13 @@ TEST(TimelineOracleCoverage, GeneratorExercisesEveryCase) {
     unmatched += tl.unmatched_async_count();
     ambiguous += tl.ambiguous_count();
     batches += b.size();
+    non_laminar += has_partial_overlap_on_searched_level(b) ? 1 : 0;
   }
   EXPECT_GT(correlated, 0u);
   EXPECT_GT(unmatched, 0u);
   EXPECT_GT(ambiguous, 0u);
   EXPECT_GT(batches, 12u * 10u);
+  EXPECT_GT(non_laminar, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineOracle,
@@ -463,8 +498,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TimelineOracle,
 
 // --- Fixed cases for both parent-search paths -------------------------------
 // A level whose intervals are all nested or disjoint (laminar) resolves by
-// one sweep; any other level builds the interval tree. Each case runs under
-// every option set against the oracle.
+// a stack sweep; any other level by the Fenwick sweep. Each case runs under
+// every option set against the oracle, except where the oracle's own
+// arithmetic would overflow.
 
 /// `spans` published in the given order, `per_batch` spans to a batch.
 SpanBatches batches_of(const std::vector<Span>& spans, std::size_t per_batch) {
@@ -543,12 +579,32 @@ TEST(TimelineOracleFixed, NonLaminarLevelWithPartialOverlapsAndEqualWidthTies) {
 
   const Timeline tl = Timeline::assemble(batches);
   EXPECT_TRUE(tl.node(10).ambiguous_parent);
+  EXPECT_EQ(tl.node(10).parent, 2u);  // the earliest tied candidate in node order
   EXPECT_EQ(tl.node(12).parent, 4u);
   EXPECT_EQ(tl.node(14).parent, 4u);
   EXPECT_EQ(tl.node(16).parent, 2u);
   EXPECT_EQ(tl.node(18).parent, 1u);
   EXPECT_EQ(tl.ambiguous_count(), 1u);
   expect_matches_oracle_for_all_options(batches);
+}
+
+TEST(TimelineOracleFixed, NonLaminarLevelWithExtremeTimesComparesTrueDurations) {
+  // Layers 2 and 3 partially overlap; layer 1 spans the whole int64 range,
+  // a duration of 2^64 - 1 ns that overflows a signed difference. Kernel 10
+  // lies in 1 and 2 only, kernel 11 in all three.
+  constexpr TimePoint kMin = std::numeric_limits<TimePoint>::min();
+  constexpr TimePoint kMax = std::numeric_limits<TimePoint>::max();
+  std::vector<Span> spans;
+  spans.push_back(make_span(1, kLayerLevel, kMin, kMax));
+  spans.push_back(make_span(2, kLayerLevel, -10, 10));
+  spans.push_back(make_span(3, kLayerLevel, 5, 20));
+  spans.push_back(make_span(10, kKernelLevel, 0, 1));
+  spans.push_back(make_span(11, kKernelLevel, 6, 7));
+
+  const Timeline tl = Timeline::assemble(spans);
+  EXPECT_EQ(tl.node(10).parent, 2u);
+  EXPECT_EQ(tl.node(11).parent, 3u);
+  EXPECT_EQ(tl.ambiguous_count(), 0u);
 }
 
 TEST(TimelineOracleFixed, TouchingClosedIntervalsOverlapAtTheirSharedPoint) {

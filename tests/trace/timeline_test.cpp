@@ -76,7 +76,7 @@ TEST(Timeline, ExplicitParentsCanBeDistrusted) {
 
 TEST(Timeline, AbsentLevelsAreSkippedInParentSearch) {
   // A kernel-level span with no layer or library profiling enabled:
-  // those level trees are empty, so the parent search falls through to the
+  // those levels are empty, so the parent search falls through to the
   // model span (Section III-E: tracers can be enabled per level, and the
   // hierarchy must still assemble).
   std::vector<Span> spans;
@@ -179,8 +179,8 @@ TEST(Timeline, SmallestEnclosingIntervalWins) {
 }
 
 TEST(Timeline, InvertedSpanOnOverlappingLevelIsNobodysParent) {
-  // Layers a and b partially overlap, so the layer level builds the
-  // interval tree. Layer 4 ends before it begins: it contains no point,
+  // Layers a and b partially overlap, so the layer level takes the
+  // Fenwick sweep. Layer 4 ends before it begins: it contains no point,
   // so it must parent nothing, and everything else keeps its parent.
   std::vector<Span> spans;
   spans.push_back(make(1, kModelLevel, 0, 1000, "Predict"));
