@@ -1,11 +1,11 @@
-// Ablation: Timeline::assemble end to end, and its two parent searches.
+// Ablation: Timeline::assemble end to end, on both shapes of layer level.
 //
 // BM_TimelineAssemble times Timeline::assemble — correlation, ordering and
 // parent search — over the publication batches of an M/L/G run, in real
-// host time. Its layers are disjoint, so assembly resolves them by the
-// stack sweep of laminar levels; BM_TimelineAssembleOverlapping runs layers
-// from two executor threads that partially overlap, which assembly
-// resolves by the Fenwick sweep (src/trace/README.md, "Assembly").
+// host time. Its layers are disjoint (a laminar level);
+// BM_TimelineAssembleOverlapping runs layers from two executor threads
+// that partially overlap. Assembly resolves both by the same Fenwick
+// sweep (src/trace/README.md, "Assembly").
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

@@ -198,10 +198,6 @@ struct OnlineAnalyzerOptions {
   std::size_t shard_count = 1;
   /// Sliding window for span/s and GPU-busy occupancy, in simulated time.
   Ns window = 100 * kNsPerMs;
-  /// Distinct keys to pre-size each keyed table for. Growth past this
-  /// allocates (amortized, on new-key insert only); steady state — no new
-  /// keys — never allocates.
-  std::size_t expected_keys = 64;
   /// Bound on distinct kernel rows. 0 keeps the exact unbounded table;
   /// > 0 turns the kernel table into a SpaceSaving top-k sketch: when a
   /// new kernel name arrives with the table full, the minimum-count row
@@ -337,7 +333,9 @@ class OnlineAnalyzer {
     std::vector<std::uint32_t> slots;  ///< row index + 1; 0 = empty
     std::vector<OnlineAggregate> rows;
 
-    void reserve(std::size_t expected_keys);
+    /// Pre-size for kExpectedKeys distinct keys (online.cpp). The analyzer
+    /// calls it on construction, so at() always finds a slot array.
+    void reserve();
     OnlineAggregate& at(StrId key);
     /// SpaceSaving variant: like at(), but a *new* key arriving with
     /// `max_rows` rows already present takes over the minimum-count row

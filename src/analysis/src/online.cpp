@@ -10,6 +10,22 @@
 
 namespace xsp::analysis {
 
+namespace {
+
+/// a + b for durations (both >= 0), saturated at the largest Ns: a decoded
+/// span may last up to that, and sums of such spans must not overflow.
+Ns add_saturated(Ns a, Ns b) noexcept {
+  Ns sum;
+  return __builtin_add_overflow(a, b, &sum) ? std::numeric_limits<Ns>::max() : sum;
+}
+
+/// Distinct keys each keyed table is pre-sized for, a power of two. Growth
+/// past this allocates (amortized, on new-key insert only); steady state —
+/// no new keys — never allocates.
+constexpr std::size_t kExpectedKeys = 64;
+
+}  // namespace
+
 // ------------------------------------------------------------------------
 // LatencyHistogram
 
@@ -59,11 +75,9 @@ std::size_t key_hash(StrId key) noexcept {
 
 }  // namespace
 
-void OnlineAnalyzer::KeyedTable::reserve(std::size_t expected_keys) {
-  std::size_t n = 16;
-  while (n < expected_keys * 2) n <<= 1;
-  slots.assign(n, 0);
-  rows.reserve(expected_keys);
+void OnlineAnalyzer::KeyedTable::reserve() {
+  slots.assign(2 * kExpectedKeys, 0);
+  rows.reserve(kExpectedKeys);
 }
 
 void OnlineAnalyzer::KeyedTable::rehash(std::size_t new_slot_count) {
@@ -77,7 +91,6 @@ void OnlineAnalyzer::KeyedTable::rehash(std::size_t new_slot_count) {
 }
 
 OnlineAggregate& OnlineAnalyzer::KeyedTable::at(StrId key) {
-  if (slots.empty()) reserve(16);
   std::size_t mask = slots.size() - 1;
   std::size_t i = key_hash(key) & mask;
   while (slots[i] != 0) {
@@ -102,7 +115,6 @@ OnlineAggregate& OnlineAnalyzer::KeyedTable::at(StrId key) {
 
 OnlineAggregate& OnlineAnalyzer::KeyedTable::at_capped(StrId key, std::size_t max_rows,
                                                        std::uint64_t& evictions) {
-  if (slots.empty()) reserve(16);
   std::size_t mask = slots.size() - 1;
   std::size_t i = key_hash(key) & mask;
   while (slots[i] != 0) {
@@ -165,8 +177,8 @@ OnlineAnalyzer::OnlineAnalyzer(OnlineAnalyzerOptions options) : options_(options
                             std::bit_width(static_cast<std::uint64_t>(ideal_width) - 1))
                       : 0;
   bucket_width_ = Ns{1} << bucket_shift_;
-  layer_types_.reserve(options_.expected_keys);
-  kernels_.reserve(options_.expected_keys);
+  layer_types_.reserve();
+  kernels_.reserve();
   shard_spans_.assign(options_.shard_count, 0);
 }
 
@@ -207,7 +219,7 @@ void OnlineAnalyzer::record_window_bulk(std::uint64_t b, std::uint64_t spans, Ns
     bucket.gpu_busy = 0;
   }
   bucket.spans += spans;
-  bucket.gpu_busy += gpu_busy;
+  bucket.gpu_busy = add_saturated(bucket.gpu_busy, gpu_busy);
 }
 
 void OnlineAnalyzer::observe_shard(std::size_t shard, const trace::SpanBatches& batches) {
@@ -240,8 +252,7 @@ void OnlineAnalyzer::observe_shard(std::size_t shard, const trace::SpanBatches& 
     ++batches_;
     observed += batch.size();
     for (const trace::Span& s : batch) {
-      const Ns raw = s.end - s.begin;
-      const Ns dur = raw > 0 ? raw : 0;
+      const Ns dur = std::max(s.duration(), Ns{0});
       if (s.begin < first_begin) first_begin = s.begin;
       if (s.end > last_end) last_end = s.end;
       // Horvitz-Thompson weight: an admitted span stands in for
@@ -257,13 +268,13 @@ void OnlineAnalyzer::observe_shard(std::size_t shard, const trace::SpanBatches& 
       Ns gpu_busy = 0;
       if (s.level == trace::kLayerLevel && s.kind == SpanKind::kRegular) {
         ++layer_spans;
-        layer_total += dur;
+        layer_total = add_saturated(layer_total, dur);
         layer_hist_.record(dur);
         StrId type = s.tag_or(keys.layer_type);
         if (type.empty()) type = s.name;  // generic traces without layer_type tags
         OnlineAggregate& agg = layer_types_.at(type);
         ++agg.count;
-        agg.total_ns += dur;
+        agg.total_ns = add_saturated(agg.total_ns, dur);
         if (dur < agg.min_ns) agg.min_ns = dur;
         if (dur > agg.max_ns) agg.max_ns = dur;
         agg.bytes += s.metric_or(keys.alloc_bytes, 0.0);
@@ -274,14 +285,14 @@ void OnlineAnalyzer::observe_shard(std::size_t shard, const trace::SpanBatches& 
           ++memcpy_spans;
         } else {
           ++kernel_spans;
-          kernel_total += dur;
+          kernel_total = add_saturated(kernel_total, dur);
           kernel_hist_.record(dur);
           gpu_busy = dur;
           OnlineAggregate& agg = kernel_cap > 0
                                      ? kernels_.at_capped(s.name, kernel_cap, kernel_evictions_)
                                      : kernels_.at(s.name);
           ++agg.count;
-          agg.total_ns += dur;
+          agg.total_ns = add_saturated(agg.total_ns, dur);
           if (dur < agg.min_ns) agg.min_ns = dur;
           if (dur > agg.max_ns) agg.max_ns = dur;
           // One pass for both DRAM counters instead of two find()s.
@@ -305,14 +316,14 @@ void OnlineAnalyzer::observe_shard(std::size_t shard, const trace::SpanBatches& 
         run_gpu = 0;
       }
       ++run_spans;
-      run_gpu += gpu_busy;
+      run_gpu = add_saturated(run_gpu, gpu_busy);
     }
   }
   if (run_spans != 0) record_window_bulk(run_bucket, run_spans, run_gpu);
   first_begin_ = first_begin;
   last_end_ = last_end;
-  layer_total_ns_ += layer_total;
-  kernel_total_ns_ += kernel_total;
+  layer_total_ns_ = add_saturated(layer_total_ns_, layer_total);
+  kernel_total_ns_ = add_saturated(kernel_total_ns_, kernel_total);
   layer_spans_ += layer_spans;
   kernel_spans_ += kernel_spans;
   memcpy_spans_ += memcpy_spans;
@@ -375,9 +386,9 @@ OnlineSnapshot OnlineAnalyzer::snapshot() const {
       const Ns start = static_cast<Ns>(bucket.epoch - 1) * bucket_width_;
       // A bucket counts while any part of it overlaps the window ending
       // at the newest timestamp seen.
-      if (start + bucket_width_ > window_start && start <= last_end_) {
+      if (start > window_start - bucket_width_ && start <= last_end_) {
         window_spans += bucket.spans;
-        window_gpu += bucket.gpu_busy;
+        window_gpu = add_saturated(window_gpu, bucket.gpu_busy);
       }
     }
     snap.window_spans_per_sec =

@@ -46,8 +46,6 @@ bool is_known_metric(const std::string& metric);
 const std::vector<std::string>& known_metrics();
 
 struct CuptiOptions {
-  /// Capture runtime API call records via the callback API.
-  bool enable_api_callbacks = true;
   /// Capture device-side activity records (kernels, memcpys).
   bool enable_activities = true;
   /// Metrics to collect per kernel; empty disables metric profiling.
@@ -57,9 +55,6 @@ struct CuptiOptions {
   /// CPU cost of handling one activity record (buffer management), charged
   /// on the launch path as the record is committed.
   Ns activity_overhead_ns = us(40);
-  /// Activity-buffer flush work performed when the application blocks in a
-  /// synchronization call (CUPTI drains completed records there).
-  Ns sync_flush_overhead_ns = us(800);
   /// One-time costs of attaching/flushing the profiler.
   Ns init_overhead_ns = ms(75);
   Ns flush_overhead_ns = ms(75);

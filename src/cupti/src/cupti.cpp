@@ -27,6 +27,10 @@ constexpr MetricInfo kMetricTable[] = {
 };
 static_assert(std::size(kMetricTable) == MetricValues::kCapacity);
 
+/// Activity-buffer flush work performed when the application blocks in a
+/// synchronization call (CUPTI drains completed records there).
+constexpr Ns kSyncFlushOverheadNs = us(800);
+
 const MetricInfo* find_metric(const std::string& metric) {
   for (const auto& m : kMetricTable) {
     if (metric == m.name) return &m;
@@ -100,29 +104,28 @@ void CuptiProfiler::start() {
     device_->set_serialized(true);
   }
 
-  if (options_.enable_api_callbacks) {
-    subscription_ = device_->subscribe([this](const sim::ApiCallbackInfo& info) {
-      // Callback body runs on the simulated CPU: charge its cost.
-      device_->clock().advance(options_.callback_overhead_ns);
-      ApiRecord rec;
-      rec.api = info.api;
-      rec.correlation_id = info.correlation_id;
-      rec.name = info.name;
-      rec.begin = info.begin;
-      rec.end = device_->clock().now();
-      api_records_.push_back(rec);
-      if (info.api == sim::ApiCallbackInfo::Api::kLaunchKernel ||
-          info.api == sim::ApiCallbackInfo::Api::kMemcpy) {
-        // Activity-buffer bookkeeping happens on the launch path too.
-        if (options_.enable_activities) {
-          device_->clock().advance(options_.activity_overhead_ns);
-        }
-      } else if (options_.enable_activities) {
-        // Synchronize entry points drain completed activity buffers.
-        device_->clock().advance(options_.sync_flush_overhead_ns);
+  // Runtime API call records come from the callback API.
+  subscription_ = device_->subscribe([this](const sim::ApiCallbackInfo& info) {
+    // Callback body runs on the simulated CPU: charge its cost.
+    device_->clock().advance(options_.callback_overhead_ns);
+    ApiRecord rec;
+    rec.api = info.api;
+    rec.correlation_id = info.correlation_id;
+    rec.name = info.name;
+    rec.begin = info.begin;
+    rec.end = device_->clock().now();
+    api_records_.push_back(rec);
+    if (info.api == sim::ApiCallbackInfo::Api::kLaunchKernel ||
+        info.api == sim::ApiCallbackInfo::Api::kMemcpy) {
+      // Activity-buffer bookkeeping happens on the launch path too.
+      if (options_.enable_activities) {
+        device_->clock().advance(options_.activity_overhead_ns);
       }
-    });
-  }
+    } else if (options_.enable_activities) {
+      // Synchronize entry points drain completed activity buffers.
+      device_->clock().advance(kSyncFlushOverheadNs);
+    }
+  });
 }
 
 void CuptiProfiler::flush_activities() {
@@ -155,7 +158,7 @@ void CuptiProfiler::stop() {
   flush_activities();
   device_->clock().advance(options_.flush_overhead_ns);
 
-  if (options_.enable_api_callbacks) device_->unsubscribe(subscription_);
+  device_->unsubscribe(subscription_);
   device_->set_serialized(saved_serialized_);
   device_->set_replay_count(saved_replay_);
   device_->set_record_activities(saved_record_activities_);

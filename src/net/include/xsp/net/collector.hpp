@@ -69,8 +69,6 @@ struct CollectorOptions {
   /// Hard per-connection bound on one frame's payload (and with it the
   /// reassembly buffer). Streams exceeding it are treated as hostile.
   std::size_t max_frame_payload = trace::wire::kMaxFramePayload;
-  /// Bytes per read(2) into the reassembly buffer.
-  std::size_t read_chunk = 64 * 1024;
   /// How long a graceful drain waits for connected producers to finish.
   int drain_timeout_ms = 5000;
   /// URI of the HTTP self-metrics endpoint ("tcp://127.0.0.1:9464" or

@@ -226,12 +226,10 @@ void CollectorService::accept_pending() {
 }
 
 bool CollectorService::service_connection(Connection& conn) {
-  char chunk[64 * 1024];
-  const std::size_t chunk_cap =
-      opts_.read_chunk < sizeof chunk ? opts_.read_chunk : sizeof chunk;
+  char chunk[64 * 1024];  // bytes per read(2) into the reassembly buffer
   for (;;) {
     std::size_t n = 0;
-    const IoResult r = conn.sock.read_some(chunk, chunk_cap, n);
+    const IoResult r = conn.sock.read_some(chunk, sizeof chunk, n);
     if (r == IoResult::kWouldBlock) return true;
     if (r == IoResult::kOk) {
       conn.rx.append(std::string_view(chunk, n));

@@ -21,7 +21,7 @@
 //     spans_shed() and spans_dropped(); survivors that still do not fit —
 //     and whole batches when no sampler is attached — drop blind,
 //     spans_dropped() += batch size;
-//   - wire bytes pending past max_wire_pending_bytes (socket saturated
+//   - wire bytes pending past 1 MiB (socket saturated
 //     slower than we encode) -> the next batch drops instead of encoding;
 //   - a dead connection drops the batch being written, then reconnects
 //     with capped exponential backoff. Each reconnect starts a fresh
@@ -66,16 +66,10 @@ struct RemoteSinkOptions {
   /// Outbox bound: total spans queued for the sender before newly sealed
   /// batches drop with accounting.
   std::size_t max_outbox_spans = 64 * 1024;
-  /// Bound on bytes the FrameSink may hold for a saturated socket before
-  /// batches drop instead of encoding.
-  std::size_t max_wire_pending_bytes = 1 << 20;
   int connect_timeout_ms = 1000;
   /// Reconnect backoff: initial delay, doubling to the cap.
   int backoff_initial_ms = 20;
   int backoff_max_ms = 2000;
-  /// Per-attempt bound on waiting for socket writability before a short
-  /// write returns to the FrameSink buffer.
-  int io_wait_ms = 20;
   /// How long close() waits for the daemon's end-of-stream ack.
   int drain_timeout_ms = 2000;
   /// Cadence of wire Heartbeat frames carrying the sink's live

@@ -51,16 +51,17 @@ struct SamplerOptions {
   /// Force-admit spans with duration >= this many ns; 0 disables. Tail-kept
   /// spans have inclusion probability 1.0 (they bypass the hash entirely).
   Ns tail_keep_ns = 0;
-  /// Fraction of the configured rate that survives congestion shedding
-  /// (`keep_under_pressure`): under backpressure a span is high-value if it
-  /// is a tail outlier or its hash falls inside rate * shed_keep_fraction.
-  double shed_keep_fraction = 0.125;
   /// Mixed into the hash so independent fleets decorrelate their keep sets.
   std::uint64_t seed = 0;
 };
 
 class Sampler {
  public:
+  /// Fraction of the configured rate that survives congestion shedding
+  /// (`keep_under_pressure`): under backpressure a span is high-value if it
+  /// is a tail outlier or its hash falls inside rate * kShedKeepFraction.
+  static constexpr double kShedKeepFraction = 0.125;
+
   explicit Sampler(SamplerOptions options);
 
   /// Head-sampling decision for one span. Deterministic: same correlation
@@ -74,7 +75,7 @@ class Sampler {
 
   /// Value ordering for congestion shedding: true if the span should
   /// survive backpressure (tail outlier, or hash within
-  /// rate * shed_keep_fraction). Independent of `admit` accounting — the
+  /// rate * kShedKeepFraction). Independent of `admit` accounting — the
   /// caller decides what shedding means (see RemoteSink).
   [[nodiscard]] bool keep_under_pressure(const Span& span) const noexcept;
 

@@ -6,11 +6,10 @@
 //      derived from the launch span — Section III-B), and
 //   2. reconstruct missing parent references by interval set inclusion
 //      (Section III-A): span s1 is the parent of s2 iff s1's interval is the
-//      smallest that contains s2's at the nearest level above it. A level
-//      whose intervals are laminar (every two nested or disjoint, as layers
-//      on one executor thread are) resolves by one sorted stack sweep; any
-//      other level — parallel events that partially overlap — by one
-//      offline sweep over a Fenwick tree of the level's interval ends.
+//      smallest that contains s2's at the nearest level above it. Each
+//      searched level resolves by one offline sweep over a Fenwick tree of
+//      the level's interval ends, whether its intervals nest (as layers on
+//      one executor thread do) or partially overlap (parallel events).
 //
 // When several candidate parents contain a span (parallel events), the
 // parent is ambiguous; XSP then "requires another profiling run where the
@@ -27,8 +26,8 @@
 // positions in one flat array with per-node offsets (CSR), filled in node
 // order. walk() follows positions with an explicit stack, so a hierarchy
 // of any depth walks without recursion. A trace of n spans costs
-// O(n log n) work at worst, close to linear for the usual input (a few
-// sorted runs, laminar levels), and a constant number of heap
+// O(n log n) work at worst, with sorts close to linear for the usual
+// input (a few sorted publication runs), and a constant number of heap
 // allocations, none per span or per parent (src/trace/README.md,
 // "Assembly").
 //

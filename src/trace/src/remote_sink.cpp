@@ -11,6 +11,17 @@
 
 namespace xsp::trace {
 
+namespace {
+
+/// Bound on bytes the FrameSink may hold for a saturated socket before
+/// batches drop instead of encoding.
+constexpr std::size_t kMaxWirePendingBytes = 1 << 20;
+/// Per-attempt bound on waiting for socket writability before a short
+/// write returns to the FrameSink buffer.
+constexpr int kIoWaitMs = 20;
+
+}  // namespace
+
 /// One connection's state, owned entirely by the sender thread. The
 /// writer's TryWriteFn captures `sock`, so `writer` is declared after it
 /// (destroyed first).
@@ -151,10 +162,9 @@ bool RemoteSink::connect_once(Conn& conn) {
   // Fresh writer = fresh stream header + StringDelta epoch from cursor
   // zero: the collector's new per-connection decoder sees every string.
   net::Socket* raw = &conn.sock;
-  const int io_wait_ms = opts_.io_wait_ms;
   conn.writer = std::make_unique<BinaryWriter>(
       FrameSink::TryWriteFn(
-          [raw, io_wait_ms](std::string_view bytes) -> std::size_t {
+          [raw](std::string_view bytes) -> std::size_t {
             std::size_t total = 0;
             bool waited = false;
             while (total < bytes.size()) {
@@ -171,7 +181,7 @@ bool RemoteSink::connect_once(Conn& conn) {
                 // backpressure policy takes over.
                 if (waited) break;
                 waited = true;
-                raw->wait_writable(io_wait_ms);
+                raw->wait_writable(kIoWaitMs);
                 continue;
               }
               return FrameSink::kWriteError;
@@ -273,10 +283,10 @@ void RemoteSink::sender_loop() {
 
     // Bounded send buffer: encoding into a sink that cannot drain would
     // grow memory without bound, so past the cap the batch drops instead.
-    if (conn.writer->sink_pending_bytes() > opts_.max_wire_pending_bytes) {
+    if (conn.writer->sink_pending_bytes() > kMaxWirePendingBytes) {
       conn.writer->flush();
       if (!conn.writer->sink_failed() &&
-          conn.writer->sink_pending_bytes() > opts_.max_wire_pending_bytes) {
+          conn.writer->sink_pending_bytes() > kMaxWirePendingBytes) {
         dropped_.fetch_add(batch.size(), std::memory_order_relaxed);
         continue;
       }
@@ -341,7 +351,7 @@ void RemoteSink::finish_stream(Conn& conn) {
                         std::chrono::milliseconds(opts_.drain_timeout_ms);
   while (!conn.writer->sink_failed() && conn.writer->sink_pending_bytes() > 0 &&
          std::chrono::steady_clock::now() < deadline) {
-    conn.sock.wait_writable(opts_.io_wait_ms);
+    conn.sock.wait_writable(kIoWaitMs);
     conn.writer->flush();
   }
   if (conn.writer->sink_failed() || conn.writer->sink_pending_bytes() > 0) {
@@ -366,7 +376,7 @@ void RemoteSink::finish_stream(Conn& conn) {
           deadline - std::chrono::steady_clock::now());
       if (left.count() <= 0) return;
       conn.sock.wait_readable(static_cast<int>(
-          std::min<long long>(left.count(), opts_.io_wait_ms)));
+          std::min<long long>(left.count(), kIoWaitMs)));
     }
     // kOk: the collector never sends payload; discard and keep waiting
     // for EOF.

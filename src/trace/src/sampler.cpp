@@ -16,24 +16,21 @@ std::uint64_t to_threshold(double rate) {
   return static_cast<std::uint64_t>(rate * 9007199254740992.0) << 11;
 }
 
-constexpr std::uint64_t kAlwaysLocal = ~0ull;
-
 }  // namespace
 
 Sampler::Sampler(SamplerOptions options)
     : options_(std::move(options)),
       tail_keep_ns_(options_.tail_keep_ns),
       seed_(options_.seed) {
-  const double shed = std::clamp(options_.shed_keep_fraction, 0.0, 1.0);
-  const auto make_policy = [shed](double rate) {
+  const auto make_policy = [](double rate) {
     Policy p;
     if (rate < 1.0) {
       p.threshold = to_threshold(rate);
       p.rate = std::max(rate, 0.0);
     }
-    const double pressure_rate = std::min(rate, 1.0) * shed;
-    p.pressure_threshold =
-        pressure_rate < 1.0 ? to_threshold(pressure_rate) : kAlwaysLocal;
+    // Below 1 for every rate but NaN, which keeps everything here too.
+    const double pressure_rate = std::min(rate, 1.0) * kShedKeepFraction;
+    p.pressure_threshold = pressure_rate < 1.0 ? to_threshold(pressure_rate) : kAlways;
     return p;
   };
 

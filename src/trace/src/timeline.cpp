@@ -267,80 +267,6 @@ NodePlan plan_nodes(SpanBatches& batches, const AssembleOptions& options) {
   return plan;
 }
 
-/// One open interval of the sweep, standing for `copies` identical
-/// intervals; `value` is the first of them in sweep order.
-struct Slot {
-  TimePoint lo;
-  TimePoint hi;
-  std::uint32_t value;
-  std::uint32_t copies;
-};
-
-/// Resolve the searches of one level by one sweep, if the level is
-/// laminar: every two of its intervals nested or disjoint, where identical
-/// intervals count as nested and closed intervals that share only an end
-/// point, [a,b] and [b,c], overlap. Calls found(search, parent position or
-/// kNoParent, ambiguous) per search. Returns false, possibly after some
-/// found() calls, when an entry partially overlaps an open one; the
-/// level then needs fenwick_parents.
-///
-/// Entries in (lo, hi descending, position) order and searches in lo order
-/// are swept together; both arrive nearly sorted, so sort_runs costs O(n).
-/// Open entries form a stack, each nested in the one below it, so their
-/// `hi` never grows upward. Before an entry or a search at lo, the entries
-/// that end before lo close; the search's parent is then the topmost open
-/// entry that reaches its hi, found by binary search. It is the smallest
-/// containing interval: every containing one is open and lies below it.
-template <typename Found>
-bool sweep_parents(std::vector<Entry>& entries, std::vector<Search>& searches,
-                   std::vector<Slot>& stack, Found&& found) {
-  sort_runs(entries, [](const Entry& a, const Entry& b) {
-    if (a.lo != b.lo) return a.lo < b.lo;
-    if (a.hi != b.hi) return a.hi > b.hi;
-    return a.value < b.value;
-  });
-  sort_runs(searches, [](const Search& a, const Search& b) {
-    if (a.lo != b.lo) return a.lo < b.lo;
-    return a.node < b.node;
-  });
-  stack.clear();
-  const auto close_before = [&](TimePoint lo) {
-    while (!stack.empty() && stack.back().hi < lo) stack.pop_back();
-  };
-  // Opens one entry; false when it partially overlaps the innermost open one.
-  const auto open = [&](const Entry& e) {
-    close_before(e.lo);
-    if (!stack.empty()) {
-      Slot& top = stack.back();
-      if (top.lo == e.lo && top.hi == e.hi) {
-        ++top.copies;
-        return true;
-      }
-      if (top.hi < e.hi) return false;
-    }
-    stack.push_back({e.lo, e.hi, e.value, 1});
-    return true;
-  };
-  std::size_t next = 0;
-  for (const Search& q : searches) {
-    for (; next < entries.size() && entries[next].lo <= q.lo; ++next) {
-      if (!open(entries[next])) return false;
-    }
-    close_before(q.lo);
-    const auto reaching = std::partition_point(stack.begin(), stack.end(),
-                                               [&](const Slot& s) { return s.hi >= q.hi; });
-    if (reaching == stack.begin()) {
-      found(q, kNoParent, false);
-    } else {
-      found(q, reaching[-1].value, reaching[-1].copies > 1);
-    }
-  }
-  for (; next < entries.size(); ++next) {
-    if (!open(entries[next])) return false;
-  }
-  return true;
-}
-
 /// The smallest intervals over a range of ends: their duration, the
 /// first position among them, and how many there are.
 struct Smallest {
@@ -358,18 +284,25 @@ Smallest smaller(Smallest a, const Smallest& b) {
   return a;
 }
 
-/// Resolve the searches of a level that is not laminar, by one offline
-/// sweep over the entries and searches sweep_parents left in lo order.
-/// Before a search, every entry with lo <= the search's lo enters a
-/// Fenwick tree over the level's distinct ends that answers suffix
-/// queries: node i combines the ranks [i, i + lowbit(i)). The search asks
-/// for the ends >= max(lo, hi), so each interval it sees contains both
-/// its window and the point lo (the rule for an inverted window), and it
-/// gets the smallest one; a tie on duration between distinct intervals
-/// means parallel events. Calls found() like sweep_parents.
+/// Resolve the searches of one level by one offline sweep. Calls
+/// found(search, parent position or kNoParent, ambiguous) per search.
+///
+/// Entries arrive in lo order; searches are sorted into (lo, node) order,
+/// which costs O(n) on their nearly sorted input. Before a search, every
+/// entry with lo <= the search's lo enters a Fenwick tree over the level's
+/// distinct ends that answers suffix queries: node i combines the ranks
+/// [i, i + lowbit(i)). The search asks for the ends >= max(lo, hi), so
+/// each interval it sees contains both its window and the point lo (the
+/// rule for an inverted window), and it gets the smallest one. A tie on
+/// duration means parallel events (identical intervals included), and the
+/// earliest tied entry in node order stands as the parent.
 template <typename Found>
-void fenwick_parents(const std::vector<Entry>& entries, const std::vector<Search>& searches,
+void fenwick_parents(const std::vector<Entry>& entries, std::vector<Search>& searches,
                      Found&& found) {
+  sort_runs(searches, [](const Search& a, const Search& b) {
+    if (a.lo != b.lo) return a.lo < b.lo;
+    return a.node < b.node;
+  });
   std::vector<TimePoint> ends;
   ends.reserve(entries.size());
   for (const Entry& e : entries) ends.push_back(e.hi);
@@ -469,6 +402,8 @@ Timeline Timeline::assemble(SpanBatches batches, const AssembleOptions& options)
       IndexSlot& slot = tl.index_[tl.find_slot(s.id)];
       if (slot.pos == kAbsent) slot = {s.id, i};
 
+      // Nodes come in (begin, id, source) order, so each level's entries
+      // are pushed already in lo order, as fenwick_parents needs.
       const std::size_t l = levels.index_of(s.level);
       if (searched[l]) entries[l].push_back({s.begin, s.end, i});
 
@@ -492,24 +427,17 @@ Timeline Timeline::assemble(SpanBatches batches, const AssembleOptions& options)
   // explicit parent that is not in the trace). For a search, the smallest
   // enclosing interval is the immediate parent; a tie between distinct
   // enclosing intervals means parallel events, and the earliest of them in
-  // node order stands as the parent. A laminar level resolves by one stack
-  // sweep; any other level (parallel events that partially overlap) by
+  // node order stands as the parent. Each searched level resolves by
   // fenwick_parents.
-  std::vector<Slot> stack;
   for (std::size_t l = 0; l < levels.size(); ++l) {
     if (!searched[l]) continue;
-    std::size_t ambiguous = 0;
-    const auto found = [&](const Search& q, std::uint32_t parent, bool ambiguous_parent) {
-      Node& node = tl.nodes_[q.node];
-      node.parent = parent;
-      node.ambiguous_parent = ambiguous_parent;
-      if (ambiguous_parent) ++ambiguous;
-    };
-    if (!sweep_parents(entries[l], searches[l], stack, found)) {
-      ambiguous = 0;
-      fenwick_parents(entries[l], searches[l], found);
-    }
-    tl.ambiguous_ += ambiguous;
+    fenwick_parents(entries[l], searches[l],
+                    [&](const Search& q, std::uint32_t parent, bool ambiguous_parent) {
+                      Node& node = tl.nodes_[q.node];
+                      node.parent = parent;
+                      node.ambiguous_parent = ambiguous_parent;
+                      if (ambiguous_parent) ++tl.ambiguous_;
+                    });
   }
   // Explicit parents later in node order resolve against the whole index.
   // Only an edge to the same or a later position can close a cycle.

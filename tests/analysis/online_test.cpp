@@ -551,5 +551,47 @@ TEST(OnlineSnapshotTest, ResetForgetsEverything) {
   EXPECT_DOUBLE_EQ(snap.window_spans_per_sec, 0);
 }
 
+// --- decoded spans with extreme times ---------------------------------------
+
+TEST(OnlineExtremeTimes, SpanOverTheWholeRangeSaturatesEveryDurationSum) {
+  // A collector observes spans decoded from other processes, which may
+  // carry any pair of times. A span over the whole Ns range lasts the
+  // largest Ns, and every duration sum it joins stays there.
+  constexpr Ns kMin = std::numeric_limits<Ns>::min();
+  constexpr Ns kMax = std::numeric_limits<Ns>::max();
+  Span wide_layer = layer_span(2, 0, 0, "Conv2D", 0);
+  wide_layer.begin = kMin;
+  wide_layer.end = kMax;
+  Span wide_kernel = kernel_span(5, 0, 0, "k", 0, 0);
+  wide_kernel.begin = kMin;
+  wide_kernel.end = kMax;
+  SpanBatches batches;
+  batches.push_back({layer_span(1, 0, 100, "Conv2D", 0), wide_layer,
+                     layer_span(3, 200, 50, "Conv2D", 0), kernel_span(4, 10, 20, "k", 0, 0),
+                     wide_kernel, kernel_span(6, 40, 30, "k", 0, 0)});
+  OnlineAnalyzer analyzer;
+  analyzer.observe(batches);
+  analyzer.observe(batches);  // sums already at the top stay there
+
+  const OnlineSnapshot snap = analyzer.snapshot();
+  EXPECT_EQ(snap.layer_spans, 6u);
+  EXPECT_EQ(snap.kernel_spans, 6u);
+  EXPECT_EQ(snap.first_begin, kMin);
+  EXPECT_EQ(snap.last_end, kMax);
+  EXPECT_EQ(snap.layer_total_ns, kMax);
+  EXPECT_EQ(snap.kernel_total_ns, kMax);
+  for (const auto* rows : {&snap.layer_types, &snap.kernels}) {
+    ASSERT_EQ(rows->size(), 1u);
+    EXPECT_EQ((*rows)[0].count, 6u);
+    EXPECT_EQ((*rows)[0].total_ns, kMax);
+    EXPECT_EQ((*rows)[0].max_ns, kMax);
+  }
+  EXPECT_EQ(snap.layer_types[0].min_ns, 50);
+  EXPECT_EQ(snap.kernels[0].min_ns, 20);
+  EXPECT_GT(snap.window_gpu_busy_pct, 0);
+  std::string error;
+  EXPECT_TRUE(trace::testjson::valid_json(online_summary_json(snap), &error)) << error;
+}
+
 }  // namespace
 }  // namespace xsp::analysis

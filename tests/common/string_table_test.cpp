@@ -221,10 +221,18 @@ TEST(FlatMap, DropsBeyondCapacityAndReportsIt) {
   EXPECT_DOUBLE_EQ(m.at("a"), 9);
 }
 
+/// A suffix no earlier call in this process returned. The table is
+/// process-global, so a repeated run needs strings no earlier pass interned.
+std::string round_suffix() {
+  static int round = 0;
+  return "_" + std::to_string(round++);
+}
+
 TEST(StringTableCursor, FreshCursorDeliversEveryStringExactlyOnce) {
   StringTable& table = StringTable::global();
-  const std::uint32_t a = table.intern("cursor_test_alpha_unique");
-  const std::uint32_t b = table.intern("cursor_test_beta_unique");
+  const std::string suffix = round_suffix();
+  const std::uint32_t a = table.intern("cursor_test_alpha_unique" + suffix);
+  const std::uint32_t b = table.intern("cursor_test_beta_unique" + suffix);
   StringTable::Cursor cursor;
   std::size_t delivered = 0;
   bool saw_a = false;
@@ -246,7 +254,7 @@ TEST(StringTableCursor, FreshCursorDeliversEveryStringExactlyOnce) {
   EXPECT_EQ(delivered, after_full_sweep);
 
   // Only strings interned after the last sweep ride the next delta.
-  const std::uint32_t c = table.intern("cursor_test_gamma_unique");
+  const std::uint32_t c = table.intern("cursor_test_gamma_unique" + suffix);
   std::vector<std::uint32_t> fresh;
   table.for_each_since(cursor,
                        [&](std::uint32_t id, std::string_view) { fresh.push_back(id); });
@@ -254,7 +262,7 @@ TEST(StringTableCursor, FreshCursorDeliversEveryStringExactlyOnce) {
   EXPECT_EQ(fresh[0], c);
 
   // Re-interning an existing string advances nothing.
-  (void)table.intern("cursor_test_alpha_unique");
+  (void)table.intern("cursor_test_alpha_unique" + suffix);
   fresh.clear();
   table.for_each_since(cursor,
                        [&](std::uint32_t id, std::string_view) { fresh.push_back(id); });
@@ -265,7 +273,7 @@ TEST(StringTableCursor, IndependentCursorsTrackIndependently) {
   StringTable& table = StringTable::global();
   StringTable::Cursor first;
   table.for_each_since(first, [](std::uint32_t, std::string_view) {});
-  const std::uint32_t fresh = table.intern("cursor_test_independent_unique");
+  const std::uint32_t fresh = table.intern("cursor_test_independent_unique" + round_suffix());
 
   StringTable::Cursor second;  // starts from the beginning
   bool second_saw_fresh = false;

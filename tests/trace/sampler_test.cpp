@@ -178,7 +178,7 @@ TEST(Sampler, ShedLowValueKeepsTailsAndHighPrioritySlice) {
   const std::size_t removed = sampler.shed_low_value(batch);
   EXPECT_EQ(removed + batch.size(), 1000u);
   // The shed is selective, not total: the tail outlier always survives,
-  // and the rate*shed_keep_fraction hash slice keeps a deterministic core.
+  // and the rate*kShedKeepFraction hash slice keeps a deterministic core.
   bool tail_survived = false;
   for (const Span& s : batch) {
     if (s.correlation_id == 500) tail_survived = true;

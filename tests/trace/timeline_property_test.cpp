@@ -254,7 +254,7 @@ SpanBatches random_async_trace(std::uint64_t seed, bool duplicate_correlation_id
     }
     if (rng.below(4) == 0) {
       // A parallel branch a few ticks behind: it partially overlaps the
-      // layer, so the layer level takes the non-laminar parent search.
+      // layer, so the layer level is not laminar.
       const auto shift = 1 + static_cast<TimePoint>(rng.below(3));
       spans.push_back(make_span(next_id++, kLayerLevel, layer_begin + shift, layer_end + shift));
     }
@@ -496,11 +496,11 @@ TEST(TimelineOracleCoverage, GeneratorExercisesEveryCase) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineOracle,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u));
 
-// --- Fixed cases for both parent-search paths -------------------------------
-// A level whose intervals are all nested or disjoint (laminar) resolves by
-// a stack sweep; any other level by the Fenwick sweep. Each case runs under
-// every option set against the oracle, except where the oracle's own
-// arithmetic would overflow.
+// --- Fixed cases for both shapes of level ------------------------------------
+// Levels whose intervals are all nested or disjoint (laminar) and levels
+// whose intervals partially overlap resolve by the same Fenwick sweep.
+// Each case runs under every option set against the oracle, except where
+// the oracle's own arithmetic would overflow.
 
 /// `spans` published in the given order, `per_batch` spans to a batch.
 SpanBatches batches_of(const std::vector<Span>& spans, std::size_t per_batch) {
@@ -605,6 +605,21 @@ TEST(TimelineOracleFixed, NonLaminarLevelWithExtremeTimesComparesTrueDurations) 
   EXPECT_EQ(tl.node(10).parent, 2u);
   EXPECT_EQ(tl.node(11).parent, 3u);
   EXPECT_EQ(tl.ambiguous_count(), 0u);
+
+  // The same rule on a laminar level: [INT64_MIN, INT64_MAX] ⊃ [-10,10] ⊃
+  // [0,1]. Each kernel goes to the narrowest layer that contains it.
+  std::vector<Span> nested;
+  nested.push_back(make_span(1, kLayerLevel, kMin, kMax));
+  nested.push_back(make_span(2, kLayerLevel, -10, 10));
+  nested.push_back(make_span(3, kLayerLevel, 0, 1));
+  nested.push_back(make_span(10, kKernelLevel, 0, 1));
+  nested.push_back(make_span(11, kKernelLevel, -5, -4));
+  nested.push_back(make_span(12, kKernelLevel, 100, 200));
+  const Timeline laminar = Timeline::assemble(nested);
+  EXPECT_EQ(laminar.node(10).parent, 3u);
+  EXPECT_EQ(laminar.node(11).parent, 2u);
+  EXPECT_EQ(laminar.node(12).parent, 1u);
+  EXPECT_EQ(laminar.ambiguous_count(), 0u);
 }
 
 TEST(TimelineOracleFixed, TouchingClosedIntervalsOverlapAtTheirSharedPoint) {

@@ -179,8 +179,8 @@ TEST(Timeline, SmallestEnclosingIntervalWins) {
 }
 
 TEST(Timeline, InvertedSpanOnOverlappingLevelIsNobodysParent) {
-  // Layers a and b partially overlap, so the layer level takes the
-  // Fenwick sweep. Layer 4 ends before it begins: it contains no point,
+  // Layers a and b partially overlap, so the layer level is not laminar.
+  // Layer 4 ends before it begins: it contains no point,
   // so it must parent nothing, and everything else keeps its parent.
   std::vector<Span> spans;
   spans.push_back(make(1, kModelLevel, 0, 1000, "Predict"));
