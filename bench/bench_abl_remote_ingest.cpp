@@ -14,10 +14,11 @@
 //   BM_RemoteIngestUdsFourProducers   4 producer threads, 4 connections
 //                                     into one daemon (the CI fleet shape)
 //
-// Rates are spans/s (items_per_second). The collector re-publishes every
-// span it decodes, so in-process publication (~20M spans/s, see
-// BENCH_abl_span_publication_*.json) is the ceiling; the gap is the
-// transport tax.
+// Rates are spans/s (items_per_second). The collector hands each decoded
+// frame to the server whole (TraceServer::publish_batch), so after the
+// socket the per-span work is decode and id remap; in-process publication
+// (~20M spans/s, see BENCH_abl_span_publication_*.json) is the ceiling,
+// and the gap is the transport tax.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>

@@ -1,6 +1,6 @@
 // CollectorService: the ingest engine behind xsp_collectd — many producer
-// connections fanned into one SpanSink (in practice a TraceServer),
-// the multi-client intermediary shape of LDN's SOPI design (PAPERS.md).
+// connections fanned into one TraceServer, the multi-client intermediary
+// shape of LDN's SOPI design (PAPERS.md).
 //
 // One poll(2) loop owns everything: the listener plus every connection's
 // nonblocking reads. Per connection the service keeps an RxBuffer
@@ -13,17 +13,27 @@
 // reserves a block on first sight of any id in it — a forward parent
 // reference simply mints the server id early.
 //
+// Each span-batch frame decodes into a fresh batch-pool block (span.hpp;
+// a frame of more than 256 spans into one block per 256, see
+// wire::FrameParser), is remapped in place, and is handed to the server
+// whole by TraceServer::publish_batch. It joins the run() thread's
+// producer slot already sealed, so it reaches the drain with its own
+// frame instead of waiting to fill a 256-span slot batch. Decode memory
+// is not reused: the next batch takes a fresh block, and the handed-off
+// one returns to the pool wherever the server's consumer drops it.
+//
 // Per-connection buffering is bounded (the I2PA always-on discipline):
 // the RxBuffer never holds more than one maximum frame (hard cap
 // max_frame_payload, default wire::kMaxFramePayload) plus a read chunk,
-// and decode scratch is reused. The remap tables are the exception: one
-// entry per producer id block touched, kept for the connection's life
-// (xsp_connection_remap_blocks on /metrics). Hostile input — bad magic, oversized
-// length prefixes, unknown frame types, unknown string ids, absurd
-// annotation counts — throws WireError inside the per-connection decode,
-// which closes that connection and increments connections_errored; the
-// daemon itself never dies from a client's bytes. A bad frame header is
-// rejected as soon as its 8 bytes arrive, before any of its payload.
+// and the decode batch holds at most 256 spans. The remap tables are the
+// exception: one entry per producer id block touched, kept for the
+// connection's life (xsp_connection_remap_blocks on /metrics). Hostile
+// input — bad magic, oversized length prefixes, unknown frame types,
+// unknown string ids, absurd annotation counts — throws WireError inside
+// the per-connection decode, which closes that connection and increments
+// connections_errored; the daemon itself never dies from a client's
+// bytes. A bad frame header is rejected as soon as its 8 bytes arrive,
+// before any of its payload.
 //
 // Lifecycle: run() blocks until stop() (SIGTERM handlers just call
 // stop(): an atomic store plus a one-byte write to a self-pipe the poll
@@ -60,7 +70,7 @@
 #include "xsp/net/endpoint.hpp"
 #include "xsp/net/http.hpp"
 #include "xsp/net/socket.hpp"
-#include "xsp/trace/span_sink.hpp"
+#include "xsp/trace/trace_server.hpp"
 #include "xsp/trace/wire.hpp"
 
 namespace xsp::net {
@@ -120,8 +130,8 @@ class CollectorService {
  public:
   /// Binds and listens immediately (so endpoint() reports the resolved
   /// ephemeral port before run() is entered); throws NetError on bind
-  /// failure. `sink` must outlive the service.
-  CollectorService(const Endpoint& endpoint, trace::SpanSink& sink,
+  /// failure. `server` must outlive the service.
+  CollectorService(const Endpoint& endpoint, trace::TraceServer& server,
                    CollectorOptions options = {});
   ~CollectorService();
 
@@ -172,7 +182,7 @@ class CollectorService {
   /// connection/producer series, then opts_.registry. Run() thread only.
   void build_metrics_text(std::string& out);
 
-  trace::SpanSink& sink_;
+  trace::TraceServer& server_;
   CollectorOptions opts_;
   std::unique_ptr<Listener> listener_;
   std::vector<std::unique_ptr<Connection>> conns_;

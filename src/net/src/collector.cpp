@@ -47,6 +47,8 @@ struct CollectorService::Connection {
   /// the stream, ~1000x more slowly than one entry per id.
   std::unordered_map<std::uint64_t, SpanId> span_blocks;
   std::unordered_map<std::uint64_t, std::uint64_t> corr_blocks;
+  /// The span batch being decoded. Each decoded batch is handed to the
+  /// server whole, and the next one starts in a fresh pool block.
   trace::SpanBatch scratch;
   bool errored = false;  ///< hostile input or mid-frame disconnect
 
@@ -66,7 +68,9 @@ struct CollectorService::Connection {
   Clock::time_point last_hb{};
 
   Connection(Socket s, std::size_t max_frame_payload)
-      : sock(std::move(s)), parser(max_frame_payload) {}
+      : sock(std::move(s)), parser(max_frame_payload) {
+    scratch.reserve(trace::kBatchCapacity);
+  }
 };
 
 /// One metrics-endpoint client. Request heads are parsed incrementally
@@ -85,9 +89,9 @@ struct CollectorService::HttpConn {
 };
 
 CollectorService::CollectorService(const Endpoint& endpoint,
-                                   trace::SpanSink& sink,
+                                   trace::TraceServer& server,
                                    CollectorOptions options)
-    : sink_(sink),
+    : server_(server),
       opts_(std::move(options)),
       listener_(std::make_unique<Listener>(endpoint)) {
   int fds[2];
@@ -311,18 +315,23 @@ void CollectorService::ingest_batch(Connection& conn) {
     }
     return it->second + producer_id % kBlock;
   };
-  const auto span_block = [this] { return sink_.next_span_block(); };
-  const auto corr_block = [this] { return sink_.next_correlation_block(); };
+  const auto span_block = [this] { return server_.next_span_block(); };
+  const auto corr_block = [this] { return server_.next_correlation_block(); };
   for (Span& span : conn.scratch) {
     span.id = remap(conn.span_blocks, span.id, span_block);
     span.parent = remap(conn.span_blocks, span.parent, span_block);
     span.correlation_id =
         remap(conn.corr_blocks, span.correlation_id, corr_block);
-    sink_.publish(span);
   }
-  conn.spans += conn.scratch.size();
+  const std::size_t spans = conn.scratch.size();
+  // Hand the batch over whole (collector.hpp); the next one decodes into
+  // a fresh pool block.
+  server_.publish_batch(std::move(conn.scratch));
+  conn.scratch = trace::SpanBatch();
+  conn.scratch.reserve(trace::kBatchCapacity);
+  conn.spans += spans;
   std::lock_guard lk(stats_mu_);
-  stats_.spans_ingested += conn.scratch.size();
+  stats_.spans_ingested += spans;
 }
 
 void CollectorService::close_connection(std::size_t index) {

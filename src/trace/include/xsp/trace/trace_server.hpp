@@ -178,6 +178,16 @@ class TraceServer final : public SpanSink {
   /// exactly.
   void publish(const Span& span) override;
 
+  /// Publish a whole batch: it joins the calling thread's slot as one
+  /// sealed batch, its spans unmoved, and wakes a kAsync shard as a seal
+  /// does. The hand-off for a caller that already holds spans in batches
+  /// (the collector, one batch per decoded frame). Annotation drops are
+  /// counted as publish() counts them; an attached sampler admits span by
+  /// span and the rejected spans are removed, so `published == admitted +
+  /// sampled_dropped` holds exactly. Leaves `batch` empty; an empty batch
+  /// is a no-op.
+  void publish_batch(SpanBatch&& batch);
+
   /// Attach (or clear, with nullptr) the head-sampling admission policy
   /// consulted by publish(). The hot path reads one raw pointer: with no
   /// sampler attached publication cost is unchanged. Samplers set earlier

@@ -346,7 +346,9 @@ namespace wire {
 /// The parser is pull-driven, so a driver can put bytes straight where
 /// they belong. wanted() says how many bytes the next step needs, buffer()
 /// says where they go, and commit() judges them. A span-batch payload goes
-/// into the caller's SpanBatch, so a reader decodes with no staging copy.
+/// into the caller's SpanBatch, so a reader decodes with no staging copy,
+/// at most kBatchCapacity spans per step: a larger frame decodes as
+/// several batches, each of which fits one batch-pool block (span.hpp).
 /// A frame is judged from its 8-byte header (a span batch also from its
 /// 4-byte count) before any payload is read, so a hostile length prefix
 /// is rejected without buffering it. Hostile bytes throw WireError;
@@ -365,8 +367,9 @@ class FrameParser {
   [[nodiscard]] std::size_t wanted() const noexcept;
 
   /// Where the driver writes the next wanted() bytes. For a span-batch
-  /// payload that is `spans` itself, resized to the frame's span count;
-  /// otherwise it is the parser's own scratch.
+  /// payload that is `spans` itself, resized to the frame's next
+  /// min(spans left, kBatchCapacity) spans; otherwise it is the parser's
+  /// own scratch.
   [[nodiscard]] char* buffer(SpanBatch& spans);
 
   /// Judge the wanted() bytes just written to buffer(). Returns true when
@@ -423,6 +426,7 @@ class FrameParser {
   State state_ = State::kHeader;
   FrameType type_ = FrameType::kStringDelta;
   std::uint32_t payload_size_ = 0;
+  /// Spans of the current span-batch frame not decoded yet.
   std::uint32_t span_count_ = 0;
   /// Header, frame-header and span-count bytes.
   alignas(8) char head_[sizeof(Header)] = {};
@@ -454,8 +458,9 @@ class BinaryReader {
   BinaryReader(const BinaryReader&) = delete;
   BinaryReader& operator=(const BinaryReader&) = delete;
 
-  /// Decode up to the next SpanBatch frame into `out` (overwritten, so a
-  /// caller-recycled buffer is reused). Returns false at end of stream —
+  /// Decode the next batch into `out` (overwritten, so a caller-recycled
+  /// buffer is reused): a SpanBatch frame, or the next kBatchCapacity
+  /// spans of a larger one. Returns false at end of stream —
   /// after the footer frame, or at a clean pre-footer EOF (a producer
   /// that died mid-export; see saw_footer()). Throws WireError on any
   /// malformed frame.

@@ -521,6 +521,34 @@ void TraceServer::publish(const Span& span) {
   if (sealed && mode_ == PublishMode::kAsync) slot.shard->wake();
 }
 
+void TraceServer::publish_batch(SpanBatch&& batch) {
+  if (batch.empty()) return;
+  ProducerSlot& slot = local_slot();
+  // Admission and the annotation-drop sum run before the spinlock: a
+  // drain contending for the slot waits on a few handle moves, never on
+  // a pass over the batch. remove_if asks the sampler once per span.
+  const Sampler* sampler = sampler_ptr_.load(std::memory_order_acquire);
+  std::size_t rejected = 0;
+  if (sampler != nullptr) {
+    const auto kept_end = std::remove_if(batch.begin(), batch.end(),
+                                         [sampler](const Span& s) { return !sampler->admit(s); });
+    rejected = static_cast<std::size_t>(batch.end() - kept_end);
+    batch.erase(kept_end, batch.end());
+  }
+  std::uint64_t dropped = 0;
+  for (const Span& span : batch) dropped += span.dropped_annotations;
+  const bool sealed = !batch.empty();
+  slot.acquire();
+  if (sampler != nullptr) {
+    slot.sampled_kept += batch.size();
+    slot.sampled_dropped += rejected;
+  }
+  slot.dropped += dropped;
+  if (sealed) slot.sealed.push_back(std::move(batch));
+  slot.release();
+  if (sealed && mode_ == PublishMode::kAsync) slot.shard->wake();
+}
+
 void TraceServer::drain(Shard& shard, bool steal_active) {
   // One drain pass per shard at a time: batches must never sit in a
   // concurrent pass's staging while another pass reports the slots empty.

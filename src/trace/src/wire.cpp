@@ -1,5 +1,6 @@
 #include "xsp/trace/wire.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <istream>
@@ -310,7 +311,7 @@ std::size_t FrameParser::wanted() const noexcept {
     case State::kHeader: return sizeof(Header);
     case State::kFrameHeader: return sizeof(FrameHeader);
     case State::kSpanCount: return sizeof(std::uint32_t);
-    case State::kSpans: return static_cast<std::size_t>(span_count_) * sizeof(Span);
+    case State::kSpans: return std::min<std::size_t>(span_count_, kBatchCapacity) * sizeof(Span);
     case State::kPayload: return payload_size_;
     case State::kEnd: return 1;
   }
@@ -321,8 +322,10 @@ char* FrameParser::buffer(SpanBatch& spans) {
   switch (state_) {
     case State::kSpans:
       // Decode straight into the caller's batch: one read into span
-      // memory, then in-place StrId rewrites — no intermediate copy.
-      spans.resize(span_count_);
+      // memory, then in-place StrId rewrites — no intermediate copy. At
+      // most one pool block's worth per step, so a decoded batch never
+      // outgrows its block.
+      spans.resize(std::min<std::size_t>(span_count_, kBatchCapacity));
       return reinterpret_cast<char*>(spans.data());
     case State::kPayload:
       payload_.resize(payload_size_);
@@ -360,7 +363,8 @@ bool FrameParser::commit(SpanBatch& spans) {
     case State::kSpans:
       for (Span& span : spans) remap_span(span);
       spans_decoded_ += spans.size();
-      end_frame();
+      span_count_ -= static_cast<std::uint32_t>(spans.size());
+      if (span_count_ == 0) end_frame();
       return true;
     case State::kPayload:
       if (type_ == FrameType::kStringDelta) {

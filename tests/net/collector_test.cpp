@@ -14,11 +14,13 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -769,6 +771,52 @@ TEST(CollectorHeartbeat, LiveRemoteSinkTrickleArrivesWithoutFlush) {
   sink.close();
   collector.stop();
   EXPECT_EQ(sink.spans_published(), sink.spans_sent() + sink.spans_dropped());
+  EXPECT_EQ(sink.spans_dropped(), 0u);
+}
+
+TEST(CollectorE2E, SmallFrameReachesTheDrainWithoutTheQuietSweep) {
+  // Each trickle is one ten-span frame, far short of a 256-span slot
+  // batch. The collector hands the decoded frame to its kAsync server
+  // sealed, so the frame wakes the drain at once instead of waiting for
+  // the server's 50 ms sweep of partial batches.
+  using Clock = std::chrono::steady_clock;
+  constexpr int kTrickles = 20;
+  constexpr std::size_t kSpans = 10;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t delivered = 0;
+  const Endpoint ep = uds_endpoint("col_frame");
+  RunningCollector collector(ep, {}, trace::PublishMode::kAsync);
+  collector.server.add_drain_subscriber(
+      [&](const trace::SpanBatches& batches) {
+        std::size_t n = 0;
+        for (const auto& batch : batches) n += batch.size();
+        {
+          std::lock_guard lk(mu);
+          delivered += n;
+        }
+        cv.notify_all();
+      },
+      trace::DrainHandoff::kConsume);
+
+  trace::RemoteSink sink(ep);
+  std::vector<Clock::duration> lags;
+  for (int trickle = 0; trickle < kTrickles; ++trickle) {
+    publish_fleet_member(sink, 0, kSpans);
+    const auto t0 = Clock::now();
+    sink.flush();
+    std::unique_lock lk(mu);
+    const bool arrived = cv.wait_for(lk, std::chrono::seconds(2), [&] {
+      return delivered >= (trickle + 1) * kSpans;
+    });
+    ASSERT_TRUE(arrived) << "trickle " << trickle << ": " << delivered << " spans delivered";
+    lags.push_back(Clock::now() - t0);
+  }
+  std::nth_element(lags.begin(), lags.begin() + lags.size() / 2, lags.end());
+  EXPECT_LT(lags[lags.size() / 2], std::chrono::milliseconds(10));
+
+  sink.close();
+  collector.stop();
   EXPECT_EQ(sink.spans_dropped(), 0u);
 }
 

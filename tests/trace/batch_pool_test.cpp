@@ -156,6 +156,64 @@ TEST(BatchPool, WarmPublishDrainConsumeCycleMakesZeroAllocations) {
 #endif
 }
 
+TEST(BatchPool, DecodedFramesFillPoolBlocks) {
+  // A 512-span frame (RemoteSink's default) decodes as two pool blocks,
+  // not one 512-span allocation, and a 300-span frame as a pool block and
+  // a 44-span rest.
+  std::string bytes;
+  {
+    BinaryWriter writer([&bytes](std::string_view chunk) { bytes.append(chunk); });
+    for (const std::size_t n : {std::size_t{512}, std::size_t{300}}) {
+      SpanBatch frame;
+      for (SpanId id = 1; id <= n; ++id) frame.push_back(make_span(id));
+      writer.write_batch(frame);
+    }
+    writer.finish();
+  }
+  std::istringstream in(bytes);
+  BinaryReader reader(in);
+  const SpanBatches decoded = reader.read_all();
+  ASSERT_EQ(decoded.size(), 4u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(decoded[i].size(), kBatchCapacity) << i;
+    EXPECT_EQ(decoded[i].capacity(), kBatchCapacity) << i;
+  }
+  EXPECT_EQ(decoded[3].size(), 44u);
+  EXPECT_EQ(reader.spans_read(), 812u);
+}
+
+TEST(BatchPool, HandOffDrainDropLoopKeepsThePoolFlat) {
+  // The collector's cycle: fill a fresh pool block, hand it to the server
+  // whole, and let the consumer drop it when the drain delivers it.
+  TraceServer server(PublishMode::kSync);
+  std::uint64_t consumed = 0;
+  server.add_drain_subscriber(
+      [&consumed](const SpanBatches& batches) {
+        for (const auto& batch : batches) consumed += batch.size();
+      },
+      DrainHandoff::kConsume);
+  const auto cycle = [&server] {
+    SpanBatch batch = full_size_batch();
+    for (std::size_t i = 0; i < kBatchCapacity; ++i) batch.push_back(make_span(server.next_span_id()));
+    server.publish_batch(std::move(batch));
+    server.flush();
+  };
+  for (int round = 0; round < 3; ++round) cycle();  // registers the slot, grows the staging
+  const std::uint64_t warm = batch_pool_bytes();
+  const std::uint64_t before = g_xsp_test_alloc_count.load(std::memory_order_relaxed);
+  for (int round = 0; round < 100; ++round) {
+    cycle();
+    ASSERT_EQ(batch_pool_bytes(), warm) << "round " << round;
+  }
+  const std::uint64_t during = g_xsp_test_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(consumed, 103 * kBatchCapacity);
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  (void)during;
+#else
+  EXPECT_EQ(during, 0u) << "warm hand-off/drain/drop cycle allocated";
+#endif
+}
+
 #if defined(__SANITIZE_ADDRESS__)
 TEST(BatchPool, ADroppedBlockIsPoisonedUntilReissued) {
   SpanBatch batch = full_size_batch();

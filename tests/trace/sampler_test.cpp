@@ -239,6 +239,55 @@ TEST(TraceServerSampling, NoSamplerMeansNoAccounting) {
   EXPECT_EQ(server.sampled_dropped_count(), 0u);
 }
 
+TEST(TraceServerSampling, PublishBatchAdmitsSpanBySpanLikePublish) {
+  SamplerOptions opts;
+  opts.rate = 0.25;
+  const auto sampler = std::make_shared<const Sampler>(opts);
+  TraceServer one_by_one(PublishMode::kSync);
+  TraceServer whole(PublishMode::kSync);
+  one_by_one.set_sampler(sampler);
+  whole.set_sampler(sampler);
+  // The same spans both ways: ids and correlation ids come from neither
+  // server, so both see identical admission keys.
+  constexpr std::uint64_t kSpans = 3000;
+  SpanBatch batch;
+  for (std::uint64_t i = 1; i <= kSpans; ++i) {
+    batch.push_back(make_span(i));
+    one_by_one.publish(batch.back());
+  }
+  whole.publish_batch(std::move(batch));
+  const std::uint64_t kept = whole.sampled_kept_count();
+  const std::uint64_t dropped = whole.sampled_dropped_count();
+  EXPECT_EQ(kept + dropped, kSpans);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(kept, 0u);
+  EXPECT_EQ(kept, one_by_one.sampled_kept_count());
+  EXPECT_EQ(dropped, one_by_one.sampled_dropped_count());
+  // The admitted spans, in publication order, are the same spans.
+  const auto ids = [](TraceServer& server) {
+    std::vector<SpanId> out;
+    for (const Span& s : server.take_trace()) out.push_back(s.id);
+    return out;
+  };
+  const std::vector<SpanId> whole_ids = ids(whole);
+  EXPECT_EQ(whole_ids.size(), kept);
+  EXPECT_EQ(whole_ids, ids(one_by_one));
+}
+
+TEST(TraceServerSampling, AWhollyRejectedBatchIsCountedAndNotHeld) {
+  TraceServer server(PublishMode::kSync);
+  SamplerOptions opts;
+  opts.rate = 0.0;
+  server.set_sampler(std::make_shared<const Sampler>(opts));
+  SpanBatch batch;
+  for (std::uint64_t i = 1; i <= 100; ++i) batch.push_back(make_span(i));
+  server.publish_batch(std::move(batch));
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(drained_spans(server), 0u);
+  EXPECT_EQ(server.sampled_dropped_count(), 100u);
+  EXPECT_EQ(server.sampled_kept_count(), 0u);
+}
+
 TEST(TraceServerSampling, InvariantHoldsUnderConcurrentPublishers) {
   TraceServer server(PublishMode::kAsync);
   SamplerOptions opts;

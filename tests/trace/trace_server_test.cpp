@@ -97,6 +97,65 @@ TEST(TraceServer, DroppedAnnotationsAggregateAtAggregationTime) {
   EXPECT_EQ(server.dropped_annotation_count(), 0u);
 }
 
+SpanBatch batch_of(TraceServer& server, std::size_t n) {
+  SpanBatch batch;
+  batch.reserve(kBatchCapacity);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto t = static_cast<TimePoint>(i);
+    batch.push_back(make_span(server.next_span_id(), t, t + 1));
+  }
+  return batch;
+}
+
+TEST(TraceServer, PublishBatchDeliversTheBatchOnceWithItsSpansInPlace) {
+  TraceServer server(PublishMode::kSync);
+  std::vector<const Span*> observed;
+  server.add_drain_subscriber([&observed](const SpanBatches& batches) {
+    for (const auto& batch : batches) observed.push_back(batch.data());
+  });
+  server.publish(make_span(server.next_span_id(), 0, 1));  // a partial slot batch too
+  SpanBatch batch = batch_of(server, 300);                 // more than one pool block
+  const Span* spans = batch.data();
+  const SpanId first = batch.front().id;
+  server.publish_batch(std::move(batch));
+  EXPECT_TRUE(batch.empty());
+  server.flush();
+  server.flush();
+  EXPECT_EQ(std::count(observed.begin(), observed.end(), spans), 1);
+  const SpanBatches taken = server.take_batches();
+  ASSERT_EQ(taken.size(), 2u);
+  const auto handed = std::find_if(taken.begin(), taken.end(),
+                                   [spans](const SpanBatch& b) { return b.data() == spans; });
+  ASSERT_NE(handed, taken.end());
+  EXPECT_EQ(handed->size(), 300u);
+  EXPECT_EQ(handed->front().id, first);
+  EXPECT_EQ(server.span_count(), 0u);
+}
+
+TEST(TraceServer, PublishBatchCountsItsDroppedAnnotations) {
+  TraceServer server(PublishMode::kSync);
+  Span a = make_span(server.next_span_id(), 0, 1);
+  a.dropped_annotations = 1;
+  server.publish(a);
+  SpanBatch batch = batch_of(server, 40);
+  batch[3].dropped_annotations = 2;
+  batch[39].dropped_annotations = 0xFFFF;
+  server.publish_batch(std::move(batch));
+  EXPECT_EQ(server.dropped_annotation_count(), 1u + 2u + 0xFFFFu);
+}
+
+TEST(TraceServer, PublishingAnEmptyBatchDoesNothing) {
+  TraceServer server(PublishMode::kSync);
+  const std::size_t slots = server.live_slot_count();
+  server.publish_batch(SpanBatch());
+  SpanBatch reserved;
+  reserved.reserve(kBatchCapacity);
+  server.publish_batch(std::move(reserved));
+  EXPECT_EQ(server.live_slot_count(), slots);
+  EXPECT_EQ(server.span_count(), 0u);
+  EXPECT_TRUE(server.take_batches().empty());
+}
+
 TEST(TraceServer, DestructionWithQueuedSpansIsClean) {
   // No hang or crash when a server with pending async work is destroyed.
   auto server = std::make_unique<TraceServer>(PublishMode::kAsync);
@@ -136,6 +195,13 @@ class DeliveryClock {
     published_ += spans;
   }
 
+  void publish_batch(std::size_t spans) {
+    SpanBatch batch;
+    for (std::size_t i = 0; i < spans; ++i) batch.push_back(make_span(server_.next_span_id(), 0, 1));
+    published_ += spans;
+    server_.publish_batch(std::move(batch));
+  }
+
   /// Time until every span published so far is delivered; `limit` when
   /// that does not happen within it.
   Clock::duration wait_delivered(Clock::duration limit) {
@@ -164,6 +230,19 @@ TEST(TraceServerAsync, OneSealedBatchWakesTheCollector) {
   std::vector<DeliveryClock::Clock::duration> lags;
   for (int burst = 0; burst < 20; ++burst) {
     clock.publish(TraceServer::kBatchCapacity);  // the last span seals
+    lags.push_back(clock.wait_delivered(std::chrono::seconds(1)));
+  }
+  std::nth_element(lags.begin(), lags.begin() + lags.size() / 2, lags.end());
+  EXPECT_LT(lags[lags.size() / 2], std::chrono::milliseconds(10));
+}
+
+TEST(TraceServerAsync, AHandedOffBatchWakesTheCollectorLikeASeal) {
+  // Ten spans handed off as one batch arrive sealed: they must not wait
+  // for the quiet-period sweep that a ten-span partial batch waits for.
+  DeliveryClock clock;
+  std::vector<DeliveryClock::Clock::duration> lags;
+  for (int burst = 0; burst < 20; ++burst) {
+    clock.publish_batch(10);
     lags.push_back(clock.wait_delivered(std::chrono::seconds(1)));
   }
   std::nth_element(lags.begin(), lags.begin() + lags.size() / 2, lags.end());

@@ -242,14 +242,36 @@ TEST(BinaryWire, LargeBatchSplitsIntoBoundedFrames) {
   for (std::size_t i = 0; i < wire::kMaxSpansPerFrame + 100; ++i) {
     big.push_back(make_span(i + 1, static_cast<TimePoint>(i)));
   }
-  std::istringstream in(encode({big}));
-  BinaryReader reader(in);
-  SpanBatch out;
+  const std::string bytes = encode({big});
+  // Walk the frame headers: the writer cut the batch at kMaxSpansPerFrame.
   std::vector<std::size_t> frame_sizes;
-  while (reader.next_batch(out)) frame_sizes.push_back(out.size());
+  for (std::size_t off = sizeof(wire::Header); off < bytes.size();) {
+    wire::FrameHeader fh;
+    std::memcpy(&fh, bytes.data() + off, sizeof fh);
+    off += sizeof fh;
+    if (fh.type == static_cast<std::uint8_t>(wire::FrameType::kSpanBatch)) {
+      std::uint32_t count = 0;
+      std::memcpy(&count, bytes.data() + off, sizeof count);
+      frame_sizes.push_back(count);
+    }
+    off += fh.payload_size;
+  }
   ASSERT_EQ(frame_sizes.size(), 2u);
   EXPECT_EQ(frame_sizes[0], wire::kMaxSpansPerFrame);
   EXPECT_EQ(frame_sizes[1], 100u);
+  // The reader decodes them kBatchCapacity spans at a time, in order.
+  std::istringstream in(bytes);
+  BinaryReader reader(in);
+  SpanBatch out;
+  std::vector<std::size_t> batch_sizes;
+  SpanId next_id = 1;
+  while (reader.next_batch(out)) {
+    batch_sizes.push_back(out.size());
+    for (const Span& span : out) EXPECT_EQ(span.id, next_id++);
+  }
+  std::vector<std::size_t> expected(wire::kMaxSpansPerFrame / kBatchCapacity, kBatchCapacity);
+  expected.push_back(100);
+  EXPECT_EQ(batch_sizes, expected);
   EXPECT_EQ(reader.spans_read(), big.size());
 }
 
