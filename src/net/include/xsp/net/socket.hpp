@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -139,26 +140,34 @@ class Poller {
 };
 
 /// Reassembly buffer for length-prefixed frames arriving in arbitrary
-/// chunks. Appending is amortized O(1); consume() advances a read offset
-/// and compacts only once the dead prefix dominates, so a connection
-/// trickling one byte per poll tick never triggers quadratic memmove.
+/// chunks. Reads land in it directly: prepare(n) hands out room for n
+/// more bytes after the buffered ones and commit(k) keeps the first k of
+/// them. consume() advances a read offset; prepare() moves the live bytes
+/// to the front only once the dead prefix is at least as large as they
+/// are, so a connection trickling one byte per poll tick never triggers
+/// quadratic memmove. Storage is never zero-filled: the buffer tracks its
+/// own length, and growth copies only the live bytes.
 class RxBuffer {
  public:
+  /// Room for at least n bytes past the buffered ones. Valid until the
+  /// next non-const call; bytes written there count only once committed.
+  char* prepare(std::size_t n);
+  /// Append the first n bytes of the last prepare() (n <= what it asked).
+  void commit(std::size_t n) { end_ += n; }
   void append(std::string_view bytes);
   /// All buffered-but-unconsumed bytes, contiguous.
   [[nodiscard]] std::string_view data() const {
-    return std::string_view(buf_).substr(off_);
+    return std::string_view(buf_.get() + off_, end_ - off_);
   }
-  [[nodiscard]] std::size_t size() const { return buf_.size() - off_; }
+  [[nodiscard]] std::size_t size() const { return end_ - off_; }
   void consume(std::size_t n);
-  void clear() {
-    buf_.clear();
-    off_ = 0;
-  }
+  void clear() { off_ = end_ = 0; }
 
  private:
-  std::string buf_;
-  std::size_t off_ = 0;
+  std::unique_ptr<char[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t off_ = 0;  ///< first unconsumed byte
+  std::size_t end_ = 0;  ///< one past the last committed byte
 };
 
 }  // namespace xsp::net

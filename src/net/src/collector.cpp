@@ -230,13 +230,13 @@ void CollectorService::accept_pending() {
 }
 
 bool CollectorService::service_connection(Connection& conn) {
-  char chunk[64 * 1024];  // bytes per read(2) into the reassembly buffer
+  constexpr std::size_t kChunk = 64 * 1024;  // bytes per read(2)
   for (;;) {
     std::size_t n = 0;
-    const IoResult r = conn.sock.read_some(chunk, sizeof chunk, n);
+    const IoResult r = conn.sock.read_some(conn.rx.prepare(kChunk), kChunk, n);
     if (r == IoResult::kWouldBlock) return true;
     if (r == IoResult::kOk) {
-      conn.rx.append(std::string_view(chunk, n));
+      conn.rx.commit(n);
       conn.bytes += n;
     }
     try {

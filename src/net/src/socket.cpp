@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -326,22 +327,33 @@ const std::vector<Poller::Event>& Poller::wait(int timeout_ms) {
 
 // --- RxBuffer --------------------------------------------------------------
 
-void RxBuffer::append(std::string_view bytes) {
-  // Compact before growing once the dead prefix is both sizable and the
-  // majority of storage; otherwise appends just extend the string.
-  if (off_ > 4096 && off_ > buf_.size() - off_) {
-    buf_.erase(0, off_);
-    off_ = 0;
+char* RxBuffer::prepare(std::size_t n) {
+  if (cap_ - end_ >= n) return buf_.get() + end_;
+  const std::size_t live = end_ - off_;
+  if (off_ >= live && live + n <= cap_) {
+    // The dead prefix pays for the move: compact in place.
+    std::memmove(buf_.get(), buf_.get() + off_, live);
+  } else {
+    const std::size_t cap = std::max(2 * cap_, live + n);
+    auto grown = std::make_unique_for_overwrite<char[]>(cap);
+    if (live > 0) std::memcpy(grown.get(), buf_.get() + off_, live);
+    buf_ = std::move(grown);
+    cap_ = cap;
   }
-  buf_.append(bytes.data(), bytes.size());
+  off_ = 0;
+  end_ = live;
+  return buf_.get() + end_;
+}
+
+void RxBuffer::append(std::string_view bytes) {
+  if (bytes.empty()) return;
+  std::memcpy(prepare(bytes.size()), bytes.data(), bytes.size());
+  commit(bytes.size());
 }
 
 void RxBuffer::consume(std::size_t n) {
   off_ += n;
-  if (off_ >= buf_.size()) {
-    buf_.clear();
-    off_ = 0;
-  }
+  if (off_ >= end_) off_ = end_ = 0;
 }
 
 }  // namespace xsp::net

@@ -9,7 +9,10 @@
 // and failure lives on the sender thread — tracers never stall on the
 // collector. The pending batch is sealed at batch_spans, by flush() or
 // close(), and by a heartbeat tick that finds the outbox empty: a trickle
-// leaves within one heartbeat_interval_ms.
+// leaves within one heartbeat_interval_ms. At the default batch_spans
+// (kBatchCapacity) the pending batch is a batch-pool block: sealing takes
+// the next one from the pool instead of allocating, each full block is one
+// span frame, and the sender's copy returns to the pool once written.
 //
 // Backpressure is bounded and *accounted*, never blocking and never
 // silent (the always-on-client memory discipline the I2PA evaluation
@@ -61,8 +64,10 @@ namespace xsp::trace {
 class Sampler;  // sampler.hpp
 
 struct RemoteSinkOptions {
-  /// Spans per sealed batch (the wire-frame granularity).
-  std::size_t batch_spans = 512;
+  /// Spans per sealed batch (the wire-frame granularity). The default
+  /// makes the pending batch a batch-pool block (span.hpp), so one block
+  /// travels as one frame and the collector decodes it into one block.
+  std::size_t batch_spans = kBatchCapacity;
   /// Outbox bound: total spans queued for the sender before newly sealed
   /// batches drop with accounting.
   std::size_t max_outbox_spans = 64 * 1024;

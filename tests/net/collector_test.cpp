@@ -820,6 +820,32 @@ TEST(CollectorE2E, SmallFrameReachesTheDrainWithoutTheQuietSweep) {
   EXPECT_EQ(sink.spans_dropped(), 0u);
 }
 
+TEST(CollectorE2E, DefaultSinkShipsEachFullPoolBlockWithoutFlush) {
+  // At the default batch_spans the sink's pending batch is one pool
+  // block, and filling it seals it: one block's worth of spans reaches
+  // the drain with no flush(), no close() and, heartbeats off, no tick.
+  std::atomic<std::size_t> delivered{0};
+  const Endpoint ep = uds_endpoint("col_block");
+  RunningCollector collector(ep, {}, trace::PublishMode::kAsync);
+  collector.server.add_drain_subscriber(
+      [&delivered](const trace::SpanBatches& batches) {
+        for (const auto& batch : batches) delivered.fetch_add(batch.size());
+      },
+      trace::DrainHandoff::kConsume);
+
+  trace::RemoteSinkOptions opts;
+  opts.heartbeat_interval_ms = 0;
+  trace::RemoteSink sink(ep, opts);
+  publish_fleet_member(sink, 0, trace::kBatchCapacity);
+  EXPECT_TRUE(wait_until([&] { return delivered.load() == trace::kBatchCapacity; }, 1000))
+      << delivered.load() << " of " << trace::kBatchCapacity << " spans delivered";
+
+  sink.close();
+  collector.stop();
+  EXPECT_EQ(sink.spans_sent(), trace::kBatchCapacity);
+  EXPECT_EQ(sink.spans_dropped(), 0u);
+}
+
 // --- sampling admission & selective shedding ------------------------------
 
 TEST(RemoteSinkSampling, PublishAdmissionHoldsTheInvariant) {

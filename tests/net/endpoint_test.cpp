@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
 #include <string>
 
 #include "xsp/net/socket.hpp"
@@ -91,6 +93,73 @@ TEST(RxBuffer, ClearResetsEverything) {
   EXPECT_EQ(rx.size(), 0u);
   rx.append("fresh");
   EXPECT_EQ(rx.data(), "fresh");
+}
+
+TEST(RxBuffer, CompactionKeepsTheLiveSuffixInPlace) {
+  RxBuffer rx;
+  char* base = rx.prepare(8);
+  std::memcpy(base, "abcdefgh", 8);
+  rx.commit(8);
+  rx.consume(6);
+  // No room left; the 6 dead bytes outweigh the 2 live ones, so the live
+  // suffix moves to the front of the same storage.
+  char* tail = rx.prepare(6);
+  EXPECT_EQ(rx.data(), "gh");
+  EXPECT_EQ(rx.data().data(), base);
+  EXPECT_EQ(tail, base + 2);
+  std::memcpy(tail, "ijklmn", 6);
+  rx.commit(6);
+  EXPECT_EQ(rx.data(), "ghijklmn");
+}
+
+TEST(RxBuffer, GrowthKeepsTheLiveSuffix) {
+  RxBuffer rx;
+  rx.append("0123456789");
+  rx.consume(3);
+  // 3 dead bytes do not pay for moving 7 live ones: grow instead.
+  char* tail = rx.prepare(100);
+  EXPECT_EQ(rx.data(), "3456789");
+  EXPECT_EQ(tail, rx.data().data() + rx.size());
+  std::memcpy(tail, "abc", 3);
+  rx.commit(3);
+  EXPECT_EQ(rx.data(), "3456789abc");
+}
+
+TEST(RxBuffer, PartialCommitKeepsOnlyTheCommittedPrefix) {
+  RxBuffer rx;
+  rx.append("xy");
+  char* tail = rx.prepare(64);
+  std::memcpy(tail, "0123456789", 10);
+  rx.commit(4);
+  EXPECT_EQ(rx.data(), "xy0123");
+  // The next prepare continues right after the committed bytes.
+  tail = rx.prepare(64);
+  EXPECT_EQ(tail, rx.data().data() + rx.size());
+  rx.commit(0);
+  EXPECT_EQ(rx.data(), "xy0123");
+}
+
+TEST(RxBuffer, DataStaysContiguousUnderRandomReadsAndConsumes) {
+  // A std::string model of the same stream: data() must always equal
+  // the model's unconsumed bytes, through every compaction and growth.
+  std::mt19937 rng(7);
+  RxBuffer rx;
+  std::string model;
+  std::size_t next = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::size_t want = 1 + rng() % 300;
+    char* dst = rx.prepare(want);
+    const std::size_t got = rng() % (want + 1);
+    for (std::size_t i = 0; i < got; ++i, ++next) {
+      dst[i] = static_cast<char>('a' + next % 23);
+      model += dst[i];
+    }
+    rx.commit(got);
+    const std::size_t eat = rng() % (rx.size() + 1);
+    rx.consume(eat);
+    model.erase(0, eat);
+    ASSERT_EQ(rx.data(), model) << "step " << step;
+  }
 }
 
 }  // namespace

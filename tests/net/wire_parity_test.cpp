@@ -3,12 +3,17 @@
 // connection. Both drive the same wire::FrameParser, so they must agree
 // on every stream: the reader throws WireError exactly when the collector
 // counts the connection as errored, and a clean stream yields the same
-// span count through either.
+// span count through either, whether the collector reads it whole or in
+// pieces that split frames across reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -71,6 +76,23 @@ std::string writer_stream() {
   return out;
 }
 
+/// Sixteen pool-block frames with heartbeats between them (about 900 KB):
+/// enough frames behind each other that a reader's buffer compacts with
+/// part of the next frame still in it.
+std::string long_writer_stream() {
+  std::string out;
+  trace::BinaryWriter writer([&out](std::string_view chunk) { out.append(chunk); });
+  trace::SpanId id = 1;
+  for (int frame = 0; frame < 16; ++frame) {
+    trace::SpanBatch spans;
+    for (std::size_t i = 0; i < trace::kBatchCapacity; ++i) spans.push_back(parity_span(id++));
+    writer.write_batch(spans);
+    writer.write_heartbeat(wire::Heartbeat{});
+  }
+  writer.finish();
+  return out;
+}
+
 std::vector<Case> corpus() {
   const std::string hdr = header_bytes();
   const std::string good = parity_delta() + frame(wire::FrameType::kSpanBatch,
@@ -80,6 +102,7 @@ std::vector<Case> corpus() {
       // with no header is truncated, while a socket that closes before
       // its first byte is a probe the collector closes cleanly.)
       {"writer stream", writer_stream(), false},
+      {"long writer stream", long_writer_stream(), false},
       {"header only", hdr, false},
       {"no footer", hdr + good, false},
       {"footer", hdr + good + footer_frame(), false},
@@ -167,8 +190,12 @@ Outcome read_with_reader(const std::string& bytes) {
   return out;
 }
 
-TEST(WireParity, ReaderAndCollectorAgreeOnEveryStream) {
-  const Endpoint ep = uds_endpoint("wire_parity");
+/// Sends every corpus case over its own connection to a live collector
+/// through `send(sock, case)`, then requires the collector's outcome to
+/// equal the reader's.
+template <typename Send>
+void expect_parity(const std::string& socket_name, Send send) {
+  const Endpoint ep = uds_endpoint(socket_name);
   trace::TraceServer server(trace::PublishMode::kSync);
   CollectorService service(ep, server);
   std::thread loop([&service] { service.run(); });
@@ -179,7 +206,7 @@ TEST(WireParity, ReaderAndCollectorAgreeOnEveryStream) {
     {
       Socket sock = try_connect(ep, 1000);
       ASSERT_TRUE(sock.valid()) << c.name;
-      ASSERT_TRUE(send_all(sock, c.bytes)) << c.name;
+      send(sock, c);
       sock.shutdown_write();
       (void)read_to_eof(sock);  // the collector closes after EOF or an error
     }
@@ -204,6 +231,32 @@ TEST(WireParity, ReaderAndCollectorAgreeOnEveryStream) {
   service.stop();
   loop.join();
   EXPECT_EQ(service.stats().spans_ingested, server.span_count());
+}
+
+TEST(WireParity, ReaderAndCollectorAgreeOnEveryStream) {
+  expect_parity("wire_parity", [](Socket& sock, const Case& c) {
+    ASSERT_TRUE(send_all(sock, c.bytes)) << c.name;
+  });
+}
+
+TEST(WireParity, ReaderAndCollectorAgreeWhenStreamsArriveInPieces) {
+  // The same corpus, each stream cut into seeded pieces of 1 B to 70 KiB
+  // (log-uniform, so short pieces are common) with a pause after each, so
+  // the pieces land in separate reads and frames straddle them. A
+  // collector that erred on a bad frame may close before the last piece;
+  // sending then stops, and the outcome is compared as usual.
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<double> log_size(0.0, std::log(70.0 * 1024));
+  expect_parity("wire_parity_pieces", [&](Socket& sock, const Case& c) {
+    const std::string_view bytes = c.bytes;
+    for (std::size_t off = 0; off < bytes.size();) {
+      const auto piece = std::min<std::size_t>(
+          static_cast<std::size_t>(std::exp(log_size(rng))), bytes.size() - off);
+      if (!send_all(sock, bytes.substr(off, piece))) return;
+      off += piece;
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  });
 }
 
 }  // namespace
