@@ -17,13 +17,14 @@
 //                           [--level m|ml|mlg] [--inline-tags N]
 //
 // --inline-tags N additionally publishes N synthetic request spans per
-// run through a direct RemoteSink, each carrying a *unique* request-id
-// value as an inline tag (Span::inline_tags) — the high-cardinality
-// workload that would grow the collector's string table without bound if
-// the values interned. The collector re-interns only the (constant) span
-// name and tag key; the unique values ride inside the spans, so CI's
-// smoke asserts xsp_strtab_bytes stays flat while these flow. Their
-// accounting prints on a separate machine-greppable line:
+// run through a direct RemoteSink (its publish() goes into the sink's
+// own TraceServer, whose drain feeds the outbox), each carrying a
+// *unique* request-id value as an inline tag (Span::inline_tags) — the
+// high-cardinality workload that would grow the collector's string table
+// without bound if the values interned. The collector re-interns only the
+// (constant) span name and tag key; the unique values ride inside the
+// spans, so CI's smoke asserts xsp_strtab_bytes stays flat while these
+// flow. Their accounting prints on a separate machine-greppable line:
 //
 //   remote_producer: inline_published=64 inline_dropped=0
 #include <cerrno>

@@ -16,8 +16,8 @@
 // Each read(2) lands straight in the connection's RxBuffer, and each
 // frame's payload is copied once from there into the decoded batch. A
 // span-batch frame decodes into a fresh batch-pool block (span.hpp; a
-// RemoteSink at its default batch_spans sends one block per frame, and a
-// frame of more than 256 spans decodes into one block per 256, see
+// RemoteSink sends one drained block per frame, and a frame of more than
+// 256 spans decodes into one block per 256, see
 // wire::FrameParser), is remapped in place, and is handed to the server
 // whole by TraceServer::publish_batch. It joins the run() thread's
 // producer slot already sealed, so it reaches the drain with its own

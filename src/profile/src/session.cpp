@@ -447,14 +447,13 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
     online->set_sampling_accounting(sampled_kept_total_, sampled_dropped_total_);
   }
   if (subscriber_guard.remote_id != 0) {
-    // meta() above flushed every shard, so the remote sink has been
-    // handed every span of the run. Detach the per-run subscription, seal
-    // the partial batch toward the wire, and sample the sink's
-    // session-cumulative accounting. Delivery stays async — the sender
-    // thread keeps draining; only the handoff is complete.
+    // meta() above flushed every shard, so the remote sink's outbox has
+    // been handed every span of the run. Detach the per-run subscription
+    // and sample the sink's session-cumulative accounting. Delivery stays
+    // async — the sender thread keeps draining; only the handoff is
+    // complete.
     server_->remove_drain_subscriber(subscriber_guard.remote_id);
     subscriber_guard.remote_id = 0;
-    remote_->flush();
     result.remote_spans = remote_->spans_published();
     result.remote_dropped_spans = remote_->spans_dropped();
     result.remote_reconnects = remote_->reconnects();

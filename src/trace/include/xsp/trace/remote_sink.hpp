@@ -1,18 +1,22 @@
 // RemoteSink: the producer half of cross-process trace ingestion — a
 // SpanSink that ships spans to xsp_collectd over the binary wire format
-// instead of into an in-process TraceServer.
+// instead of holding them in-process.
 //
-// Shape: publish() appends into a pending batch under a mutex (producer
-// cost is one lock + one copy of the 216-byte record); sealed batches queue into a
-// bounded outbox a background sender thread drains through a BinaryWriter
-// over a socket-backed fallible FrameSink. All network latency, blocking,
-// and failure lives on the sender thread — tracers never stall on the
-// collector. The pending batch is sealed at batch_spans, by flush() or
-// close(), and by a heartbeat tick that finds the outbox empty: a trickle
-// leaves within one heartbeat_interval_ms. At the default batch_spans
-// (kBatchCapacity) the pending batch is a batch-pool block: sealing takes
-// the next one from the pool instead of allocating, each full block is one
+// Shape: the sink owns a one-shard kAsync TraceServer, and publish(), the
+// id calls and sampler admission are that server's: a publish is one copy
+// of the 216-byte record into the calling thread's producer slot, with no
+// lock shared between producer threads. The server seals a slot batch at
+// kBatchCapacity spans (one batch-pool block), and its collector sweeps a
+// partial one after 50 ms without a seal, so a trickle leaves without a
+// flush(). Its kConsume drain subscriber moves each drained block into a
+// bounded outbox, which a background sender thread drains through a
+// BinaryWriter over a socket-backed fallible FrameSink: one block is one
 // span frame, and the sender's copy returns to the pool once written.
+// All network latency, blocking, and failure lives on the sender thread —
+// tracers never stall on the collector. Two equations account for every
+// span: the server's `published == admitted + sampled_dropped`, and the
+// outbox's `admitted == sent + dropped`, where admitted spans are those
+// the server drained plus those write_batches() forwarded.
 //
 // Backpressure is bounded and *accounted*, never blocking and never
 // silent (the always-on-client memory discipline the I2PA evaluation
@@ -36,7 +40,7 @@
 // connection. The totals surface as TraceMeta::remote_dropped_spans /
 // remote_reconnects in the stream footer and via accessors here.
 //
-// close(): seals the pending batch, drains the outbox, writes the footer
+// close(): flushes the server, drains the outbox, writes the footer
 // frame, half-closes the socket (shutdown_write = "stream complete"), and
 // waits up to drain_timeout_ms for the daemon to ack by closing its end —
 // the drain protocol documented in src/trace/README.md. If the collector
@@ -57,17 +61,12 @@
 #include "xsp/net/endpoint.hpp"
 #include "xsp/trace/span.hpp"
 #include "xsp/trace/span_sink.hpp"
+#include "xsp/trace/trace_server.hpp"
 #include "xsp/trace/wire.hpp"
 
 namespace xsp::trace {
 
-class Sampler;  // sampler.hpp
-
 struct RemoteSinkOptions {
-  /// Spans per sealed batch (the wire-frame granularity). The default
-  /// makes the pending batch a batch-pool block (span.hpp), so one block
-  /// travels as one frame and the collector decodes it into one block.
-  std::size_t batch_spans = kBatchCapacity;
   /// Outbox bound: total spans queued for the sender before newly sealed
   /// batches drop with accounting.
   std::size_t max_outbox_spans = 64 * 1024;
@@ -98,8 +97,8 @@ class RemoteSink final : public SpanSink {
   RemoteSink(const RemoteSink&) = delete;
   RemoteSink& operator=(const RemoteSink&) = delete;
 
-  // SpanSink producer surface. Ids are sink-local (allocated from plain
-  // counters): the collector re-maps span/parent/correlation ids into its
+  // SpanSink producer surface, forwarded to the sink's own server. Ids are
+  // sink-local: the collector re-maps span/parent/correlation ids into its
   // fleet-wide id space at ingest, so producers need no coordination.
   SpanId next_span_id() noexcept override;
   std::uint64_t next_correlation_id() noexcept override;
@@ -109,12 +108,13 @@ class RemoteSink final : public SpanSink {
 
   /// Enqueue already-sealed batches — the drain-subscriber shape, so a
   /// profile::Session can forward its TraceServer drain to a collector
-  /// (ProfileOptions::remote_endpoint). Same bounded-outbox accounting as
-  /// publish().
+  /// (ProfileOptions::remote_endpoint). The spans go straight to the
+  /// outbox (copied, never re-sampled) with the same bounded-outbox
+  /// accounting as published spans.
   void write_batches(const SpanBatches& batches);
 
-  /// Seal the pending partial batch and wake the sender. Does not wait
-  /// for delivery.
+  /// Deliver every span published so far to the outbox and wake the
+  /// sender. Does not wait for delivery.
   void flush();
 
   /// Telemetry to embed in the stream footer alongside the sink's own
@@ -122,21 +122,22 @@ class RemoteSink final : public SpanSink {
   /// sink itself at close()).
   void set_meta(const TraceMeta& meta);
 
-  /// Seal + drain + footer + half-close + wait for the daemon's ack.
+  /// Flush + drain + footer + half-close + wait for the daemon's ack.
   /// Idempotent; publishes after close() are dropped with accounting.
   void close();
 
   /// Attach (or clear) the admission policy. Two roles:
-  ///  - publish() consults admit() exactly like TraceServer does, so
-  ///    `published == admitted + sampled_dropped` holds for direct
-  ///    producers (write_batches spans were already admitted upstream and
-  ///    are never re-sampled);
+  ///  - it is the sink's server's sampler, so publish() admits exactly as
+  ///    TraceServer::publish does (write_batches spans were already
+  ///    admitted upstream and are never re-sampled);
   ///  - under backpressure the outbox sheds low-value spans through
   ///    keep_under_pressure() instead of dropping whole batches blind.
   void set_sampler(std::shared_ptr<const Sampler> sampler);
 
   // --- telemetry -----------------------------------------------------------
-  [[nodiscard]] std::uint64_t spans_published() const noexcept;
+  /// Spans handed to publish() or write_batches(). Flushes the server
+  /// first, so every span published before the call is counted.
+  [[nodiscard]] std::uint64_t spans_published();
   /// Spans accepted by the socket layer (left the FrameSink fully).
   [[nodiscard]] std::uint64_t spans_sent() const noexcept;
   /// Spans that were admitted but never delivered (congestion, dead
@@ -147,9 +148,10 @@ class RemoteSink final : public SpanSink {
   /// sampler's value ordering under backpressure (vs. blind whole-batch
   /// congestion drops). 0 without a sampler.
   [[nodiscard]] std::uint64_t spans_shed() const noexcept;
-  /// Spans publish() admitted / rejected via the sampler (0 without one).
-  [[nodiscard]] std::uint64_t spans_sampled_kept() const noexcept;
-  [[nodiscard]] std::uint64_t spans_sampled_dropped() const noexcept;
+  /// Spans publish() admitted / rejected via the sampler (0 without one);
+  /// the server's counts, so both flush it first.
+  [[nodiscard]] std::uint64_t spans_sampled_kept();
+  [[nodiscard]] std::uint64_t spans_sampled_dropped();
   [[nodiscard]] std::uint64_t reconnects() const noexcept;
   [[nodiscard]] bool connected() const noexcept;
   /// Spans currently queued in the bounded outbox (instantaneous depth —
@@ -170,38 +172,39 @@ class RemoteSink final : public SpanSink {
  private:
   struct Conn;  // socket + writer, owned by the sender thread
 
-  /// Seal pending_ into the outbox (or drop it, accounted). Caller holds mu_.
-  void seal_locked();
+  /// Count `batch` admitted, then queue it for the sender (or drop it,
+  /// accounted). Caller holds mu_.
   void enqueue_locked(SpanBatch&& batch);
   void sender_loop();
   bool connect_once(Conn& conn);
   void finish_stream(Conn& conn);
-  /// Snapshot the live counters into a heartbeat frame (sender thread).
+  /// Snapshot the live counters into a heartbeat frame (sender thread;
+  /// flushes the server, so never called with mu_ held).
   [[nodiscard]] wire::Heartbeat make_heartbeat();
 
   const net::Endpoint endpoint_;
   const RemoteSinkOptions opts_;
 
-  std::atomic<SpanId> next_id_{1};
-  std::atomic<std::uint64_t> next_corr_{1};
-
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  SpanBatch pending_;
   std::deque<SpanBatch> outbox_;
   std::size_t outbox_spans_ = 0;
   TraceMeta meta_{};
-  /// Admission + shed policy (guarded by mu_; immutable once set).
+  /// Shed policy (guarded by mu_; immutable once set).
   std::shared_ptr<const Sampler> sampler_;
+  /// Set under mu_ after close()'s final flush: the sender is finishing,
+  /// so a batch drained or written from now on drops, accounted.
   bool stop_ = false;
-  bool closed_ = false;
+  /// Set before close()'s final flush; a publish that sees it delivers its
+  /// own span (see publish()).
+  std::atomic<bool> closed_{false};
 
-  std::atomic<std::uint64_t> published_{0};
+  /// Spans the outbox took: drained from the server plus forwarded by
+  /// write_batches. Each ends up in sent_ or dropped_.
+  std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> sampled_kept_{0};
-  std::atomic<std::uint64_t> sampled_dropped_{0};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<bool> connected_{false};
   std::atomic<std::uint64_t> heartbeats_sent_{0};
@@ -209,6 +212,10 @@ class RemoteSink final : public SpanSink {
   std::uint64_t hb_seq_ = 0;
 
   std::thread sender_;
+
+  /// Declared after every member its consumer touches: its collector
+  /// thread may still deliver while the server is destroyed.
+  TraceServer server_{PublishMode::kAsync};
 
   /// Self-metrics binding (bind_metrics). Declared last so the handles
   /// are destroyed first: release serializes with in-flight scrapes on

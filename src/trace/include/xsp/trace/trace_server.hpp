@@ -99,13 +99,15 @@ enum class DrainHandoff : std::uint8_t {
 /// throwing subscriber is detached on the spot; if it was the consumer,
 /// the drained batches (and all later ones) accumulate in the server as
 /// if none were attached — spans are preserved for take_batches(), never
-/// re-delivered.
-using DrainSubscriber = std::function<void(const SpanBatches&)>;
+/// re-delivered. The list is mutable only for the kConsume subscriber,
+/// which runs last and may move batches out (the server drops what is
+/// left); observers take it by const reference.
+using DrainSubscriber = std::function<void(SpanBatches&)>;
 
 /// A drain subscriber that is also told which shard drained the batches —
 /// the shape shard-aware consumers (online analyzers tracking hot shards)
 /// subscribe with.
-using ShardDrainSubscriber = std::function<void(std::size_t shard, const SpanBatches&)>;
+using ShardDrainSubscriber = std::function<void(std::size_t shard, SpanBatches&)>;
 
 /// Handle for one attached drain subscriber (remove_drain_subscriber).
 /// 0 is never a valid id.
@@ -353,7 +355,7 @@ class TraceServer final : public SpanSink {
   SubscriberId add_subscriber(ShardDrainSubscriber fn, DrainHandoff handoff);
   /// Hand one drain pass's batches to the subscribers; true when the
   /// consumer took them. Caller holds `shard`'s drain mutex.
-  bool deliver(Shard& shard, const SpanBatches& batches);
+  bool deliver(Shard& shard, SpanBatches& batches);
 
   void collector_loop(Shard& shard);
   /// Move sealed (and, when `steal_active`, partial) batches of every slot

@@ -39,65 +39,47 @@ struct RemoteSink::Conn {
 
 RemoteSink::RemoteSink(net::Endpoint endpoint, RemoteSinkOptions options)
     : endpoint_(std::move(endpoint)), opts_(options) {
-  pending_.reserve(opts_.batch_spans);
+  // The server's consumer: each drained block moves into the outbox.
+  server_.add_drain_subscriber(
+      [this](SpanBatches& batches) {
+        std::lock_guard lk(mu_);
+        for (SpanBatch& batch : batches) enqueue_locked(std::move(batch));
+      },
+      DrainHandoff::kConsume);
   sender_ = std::thread([this] { sender_loop(); });
 }
 
 RemoteSink::~RemoteSink() { close(); }
 
-SpanId RemoteSink::next_span_id() noexcept {
-  return next_id_.fetch_add(1, std::memory_order_relaxed);
-}
+SpanId RemoteSink::next_span_id() noexcept { return server_.next_span_id(); }
 
 std::uint64_t RemoteSink::next_correlation_id() noexcept {
-  return next_corr_.fetch_add(1, std::memory_order_relaxed);
+  return server_.next_correlation_id();
 }
 
-SpanId RemoteSink::next_span_block() noexcept {
-  return next_id_.fetch_add(kIdBlock, std::memory_order_relaxed);
-}
+SpanId RemoteSink::next_span_block() noexcept { return server_.next_span_block(); }
 
 std::uint64_t RemoteSink::next_correlation_block() noexcept {
-  return next_corr_.fetch_add(kIdBlock, std::memory_order_relaxed);
+  return server_.next_correlation_block();
 }
 
 void RemoteSink::publish(const Span& span) {
-  published_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lk(mu_);
-  if (closed_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Admission before the span costs outbox space or wire bytes — the same
-  // decision point TraceServer::publish applies in-process.
-  if (sampler_ != nullptr) {
-    if (!sampler_->admit(span)) {
-      sampled_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    sampled_kept_.fetch_add(1, std::memory_order_relaxed);
-  }
-  pending_.push_back(span);
-  if (pending_.size() >= opts_.batch_spans) seal_locked();
+  server_.publish(span);
+  // close() sets closed_ before its final flush. A publish whose span
+  // missed that flush reads the flag here (the slot spinlock orders the
+  // two) and delivers its span itself, so it is accounted before this
+  // call returns instead of stranded in the server.
+  if (closed_.load(std::memory_order_acquire)) server_.flush();
 }
 
 void RemoteSink::write_batches(const SpanBatches& batches) {
   std::lock_guard lk(mu_);
   for (const SpanBatch& batch : batches) {
-    if (batch.empty()) continue;
-    published_.fetch_add(batch.size(), std::memory_order_relaxed);
-    if (closed_) {
-      dropped_.fetch_add(batch.size(), std::memory_order_relaxed);
-      continue;
-    }
-    enqueue_locked(SpanBatch(batch));
+    if (!batch.empty()) enqueue_locked(SpanBatch(batch));
   }
 }
 
-void RemoteSink::flush() {
-  std::lock_guard lk(mu_);
-  if (!closed_) seal_locked();
-}
+void RemoteSink::flush() { server_.flush(); }
 
 void RemoteSink::set_meta(const TraceMeta& meta) {
   std::lock_guard lk(mu_);
@@ -105,13 +87,11 @@ void RemoteSink::set_meta(const TraceMeta& meta) {
 }
 
 void RemoteSink::close() {
+  closed_.store(true, std::memory_order_release);
+  server_.flush();
   {
     std::lock_guard lk(mu_);
-    if (!closed_) {
-      seal_locked();
-      closed_ = true;
-      stop_ = true;
-    }
+    stop_ = true;
     cv_.notify_all();
   }
   // Join exactly once: the constructor's thread is only joinable until
@@ -120,14 +100,12 @@ void RemoteSink::close() {
   if (sender_.joinable()) sender_.join();
 }
 
-void RemoteSink::seal_locked() {
-  if (pending_.empty()) return;
-  enqueue_locked(std::move(pending_));
-  pending_ = SpanBatch();
-  pending_.reserve(opts_.batch_spans);
-}
-
 void RemoteSink::enqueue_locked(SpanBatch&& batch) {
+  admitted_.fetch_add(batch.size(), std::memory_order_relaxed);
+  if (stop_) {
+    dropped_.fetch_add(batch.size(), std::memory_order_relaxed);
+    return;
+  }
   if (outbox_spans_ + batch.size() > opts_.max_outbox_spans) {
     // Bounded outbox. With a sampler attached the drop is selective: its
     // value ordering keeps tail outliers and the deterministic
@@ -219,9 +197,6 @@ void RemoteSink::sender_loop() {
         cv_.wait(lk, pred);
       }
       if (outbox_.empty() && stop_) break;
-      // A heartbeat tick also seals the partial batch, as flush() does, so
-      // a trickle leaves within one interval instead of at batch_spans.
-      if (timed_out && !closed_) seal_locked();
       if (timed_out && outbox_.empty() && !conn.ok()) {
         // Pure heartbeat tick while disconnected: nothing to signal on.
         // Reconnecting belongs to the data path — an idle producer must
@@ -341,8 +316,8 @@ void RemoteSink::finish_stream(Conn& conn) {
   // Direct-publish admission accounting adds to whatever the owner set:
   // the two paths are disjoint (set_meta carries the upstream fleet's
   // counters; these count spans sampled at this sink's own publish()).
-  meta.sampled_kept += sampled_kept_.load(std::memory_order_relaxed);
-  meta.sampled_dropped += sampled_dropped_.load(std::memory_order_relaxed);
+  meta.sampled_kept += server_.sampled_kept_count();
+  meta.sampled_dropped += server_.sampled_dropped_count();
   conn.writer->set_meta(meta);
   conn.writer->finish();
 
@@ -383,8 +358,10 @@ void RemoteSink::finish_stream(Conn& conn) {
   }
 }
 
-std::uint64_t RemoteSink::spans_published() const noexcept {
-  return published_.load(std::memory_order_relaxed);
+std::uint64_t RemoteSink::spans_published() {
+  // Flushes first, so admitted_ below counts every span drained by then.
+  const std::uint64_t rejected = server_.sampled_dropped_count();
+  return admitted_.load(std::memory_order_relaxed) + rejected;
 }
 std::uint64_t RemoteSink::spans_sent() const noexcept {
   return sent_.load(std::memory_order_relaxed);
@@ -395,22 +372,18 @@ std::uint64_t RemoteSink::spans_dropped() const noexcept {
 std::uint64_t RemoteSink::spans_shed() const noexcept {
   return shed_.load(std::memory_order_relaxed);
 }
-std::uint64_t RemoteSink::spans_sampled_kept() const noexcept {
-  return sampled_kept_.load(std::memory_order_relaxed);
-}
-std::uint64_t RemoteSink::spans_sampled_dropped() const noexcept {
-  return sampled_dropped_.load(std::memory_order_relaxed);
-}
+std::uint64_t RemoteSink::spans_sampled_kept() { return server_.sampled_kept_count(); }
+std::uint64_t RemoteSink::spans_sampled_dropped() { return server_.sampled_dropped_count(); }
 
 wire::Heartbeat RemoteSink::make_heartbeat() {
   wire::Heartbeat hb{};
   hb.sequence = ++hb_seq_;
-  hb.spans_published = published_.load(std::memory_order_relaxed);
+  hb.sampled_dropped = spans_sampled_dropped();
+  hb.sampled_kept = spans_sampled_kept();
+  hb.spans_published = admitted_.load(std::memory_order_relaxed) + hb.sampled_dropped;
   hb.spans_sent = sent_.load(std::memory_order_relaxed);
   hb.spans_dropped = dropped_.load(std::memory_order_relaxed);
   hb.spans_shed = shed_.load(std::memory_order_relaxed);
-  hb.sampled_kept = sampled_kept_.load(std::memory_order_relaxed);
-  hb.sampled_dropped = sampled_dropped_.load(std::memory_order_relaxed);
   hb.reconnects = reconnects_.load(std::memory_order_relaxed);
   hb.outbox_spans = outbox_spans();
   return hb;
@@ -436,7 +409,7 @@ void RemoteSink::bind_metrics(metrics::Registry& registry, metrics::Labels label
     return static_cast<double>(v.load(std::memory_order_relaxed));
   };
   cb("xsp_remote_published_spans_total", "Spans handed to the remote sink",
-     metrics::Kind::kCounter, [this, load] { return load(published_); });
+     metrics::Kind::kCounter, [this] { return static_cast<double>(spans_published()); });
   cb("xsp_remote_sent_spans_total", "Spans fully accepted by the socket layer",
      metrics::Kind::kCounter, [this, load] { return load(sent_); });
   cb("xsp_remote_dropped_spans_total",
@@ -445,9 +418,9 @@ void RemoteSink::bind_metrics(metrics::Registry& registry, metrics::Labels label
   cb("xsp_remote_shed_spans_total", "Low-value spans shed selectively under backpressure",
      metrics::Kind::kCounter, [this, load] { return load(shed_); });
   cb("xsp_remote_sampled_kept_total", "Spans the admission sampler kept at publish",
-     metrics::Kind::kCounter, [this, load] { return load(sampled_kept_); });
+     metrics::Kind::kCounter, [this] { return static_cast<double>(spans_sampled_kept()); });
   cb("xsp_remote_sampled_dropped_total", "Spans the admission sampler shed at publish",
-     metrics::Kind::kCounter, [this, load] { return load(sampled_dropped_); });
+     metrics::Kind::kCounter, [this] { return static_cast<double>(spans_sampled_dropped()); });
   cb("xsp_remote_reconnects_total", "Reconnects performed (each opens a fresh wire epoch)",
      metrics::Kind::kCounter, [this, load] { return load(reconnects_); });
   cb("xsp_remote_heartbeats_sent_total", "Wire heartbeat frames emitted",
@@ -460,6 +433,7 @@ void RemoteSink::bind_metrics(metrics::Registry& registry, metrics::Labels label
 }
 
 void RemoteSink::set_sampler(std::shared_ptr<const Sampler> sampler) {
+  server_.set_sampler(sampler);
   std::lock_guard lk(mu_);
   sampler_ = std::move(sampler);
 }

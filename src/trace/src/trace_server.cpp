@@ -646,7 +646,7 @@ void TraceServer::drain(Shard& shard, bool steal_active) {
   shard.dropped_total += dropped;
 }
 
-bool TraceServer::deliver(Shard& shard, const SpanBatches& batches) {
+bool TraceServer::deliver(Shard& shard, SpanBatches& batches) {
   bool consumed = false;
   // add_subscriber keeps the one consumer at the back, so plain
   // attach-order iteration already delivers observers first.
@@ -693,7 +693,7 @@ SubscriberId TraceServer::add_drain_subscriber(DrainSubscriber subscriber,
                                                DrainHandoff handoff) {
   if (!subscriber) throw std::logic_error("TraceServer: null drain subscriber");
   return add_subscriber(
-      [fn = std::move(subscriber)](std::size_t, const SpanBatches& batches) { fn(batches); },
+      [fn = std::move(subscriber)](std::size_t, SpanBatches& batches) { fn(batches); },
       handoff);
 }
 

@@ -133,10 +133,8 @@ TEST(CollectorE2E, UdsRoundTripDeliversEverySpanExactlyOnce) {
   const Endpoint ep = uds_endpoint("col_rt");
   RunningCollector collector(ep);
 
-  trace::RemoteSinkOptions opts;
-  opts.batch_spans = 64;
   {
-    trace::RemoteSink sink(ep, opts);
+    trace::RemoteSink sink(ep);
     publish_fleet_member(sink, 0, 1000);
     sink.close();  // footer + half-close + wait for the daemon's ack
     EXPECT_EQ(sink.spans_published(), 1000u);
@@ -192,9 +190,7 @@ TEST(CollectorE2E, FourProducerFleetMatchesInProcessPublication) {
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&ep, p, kSpansEach] {
-        trace::RemoteSinkOptions opts;
-        opts.batch_spans = 32;
-        trace::RemoteSink sink(ep, opts);
+        trace::RemoteSink sink(ep);
         publish_fleet_member(sink, p, kSpansEach);
         sink.close();
         EXPECT_EQ(sink.spans_sent(), kSpansEach);
@@ -493,7 +489,6 @@ TEST(RemoteSinkLifecycle, ReconnectOpensFreshStreamAndStringDeltaEpoch) {
   Listener listener(ep);  // this test plays the daemon, byte-level
 
   trace::RemoteSinkOptions opts;
-  opts.batch_spans = 1;  // every publish seals and sends promptly
   opts.backoff_initial_ms = 10;
   opts.backoff_max_ms = 100;
   opts.drain_timeout_ms = 300;
@@ -559,7 +554,6 @@ TEST(RemoteSinkLifecycle, DaemonDeathLeavesProducerAliveWithAccountedDrops) {
   auto collector = std::make_unique<RunningCollector>(ep, copts);
 
   trace::RemoteSinkOptions opts;
-  opts.batch_spans = 16;
   opts.max_outbox_spans = 128;  // small: drops surface quickly once dead
   opts.connect_timeout_ms = 100;
   opts.backoff_initial_ms = 10;
@@ -586,7 +580,9 @@ TEST(RemoteSinkLifecycle, DaemonDeathLeavesProducerAliveWithAccountedDrops) {
     s.begin = 0;
     s.end = 1;
     sink.publish(s);
-    ++extra;
+    // Deliver every 16 spans: the outbox fills (and drops) at once rather
+    // than when the server next seals or sweeps a batch.
+    if (++extra % 16 == 0) sink.flush();
   }
   EXPECT_GT(sink.spans_dropped(), 0u)
       << "a dead daemon must surface as accounted drops, not silence";
@@ -595,6 +591,120 @@ TEST(RemoteSinkLifecycle, DaemonDeathLeavesProducerAliveWithAccountedDrops) {
   EXPECT_EQ(sink.spans_published(), 100u + extra);
   EXPECT_EQ(sink.spans_sent() + sink.spans_dropped(), sink.spans_published())
       << "every span ends up either sent or accounted dropped";
+}
+
+TEST(RemoteSinkLifecycle, FourThreadsShareOneSinkWithoutLossOrDuplicateIds) {
+  // Each publishing thread appends to its own producer slot of the sink's
+  // server; ids come from the sink on every thread at once.
+  constexpr int kThreads = 4;
+  constexpr std::size_t kSpansEach = 3000;
+  const Endpoint ep = uds_endpoint("col_mt");
+  RunningCollector collector(ep);
+
+  std::vector<SpanId> producer_ids;
+  std::uint64_t published = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t dropped = 0;
+  {
+    trace::RemoteSink sink(ep);
+    std::vector<std::vector<SpanId>> ids(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&sink, &ids, t] {
+        for (std::size_t i = 0; i < kSpansEach; ++i) {
+          Span s;
+          s.id = sink.next_span_id();
+          s.name = StrId("mt_op_" + std::to_string(t));
+          s.tracer = StrId("mt_tracer");
+          s.begin = static_cast<TimePoint>(t * kSpansEach + i);  // unique per span
+          s.end = s.begin + 1;
+          sink.publish(s);
+          ids[t].push_back(s.id);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    sink.close();
+    published = sink.spans_published();
+    sent = sink.spans_sent();
+    dropped = sink.spans_dropped();
+    for (const auto& v : ids) producer_ids.insert(producer_ids.end(), v.begin(), v.end());
+  }
+  collector.stop();
+
+  constexpr std::size_t kTotal = kThreads * kSpansEach;
+  EXPECT_EQ(published, kTotal);
+  EXPECT_EQ(published, sent + dropped);
+  EXPECT_EQ(dropped, 0u);
+  std::sort(producer_ids.begin(), producer_ids.end());
+  EXPECT_TRUE(std::adjacent_find(producer_ids.begin(), producer_ids.end()) ==
+              producer_ids.end())
+      << "the sink handed one id to two spans";
+
+  EXPECT_EQ(collector.service.stats().spans_ingested, kTotal);
+  const std::vector<Span> spans = collector.server.take_trace();
+  ASSERT_EQ(spans.size(), kTotal);
+  std::vector<SpanId> ids;
+  std::vector<std::int64_t> begins;
+  for (const Span& s : spans) {
+    ids.push_back(s.id);
+    begins.push_back(s.begin);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end()) == ids.end())
+      << "duplicate span id at the collector";
+  std::sort(begins.begin(), begins.end());
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    ASSERT_EQ(begins[i], static_cast<std::int64_t>(i)) << "span ingested twice or never";
+  }
+}
+
+TEST(RemoteSinkLifecycle, PublishRacingCloseIsStillAccounted) {
+  // One thread keeps publishing while the main thread closes the sink.
+  // A publish that slips past close()'s final flush must still end up
+  // sent or dropped, never stranded in the sink's server.
+  const Endpoint ep = uds_endpoint("col_close_race");
+  RunningCollector collector(ep);
+  trace::RemoteSink sink(ep);
+
+  std::atomic<std::uint64_t> calls{0};
+  std::atomic<bool> closed{false};
+  std::atomic<bool> done{false};
+  std::atomic<bool> exit{false};
+  std::thread publisher([&] {
+    std::uint64_t after_close = 0;
+    while (after_close < 100) {
+      Span s;
+      s.id = sink.next_span_id();
+      s.name = StrId("race_op");
+      s.tracer = StrId("race_tracer");
+      s.begin = 0;
+      s.end = 1;
+      const bool late = closed.load(std::memory_order_acquire);
+      sink.publish(s);
+      calls.fetch_add(1, std::memory_order_relaxed);
+      if (late) ++after_close;
+    }
+    done.store(true, std::memory_order_release);
+    // Stay alive: a thread's exit makes the server sweep its slot, which
+    // would deliver a stranded span after all.
+    while (!exit.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  ASSERT_TRUE(wait_until([&] { return calls.load() >= 1000; }));
+  sink.close();
+  closed.store(true, std::memory_order_release);
+  ASSERT_TRUE(wait_until([&] { return done.load(std::memory_order_acquire); }));
+
+  // Read before anything flushes the server again: close() and the
+  // publishes themselves must have accounted every span.
+  const std::uint64_t accounted = sink.spans_sent() + sink.spans_dropped();
+  EXPECT_EQ(accounted, calls.load());
+  EXPECT_GE(sink.spans_dropped(), 100u) << "publishes after close() drop, accounted";
+  exit.store(true, std::memory_order_release);
+  publisher.join();
+  EXPECT_EQ(sink.spans_published(), calls.load());
+  EXPECT_EQ(sink.spans_published(), sink.spans_sent() + sink.spans_dropped());
+  collector.stop();
 }
 
 // --- heartbeats: producer health at the daemon -----------------------------
@@ -749,29 +859,36 @@ TEST(CollectorHeartbeat, RemoteSinkHeartbeatsFlowEndToEnd) {
 
 TEST(CollectorHeartbeat, LiveRemoteSinkTrickleArrivesWithoutFlush) {
   // Ten spans never fill a batch, and the sink is neither flushed nor
-  // closed: its heartbeat tick must seal them, and the daemon's kAsync
-  // server must sweep them out of its live ingest thread's partial batch.
-  constexpr int kIntervalMs = 200;
-  std::atomic<std::size_t> delivered{0};
-  const Endpoint ep = uds_endpoint("col_trickle");
-  RunningCollector collector(ep, {}, trace::PublishMode::kAsync);
-  collector.server.add_drain_subscriber(
-      [&delivered](const trace::SpanBatches& batches) {
-        for (const auto& batch : batches) delivered.fetch_add(batch.size());
-      },
-      trace::DrainHandoff::kConsume);
+  // closed: its server's 50 ms quiet sweep must deliver them to the
+  // outbox whether heartbeats run or not, and the daemon hands the
+  // decoded frame to its kAsync server sealed.
+  struct Input {
+    int interval_ms;
+    int deadline_ms;
+  };
+  for (const Input input : {Input{200, 3 * 200}, Input{0, 1000}}) {
+    SCOPED_TRACE("heartbeat_interval_ms = " + std::to_string(input.interval_ms));
+    std::atomic<std::size_t> delivered{0};
+    const Endpoint ep = uds_endpoint("col_trickle" + std::to_string(input.interval_ms));
+    RunningCollector collector(ep, {}, trace::PublishMode::kAsync);
+    collector.server.add_drain_subscriber(
+        [&delivered](const trace::SpanBatches& batches) {
+          for (const auto& batch : batches) delivered.fetch_add(batch.size());
+        },
+        trace::DrainHandoff::kConsume);
 
-  trace::RemoteSinkOptions opts;
-  opts.heartbeat_interval_ms = kIntervalMs;
-  trace::RemoteSink sink(ep, opts);
-  publish_fleet_member(sink, 0, 10);
-  EXPECT_TRUE(wait_until([&] { return delivered.load() == 10; }, 3 * kIntervalMs))
-      << delivered.load() << " of 10 spans delivered";
+    trace::RemoteSinkOptions opts;
+    opts.heartbeat_interval_ms = input.interval_ms;
+    trace::RemoteSink sink(ep, opts);
+    publish_fleet_member(sink, 0, 10);
+    EXPECT_TRUE(wait_until([&] { return delivered.load() == 10; }, input.deadline_ms))
+        << delivered.load() << " of 10 spans delivered";
 
-  sink.close();
-  collector.stop();
-  EXPECT_EQ(sink.spans_published(), sink.spans_sent() + sink.spans_dropped());
-  EXPECT_EQ(sink.spans_dropped(), 0u);
+    sink.close();
+    collector.stop();
+    EXPECT_EQ(sink.spans_published(), sink.spans_sent() + sink.spans_dropped());
+    EXPECT_EQ(sink.spans_dropped(), 0u);
+  }
 }
 
 TEST(CollectorE2E, SmallFrameReachesTheDrainWithoutTheQuietSweep) {
@@ -821,9 +938,9 @@ TEST(CollectorE2E, SmallFrameReachesTheDrainWithoutTheQuietSweep) {
 }
 
 TEST(CollectorE2E, DefaultSinkShipsEachFullPoolBlockWithoutFlush) {
-  // At the default batch_spans the sink's pending batch is one pool
-  // block, and filling it seals it: one block's worth of spans reaches
-  // the drain with no flush(), no close() and, heartbeats off, no tick.
+  // The sink's server seals its slot batch, one pool block, when it
+  // fills: one block's worth of spans reaches the drain with no flush(),
+  // no close() and, heartbeats off, no tick.
   std::atomic<std::size_t> delivered{0};
   const Endpoint ep = uds_endpoint("col_block");
   RunningCollector collector(ep, {}, trace::PublishMode::kAsync);
@@ -852,9 +969,7 @@ TEST(RemoteSinkSampling, PublishAdmissionHoldsTheInvariant) {
   const Endpoint ep = uds_endpoint("col_sample");
   RunningCollector collector(ep);
 
-  trace::RemoteSinkOptions opts;
-  opts.batch_spans = 32;
-  trace::RemoteSink sink(ep, opts);
+  trace::RemoteSink sink(ep);
   trace::SamplerOptions sopts;
   sopts.rate = 0.25;
   sink.set_sampler(std::make_shared<const trace::Sampler>(sopts));
@@ -891,8 +1006,7 @@ TEST(RemoteSinkSampling, BackpressureShedsSelectivelyBeforeBlindDrops) {
   // spans_shed) rather than only dropping whole batches blind.
   const Endpoint ep = uds_endpoint("col_shed_none");
   trace::RemoteSinkOptions opts;
-  opts.batch_spans = 16;
-  opts.max_outbox_spans = 64;
+  opts.max_outbox_spans = 4 * trace::kBatchCapacity;
   opts.connect_timeout_ms = 50;
   opts.backoff_initial_ms = 10;
   opts.backoff_max_ms = 50;

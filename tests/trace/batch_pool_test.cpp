@@ -157,7 +157,7 @@ TEST(BatchPool, WarmPublishDrainConsumeCycleMakesZeroAllocations) {
 }
 
 TEST(BatchPool, DecodedFramesFillPoolBlocks) {
-  // A 512-span frame (RemoteSink's default) decodes as two pool blocks,
+  // A 512-span frame (twice what a RemoteSink sends) decodes as two pool blocks,
   // not one 512-span allocation, and a 300-span frame as a pool block and
   // a 44-span rest.
   std::string bytes;
