@@ -4,22 +4,23 @@
 //
 // One poll(2) loop owns everything: the listener plus every connection's
 // nonblocking reads. Per connection the service keeps an RxBuffer
-// (partial-frame reassembly), a trace::wire::FrameParser (every framing
+// (partial-frame reassembly) and a trace::wire::FrameParser (every framing
 // rule, plus per-stream StrId re-interning, so two producers' interned ids
-// can never collide after ingest), and span-id/correlation-id remap tables that
-// translate each producer's sink-local ids into the server's fleet-wide
-// id space a block of 1024 ids at a time (SpanSink::next_span_block).
-// Children publish before parents in the wire stream, so the remap
-// reserves a block on first sight of any id in it — a forward parent
-// reference simply mints the server id early.
+// can never collide after ingest). Span, parent and correlation ids need
+// no per-connection table: each non-zero producer id keeps its low
+// kProducerIdBits bits and takes the connection's accept id as its high
+// bits, so ids from different connections never collide, and a child's
+// forward reference to a parent not yet published resolves by arithmetic.
+// Accept ids start at 1, so the server's own ids (namespace 0) stay apart.
 //
 // Each read(2) lands straight in the connection's RxBuffer, and each
 // frame's payload is copied once from there into the decoded batch. A
 // span-batch frame decodes into a fresh batch-pool block (span.hpp; a
 // RemoteSink sends one drained block per frame, and a frame of more than
 // 256 spans decodes into one block per 256, see
-// wire::FrameParser), is remapped in place, and is handed to the server
-// whole by TraceServer::publish_batch. It joins the run() thread's
+// wire::FrameParser), has its ids moved into the connection's namespace
+// in place, and is handed to the server whole by
+// TraceServer::publish_batch. It joins the run() thread's
 // producer slot already sealed, so it reaches the drain with its own
 // frame instead of waiting to fill a 256-span slot batch. Decode memory
 // is not reused: the next batch takes a fresh block, and the handed-off
@@ -28,14 +29,12 @@
 // Per-connection buffering is bounded (the I2PA always-on discipline):
 // the RxBuffer never holds more than one maximum frame (hard cap
 // max_frame_payload, default wire::kMaxFramePayload) plus a read chunk,
-// and the decode batch holds at most 256 spans. The remap tables are the
-// exception: one entry per producer id block touched, kept for the
-// connection's life (xsp_connection_remap_blocks on /metrics). Hostile
-// input — bad magic, oversized length prefixes, unknown frame types,
-// unknown string ids, absurd annotation counts — throws WireError inside
-// the per-connection decode, which closes that connection and increments
-// connections_errored; the daemon itself never dies from a client's
-// bytes. A bad frame header is rejected as soon as its 8 bytes arrive,
+// and the decode batch holds at most 256 spans; the collector keeps no
+// per-id state. Hostile input — bad magic, oversized length prefixes,
+// unknown frame types, unknown string ids, absurd annotation counts —
+// throws WireError inside the per-connection decode, which closes that
+// connection and increments connections_errored; the daemon itself never
+// dies from a client's bytes. A bad frame header is rejected as soon as its 8 bytes arrive,
 // before any of its payload.
 //
 // Lifecycle: run() blocks until stop() (SIGTERM handlers just call
@@ -53,8 +52,8 @@
 // the per-connection series because the scrape is built on the run()
 // thread that owns them. The exposition covers the service's own ingest
 // counters (xsp_ingested_spans_total and friends), one series per open
-// producer connection (bytes/frames/spans/remap blocks, labeled by accept
-// id), the producer-health counters carried by wire Heartbeat frames
+// producer connection (bytes/frames/spans, labeled by accept id), the
+// producer-health counters carried by wire Heartbeat frames
 // (publish/drop/outbox/reconnects as the *producer* counts them, plus
 // heartbeat age and a staleness flag), and finally whatever registry the
 // embedding daemon wired in (the sink's own xsp_trace_* series).
@@ -66,7 +65,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "xsp/metrics/registry.hpp"
@@ -104,10 +102,16 @@ struct CollectorStats {
   std::uint64_t connections_accepted = 0;
   /// Clean closes: footer seen, or EOF at a frame boundary.
   std::uint64_t connections_closed = 0;
-  /// Protocol violations (WireError) and mid-frame disconnects.
+  /// Protocol violations (WireError), mid-frame disconnects, and accepts
+  /// refused because every id namespace is taken (kMaxConnections).
   std::uint64_t connections_errored = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t spans_ingested = 0;
+  /// Of spans_ingested: spans whose id, parent or correlation id reached
+  /// past the connection's id namespace (CollectorService::kProducerIdBits).
+  /// The excess bits are masked off, so such an id may alias an id of the
+  /// same producer, never one of another connection.
+  std::uint64_t wide_id_spans = 0;
   std::uint64_t strings_reinterned = 0;
   std::uint64_t footers_seen = 0;
   /// Wire frames fully parsed across all connections (all types).
@@ -131,6 +135,16 @@ struct CollectorStats {
 
 class CollectorService {
  public:
+  /// Low bits of an ingested span, parent or correlation id that carry the
+  /// producer's own id; the high 64 - kProducerIdBits bits carry the
+  /// connection's accept id. That bounds two things: 2^40 ids per producer
+  /// (about 51 days at 250k spans/s), and kMaxConnections accepts per
+  /// collector process, past which an accept is refused and counted in
+  /// connections_errored.
+  static constexpr unsigned kProducerIdBits = 40;
+  static constexpr std::uint64_t kMaxConnections =
+      (std::uint64_t{1} << (64 - kProducerIdBits)) - 1;
+
   /// Binds and listens immediately (so endpoint() reports the resolved
   /// ephemeral port before run() is entered); throws NetError on bind
   /// failure. `server` must outlive the service.

@@ -17,7 +17,6 @@ namespace xsp::net {
 namespace {
 
 using trace::Span;
-using trace::SpanId;
 using trace::WireError;
 namespace wire = trace::wire;
 
@@ -37,27 +36,17 @@ struct CollectorService::Connection {
   Socket sock;
   RxBuffer rx;
   wire::FrameParser parser;
-  /// Producer id -> server-wide id, remapped a block at a time: producer
-  /// id p maps to base[p / kIdBlock] + p % kIdBlock, where base is a fresh
-  /// block the sink reserves the first time p's block appears. A child's
-  /// forward reference to a not-yet-published parent thus mints the
-  /// parent's server id early. Memory is one entry per producer block
-  /// touched: dense producer ids cost one entry per 1024 ids, a sparse id
-  /// a whole block. The tables are never pruned, so they still grow with
-  /// the stream, ~1000x more slowly than one entry per id.
-  std::unordered_map<std::uint64_t, SpanId> span_blocks;
-  std::unordered_map<std::uint64_t, std::uint64_t> corr_blocks;
   /// The span batch being decoded. Each decoded batch is handed to the
   /// server whole, and the next one starts in a fresh pool block.
   trace::SpanBatch scratch;
   bool errored = false;  ///< hostile input or mid-frame disconnect
 
   // --- self-metrics (per-connection series on /metrics) ---
-  std::uint64_t id = 0;  ///< monotonic accept id, the `conn` label
+  /// Monotonic accept id: the `conn` label and the id namespace.
+  std::uint64_t id = 0;
   std::uint64_t bytes = 0;
   std::uint64_t frames = 0;
   std::uint64_t spans = 0;
-  std::uint64_t remap_blocks = 0;  ///< span_blocks + corr_blocks entries
   /// Parser counters already folded into the service stats (account()).
   std::uint64_t strings = 0;
   std::uint64_t heartbeats = 0;
@@ -221,11 +210,16 @@ void CollectorService::accept_pending() {
   for (;;) {
     Socket conn = listener_->accept();
     if (!conn.valid()) return;
-    conns_.push_back(std::make_unique<Connection>(std::move(conn), opts_.max_frame_payload));
-    conns_.back()->id = next_conn_id_++;
-    open_conns_.store(conns_.size(), std::memory_order_relaxed);
+    // With every id namespace handed out, refuse: the socket closes here.
+    const bool refused = next_conn_id_ > kMaxConnections;
+    if (!refused) {
+      conns_.push_back(std::make_unique<Connection>(std::move(conn), opts_.max_frame_payload));
+      conns_.back()->id = next_conn_id_++;
+      open_conns_.store(conns_.size(), std::memory_order_relaxed);
+    }
     std::lock_guard lk(stats_mu_);
     ++stats_.connections_accepted;
+    if (refused) ++stats_.connections_errored;
   }
 }
 
@@ -300,28 +294,18 @@ void CollectorService::account(Connection& conn, std::size_t bytes) {
 }
 
 void CollectorService::ingest_batch(Connection& conn) {
-  // Strings were re-interned by the decoder; now lift the producer's
-  // sink-local span/correlation ids into the server's fleet-wide space.
-  // Distinct producer blocks get disjoint server blocks, so the map is
-  // injective per connection; 0 (kNoSpan / no correlation) passes through.
-  constexpr std::uint64_t kBlock = trace::SpanSink::kIdBlock;
-  const auto remap = [&conn](auto& blocks, std::uint64_t producer_id,
-                             auto reserve) -> std::uint64_t {
-    if (producer_id == 0) return 0;
-    const auto [it, inserted] = blocks.try_emplace(producer_id / kBlock, 0);
-    if (inserted) {
-      it->second = reserve();
-      ++conn.remap_blocks;
-    }
-    return it->second + producer_id % kBlock;
-  };
-  const auto span_block = [this] { return server_.next_span_block(); };
-  const auto corr_block = [this] { return server_.next_correlation_block(); };
+  // Strings were re-interned by the decoder; now move the producer's
+  // sink-local span/correlation ids into this connection's namespace
+  // (kProducerIdBits). 0 (kNoSpan / no correlation) passes through.
+  constexpr std::uint64_t kLow = (std::uint64_t{1} << kProducerIdBits) - 1;
+  const std::uint64_t ns = conn.id << kProducerIdBits;
+  const auto lift = [ns](std::uint64_t id) { return id == 0 ? 0 : ns | (id & kLow); };
+  std::uint64_t wide = 0;
   for (Span& span : conn.scratch) {
-    span.id = remap(conn.span_blocks, span.id, span_block);
-    span.parent = remap(conn.span_blocks, span.parent, span_block);
-    span.correlation_id =
-        remap(conn.corr_blocks, span.correlation_id, corr_block);
+    wide += (span.id | span.parent | span.correlation_id) > kLow;
+    span.id = lift(span.id);
+    span.parent = lift(span.parent);
+    span.correlation_id = lift(span.correlation_id);
   }
   const std::size_t spans = conn.scratch.size();
   // Hand the batch over whole (collector.hpp); the next one decodes into
@@ -332,6 +316,7 @@ void CollectorService::ingest_batch(Connection& conn) {
   conn.spans += spans;
   std::lock_guard lk(stats_mu_);
   stats_.spans_ingested += spans;
+  stats_.wide_id_spans += wide;
 }
 
 void CollectorService::close_connection(std::size_t index) {
@@ -474,6 +459,10 @@ void CollectorService::build_metrics_text(std::string& out) {
   family("xsp_collector_heartbeats_total",
          "Producer heartbeat frames ingested", Kind::kCounter,
          s.heartbeats_seen);
+  family("xsp_collector_wide_id_spans_total",
+         "Spans carrying a producer id wider than the per-connection id "
+         "namespace (masked, so it may alias that producer's own ids)",
+         Kind::kCounter, s.wide_id_spans);
   family("xsp_collector_producer_dropped_spans_total",
          "Spans producers reported dropping before send (from footers)",
          Kind::kCounter, s.producer_dropped_spans);
@@ -523,10 +512,6 @@ void CollectorService::build_metrics_text(std::string& out) {
        Kind::kCounter, &Connection::frames},
       {"xsp_connection_spans_total", "Spans ingested from this connection",
        Kind::kCounter, &Connection::spans},
-      {"xsp_connection_remap_blocks",
-       "Id-remap table entries held for this connection (one per 1024 "
-       "producer span or correlation ids touched)",
-       Kind::kGauge, &Connection::remap_blocks},
   };
   for (const PerConn& pc : kPerConn) {
     if (conns_.empty()) break;

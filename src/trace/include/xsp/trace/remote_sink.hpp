@@ -98,12 +98,10 @@ class RemoteSink final : public SpanSink {
   RemoteSink& operator=(const RemoteSink&) = delete;
 
   // SpanSink producer surface, forwarded to the sink's own server. Ids are
-  // sink-local: the collector re-maps span/parent/correlation ids into its
-  // fleet-wide id space at ingest, so producers need no coordination.
+  // sink-local: the collector moves span/parent/correlation ids into its
+  // connection's namespace at ingest, so producers need no coordination.
   SpanId next_span_id() noexcept override;
   std::uint64_t next_correlation_id() noexcept override;
-  SpanId next_span_block() noexcept override;
-  std::uint64_t next_correlation_block() noexcept override;
   void publish(const Span& span) override;
 
   /// Enqueue already-sealed batches — the drain-subscriber shape, so a

@@ -7,9 +7,7 @@
 // through a TraceServer (of any shard count) or a RemoteSink without
 // caring which, and keeps the hot publish call as one virtual dispatch
 // into a `final` implementation the compiler can devirtualize at
-// concrete call sites. The block reservations serve
-// relays (the collector) that lift another sink's ids into this one's id
-// space a block at a time instead of one id at a time.
+// concrete call sites.
 //
 // Deliberately NOT part of this surface: producer-slot lifecycle. A
 // publishing thread needs no attach/detach hook — sink implementations
@@ -35,18 +33,6 @@ class SpanSink {
 
   /// Allocate a fresh correlation id for an async launch/execution pair.
   virtual std::uint64_t next_correlation_id() noexcept = 0;
-
-  /// Ids reserved per next_span_block / next_correlation_block call.
-  static constexpr std::uint64_t kIdBlock = 1024;
-
-  /// Reserve kIdBlock fresh contiguous span ids and return the first.
-  /// The whole range [first, first + kIdBlock) is disjoint from every id
-  /// this sink hands out elsewhere and never contains kNoSpan.
-  virtual SpanId next_span_block() noexcept = 0;
-
-  /// Reserve kIdBlock fresh contiguous correlation ids and return the
-  /// first; same guarantees as next_span_block (never contains 0).
-  virtual std::uint64_t next_correlation_block() noexcept = 0;
 
   /// Publish one completed span. Thread-safe. By reference: the sink's
   /// own batch append is the one copy of the record publication makes.

@@ -152,24 +152,13 @@ class TraceServer final : public SpanSink {
   TraceServer& operator=(const TraceServer&) = delete;
 
   /// Allocate a fresh server-unique span id (never kNoSpan). Ids are
-  /// handed to threads in kIdBlock-sized blocks (the sequence
-  /// next_span_block draws from), so concurrent tracers touch the one
-  /// counter once per kIdBlock ids; ids are unique but not globally dense.
+  /// handed to threads in blocks of 1024, so concurrent tracers touch the
+  /// one counter once per 1024 ids; ids are unique but not globally dense.
   SpanId next_span_id() noexcept override;
 
   /// Allocate a fresh correlation id for an async launch/execution pair.
   std::uint64_t next_correlation_id() noexcept override {
     return next_corr_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Reserve one whole id block.
-  SpanId next_span_block() noexcept override {
-    // Block 0 starts at id 1, so kNoSpan is never handed out.
-    return next_block_.fetch_add(1, std::memory_order_relaxed) * kIdBlock + 1;
-  }
-
-  std::uint64_t next_correlation_block() noexcept override {
-    return next_corr_.fetch_add(kIdBlock, std::memory_order_relaxed);
   }
 
   /// Publish one completed span. Thread-safe; appends to the calling

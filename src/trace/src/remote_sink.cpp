@@ -57,12 +57,6 @@ std::uint64_t RemoteSink::next_correlation_id() noexcept {
   return server_.next_correlation_id();
 }
 
-SpanId RemoteSink::next_span_block() noexcept { return server_.next_span_block(); }
-
-std::uint64_t RemoteSink::next_correlation_block() noexcept {
-  return server_.next_correlation_block();
-}
-
 void RemoteSink::publish(const Span& span) {
   server_.publish(span);
   // close() sets closed_ before its final flush. A publish whose span
@@ -316,8 +310,9 @@ void RemoteSink::finish_stream(Conn& conn) {
   // Direct-publish admission accounting adds to whatever the owner set:
   // the two paths are disjoint (set_meta carries the upstream fleet's
   // counters; these count spans sampled at this sink's own publish()).
-  meta.sampled_kept += server_.sampled_kept_count();
-  meta.sampled_dropped += server_.sampled_dropped_count();
+  const TraceMeta own = server_.meta();  // one flush for both counts
+  meta.sampled_kept += own.sampled_kept;
+  meta.sampled_dropped += own.sampled_dropped;
   conn.writer->set_meta(meta);
   conn.writer->finish();
 
@@ -376,10 +371,12 @@ std::uint64_t RemoteSink::spans_sampled_kept() { return server_.sampled_kept_cou
 std::uint64_t RemoteSink::spans_sampled_dropped() { return server_.sampled_dropped_count(); }
 
 wire::Heartbeat RemoteSink::make_heartbeat() {
+  // One flush for both sampler counts; it also settles admitted_ below.
+  const TraceMeta own = server_.meta();
   wire::Heartbeat hb{};
   hb.sequence = ++hb_seq_;
-  hb.sampled_dropped = spans_sampled_dropped();
-  hb.sampled_kept = spans_sampled_kept();
+  hb.sampled_dropped = own.sampled_dropped;
+  hb.sampled_kept = own.sampled_kept;
   hb.spans_published = admitted_.load(std::memory_order_relaxed) + hb.sampled_dropped;
   hb.spans_sent = sent_.load(std::memory_order_relaxed);
   hb.spans_dropped = dropped_.load(std::memory_order_relaxed);

@@ -258,6 +258,9 @@ struct TraceServer::Subscriber {
 
 namespace {
 
+/// Span ids a thread takes from the server's block counter at a time.
+constexpr std::uint64_t kIdBlock = 1024;
+
 struct IdBlock {
   const void* server;
   std::uint64_t uid;
@@ -274,7 +277,8 @@ SpanId TraceServer::next_span_id() noexcept {
   if (block.server == this && block.uid == uid_ && block.next != block.end) {
     return block.next++;
   }
-  const SpanId start = next_span_block();
+  // Block 0 starts at id 1, so kNoSpan is never handed out.
+  const SpanId start = next_block_.fetch_add(1, std::memory_order_relaxed) * kIdBlock + 1;
   block = {this, uid_, start + 1, start + kIdBlock};
   return start;
 }

@@ -127,7 +127,7 @@ done
 # Mid-run scrape: with the fleet still streaming, /metrics must answer
 # with exposition that parses — every non-comment line "name[{labels}]
 # value", every comment a HELP/TYPE header — and every open producer
-# connection must expose its id-remap table size.
+# connection must expose its ingested span count.
 scrape "$METRICS_URL" "$OUT_DIR/metrics_midrun.txt" \
   || fail "mid-run /metrics scrape failed"
 python3 - "$OUT_DIR/metrics_midrun.txt" <<'EOF' || fail "mid-run exposition does not parse"
@@ -150,8 +150,8 @@ for line in open(sys.argv[1]):
 assert families > 0 and samples > 0, "empty exposition"
 conns = series.get("xsp_connection_bytes_total", set())
 assert conns, "no open producer connection in the scrape"
-missing = conns - series.get("xsp_connection_remap_blocks", set())
-assert not missing, "connections without xsp_connection_remap_blocks: %s" % missing
+missing = conns - series.get("xsp_connection_spans_total", set())
+assert not missing, "connections without xsp_connection_spans_total: %s" % missing
 EOF
 kill "$HPID"
 wait "$HPID" 2>/dev/null || true
@@ -199,6 +199,13 @@ scraped_rejected="$(grep '^xsp_strtab_rejected_total ' "$OUT_DIR/metrics_final.t
   || fail "xsp_strtab_bytes $scraped_strtab exceeds the $STRTAB_BUDGET budget"
 [ "$scraped_rejected" -eq 0 ] \
   || fail "xsp_strtab_rejected_total $scraped_rejected != 0: legitimate interns were capped"
+
+# RemoteSink ids are dense, so no span reached past its connection's id
+# namespace.
+scraped_wide="$(grep '^xsp_collector_wide_id_spans_total ' "$OUT_DIR/metrics_final.txt" \
+  | awk '{print $2}')"
+[ "$scraped_wide" = "0" ] \
+  || fail "xsp_collector_wide_id_spans_total '$scraped_wide' != 0 for a dense-id fleet"
 
 # One fleet-view scrape through the dashboard's daemon mode.
 "$BUILD_DIR/tools/xsp_top" --daemon "tcp://127.0.0.1:$METRICS_PORT" --runs 1 \

@@ -1038,16 +1038,7 @@ TEST(RemoteSinkSampling, BackpressureShedsSelectivelyBeforeBlindDrops) {
   EXPECT_EQ(sink.spans_sent() + sink.spans_dropped(), sink.spans_published());
 }
 
-// --- block-granular id remap ------------------------------------------------
-
-/// Value of one `name{conn="<conn>"} <value>` sample in a scrape body, or
-/// -1 when the series is absent.
-long long series_value(const std::string& body, const std::string& name, int conn) {
-  const std::string key = name + "{conn=\"" + std::to_string(conn) + "\"} ";
-  const std::size_t at = body.find(key);
-  if (at == std::string::npos) return -1;
-  return std::stoll(body.substr(at + key.size()));
-}
+// --- per-connection id namespaces ------------------------------------------
 
 /// Producer-side ids of one crafted span.
 struct EdgeSpan {
@@ -1058,10 +1049,11 @@ struct EdgeSpan {
 
 constexpr std::uint64_t kMaxId = std::numeric_limits<std::uint64_t>::max();
 
-/// Producer ids on both sides of the remap's 1024-id block edges, up to
-/// UINT64_MAX. The first eight spans each name the next as parent, so
-/// every parent is published after its child (1025 -> 2047 even in a later
-/// batch), and 1023 -> 1024, 2047 -> 2048, 2048 -> MAX-1 cross an edge.
+/// Producer ids on both sides of 1024-id block edges, up to UINT64_MAX:
+/// MAX-1 and MAX keep distinct low bits, so no two alias. The first eight
+/// spans each name the next as parent, so every parent is published after
+/// its child (1025 -> 2047 even in a later batch), and 1023 -> 1024,
+/// 2047 -> 2048, 2048 -> MAX-1 cross an edge.
 /// Correlation pairs 1023 and 1024 straddle an edge; span 2 points back
 /// at an already-published parent and carries no correlation id.
 constexpr EdgeSpan kEdgeSpans[] = {
@@ -1109,9 +1101,7 @@ TEST(CollectorRemap, BlockEdgeIdsStayInjectiveAndResolvePerConnection) {
   const auto b_parts = stream("remap_b");
 
   const Endpoint ep = uds_endpoint("col_remap_edges");
-  CollectorOptions copts;
-  copts.metrics_endpoint = "tcp://127.0.0.1:0";
-  RunningCollector collector(ep, copts);
+  RunningCollector collector(ep);
   Socket a = try_connect(ep, 1000);
   Socket b = try_connect(ep, 1000);
   ASSERT_TRUE(a.valid());
@@ -1122,11 +1112,8 @@ TEST(CollectorRemap, BlockEdgeIdsStayInjectiveAndResolvePerConnection) {
   }
   ASSERT_TRUE(wait_until([&] { return collector.service.stats().spans_ingested == 2 * kN; }));
 
-  // Sparse ids cost a block each: span blocks {0, 1, 2, MAX/1024} plus
-  // correlation blocks {0, 1, MAX/1024} on each connection.
-  const std::string body = scrape_metrics(*collector.service.metrics_endpoint());
-  EXPECT_EQ(series_value(body, "xsp_connection_remap_blocks", 1), 7) << body;
-  EXPECT_EQ(series_value(body, "xsp_connection_remap_blocks", 2), 7) << body;
+  // Spans 5-7 of each stream carry an id past the namespace bits.
+  EXPECT_EQ(collector.service.stats().wide_id_spans, 6u);
 
   a.shutdown_write();
   b.shutdown_write();
@@ -1185,55 +1172,87 @@ TEST(CollectorRemap, BlockEdgeIdsStayInjectiveAndResolvePerConnection) {
   EXPECT_EQ(collector.service.stats().connections_errored, 0u);
 }
 
-TEST(CollectorRemap, DenseIdsCostOneRemapBlockPer1024Ids) {
-  // ~1M dense producer ids over one connection: span i carries span ids
-  // 2i+1 (itself) and 2i+2 (a never-published parent) and correlation id
-  // i+1. The remap table must hold about one entry per 1024 of them.
-  constexpr std::uint64_t kSpans = 350'000;
-  constexpr std::uint64_t kIds = 3 * kSpans;
-  constexpr std::size_t kBatch = 256;
-  constexpr std::uint32_t kNameId = 0x00DE0001;
-
-  const Endpoint ep = uds_endpoint("col_remap_dense");
+TEST(CollectorRemap, RemoteSinksWithWideConnectIdsStayDisjoint) {
+  // Two real sinks each open with one UINT64_MAX-id span, as the fleet
+  // benchmark's producers do, then publish dense ids: a parent chain and
+  // launch/execution correlation pairs. Both sinks hand out the same ids.
+  constexpr std::size_t kDense = 600;
+  const Endpoint ep = uds_endpoint("col_wide_ids");
   CollectorOptions copts;
   copts.metrics_endpoint = "tcp://127.0.0.1:0";
-  RunningCollector collector(ep, copts, trace::PublishMode::kAsync);
-  // A consuming sink keeps the daemon's memory flat over the stream.
-  collector.server.add_drain_subscriber([](const trace::SpanBatches&) {},
-                                        trace::DrainHandoff::kConsume);
-
-  Socket producer = try_connect(ep, 1000);
-  ASSERT_TRUE(producer.valid());
-  ASSERT_TRUE(send_all(producer, header_bytes() +
-                                     frame(trace::wire::FrameType::kStringDelta,
-                                           delta_entry(kNameId, "dense_op"))));
-  std::vector<Span> batch(kBatch);
-  for (std::uint64_t first = 0; first < kSpans; first += kBatch) {
-    batch.resize(std::min<std::uint64_t>(kBatch, kSpans - first));
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      const std::uint64_t i = first + k;
-      batch[k].id = 2 * i + 1;
-      batch[k].parent = 2 * i + 2;
-      batch[k].correlation_id = i + 1;
-      batch[k].name = StrId::from_raw(kNameId);
+  RunningCollector collector(ep, copts);
+  const char* const kTracers[] = {"wide_a", "wide_b"};
+  for (const char* tracer : kTracers) {
+    trace::RemoteSink sink(ep);
+    Span connect;
+    connect.id = kMaxId;
+    connect.name = StrId("wide_connect");
+    connect.tracer = StrId(tracer);
+    connect.begin = static_cast<TimePoint>(kDense);  // after every dense span
+    connect.end = connect.begin + 1;
+    sink.publish(connect);
+    sink.flush();
+    SpanId prev = kNoSpan;
+    std::uint64_t corr = 0;
+    for (std::size_t i = 0; i < kDense; ++i) {
+      Span s;
+      s.id = sink.next_span_id();
+      s.parent = prev;
+      if (i % 2 == 0) corr = sink.next_correlation_id();
+      s.correlation_id = corr;
+      s.name = StrId("wide_op");
+      s.tracer = StrId(tracer);
+      s.begin = static_cast<TimePoint>(i);
+      s.end = s.begin + 1;
+      sink.publish(s);
+      prev = s.id;
     }
-    ASSERT_TRUE(send_all(producer, frame(trace::wire::FrameType::kSpanBatch,
-                                         span_batch_payload(batch))));
+    sink.close();
+    EXPECT_EQ(sink.spans_dropped(), 0u);
   }
-  ASSERT_TRUE(wait_until(
-      [&] { return collector.service.stats().spans_ingested == kSpans; }, 60000));
-
+  constexpr std::size_t kTotal = 2 * (kDense + 1);
+  ASSERT_TRUE(wait_until([&] { return collector.service.stats().spans_ingested == kTotal; }));
   const std::string body = scrape_metrics(*collector.service.metrics_endpoint());
-  const long long blocks = series_value(body, "xsp_connection_remap_blocks", 1);
-  const auto bound = static_cast<long long>((kIds + trace::SpanSink::kIdBlock - 1) /
-                                            trace::SpanSink::kIdBlock + 2);
-  EXPECT_LE(blocks, bound) << body;
-  EXPECT_GE(blocks, static_cast<long long>(kIds / trace::SpanSink::kIdBlock)) << body;
-
-  producer.shutdown_write();
-  (void)read_to_eof(producer);
+  EXPECT_NE(body.find("\nxsp_collector_wide_id_spans_total 2\n"), std::string::npos) << body;
   collector.stop();
+  EXPECT_EQ(collector.service.stats().wide_id_spans, 2u);
   EXPECT_EQ(collector.service.stats().connections_errored, 0u);
+  collector.server.flush();
+  const std::vector<Span> spans = collector.server.take_trace();
+  ASSERT_EQ(spans.size(), kTotal);
+
+  std::vector<SpanId> all_ids;
+  std::vector<std::uint64_t> all_corrs;
+  for (const char* tracer : kTracers) {
+    std::vector<const Span*> by_index(kDense + 1, nullptr);
+    for (const Span& s : spans) {
+      if (s.tracer == tracer) by_index.at(static_cast<std::size_t>(s.begin)) = &s;
+    }
+    ASSERT_NE(by_index[kDense], nullptr) << tracer << " lost its connect span";
+    all_ids.push_back(by_index[kDense]->id);
+    for (std::size_t i = 0; i < kDense; ++i) {
+      ASSERT_NE(by_index[i], nullptr) << tracer << " lost span " << i;
+      const Span& s = *by_index[i];
+      all_ids.push_back(s.id);
+      // Every parent edge resolves to the span published just before.
+      EXPECT_EQ(s.parent, i == 0 ? kNoSpan : by_index[i - 1]->id) << tracer << " span " << i;
+      // Launch/execution pairs share a correlation id, and only they do.
+      ASSERT_NE(s.correlation_id, 0u);
+      if (i % 2 == 1) {
+        EXPECT_EQ(s.correlation_id, by_index[i - 1]->correlation_id) << tracer << " span " << i;
+      } else {
+        all_corrs.push_back(s.correlation_id);
+      }
+    }
+  }
+  // Ids are unique within each sink and disjoint across the two.
+  std::sort(all_ids.begin(), all_ids.end());
+  EXPECT_TRUE(std::adjacent_find(all_ids.begin(), all_ids.end()) == all_ids.end())
+      << "span id shared across or within connections";
+  EXPECT_EQ(std::count(all_ids.begin(), all_ids.end(), kNoSpan), 0);
+  std::sort(all_corrs.begin(), all_corrs.end());
+  EXPECT_TRUE(std::adjacent_find(all_corrs.begin(), all_corrs.end()) == all_corrs.end())
+      << "correlation id shared across pairs or connections";
 }
 
 }  // namespace

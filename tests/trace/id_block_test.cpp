@@ -1,16 +1,16 @@
-// SpanSink id-block reservation (next_span_block / next_correlation_block)
-// on every sink: TraceServer with 1 and 4 shards, and RemoteSink.
-// Blocks are raced against single-id allocation from four threads; every
-// id range handed out must be non-zero, kIdBlock wide for a block, and
-// disjoint from every other range — the guarantee the collector's
-// block-granular id remap rests on.
+// Concurrent id allocation on every SpanSink: TraceServer with 1 and 4
+// shards, and RemoteSink. Four threads draw span and correlation ids at
+// once; every id handed out must be non-zero and distinct from every
+// other. TraceServer hands span ids to threads a block at a time, so the
+// draws cross those per-thread block boundaries. A producer's ids keep
+// their identity through the collector only if the sink never repeats
+// one.
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,73 +22,52 @@
 namespace xsp::trace {
 namespace {
 
-struct IdRange {
-  std::uint64_t first = 0;
-  std::uint64_t count = 0;
-};
-
-/// Draw ids on four threads, each interleaving runs of single ids with
-/// block reservations, and return every range handed out. The run length
-/// does not divide kIdBlock, so single-id draws cross TraceServer's
-/// per-thread block boundaries at varying points.
-template <typename One, typename Block>
-std::vector<IdRange> draw_interleaved(One one, Block block) {
+/// Draw ids on four threads at once and return every id handed out.
+template <typename One>
+std::vector<std::uint64_t> draw_concurrently(One one) {
   constexpr int kThreads = 4;
-  constexpr int kRounds = 100;
-  constexpr int kSinglesPerRound = 700;
-  std::vector<std::vector<IdRange>> per_thread(kThreads);
+  constexpr int kIdsPerThread = 70'000;
+  std::vector<std::vector<std::uint64_t>> per_thread(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (int r = 0; r < kRounds; ++r) {
-        for (int i = 0; i < kSinglesPerRound; ++i) per_thread[t].push_back({one(), 1});
-        per_thread[t].push_back({block(), SpanSink::kIdBlock});
-      }
+      for (int i = 0; i < kIdsPerThread; ++i) per_thread[t].push_back(one());
     });
   }
   for (std::thread& t : threads) t.join();
-  std::vector<IdRange> all;
-  for (const auto& ranges : per_thread) all.insert(all.end(), ranges.begin(), ranges.end());
+  std::vector<std::uint64_t> all;
+  for (const auto& ids : per_thread) all.insert(all.end(), ids.begin(), ids.end());
   return all;
 }
 
-/// No range contains 0 or wraps, and no two ranges share an id.
-void expect_disjoint_nonzero(std::vector<IdRange> ranges) {
-  std::sort(ranges.begin(), ranges.end(),
-            [](const IdRange& a, const IdRange& b) { return a.first < b.first; });
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    ASSERT_NE(ranges[i].first, 0u) << "0 (kNoSpan / no correlation) handed out";
-    ASSERT_LE(ranges[i].count - 1, std::numeric_limits<std::uint64_t>::max() - ranges[i].first)
-        << "range wraps past UINT64_MAX";
-    if (i == 0) continue;
-    ASSERT_GE(ranges[i].first, ranges[i - 1].first + ranges[i - 1].count)
-        << "range at " << ranges[i].first << " overlaps the one at " << ranges[i - 1].first
-        << " (width " << ranges[i - 1].count << ")";
-  }
+/// No id is 0, and no two draws share an id.
+void expect_disjoint_nonzero(std::vector<std::uint64_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  ASSERT_NE(ids.front(), 0u) << "0 (kNoSpan / no correlation) handed out";
+  const auto dup = std::adjacent_find(ids.begin(), ids.end());
+  EXPECT_TRUE(dup == ids.end()) << "id " << *dup << " handed out twice";
 }
 
-void expect_blocks_disjoint(SpanSink& sink) {
-  expect_disjoint_nonzero(draw_interleaved([&sink] { return sink.next_span_id(); },
-                                           [&sink] { return sink.next_span_block(); }));
-  expect_disjoint_nonzero(draw_interleaved([&sink] { return sink.next_correlation_id(); },
-                                           [&sink] { return sink.next_correlation_block(); }));
+void expect_ids_disjoint(SpanSink& sink) {
+  expect_disjoint_nonzero(draw_concurrently([&sink] { return sink.next_span_id(); }));
+  expect_disjoint_nonzero(draw_concurrently([&sink] { return sink.next_correlation_id(); }));
 }
 
-TEST(IdBlock, TraceServerBlocksNeverOverlapSingleIds) {
+TEST(IdBlock, TraceServerIdsNeverRepeat) {
   TraceServer server(PublishMode::kSync);
-  expect_blocks_disjoint(server);
+  expect_ids_disjoint(server);
 }
 
-TEST(IdBlock, ShardedTraceServerBlocksNeverOverlapAcrossShards) {
+TEST(IdBlock, ShardedTraceServerIdsNeverRepeatAcrossShards) {
   TraceServer server(4, PublishMode::kSync);
-  expect_blocks_disjoint(server);
+  expect_ids_disjoint(server);
 }
 
-TEST(IdBlock, RemoteSinkBlocksNeverOverlapSingleIds) {
+TEST(IdBlock, RemoteSinkIdsNeverRepeat) {
   // Ids are sink-local: no daemon is needed, so the endpoint stays unbound.
   RemoteSink sink(net::Endpoint::parse("unix:/tmp/xsp_t" + std::to_string(::getpid()) +
                                        "_id_block_unbound.sock"));
-  expect_blocks_disjoint(sink);
+  expect_ids_disjoint(sink);
   sink.close();
 }
 
