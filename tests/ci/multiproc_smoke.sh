@@ -4,12 +4,12 @@
 # traces into it, then exact accounting — the daemon's spans_ingested
 # must equal the fleet's published-minus-dropped sum, every footer must
 # arrive, and the daemon's merged binary export must decode back to
-# valid JSON via trace_export, with a footer that sums the producers'
-# drops. The daemon also serves /metrics (live Prometheus exposition) on
+# valid JSON via xsp_cli export --decode, with a footer that sums the
+# producers' drops. The daemon also serves /metrics (live Prometheus exposition) on
 # a loopback TCP port: the script scrapes it mid-run, requires the
 # exposition to parse, and asserts the wire-level accounting invariant —
 # xsp_ingested_spans_total equals the same fleet sum — then drives one
-# xsp_top --daemon scrape against it.
+# xsp_cli top --daemon scrape against it.
 #
 # Bounded interning rides the same harness: the daemon runs with a
 # string-table byte budget and every producer also streams a
@@ -208,12 +208,12 @@ scraped_wide="$(grep '^xsp_collector_wide_id_spans_total ' "$OUT_DIR/metrics_fin
   || fail "xsp_collector_wide_id_spans_total '$scraped_wide' != 0 for a dense-id fleet"
 
 # One fleet-view scrape through the dashboard's daemon mode.
-"$BUILD_DIR/tools/xsp_top" --daemon "tcp://127.0.0.1:$METRICS_PORT" --runs 1 \
-  > "$OUT_DIR/top_daemon.out" || fail "xsp_top --daemon scrape failed"
+"$BUILD_DIR/tools/xsp_cli" top --daemon "tcp://127.0.0.1:$METRICS_PORT" --runs 1 \
+  > "$OUT_DIR/top_daemon.out" || fail "xsp_cli top --daemon scrape failed"
 grep -q "ingested $expected spans" "$OUT_DIR/top_daemon.out" \
-  || fail "xsp_top --daemon did not report the ingested span count"
-grep -q 'xsp_top: done' "$OUT_DIR/top_daemon.out" \
-  || fail "xsp_top --daemon did not finish cleanly"
+  || fail "xsp_cli top --daemon did not report the ingested span count"
+grep -q 'xsp_cli top: done' "$OUT_DIR/top_daemon.out" \
+  || fail "xsp_cli top --daemon did not finish cleanly"
 
 # Graceful drain: SIGTERM, then the daemon must exit 0 on its own.
 kill -TERM "$DPID"
@@ -244,7 +244,7 @@ EOF
 
 # The merged export must be a decodable wire stream whose span count
 # matches, and the decode must be real JSON.
-"$BUILD_DIR/tools/trace_export" \
+"$BUILD_DIR/tools/xsp_cli" export \
   --decode "$OUT_DIR/fleet.xspb" --out "$OUT_DIR/fleet.json" --format spans \
   > "$OUT_DIR/decode.out"
 python3 -m json.tool "$OUT_DIR/fleet.json" > /dev/null \

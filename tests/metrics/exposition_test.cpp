@@ -1,5 +1,5 @@
 // Prometheus text-exposition parser (metrics/exposition.hpp): the read
-// side xsp_top --daemon depends on. The regression pinned here: a line
+// side xsp_cli top --daemon depends on. The regression pinned here: a line
 // with a trailing timestamp ("name value ts") must parse the VALUE, not
 // the timestamp — the old split-at-last-space parser got that wrong.
 #include "xsp/metrics/exposition.hpp"
