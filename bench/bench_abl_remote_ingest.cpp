@@ -1,5 +1,5 @@
 // Ablation: cross-process ingest throughput through the collector path —
-// RemoteSink -> UDS -> CollectorService -> 2-shard TraceServer — against
+// RemoteSink -> UDS -> CollectorService -> TraceServer — against
 // the in-process publication baseline the other ablations pin.
 //
 // Each iteration stands up a real daemon-in-miniature (listener + poll
@@ -8,7 +8,7 @@
 // (footer, half-close, daemon ack), so the measured rate is the honest
 // end-to-end figure a fleet producer sees — wire encode, kernel socket
 // copies, frame reassembly, per-connection re-intern and id remap, and
-// sharded publication all included.
+// publication all included.
 //
 //   BM_RemoteIngestUdsSingleProducer  one producer, one connection
 //   BM_RemoteIngestUdsFourProducers   4 producer threads, 4 connections
@@ -68,7 +68,7 @@ void run_fleet(benchmark::State& state, int producers) {
   std::uint64_t total_spans = 0;
   std::uint64_t dropped = 0;
   for (auto _ : state) {
-    TraceServer server(2, PublishMode::kSync);
+    TraceServer server(PublishMode::kSync);
     net::CollectorService service(ep, server);
     std::thread daemon([&service] { service.run(); });
 

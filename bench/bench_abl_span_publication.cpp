@@ -151,47 +151,11 @@ void BM_PublishSyncRecycled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-/// Contended publication through a multi-shard TraceServer: the same four
-/// pre-spawned publisher threads as BM_PublishContended, fanned out across
-/// state.range(0) shards by the thread-hash selector. The merge step
-/// (take_batches concatenation + drop) runs on thread 0. On multicore
-/// hardware this is the case that scales with shard count; on one core it
-/// shows the fleet does not regress under scheduler churn.
-void BM_PublishContendedSharded(benchmark::State& state) {
-  static std::unique_ptr<TraceServer> server;
-  if (state.thread_index() == 0) {
-    server = std::make_unique<TraceServer>(static_cast<std::size_t>(state.range(0)),
-                                           PublishMode::kAsync);
-  }
-
-  std::size_t since_drain = 0;
-  int i = 0;
-  for (auto _ : state) {
-    server->publish(make_span(*server, i++));
-    if (state.thread_index() == 0 && ++since_drain == kDrainEvery) {
-      since_drain = 0;
-      (void)server->take_batches();
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-
-  if (state.thread_index() == 0) {
-    (void)server->take_batches();
-    server.reset();
-  }
-}
-
 BENCHMARK(BM_PublishSync);
 BENCHMARK(BM_PublishAsync);
 BENCHMARK(BM_PublishSyncInlineTag);
 BENCHMARK(BM_PublishSyncRecycled);
 BENCHMARK(BM_PublishContended)->Threads(4)->UseRealTime();
-BENCHMARK(BM_PublishContendedSharded)
-    ->ArgName("shards")
-    ->Arg(2)
-    ->Arg(4)
-    ->Threads(4)
-    ->UseRealTime();
 
 }  // namespace
 

@@ -3,7 +3,7 @@
 //
 // Two shapes:
 //   1. Session-level: ProfileOptions::stream_export_path tees every batch
-//      to a file as the shards drain it, alongside the normal in-memory
+//      to a file as the trace server drains it, alongside the normal in-memory
 //      timeline (the "profile a run, keep the artifacts" flow).
 //   2. Service-level: a StreamingExporter attached as a kConsume drain
 //      subscriber is the trace's only consumer — batches go sink -> server
@@ -28,7 +28,6 @@ int main() {
   profile::Session session(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
 
   profile::ProfileOptions opts = profile::ProfileOptions::full(/*metrics=*/false);
-  opts.trace_shards = 2;
   opts.stream_export_path = "resnet50_stream.trace.json";
   const auto run = session.profile(model->build(/*batch=*/4, true), opts);
 
@@ -37,9 +36,9 @@ int main() {
               run.timeline.size(), opts.stream_export_path.c_str());
 
   // --- 2. unbounded span stream through a bounded exporter -----------------
-  // A 4-shard fleet whose only consumer is the exporter: every drained
-  // batch is written and recycled, nothing accumulates server-side.
-  trace::TraceServer server(4, trace::PublishMode::kAsync);
+  // A server whose only consumer is the exporter: every drained batch is
+  // written and recycled, nothing accumulates server-side.
+  trace::TraceServer server(trace::PublishMode::kAsync);
   std::uint64_t bytes = 0;
   trace::StreamingExporter exporter(
       trace::ExportFormat::kSpanJson,

@@ -53,26 +53,5 @@ int main() {
               "behind on memory-bound layers (624 vs 900 GB/s); Pascal/Maxwell parts dispatch "
               "maxwell_* kernels; Turing shifts part of the 128x64 calls to 128x128.\n");
 
-  // Sharded trace collection: the same evaluation collected into a single
-  // trace server and into a 4-shard fleet. The shard merge is a batch-list
-  // concatenation and assembly begin-orders nodes, so the assembled
-  // timeline is identical — sharding changes how collection scales, never
-  // what the trace says.
-  const auto& shard_system = sim::all_systems().front();
-  std::printf("\nsharded trace collection (MLPerf_ResNet50_v1.5 on %s, M/L/G):\n",
-              shard_system.name.c_str());
-  const auto graph = model->build(8, /*decompose_batchnorm=*/false);
-  std::size_t single_spans = 0;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    profile::Session session(shard_system, framework::FrameworkKind::kTFlow);
-    auto opts = profile::ProfileOptions::full(/*metrics=*/false);
-    opts.trace_shards = shards;
-    const auto run = session.profile(graph, opts);
-    if (shards == 1) single_spans = run.timeline.size();
-    std::printf("  %zu shard%s: %zu spans, %zu roots, dropped_annotations=%llu%s\n", shards,
-                shards == 1 ? "" : "s", run.timeline.size(), run.timeline.roots().size(),
-                static_cast<unsigned long long>(run.dropped_annotations),
-                run.timeline.size() == single_spans ? "" : "  << MISMATCH");
-  }
   return 0;
 }

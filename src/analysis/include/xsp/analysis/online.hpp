@@ -12,8 +12,7 @@
 //     (count, total/min/max ns, bytes) — streaming A6/A7 and A10,
 //   * log-bucketed latency histograms with p50/p95/p99 extraction,
 //   * sliding-window span/s and GPU busy occupancy, plus the cumulative
-//     GPU-vs-non-GPU split — streaming A13,
-//   * per-shard load counters for hot-shard detection.
+//     GPU-vs-non-GPU split — streaming A13.
 //
 // Aggregation is exact where the offline analyses are exact: counts,
 // integer-ns totals, min/max, and byte sums over the same batch stream
@@ -148,17 +147,11 @@ struct OnlineSnapshot {
   double window_spans_per_sec = 0;  ///< spans/s of simulated time over the window
   double window_gpu_busy_pct = 0;   ///< GPU-busy fraction of the window, percent
 
-  // -- shard loads --------------------------------------------------------
-  /// Spans observed per shard (hot-shard detection); size = configured
-  /// shard_count, all zero except [0] when the single-sink adapter fed
-  /// the analyzer.
-  std::vector<std::uint64_t> shard_spans;
-
   // -- interning telemetry ------------------------------------------------
   /// Global StringTable size/bytes sampled at snapshot time, plus the
   /// bounded-interning state: the byte budget in force (0 = unbounded)
   /// and the lifetime count of interns rejected at the budget or slot
-  /// ceiling (the xsp_top "strtab:" line).
+  /// ceiling (the `xsp_cli top` "strtab:" line).
   std::uint64_t interned_strings = 0;
   std::uint64_t interned_bytes = 0;
   std::uint64_t strtab_budget_bytes = 0;
@@ -182,11 +175,6 @@ struct OnlineSnapshot {
   std::uint64_t kernel_evictions = 0;
 };
 
-/// max(shard_spans) / mean(shard_spans): 1.0 = perfectly balanced, and a
-/// value near shard-count means one shard carries everything. 0 when no
-/// spans were observed.
-double shard_imbalance(const std::vector<std::uint64_t>& shard_spans);
-
 /// Render a snapshot as a JSON object — the payload the streaming
 /// exporter's span-JSON metadata footer carries as its "online" section.
 /// Keyed aggregates are truncated to `max_rows` per table (the footer is
@@ -194,8 +182,6 @@ double shard_imbalance(const std::vector<std::uint64_t>& shard_spans);
 std::string online_summary_json(const OnlineSnapshot& snapshot, std::size_t max_rows = 10);
 
 struct OnlineAnalyzerOptions {
-  /// Shards feeding this analyzer (sizes the per-shard load counters).
-  std::size_t shard_count = 1;
   /// Sliding window for span/s and GPU-busy occupancy, in simulated time.
   Ns window = 100 * kNsPerMs;
   /// Bound on distinct kernel rows. 0 keeps the exact unbounded table;
@@ -235,11 +221,10 @@ using AlertCallback =
 
 /// Thread-safe streaming aggregator over draining span batches.
 ///
-/// Attach via subscriber()/shard_subscriber() as a drain subscriber
-/// (kObserve to tee alongside normal assembly, kConsume to be the span
-/// stream's only consumer), or call observe()/observe_shard() directly.
-/// Locking is per delivered batch list, never per span; concurrent calls
-/// from N shard collector threads are the intended shape.
+/// Attach via subscriber() as a drain subscriber (kObserve to tee
+/// alongside normal assembly, kConsume to be the span stream's only
+/// consumer), or call observe() directly. Locking is per delivered batch
+/// list, never per span, so concurrent callers are safe.
 ///
 /// Memory is O(distinct keys) + fixed histogram/window arrays, and a
 /// steady-state observe() (no new keys) performs zero heap allocations —
@@ -251,18 +236,21 @@ class OnlineAnalyzer {
   OnlineAnalyzer(const OnlineAnalyzer&) = delete;
   OnlineAnalyzer& operator=(const OnlineAnalyzer&) = delete;
 
-  /// Aggregate one drained batch list (attributed to shard 0).
-  void observe(const trace::SpanBatches& batches) { observe_shard(0, batches); }
+  /// Aggregate one drained batch list.
+  void observe(const trace::SpanBatches& batches);
 
-  /// Aggregate one drained batch list from shard `shard` (indices beyond
-  /// shard_count clamp to the last counter).
-  void observe_shard(std::size_t shard, const trace::SpanBatches& batches);
+  /// observe() under its old name, which passed a shard index the server
+  /// no longer has. Kept only because the benchmark harness under
+  /// perfbench/ is held fixed between benchmark revisions and still calls it.
+  void observe_shard(std::size_t /*shard*/, const trace::SpanBatches& batches) {
+    observe(batches);
+  }
 
   /// Point-in-time copy of every aggregate; callable from any thread
   /// while observe() keeps running (the live dashboard path).
   [[nodiscard]] OnlineSnapshot snapshot() const;
 
-  /// Forget everything (aggregates, histograms, window, shard loads).
+  /// Forget everything (aggregates, histograms, window).
   void reset();
 
   /// Reconfigure the sliding window width in place. The (transient)
@@ -271,26 +259,11 @@ class OnlineAnalyzer {
   /// No-op for non-positive or unchanged values.
   void set_window(Ns window);
 
-  /// Grow the per-shard load counters to cover `shard_count` shards
-  /// (existing counts are kept; shrinking is not supported). Lets one
-  /// analyzer outlive a resharded fleet without losing history.
-  void ensure_shard_count(std::size_t shard_count);
-
   /// Adapter for TraceServer::add_drain_subscriber.
   /// The returned callable references *this: keep the analyzer alive
   /// until the subscriber is removed.
   [[nodiscard]] trace::DrainSubscriber subscriber() {
     return [this](const trace::SpanBatches& batches) { observe(batches); };
-  }
-
-  /// Shard-aware adapter (the ShardDrainSubscriber overload of
-  /// TraceServer::add_drain_subscriber), feeding the per-shard load
-  /// counters.
-  [[nodiscard]] std::function<void(std::size_t, const trace::SpanBatches&)>
-  shard_subscriber() {
-    return [this](std::size_t shard, const trace::SpanBatches& batches) {
-      observe_shard(shard, batches);
-    };
   }
 
   [[nodiscard]] const OnlineAnalyzerOptions& options() const noexcept { return options_; }
@@ -360,7 +333,7 @@ class OnlineAnalyzer {
   static constexpr std::size_t kWindowBuckets = 64;
 
   /// Credit `spans`/`gpu_busy` to window bucket number `b` in one touch —
-  /// observe_shard() run-length batches consecutive same-bucket spans
+  /// observe() run-length batches consecutive same-bucket spans
   /// (the common case: timestamps within a batch are near-monotonic), so
   /// the ring is touched per bucket-run, not per span.
   void record_window_bulk(std::uint64_t b, std::uint64_t spans, Ns gpu_busy);
@@ -388,7 +361,6 @@ class OnlineAnalyzer {
   LatencyHistogram layer_hist_;
   LatencyHistogram kernel_hist_;
   std::array<WindowBucket, kWindowBuckets> window_{};
-  std::vector<std::uint64_t> shard_spans_;
   /// Sampling state (still guarded by mu_): the attached policy, the HT
   /// running total, injected publish-layer accounting, and the bounded
   /// kernel table's takeover count.

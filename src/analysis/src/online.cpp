@@ -169,7 +169,6 @@ void OnlineAnalyzer::KeyedTable::clear() noexcept {
 // OnlineAnalyzer
 
 OnlineAnalyzer::OnlineAnalyzer(OnlineAnalyzerOptions options) : options_(options) {
-  if (options_.shard_count == 0) options_.shard_count = 1;
   if (options_.window <= 0) options_.window = 100 * kNsPerMs;
   const Ns ideal_width = options_.window / static_cast<Ns>(kWindowBuckets);
   bucket_shift_ = ideal_width > 1
@@ -179,7 +178,6 @@ OnlineAnalyzer::OnlineAnalyzer(OnlineAnalyzerOptions options) : options_(options
   bucket_width_ = Ns{1} << bucket_shift_;
   layer_types_.reserve();
   kernels_.reserve();
-  shard_spans_.assign(options_.shard_count, 0);
 }
 
 void OnlineAnalyzer::set_window(Ns window) {
@@ -200,18 +198,11 @@ void OnlineAnalyzer::set_window(Ns window) {
   window_.fill(WindowBucket{});
 }
 
-void OnlineAnalyzer::ensure_shard_count(std::size_t shard_count) {
-  if (shard_count == 0) shard_count = 1;
-  std::lock_guard lk(mu_);
-  if (shard_count > shard_spans_.size()) shard_spans_.resize(shard_count, 0);
-  if (shard_count > options_.shard_count) options_.shard_count = shard_count;
-}
-
 void OnlineAnalyzer::record_window_bulk(std::uint64_t b, std::uint64_t spans, Ns gpu_busy) {
   WindowBucket& bucket = window_[b % kWindowBuckets];
   if (bucket.epoch != b + 1) {
     // A span older than a full ring lap must not clobber a newer bucket
-    // (cross-shard arrival order is arbitrary); it is outside any window
+    // (arrival order across producers is arbitrary); it is outside any window
     // we would still report, so drop it.
     if (bucket.epoch > b + 1) return;
     bucket.epoch = b + 1;
@@ -222,7 +213,7 @@ void OnlineAnalyzer::record_window_bulk(std::uint64_t b, std::uint64_t spans, Ns
   bucket.gpu_busy = add_saturated(bucket.gpu_busy, gpu_busy);
 }
 
-void OnlineAnalyzer::observe_shard(std::size_t shard, const trace::SpanBatches& batches) {
+void OnlineAnalyzer::observe(const trace::SpanBatches& batches) {
   using trace::SpanKind;
   std::lock_guard lk(mu_);
   // Hot loop: keys and scalar accumulators live in locals so the compiler
@@ -329,7 +320,6 @@ void OnlineAnalyzer::observe_shard(std::size_t shard, const trace::SpanBatches& 
   memcpy_spans_ += memcpy_spans;
   spans_ += observed;
   est_spans_ += est;
-  shard_spans_[shard < shard_spans_.size() ? shard : shard_spans_.size() - 1] += observed;
 }
 
 void OnlineAnalyzer::set_sampler(std::shared_ptr<const trace::Sampler> sampler) {
@@ -395,7 +385,6 @@ OnlineSnapshot OnlineAnalyzer::snapshot() const {
         static_cast<double>(window_spans) / to_seconds(options_.window);
     snap.window_gpu_busy_pct =
         100.0 * static_cast<double>(window_gpu) / static_cast<double>(options_.window);
-    snap.shard_spans = shard_spans_;
     snap.est_spans = est_spans_;
     snap.sampling_rate = sampler_ != nullptr ? sampler_->options().rate : 1.0;
     snap.sampled_kept = sampled_kept_;
@@ -428,7 +417,6 @@ void OnlineAnalyzer::reset() {
   layer_hist_.clear();
   kernel_hist_.clear();
   window_.fill(WindowBucket{});
-  std::fill(shard_spans_.begin(), shard_spans_.end(), 0);
   // Sampling state: the accumulators reset; the attached policy survives
   // (reset() forgets history, not configuration).
   est_spans_ = 0;
@@ -488,19 +476,6 @@ std::size_t OnlineAnalyzer::poll_alerts() {
 
 // ------------------------------------------------------------------------
 // Snapshot helpers
-
-double shard_imbalance(const std::vector<std::uint64_t>& shard_spans) {
-  if (shard_spans.empty()) return 0;
-  std::uint64_t max = 0;
-  std::uint64_t total = 0;
-  for (const std::uint64_t v : shard_spans) {
-    max = std::max(max, v);
-    total += v;
-  }
-  if (total == 0) return 0;
-  const double mean = static_cast<double>(total) / static_cast<double>(shard_spans.size());
-  return static_cast<double>(max) / mean;
-}
 
 namespace {
 
@@ -601,13 +576,6 @@ std::string online_summary_json(const OnlineSnapshot& snap, std::size_t max_rows
   append_double(out, snap.window_spans_per_sec);
   out += ",\"window_gpu_busy_pct\":";
   append_double(out, snap.window_gpu_busy_pct);
-  out += ",\"shard_spans\":[";
-  for (std::size_t i = 0; i < snap.shard_spans.size(); ++i) {
-    if (i != 0) out += ',';
-    append_uint(out, snap.shard_spans[i]);
-  }
-  out += "],\"shard_imbalance\":";
-  append_double(out, shard_imbalance(snap.shard_spans));
   out += ",\"est_spans\":";
   append_double(out, snap.est_spans);
   out += ",\"sampling_rate\":";

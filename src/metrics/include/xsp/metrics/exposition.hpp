@@ -1,7 +1,7 @@
 // Prometheus text-exposition parsing (format 0.0.4) — the read side of
 // registry.hpp's write_prometheus().
 //
-// Tools that scrape a /metrics endpoint (xsp_top --daemon) need to get
+// Tools that scrape a /metrics endpoint (xsp_cli top --daemon) need to get
 // the value out of lines like
 //
 //   xsp_ingested_spans_total 4242

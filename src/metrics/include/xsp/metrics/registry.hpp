@@ -5,7 +5,7 @@
 // was scattered across RunTrace fields, wire footers, and greppable stats
 // lines. This module gives every layer one registry of named, labeled series
 // with a Prometheus text-exposition writer, so a running fleet is watchable
-// by machines (`GET /metrics` on xsp_collectd, `xsp_top --daemon`) and the
+// by machines (`GET /metrics` on xsp_collectd, `xsp_cli top --daemon`) and the
 // adaptive sampling/rebalancing loops on the roadmap have a substrate to
 // read from.
 //

@@ -62,6 +62,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -132,6 +133,69 @@ struct CollectorStats {
   std::uint64_t producer_sampled_kept = 0;
   std::uint64_t producer_sampled_dropped = 0;
 };
+
+/// One CollectorStats counter, declared once for every surface that shows
+/// it: its /metrics series (with HELP text and kind) and its key in
+/// xsp_collectd's --stats-json objects.
+struct CollectorCounter {
+  std::uint64_t CollectorStats::*member;
+  const char* metric;
+  const char* json_key;
+  const char* help;
+  metrics::Kind kind;
+};
+
+inline constexpr CollectorCounter kCollectorCounters[] = {
+    // The fleet-accounting headline: what actually reached the sink. CI's
+    // multi-process smoke checks it against the producers' own
+    // sent-minus-dropped totals.
+    {&CollectorStats::spans_ingested, "xsp_ingested_spans_total", "spans_ingested",
+     "Spans ingested into the collector's sink across all connections", metrics::Kind::kCounter},
+    {&CollectorStats::connections_accepted, "xsp_collector_connections_accepted_total",
+     "connections_accepted", "Producer connections accepted", metrics::Kind::kCounter},
+    {&CollectorStats::connections_closed, "xsp_collector_connections_closed_total",
+     "connections_closed", "Producer connections closed cleanly", metrics::Kind::kCounter},
+    {&CollectorStats::connections_errored, "xsp_collector_connections_errored_total",
+     "connections_errored", "Producer connections dropped for protocol violations or truncation",
+     metrics::Kind::kCounter},
+    {&CollectorStats::bytes_received, "xsp_collector_bytes_received_total", "bytes_received",
+     "Wire bytes received from producers", metrics::Kind::kCounter},
+    {&CollectorStats::frames_parsed, "xsp_collector_frames_total", "frames_parsed",
+     "Wire frames parsed (all types)", metrics::Kind::kCounter},
+    {&CollectorStats::strings_reinterned, "xsp_collector_strings_reinterned_total",
+     "strings_reinterned", "Producer string-table entries re-interned", metrics::Kind::kCounter},
+    {&CollectorStats::footers_seen, "xsp_collector_footers_total", "footers_seen",
+     "Stream footer frames ingested", metrics::Kind::kCounter},
+    {&CollectorStats::heartbeats_seen, "xsp_collector_heartbeats_total", "heartbeats_seen",
+     "Producer heartbeat frames ingested", metrics::Kind::kCounter},
+    {&CollectorStats::wide_id_spans, "xsp_collector_wide_id_spans_total", "wide_id_spans",
+     "Spans carrying a producer id wider than the per-connection id namespace (masked, so it "
+     "may alias that producer's own ids)",
+     metrics::Kind::kCounter},
+    {&CollectorStats::producer_dropped_spans, "xsp_collector_producer_dropped_spans_total",
+     "producer_dropped_spans", "Spans producers reported dropping before send (from footers)",
+     metrics::Kind::kCounter},
+    {&CollectorStats::producer_reconnects, "xsp_collector_producer_reconnects_total",
+     "producer_reconnects", "Reconnects producers reported (from footers)",
+     metrics::Kind::kCounter},
+    {&CollectorStats::producer_sampled_kept, "xsp_collector_producer_sampled_kept_total",
+     "producer_sampled_kept", "Spans producers reported their samplers kept (from footers)",
+     metrics::Kind::kCounter},
+    {&CollectorStats::producer_sampled_dropped, "xsp_collector_producer_sampled_dropped_total",
+     "producer_sampled_dropped", "Spans producers reported their samplers shed (from footers)",
+     metrics::Kind::kCounter},
+    {&CollectorStats::http_requests, "xsp_collector_http_requests_total", "http_requests",
+     "HTTP requests answered on this endpoint", metrics::Kind::kCounter},
+    {&CollectorStats::http_errors, "xsp_collector_http_errors_total", "http_errors",
+     "HTTP requests answered with a non-200 status", metrics::Kind::kCounter},
+};
+// A CollectorStats member without a row fails here.
+static_assert(std::size(kCollectorCounters) * sizeof(std::uint64_t) == sizeof(CollectorStats));
+
+/// Every counter of `stats` plus `open_connections` as one flat JSON
+/// object on one line, keyed by CollectorCounter::json_key (xsp_collectd's
+/// --stats-json).
+[[nodiscard]] std::string stats_json(const CollectorStats& stats, std::size_t open_connections);
 
 class CollectorService {
  public:

@@ -431,50 +431,8 @@ void CollectorService::build_metrics_text(std::string& out) {
     append_sample_line(out, name, {}, value);
   };
 
-  // The fleet-accounting headline: what actually reached the sink. CI's
-  // multi-process smoke checks this against the producers' own
-  // sent-minus-dropped totals.
-  family("xsp_ingested_spans_total",
-         "Spans ingested into the collector's sink across all connections",
-         Kind::kCounter, s.spans_ingested);
-  family("xsp_collector_connections_accepted_total",
-         "Producer connections accepted", Kind::kCounter,
-         s.connections_accepted);
-  family("xsp_collector_connections_closed_total",
-         "Producer connections closed cleanly", Kind::kCounter,
-         s.connections_closed);
-  family("xsp_collector_connections_errored_total",
-         "Producer connections dropped for protocol violations or truncation",
-         Kind::kCounter, s.connections_errored);
-  family("xsp_collector_bytes_received_total",
-         "Wire bytes received from producers", Kind::kCounter,
-         s.bytes_received);
-  family("xsp_collector_frames_total", "Wire frames parsed (all types)",
-         Kind::kCounter, s.frames_parsed);
-  family("xsp_collector_strings_reinterned_total",
-         "Producer string-table entries re-interned", Kind::kCounter,
-         s.strings_reinterned);
-  family("xsp_collector_footers_total", "Stream footer frames ingested",
-         Kind::kCounter, s.footers_seen);
-  family("xsp_collector_heartbeats_total",
-         "Producer heartbeat frames ingested", Kind::kCounter,
-         s.heartbeats_seen);
-  family("xsp_collector_wide_id_spans_total",
-         "Spans carrying a producer id wider than the per-connection id "
-         "namespace (masked, so it may alias that producer's own ids)",
-         Kind::kCounter, s.wide_id_spans);
-  family("xsp_collector_producer_dropped_spans_total",
-         "Spans producers reported dropping before send (from footers)",
-         Kind::kCounter, s.producer_dropped_spans);
-  family("xsp_collector_producer_reconnects_total",
-         "Reconnects producers reported (from footers)", Kind::kCounter,
-         s.producer_reconnects);
-  family("xsp_collector_http_requests_total",
-         "HTTP requests answered on this endpoint", Kind::kCounter,
-         s.http_requests);
-  family("xsp_collector_http_errors_total",
-         "HTTP requests answered with a non-200 status", Kind::kCounter,
-         s.http_errors);
+  for (const CollectorCounter& c : kCollectorCounters)
+    family(c.metric, c.help, c.kind, s.*c.member);
   append_family_header(out, "xsp_collector_open_connections",
                        "Producer connections currently open", Kind::kGauge);
   append_sample_line(out, "xsp_collector_open_connections", {},
@@ -603,6 +561,20 @@ void CollectorService::build_metrics_text(std::string& out) {
   // Whatever the embedding daemon registered (the sink's xsp_trace_*
   // series, tool-level counters) renders after the service's own.
   if (opts_.registry != nullptr) opts_.registry->write_prometheus(out);
+}
+
+std::string stats_json(const CollectorStats& stats,
+                       std::size_t open_connections) {
+  std::string out = "{";
+  for (const CollectorCounter& c : kCollectorCounters) {
+    out += '"';
+    out += c.json_key;
+    out += "\":";
+    out += std::to_string(stats.*c.member);
+    out += ',';
+  }
+  out += "\"open_connections\":" + std::to_string(open_connections) + "}";
+  return out;
 }
 
 }  // namespace xsp::net

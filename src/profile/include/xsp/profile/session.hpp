@@ -47,20 +47,13 @@ struct ProfileOptions {
   /// Collect the four GPU metrics of Section III-D3 (requires gpu_level;
   /// expensive: kernels are replayed per counter group).
   bool gpu_metrics = false;
-  /// Trace-server shards to collect into. 1 (default) collects into a
-  /// single server; 0 means one shard per hardware thread (capped); >1
-  /// fans publication out across that many independent shards, merged at
-  /// assembly. Sessions are single-threaded, so >1 only matters when the
-  /// session's trace plumbing is shared with concurrent publishers — but
-  /// any setting yields an identical assembled timeline.
-  std::size_t trace_shards = 1;
   /// Deterministic timing jitter (fraction; 0 disables) + seed, for
   /// multi-run statistics.
   double timing_jitter = 0;
   std::uint64_t jitter_seed = 0;
   /// When non-empty, the run's spans are additionally streamed to this
   /// file *as they drain* from the trace server (a StreamingExporter
-  /// attached as a drain subscriber on every shard), in publication form:
+  /// attached as a drain subscriber), in publication form:
   /// raw spans, pre-assembly, launch/execution pairs unmerged. The
   /// in-memory timeline in RunTrace is unaffected. The file is finalized
   /// (footer + metadata) before profile() returns; if the run throws, the
@@ -68,18 +61,18 @@ struct ProfileOptions {
   /// export behind.
   std::string stream_export_path;
   /// Document shape for stream_export_path (span JSON carries a metadata
-  /// footer with the run's dropped-annotation/shard telemetry).
+  /// footer with the run's dropped-annotation/slot/sampling telemetry).
   /// ExportFormat::kBinary selects the XSP binary wire format (wire.hpp):
   /// a trace::BinaryWriter drain subscriber memcpys sealed batches to the
   /// file instead of formatting JSON — the low-overhead shape for
   /// production streaming; decode with trace::BinaryReader or
-  /// `trace_export --decode`.
+  /// `xsp_cli export --decode`.
   trace::ExportFormat stream_export_format = trace::ExportFormat::kChromeTrace;
   /// When non-empty, the run's spans are additionally forwarded to a
   /// collector daemon (xsp_collectd) at this endpoint URI — "unix:/path"
   /// or "tcp://host:port" — through a trace::RemoteSink attached as an
   /// observe-mode drain subscriber: raw publication spans ship over the
-  /// binary wire as the shards drain, while the in-memory timeline is
+  /// binary wire as the server drains, while the in-memory timeline is
   /// unaffected. The sink (and its connection) persists across profile()
   /// calls on one session — one wire stream per session, footer sent when
   /// the session dies or the endpoint changes. Unreachable daemons never
@@ -87,11 +80,11 @@ struct ProfileOptions {
   /// losses surface in RunTrace::remote_dropped_spans, not as errors.
   std::string remote_endpoint;
   /// Maintain live online aggregates (analysis::OnlineAnalyzer) from the
-  /// run's span stream: an observe-mode drain subscriber on every shard
-  /// feeds per-layer-type/per-kernel aggregates, latency percentiles,
-  /// sliding-window rates, and per-shard load counters — readable at any
-  /// moment via Session::live_snapshot(), including mid-run from another
-  /// thread (the xsp_top dashboard). The analyzer persists across
+  /// run's span stream: an observe-mode drain subscriber feeds
+  /// per-layer-type/per-kernel aggregates, latency percentiles and
+  /// sliding-window rates — readable at any moment via
+  /// Session::live_snapshot(), including mid-run from another thread (the
+  /// `xsp_cli top` dashboard). The analyzer persists across
   /// profile() calls on one session, so aggregates accumulate over a
   /// service's lifetime; composes with stream_export_path (both are
   /// observers), and a span-JSON streamed export gains an "online"
@@ -101,9 +94,10 @@ struct ProfileOptions {
   /// stats; 0 keeps the analyzer default.
   Ns live_stats_window = 0;
   /// Head-sampling rate in (0, 1]: the fraction of spans admitted into
-  /// the collection fleet (one trace::Sampler shared by every shard). The
-  /// decision is a deterministic hash of the correlation id, so a kept
-  /// request keeps *all* of its spans across tracers and shards; 1.0
+  /// the trace server (one trace::Sampler shared with the remote sink and
+  /// the live analyzer). The decision is a deterministic hash of the
+  /// correlation id, so a kept request keeps *all* of its spans across
+  /// tracers; 1.0
   /// (default) disables sampling entirely — the publish path is the
   /// pass-through fast path, within noise of an unsampled build.
   /// Sheds surface in RunTrace::sampled_dropped and, when live_stats is
@@ -181,8 +175,8 @@ struct RunTrace : trace::TraceMeta {
   [[nodiscard]] const trace::TraceMeta& trace_meta() const noexcept { return *this; }
 };
 
-/// Point-in-time producer-slot health of a session's collection fleet
-/// (Session::slot_telemetry(); the xsp_top slot-health line).
+/// Point-in-time producer-slot health of a session's trace server
+/// (Session::slot_telemetry(); the `xsp_cli top` slot-health line).
 struct SlotTelemetry {
   std::uint64_t live_slots = 0;
   std::uint64_t retired_slots = 0;
@@ -229,17 +223,16 @@ class Session {
   /// dashboard thread.
   [[nodiscard]] std::shared_ptr<analysis::OnlineAnalyzer> live_analyzer() const;
 
-  /// Producer-slot health of the collection fleet right now. Thread-safe
-  /// and callable mid-run from another thread (the xsp_top dashboard
+  /// Producer-slot health of the trace server right now. Thread-safe
+  /// and callable mid-run from another thread (the `xsp_cli top` dashboard
   /// pairs it with live_snapshot()); all zeros before the first run.
   [[nodiscard]] SlotTelemetry slot_telemetry() const;
 
   /// Register the session's collection machinery with a self-metrics
-  /// registry: every fleet shard's series (TraceServer::bind_metrics,
-  /// labeled by shard under `labels`) and, when remote forwarding is
-  /// active, the RemoteSink's health series. profile() rebinds
-  /// automatically whenever it reconfigures the fleet or reconnects the
-  /// sink, so the registry tracks the *current* fleet across runs. Pass
+  /// registry: the trace server's series (TraceServer::bind_metrics, under
+  /// `labels`) and, when remote forwarding is active, the RemoteSink's
+  /// health series. profile() rebinds automatically whenever it reconnects
+  /// the sink, so the registry tracks the *current* sink across runs. Pass
   /// nullptr to stop binding (existing series unregister when their
   /// components die). The registry must outlive the session or the next
   /// unbind, whichever comes first. Zero publish-hot-path cost — see
@@ -258,15 +251,17 @@ class Session {
   SimClock clock_;
   sim::GpuDevice device_;
   framework::Executor executor_;
-  /// Collection fleet. server_mu_ guards the *pointer* (profile() may
-  /// replace a reconfigured fleet) so slot_telemetry() can read from a
-  /// dashboard thread; calls INTO a live fleet are themselves
-  /// thread-safe and need no session-level lock.
-  mutable std::mutex server_mu_;
-  std::unique_ptr<trace::TraceServer> server_;
+  /// The session's one trace server, kSync: profile() drains each run on
+  /// its own thread. Its calls are thread-safe, so slot_telemetry() reads
+  /// it from a dashboard thread without a session-level lock. On the heap,
+  /// not inline: std::mutex has a trivial destructor, so ThreadSanitizer
+  /// forgets a dead server's mutexes only when their memory is freed, and
+  /// servers inside stack-allocated sessions would alias each other's.
+  const std::unique_ptr<trace::TraceServer> server_ =
+      std::make_unique<trace::TraceServer>(trace::PublishMode::kSync);
   /// Live-stats analyzer (ProfileOptions::live_stats). Created on the
   /// first live run and kept for the session's lifetime (reconfigured in
-  /// place on shard/window changes, never silently replaced — lifetime
+  /// place on window changes, never silently replaced — lifetime
   /// aggregates survive); shared_ptr behind a mutex so live_snapshot()
   /// from a dashboard thread races safely with that first creation.
   mutable std::mutex online_mu_;
@@ -279,7 +274,7 @@ class Session {
   std::unique_ptr<trace::RemoteSink> remote_;
   std::string remote_uri_;
   /// Admission policy built from ProfileOptions::sampling_* (nullptr when
-  /// rate is 1.0 and no tail-keep): shared by the fleet, the remote sink,
+  /// rate is 1.0 and no tail-keep): shared by the server, the remote sink,
   /// and the live analyzer so one decision governs admission, shedding,
   /// and rescaling. Rebuilt only when the options change.
   std::shared_ptr<const trace::Sampler> sampler_;
@@ -291,13 +286,13 @@ class Session {
   std::unique_ptr<trace::Tracer> layer_tracer_;
   std::unique_ptr<trace::Tracer> library_tracer_;
   std::unique_ptr<trace::Tracer> gpu_tracer_;
-  /// Self-metrics binding (bind_metrics): applied to the live fleet and
-  /// sink, and re-applied by profile() after reconfiguration.
+  /// Self-metrics binding (bind_metrics): applied to the server and the
+  /// sink, and re-applied by profile() when it reconnects the sink.
   metrics::Registry* metrics_registry_ = nullptr;
   metrics::Labels metrics_labels_;
   /// Bounded-interning series (xsp_strtab_*): callback series over the
   /// process-global StringTable, registered once per bind_metrics call —
-  /// unlike the fleet series they never need rebinding on fleet swaps.
+  /// unlike the sink series they never need rebinding.
   std::vector<metrics::CallbackHandle> strtab_series_;
 };
 

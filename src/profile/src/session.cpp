@@ -75,11 +75,6 @@ void Session::reset_live_stats() {
 }
 
 SlotTelemetry Session::slot_telemetry() const {
-  // Hold server_mu_ across the reads so profile() cannot replace (and
-  // destroy) the fleet mid-query; the per-shard counters themselves are
-  // internally synchronized.
-  std::lock_guard lk(server_mu_);
-  if (server_ == nullptr) return {};
   SlotTelemetry t;
   t.live_slots = server_->live_slot_count();
   t.retired_slots = server_->retired_slot_count();
@@ -94,14 +89,13 @@ void Session::bind_metrics(metrics::Registry* registry, metrics::Labels labels) 
   strtab_series_.clear();
   if (metrics_registry_ == nullptr) return;
   // Bind whatever exists now; profile() re-applies the binding whenever
-  // it swaps the fleet or the sink (the dying component released its
-  // series first, so names never collide).
-  std::lock_guard lk(server_mu_);
-  if (server_ != nullptr) server_->bind_metrics(*metrics_registry_, metrics_labels_);
+  // it swaps the sink (the dying sink released its series first, so names
+  // never collide).
+  server_->bind_metrics(*metrics_registry_, metrics_labels_);
   if (remote_ != nullptr) remote_->bind_metrics(*metrics_registry_, metrics_labels_);
   // Bounded-interning health: the process-global table's footprint and its
-  // lifetime rejection count. Samples are lock-free atomic loads (two per
-  // shard for approx_bytes), scrape-time only.
+  // lifetime rejection count. Samples are lock-free atomic loads,
+  // scrape-time only.
   strtab_series_.push_back(metrics_registry_->callback(
       "xsp_strtab_bytes", "Approximate resident bytes in the global string table",
       metrics::Kind::kGauge, metrics_labels_,
@@ -129,36 +123,18 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   if (options.strtab_budget_bytes != 0) {
     common::StringTable::global().set_budget_bytes(options.strtab_budget_bytes);
   }
-  // One collection server, one fresh tracer per profiler per run.
-  // trace_shards == 1 is the plain single-shard shape; 0 lets the server
-  // size itself to the hardware. It is kSync: meta() below drains the run
-  // on this thread. It is reused across runs when its shard count matches
-  // — take_batches() left it empty. The previous run's batches went to its
-  // timeline and return to the batch pool when it dies, so later runs
-  // publish into warm blocks.
-  if (server_ == nullptr ||
-      server_->shard_count() != trace::TraceServer::resolve_shard_count(options.trace_shards)) {
-    auto fresh =
-        std::make_unique<trace::TraceServer>(options.trace_shards, trace::PublishMode::kSync);
-    // Only the pointer swap is guarded: slot_telemetry() on a dashboard
-    // thread must never catch the fleet mid-replacement.
-    {
-      std::lock_guard lk(server_mu_);
-      server_ = std::move(fresh);
-    }
-    // Rebind after the swap: the old fleet's destructor released its
-    // series, so the new fleet can register the same names.
-    if (metrics_registry_ != nullptr) server_->bind_metrics(*metrics_registry_, metrics_labels_);
-  } else {
-    // A prior run that threw mid-publication may have left spans queued;
-    // a reused fleet must start the run empty (and with drop counters
-    // zeroed), exactly like a fresh one. Span ids continue across runs,
-    // like the session clock does — per-run reproducibility is per fresh
-    // Session (see DeterministicAcrossIdenticalRuns), not per profile() call.
-    (void)server_->take_batches();
-  }
+  // One trace server for the session, one fresh tracer per profiler per
+  // run. The server is kSync: meta() below drains the run on this thread.
+  // The previous run's batches went to its timeline and return to the
+  // batch pool when it dies, so later runs publish into warm blocks. A
+  // prior run that threw mid-publication may have left spans queued; the
+  // run must start empty (and with drop counters zeroed). Span ids
+  // continue across runs, like the session clock does — per-run
+  // reproducibility is per fresh Session (see
+  // DeterministicAcrossIdenticalRuns), not per profile() call.
+  (void)server_->take_batches();
   // Sampling admission: build (or drop) the policy before any tracer
-  // publishes. One Sampler instance is shared by the fleet (admission),
+  // publishes. One Sampler instance is shared by the server (admission),
   // the remote sink (pressure shedding), and the live analyzer
   // (rescaling) so all three agree on every span's fate.
   const bool want_sampler =
@@ -178,10 +154,10 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   }
   server_->set_sampler(sampler_);
   // Per-run admission deltas come from before/after captures of the
-  // fleet's lifetime-monotonic counters (a reused fleet keeps counting).
+  // server's lifetime-monotonic counters (they count across runs).
   const std::uint64_t sampled_kept_before = server_->sampled_kept_count();
   const std::uint64_t sampled_dropped_before = server_->sampled_dropped_count();
-  // Streaming export: observe batches as the shards drain them, writing
+  // Streaming export: observe batches as the server drains them, writing
   // raw publication spans to the file during the run. kObserve (tee)
   // because this run also assembles an in-memory timeline; a service that
   // only wants the file attaches its own subscriber with kConsume.
@@ -196,10 +172,10 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
     const std::string* partial_file = nullptr;
     ~SubscriberGuard() {
       // Detach before the exporter (captured below) dies — also on the
-      // exception path, so a reused fleet never calls a dead exporter.
+      // exception path, so a later run never calls a dead exporter.
       if (server != nullptr && stream_id != 0) server->remove_drain_subscriber(stream_id);
-      // The live analyzer outlives the run, but a detached-by-run-end
-      // subscriber keeps a reused fleet from feeding a stale shard map.
+      // The live analyzer outlives the run; only the subscription is
+      // per-run.
       if (server != nullptr && live_id != 0) server->remove_drain_subscriber(live_id);
       // The remote sink outlives the run too (one wire stream per
       // session); only the per-run subscription detaches.
@@ -211,10 +187,9 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
     }
   } subscriber_guard;
   subscriber_guard.server = server_.get();
-  // Live online aggregation: the analyzer subscribes shard-aware (feeding
-  // the hot-shard load counters) in observe mode, so it composes with the
-  // streaming exporter below and with normal in-memory assembly — all of
-  // them fan out on the same drain. The analyzer itself persists across
+  // Live online aggregation: the analyzer subscribes in observe mode, so
+  // it composes with the streaming exporter below and with normal
+  // in-memory assembly — all of them fan out on the same drain. The analyzer itself persists across
   // runs; only the subscription is per-run.
   std::shared_ptr<analysis::OnlineAnalyzer> online;
   if (options.live_stats) {
@@ -222,7 +197,6 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
       std::lock_guard lk(online_mu_);
       if (online_ == nullptr) {
         analysis::OnlineAnalyzerOptions oopts;
-        oopts.shard_count = server_->shard_count();
         if (options.live_stats_window > 0) oopts.window = options.live_stats_window;
         oopts.max_kernel_rows = options.top_k_kernels;
         online_ = std::make_shared<analysis::OnlineAnalyzer>(oopts);
@@ -233,14 +207,12 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
     // policy lets it weight each one by 1/effective_rate so its
     // est_* fields estimate the unsampled stream.
     online->set_sampler(sampler_);
-    // The analyzer is a service-lifetime accumulator: a resharded fleet
-    // grows its per-shard counters and a new window reconfigures the
-    // (transient) ring in place — neither discards accumulated
-    // aggregates. reset_live_stats() is the only reset path.
-    online->ensure_shard_count(server_->shard_count());
+    // The analyzer is a service-lifetime accumulator: a new window
+    // reconfigures the (transient) ring in place without discarding
+    // accumulated aggregates. reset_live_stats() is the only reset path.
     if (options.live_stats_window > 0) online->set_window(options.live_stats_window);
     subscriber_guard.live_id =
-        server_->add_drain_subscriber(online->shard_subscriber(), trace::DrainHandoff::kObserve);
+        server_->add_drain_subscriber(online->subscriber(), trace::DrainHandoff::kObserve);
   }
   if (!options.stream_export_path.empty()) {
     stream_file.open(options.stream_export_path, std::ios::binary | std::ios::trunc);
@@ -284,7 +256,7 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
       if (metrics_registry_ != nullptr)
         remote_->bind_metrics(*metrics_registry_, metrics_labels_);
     }
-    // The forwarded batches were already admitted by the fleet's sampler;
+    // The forwarded batches were already admitted by the server's sampler;
     // the sink uses the policy only to shed low-value spans first when
     // its outbox backs up (instead of dropping whole batches blind).
     remote_->set_sampler(sampler_);
@@ -431,7 +403,7 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   }
 
   RunTrace result;
-  // One flush drains every shard into the subscribers: the admission
+  // One flush drains the server into the subscribers: the admission
   // counters are final for the run, and worker threads that died during it
   // have been reclaimed, so live_slots reports live producers, not
   // cumulative churn.
@@ -447,7 +419,7 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
     online->set_sampling_accounting(sampled_kept_total_, sampled_dropped_total_);
   }
   if (subscriber_guard.remote_id != 0) {
-    // meta() above flushed every shard, so the remote sink's outbox has
+    // meta() above flushed the server, so the remote sink's outbox has
     // been handed every span of the run. Detach the per-run subscription
     // and sample the sink's session-cumulative accounting. Delivery stays
     // async — the sender thread keeps draining; only the handoff is
@@ -462,7 +434,7 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
     remote_->set_meta(result.trace_meta());
   }
   if (stream_exporter != nullptr || binary_writer != nullptr) {
-    // meta() flushed every shard, so the subscriber has observed every
+    // meta() flushed the server, so the subscriber has observed every
     // span of the run; detach, then finalize the file with the run's
     // telemetry in the footer.
     server_->remove_drain_subscriber(subscriber_guard.stream_id);
@@ -491,10 +463,9 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
                                options.stream_export_path);
     }
   }
-  // Merge step: the per-shard batch lists concatenate in O(batches), and
-  // assemble begin-orders the nodes, so shard count never changes the
-  // assembled timeline. The timeline keeps the batches: its nodes point
-  // at the spans in place.
+  // Assembly begin-orders the nodes, so the order batches drained in never
+  // changes the assembled timeline. The timeline keeps the batches: its
+  // nodes point at the spans in place.
   result.timeline = trace::Timeline::assemble(server_->take_batches());
   result.model_latency = run.latency();
   result.pipeline_latency = pipeline_end - pipeline_begin;

@@ -76,7 +76,7 @@ const char* export_format_name(ExportFormat f);
 ///
 /// Thread safety: every write_*, set_meta and finish may be called from
 /// any thread; events are formatted into a per-thread chunk outside the
-/// sink lock, so N shard collector threads pay the lock only to splice
+/// sink lock, so concurrent writer threads pay the lock only to splice
 /// finished chunks (one per kFlushThreshold bytes, and one per call) into
 /// the one ordered output.
 /// Events never interleave mid-object; cross-batch order is the arrival

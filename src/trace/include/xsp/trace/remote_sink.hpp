@@ -2,7 +2,7 @@
 // SpanSink that ships spans to xsp_collectd over the binary wire format
 // instead of holding them in-process.
 //
-// Shape: the sink owns a one-shard kAsync TraceServer, and publish(), the
+// Shape: the sink owns a kAsync TraceServer, and publish(), the
 // id calls and sampler admission are that server's: a publish is one copy
 // of the 216-byte record into the calling thread's producer slot, with no
 // lock shared between producer threads. The server seals a slot batch at

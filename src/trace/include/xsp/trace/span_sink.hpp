@@ -4,7 +4,7 @@
 // (Section III-A): obtain ids and publish completed spans. Everything else
 // — aggregation, flushing, trace hand-off — is a consumer-side concern.
 // Splitting that producer surface out lets Tracer/ScopedSpan publish
-// through a TraceServer (of any shard count) or a RemoteSink without
+// through a TraceServer or a RemoteSink without
 // caring which, and keeps the hot publish call as one virtual dispatch
 // into a `final` implementation the compiler can devirtualize at
 // concrete call sites.

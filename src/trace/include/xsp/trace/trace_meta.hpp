@@ -1,14 +1,14 @@
 // Run telemetry: the one declaration of every field a trace carries about
-// its own collection (drops, sampling, shards, interning).
+// its own collection (drops, slots, sampling, interning).
 //
 // kMetaFields is the schema. Each surface derives from it instead of
 // restating the fields: the binary wire footer embeds TraceMeta whole,
 // the span-JSON footer loops over the rows, profile::RunTrace inherits
-// TraceMeta, and TraceServer::bind_metrics() names each per-shard series
-// xsp_trace_<key> (plus _total for a counter) with the row's help text.
-// Adding a field: its member and row here, its row in the trace server's
-// per-shard table if a shard produces it, and a wire kVersion bump (the
-// sizeof(wire::Footer) static_assert forces it).
+// TraceMeta, and TraceServer::bind_metrics() names each series the server
+// produces xsp_trace_<key> (plus _total for a counter) with the row's help
+// text. Adding a field: its member and row here, its row in the trace
+// server's own table if the server produces it, and a wire kVersion bump
+// (the sizeof(wire::Footer) static_assert forces it).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@ namespace xsp::trace {
 /// field's meaning is its kMetaFields help text.
 struct TraceMeta {
   std::uint64_t dropped_annotations = 0;
-  std::uint64_t shard_count = 1;
   std::uint64_t interned_strings = 0;
   std::uint64_t interned_bytes = 0;
   std::uint64_t live_slots = 0;
@@ -55,8 +54,6 @@ inline constexpr MetaField kMetaFields[] = {
      "Per-span annotation drops (tag/metric capacity overflow) over the collected spans; "
      "0 means lossless",
      metrics::Kind::kCounter, &TraceMeta::dropped_annotations},
-    {"shard_count", "Trace-server shards the spans were collected across",
-     metrics::Kind::kGauge, &TraceMeta::shard_count},
     {"interned_strings",
      "Distinct strings in the process-wide StringTable, which never evicts",
      metrics::Kind::kGauge, &TraceMeta::interned_strings},

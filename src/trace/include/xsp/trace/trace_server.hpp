@@ -18,37 +18,31 @@
 // spans rather than once per span. flush()/take_trace() semantics: after
 // flush() every span published happens-before the call is aggregated.
 //
-// Shards: a server runs as N shards (default 1). A shard owns producer
-// slots, a drain (and, in kAsync, a collector thread) and its held
-// batches. A publishing thread's slot is bound to one shard
-// (a mixed thread key modulo N) when it registers, so concurrent
-// producers fan out across N drains instead of serializing on one, and a
-// publish costs the same one TLS slot lookup at any shard count.
-// Everything else exists once per server: the id and correlation
-// counters, the sampler, and the drain-subscriber registry.
-// take_batches() concatenates the shards' batch lists — O(batches) handle
-// moves, no span is touched; Timeline::assemble orders spans anyway, so a
-// multi-shard trace assembles identically to a one-shard trace of the
-// same spans.
+// One server, one drain: the producer slots, the drain pass that empties
+// them, the held trace and (kAsync) the collector thread exist once per
+// server, as do the id and correlation counters, the sampler and the
+// drain-subscriber registry.
 //
 // Producer-slot lifecycle: a (thread, server) slot is registered on the
 // thread's first publish and reclaimed after the thread exits — a TLS
 // destructor object weakly marks the thread's slots reclaimable on every
 // still-live server it touched (keyed by the process-unique server uid,
-// so a dead server is never dereferenced), and the next drain pass of the
-// slot's shard sweeps it one final time (no span is ever lost), retires
-// it, and parks it on a bounded freelist that new producer threads draw
-// from before growing the registry. A long-lived server fed by ever-fresh
-// worker threads therefore holds O(live threads + kSlotFreelistCapacity)
-// slots per shard instead of O(all threads ever).
+// so a dead server is never dereferenced), and the next drain pass sweeps
+// it one final time (no span is ever lost), retires it, and parks it on a
+// bounded freelist that new producer threads draw from before growing the
+// registry. A long-lived server fed by ever-fresh worker threads therefore
+// holds O(live threads + kSlotFreelistCapacity) slots instead of O(all
+// threads ever).
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "xsp/metrics/registry.hpp"
@@ -68,7 +62,7 @@ class SlotRegistry;  // trace_server.cpp: uid-keyed weak map of live servers
 /// a Session runs kSync: it publishes each run in one burst, then drains it.
 enum class PublishMode : std::uint8_t {
   kSync,   ///< no collector thread; callers drain batches on flush()
-  /// A collector thread per shard drains sealed batches in the background.
+  /// A collector thread drains sealed batches in the background.
   /// The first batch sealed since its last pass wakes it; 50 ms without a
   /// seal makes it sweep partial batches too, so a live producer's trickle
   /// is delivered without a flush().
@@ -91,10 +85,9 @@ enum class DrainHandoff : std::uint8_t {
 };
 
 /// Observes every drained batch list, in the drain pass that moved it out
-/// of the producer slots (the shard's collector thread in kAsync, the
-/// flushing caller in kSync). Calls from one shard never overlap; calls
-/// from different shards may, so a subscriber of a multi-shard server
-/// must be thread-safe. Invoked with no slot spinlock held, so publishers
+/// of the producer slots (the collector thread in kAsync, the flushing
+/// caller in kSync). Drain passes are serialized, so calls never overlap.
+/// Invoked with no slot spinlock held, so publishers
 /// keep publishing while the subscriber writes. Should not throw: a
 /// throwing subscriber is detached on the spot; if it was the consumer,
 /// the drained batches (and all later ones) accumulate in the server as
@@ -103,11 +96,6 @@ enum class DrainHandoff : std::uint8_t {
 /// which runs last and may move batches out (the server drops what is
 /// left); observers take it by const reference.
 using DrainSubscriber = std::function<void(SpanBatches&)>;
-
-/// A drain subscriber that is also told which shard drained the batches —
-/// the shape shard-aware consumers (online analyzers tracking hot shards)
-/// subscribe with.
-using ShardDrainSubscriber = std::function<void(std::size_t shard, SpanBatches&)>;
 
 /// Handle for one attached drain subscriber (remove_drain_subscriber).
 /// 0 is never a valid id.
@@ -121,7 +109,7 @@ class TraceServer final : public SpanSink {
   /// collector takes work and the most a crashing producer could strand.
   static constexpr std::size_t kBatchCapacity = trace::kBatchCapacity;
 
-  /// Retired producer slots each shard parks for reuse: a new producer
+  /// Retired producer slots the server parks for reuse: a new producer
   /// thread draws a parked slot before growing the registry, so
   /// steady-state thread churn recirculates a handful of slots instead of
   /// allocating ~55KB per short-lived thread. Retired slots beyond the cap
@@ -129,23 +117,7 @@ class TraceServer final : public SpanSink {
   /// not a cache of record.
   static constexpr std::size_t kSlotFreelistCapacity = 8;
 
-  /// Hard cap on shard count; beyond this the collector threads themselves
-  /// become the contention.
-  static constexpr std::size_t kMaxShards = 64;
-
-  /// Hardware concurrency, capped at 8 (one collector per shard in kAsync
-  /// mode; more shards than cores only adds churn).
-  static std::size_t default_shard_count() noexcept;
-
-  /// The shard count a `requested` value resolves to (0 -> default, else
-  /// capped at kMaxShards) — what shard_count() reports after construction
-  /// with the same request.
-  static std::size_t resolve_shard_count(std::size_t requested) noexcept;
-
-  /// One shard.
-  explicit TraceServer(PublishMode mode = PublishMode::kAsync) : TraceServer(1, mode) {}
-  /// `shard_count` 0 means default_shard_count().
-  explicit TraceServer(std::size_t shard_count, PublishMode mode = PublishMode::kAsync);
+  explicit TraceServer(PublishMode mode = PublishMode::kAsync);
   ~TraceServer() override;
 
   TraceServer(const TraceServer&) = delete;
@@ -170,7 +142,7 @@ class TraceServer final : public SpanSink {
   void publish(const Span& span) override;
 
   /// Publish a whole batch: it joins the calling thread's slot as one
-  /// sealed batch, its spans unmoved, and wakes a kAsync shard as a seal
+  /// sealed batch, its spans unmoved, and wakes a kAsync collector as a seal
   /// does. The hand-off for a caller that already holds spans in batches
   /// (the collector, one batch per decoded frame). Annotation drops are
   /// counted as publish() counts them; an attached sampler admits span by
@@ -184,12 +156,12 @@ class TraceServer final : public SpanSink {
   /// sampler attached publication cost is unchanged. Samplers set earlier
   /// stay alive until the server dies, so a publisher racing a
   /// set_sampler() call may use either policy but never a dangling one.
-  /// The decision is deterministic in the span, so shard routing cannot
-  /// change a verdict.
+  /// The decision is deterministic in the span, so the publishing thread
+  /// cannot change a verdict.
   void set_sampler(std::shared_ptr<const Sampler> sampler);
 
   /// Lifetime count of spans a sampler admitted at publish (flushes
-  /// first). Monotonic, like shard_loads(); zero when no sampler has ever
+  /// first). Monotonic; zero when no sampler has ever
   /// been attached.
   [[nodiscard]] std::uint64_t sampled_kept_count();
 
@@ -199,8 +171,7 @@ class TraceServer final : public SpanSink {
   [[nodiscard]] std::uint64_t sampled_dropped_count();
 
   /// Block until every span published before this call has been aggregated
-  /// (drains all sealed and partial batches of every shard on the caller
-  /// thread).
+  /// (drains all sealed and partial batches on the caller thread).
   void flush();
 
   /// Number of spans aggregated and held so far (flushes first).
@@ -219,8 +190,8 @@ class TraceServer final : public SpanSink {
 
   /// Flush and move the aggregated trace out in publication batches — the
   /// zero-copy hand-off Timeline::assemble consumes directly. Span order
-  /// across shards is arbitrary, exactly as it is across producer slots
-  /// of one shard; Timeline::assemble orders it. Dropping the result
+  /// across producer slots is arbitrary; Timeline::assemble orders it.
+  /// Dropping the result
   /// returns its batch blocks to the batch pool.
   [[nodiscard]] SpanBatches take_batches();
 
@@ -237,17 +208,12 @@ class TraceServer final : public SpanSink {
   /// consumer last. With a consumer attached the publish → seal → drain →
   /// deliver → drop cycle runs in bounded memory for arbitrarily long
   /// traces and take_batches() returns nothing. Attaching/detaching
-  /// synchronizes with in-flight drains on every shard; spans already
+  /// synchronizes with an in-flight drain; spans already
   /// aggregated before attach are NOT replayed (attach before publishing
   /// starts).
   ///
   /// Returns the id to pass to remove_drain_subscriber().
   SubscriberId add_drain_subscriber(DrainSubscriber subscriber,
-                                    DrainHandoff handoff = DrainHandoff::kObserve);
-
-  /// Shard-aware overload: the subscriber additionally receives the index
-  /// of the shard whose drain pass is delivering.
-  SubscriberId add_drain_subscriber(ShardDrainSubscriber subscriber,
                                     DrainHandoff handoff = DrainHandoff::kObserve);
 
   /// Detach one subscriber. Unknown/already-removed ids are a no-op.
@@ -258,7 +224,7 @@ class TraceServer final : public SpanSink {
   /// Number of currently attached drain subscribers (tests/telemetry).
   [[nodiscard]] std::size_t drain_subscriber_count();
 
-  /// Producer slots currently registered, over all shards: live publishing
+  /// Producer slots currently registered: live publishing
   /// threads plus exited threads whose slots the next drain pass will
   /// retire. The slot health number a long-lived server watches — it must
   /// track live producers, not cumulative thread history.
@@ -268,8 +234,7 @@ class TraceServer final : public SpanSink {
   /// lifetime (monotonic; one retirement per exited producer thread).
   [[nodiscard]] std::uint64_t retired_slot_count();
 
-  /// Retired slots currently parked for reuse (<= kSlotFreelistCapacity
-  /// per shard).
+  /// Retired slots currently parked for reuse (<= kSlotFreelistCapacity).
   [[nodiscard]] std::size_t pooled_slot_count();
 
   /// Approximate bytes resident in producer slots, live and parked:
@@ -277,47 +242,34 @@ class TraceServer final : public SpanSink {
   /// figure operators size serving fleets with.
   [[nodiscard]] std::uint64_t approx_slot_bytes();
 
-  /// The run telemetry the server can report, after one flush: every
-  /// per-shard field (annotation drops, slot health, sampler counts)
-  /// summed over the shards, shard_count, and the process-wide
-  /// StringTable fields. Callers fill what they own (remote_* fields,
+  /// The run telemetry the server can report, after one flush: annotation
+  /// drops, slot health, sampler counts, and the process-wide StringTable
+  /// fields. Callers fill what they own (remote_* fields,
   /// per-run deltas).
   [[nodiscard]] TraceMeta meta();
 
-  /// Register every shard's health series with a metrics registry, each
-  /// under `labels` plus {"shard","<i>"} — fleet totals are a PromQL sum
-  /// over the shard dimension and a hot shard is visible as its own
-  /// series. Every field meta() sums over the shards is one series,
-  /// xsp_trace_<key> (plus _total for a counter) with its kMetaFields help
-  /// text; xsp_trace_drained_spans_total is the shard's load. The series
+  /// Register the server's health series with a metrics registry under
+  /// `labels`. Every field meta() reads from the server's own counters is
+  /// one series, xsp_trace_<key> (plus _total for a counter) with its
+  /// kMetaFields help text, and xsp_trace_drained_spans_total counts the
+  /// spans drained out of the producer slots. The series
   /// are callback-backed reads of counters the server already maintains,
   /// so the publish hot path gains ZERO new instructions; values advance
   /// at drain cadence (they are sampled without forcing a flush). The one
   /// new measurement is a drain-pass wall-time histogram
   /// (xsp_trace_drain_duration_ns), observed once per pass — nanoseconds
-  /// per hundreds of spans. The process-wide batch pool is one series,
-  /// xsp_trace_batch_pool_bytes, under `labels` alone.
+  /// per hundreds of spans. The process-wide batch pool is one more
+  /// series, xsp_trace_batch_pool_bytes.
   /// Rebinding replaces the previous binding; the binding is removed when
   /// either the server or the registry dies first (handles are weak).
   void bind_metrics(metrics::Registry& registry, const metrics::Labels& labels = {});
 
-  [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
-
-  /// Every shard's cumulative drained-span count, indexed by shard
-  /// (flushes first). Monotonic load telemetry: unlike span_count() —
-  /// spans currently *held* — it keeps advancing while a kConsume
-  /// subscriber keeps the server empty, which is what a serving layer
-  /// compares across shards to spot a hot one.
-  [[nodiscard]] std::vector<std::uint64_t> shard_loads();
-
-  /// The shard the calling thread's publishes go to. Exposed so routing
-  /// is testable.
-  [[nodiscard]] std::size_t shard_for_current_thread() const noexcept;
-
  private:
   struct ProducerSlot;  // one publishing thread's batch head
-  struct Shard;         // slots, drain, held batches, collector
   struct Subscriber;    // one drain_subscribers_ entry
+  struct MetaRow;       // a TraceMeta field the server's own counters produce
+  /// Every such field: meta() reads each, bind_metrics() exposes each.
+  static const MetaRow kMetaRows[];
 
   /// The calling thread's slot for this server (registered on first use,
   /// cached thread-locally keyed by a process-unique server uid so slot
@@ -326,34 +278,65 @@ class TraceServer final : public SpanSink {
   /// slot is reclaimed when the thread dies.
   ProducerSlot& local_slot();
 
-  /// Find-or-register the slot for thread `thread_key` in its shard
-  /// (drawing a parked retired slot before allocating). `resurrect` is the
+  /// Find-or-register the slot for thread `thread_key` (drawing a parked
+  /// retired slot before allocating). `resurrect` is the
   /// publish-after-exit-hook path: un-mark a still-registered slot so a
   /// concurrent drain cannot retire it out from under the caller.
   ProducerSlot& register_slot(std::uint64_t thread_key, bool resurrect);
 
   /// Called (via detail::SlotRegistry, which pins this server alive for
   /// the duration) when a producer thread exits: mark its slot
-  /// reclaimable and nudge its shard's collector so retirement is prompt.
+  /// reclaimable and nudge the collector so retirement is prompt.
   void note_thread_exit(std::uint64_t thread_key);
   friend class detail::SlotRegistry;
 
-  /// The shard a thread's slot is bound to.
-  [[nodiscard]] Shard& shard_of(std::uint64_t thread_key) const noexcept;
-
-  SubscriberId add_subscriber(ShardDrainSubscriber fn, DrainHandoff handoff);
   /// Hand one drain pass's batches to the subscribers; true when the
-  /// consumer took them. Caller holds `shard`'s drain mutex.
-  bool deliver(Shard& shard, SpanBatches& batches);
+  /// consumer took them. Caller holds drain_mu_.
+  bool deliver(SpanBatches& batches);
 
-  void collector_loop(Shard& shard);
+  /// Count one unit of collector work (a sealed batch or a retiring
+  /// slot); the first since the collector's last pass wakes it.
+  void wake();
+  void collector_loop();
   /// Move sealed (and, when `steal_active`, partial) batches of every slot
-  /// of `shard` into its held trace.
-  void drain(Shard& shard, bool steal_active);
+  /// into the held trace.
+  void drain(bool steal_active);
 
   const PublishMode mode_;
   const std::uint64_t uid_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+
+  alignas(64) std::mutex registry_mu_;
+  std::vector<std::unique_ptr<ProducerSlot>> slots_;
+  /// Retired slots parked for reuse (bounded by kSlotFreelistCapacity).
+  std::vector<std::unique_ptr<ProducerSlot>> free_slots_;
+  /// Lifetime count of slot retirements.
+  std::uint64_t retired_slots_ = 0;
+
+  /// Serializes whole drain passes (slot sweep + trace append). Without
+  /// it, a flush could sweep the slots while a concurrent collector pass
+  /// still holds swept batches in its local staging — and hand the trace
+  /// off incomplete. Also guards the subscriber registry.
+  alignas(64) std::mutex drain_mu_;
+  /// Drain staging, reused across passes (guarded by drain_mu_).
+  SpanBatches staging_;
+  /// Drain-pass wall-time histogram (bind_metrics); null when unbound,
+  /// so an unbound pass costs one relaxed load.
+  std::atomic<metrics::Histogram*> drain_hist_{nullptr};
+
+  alignas(64) std::mutex trace_mu_;
+  SpanBatches trace_;
+  std::uint64_t dropped_total_ = 0;
+  /// Lifetime total of spans drained out of the producer slots. Atomic so
+  /// telemetry reads race-free against a collector mid-drain.
+  std::atomic<std::uint64_t> drained_spans_{0};
+  /// Lifetime sampler admission counters, aggregated from the per-slot
+  /// counts at drain (atomic for the same reason as drained_spans_).
+  std::atomic<std::uint64_t> sampled_kept_{0};
+  std::atomic<std::uint64_t> sampled_dropped_{0};
+
+  alignas(64) std::mutex wake_mu_;
+  std::condition_variable wake_cv_;
+  std::atomic<std::size_t> pending_batches_{0};
 
   /// Id counters are hammered by every producer; isolate them from the
   /// read-mostly fields around them so RMWs never evict those lines.
@@ -368,11 +351,11 @@ class TraceServer final : public SpanSink {
   std::mutex sampler_mu_;
   std::vector<std::shared_ptr<const Sampler>> sampler_refs_;
 
-  /// The drain-subscriber registry. A drain pass reads it under its own
-  /// shard's drain mutex; add/remove change it holding every shard's, so
-  /// attach/detach synchronize with in-flight drains on all shards at
-  /// once and consumer exclusivity is one check. Observers fan out in
-  /// attach order; at most one entry has kConsume and it is kept last.
+  /// The drain-subscriber registry, read by a drain pass and changed by
+  /// add/remove under drain_mu_, so attach/detach synchronize with an
+  /// in-flight drain and consumer exclusivity is one check. Observers fan
+  /// out in attach order; at most one entry has kConsume and it is kept
+  /// last.
   std::vector<std::unique_ptr<Subscriber>> subscribers_;
   SubscriberId next_subscriber_id_ = 1;
 
@@ -387,6 +370,9 @@ class TraceServer final : public SpanSink {
   std::mutex metrics_mu_;
   std::vector<std::shared_ptr<metrics::Histogram>> drain_hist_refs_;
   std::vector<metrics::CallbackHandle> metrics_cbs_;
+
+  /// Started last, in the constructor body, once every member above exists.
+  std::thread collector_;
 };
 
 }  // namespace xsp::trace

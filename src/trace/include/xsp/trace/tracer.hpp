@@ -25,7 +25,7 @@ class Tracer {
   /// `name` identifies the publishing profiler; `level` is the stack level
   /// all spans from this tracer are tagged with. The name is interned once
   /// here, so publishing stamps a 32-bit id instead of copying a string.
-  /// The sink may be a TraceServer of any shard count or a RemoteSink;
+  /// The sink may be a TraceServer or a RemoteSink;
   /// the tracer neither knows nor cares.
   Tracer(SpanSink& server, StrId name, int level)
       : server_(&server), name_(name), level_(level) {}

@@ -1,4 +1,4 @@
-// XSP binary span-batch wire format (v5, the only version) and the
+// XSP binary span-batch wire format (v6, the only version) and the
 // format-agnostic serialization core shared by every exporter backend.
 //
 // The JSON path (StreamingExporter) re-formats every span as text (its
@@ -159,9 +159,9 @@ inline constexpr char kMagic[4] = {'X', 'S', 'P', 'B'};
 /// reads. Any change to the header, frame, span, heartbeat or footer
 /// layout bumps it. Readers accept exactly one version until a persisted
 /// stream exists that must stay readable, so an older stream is rejected
-/// at open instead of misread. (Versions 1–4 are earlier layouts and are
+/// at open instead of misread. (Versions 1–5 are earlier layouts and are
 /// rejected like any other.)
-inline constexpr std::uint16_t kVersion = 5;
+inline constexpr std::uint16_t kVersion = 6;
 /// Endianness marker as written by the producer; a consumer reading the
 /// byte-swapped value rejects the stream (frames are host-endian memcpy).
 inline constexpr std::uint16_t kEndianMark = 0xFEFF;
@@ -219,7 +219,7 @@ struct Footer {
   std::uint64_t export_bytes;
   TraceMeta meta;
 };
-static_assert(sizeof(Footer) == 120, "footer layout changed: bump kVersion");
+static_assert(sizeof(Footer) == 112, "footer layout changed: bump kVersion");
 static_assert(std::is_trivially_copyable_v<Footer>);
 
 /// Heartbeat payload: a producer's live transport/sampling counters,
@@ -257,7 +257,7 @@ static_assert(std::is_trivially_copyable_v<Heartbeat>);
 /// when telemetry is final, finish() to append the footer frame.
 ///
 /// Thread safety: write_batch/write_batches/set_meta/finish may be called
-/// from any thread (N shard collectors funnel into one writer); one
+/// from any thread (a collector thread and a flushing caller may both write); one
 /// internal mutex serializes frame emission, so frames never interleave.
 ///
 /// Memory: allocation count is independent of span count (pinned by

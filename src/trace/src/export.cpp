@@ -39,7 +39,7 @@ class Chunk {
 };
 
 /// Per-thread event chunk: events are formatted here outside the sink lock,
-/// so concurrent shard exporters only contend to splice finished chunks.
+/// so concurrent exporting threads only contend to splice finished chunks.
 /// Reused across calls; its capacity stays within twice one flush threshold
 /// plus the largest single event formatted on this thread.
 Chunk& tls_chunk() {

@@ -90,17 +90,17 @@ class SlotRegistry {
 /// Slots are cache-line aligned: a producer's spinlock and batch head
 /// never share a line with another producer's.
 struct alignas(64) TraceServer::ProducerSlot {
-  /// Guards everything below except `shard`. Only the owning thread and
-  /// the shard's drain ever touch a slot, so this spinlock is effectively
-  /// uncontended on the publish path.
+  /// Guards everything below. Only the owning thread and the drain ever
+  /// touch a slot, so this spinlock is effectively uncontended on the
+  /// publish path.
   std::atomic_flag lock = ATOMIC_FLAG_INIT;
   SpanBatch active;
   SpanBatches sealed;
   /// Annotation drops published through this slot since the last drain;
-  /// aggregated into the shard's counter when batches are taken.
+  /// aggregated into the server's counter when batches are taken.
   std::uint64_t dropped = 0;
   /// Sampler admissions/rejections through this slot since the last
-  /// drain; aggregated into the shard's lifetime counters exactly like
+  /// drain; aggregated into the server's lifetime counters exactly like
   /// `dropped` above.
   std::uint64_t sampled_kept = 0;
   std::uint64_t sampled_dropped = 0;
@@ -113,9 +113,6 @@ struct alignas(64) TraceServer::ProducerSlot {
   /// destructor — the slot is resurrected rather than torn from under
   /// an in-flight publish.
   bool reclaimable = false;
-  /// The shard this slot drains into; fixed for the slot's life (a
-  /// retired slot is parked on, and reused from, the same shard).
-  Shard* shard = nullptr;
 
   void acquire() noexcept {
     int spins = 0;
@@ -128,131 +125,34 @@ struct alignas(64) TraceServer::ProducerSlot {
   void release() noexcept { lock.clear(std::memory_order_release); }
 };
 
-/// One shard: its producer slots, drain, held batches and (kAsync)
-/// collector thread. Each group sits on its own cache lines so the
-/// publish path and the drain never false-share.
-struct TraceServer::Shard {
-  explicit Shard(std::size_t i) : index(i) {}
-
-  const std::size_t index;
-
-  alignas(64) std::mutex registry_mu;
-  std::vector<std::unique_ptr<ProducerSlot>> slots;
-  /// Retired slots parked for reuse (bounded by kSlotFreelistCapacity).
-  std::vector<std::unique_ptr<ProducerSlot>> free_slots;
-  /// Lifetime count of slot retirements.
-  std::uint64_t retired_slots = 0;
-
-  /// Serializes whole drain passes (slot sweep + trace append). Without
-  /// it, a flush could sweep the slots while a concurrent collector pass
-  /// still holds swept batches in its local staging — and hand the trace
-  /// off incomplete. Also the read side of the server's subscriber
-  /// registry.
-  alignas(64) std::mutex drain_mu;
-  /// Drain staging, reused across passes (guarded by drain_mu).
-  SpanBatches staging;
-  /// Drain-pass wall-time histogram (bind_metrics); null when unbound,
-  /// so an unbound pass costs one relaxed load.
-  std::atomic<metrics::Histogram*> drain_hist{nullptr};
-
-  alignas(64) std::mutex trace_mu;
-  SpanBatches trace;
-  std::uint64_t dropped_total = 0;
-  /// Lifetime total of spans drained out of the producer slots — the
-  /// shard's load counter. Atomic so telemetry reads race-free against a
-  /// collector mid-drain.
-  std::atomic<std::uint64_t> drained_spans{0};
-  /// Lifetime sampler admission counters, aggregated from the per-slot
-  /// counts at drain (atomic for the same reason as drained_spans).
-  std::atomic<std::uint64_t> sampled_kept{0};
-  std::atomic<std::uint64_t> sampled_dropped{0};
-
-  alignas(64) std::mutex wake_mu;
-  std::condition_variable wake_cv;
-  std::atomic<std::size_t> pending_batches{0};
-  std::thread collector;
-
-  /// Count one unit of collector work (a sealed batch or a retiring
-  /// slot); the first since the collector's last pass wakes it, so a pass
-  /// takes whatever arrived until it runs and costs one wake. Passing
-  /// through wake_mu before notifying keeps the wake from landing between
-  /// the collector's predicate check and its sleep: pending stays nonzero,
-  /// no later call would notify, and the shard would sleep out its period.
-  void wake() {
-    if (pending_batches.fetch_add(1, std::memory_order_release) != 0) return;
-    { std::lock_guard lk(wake_mu); }
-    wake_cv.notify_one();
-  }
-
-  std::uint64_t slot_bytes() {
-    const auto bytes_of = [](ProducerSlot& slot) {
-      std::uint64_t bytes = sizeof(ProducerSlot);
-      // Capacities mutate under the slot spinlock (publish/seal); take it
-      // so the estimate is coherent. Telemetry-rate call, not a hot path.
-      slot.acquire();
-      bytes += slot.active.capacity() * sizeof(Span);
-      bytes += slot.sealed.capacity() * sizeof(SpanBatch);
-      for (const auto& batch : slot.sealed) bytes += batch.capacity() * sizeof(Span);
-      slot.release();
-      return bytes;
-    };
-    std::lock_guard lk(registry_mu);
-    std::uint64_t total = 0;
-    for (auto& slot : slots) total += bytes_of(*slot);
-    for (auto& slot : free_slots) total += bytes_of(*slot);
-    return total;
-  }
-
-  /// A TraceMeta field a shard produces, read from its own counters
-  /// without flushing.
-  using Read = std::uint64_t (*)(Shard&);
-  struct MetaRow {
-    std::uint64_t TraceMeta::*member;
-    Read read;
-  };
-  /// Every such field: TraceServer::meta() sums each over the shards and
-  /// bind_metrics() exposes each as a per-shard series.
-  static const MetaRow kMeta[];
-  /// The kMeta reader of `member`; null for a field no shard produces.
-  static Read reader(std::uint64_t TraceMeta::*member);
+/// A TraceMeta field the server produces, read from its own counters
+/// without flushing.
+struct TraceServer::MetaRow {
+  std::uint64_t TraceMeta::*member;
+  std::uint64_t (*read)(TraceServer&);
 };
 
-const TraceServer::Shard::MetaRow TraceServer::Shard::kMeta[] = {
+const TraceServer::MetaRow TraceServer::kMetaRows[] = {
     {&TraceMeta::dropped_annotations,
-     [](Shard& s) {
-       std::lock_guard lk(s.trace_mu);
-       return s.dropped_total;
+     [](TraceServer& s) {
+       std::lock_guard lk(s.trace_mu_);
+       return s.dropped_total_;
      }},
-    {&TraceMeta::live_slots,
-     [](Shard& s) -> std::uint64_t {
-       std::lock_guard lk(s.registry_mu);
-       return s.slots.size();
-     }},
-    {&TraceMeta::retired_slots,
-     [](Shard& s) {
-       std::lock_guard lk(s.registry_mu);
-       return s.retired_slots;
-     }},
-    {&TraceMeta::slot_bytes, [](Shard& s) { return s.slot_bytes(); }},
+    {&TraceMeta::live_slots, [](TraceServer& s) -> std::uint64_t { return s.live_slot_count(); }},
+    {&TraceMeta::retired_slots, [](TraceServer& s) { return s.retired_slot_count(); }},
+    {&TraceMeta::slot_bytes, [](TraceServer& s) { return s.approx_slot_bytes(); }},
     {&TraceMeta::sampled_kept,
-     [](Shard& s) { return s.sampled_kept.load(std::memory_order_relaxed); }},
+     [](TraceServer& s) { return s.sampled_kept_.load(std::memory_order_relaxed); }},
     {&TraceMeta::sampled_dropped,
-     [](Shard& s) { return s.sampled_dropped.load(std::memory_order_relaxed); }},
+     [](TraceServer& s) { return s.sampled_dropped_.load(std::memory_order_relaxed); }},
 };
-
-TraceServer::Shard::Read TraceServer::Shard::reader(std::uint64_t TraceMeta::*member) {
-  for (const MetaRow& row : kMeta) {
-    if (row.member == member) return row.read;
-  }
-  return nullptr;
-}
 
 struct TraceServer::Subscriber {
   SubscriberId id = 0;
-  ShardDrainSubscriber fn;
+  DrainSubscriber fn;
   DrainHandoff handoff = DrainHandoff::kObserve;
-  /// Set by the drain pass that caught a throw from `fn`; every shard
-  /// skips it from then on, and the next add/remove erases it.
+  /// Set by the drain pass that caught a throw from `fn`; later passes
+  /// skip it, and the next add/remove erases it.
   std::atomic<bool> detached{false};
 };
 
@@ -283,26 +183,8 @@ SpanId TraceServer::next_span_id() noexcept {
   return start;
 }
 
-std::size_t TraceServer::default_shard_count() noexcept {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw, 1, 8);
-}
-
-std::size_t TraceServer::resolve_shard_count(std::size_t requested) noexcept {
-  if (requested == 0) requested = default_shard_count();
-  return std::min(requested, kMaxShards);
-}
-
-TraceServer::TraceServer(std::size_t shard_count, PublishMode mode)
-    : mode_(mode), uid_(next_server_uid()) {
-  shard_count = resolve_shard_count(shard_count);
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) shards_.push_back(std::make_unique<Shard>(i));
-  if (mode_ == PublishMode::kAsync) {
-    for (auto& shard : shards_) {
-      shard->collector = std::thread([this, s = shard.get()] { collector_loop(*s); });
-    }
-  }
+TraceServer::TraceServer(PublishMode mode) : mode_(mode), uid_(next_server_uid()) {
+  if (mode_ == PublishMode::kAsync) collector_ = std::thread([this] { collector_loop(); });
   // Discoverable by thread-exit hooks only once fully constructed.
   detail::SlotRegistry::instance().add(uid_, this);
 }
@@ -313,7 +195,7 @@ TraceServer::~TraceServer() {
   // lock, so no sample callback can observe a half-destroyed server.
   {
     std::lock_guard lk(metrics_mu_);
-    for (auto& shard : shards_) shard->drain_hist.store(nullptr, std::memory_order_release);
+    drain_hist_.store(nullptr, std::memory_order_release);
     metrics_cbs_.clear();
     // drain_hist_refs_ stays populated until member destruction (after
     // the collector joins below): an in-flight drain pass may still hold
@@ -327,17 +209,44 @@ TraceServer::~TraceServer() {
   // The no-drop guarantee is that flush()/take_trace() return every span
   // published before them, at any point up to destruction — queued spans
   // are never lost while the server is alive. Destruction itself only
-  // joins the collectors; whatever the owner chose not to take is freed
+  // joins the collector; whatever the owner chose not to take is freed
   // with the slots.
   stop_.store(true, std::memory_order_release);
-  for (auto& shard : shards_) {
-    if (!shard->collector.joinable()) continue;
-    {
-      std::lock_guard lk(shard->wake_mu);
-    }
-    shard->wake_cv.notify_all();
-    shard->collector.join();
+  if (collector_.joinable()) {
+    { std::lock_guard lk(wake_mu_); }
+    wake_cv_.notify_all();
+    collector_.join();
   }
+}
+
+/// Passing through wake_mu_ before notifying keeps the wake from landing
+/// between the collector's predicate check and its sleep: pending stays
+/// nonzero, no later call would notify, and the collector would sleep out
+/// its period. Only the first unit since the last pass notifies, so a pass
+/// takes whatever arrived until it runs and costs one wake.
+void TraceServer::wake() {
+  if (pending_batches_.fetch_add(1, std::memory_order_release) != 0) return;
+  { std::lock_guard lk(wake_mu_); }
+  wake_cv_.notify_one();
+}
+
+std::uint64_t TraceServer::approx_slot_bytes() {
+  const auto bytes_of = [](ProducerSlot& slot) {
+    std::uint64_t bytes = sizeof(ProducerSlot);
+    // Capacities mutate under the slot spinlock (publish/seal); take it
+    // so the estimate is coherent. Telemetry-rate call, not a hot path.
+    slot.acquire();
+    bytes += slot.active.capacity() * sizeof(Span);
+    bytes += slot.sealed.capacity() * sizeof(SpanBatch);
+    for (const auto& batch : slot.sealed) bytes += batch.capacity() * sizeof(Span);
+    slot.release();
+    return bytes;
+  };
+  std::lock_guard lk(registry_mu_);
+  std::uint64_t total = 0;
+  for (auto& slot : slots_) total += bytes_of(*slot);
+  for (auto& slot : free_slots_) total += bytes_of(*slot);
+  return total;
 }
 
 namespace {
@@ -393,18 +302,6 @@ thread_local ThreadRecord tls_record;
 
 }  // namespace
 
-TraceServer::Shard& TraceServer::shard_of(std::uint64_t thread_key) const noexcept {
-  if (shards_.size() == 1) return *shards_.front();
-  // Mixed so consecutively created threads (consecutive keys) spread
-  // across shards instead of clustering.
-  const std::uint64_t mixed = thread_key * 0x9E3779B97F4A7C15ull;
-  return *shards_[static_cast<std::size_t>(mixed >> 32) % shards_.size()];
-}
-
-std::size_t TraceServer::shard_for_current_thread() const noexcept {
-  return shard_of(this_thread_key()).index;
-}
-
 TraceServer::ProducerSlot& TraceServer::local_slot() {
   if (tls_last_slot.server == this && tls_last_slot.uid == uid_) {
     return *static_cast<ProducerSlot*>(tls_last_slot.slot);
@@ -445,9 +342,8 @@ TraceServer::ProducerSlot& TraceServer::local_slot() {
 }
 
 TraceServer::ProducerSlot& TraceServer::register_slot(std::uint64_t thread_key, bool resurrect) {
-  Shard& shard = shard_of(thread_key);
-  std::lock_guard lk(shard.registry_mu);
-  for (const auto& existing : shard.slots) {
+  std::lock_guard lk(registry_mu_);
+  for (const auto& existing : slots_) {
     if (existing->owner == thread_key) {
       if (resurrect) {
         // Un-mark under the slot spinlock: a drain pass either retired
@@ -462,27 +358,25 @@ TraceServer::ProducerSlot& TraceServer::register_slot(std::uint64_t thread_key, 
     }
   }
   std::unique_ptr<ProducerSlot> owned;
-  if (!shard.free_slots.empty()) {
-    owned = std::move(shard.free_slots.back());
-    shard.free_slots.pop_back();
+  if (!free_slots_.empty()) {
+    owned = std::move(free_slots_.back());
+    free_slots_.pop_back();
   } else {
     owned = std::make_unique<ProducerSlot>();
-    owned->shard = &shard;
   }
   owned->owner = thread_key;
   owned->reclaimable = false;
   owned->active.reserve(kBatchCapacity);  // no-op if a parked slot kept its block
   ProducerSlot* slot = owned.get();
-  shard.slots.push_back(std::move(owned));
+  slots_.push_back(std::move(owned));
   return *slot;
 }
 
 void TraceServer::note_thread_exit(std::uint64_t thread_key) {
-  Shard& shard = shard_of(thread_key);
   bool marked = false;
   {
-    std::lock_guard lk(shard.registry_mu);
-    for (auto& slot : shard.slots) {
+    std::lock_guard lk(registry_mu_);
+    for (auto& slot : slots_) {
       if (slot->owner == thread_key) {
         slot->acquire();
         slot->reclaimable = true;
@@ -496,7 +390,7 @@ void TraceServer::note_thread_exit(std::uint64_t thread_key) {
   // a churn-heavy but otherwise idle server sheds the ~55KB promptly
   // instead of waiting out the periodic timeout. (kSync retires on the
   // next flush/take, exactly like batch draining.)
-  if (marked && mode_ == PublishMode::kAsync) shard.wake();
+  if (marked && mode_ == PublishMode::kAsync) wake();
 }
 
 void TraceServer::publish(const Span& span) {
@@ -522,7 +416,7 @@ void TraceServer::publish(const Span& span) {
     sealed = true;
   }
   slot.release();
-  if (sealed && mode_ == PublishMode::kAsync) slot.shard->wake();
+  if (sealed && mode_ == PublishMode::kAsync) wake();
 }
 
 void TraceServer::publish_batch(SpanBatch&& batch) {
@@ -550,13 +444,13 @@ void TraceServer::publish_batch(SpanBatch&& batch) {
   slot.dropped += dropped;
   if (sealed) slot.sealed.push_back(std::move(batch));
   slot.release();
-  if (sealed && mode_ == PublishMode::kAsync) slot.shard->wake();
+  if (sealed && mode_ == PublishMode::kAsync) wake();
 }
 
-void TraceServer::drain(Shard& shard, bool steal_active) {
-  // One drain pass per shard at a time: batches must never sit in a
-  // concurrent pass's staging while another pass reports the slots empty.
-  std::lock_guard drain_lk(shard.drain_mu);
+void TraceServer::drain(bool steal_active) {
+  // One drain pass at a time: batches must never sit in a concurrent
+  // pass's staging while another pass reports the slots empty.
+  std::lock_guard drain_lk(drain_mu_);
   // Drain-latency self-metric: one steady_clock pair per pass (hundreds
   // of spans), and only when bound — unbound costs a relaxed load.
   struct DrainTimer {
@@ -572,15 +466,15 @@ void TraceServer::drain(Shard& shard, bool steal_active) {
                           .count();
       hist->observe(static_cast<std::uint64_t>(ns));
     }
-  } drain_timer(shard.drain_hist.load(std::memory_order_acquire));
-  SpanBatches& taken = shard.staging;
+  } drain_timer(drain_hist_.load(std::memory_order_acquire));
+  SpanBatches& taken = staging_;
   std::uint64_t dropped = 0;
   std::uint64_t s_kept = 0;
   std::uint64_t s_dropped = 0;
   {
-    std::lock_guard lk(shard.registry_mu);
-    for (std::size_t i = 0; i < shard.slots.size();) {
-      ProducerSlot& slot = *shard.slots[i];
+    std::lock_guard lk(registry_mu_);
+    for (std::size_t i = 0; i < slots_.size();) {
+      ProducerSlot& slot = *slots_[i];
       slot.acquire();
       // A reclaimable slot gets a final sweep — sealed AND partial
       // batches — then retires, so an exiting thread's spans are taken
@@ -609,55 +503,53 @@ void TraceServer::drain(Shard& shard, bool steal_active) {
       // is full. Safe outside the spinlock: the slot is unreachable the
       // moment it leaves the registry (its owner thread is exiting and its
       // caches were invalidated before the reclaim mark was set).
-      std::unique_ptr<ProducerSlot> retired = std::move(shard.slots[i]);
-      shard.slots[i] = std::move(shard.slots.back());
-      shard.slots.pop_back();
+      std::unique_ptr<ProducerSlot> retired = std::move(slots_[i]);
+      slots_[i] = std::move(slots_.back());
+      slots_.pop_back();
       retired->owner = 0;
       retired->reclaimable = false;
-      ++shard.retired_slots;
-      if (shard.free_slots.size() < kSlotFreelistCapacity) {
-        shard.free_slots.push_back(std::move(retired));
-      }
+      ++retired_slots_;
+      if (free_slots_.size() < kSlotFreelistCapacity) free_slots_.push_back(std::move(retired));
     }
   }
-  // Sampler accounting is lifetime-monotonic (like drained_spans) and
+  // Sampler accounting is lifetime-monotonic (like drained_spans_) and
   // atomic, so it lands before the early-out below: a drain pass that
   // found nothing but sampled-out spans still records them.
-  if (s_kept != 0) shard.sampled_kept.fetch_add(s_kept, std::memory_order_relaxed);
-  if (s_dropped != 0) shard.sampled_dropped.fetch_add(s_dropped, std::memory_order_relaxed);
+  if (s_kept != 0) sampled_kept_.fetch_add(s_kept, std::memory_order_relaxed);
+  if (s_dropped != 0) sampled_dropped_.fetch_add(s_dropped, std::memory_order_relaxed);
   if (taken.empty() && dropped == 0) return;
   if (!taken.empty()) {
     std::size_t drained = 0;
     for (const auto& batch : taken) drained += batch.size();
-    shard.drained_spans.fetch_add(drained, std::memory_order_relaxed);
+    drained_spans_.fetch_add(drained, std::memory_order_relaxed);
   }
   // Streaming hooks run after the slot spinlocks are released (publishers
   // are not blocked). When the consumer took the batches they are dropped
   // (their blocks go back to the batch pool) and never touch the held
   // trace — the bounded-memory path for unbounded traces.
-  if (!taken.empty() && deliver(shard, taken)) {
+  if (!taken.empty() && deliver(taken)) {
     {
-      std::lock_guard lk(shard.trace_mu);
-      shard.dropped_total += dropped;
+      std::lock_guard lk(trace_mu_);
+      dropped_total_ += dropped;
     }
     taken.clear();
     return;
   }
   // Aggregation is batch-handle moves only; spans themselves stay put.
-  std::lock_guard lk(shard.trace_mu);
-  for (auto& batch : taken) shard.trace.push_back(std::move(batch));
+  std::lock_guard lk(trace_mu_);
+  for (auto& batch : taken) trace_.push_back(std::move(batch));
   taken.clear();
-  shard.dropped_total += dropped;
+  dropped_total_ += dropped;
 }
 
-bool TraceServer::deliver(Shard& shard, SpanBatches& batches) {
+bool TraceServer::deliver(SpanBatches& batches) {
   bool consumed = false;
-  // add_subscriber keeps the one consumer at the back, so plain
+  // add_drain_subscriber keeps the one consumer at the back, so plain
   // attach-order iteration already delivers observers first.
   for (const auto& sub : subscribers_) {
     if (sub->detached.load(std::memory_order_relaxed)) continue;
     try {
-      sub->fn(shard.index, batches);
+      sub->fn(batches);
       if (sub->handoff == DrainHandoff::kConsume) consumed = true;
     } catch (...) {
       // A throwing subscriber is detached — only it. If the consumer
@@ -671,46 +563,12 @@ bool TraceServer::deliver(Shard& shard, SpanBatches& batches) {
   return consumed;
 }
 
-namespace {
-
-/// Every shard's drain mutex, locked in shard order: the write side of
-/// the subscriber registry.
-template <typename Shards>
-std::vector<std::unique_lock<std::mutex>> lock_all_drains(const Shards& shards) {
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards.size());
-  for (const auto& shard : shards) locks.emplace_back(shard->drain_mu);
-  return locks;
-}
-
-/// Sum `of(shard)` over every shard: how each server-wide count is made.
-template <typename Shards, typename Of>
-std::uint64_t sum_over(const Shards& shards, Of&& of) {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards) total += of(*shard);
-  return total;
-}
-
-}  // namespace
-
 SubscriberId TraceServer::add_drain_subscriber(DrainSubscriber subscriber,
                                                DrainHandoff handoff) {
   if (!subscriber) throw std::logic_error("TraceServer: null drain subscriber");
-  return add_subscriber(
-      [fn = std::move(subscriber)](std::size_t, SpanBatches& batches) { fn(batches); },
-      handoff);
-}
-
-SubscriberId TraceServer::add_drain_subscriber(ShardDrainSubscriber subscriber,
-                                               DrainHandoff handoff) {
-  if (!subscriber) throw std::logic_error("TraceServer: null drain subscriber");
-  return add_subscriber(std::move(subscriber), handoff);
-}
-
-SubscriberId TraceServer::add_subscriber(ShardDrainSubscriber fn, DrainHandoff handoff) {
-  // Synchronize with in-flight drains: the new subscriber sees every batch
-  // drained after this call, none before it.
-  const auto locks = lock_all_drains(shards_);
+  // Synchronize with an in-flight drain: the new subscriber sees every
+  // batch drained after this call, none before it.
+  std::lock_guard lk(drain_mu_);
   std::erase_if(subscribers_,
                 [](const auto& sub) { return sub->detached.load(std::memory_order_relaxed); });
   const bool has_consumer =
@@ -724,7 +582,7 @@ SubscriberId TraceServer::add_subscriber(ShardDrainSubscriber fn, DrainHandoff h
   }
   auto entry = std::make_unique<Subscriber>();
   entry->id = next_subscriber_id_++;
-  entry->fn = std::move(fn);
+  entry->fn = std::move(subscriber);
   entry->handoff = handoff;
   const SubscriberId id = entry->id;
   // Keep the consumer (if any) at the back: delivery is a plain forward
@@ -736,45 +594,40 @@ SubscriberId TraceServer::add_subscriber(ShardDrainSubscriber fn, DrainHandoff h
 }
 
 void TraceServer::remove_drain_subscriber(SubscriberId id) {
-  // Synchronize with in-flight drains: after this returns, no drain pass
+  // Synchronize with an in-flight drain: after this returns, no drain pass
   // will call the removed subscriber (safe to destroy the exporter).
-  const auto locks = lock_all_drains(shards_);
+  std::lock_guard lk(drain_mu_);
   std::erase_if(subscribers_, [id](const auto& sub) {
     return sub->id == id || sub->detached.load(std::memory_order_relaxed);
   });
 }
 
 std::size_t TraceServer::drain_subscriber_count() {
-  const auto locks = lock_all_drains(shards_);
+  std::lock_guard lk(drain_mu_);
   return static_cast<std::size_t>(std::count_if(
       subscribers_.begin(), subscribers_.end(),
       [](const auto& sub) { return !sub->detached.load(std::memory_order_relaxed); }));
 }
 
 std::size_t TraceServer::live_slot_count() {
-  return sum_over(shards_, Shard::reader(&TraceMeta::live_slots));
+  std::lock_guard lk(registry_mu_);
+  return slots_.size();
 }
 
 std::uint64_t TraceServer::retired_slot_count() {
-  return sum_over(shards_, Shard::reader(&TraceMeta::retired_slots));
+  std::lock_guard lk(registry_mu_);
+  return retired_slots_;
 }
 
 std::size_t TraceServer::pooled_slot_count() {
-  return sum_over(shards_, [](Shard& shard) {
-    std::lock_guard lk(shard.registry_mu);
-    return shard.free_slots.size();
-  });
-}
-
-std::uint64_t TraceServer::approx_slot_bytes() {
-  return sum_over(shards_, Shard::reader(&TraceMeta::slot_bytes));
+  std::lock_guard lk(registry_mu_);
+  return free_slots_.size();
 }
 
 TraceMeta TraceServer::meta() {
   flush();
   TraceMeta meta;
-  for (const Shard::MetaRow& row : Shard::kMeta) meta.*row.member = sum_over(shards_, row.read);
-  meta.shard_count = shards_.size();
+  for (const MetaRow& row : kMetaRows) meta.*row.member = row.read(*this);
   const auto& table = common::StringTable::global();
   meta.interned_strings = table.size();
   meta.interned_bytes = table.approx_bytes();
@@ -786,85 +639,69 @@ TraceMeta TraceServer::meta() {
 void TraceServer::bind_metrics(metrics::Registry& registry, const metrics::Labels& labels) {
   std::lock_guard lk(metrics_mu_);
   metrics_cbs_.clear();
-  metrics_cbs_.push_back(registry.callback(
-      "xsp_trace_batch_pool_bytes", "Bytes parked in the process-wide span-batch pool",
-      metrics::Kind::kGauge, labels, [] { return static_cast<double>(batch_pool_bytes()); }));
-  for (auto& owned : shards_) {
-    Shard* shard = owned.get();
-    metrics::Labels shard_labels = labels;
-    shard_labels.push_back({"shard", std::to_string(shard->index)});
-    const auto cb = [&](std::string_view name, std::string_view help, metrics::Kind kind,
-                        metrics::Sample sample) {
-      metrics_cbs_.push_back(
-          registry.callback(name, help, kind, shard_labels, std::move(sample)));
-    };
-    // Counters the shard already maintains: sampled without flushing, so
-    // they advance at drain cadence and the publish path pays nothing.
-    cb("xsp_trace_drained_spans_total",
-       "Spans drained out of producer slots (admitted spans, at drain cadence)",
-       metrics::Kind::kCounter, [shard] {
-         return static_cast<double>(shard->drained_spans.load(std::memory_order_relaxed));
-       });
-    for (const MetaField& field : kMetaFields) {
-      const auto read = Shard::reader(field.member);
-      if (read == nullptr) continue;
-      std::string name = std::string("xsp_trace_") + field.key;
-      if (field.kind == metrics::Kind::kCounter) name += "_total";
-      cb(name, field.help, field.kind,
-         [shard, read] { return static_cast<double>(read(*shard)); });
-    }
-    // The one new measurement: drain-pass wall time (see drain()).
-    drain_hist_refs_.push_back(registry.histogram(
-        "xsp_trace_drain_duration_ns", "Wall time of one drain pass in nanoseconds",
-        metrics::latency_buckets_ns(), shard_labels));
-    shard->drain_hist.store(drain_hist_refs_.back().get(), std::memory_order_release);
+  const auto cb = [&](std::string_view name, std::string_view help, metrics::Kind kind,
+                      metrics::Sample sample) {
+    metrics_cbs_.push_back(registry.callback(name, help, kind, labels, std::move(sample)));
+  };
+  cb("xsp_trace_batch_pool_bytes", "Bytes parked in the process-wide span-batch pool",
+     metrics::Kind::kGauge, [] { return static_cast<double>(batch_pool_bytes()); });
+  // Counters the server already maintains: sampled without flushing, so
+  // they advance at drain cadence and the publish path pays nothing.
+  cb("xsp_trace_drained_spans_total",
+     "Spans drained out of producer slots (admitted spans, at drain cadence)",
+     metrics::Kind::kCounter,
+     [this] { return static_cast<double>(drained_spans_.load(std::memory_order_relaxed)); });
+  for (const MetaRow& row : kMetaRows) {
+    const MetaField& field =
+        *std::find_if(std::begin(kMetaFields), std::end(kMetaFields),
+                      [&row](const MetaField& f) { return f.member == row.member; });
+    std::string name = std::string("xsp_trace_") + field.key;
+    if (field.kind == metrics::Kind::kCounter) name += "_total";
+    cb(name, field.help, field.kind,
+       [this, read = row.read] { return static_cast<double>(read(*this)); });
   }
+  // The one new measurement: drain-pass wall time (see drain()).
+  drain_hist_refs_.push_back(registry.histogram("xsp_trace_drain_duration_ns",
+                                                "Wall time of one drain pass in nanoseconds",
+                                                metrics::latency_buckets_ns(), labels));
+  drain_hist_.store(drain_hist_refs_.back().get(), std::memory_order_release);
 }
 
-void TraceServer::collector_loop(Shard& shard) {
-  std::unique_lock lk(shard.wake_mu);
+void TraceServer::collector_loop() {
+  std::unique_lock lk(wake_mu_);
   while (!stop_.load(std::memory_order_acquire)) {
-    const bool woken = shard.wake_cv.wait_for(lk, std::chrono::milliseconds(50), [&] {
+    const bool woken = wake_cv_.wait_for(lk, std::chrono::milliseconds(50), [&] {
       return stop_.load(std::memory_order_acquire) ||
-             shard.pending_batches.load(std::memory_order_acquire) > 0;
+             pending_batches_.load(std::memory_order_acquire) > 0;
     });
-    shard.pending_batches.store(0, std::memory_order_release);
+    pending_batches_.store(0, std::memory_order_release);
     lk.unlock();
     // A quiet period (no batch sealed for 50 ms) also sweeps the partial
     // batches, so a live producer's trickle is delivered within it instead
     // of waiting for 256 spans or a flush().
-    drain(shard, /*steal_active=*/!woken);
+    drain(/*steal_active=*/!woken);
     lk.lock();
   }
 }
 
 void TraceServer::flush() {
-  // The caller drains directly instead of waiting for the collectors:
+  // The caller drains directly instead of waiting for the collector:
   // this both bounds flush latency and keeps kSync (no collector) correct.
-  for (auto& shard : shards_) drain(*shard, /*steal_active=*/true);
+  drain(/*steal_active=*/true);
 }
 
 std::size_t TraceServer::span_count() {
   flush();
-  return sum_over(shards_, [](Shard& shard) {
-    std::lock_guard lk(shard.trace_mu);
-    std::size_t held = 0;
-    for (const auto& batch : shard.trace) held += batch.size();
-    return held;
-  });
+  std::lock_guard lk(trace_mu_);
+  std::size_t held = 0;
+  for (const auto& batch : trace_) held += batch.size();
+  return held;
 }
 
 std::uint64_t TraceServer::dropped_annotation_count() {
   flush();
-  return sum_over(shards_, Shard::reader(&TraceMeta::dropped_annotations));
-}
-
-std::vector<std::uint64_t> TraceServer::shard_loads() {
-  flush();
-  std::vector<std::uint64_t> loads;
-  loads.reserve(shards_.size());
-  for (auto& shard : shards_) loads.push_back(shard->drained_spans.load(std::memory_order_relaxed));
-  return loads;
+  std::lock_guard lk(trace_mu_);
+  return dropped_total_;
 }
 
 void TraceServer::set_sampler(std::shared_ptr<const Sampler> sampler) {
@@ -883,26 +720,24 @@ void TraceServer::set_sampler(std::shared_ptr<const Sampler> sampler) {
 
 std::uint64_t TraceServer::sampled_kept_count() {
   flush();
-  return sum_over(shards_, Shard::reader(&TraceMeta::sampled_kept));
+  return sampled_kept_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t TraceServer::sampled_dropped_count() {
   flush();
-  return sum_over(shards_, Shard::reader(&TraceMeta::sampled_dropped));
+  return sampled_dropped_.load(std::memory_order_relaxed);
 }
 
 SpanBatches TraceServer::take_batches() {
   flush();
-  // Batch-handle moves only; each shard's list keeps its capacity.
-  SpanBatches merged;
-  for (auto& shard : shards_) {
-    std::lock_guard lk(shard->trace_mu);
-    shard->dropped_total = 0;
-    merged.insert(merged.end(), std::make_move_iterator(shard->trace.begin()),
-                  std::make_move_iterator(shard->trace.end()));
-    shard->trace.clear();
-  }
-  return merged;
+  // Batch-handle moves only; the held list keeps its capacity, so the
+  // returned list is the one allocation of a steady-state take.
+  std::lock_guard lk(trace_mu_);
+  dropped_total_ = 0;
+  SpanBatches taken(std::make_move_iterator(trace_.begin()),
+                    std::make_move_iterator(trace_.end()));
+  trace_.clear();
+  return taken;
 }
 
 std::vector<Span> TraceServer::take_trace() { return flatten_batches(take_batches()); }

@@ -2,7 +2,7 @@
 // exit mid-drain while the analyzer is the stream's consumer, so slot
 // retirement (the final sweep of an exiting thread's slot) and live
 // aggregation race on every drain pass. The analyzer's totals must still
-// account for every published span exactly once, and the fleet must not
+// account for every published span exactly once, and the server must not
 // accrete dead slots — the long-lived-serving shape the producer-slot
 // lifecycle work exists for.
 #include <gtest/gtest.h>
@@ -34,17 +34,13 @@ Span make_kernel_span(trace::SpanSink& sink, TimePoint t) {
 }
 
 TEST(OnlineChurn, ConsumerAnalyzerCountsEverySpanAcrossThreadChurn) {
-  constexpr std::size_t kShards = 4;
   constexpr std::size_t kThreads = 800;
   constexpr std::size_t kWave = 16;
   constexpr std::size_t kSpansPerThread = 32;
 
-  TraceServer server(kShards, PublishMode::kAsync);
-  OnlineAnalyzerOptions opts;
-  opts.shard_count = kShards;
-  OnlineAnalyzer analyzer(opts);
-  const auto id =
-      server.add_drain_subscriber(analyzer.shard_subscriber(), DrainHandoff::kConsume);
+  TraceServer server(PublishMode::kAsync);
+  OnlineAnalyzer analyzer;
+  const auto id = server.add_drain_subscriber(analyzer.subscriber(), DrainHandoff::kConsume);
 
   std::size_t launched = 0;
   while (launched < kThreads) {
@@ -58,7 +54,7 @@ TEST(OnlineChurn, ConsumerAnalyzerCountsEverySpanAcrossThreadChurn) {
         }
       });
     }
-    // Threads exit while the shard collectors are mid-drain into the
+    // Threads exit while the collector is mid-drain into the
     // consumer; retirement and delivery interleave freely here.
     for (auto& t : wave) t.join();
     launched += n;
@@ -68,14 +64,10 @@ TEST(OnlineChurn, ConsumerAnalyzerCountsEverySpanAcrossThreadChurn) {
   const OnlineSnapshot snap = analyzer.snapshot();
   EXPECT_EQ(snap.spans, kThreads * kSpansPerThread);
   EXPECT_EQ(snap.kernel_spans, kThreads * kSpansPerThread);
-  // The consumer kept the fleet empty; churned slots were all retired.
+  // The consumer kept the server empty; churned slots were all retired.
   EXPECT_EQ(server.span_count(), 0u);
   EXPECT_EQ(server.live_slot_count(), 0u);
   EXPECT_EQ(server.retired_slot_count(), kThreads);
-  // Per-shard load telemetry saw the same spans the analyzer did.
-  std::uint64_t load_total = 0;
-  for (const std::uint64_t load : server.shard_loads()) load_total += load;
-  EXPECT_EQ(load_total, kThreads * kSpansPerThread);
 
   server.remove_drain_subscriber(id);
 }

@@ -3,8 +3,8 @@
 // The subsystem's core claim is that the streaming aggregates are
 // *provably equivalent* — exact counts, exact integer-ns totals, the same
 // interned StrId keys — to offline A6/A7/A10-style aggregation computed
-// over the identical batch stream, including under concurrent sharded
-// drains, while steady-state aggregation performs zero heap allocations.
+// over the identical batch stream, including under concurrent
+// publishers, while steady-state aggregation performs zero heap allocations.
 // Only percentiles are approximate, with the histogram's documented
 // bucket bound.
 #include "xsp/analysis/online.hpp"
@@ -262,22 +262,20 @@ TEST(OnlineEquivalence, SplitDeliveryEqualsSingleDelivery) {
   EXPECT_EQ(a.kernel_p99, b.kernel_p99);
 }
 
-// --- equivalence under the 4-thread sharded stress harness ------------------
+// --- equivalence under the 4-thread stress harness --------------------------
 
-TEST(OnlineEquivalence, ShardedFourThreadStressMatchesOfflineAggregation) {
-  // 4 publisher threads into a 4-shard async fleet; the analyzer is the
+TEST(OnlineEquivalence, FourThreadStressMatchesOfflineAggregation) {
+  // 4 publisher threads into an async server; the analyzer is the
   // stream's only consumer (kConsume — the bounded-memory service shape)
   // while a kObserve collector captures the identical stream for the
   // offline reference. Whatever the interleaving, the aggregates must
   // match the reference exactly.
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 5000;
-  trace::TraceServer server(4, trace::PublishMode::kAsync);
+  trace::TraceServer server(trace::PublishMode::kAsync);
 
-  OnlineAnalyzerOptions opts;
-  opts.shard_count = server.shard_count();
-  OnlineAnalyzer analyzer(opts);
-  server.add_drain_subscriber(analyzer.shard_subscriber(), trace::DrainHandoff::kConsume);
+  OnlineAnalyzer analyzer;
+  server.add_drain_subscriber(analyzer.subscriber(), trace::DrainHandoff::kConsume);
 
   std::mutex collected_mu;
   std::vector<Span> collected;
@@ -313,7 +311,7 @@ TEST(OnlineEquivalence, ShardedFourThreadStressMatchesOfflineAggregation) {
   for (auto& thread : threads) thread.join();
   server.flush();
 
-  // The consumer kept the fleet empty the whole time.
+  // The consumer kept the server empty the whole time.
   EXPECT_TRUE(server.take_batches().empty());
 
   OfflineRef ref;
@@ -324,6 +322,8 @@ TEST(OnlineEquivalence, ShardedFourThreadStressMatchesOfflineAggregation) {
   }
 
   const OnlineSnapshot snap = analyzer.snapshot();
+  // Every span of every publisher reached the analyzer.
+  EXPECT_EQ(snap.spans, kThreads * kPerThread);
   EXPECT_EQ(snap.spans, ref.spans);
   EXPECT_EQ(snap.layer_spans, ref.layer_spans);
   EXPECT_EQ(snap.kernel_spans, ref.kernel_spans);
@@ -332,13 +332,6 @@ TEST(OnlineEquivalence, ShardedFourThreadStressMatchesOfflineAggregation) {
   EXPECT_EQ(snap.kernel_total_ns, ref.kernel_total);
   expect_rows_equal(snap.layer_types, ref.layer_types, "layer_types");
   expect_rows_equal(snap.kernels, ref.kernels, "kernels");
-
-  // The analyzer's per-shard counters agree with the server's own drained
-  // load telemetry, shard for shard.
-  EXPECT_EQ(snap.shard_spans, server.shard_loads());
-  std::uint64_t load_total = 0;
-  for (const auto load : snap.shard_spans) load_total += load;
-  EXPECT_EQ(load_total, kThreads * kPerThread);
 }
 
 // --- equivalence against the real profiling pipeline ------------------------
@@ -516,13 +509,6 @@ TEST(OnlineWindow, OldSpansAgeOutOfTheWindowStats) {
 
 // --- snapshot helpers -------------------------------------------------------
 
-TEST(OnlineSnapshotTest, ShardImbalanceFlagsHotShards) {
-  EXPECT_DOUBLE_EQ(shard_imbalance({}), 0);
-  EXPECT_DOUBLE_EQ(shard_imbalance({0, 0}), 0);
-  EXPECT_DOUBLE_EQ(shard_imbalance({100, 100, 100, 100}), 1.0);
-  EXPECT_DOUBLE_EQ(shard_imbalance({400, 0, 0, 0}), 4.0);
-}
-
 TEST(OnlineSnapshotTest, SummaryJsonIsValidAndEscaped) {
   OnlineAnalyzer analyzer;
   SpanBatches batches;
@@ -535,7 +521,7 @@ TEST(OnlineSnapshotTest, SummaryJsonIsValidAndEscaped) {
   EXPECT_TRUE(trace::testjson::valid_json(json, &error)) << error << "\n" << json;
   EXPECT_NE(json.find("\"spans\":3"), std::string::npos);
   EXPECT_NE(json.find("\"kernels\":["), std::string::npos);
-  EXPECT_NE(json.find("shard_imbalance"), std::string::npos);
+  EXPECT_EQ(json.find("shard"), std::string::npos);
 }
 
 TEST(OnlineSnapshotTest, ResetForgetsEverything) {

@@ -71,7 +71,7 @@ with urllib.request.urlopen(sys.argv[1], timeout=10) as r:
 }
 
 "$BUILD_DIR/tools/xsp_collectd" \
-  --listen "unix:$SOCK" --out "$OUT_DIR/fleet.xspb" --online --shards 2 \
+  --listen "unix:$SOCK" --out "$OUT_DIR/fleet.xspb" --online \
   --metrics tcp://127.0.0.1:0 --stats-json --stats-interval-ms 200 \
   --strtab-budget "$STRTAB_BUDGET" \
   > "$OUT_DIR/collectd.out" 2> "$OUT_DIR/collectd.err" &

@@ -61,7 +61,7 @@ bool wait_until(Pred pred, int timeout_ms = 5000) {
   return true;
 }
 
-/// A collector daemon in miniature: sharded server sink + service running
+/// A collector daemon in miniature: server sink + service running
 /// on its own thread, stopped and joined on destruction.
 struct RunningCollector {
   trace::TraceServer server;
@@ -70,7 +70,7 @@ struct RunningCollector {
 
   explicit RunningCollector(const Endpoint& ep, CollectorOptions copts = {},
                             trace::PublishMode mode = trace::PublishMode::kSync)
-      : server(2, mode),
+      : server(mode),
         service(ep, server, copts),
         thread([this] { service.run(); }) {}
   ~RunningCollector() { stop(); }
@@ -176,11 +176,11 @@ TEST(CollectorE2E, TcpEphemeralPortRoundTrips) {
 TEST(CollectorE2E, FourProducerFleetMatchesInProcessPublication) {
   // The acceptance criterion: N>=4 external producers through the
   // collector assemble into the same per-producer timelines as publishing
-  // into a sharded server in-process — exact span counts, names equal.
+  // into a server in-process — exact span counts, names equal.
   constexpr int kProducers = 4;
   constexpr std::size_t kSpansEach = 400;
 
-  trace::TraceServer reference(2, trace::PublishMode::kSync);
+  trace::TraceServer reference(trace::PublishMode::kSync);
   for (int p = 0; p < kProducers; ++p) publish_fleet_member(reference, p, kSpansEach);
   reference.flush();
 
@@ -1253,6 +1253,64 @@ TEST(CollectorRemap, RemoteSinksWithWideConnectIdsStayDisjoint) {
   std::sort(all_corrs.begin(), all_corrs.end());
   EXPECT_TRUE(std::adjacent_find(all_corrs.begin(), all_corrs.end()) == all_corrs.end())
       << "correlation id shared across pairs or connections";
+}
+
+// --- one counter table, two surfaces -----------------------------------------
+
+TEST(CollectorCounters, EveryCounterShowsOnMetricsAndStatsJson) {
+  static_assert(std::size(kCollectorCounters) == 16);
+  const Endpoint ep = uds_endpoint("col_counters");
+  CollectorOptions copts;
+  copts.metrics_endpoint = "tcp://127.0.0.1:0";
+  RunningCollector collector(ep, copts);
+  // One sampled producer stream with a wide id, closed with its footer,
+  // so the footer-fed and the wide-id counters are non-zero too.
+  trace::RemoteSink sink(ep);
+  Span wide;
+  wide.id = kMaxId;
+  wide.name = StrId("counted_op");
+  wide.tracer = StrId("counted_tracer");
+  sink.publish(wide);  // before the sampler, so it is never shed
+  trace::SamplerOptions sopts;
+  sopts.rate = 0.5;
+  sink.set_sampler(std::make_shared<const trace::Sampler>(sopts));
+  for (std::size_t i = 1; i < 400; ++i) {
+    Span s;
+    s.id = sink.next_span_id();
+    s.name = StrId("counted_op");
+    s.tracer = StrId("counted_tracer");
+    s.begin = static_cast<TimePoint>(i);
+    s.end = s.begin + 1;
+    s.correlation_id = sink.next_correlation_id();
+    sink.publish(s);
+  }
+  sink.close();
+  ASSERT_TRUE(wait_until([&] { return collector.service.stats().footers_seen == 1; }));
+  ASSERT_GT(sink.spans_sampled_dropped(), 0u);
+
+  // The scrape counts itself before rendering, so the stats read after it
+  // are the ones it rendered.
+  const std::string body = scrape_metrics(*collector.service.metrics_endpoint());
+  ASSERT_FALSE(body.empty());
+  const CollectorStats stats = collector.service.stats();
+  const std::string json = stats_json(stats, collector.service.open_connections());
+  for (const CollectorCounter& c : kCollectorCounters) {
+    const std::uint64_t value = stats.*c.member;
+    EXPECT_NE(body.find("\n" + std::string(c.metric) + " " + std::to_string(value) + "\n"),
+              std::string::npos)
+        << c.metric << " != " << value << "\n" << body;
+    EXPECT_NE(body.find("# HELP " + std::string(c.metric) + " " + c.help), std::string::npos)
+        << c.metric;
+    EXPECT_NE(json.find("\"" + std::string(c.json_key) + "\":" + std::to_string(value) + ","),
+              std::string::npos)
+        << c.json_key << " != " << value << "\n" << json;
+  }
+  EXPECT_EQ(stats.wide_id_spans, 1u);
+  EXPECT_EQ(stats.producer_sampled_kept, sink.spans_sampled_kept());
+  EXPECT_EQ(stats.producer_sampled_dropped, sink.spans_sampled_dropped());
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.find('\n'), std::string::npos);
+  collector.stop();
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ struct ScrapableCollector {
   }
 
   explicit ScrapableCollector(const Endpoint& ep)
-      : server(2, trace::PublishMode::kSync),
+      : server(trace::PublishMode::kSync),
         service(ep, server, with_metrics()),
         thread([this] { service.run(); }) {}
   ~ScrapableCollector() { stop(); }

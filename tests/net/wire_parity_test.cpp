@@ -123,7 +123,8 @@ std::vector<Case> corpus() {
   malformed("bad magic", header_with([](wire::Header& h) { h.magic[0] = 'J'; }));
   malformed("version 3", header_with([](wire::Header& h) { h.version = 3; }));
   malformed("version 4", header_with([](wire::Header& h) { h.version = 4; }));
-  malformed("version 6", header_with([](wire::Header& h) { h.version = 6; }));
+  malformed("version 5", header_with([](wire::Header& h) { h.version = 5; }));
+  malformed("version 7", header_with([](wire::Header& h) { h.version = 7; }));
   malformed("legacy span size", header_with([](wire::Header& h) { h.span_size = 200; }));
   malformed("foreign endianness", header_with([](wire::Header& h) { h.endianness = 0xFFFE; }));
   malformed("bad header size", header_with([](wire::Header& h) { h.header_size = 12; }));

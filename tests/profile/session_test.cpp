@@ -205,36 +205,14 @@ TEST(Session, JitterMakesRunsDiffer) {
   EXPECT_EQ(run_with_seed(3), run_with_seed(3));
 }
 
-TEST(Session, ShardCountNeverChangesTheAssembledTimeline) {
-  // The trace_shards knob fans collection out across independent servers;
-  // the merged, assembled result must be structurally identical.
-  const auto shape_of = [](std::size_t shards) {
-    Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
-    auto opts = ProfileOptions::full(/*metrics=*/false);
-    opts.trace_shards = shards;
-    const auto run = s.profile(small_graph(), opts);
-    std::vector<std::tuple<TimePoint, TimePoint, int, int>> shape;
-    run.timeline.walk([&](const trace::TimelineNode& n, int depth) {
-      shape.emplace_back(n.span.begin, n.span.end, n.span.level, depth);
-    });
-    return shape;
-  };
-  const auto single = shape_of(1);
-  EXPECT_FALSE(single.empty());
-  EXPECT_EQ(single, shape_of(4));
-}
-
 TEST(Session, RunTraceCarriesCollectionTelemetry) {
   Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
-  auto opts = ProfileOptions::model_layer();
-  opts.trace_shards = 2;
-  const auto run = s.profile(small_graph(), opts);
-  EXPECT_EQ(run.shard_count, 2u);
+  const auto run = s.profile(small_graph(), ProfileOptions::model_layer());
   // The simulated profilers stay within annotation capacity.
   EXPECT_EQ(run.dropped_annotations, 0u);
   const auto meta = run.trace_meta();
-  EXPECT_EQ(meta.shard_count, 2u);
   EXPECT_EQ(meta.dropped_annotations, 0u);
+  EXPECT_EQ(meta.live_slots, 1u);
 }
 
 std::string read_file(const std::string& path) {
@@ -264,7 +242,6 @@ TEST(Session, StreamExportPathWritesChromeTraceDuringTheRun) {
 TEST(Session, StreamExportSpanJsonCarriesRunTelemetryFooter) {
   Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
   auto opts = ProfileOptions::model_layer();
-  opts.trace_shards = 2;
   opts.stream_export_path = ::testing::TempDir() + "xsp_stream_spans.json";
   opts.stream_export_format = trace::ExportFormat::kSpanJson;
   const auto run = s.profile(small_graph(), opts);
@@ -273,8 +250,7 @@ TEST(Session, StreamExportSpanJsonCarriesRunTelemetryFooter) {
   std::string error;
   EXPECT_TRUE(trace::testjson::valid_json(streamed, &error)) << error;
   EXPECT_EQ(streamed.find("{\"spans\":[{"), 0u);
-  EXPECT_NE(streamed.find("\"metadata\":{\"dropped_annotations\":0,\"shard_count\":2,"
-                          "\"interned_strings\":"),
+  EXPECT_NE(streamed.find("\"metadata\":{\"dropped_annotations\":0,\"interned_strings\":"),
             std::string::npos);
   EXPECT_NE(streamed.find("\"span_count\":" + std::to_string(run.timeline.size()) +
                           ",\"export_format\":\"span_json\",\"export_bytes\":"),
@@ -296,7 +272,6 @@ TEST(Session, StreamExportSpanJsonCarriesRunTelemetryFooter) {
 TEST(Session, StreamExportBinaryRoundTripsThroughBinaryReader) {
   Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
   auto opts = ProfileOptions::model_layer();
-  opts.trace_shards = 2;
   opts.stream_export_path = ::testing::TempDir() + "xsp_stream.xspb";
   opts.stream_export_format = trace::ExportFormat::kBinary;
   const auto run = s.profile(small_graph(), opts);
@@ -314,7 +289,6 @@ TEST(Session, StreamExportBinaryRoundTripsThroughBinaryReader) {
   EXPECT_EQ(reader.spans_read(), run.streamed_spans);
   // The footer frame carries the same run telemetry the JSON footer does.
   EXPECT_EQ(reader.footer().span_count, run.streamed_spans);
-  EXPECT_EQ(reader.footer().meta.shard_count, 2u);
   EXPECT_EQ(reader.footer().meta.live_slots, run.live_slots);
   EXPECT_EQ(reader.footer().meta.interned_strings, run.interned_strings);
 
@@ -334,17 +308,16 @@ TEST(Session, WorkerThreadSlotsAreReclaimedAcrossRuns) {
   const auto opts = ProfileOptions::model_layer();
   std::thread worker([&s, &opts] { (void)s.profile(small_graph(), opts); });
   worker.join();
-  // Same options -> the fleet is reused; this run's initial drain retires
-  // the dead worker's slot, and its own publishing registers main's.
+  // This run's initial drain retires the dead worker's slot, and its own
+  // publishing registers main's.
   const auto run = s.profile(small_graph(), opts);
   EXPECT_EQ(run.live_slots, 1u);
   EXPECT_EQ(run.retired_slots, 1u);
   const SlotTelemetry t = s.slot_telemetry();
   EXPECT_EQ(t.live_slots, 1u);
   EXPECT_EQ(t.retired_slots, 1u);
-  // 0 when main's registration drew the parked slot (same shard as the
-  // worker), 1 when the two threads hashed to different shards.
-  EXPECT_LE(t.pooled_slots, 1u);
+  // Main's registration drew the worker's parked slot.
+  EXPECT_EQ(t.pooled_slots, 0u);
   EXPECT_GT(t.slot_bytes, 0u);
 }
 
@@ -372,28 +345,21 @@ TEST(Session, LiveStatsSnapshotTracksTheRunAndAccumulatesAcrossRuns) {
   EXPECT_EQ(s.live_snapshot().spans, 0u);
 }
 
-TEST(Session, LiveStatsSurviveShardAndWindowReconfiguration) {
-  // The analyzer is a lifetime accumulator: changing trace_shards or the
-  // stats window between runs reconfigures it in place — it must never
-  // silently drop accumulated aggregates (reset_live_stats() is the only
-  // reset path).
+TEST(Session, LiveStatsSurviveWindowReconfiguration) {
+  // The analyzer is a lifetime accumulator: changing the stats window
+  // between runs reconfigures it in place — it must never silently drop
+  // accumulated aggregates (reset_live_stats() is the only reset path).
   Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
   auto opts = ProfileOptions::model_layer();
   opts.live_stats = true;
-  opts.trace_shards = 1;
   const auto run1 = s.profile(small_graph(), opts);
 
-  opts.trace_shards = 4;
   opts.live_stats_window = 5 * kNsPerMs;
   const auto run2 = s.profile(small_graph(), opts);
 
   const auto snap = s.live_snapshot();
   EXPECT_EQ(snap.spans, run1.timeline.size() + run2.timeline.size());
   EXPECT_EQ(snap.window, 5 * kNsPerMs);
-  EXPECT_EQ(snap.shard_spans.size(), 4u);
-  std::uint64_t load_total = 0;
-  for (const auto load : snap.shard_spans) load_total += load;
-  EXPECT_EQ(load_total, snap.spans);
 }
 
 TEST(Session, LiveStatsComposesWithStreamExportAndFootersOnlineAggregates) {
@@ -403,7 +369,6 @@ TEST(Session, LiveStatsComposesWithStreamExportAndFootersOnlineAggregates) {
   Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
   auto opts = ProfileOptions::model_layer();
   opts.live_stats = true;
-  opts.trace_shards = 2;
   opts.stream_export_path = ::testing::TempDir() + "xsp_stream_online.json";
   opts.stream_export_format = trace::ExportFormat::kSpanJson;
   const auto run = s.profile(small_graph(), opts);

@@ -26,7 +26,7 @@ using trace::TraceMeta;
 
 // The footer is the stream's own accounting, then TraceMeta verbatim.
 static_assert(offsetof(trace::wire::Footer, meta) == 16);
-static_assert(sizeof(trace::wire::Footer) == 120);
+static_assert(sizeof(trace::wire::Footer) == 112);
 
 TEST(TraceMetaSchema, EveryFieldRoundTripsThroughEverySurface) {
   // A distinct value per row, set through the member pointers.

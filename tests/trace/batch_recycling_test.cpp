@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
-#include "on_shard.hpp"
 #include "test_alloc_count.hpp"
 #include "xsp/trace/trace_server.hpp"
 
@@ -92,36 +92,31 @@ TEST(BatchRecycling, DroppedBuffersAreActuallyReused) {
   EXPECT_TRUE(reused);
 }
 
-TEST(BatchRecycling, DroppedBuffersServeEveryShard) {
-  // The pool is process-wide: after a take of 2N+ buffers from an N-shard
-  // server is dropped, a publisher on every shard seals its batches into
-  // dropped buffers instead of freshly allocated ones.
-  constexpr std::size_t kShards = 2;
-  TraceServer server(kShards, PublishMode::kSync);
-  for (std::size_t shard = 0; shard < kShards; ++shard) {
-    on_shard(server, shard, [&server] {
-      for (std::size_t i = 0; i < 4 * TraceServer::kBatchCapacity; ++i) {
+TEST(BatchRecycling, DroppedBuffersServeEveryProducerThread) {
+  // The pool is process-wide: after a take of 2N+ buffers from N producer
+  // threads is dropped, each of N new producer threads seals its batches
+  // into dropped buffers instead of freshly allocated ones.
+  constexpr std::size_t kThreads = 2;
+  TraceServer server(PublishMode::kSync);
+  const auto publish_on_new_thread = [&server](std::size_t spans) {
+    std::thread([&server, spans] {
+      for (std::size_t i = 0; i < spans; ++i) {
         server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
       }
-    });
-  }
+    }).join();
+  };
+  for (std::size_t t = 0; t < kThreads; ++t) publish_on_new_thread(4 * TraceServer::kBatchCapacity);
   SpanBatches taken = server.take_batches();
-  ASSERT_GE(taken.size(), 2 * kShards);
+  ASSERT_GE(taken.size(), 2 * kThreads);
   std::vector<const Span*> recycled;
   for (const auto& b : taken) recycled.push_back(b.data());
   taken.clear();
   EXPECT_EQ(server.span_count(), 0u);
 
-  for (std::size_t shard = 0; shard < kShards; ++shard) {
-    // Each new publisher takes over its shard's parked slot, whose own
-    // buffer becomes the first sealed batch; the replacement for it comes
-    // from the batch pool and becomes the second.
-    on_shard(server, shard, [&server] {
-      for (std::size_t i = 0; i < 2 * TraceServer::kBatchCapacity; ++i) {
-        server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
-      }
-    });
-  }
+  // Each new publisher takes over a parked slot, whose own buffer becomes
+  // the first sealed batch; the replacement for it comes from the batch
+  // pool and becomes the second.
+  for (std::size_t t = 0; t < kThreads; ++t) publish_on_new_thread(2 * TraceServer::kBatchCapacity);
   const SpanBatches again = server.take_batches();
   std::size_t spans = 0;
   std::size_t reused = 0;
@@ -129,12 +124,11 @@ TEST(BatchRecycling, DroppedBuffersServeEveryShard) {
     spans += b.size();
     reused += std::count(recycled.begin(), recycled.end(), b.data()) != 0 ? 1 : 0;
   }
-  EXPECT_EQ(spans, 2 * TraceServer::kBatchCapacity * kShards);
-  // One dropped buffer per shard: every shard drew its replacement from
+  EXPECT_EQ(spans, 2 * TraceServer::kBatchCapacity * kThreads);
+  // One dropped buffer per thread: every thread drew its replacement from
   // the shared pool rather than allocating it.
-  EXPECT_EQ(reused, kShards);
-  EXPECT_EQ(server.shard_loads(),
-            std::vector<std::uint64_t>(kShards, 6 * TraceServer::kBatchCapacity));
+  EXPECT_EQ(reused, kThreads);
+  EXPECT_EQ(server.retired_slot_count(), 2 * kThreads);
 }
 
 }  // namespace

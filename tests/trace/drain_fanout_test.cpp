@@ -1,6 +1,6 @@
 // Drain-subscriber fan-out: multiple observers plus at most one consumer
-// on one drain, subscriber lifecycle, and the per-shard load telemetry
-// that rides the same drain counters.
+// on one drain, subscriber lifecycle, and both under concurrent
+// publishers.
 //
 // Regression anchor: the pre-fan-out API had a single subscriber slot and
 // setting it twice silently replaced the first — a second exporter
@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "on_shard.hpp"
 #include "xsp/trace/trace_server.hpp"
 
 namespace xsp::trace {
@@ -195,91 +194,14 @@ TEST(DrainFanout, ThrowingObserverIsDetachedOthersKeepRunningNoSpansLost) {
   EXPECT_EQ(count_spans(server.take_batches()), 2 * TraceServer::kBatchCapacity);
 }
 
-// --- sharded fan-out + load telemetry ---------------------------------------
-
-TEST(DrainFanout, ShardedShardAwareSubscriberReceivesCorrectShardIndices) {
-  constexpr std::size_t kShards = 3;
-  TraceServer server(kShards, PublishMode::kSync);
-
-  std::vector<std::uint64_t> per_shard(kShards, 0);
-  server.add_drain_subscriber(
-      [&per_shard](std::size_t shard, const SpanBatches& b) {
-        ASSERT_LT(shard, per_shard.size());
-        per_shard[shard] += count_spans(b);
-      },
-      DrainHandoff::kConsume);
-
-  constexpr std::size_t kPerShard = 2 * TraceServer::kBatchCapacity;
-  for (std::size_t shard = 0; shard < kShards; ++shard) {
-    on_shard(server, shard, [&server] {
-      for (std::size_t i = 0; i < kPerShard; ++i) {
-        server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
-      }
-    });
-  }
-  server.flush();
-
-  for (std::size_t shard = 0; shard < kShards; ++shard) {
-    EXPECT_EQ(per_shard[shard], kPerShard) << "shard " << shard;
-  }
-  // The server-side load counters tell the same story, and survive the
-  // consumer keeping the shards empty.
-  EXPECT_EQ(server.shard_loads(), per_shard);
-  EXPECT_TRUE(server.take_batches().empty());
-}
-
-TEST(DrainFanout, ShardLoadsAreCumulativeAcrossTakes) {
-  TraceServer server(2, PublishMode::kSync);
-  for (int round = 0; round < 3; ++round) {
-    for (std::size_t shard = 0; shard < 2; ++shard) {
-      on_shard(server, shard, [&server] {
-        for (std::size_t i = 0; i < TraceServer::kBatchCapacity; ++i) {
-          server.publish(make_span(server.next_span_id(), static_cast<TimePoint>(i)));
-        }
-      });
-    }
-    (void)server.take_batches();
-  }
-  // span_count() (held) is zero after the takes; the loads are not.
-  EXPECT_EQ(server.span_count(), 0u);
-  const auto loads = server.shard_loads();
-  ASSERT_EQ(loads.size(), 2u);
-  EXPECT_EQ(loads[0], 3 * TraceServer::kBatchCapacity);
-  EXPECT_EQ(loads[1], 3 * TraceServer::kBatchCapacity);
-}
-
-TEST(DrainFanout, ShardedSecondConsumerThrowsAndLeavesTheFirstInCharge) {
-  constexpr std::size_t kShards = 4;
-  TraceServer server(kShards, PublishMode::kSync);
-  std::vector<std::uint64_t> first(kShards, 0);
-  server.add_drain_subscriber(
-      [&first](std::size_t shard, const SpanBatches& b) { first[shard] += count_spans(b); },
-      DrainHandoff::kConsume);
-  bool second_called = false;
-  EXPECT_THROW(server.add_drain_subscriber(
-                   [&second_called](std::size_t, const SpanBatches&) { second_called = true; },
-                   DrainHandoff::kConsume),
-               std::logic_error);
-  EXPECT_EQ(server.drain_subscriber_count(), 1u);
-  // Consumer exclusivity is one check for the whole server: on every
-  // shard the first consumer still receives, and owns, the stream.
-  for (std::size_t shard = 0; shard < kShards; ++shard) {
-    on_shard(server, shard, [&server] {
-      server.publish(make_span(server.next_span_id(), 0));
-    });
-  }
-  server.flush();
-  EXPECT_EQ(first, std::vector<std::uint64_t>(kShards, 1));
-  EXPECT_FALSE(second_called);
-  EXPECT_TRUE(server.take_batches().empty());
-}
+// --- concurrent publishers ------------------------------------------------
 
 TEST(DrainFanout, ConcurrentPublishersFanOutToObserverAndConsumer) {
-  // 4 publisher threads, async collectors, an observer and a consumer on
-  // every shard: both must account for every span exactly once.
+  // 4 publisher threads, the async collector, an observer and a consumer:
+  // both must account for every span exactly once.
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 3000;
-  TraceServer server(2, PublishMode::kAsync);
+  TraceServer server(PublishMode::kAsync);
 
   std::atomic<std::uint64_t> observed{0};
   std::atomic<std::uint64_t> consumed{0};
@@ -307,21 +229,18 @@ TEST(DrainFanout, ConcurrentPublishersFanOutToObserverAndConsumer) {
 
   EXPECT_EQ(observed.load(), kThreads * kPerThread);
   EXPECT_EQ(consumed.load(), kThreads * kPerThread);
-  std::uint64_t load_total = 0;
-  for (const auto load : server.shard_loads()) load_total += load;
-  EXPECT_EQ(load_total, kThreads * kPerThread);
   EXPECT_TRUE(server.take_batches().empty());
 }
 
-TEST(DrainFanout, AttachDetachAndThrowsRaceMultiShardDrains) {
-  // The subscriber registry is read by every shard's collector under that
-  // shard's drain lock and changed under all of them. Race attach/detach
-  // of observers, and an observer that throws from whichever shard calls
-  // it first, against four async collectors: the consumer still sees
-  // every span exactly once, and the thrower is detached everywhere.
+TEST(DrainFanout, AttachDetachAndThrowsRaceDrains) {
+  // The subscriber registry is read by the collector's drain passes and
+  // changed by attach/detach, both under the drain lock. Race attach/detach
+  // of observers, and an observer that throws, against the async collector
+  // and four publishers: the consumer still sees every span exactly once,
+  // and the thrower is detached after its first throw.
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 20000;
-  TraceServer server(4, PublishMode::kAsync);
+  TraceServer server(PublishMode::kAsync);
   std::atomic<std::uint64_t> consumed{0};
   server.add_drain_subscriber(
       [&consumed](const SpanBatches& b) {
@@ -330,7 +249,7 @@ TEST(DrainFanout, AttachDetachAndThrowsRaceMultiShardDrains) {
       DrainHandoff::kConsume);
   std::atomic<int> throws{0};
   server.add_drain_subscriber(
-      [&throws](std::size_t, const SpanBatches&) {
+      [&throws](const SpanBatches&) {
         throws.fetch_add(1, std::memory_order_relaxed);
         throw std::runtime_error("observer failure");
       },
@@ -360,10 +279,9 @@ TEST(DrainFanout, AttachDetachAndThrowsRaceMultiShardDrains) {
   server.flush();
 
   EXPECT_EQ(consumed.load(), kThreads * kPerThread);
-  // Shards draining concurrently may each catch the thrower once before
-  // the detach is visible to them, never more.
-  EXPECT_GE(throws.load(), 1);
-  EXPECT_LE(throws.load(), 4);
+  // Drain passes are serialized, so the detach is visible to every pass
+  // after the one that caught the throw.
+  EXPECT_EQ(throws.load(), 1);
   EXPECT_EQ(server.drain_subscriber_count(), 1u);
   EXPECT_TRUE(server.take_batches().empty());
 }

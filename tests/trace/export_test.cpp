@@ -87,7 +87,6 @@ TEST(Export, EscapesSpecialCharacters) {
 TEST(Export, SpanJsonWithMetaWrapsSpansAndSurfacesTelemetry) {
   TraceMeta meta;
   meta.dropped_annotations = 7;
-  meta.shard_count = 4;
   meta.interned_strings = 123;
   meta.interned_bytes = 4567;
   meta.live_slots = 3;
@@ -103,7 +102,7 @@ TEST(Export, SpanJsonWithMetaWrapsSpansAndSurfacesTelemetry) {
   // Metadata lives in the footer — the streaming layout, where telemetry
   // totals are only final after the last span has been written.
   EXPECT_EQ(json.find("{\"spans\":[{"), 0u);
-  EXPECT_NE(json.find("\"metadata\":{\"dropped_annotations\":7,\"shard_count\":4,"
+  EXPECT_NE(json.find("\"metadata\":{\"dropped_annotations\":7,"
                       "\"interned_strings\":123,\"interned_bytes\":4567,"
                       "\"live_slots\":3,\"retired_slots\":9999,\"slot_bytes\":154624,"
                       "\"remote_dropped_spans\":42,\"remote_reconnects\":2,"

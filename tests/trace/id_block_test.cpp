@@ -1,10 +1,9 @@
-// Concurrent id allocation on every SpanSink: TraceServer with 1 and 4
-// shards, and RemoteSink. Four threads draw span and correlation ids at
-// once; every id handed out must be non-zero and distinct from every
-// other. TraceServer hands span ids to threads a block at a time, so the
-// draws cross those per-thread block boundaries. A producer's ids keep
-// their identity through the collector only if the sink never repeats
-// one.
+// Concurrent id allocation on every SpanSink: TraceServer and
+// RemoteSink. Four threads draw span and correlation ids at once; every
+// id handed out must be non-zero and distinct from every other.
+// TraceServer hands span ids to threads a block at a time, so the draws
+// cross those per-thread block boundaries. A producer's ids keep their
+// identity through the collector only if the sink never repeats one.
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -55,11 +54,6 @@ void expect_ids_disjoint(SpanSink& sink) {
 
 TEST(IdBlock, TraceServerIdsNeverRepeat) {
   TraceServer server(PublishMode::kSync);
-  expect_ids_disjoint(server);
-}
-
-TEST(IdBlock, ShardedTraceServerIdsNeverRepeatAcrossShards) {
-  TraceServer server(4, PublishMode::kSync);
   expect_ids_disjoint(server);
 }
 

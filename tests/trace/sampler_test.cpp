@@ -311,25 +311,6 @@ TEST(TraceServerSampling, InvariantHoldsUnderConcurrentPublishers) {
   EXPECT_EQ(drained_spans(server), kept);
 }
 
-TEST(ShardedTraceServerSampling, InvariantAcrossShards) {
-  TraceServer fleet(4, PublishMode::kAsync);
-  SamplerOptions opts;
-  opts.rate = 0.25;
-  fleet.set_sampler(std::make_shared<const Sampler>(opts));
-  constexpr std::uint64_t kSpans = 20000;
-  for (std::uint64_t i = 0; i < kSpans; ++i) {
-    Span s = make_span(fleet.next_correlation_id());
-    s.id = fleet.next_span_id();
-    fleet.publish(s);
-  }
-  const std::uint64_t kept = fleet.sampled_kept_count();
-  const std::uint64_t dropped = fleet.sampled_dropped_count();
-  EXPECT_EQ(kept + dropped, kSpans);
-  std::uint64_t in_trace = 0;
-  for (const auto& batch : fleet.take_batches()) in_trace += batch.size();
-  EXPECT_EQ(in_trace, kept);
-}
-
 TEST(TraceServerSampling, SetSamplerMidStreamTakesEffect) {
   TraceServer server(PublishMode::kSync);
   for (std::uint64_t i = 0; i < 10; ++i) {

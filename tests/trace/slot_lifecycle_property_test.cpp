@@ -135,11 +135,6 @@ TEST_P(SlotLifecycleRandomized, CollectedTimelineMatchesSingleThreadedOracle) {
          TraceServer server(PublishMode::kAsync);
          return run_lifecycle(server, s, rng_seed);
        }},
-      {"sharded_2_async",
-       [](const std::vector<Span>& s, std::uint64_t rng_seed) {
-         TraceServer server(2, PublishMode::kAsync);
-         return run_lifecycle(server, s, rng_seed);
-       }},
   };
 
   for (const auto& c : cases) {

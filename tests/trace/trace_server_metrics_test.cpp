@@ -1,6 +1,5 @@
-// TraceServer::bind_metrics: every shard exposes its own xsp_trace_*
-// series under a shard="<i>" label, and the per-shard values add up to
-// the server-wide getters.
+// TraceServer::bind_metrics: the server exposes one xsp_trace_* series per
+// name under the bound labels, and each agrees with the server's getters.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -9,10 +8,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
+#include <thread>
 #include <vector>
 
-#include "on_shard.hpp"
 #include "xsp/metrics/exposition.hpp"
 #include "xsp/metrics/registry.hpp"
 #include "xsp/trace/sampler.hpp"
@@ -21,8 +19,8 @@
 namespace xsp::trace {
 namespace {
 
-/// (series name, shard label) -> every value scraped for it.
-using Scrape = std::map<std::pair<std::string, std::string>, std::vector<double>>;
+/// Series name -> every value scraped for it.
+using Scrape = std::map<std::string, std::vector<double>>;
 
 Scrape scrape(const metrics::Registry& registry) {
   Scrape out;
@@ -35,25 +33,25 @@ Scrape scrape(const metrics::Registry& registry) {
     metrics::ExpositionSample s;
     if (!metrics::parse_exposition_line(line, s)) continue;
     if (s.name.substr(0, 10) != "xsp_trace_") continue;
-    out[{std::string(s.name), metrics::label_value(s.labels, "shard").value_or("")}].push_back(
-        s.value);
+    out[std::string(s.name)].push_back(s.value);
   }
   return out;
 }
 
-TEST(TraceServerMetrics, EveryShardHasOneSeriesPerNameAndTheyAddUp) {
-  TraceServer server(2, PublishMode::kSync);
+TEST(TraceServerMetrics, OneSeriesPerNameAgreesWithTheGetters) {
+  TraceServer server(PublishMode::kSync);
   metrics::Registry registry;
   server.bind_metrics(registry, {{"job", "test"}});
   SamplerOptions sopts;
   sopts.rate = 0.5;
   server.set_sampler(std::make_shared<const Sampler>(sopts));
 
-  // 300 spans per shard, each with distinct correlation ids (the sampler
-  // hashes them) and two dropped annotations.
+  // 300 spans from each of two threads that exit, each span with a
+  // distinct correlation id (the sampler hashes them) and two dropped
+  // annotations.
   std::uint64_t corr = 1;
-  for (std::size_t shard = 0; shard < 2; ++shard) {
-    on_shard(server, shard, [&server, &corr] {
+  for (int t = 0; t < 2; ++t) {
+    std::thread([&server, &corr] {
       for (int i = 0; i < 300; ++i) {
         Span s;
         s.id = server.next_span_id();
@@ -63,15 +61,14 @@ TEST(TraceServerMetrics, EveryShardHasOneSeriesPerNameAndTheyAddUp) {
         s.dropped_annotations = 2;
         server.publish(s);
       }
-    });
+    }).join();
   }
-  const std::vector<std::uint64_t> loads = server.shard_loads();  // flushes
-  const std::uint64_t kept = server.sampled_kept_count();
+  const std::uint64_t kept = server.sampled_kept_count();  // flushes
   const std::uint64_t dropped = server.sampled_dropped_count();
   ASSERT_EQ(kept + dropped, 600u);
   ASSERT_GT(kept, 0u);
   ASSERT_GT(dropped, 0u);
-  EXPECT_EQ(loads[0] + loads[1], kept);
+  EXPECT_EQ(server.span_count(), kept);
   EXPECT_EQ(server.dropped_annotation_count(), 2 * kept);
 
   const Scrape series = scrape(registry);
@@ -82,49 +79,36 @@ TEST(TraceServerMetrics, EveryShardHasOneSeriesPerNameAndTheyAddUp) {
       "xsp_trace_slot_bytes",                "xsp_trace_drain_duration_ns_count",
   };
   for (const char* name : names) {
-    for (const char* shard : {"0", "1"}) {
-      const auto it = series.find({name, shard});
-      ASSERT_NE(it, series.end()) << name << " shard " << shard;
-      EXPECT_EQ(it->second.size(), 1u) << name << " shard " << shard;
-    }
-    // No series without a shard label, and no third shard.
-    std::size_t families = 0;
-    for (const auto& [key, values] : series) families += key.first == name;
-    EXPECT_EQ(families, 2u) << name;
+    const auto it = series.find(name);
+    ASSERT_NE(it, series.end()) << name;
+    EXPECT_EQ(it->second.size(), 1u) << name;
   }
+  EXPECT_EQ(registry.text().find("shard="), std::string::npos);
 
-  const auto value = [&series](const char* name, const char* shard) {
-    return series.at({name, shard}).front();
-  };
-  double sum_kept = 0;
-  double sum_sampled_dropped = 0;
-  for (std::size_t i = 0; i < 2; ++i) {
-    const std::string shard = std::to_string(i);
-    const double drained = value("xsp_trace_drained_spans_total", shard.c_str());
-    EXPECT_EQ(drained, static_cast<double>(loads[i])) << "shard " << i;
-    // Each shard's dropped-annotation counter is its own spans' sum.
-    EXPECT_EQ(value("xsp_trace_dropped_annotations_total", shard.c_str()), 2 * drained);
-    // Both publishing threads exited and were retired by the flush.
-    EXPECT_EQ(value("xsp_trace_live_slots", shard.c_str()), 0.0);
-    EXPECT_EQ(value("xsp_trace_retired_slots_total", shard.c_str()), 1.0);
-    EXPECT_GT(value("xsp_trace_drain_duration_ns_count", shard.c_str()), 0.0);
-    sum_kept += value("xsp_trace_sampled_kept_total", shard.c_str());
-    sum_sampled_dropped += value("xsp_trace_sampled_dropped_total", shard.c_str());
-  }
-  EXPECT_EQ(sum_kept, static_cast<double>(kept));
-  EXPECT_EQ(sum_sampled_dropped, static_cast<double>(dropped));
+  const auto value = [&registry](const char* name) { return scrape(registry).at(name).front(); };
+  EXPECT_EQ(value("xsp_trace_drained_spans_total"), static_cast<double>(kept));
+  EXPECT_EQ(value("xsp_trace_dropped_annotations_total"), static_cast<double>(2 * kept));
+  // Both publishing threads exited and were retired by the flush.
+  EXPECT_EQ(value("xsp_trace_live_slots"), 0.0);
+  EXPECT_EQ(value("xsp_trace_retired_slots_total"), 2.0);
+  EXPECT_GT(value("xsp_trace_drain_duration_ns_count"), 0.0);
+  EXPECT_EQ(value("xsp_trace_sampled_kept_total"), static_cast<double>(kept));
+  EXPECT_EQ(value("xsp_trace_sampled_dropped_total"), static_cast<double>(dropped));
+
+  // The drained counter is lifetime load, not the held trace: a take
+  // empties the server but leaves it where it was.
+  (void)server.take_batches();
+  EXPECT_EQ(server.span_count(), 0u);
+  EXPECT_EQ(value("xsp_trace_drained_spans_total"), static_cast<double>(kept));
 }
 
-TEST(TraceServerMetrics, BatchPoolBytesIsOneUnshardedGaugeThatCountsPooledBlocks) {
-  TraceServer server(2, PublishMode::kSync);
+TEST(TraceServerMetrics, BatchPoolBytesIsOneGaugeThatCountsPooledBlocks) {
+  TraceServer server(PublishMode::kSync);
   metrics::Registry registry;
   server.bind_metrics(registry, {{"job", "test"}});
   const auto pool_gauge = [&registry] {
     const Scrape series = scrape(registry);
-    std::size_t families = 0;
-    for (const auto& [key, values] : series) families += key.first == "xsp_trace_batch_pool_bytes";
-    EXPECT_EQ(families, 1u);
-    const auto it = series.find({"xsp_trace_batch_pool_bytes", ""});
+    const auto it = series.find("xsp_trace_batch_pool_bytes");
     return it == series.end() || it->second.size() != 1 ? -1.0 : it->second.front();
   };
   EXPECT_NE(registry.text().find("xsp_trace_batch_pool_bytes{job=\"test\"}"), std::string::npos);
@@ -143,14 +127,14 @@ TEST(TraceServerMetrics, BatchPoolBytesIsOneUnshardedGaugeThatCountsPooledBlocks
 TEST(TraceServerMetrics, SeriesLeaveTheRegistryWithTheServer) {
   metrics::Registry registry;
   {
-    TraceServer server(2, PublishMode::kAsync);
+    TraceServer server(PublishMode::kAsync);
     server.bind_metrics(registry);
     EXPECT_FALSE(scrape(registry).empty());
   }
   // The callback series are gone; what remains are the retained drain
   // histograms, which no longer advance.
-  for (const auto& [key, values] : scrape(registry)) {
-    EXPECT_EQ(key.first.rfind("xsp_trace_drain_duration_ns", 0), 0u) << key.first;
+  for (const auto& [name, values] : scrape(registry)) {
+    EXPECT_EQ(name.rfind("xsp_trace_drain_duration_ns", 0), 0u) << name;
   }
 }
 

@@ -29,8 +29,8 @@ TEST(TraceServerLifecycle, SyncModeSpawnsNoCollectorThread) {
     TraceServer sync_server(PublishMode::kSync);
     EXPECT_EQ(test::thread_count(), before);
   }
-  TraceServer async_server(2, PublishMode::kAsync);
-  EXPECT_EQ(test::thread_count(), before + 2);  // one collector per shard
+  TraceServer async_server(PublishMode::kAsync);
+  EXPECT_EQ(test::thread_count(), before + 1);  // the one collector
 }
 
 TEST(TraceServerLifecycle, SpansFromExitedThreadsSurvive) {

@@ -153,7 +153,6 @@ TEST(BinaryWire, RoundTripsSeededRandomBatchesToIdenticalJson) {
     const SpanBatches original = random_batches(seed, 1200);
     TraceMeta meta;
     meta.dropped_annotations = seed;
-    meta.shard_count = 4;
     const std::string bytes = encode(original, &meta);
 
     std::istringstream in(bytes);
@@ -184,7 +183,6 @@ TEST(BinaryWire, DecodedBatchesFeedTimelineAssembly) {
 TEST(BinaryWire, FooterCarriesTelemetryAndByteAccounting) {
   TraceMeta meta;
   meta.dropped_annotations = 3;
-  meta.shard_count = 8;
   meta.interned_strings = 1234;
   meta.interned_bytes = 56789;
   meta.live_slots = 2;
@@ -372,10 +370,10 @@ TEST(BinaryWire, RepeatedDeltaEntryWithSameBytesIsIdempotent) {
 
 // --- drain-subscriber integration -------------------------------------------
 
-TEST(BinaryWire, ConsumesShardedServerDrainAsSubscriber) {
+TEST(BinaryWire, ConsumesServerDrainAsSubscriber) {
   std::string out;
   BinaryWriter writer([&out](std::string_view chunk) { out.append(chunk); });
-  TraceServer server(4, PublishMode::kSync);
+  TraceServer server(PublishMode::kSync);
   const SubscriberId sub = server.add_drain_subscriber(
       [&writer](const SpanBatches& batches) { writer.write_batches(batches); },
       DrainHandoff::kConsume);
@@ -479,8 +477,8 @@ TEST(WireHostileInput, RejectsBadMagic) {
 TEST(WireHostileInput, RejectsEveryOtherVersion) {
   // One version is read: earlier layouts and future ones are rejected at
   // open, not misread.
-  static_assert(wire::kVersion == 5);
-  for (const std::uint16_t version : {0, 1, 2, 3, 4, 6}) {
+  static_assert(wire::kVersion == 6);
+  for (const std::uint16_t version : {0, 1, 2, 3, 4, 5, 7}) {
     wire::Header h = valid_header();
     h.version = version;
     expect_wire_error(header_bytes(h), "unsupported format version");

@@ -10,30 +10,36 @@
 //   xsp_cli top [...]                   live dashboard over a running session
 //   xsp_cli top --daemon URI [...]      fleet view from a collector's /metrics
 //
-// Every subcommand accepts:
+// list-models and list-systems accept only:
+//   --csv                emit tables as CSV instead of aligned text
+//
+// profile, sweep, export and top accept:
 //   --model NAME         model-zoo model (default MLPerf_ResNet50_v1.5)
 //   --system NAME        simulated system (default Tesla_V100)
+//
+// profile, export and top accept:
 //   --batch N            batch size (default 1)
 //
-// list-models, list-systems, profile and sweep accept:
+// profile and sweep accept --csv and:
 //   --framework tflow|mxlite             (default tflow)
-//   --max-batch N        largest batch of the sweep (default 256)
+//
+// profile accepts:
 //   --analyses LIST      comma list of a1..a15 or "all" (default a2,a10,a15)
 //   --library-level      enable the cuDNN/cuBLAS call tracing level
 //   --export-chrome F    write the M/L/G timeline as Chrome trace JSON
 //   --export-spans F     write the flat span JSON
-//   --csv                emit tables as CSV instead of aligned text
+//
+// sweep accepts:
+//   --max-batch N        largest batch of the sweep (default 256)
 //
 // export and top accept:
 //   --level m|ml|mlg     profiling levels (default mlg, no GPU metric replay)
-//   --shards N           trace-server shards (default 1 for export, 2 for
-//                        top; 0 = per-core default)
 //
-// export accepts (session -> sharded trace server -> drain subscribers ->
-// one file sink, the streaming-export subsystem end to end):
+// export accepts (session -> trace server -> drain subscribers -> one file
+// sink, the streaming-export subsystem end to end):
 //   --gpu-metrics        collect the four GPU metrics too (implies mlg)
 //   --format chrome|spans|binary   output document (default chrome;
-//                        binary = XSP binary wire v5, src/trace/README.md)
+//                        binary = XSP binary wire v6, src/trace/README.md)
 //   --out FILE           output path (required)
 //   --decode IN          decode mode: read binary wire file IN and re-export
 //                        it to --out as --format chrome|spans (no profiling
@@ -42,7 +48,7 @@
 // top accepts (a worker thread profiles --runs times with live stats on while
 // the main thread renders Session::live_snapshot(): span rates, GPU
 // occupancy, latency percentiles, the hottest kernels and layer types,
-// per-shard loads, StringTable growth and producer-slot health; a final
+// StringTable growth and producer-slot health; a final
 // dashboard always follows the last run, so `--runs 1 --interval-ms 0`
 // still prints a complete picture):
 //   --runs N             profiled evaluations, or scrapes with --daemon
@@ -70,7 +76,6 @@
 // 1 runtime error (unknown model or system, unwritable file), 2 usage error.
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -82,7 +87,9 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -90,6 +97,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "xsp/analysis/analyses.hpp"
 #include "xsp/analysis/batch_sweep.hpp"
 #include "xsp/analysis/online.hpp"
@@ -110,15 +118,17 @@ namespace {
 using namespace xsp;
 
 constexpr const char* kUsage =
-    "usage: xsp_cli list-models|list-systems|profile|sweep [--model NAME] [--system NAME]\n"
-    "           [--framework tflow|mxlite] [--batch N] [--max-batch N]\n"
-    "           [--analyses a1,..,a15|all] [--library-level] [--export-chrome FILE]\n"
-    "           [--export-spans FILE] [--csv]\n"
+    "usage: xsp_cli list-models|list-systems [--csv]\n"
+    "       xsp_cli profile [--model NAME] [--system NAME] [--framework tflow|mxlite]\n"
+    "           [--batch N] [--analyses a1,..,a15|all] [--library-level]\n"
+    "           [--export-chrome FILE] [--export-spans FILE] [--csv]\n"
+    "       xsp_cli sweep [--model NAME] [--system NAME] [--framework tflow|mxlite]\n"
+    "           [--max-batch N] [--csv]\n"
     "       xsp_cli export --out FILE [--model NAME] [--system NAME] [--batch N]\n"
-    "           [--level m|ml|mlg] [--gpu-metrics] [--format chrome|spans|binary] [--shards N]\n"
+    "           [--level m|ml|mlg] [--gpu-metrics] [--format chrome|spans|binary]\n"
     "       xsp_cli export --decode IN --out FILE [--format chrome|spans]\n"
     "       xsp_cli top [--model NAME] [--system NAME] [--batch N] [--level m|ml|mlg]\n"
-    "           [--shards N] [--runs N] [--interval-ms N] [--window-ms N]\n"
+    "           [--runs N] [--interval-ms N] [--window-ms N]\n"
     "           [--stream FILE] [--stream-format chrome|spans|binary]\n"
     "           [--sample R] [--tail-keep-us N] [--top-k N] [--alert-p99-us N]\n"
     "       xsp_cli top --daemon URI [--runs N] [--interval-ms N]\n";
@@ -145,9 +155,8 @@ struct Options {
   std::string export_spans;
   // export, top
   std::string level = "mlg";
-  std::int64_t shards = 0;  // set per subcommand: export 1, top 2
-  std::string out;          // export's --out, top's --stream
-  std::string format;       // export's --format, top's --stream-format
+  std::string out;     // export's --out, top's --stream
+  std::string format;  // export's --format, top's --stream-format
   // export
   bool gpu_metrics = false;
   std::string decode;  // non-empty selects decode mode
@@ -165,6 +174,8 @@ struct Options {
 struct Command {
   std::string_view name;
   int (*run)(const Options&);
+  /// Every flag the subcommand accepts; any other exits 2.
+  std::span<const std::string_view> flags;
 };
 
 // --- shared by the subcommands ----------------------------------------------
@@ -184,15 +195,14 @@ trace::ExportFormat export_format(const std::string& name) {
                            : trace::ExportFormat::kBinary;
 }
 
-/// export's and top's session options: --level, --gpu-metrics, --shards
-/// and the file the trace streams to as it drains (none when empty).
+/// export's and top's session options: --level, --gpu-metrics and the
+/// file the trace streams to as it drains (none when empty).
 profile::ProfileOptions session_options(const Options& opts) {
   profile::ProfileOptions popts;
   // --gpu-metrics implies the full M/L/G stack.
   popts.layer_level = opts.level != "m" || opts.gpu_metrics;
   popts.gpu_level = opts.level == "mlg" || opts.gpu_metrics;
   popts.gpu_metrics = opts.gpu_metrics;
-  popts.trace_shards = static_cast<std::size_t>(opts.shards);
   popts.stream_export_path = opts.out;
   popts.stream_export_format = export_format(opts.format);
   return popts;
@@ -393,9 +403,9 @@ int cmd_export(const Options& opts) {
   const profile::RunTrace run =
       session.profile(model.build(opts.batch, /*decompose_bn=*/true), popts);
 
-  std::printf("xsp_cli export: %s @ batch %lld on %s (%s, %zu shard%s)\n", opts.model.c_str(),
+  std::printf("xsp_cli export: %s @ batch %lld on %s (%s)\n", opts.model.c_str(),
               static_cast<long long>(opts.batch), opts.system.c_str(),
-              popts.level_string().c_str(), run.shard_count, run.shard_count == 1 ? "" : "s");
+              popts.level_string().c_str());
   std::printf(
       "xsp_cli export: streamed %llu raw spans / %llu bytes (%s) to %s; "
       "assembled timeline: %zu spans\n",
@@ -446,23 +456,18 @@ void render_dashboard(const Options& opts, const profile::Session& session,
               format_ns(snap.layer_p99).c_str(), format_ns(snap.kernel_p50).c_str(),
               format_ns(snap.kernel_p95).c_str(), format_ns(snap.kernel_p99).c_str());
 
-  std::printf("shard loads:");
-  for (std::size_t i = 0; i < snap.shard_spans.size(); ++i) {
-    std::printf(" [%zu] %" PRIu64, i, snap.shard_spans[i]);
-  }
-  std::printf(" | imbalance %.2fx | interned %" PRIu64 " strings ~%" PRIu64 " B\n",
-              analysis::shard_imbalance(snap.shard_spans), snap.interned_strings,
-              snap.interned_bytes);
   std::printf("slots: live %" PRIu64 ", retired %" PRIu64 ", pooled %" PRIu64 ", ~%" PRIu64
               " B\n",
               slots.live_slots, slots.retired_slots, slots.pooled_slots, slots.slot_bytes);
   // Bounded interning: the budget in force and how often intern() hit it.
   if (snap.strtab_budget_bytes > 0) {
-    std::printf("strtab: ~%" PRIu64 " B / budget %" PRIu64 " B, rejected %" PRIu64 "\n",
-                snap.interned_bytes, snap.strtab_budget_bytes, snap.rejected_interns);
+    std::printf("strtab: %" PRIu64 " strings ~%" PRIu64 " B / budget %" PRIu64
+                " B, rejected %" PRIu64 "\n",
+                snap.interned_strings, snap.interned_bytes, snap.strtab_budget_bytes,
+                snap.rejected_interns);
   } else {
-    std::printf("strtab: ~%" PRIu64 " B, unbounded, rejected %" PRIu64 "\n",
-                snap.interned_bytes, snap.rejected_interns);
+    std::printf("strtab: %" PRIu64 " strings ~%" PRIu64 " B, unbounded, rejected %" PRIu64 "\n",
+                snap.interned_strings, snap.interned_bytes, snap.rejected_interns);
   }
   // Always emitted (the CI smoke greps for it): rate 1 with no sheds
   // renders as "off".
@@ -743,28 +748,37 @@ int cmd_top(const Options& opts) {
 
 // --- the command line -------------------------------------------------------
 
+constexpr std::string_view kListFlags[] = {"--csv"};
+constexpr std::string_view kProfileFlags[] = {
+    "--model",         "--system",        "--batch", "--framework", "--analyses", "--library-level",
+    "--export-chrome", "--export-spans", "--csv"};
+constexpr std::string_view kSweepFlags[] = {"--model", "--system", "--framework", "--max-batch",
+                                            "--csv"};
+constexpr std::string_view kExportFlags[] = {"--model", "--system",      "--batch",  "--level",
+                                             "--out",   "--gpu-metrics", "--format", "--decode"};
+constexpr std::string_view kTopFlags[] = {
+    "--model",  "--system",        "--batch",  "--level",        "--runs",  "--interval-ms",
+    "--window-ms", "--stream",     "--stream-format", "--sample", "--tail-keep-us", "--top-k",
+    "--alert-p99-us", "--daemon"};
+
 constexpr Command kCommands[] = {
-    {"list-models", cmd_list_models}, {"list-systems", cmd_list_systems},
-    {"profile", cmd_profile},         {"sweep", cmd_sweep},
-    {"export", cmd_export},           {"top", cmd_top},
+    {"list-models", cmd_list_models, kListFlags}, {"list-systems", cmd_list_systems, kListFlags},
+    {"profile", cmd_profile, kProfileFlags},      {"sweep", cmd_sweep, kSweepFlags},
+    {"export", cmd_export, kExportFlags},         {"top", cmd_top, kTopFlags},
 };
 
 [[noreturn]] void bad_value(const std::string& flag, const std::string& v) {
   throw UsageError("bad value '" + v + "' for " + flag);
 }
 
-/// Strict number parse: the whole value must be a T in [min, max]
-/// (atoll-style silent zero on a typo would profile the wrong
-/// configuration).
+/// A number flag's value (tools::parse_number): an atoll-style silent
+/// zero on a typo would profile the wrong configuration.
 template <typename T>
 T number(const std::string& flag, const std::string& v, T min,
          T max = std::numeric_limits<T>::max()) {
-  T out{};
-  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc() || ptr != v.data() + v.size() || !(out >= min && out <= max)) {
-    bad_value(flag, v);
-  }
-  return out;
+  const std::optional<T> n = tools::parse_number(v, min, max);
+  if (!n) bad_value(flag, v);
+  return *n;
 }
 
 std::string one_of(const std::string& flag, const std::string& v,
@@ -779,16 +793,17 @@ void parse_args(int argc, char** argv, Options& opts) {
     if (c.name == argv[1]) opts.command = &c;
   }
   if (opts.command == nullptr) throw UsageError(std::string("unknown command '") + argv[1] + "'");
-  // Three flag sets: export's, top's, and the one the other four share.
   const bool exporting = opts.command->name == "export";
   const bool top = opts.command->name == "top";
-  const bool analyze = !exporting && !top;
-  opts.shards = top ? 2 : 1;
   // Bounds that keep the conversions to simulated ns from overflowing.
   constexpr std::int64_t kMaxMs = std::numeric_limits<std::int64_t>::max() / kNsPerMs;
   constexpr std::int64_t kMaxUs = std::numeric_limits<std::int64_t>::max() / kNsPerUs;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    const auto& flags = opts.command->flags;
+    if (std::find(flags.begin(), flags.end(), arg) == flags.end()) {
+      throw UsageError("unknown option '" + arg + "'");
+    }
     const auto value = [&] {
       if (i + 1 == argc) throw UsageError("missing value for " + arg);
       return std::string(argv[++i]);
@@ -799,13 +814,13 @@ void parse_args(int argc, char** argv, Options& opts) {
       opts.system = value();
     } else if (arg == "--batch") {
       opts.batch = number<std::int64_t>(arg, value(), 1);
-    } else if (analyze && arg == "--framework") {
+    } else if (arg == "--framework") {
       opts.framework = one_of(arg, value(), {"tflow", "mxlite"}) == "mxlite"
                            ? framework::FrameworkKind::kMXLite
                            : framework::FrameworkKind::kTFlow;
-    } else if (analyze && arg == "--max-batch") {
+    } else if (arg == "--max-batch") {
       opts.max_batch = number<std::int64_t>(arg, value(), 1);
-    } else if (analyze && arg == "--analyses") {
+    } else if (arg == "--analyses") {
       const std::string list = value();
       std::stringstream ss(list);
       opts.analyses.clear();
@@ -814,48 +829,40 @@ void parse_args(int argc, char** argv, Options& opts) {
                                               "a9", "a10", "a11", "a12", "a13", "a14", "a15"}));
       }
       if (opts.analyses.empty()) bad_value(arg, list);
-    } else if (analyze && arg == "--library-level") {
+    } else if (arg == "--library-level") {
       opts.library_level = true;
-    } else if (analyze && arg == "--csv") {
+    } else if (arg == "--csv") {
       opts.csv = true;
-    } else if (analyze && arg == "--export-chrome") {
+    } else if (arg == "--export-chrome") {
       opts.export_chrome = value();
-    } else if (analyze && arg == "--export-spans") {
+    } else if (arg == "--export-spans") {
       opts.export_spans = value();
-    } else if ((exporting || top) && arg == "--level") {
+    } else if (arg == "--level") {
       opts.level = one_of(arg, value(), {"m", "ml", "mlg"});
-    } else if ((exporting || top) && arg == "--shards") {
-      opts.shards = number<std::int64_t>(arg, value(), 0);
-    } else if (exporting && arg == "--gpu-metrics") {
+    } else if (arg == "--gpu-metrics") {
       opts.gpu_metrics = true;
-    } else if (exporting && arg == "--format") {
+    } else if (arg == "--format" || arg == "--stream-format") {
       opts.format = one_of(arg, value(), {"chrome", "spans", "binary"});
-    } else if (exporting && arg == "--out") {
+    } else if (arg == "--out" || arg == "--stream") {
       opts.out = value();
-    } else if (exporting && arg == "--decode") {
+    } else if (arg == "--decode") {
       opts.decode = value();
-    } else if (top && arg == "--runs") {
+    } else if (arg == "--runs") {
       opts.runs = number<std::int64_t>(arg, value(), 1);
-    } else if (top && arg == "--interval-ms") {
+    } else if (arg == "--interval-ms") {
       opts.interval_ms = number<std::int64_t>(arg, value(), 0);
-    } else if (top && arg == "--window-ms") {
+    } else if (arg == "--window-ms") {
       opts.window_ms = number<std::int64_t>(arg, value(), 1, kMaxMs);
-    } else if (top && arg == "--stream") {
-      opts.out = value();
-    } else if (top && arg == "--stream-format") {
-      opts.format = one_of(arg, value(), {"chrome", "spans", "binary"});
-    } else if (top && arg == "--sample") {
+    } else if (arg == "--sample") {
       opts.sample = number(arg, value(), std::numeric_limits<double>::denorm_min(), 1.0);
-    } else if (top && arg == "--tail-keep-us") {
+    } else if (arg == "--tail-keep-us") {
       opts.tail_keep_us = number<std::int64_t>(arg, value(), 0, kMaxUs);
-    } else if (top && arg == "--top-k") {
+    } else if (arg == "--top-k") {
       opts.top_k = number<std::int64_t>(arg, value(), 0);
-    } else if (top && arg == "--alert-p99-us") {
+    } else if (arg == "--alert-p99-us") {
       opts.alert_p99_us = number<std::int64_t>(arg, value(), 0, kMaxUs);
-    } else if (top && arg == "--daemon") {
+    } else if (arg == "--daemon") {
       opts.daemon = value();
-    } else {
-      throw UsageError("unknown option '" + arg + "'");
     }
   }
   if (opts.format.empty()) opts.format = top ? "binary" : opts.decode.empty() ? "chrome" : "spans";

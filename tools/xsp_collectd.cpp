@@ -1,8 +1,8 @@
 // xsp_collectd — the cross-process trace collector daemon: accepts XSP
-// binary wire v5 streams from remote producers (trace::RemoteSink),
-// re-interns and re-ids every span into one fleet-wide TraceServer
-// (--shards N), and fans the merged stream out to the same sinks an
-// in-process session would use.
+// binary wire v6 streams from remote producers (trace::RemoteSink),
+// re-interns and re-ids every span into one fleet-wide TraceServer, and
+// fans the merged stream out to the same sinks an in-process session would
+// use.
 //
 //   xsp_collectd --listen unix:/tmp/xsp.sock --out fleet.xspb
 //   xsp_collectd --listen tcp://127.0.0.1:7450 --json fleet.json --online
@@ -19,7 +19,6 @@
 //                        on this endpoint from the collector's poll loop
 //   --stats-json         emit one JSON stats object per interval on stdout
 //   --stats-interval-ms N  cadence of --stats-json objects (default 1000)
-//   --shards N           trace-server shards (default 1; 0 = per-core)
 //   --strtab-budget N    byte budget for the collector's global string
 //                        table (0 = unbounded): past it, re-interns from
 //                        producer streams resolve to the "<interned-cap>"
@@ -29,6 +28,9 @@
 //   --drain-timeout-ms N grace for connected producers after SIGTERM
 //                        (default 5000)
 //   --max-frame-bytes N  per-connection frame bound (default 64 MiB)
+//
+// A malformed or out-of-range number (tools/cli_number.hpp), an unknown
+// option or a missing --listen exits 2 before any socket opens.
 //
 // Lifecycle: prints "listening on <uri>" once ready (after bind, so a UDS
 // path existing or this line appearing both mean "connect now") — and
@@ -53,11 +55,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <mutex>
 #include <string>
 #include <thread>
 
+#include "cli_number.hpp"
 #include "xsp/analysis/online.hpp"
 #include "xsp/metrics/registry.hpp"
 #include "xsp/net/collector.hpp"
@@ -78,7 +83,6 @@ struct Options {
   bool online = false;
   bool stats_json = false;
   int stats_interval_ms = 1000;
-  std::size_t shards = 1;
   std::size_t strtab_budget = 0;
   int drain_timeout_ms = 5000;
   std::size_t max_frame_bytes = trace::wire::kMaxFramePayload;
@@ -88,16 +92,21 @@ void print_usage() {
   std::fprintf(stderr,
                "usage: xsp_collectd --listen URI [--out FILE.xspb] [--json FILE.json]\n"
                "                    [--online] [--metrics URI] [--stats-json]\n"
-               "                    [--stats-interval-ms N] [--shards N] [--strtab-budget N]\n"
+               "                    [--stats-interval-ms N] [--strtab-budget N]\n"
                "                    [--drain-timeout-ms N] [--max-frame-bytes N]\n");
 }
 
-bool parse_int(const char* s, std::int64_t& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  out = v;
+/// Parse number flag `flag`'s value `v` (null when it was missing) into
+/// `out`; false, with the flag named on stderr, unless it is in [min, max].
+template <typename T>
+bool parse_value(const std::string& flag, const char* v, T min, T max, T& out) {
+  if (v == nullptr) return false;
+  const std::optional<T> n = tools::parse_number<T>(v, min, max);
+  if (!n) {
+    std::fprintf(stderr, "xsp_collectd: bad value '%s' for %s\n", v, flag.c_str());
+    return false;
+  }
+  out = *n;
   return true;
 }
 
@@ -111,7 +120,8 @@ bool parse_args(int argc, char** argv, Options& opts) {
       }
       return argv[++i];
     };
-    std::int64_t n = 0;
+    constexpr int kMaxInt = std::numeric_limits<int>::max();
+    constexpr std::size_t kMaxSize = std::numeric_limits<std::size_t>::max();
     if (arg == "--listen") {
       const char* v = next("--listen");
       if (!v) return false;
@@ -133,25 +143,19 @@ bool parse_args(int argc, char** argv, Options& opts) {
     } else if (arg == "--stats-json") {
       opts.stats_json = true;
     } else if (arg == "--stats-interval-ms") {
-      const char* v = next("--stats-interval-ms");
-      if (!v || !parse_int(v, n) || n <= 0) return false;
-      opts.stats_interval_ms = static_cast<int>(n);
-    } else if (arg == "--shards") {
-      const char* v = next("--shards");
-      if (!v || !parse_int(v, n) || n < 0) return false;
-      opts.shards = static_cast<std::size_t>(n);
+      if (!parse_value(arg, next("--stats-interval-ms"), 1, kMaxInt, opts.stats_interval_ms))
+        return false;
     } else if (arg == "--strtab-budget") {
-      const char* v = next("--strtab-budget");
-      if (!v || !parse_int(v, n) || n < 0) return false;
-      opts.strtab_budget = static_cast<std::size_t>(n);
+      if (!parse_value(arg, next("--strtab-budget"), std::size_t{0}, kMaxSize,
+                       opts.strtab_budget))
+        return false;
     } else if (arg == "--drain-timeout-ms") {
-      const char* v = next("--drain-timeout-ms");
-      if (!v || !parse_int(v, n) || n < 0) return false;
-      opts.drain_timeout_ms = static_cast<int>(n);
+      if (!parse_value(arg, next("--drain-timeout-ms"), 0, kMaxInt, opts.drain_timeout_ms))
+        return false;
     } else if (arg == "--max-frame-bytes") {
-      const char* v = next("--max-frame-bytes");
-      if (!v || !parse_int(v, n) || n <= 0) return false;
-      opts.max_frame_bytes = static_cast<std::size_t>(n);
+      if (!parse_value(arg, next("--max-frame-bytes"), std::size_t{1}, kMaxSize,
+                       opts.max_frame_bytes))
+        return false;
     } else {
       std::fprintf(stderr, "xsp_collectd: unknown option '%s'\n", arg.c_str());
       return false;
@@ -176,29 +180,7 @@ void handle_stop_signal(int) {
 /// line so scripts can stream-parse stdout (every --stats-json line starts
 /// with '{'; everything else on stdout starts with a word).
 void print_stats_json(const net::CollectorService& service) {
-  const net::CollectorStats s = service.stats();
-  std::printf(
-      "{\"connections_accepted\":%llu,\"connections_closed\":%llu,"
-      "\"connections_errored\":%llu,\"open_connections\":%llu,"
-      "\"bytes_received\":%llu,\"spans_ingested\":%llu,"
-      "\"strings_reinterned\":%llu,\"frames_parsed\":%llu,"
-      "\"footers_seen\":%llu,\"heartbeats_seen\":%llu,"
-      "\"http_requests\":%llu,\"http_errors\":%llu,"
-      "\"producer_dropped_spans\":%llu,\"producer_reconnects\":%llu}\n",
-      static_cast<unsigned long long>(s.connections_accepted),
-      static_cast<unsigned long long>(s.connections_closed),
-      static_cast<unsigned long long>(s.connections_errored),
-      static_cast<unsigned long long>(service.open_connections()),
-      static_cast<unsigned long long>(s.bytes_received),
-      static_cast<unsigned long long>(s.spans_ingested),
-      static_cast<unsigned long long>(s.strings_reinterned),
-      static_cast<unsigned long long>(s.frames_parsed),
-      static_cast<unsigned long long>(s.footers_seen),
-      static_cast<unsigned long long>(s.heartbeats_seen),
-      static_cast<unsigned long long>(s.http_requests),
-      static_cast<unsigned long long>(s.http_errors),
-      static_cast<unsigned long long>(s.producer_dropped_spans),
-      static_cast<unsigned long long>(s.producer_reconnects));
+  std::printf("%s\n", net::stats_json(service.stats(), service.open_connections()).c_str());
   std::fflush(stdout);
 }
 
@@ -215,7 +197,7 @@ int run(const Options& opts) {
   if (opts.strtab_budget > 0) {
     common::StringTable::global().set_budget_bytes(opts.strtab_budget);
   }
-  trace::TraceServer server(opts.shards);
+  trace::TraceServer server;
   net::CollectorOptions copts;
   copts.max_frame_payload = opts.max_frame_bytes;
   copts.drain_timeout_ms = opts.drain_timeout_ms;
@@ -260,7 +242,7 @@ int run(const Options& opts) {
   if (opts.online) {
     analyzer = std::make_unique<analysis::OnlineAnalyzer>();
     subscriptions.push_back(server.add_drain_subscriber(
-        analyzer->shard_subscriber(), trace::DrainHandoff::kObserve));
+        analyzer->subscriber(), trace::DrainHandoff::kObserve));
   }
 
   g_service = &service;
