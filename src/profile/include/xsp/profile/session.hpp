@@ -203,7 +203,7 @@ class Session {
   /// model prediction, output post-processing, with the levels requested.
   /// Starts no thread: the trace server is kSync, so the run's flush drains
   /// its spans, and feeds the drain subscribers, on the calling thread. A
-  /// RemoteSink keeps its own sender thread for socket I/O.
+  /// remote_endpoint adds the RemoteSink's one thread, its sender.
   RunTrace profile(const framework::Graph& graph, const ProfileOptions& options);
 
   /// Point-in-time copy of the live online aggregates. Thread-safe and

@@ -155,8 +155,7 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   server_->set_sampler(sampler_);
   // Per-run admission deltas come from before/after captures of the
   // server's lifetime-monotonic counters (they count across runs).
-  const std::uint64_t sampled_kept_before = server_->sampled_kept_count();
-  const std::uint64_t sampled_dropped_before = server_->sampled_dropped_count();
+  const trace::TraceMeta before = server_->meta();
   // Streaming export: observe batches as the server drains them, writing
   // raw publication spans to the file during the run. kObserve (tee)
   // because this run also assembles an in-memory timeline; a service that
@@ -409,8 +408,8 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   // cumulative churn.
   static_cast<trace::TraceMeta&>(result) = server_->meta();
   result.options = options;
-  result.sampled_kept -= sampled_kept_before;
-  result.sampled_dropped -= sampled_dropped_before;
+  result.sampled_kept -= before.sampled_kept;
+  result.sampled_dropped -= before.sampled_dropped;
   sampled_kept_total_ += result.sampled_kept;
   sampled_dropped_total_ += result.sampled_dropped;
   if (online != nullptr) {

@@ -2,16 +2,16 @@
 // SpanSink that ships spans to xsp_collectd over the binary wire format
 // instead of holding them in-process.
 //
-// Shape: the sink owns a kAsync TraceServer, and publish(), the
-// id calls and sampler admission are that server's: a publish is one copy
-// of the 216-byte record into the calling thread's producer slot, with no
-// lock shared between producer threads. The server seals a slot batch at
-// kBatchCapacity spans (one batch-pool block), and its collector sweeps a
-// partial one after 50 ms without a seal, so a trickle leaves without a
-// flush(). Its kConsume drain subscriber moves each drained block into a
-// bounded outbox, which a background sender thread drains through a
-// BinaryWriter over a socket-backed fallible FrameSink: one block is one
-// span frame, and the sender's copy returns to the pool once written.
+// Shape: one thread per sink, its sender. publish(), the id calls and
+// sampler admission are those of the sink's own kSync TraceServer: a
+// publish is one copy of the 216-byte record into the calling thread's
+// producer slot, with no lock shared between producer threads. A slot batch
+// seals at kBatchCapacity spans (one pool block) and wakes the sender, which
+// drains the server itself (TraceServer::collect; a trickle's partial batch
+// after 50 ms without a seal) into a bounded outbox, then writes it through
+// a BinaryWriter over a socket-backed fallible FrameSink: one block is one
+// span frame. It drains again around every step that can block (connect,
+// backoff, a saturated write), so the outbox bound holds what is published.
 // All network latency, blocking, and failure lives on the sender thread —
 // tracers never stall on the collector. Two equations account for every
 // span: the server's `published == admitted + sampled_dropped`, and the
@@ -50,7 +50,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -151,7 +150,6 @@ class RemoteSink final : public SpanSink {
   [[nodiscard]] std::uint64_t spans_sampled_kept();
   [[nodiscard]] std::uint64_t spans_sampled_dropped();
   [[nodiscard]] std::uint64_t reconnects() const noexcept;
-  [[nodiscard]] bool connected() const noexcept;
   /// Spans currently queued in the bounded outbox (instantaneous depth —
   /// the backpressure signal the heartbeat frame also carries).
   [[nodiscard]] std::uint64_t outbox_spans() const;
@@ -159,7 +157,8 @@ class RemoteSink final : public SpanSink {
   [[nodiscard]] std::uint64_t heartbeats_sent() const noexcept;
 
   /// Register this sink's health series with a metrics registry (callback
-  /// reads of the accounting atomics — nothing on the publish path). This
+  /// reads of the counts as of the last drain pass — a scrape never
+  /// flushes, so it never ships a partial batch early). This
   /// is what makes a wedged producer visible *while* it is wedged:
   /// xsp_remote_dropped_spans_total / xsp_remote_reconnects_total /
   /// xsp_remote_outbox_spans update live, not only in the close() footer.
@@ -177,14 +176,13 @@ class RemoteSink final : public SpanSink {
   bool connect_once(Conn& conn);
   void finish_stream(Conn& conn);
   /// Snapshot the live counters into a heartbeat frame (sender thread;
-  /// flushes the server, so never called with mu_ held).
+  /// the counts as of its last drain pass, without a flush).
   [[nodiscard]] wire::Heartbeat make_heartbeat();
 
   const net::Endpoint endpoint_;
   const RemoteSinkOptions opts_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<SpanBatch> outbox_;
   std::size_t outbox_spans_ = 0;
   TraceMeta meta_{};
@@ -209,11 +207,11 @@ class RemoteSink final : public SpanSink {
   /// Per-stream heartbeat sequence (sender thread only).
   std::uint64_t hb_seq_ = 0;
 
+  /// By pointer, as Session holds its server: TSan can alias the mutexes of
+  /// a server embedded in a dead stack object. Declared before sender_,
+  /// which drains it, and after every member its consumer touches.
+  std::unique_ptr<TraceServer> server_ = std::make_unique<TraceServer>(PublishMode::kSync);
   std::thread sender_;
-
-  /// Declared after every member its consumer touches: its collector
-  /// thread may still deliver while the server is destroyed.
-  TraceServer server_{PublishMode::kAsync};
 
   /// Self-metrics binding (bind_metrics). Declared last so the handles
   /// are destroyed first: release serializes with in-flight scrapes on

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -58,15 +59,13 @@ namespace detail {
 class SlotRegistry;  // trace_server.cpp: uid-keyed weak map of live servers
 }
 
-/// Long-lived servers fed by other threads (the collector daemon) run kAsync;
-/// a Session runs kSync: it publishes each run in one burst, then drains it.
+/// Whether the server starts its own thread to drain it. Long-lived
+/// servers fed by other threads (the collector daemon) run kAsync. A
+/// Session runs kSync: it publishes each run in one burst, then drains it
+/// by flush(); so does a RemoteSink, whose sender calls collect() itself.
 enum class PublishMode : std::uint8_t {
-  kSync,   ///< no collector thread; callers drain batches on flush()
-  /// A collector thread drains sealed batches in the background.
-  /// The first batch sealed since its last pass wakes it; 50 ms without a
-  /// seal makes it sweep partial batches too, so a live producer's trickle
-  /// is delivered without a flush().
-  kAsync,
+  kSync,   ///< no thread; the owner drains by flush() or collect()
+  kAsync,  ///< a collector thread calls collect() until the server dies
 };
 
 // SpanBatch/SpanBatches live in span.hpp (shared with Timeline::assemble).
@@ -85,10 +84,10 @@ enum class DrainHandoff : std::uint8_t {
 };
 
 /// Observes every drained batch list, in the drain pass that moved it out
-/// of the producer slots (the collector thread in kAsync, the flushing
-/// caller in kSync). Drain passes are serialized, so calls never overlap.
-/// Invoked with no slot spinlock held, so publishers
-/// keep publishing while the subscriber writes. Should not throw: a
+/// of the producer slots (the thread in collect(), or a flushing caller).
+/// Drain passes are serialized, so calls never overlap. Invoked with no
+/// slot spinlock held, so publishers keep publishing while the subscriber
+/// writes. Should not throw: a
 /// throwing subscriber is detached on the spot; if it was the consumer,
 /// the drained batches (and all later ones) accumulate in the server as
 /// if none were attached — spans are preserved for take_batches(), never
@@ -142,9 +141,9 @@ class TraceServer final : public SpanSink {
   void publish(const Span& span) override;
 
   /// Publish a whole batch: it joins the calling thread's slot as one
-  /// sealed batch, its spans unmoved, and wakes a kAsync collector as a seal
-  /// does. The hand-off for a caller that already holds spans in batches
-  /// (the collector, one batch per decoded frame). Annotation drops are
+  /// sealed batch, its spans unmoved, and calls wake() as a seal does. The
+  /// hand-off for a caller that already holds spans in batches (the
+  /// collector, one batch per decoded frame). Annotation drops are
   /// counted as publish() counts them; an attached sampler admits span by
   /// span and the rejected spans are removed, so `published == admitted +
   /// sampled_dropped` holds exactly. Leaves `batch` empty; an empty batch
@@ -160,19 +159,20 @@ class TraceServer final : public SpanSink {
   /// cannot change a verdict.
   void set_sampler(std::shared_ptr<const Sampler> sampler);
 
-  /// Lifetime count of spans a sampler admitted at publish (flushes
-  /// first). Monotonic; zero when no sampler has ever
-  /// been attached.
-  [[nodiscard]] std::uint64_t sampled_kept_count();
-
-  /// Lifetime count of spans a sampler rejected at publish (flushes
-  /// first). Monotonic. `spans published == sampled_kept + sampled_dropped`
-  /// whenever a sampler was attached for the whole run.
-  [[nodiscard]] std::uint64_t sampled_dropped_count();
-
   /// Block until every span published before this call has been aggregated
   /// (drains all sealed and partial batches on the caller thread).
   void flush();
+
+  /// The collector's step, for the one thread that drains this server:
+  /// sleep until wake() or `deadline`, then drain sealed batches, and
+  /// partial ones too once 50 ms pass without a wake, so a live producer's
+  /// trickle is delivered without a flush(). Returns without draining if
+  /// `deadline` comes first.
+  void collect(std::chrono::steady_clock::time_point deadline);
+
+  /// Wake the thread in collect(); seals and producer-thread exits call it,
+  /// and so may its owner. Only the first call since a pass notifies.
+  void wake();
 
   /// Number of spans aggregated and held so far (flushes first).
   [[nodiscard]] std::size_t span_count();
@@ -248,6 +248,9 @@ class TraceServer final : public SpanSink {
   /// per-run deltas).
   [[nodiscard]] TraceMeta meta();
 
+  /// meta() without the flush: the counts as of the last drain pass.
+  [[nodiscard]] TraceMeta drained_meta();
+
   /// Register the server's health series with a metrics registry under
   /// `labels`. Every field meta() reads from the server's own counters is
   /// one series, xsp_trace_<key> (plus _total for a counter) with its
@@ -286,7 +289,7 @@ class TraceServer final : public SpanSink {
 
   /// Called (via detail::SlotRegistry, which pins this server alive for
   /// the duration) when a producer thread exits: mark its slot
-  /// reclaimable and nudge the collector so retirement is prompt.
+  /// reclaimable and wake() the draining thread so retirement is prompt.
   void note_thread_exit(std::uint64_t thread_key);
   friend class detail::SlotRegistry;
 
@@ -294,15 +297,10 @@ class TraceServer final : public SpanSink {
   /// consumer took them. Caller holds drain_mu_.
   bool deliver(SpanBatches& batches);
 
-  /// Count one unit of collector work (a sealed batch or a retiring
-  /// slot); the first since the collector's last pass wakes it.
-  void wake();
-  void collector_loop();
   /// Move sealed (and, when `steal_active`, partial) batches of every slot
   /// into the held trace.
   void drain(bool steal_active);
 
-  const PublishMode mode_;
   const std::uint64_t uid_;
 
   alignas(64) std::mutex registry_mu_;
@@ -336,7 +334,9 @@ class TraceServer final : public SpanSink {
 
   alignas(64) std::mutex wake_mu_;
   std::condition_variable wake_cv_;
-  std::atomic<std::size_t> pending_batches_{0};
+  std::atomic<std::size_t> pending_wakes_{0};
+  /// Start of collect()'s last pass (guarded by wake_mu_).
+  std::chrono::steady_clock::time_point last_pass_ = std::chrono::steady_clock::now();
 
   /// Id counters are hammered by every producer; isolate them from the
   /// read-mostly fields around them so RMWs never evict those lines.

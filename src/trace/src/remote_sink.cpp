@@ -40,7 +40,7 @@ struct RemoteSink::Conn {
 RemoteSink::RemoteSink(net::Endpoint endpoint, RemoteSinkOptions options)
     : endpoint_(std::move(endpoint)), opts_(options) {
   // The server's consumer: each drained block moves into the outbox.
-  server_.add_drain_subscriber(
+  server_->add_drain_subscriber(
       [this](SpanBatches& batches) {
         std::lock_guard lk(mu_);
         for (SpanBatch& batch : batches) enqueue_locked(std::move(batch));
@@ -51,19 +51,19 @@ RemoteSink::RemoteSink(net::Endpoint endpoint, RemoteSinkOptions options)
 
 RemoteSink::~RemoteSink() { close(); }
 
-SpanId RemoteSink::next_span_id() noexcept { return server_.next_span_id(); }
+SpanId RemoteSink::next_span_id() noexcept { return server_->next_span_id(); }
 
 std::uint64_t RemoteSink::next_correlation_id() noexcept {
-  return server_.next_correlation_id();
+  return server_->next_correlation_id();
 }
 
 void RemoteSink::publish(const Span& span) {
-  server_.publish(span);
+  server_->publish(span);
   // close() sets closed_ before its final flush. A publish whose span
   // missed that flush reads the flag here (the slot spinlock orders the
   // two) and delivers its span itself, so it is accounted before this
   // call returns instead of stranded in the server.
-  if (closed_.load(std::memory_order_acquire)) server_.flush();
+  if (closed_.load(std::memory_order_acquire)) server_->flush();
 }
 
 void RemoteSink::write_batches(const SpanBatches& batches) {
@@ -71,9 +71,13 @@ void RemoteSink::write_batches(const SpanBatches& batches) {
   for (const SpanBatch& batch : batches) {
     if (!batch.empty()) enqueue_locked(SpanBatch(batch));
   }
+  server_->wake();
 }
 
-void RemoteSink::flush() { server_.flush(); }
+void RemoteSink::flush() {
+  server_->flush();
+  server_->wake();  // the drain ran on this thread: tell the sender
+}
 
 void RemoteSink::set_meta(const TraceMeta& meta) {
   std::lock_guard lk(mu_);
@@ -82,11 +86,11 @@ void RemoteSink::set_meta(const TraceMeta& meta) {
 
 void RemoteSink::close() {
   closed_.store(true, std::memory_order_release);
-  server_.flush();
+  server_->flush();
   {
     std::lock_guard lk(mu_);
     stop_ = true;
-    cv_.notify_all();
+    server_->wake();
   }
   // Join exactly once: the constructor's thread is only joinable until
   // the first close() completes; concurrent close() callers race benignly
@@ -121,7 +125,6 @@ void RemoteSink::enqueue_locked(SpanBatch&& batch) {
   }
   outbox_spans_ += batch.size();
   outbox_.push_back(std::move(batch));
-  cv_.notify_all();
 }
 
 bool RemoteSink::connect_once(Conn& conn) {
@@ -171,38 +174,60 @@ bool RemoteSink::connect_once(Conn& conn) {
 }
 
 void RemoteSink::sender_loop() {
+  using Clock = std::chrono::steady_clock;
   Conn conn;
   int backoff_ms = opts_.backoff_initial_ms;
   bool ever_connected = false;
-  const bool hb_enabled = opts_.heartbeat_interval_ms > 0;
-  const auto hb_interval =
-      std::chrono::milliseconds(hb_enabled ? opts_.heartbeat_interval_ms : 1);
-  auto next_hb = std::chrono::steady_clock::now() + hb_interval;
+  const auto next_tick = [this] {  // the next heartbeat; never, with them off
+    return opts_.heartbeat_interval_ms > 0
+               ? Clock::now() + std::chrono::milliseconds(opts_.heartbeat_interval_ms)
+               : Clock::time_point::max();
+  };
+  auto next_hb = next_tick();
+  const auto drop_connection = [&] {
+    // Delivery of everything since the last full drain is unknown; count
+    // it dropped — honest accounting over-counts rather than hides.
+    // Queued batches survive for the reconnect.
+    dropped_.fetch_add(conn.spans_in_flight, std::memory_order_relaxed);
+    conn.spans_in_flight = 0;
+    conn.writer.reset();
+    conn.sock.close();
+    connected_.store(false, std::memory_order_relaxed);
+  };
 
   for (;;) {
+    bool idle;
     {
-      std::unique_lock lk(mu_);
-      const auto pred = [this] { return stop_ || !outbox_.empty(); };
-      bool timed_out = false;
-      if (hb_enabled) {
-        // Deadline wait: wake for data/stop OR the next heartbeat tick.
-        timed_out = !cv_.wait_until(lk, next_hb, pred);
-      } else {
-        cv_.wait(lk, pred);
-      }
+      std::lock_guard lk(mu_);
       if (outbox_.empty() && stop_) break;
-      if (timed_out && outbox_.empty() && !conn.ok()) {
-        // Pure heartbeat tick while disconnected: nothing to signal on.
-        // Reconnecting belongs to the data path — an idle producer must
-        // not generate connect storms just to heartbeat.
-        next_hb = std::chrono::steady_clock::now() + hb_interval;
-        continue;
-      }
+      idle = outbox_.empty();
     }
+    // The server's collector step, run here. Idle, sleep until a wake (a
+    // seal, close(), write_batches(), a flush) or the next heartbeat; busy,
+    // take what sealed meanwhile without waiting. No step below blocks for
+    // more than one connect, backoff or write.
+    server_->collect(idle ? next_hb : Clock::now());
+    if (Clock::now() >= next_hb) {
+      // Heartbeat when due — before the next batch, so a stalled outbox
+      // still reports live counters (that is the point of the frame).
+      // Disconnected, a tick signals nothing: reconnecting belongs to the
+      // data path — an idle producer must not connect just to heartbeat.
+      next_hb = next_tick();
+      if (!conn.ok()) continue;
+      conn.writer->write_heartbeat(make_heartbeat());
+      if (conn.writer->sink_failed()) {
+        drop_connection();
+      } else {
+        heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
+      }
+      continue;
+    }
+    if (idle) continue;
 
     if (!conn.ok()) {
-      connected_.store(false, std::memory_order_relaxed);
-      if (!connect_once(conn)) {
+      const bool up = connect_once(conn);
+      server_->collect(Clock::now());  // what sealed while connect blocked
+      if (!up) {
         std::unique_lock lk(mu_);
         if (stop_) {
           // Shutting down against an unreachable collector: account and
@@ -213,38 +238,26 @@ void RemoteSink::sender_loop() {
           outbox_spans_ = 0;
           break;
         }
-        cv_.wait_for(lk, std::chrono::milliseconds(backoff_ms),
-                     [this] { return stop_; });
+        // Back off, draining on every wake so the outbox bound holds
+        // meanwhile; only close() cuts the wait short.
+        const auto until = Clock::now() + std::chrono::milliseconds(backoff_ms);
+        while (!stop_ && Clock::now() < until) {
+          lk.unlock();
+          server_->collect(until);
+          lk.lock();
+        }
         backoff_ms = std::min(backoff_ms * 2, opts_.backoff_max_ms);
         continue;
       }
       backoff_ms = opts_.backoff_initial_ms;
       if (ever_connected) reconnects_.fetch_add(1, std::memory_order_relaxed);
       ever_connected = true;
-      next_hb = std::chrono::steady_clock::now() + hb_interval;
-    }
-
-    // Heartbeat when due — before the next batch, so a stalled outbox
-    // still reports live counters (that is the point of the frame).
-    if (hb_enabled && conn.ok() && std::chrono::steady_clock::now() >= next_hb) {
-      conn.writer->write_heartbeat(make_heartbeat());
-      next_hb = std::chrono::steady_clock::now() + hb_interval;
-      if (conn.writer->sink_failed()) {
-        // Same dead-connection policy as a failed batch write below.
-        dropped_.fetch_add(conn.spans_in_flight, std::memory_order_relaxed);
-        conn.spans_in_flight = 0;
-        conn.writer.reset();
-        conn.sock.close();
-        connected_.store(false, std::memory_order_relaxed);
-        continue;
-      }
-      heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
+      next_hb = next_tick();
     }
 
     SpanBatch batch;
     {
-      std::lock_guard lk(mu_);
-      if (outbox_.empty()) continue;
+      std::lock_guard lk(mu_);  // only this thread takes from the outbox
       batch = std::move(outbox_.front());
       outbox_.pop_front();
       outbox_spans_ -= batch.size();
@@ -269,7 +282,6 @@ void RemoteSink::sender_loop() {
       // take wait in the FrameSink's buffer, so once the outbox is empty
       // retry them now instead of at the next batch (a sparse stream would
       // otherwise only ever finish reaching the collector at close()).
-      bool idle;
       {
         std::lock_guard lk(mu_);
         idle = outbox_.empty();
@@ -281,16 +293,7 @@ void RemoteSink::sender_loop() {
         conn.spans_in_flight = 0;
       }
     }
-    if (conn.writer->sink_failed()) {
-      // Delivery of everything since the last full drain is unknown;
-      // count it dropped — honest accounting over-counts rather than
-      // hides. Queued batches survive for the reconnect.
-      dropped_.fetch_add(conn.spans_in_flight, std::memory_order_relaxed);
-      conn.spans_in_flight = 0;
-      conn.writer.reset();
-      conn.sock.close();
-      connected_.store(false, std::memory_order_relaxed);
-    }
+    if (conn.writer->sink_failed()) drop_connection();
   }
 
   finish_stream(conn);
@@ -310,7 +313,7 @@ void RemoteSink::finish_stream(Conn& conn) {
   // Direct-publish admission accounting adds to whatever the owner set:
   // the two paths are disjoint (set_meta carries the upstream fleet's
   // counters; these count spans sampled at this sink's own publish()).
-  const TraceMeta own = server_.meta();  // one flush for both counts
+  const TraceMeta own = server_->meta();  // one flush for both counts
   meta.sampled_kept += own.sampled_kept;
   meta.sampled_dropped += own.sampled_dropped;
   conn.writer->set_meta(meta);
@@ -354,8 +357,8 @@ void RemoteSink::finish_stream(Conn& conn) {
 }
 
 std::uint64_t RemoteSink::spans_published() {
-  // Flushes first, so admitted_ below counts every span drained by then.
-  const std::uint64_t rejected = server_.sampled_dropped_count();
+  // meta() flushes first, so admitted_ below counts every span drained by then.
+  const std::uint64_t rejected = server_->meta().sampled_dropped;
   return admitted_.load(std::memory_order_relaxed) + rejected;
 }
 std::uint64_t RemoteSink::spans_sent() const noexcept {
@@ -367,12 +370,11 @@ std::uint64_t RemoteSink::spans_dropped() const noexcept {
 std::uint64_t RemoteSink::spans_shed() const noexcept {
   return shed_.load(std::memory_order_relaxed);
 }
-std::uint64_t RemoteSink::spans_sampled_kept() { return server_.sampled_kept_count(); }
-std::uint64_t RemoteSink::spans_sampled_dropped() { return server_.sampled_dropped_count(); }
+std::uint64_t RemoteSink::spans_sampled_kept() { return server_->meta().sampled_kept; }
+std::uint64_t RemoteSink::spans_sampled_dropped() { return server_->meta().sampled_dropped; }
 
 wire::Heartbeat RemoteSink::make_heartbeat() {
-  // One flush for both sampler counts; it also settles admitted_ below.
-  const TraceMeta own = server_.meta();
+  const TraceMeta own = server_->drained_meta();
   wire::Heartbeat hb{};
   hb.sequence = ++hb_seq_;
   hb.sampled_dropped = own.sampled_dropped;
@@ -406,7 +408,10 @@ void RemoteSink::bind_metrics(metrics::Registry& registry, metrics::Labels label
     return static_cast<double>(v.load(std::memory_order_relaxed));
   };
   cb("xsp_remote_published_spans_total", "Spans handed to the remote sink",
-     metrics::Kind::kCounter, [this] { return static_cast<double>(spans_published()); });
+     metrics::Kind::kCounter, [this] {
+       return static_cast<double>(admitted_.load(std::memory_order_relaxed) +
+                                  server_->drained_meta().sampled_dropped);
+     });
   cb("xsp_remote_sent_spans_total", "Spans fully accepted by the socket layer",
      metrics::Kind::kCounter, [this, load] { return load(sent_); });
   cb("xsp_remote_dropped_spans_total",
@@ -415,9 +420,11 @@ void RemoteSink::bind_metrics(metrics::Registry& registry, metrics::Labels label
   cb("xsp_remote_shed_spans_total", "Low-value spans shed selectively under backpressure",
      metrics::Kind::kCounter, [this, load] { return load(shed_); });
   cb("xsp_remote_sampled_kept_total", "Spans the admission sampler kept at publish",
-     metrics::Kind::kCounter, [this] { return static_cast<double>(spans_sampled_kept()); });
+     metrics::Kind::kCounter,
+     [this] { return static_cast<double>(server_->drained_meta().sampled_kept); });
   cb("xsp_remote_sampled_dropped_total", "Spans the admission sampler shed at publish",
-     metrics::Kind::kCounter, [this] { return static_cast<double>(spans_sampled_dropped()); });
+     metrics::Kind::kCounter,
+     [this] { return static_cast<double>(server_->drained_meta().sampled_dropped); });
   cb("xsp_remote_reconnects_total", "Reconnects performed (each opens a fresh wire epoch)",
      metrics::Kind::kCounter, [this, load] { return load(reconnects_); });
   cb("xsp_remote_heartbeats_sent_total", "Wire heartbeat frames emitted",
@@ -430,15 +437,12 @@ void RemoteSink::bind_metrics(metrics::Registry& registry, metrics::Labels label
 }
 
 void RemoteSink::set_sampler(std::shared_ptr<const Sampler> sampler) {
-  server_.set_sampler(sampler);
+  server_->set_sampler(sampler);
   std::lock_guard lk(mu_);
   sampler_ = std::move(sampler);
 }
 std::uint64_t RemoteSink::reconnects() const noexcept {
   return reconnects_.load(std::memory_order_relaxed);
-}
-bool RemoteSink::connected() const noexcept {
-  return connected_.load(std::memory_order_relaxed);
 }
 
 }  // namespace xsp::trace

@@ -16,6 +16,8 @@ namespace xsp::trace {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 std::uint64_t next_server_uid() {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
@@ -183,8 +185,12 @@ SpanId TraceServer::next_span_id() noexcept {
   return start;
 }
 
-TraceServer::TraceServer(PublishMode mode) : mode_(mode), uid_(next_server_uid()) {
-  if (mode_ == PublishMode::kAsync) collector_ = std::thread([this] { collector_loop(); });
+TraceServer::TraceServer(PublishMode mode) : uid_(next_server_uid()) {
+  if (mode == PublishMode::kAsync) {
+    collector_ = std::thread([this] {
+      while (!stop_.load(std::memory_order_acquire)) collect(Clock::time_point::max());
+    });
+  }
   // Discoverable by thread-exit hooks only once fully constructed.
   detail::SlotRegistry::instance().add(uid_, this);
 }
@@ -212,20 +218,16 @@ TraceServer::~TraceServer() {
   // joins the collector; whatever the owner chose not to take is freed
   // with the slots.
   stop_.store(true, std::memory_order_release);
-  if (collector_.joinable()) {
-    { std::lock_guard lk(wake_mu_); }
-    wake_cv_.notify_all();
-    collector_.join();
-  }
+  wake();
+  if (collector_.joinable()) collector_.join();
 }
 
 /// Passing through wake_mu_ before notifying keeps the wake from landing
-/// between the collector's predicate check and its sleep: pending stays
-/// nonzero, no later call would notify, and the collector would sleep out
-/// its period. Only the first unit since the last pass notifies, so a pass
-/// takes whatever arrived until it runs and costs one wake.
+/// between collect()'s predicate check and its sleep: pending stays
+/// nonzero, no later call would notify, and the waiter would sleep out
+/// its period.
 void TraceServer::wake() {
-  if (pending_batches_.fetch_add(1, std::memory_order_release) != 0) return;
+  if (pending_wakes_.fetch_add(1, std::memory_order_release) != 0) return;
   { std::lock_guard lk(wake_mu_); }
   wake_cv_.notify_one();
 }
@@ -386,11 +388,11 @@ void TraceServer::note_thread_exit(std::uint64_t thread_key) {
       }
     }
   }
-  // Retirement happens only inside a drain sweep; nudge the collector so
-  // a churn-heavy but otherwise idle server sheds the ~55KB promptly
-  // instead of waiting out the periodic timeout. (kSync retires on the
-  // next flush/take, exactly like batch draining.)
-  if (marked && mode_ == PublishMode::kAsync) wake();
+  // Retirement happens only inside a drain sweep; wake the draining
+  // thread so a churn-heavy but otherwise idle server sheds the ~55KB
+  // promptly instead of waiting out the quiet sweep. (A server nobody
+  // collects retires on the next flush/take, like batch draining.)
+  if (marked) wake();
 }
 
 void TraceServer::publish(const Span& span) {
@@ -416,7 +418,7 @@ void TraceServer::publish(const Span& span) {
     sealed = true;
   }
   slot.release();
-  if (sealed && mode_ == PublishMode::kAsync) wake();
+  if (sealed) wake();
 }
 
 void TraceServer::publish_batch(SpanBatch&& batch) {
@@ -444,7 +446,7 @@ void TraceServer::publish_batch(SpanBatch&& batch) {
   slot.dropped += dropped;
   if (sealed) slot.sealed.push_back(std::move(batch));
   slot.release();
-  if (sealed && mode_ == PublishMode::kAsync) wake();
+  if (sealed) wake();
 }
 
 void TraceServer::drain(bool steal_active) {
@@ -626,6 +628,10 @@ std::size_t TraceServer::pooled_slot_count() {
 
 TraceMeta TraceServer::meta() {
   flush();
+  return drained_meta();
+}
+
+TraceMeta TraceServer::drained_meta() {
   TraceMeta meta;
   for (const MetaRow& row : kMetaRows) meta.*row.member = row.read(*this);
   const auto& table = common::StringTable::global();
@@ -667,26 +673,29 @@ void TraceServer::bind_metrics(metrics::Registry& registry, const metrics::Label
   drain_hist_.store(drain_hist_refs_.back().get(), std::memory_order_release);
 }
 
-void TraceServer::collector_loop() {
+void TraceServer::collect(Clock::time_point deadline) {
+  const auto woken_by = [this] { return pending_wakes_.load(std::memory_order_acquire) > 0; };
   std::unique_lock lk(wake_mu_);
-  while (!stop_.load(std::memory_order_acquire)) {
-    const bool woken = wake_cv_.wait_for(lk, std::chrono::milliseconds(50), [&] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_batches_.load(std::memory_order_acquire) > 0;
-    });
-    pending_batches_.store(0, std::memory_order_release);
-    lk.unlock();
-    // A quiet period (no batch sealed for 50 ms) also sweeps the partial
-    // batches, so a live producer's trickle is delivered within it instead
-    // of waiting for 256 spans or a flush().
-    drain(/*steal_active=*/!woken);
-    lk.lock();
-  }
+  const auto quiet_end = last_pass_ + std::chrono::milliseconds(50);
+  const auto until = std::min(deadline, quiet_end);
+  // A deadline already past is a poll: no sleep, so no futex call.
+  const bool woken =
+      until <= Clock::now() ? woken_by() : wake_cv_.wait_until(lk, until, woken_by);
+  const auto now = Clock::now();
+  // A quiet period (no wake for 50 ms) also sweeps the partial batches, so
+  // a live producer's trickle is delivered within it instead of waiting
+  // for 256 spans or a flush().
+  const bool quiet = !woken && now >= quiet_end;
+  if (!woken && !quiet) return;
+  pending_wakes_.store(0, std::memory_order_release);
+  last_pass_ = now;
+  lk.unlock();
+  drain(/*steal_active=*/quiet);
 }
 
 void TraceServer::flush() {
-  // The caller drains directly instead of waiting for the collector:
-  // this both bounds flush latency and keeps kSync (no collector) correct.
+  // The caller drains directly instead of waiting for the collecting
+  // thread: this bounds flush latency, and a kSync server may have none.
   drain(/*steal_active=*/true);
 }
 
@@ -716,16 +725,6 @@ void TraceServer::set_sampler(std::shared_ptr<const Sampler> sampler) {
   // action, so the retention list stays tiny.
   if (sampler != nullptr) sampler_refs_.push_back(std::move(sampler));
   sampler_ptr_.store(raw, std::memory_order_release);
-}
-
-std::uint64_t TraceServer::sampled_kept_count() {
-  flush();
-  return sampled_kept_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t TraceServer::sampled_dropped_count() {
-  flush();
-  return sampled_dropped_.load(std::memory_order_relaxed);
 }
 
 SpanBatches TraceServer::take_batches() {

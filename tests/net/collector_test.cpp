@@ -26,8 +26,10 @@
 #include <tuple>
 #include <vector>
 
+#include "../trace/thread_count.hpp"
 #include "../trace/wire_builders.hpp"
 #include "net_test_util.hpp"
+#include "xsp/metrics/registry.hpp"
 #include "xsp/net/endpoint.hpp"
 #include "xsp/net/socket.hpp"
 #include "xsp/trace/remote_sink.hpp"
@@ -707,6 +709,27 @@ TEST(RemoteSinkLifecycle, PublishRacingCloseIsStillAccounted) {
   collector.stop();
 }
 
+TEST(RemoteSinkLifecycle, RunsExactlyOneThread) {
+  // The sender is the sink's only thread: it drains the sink's kSync
+  // server itself, so the server starts no collector of its own.
+  const Endpoint ep = uds_endpoint("col_threads");
+  RunningCollector collector(ep);
+  const std::size_t before = test::thread_count();
+  trace::RemoteSink sink(ep);
+  EXPECT_EQ(test::thread_count(), before + 1);
+
+  constexpr std::size_t kSpans = 3 * trace::kBatchCapacity;
+  publish_fleet_member(sink, 0, kSpans);
+  ASSERT_TRUE(wait_until([&] { return collector.service.stats().spans_ingested == kSpans; }));
+  EXPECT_EQ(test::thread_count(), before + 1) << "connected and sending";
+
+  sink.close();
+  // join() can return a moment before the kernel drops the task.
+  EXPECT_TRUE(wait_until([&] { return test::thread_count() == before; }, 1000))
+      << test::thread_count() << " threads, " << before << " before the sink";
+  EXPECT_EQ(sink.spans_sent(), kSpans);
+}
+
 // --- heartbeats: producer health at the daemon -----------------------------
 
 /// One full scrape against the daemon's metrics endpoint: raw HTTP/1.0
@@ -961,6 +984,76 @@ TEST(CollectorE2E, DefaultSinkShipsEachFullPoolBlockWithoutFlush) {
   collector.stop();
   EXPECT_EQ(sink.spans_sent(), trace::kBatchCapacity);
   EXPECT_EQ(sink.spans_dropped(), 0u);
+}
+
+TEST(RemoteSinkMetrics, ScrapesAndHeartbeatsLeaveAPartialBatchWhole) {
+  // Scrapes and heartbeats read the sink's counters as of its sender's
+  // last drain pass. Were they to flush the sink's server, each would ship
+  // the partial batch early as one more frame. The sender's own 50 ms
+  // quiet sweep could split it too, so a round that runs 40 ms or more
+  // after the flush that reset the sweep proves nothing and is retried.
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kPieces = 4;
+  constexpr std::size_t kPieceSpans = 5;
+  bool measured = false;
+  for (int attempt = 0; attempt < 5 && !measured; ++attempt) {
+    std::mutex mu;
+    std::vector<std::size_t> frames;  // one decoded frame is one batch here
+    const Endpoint ep = uds_endpoint("col_scrape" + std::to_string(attempt));
+    RunningCollector collector(ep, {}, trace::PublishMode::kAsync);
+    collector.server.add_drain_subscriber(
+        [&](const trace::SpanBatches& batches) {
+          std::lock_guard lk(mu);
+          for (const auto& batch : batches) frames.push_back(batch.size());
+        },
+        trace::DrainHandoff::kConsume);
+    const auto delivered = [&] {
+      std::lock_guard lk(mu);
+      std::size_t n = 0;
+      for (const std::size_t f : frames) n += f;
+      return n;
+    };
+
+    trace::RemoteSinkOptions opts;
+    opts.heartbeat_interval_ms = 2;
+    trace::RemoteSink sink(ep, opts);
+    metrics::Registry registry;
+    sink.bind_metrics(registry);
+    // One span first, so the sink is connected and heartbeating.
+    publish_fleet_member(sink, 0, 1);
+    sink.flush();
+    ASSERT_TRUE(wait_until([&] { return delivered() == 1; }));
+
+    // A flush wakes the sender, whose pass restarts the quiet sweep.
+    sink.flush();
+    const auto t0 = Clock::now();
+    std::string text;
+    for (std::size_t piece = 0; piece < kPieces; ++piece) {
+      publish_fleet_member(sink, 1, kPieceSpans);
+      text.clear();
+      registry.write_prometheus(text);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));  // heartbeats run
+    }
+    measured = Clock::now() - t0 < std::chrono::milliseconds(40);
+    sink.flush();
+    constexpr std::size_t kTotal = 1 + kPieces * kPieceSpans;
+    ASSERT_TRUE(wait_until([&] { return delivered() == kTotal; }));
+    if (measured) {
+      EXPECT_GE(sink.heartbeats_sent(), 2u);
+      std::lock_guard lk(mu);
+      EXPECT_EQ(frames, (std::vector<std::size_t>{1, kPieces * kPieceSpans}))
+          << "a scrape or heartbeat shipped part of the batch early";
+      text.clear();
+      registry.write_prometheus(text);
+      EXPECT_NE(text.find("xsp_remote_published_spans_total " + std::to_string(kTotal)),
+                std::string::npos)
+          << "a scrape reads the counts of the last drain pass\n"
+          << text;
+    }
+    sink.close();
+    collector.stop();
+  }
+  EXPECT_TRUE(measured) << "no round finished within 40 ms of the sweep reset";
 }
 
 // --- sampling admission & selective shedding ------------------------------

@@ -132,8 +132,6 @@ TEST(TraceServer, MetaMatchesTheAccessors) {
   EXPECT_EQ(meta.live_slots, server.live_slot_count());
   EXPECT_EQ(meta.retired_slots, server.retired_slot_count());
   EXPECT_EQ(meta.slot_bytes, server.approx_slot_bytes());
-  EXPECT_EQ(meta.sampled_kept, server.sampled_kept_count());
-  EXPECT_EQ(meta.sampled_dropped, server.sampled_dropped_count());
   const auto& table = common::StringTable::global();
   EXPECT_EQ(meta.interned_strings, table.size());
   EXPECT_EQ(meta.interned_bytes, table.approx_bytes());

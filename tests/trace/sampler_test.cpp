@@ -202,8 +202,8 @@ TEST(TraceServerSampling, InvariantPublishedEqualsKeptPlusDropped) {
       s.id = server.next_span_id();
       server.publish(s);
     }
-    const std::uint64_t kept = server.sampled_kept_count();
-    const std::uint64_t dropped = server.sampled_dropped_count();
+    const std::uint64_t kept = server.meta().sampled_kept;
+    const std::uint64_t dropped = server.meta().sampled_dropped;
     EXPECT_EQ(kept + dropped, kSpans);
     EXPECT_GT(dropped, 0u);
     // Admitted spans all made it into the trace.
@@ -224,8 +224,8 @@ TEST(TraceServerSampling, CountersSurviveEmptyDrains) {
   // Every span was sampled out, so the drain sees no batches — the
   // accounting must still land.
   EXPECT_EQ(drained_spans(server), 0u);
-  EXPECT_EQ(server.sampled_dropped_count(), 100u);
-  EXPECT_EQ(server.sampled_kept_count(), 0u);
+  EXPECT_EQ(server.meta().sampled_dropped, 100u);
+  EXPECT_EQ(server.meta().sampled_kept, 0u);
 }
 
 TEST(TraceServerSampling, NoSamplerMeansNoAccounting) {
@@ -235,8 +235,8 @@ TEST(TraceServerSampling, NoSamplerMeansNoAccounting) {
     s.id = server.next_span_id();
     server.publish(s);
   }
-  EXPECT_EQ(server.sampled_kept_count(), 0u);
-  EXPECT_EQ(server.sampled_dropped_count(), 0u);
+  EXPECT_EQ(server.meta().sampled_kept, 0u);
+  EXPECT_EQ(server.meta().sampled_dropped, 0u);
 }
 
 TEST(TraceServerSampling, PublishBatchAdmitsSpanBySpanLikePublish) {
@@ -256,13 +256,13 @@ TEST(TraceServerSampling, PublishBatchAdmitsSpanBySpanLikePublish) {
     one_by_one.publish(batch.back());
   }
   whole.publish_batch(std::move(batch));
-  const std::uint64_t kept = whole.sampled_kept_count();
-  const std::uint64_t dropped = whole.sampled_dropped_count();
+  const std::uint64_t kept = whole.meta().sampled_kept;
+  const std::uint64_t dropped = whole.meta().sampled_dropped;
   EXPECT_EQ(kept + dropped, kSpans);
   EXPECT_GT(dropped, 0u);
   EXPECT_GT(kept, 0u);
-  EXPECT_EQ(kept, one_by_one.sampled_kept_count());
-  EXPECT_EQ(dropped, one_by_one.sampled_dropped_count());
+  EXPECT_EQ(kept, one_by_one.meta().sampled_kept);
+  EXPECT_EQ(dropped, one_by_one.meta().sampled_dropped);
   // The admitted spans, in publication order, are the same spans.
   const auto ids = [](TraceServer& server) {
     std::vector<SpanId> out;
@@ -284,8 +284,8 @@ TEST(TraceServerSampling, AWhollyRejectedBatchIsCountedAndNotHeld) {
   server.publish_batch(std::move(batch));
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(drained_spans(server), 0u);
-  EXPECT_EQ(server.sampled_dropped_count(), 100u);
-  EXPECT_EQ(server.sampled_kept_count(), 0u);
+  EXPECT_EQ(server.meta().sampled_dropped, 100u);
+  EXPECT_EQ(server.meta().sampled_kept, 0u);
 }
 
 TEST(TraceServerSampling, InvariantHoldsUnderConcurrentPublishers) {
@@ -306,8 +306,8 @@ TEST(TraceServerSampling, InvariantHoldsUnderConcurrentPublishers) {
     });
   }
   for (auto& t : threads) t.join();
-  const std::uint64_t kept = server.sampled_kept_count();
-  EXPECT_EQ(kept + server.sampled_dropped_count(), kThreads * kPerThread);
+  const std::uint64_t kept = server.meta().sampled_kept;
+  EXPECT_EQ(kept + server.meta().sampled_dropped, kThreads * kPerThread);
   EXPECT_EQ(drained_spans(server), kept);
 }
 
@@ -327,7 +327,7 @@ TEST(TraceServerSampling, SetSamplerMidStreamTakesEffect) {
     server.publish(s);
   }
   EXPECT_EQ(drained_spans(server), 10u);
-  EXPECT_EQ(server.sampled_dropped_count(), 10u);
+  EXPECT_EQ(server.meta().sampled_dropped, 10u);
 }
 
 }  // namespace

@@ -63,8 +63,8 @@ TEST(TraceServerMetrics, OneSeriesPerNameAgreesWithTheGetters) {
       }
     }).join();
   }
-  const std::uint64_t kept = server.sampled_kept_count();  // flushes
-  const std::uint64_t dropped = server.sampled_dropped_count();
+  const std::uint64_t kept = server.meta().sampled_kept;  // flushes
+  const std::uint64_t dropped = server.meta().sampled_dropped;
   ASSERT_EQ(kept + dropped, 600u);
   ASSERT_GT(kept, 0u);
   ASSERT_GT(dropped, 0u);
