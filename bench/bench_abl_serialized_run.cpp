@@ -76,11 +76,9 @@ trace::Timeline run_branches(bool serialized, Ns* wall = nullptr) {
     }
   }
   if (wall != nullptr) *wall = clock.now() - begin;
-  // Distrust explicit parents: this ablation exercises pure interval
+  // No span here names a parent, so assembly is pure interval
   // reconstruction.
-  trace::AssembleOptions opts;
-  opts.trust_explicit_parents = false;
-  return trace::Timeline::assemble(server.take_trace(), opts);
+  return trace::Timeline::assemble(server.take_trace());
 }
 
 }  // namespace

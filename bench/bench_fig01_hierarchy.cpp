@@ -51,17 +51,24 @@ int main() {
   // Counter values for the main kernel, from the merged accurate profile.
   for (const auto& l : result.profile.layers) {
     if (l.name != "conv2d/Conv2D") continue;
-    const auto& main_kernel = result.profile.kernels[l.kernel_ids.back()];
-    std::printf("\nGPU metrics of Kernel%zu (%s):\n", l.kernel_ids.size(),
-                main_kernel.name.c_str());
+    // The layer's kernels carry its index; the last one is the main kernel.
+    std::size_t count = 0;
+    const profile::KernelView* main_kernel = nullptr;
+    for (const auto& k : result.profile.kernels) {
+      if (k.layer_index != l.index) continue;
+      ++count;
+      main_kernel = &k;
+    }
+    if (main_kernel == nullptr) break;
+    std::printf("\nGPU metrics of Kernel%zu (%s):\n", count, main_kernel->name.c_str());
     std::printf("  SP Flop Count        = %.1f Gflop  (paper: 62 Gflop)\n",
-                main_kernel.flops / 1e9);
+                main_kernel->flops / 1e9);
     std::printf("  DRAM Read Bytes      = %.1f MB    (paper: 12.1 MB)\n",
-                main_kernel.dram_read_bytes / 1e6);
+                main_kernel->dram_read_bytes / 1e6);
     std::printf("  DRAM Write Bytes     = %.1f MB    (paper: 296 MB)\n",
-                main_kernel.dram_write_bytes / 1e6);
+                main_kernel->dram_write_bytes / 1e6);
     std::printf("  Achieved Occupancy   = %.1f%%       (paper: 13.2%%)\n",
-                main_kernel.achieved_occupancy * 100.0);
+                main_kernel->achieved_occupancy * 100.0);
     break;
   }
   bench::footnote_shape();

@@ -94,7 +94,9 @@ struct CollectorOptions {
   /// A producer whose heartbeats stop for longer than this while its
   /// connection stays open is flagged stale (xsp_producer_stale = 1).
   /// Applies only to connections that have sent at least one heartbeat;
-  /// one that has not sent any is never flagged. <= 0 disables.
+  /// one that has not sent any is never flagged. <= 0 disables. Kept for
+  /// CollectorHeartbeat.HeartbeatIngestExposesPerProducerSeriesAndStaleness,
+  /// which would otherwise sleep 5 s to see a producer go stale.
   int heartbeat_stale_ms = 5000;
 };
 

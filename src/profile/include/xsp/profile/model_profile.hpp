@@ -38,7 +38,8 @@ struct KernelView {
 };
 
 /// One executed layer with its (accurate) latency, memory allocation, and
-/// aggregated GPU-kernel statistics.
+/// aggregated GPU-kernel statistics. Its kernels are the KernelViews whose
+/// layer_index equals its (non-negative) index.
 struct LayerView {
   int index = 0;
   common::StrId name;
@@ -54,7 +55,6 @@ struct LayerView {
   double dram_write_bytes = 0;
   /// Weighted (by kernel latency) achieved occupancy, as the paper's A11.
   double achieved_occupancy = 0;
-  std::vector<std::size_t> kernel_ids;  ///< indices into ModelProfile::kernels
 
   [[nodiscard]] Ns non_gpu_latency() const noexcept {
     const Ns d = latency - kernel_latency;

@@ -117,11 +117,9 @@ ModelProfile merge_runs(const RunTrace& m, const RunTrace& ml, const RunTrace& m
       ancestor = mlg.timeline.node(ancestor).parent;
     }
 
-    const std::size_t kid = out.kernels.size();
     const auto index = static_cast<std::size_t>(kv.layer_index);
     if (kv.layer_index >= 0 && index < layer_slot.size() && layer_slot[index] != kNoSlot) {
       LayerView& lv = out.layers[layer_slot[index]];
-      lv.kernel_ids.push_back(kid);
       if (!kv.is_memcpy) {
         lv.kernel_latency += kv.latency;
         lv.flops += kv.flops;

@@ -42,7 +42,7 @@
 //
 // close(): flushes the server, drains the outbox, writes the footer
 // frame, half-closes the socket (shutdown_write = "stream complete"), and
-// waits up to drain_timeout_ms for the daemon to ack by closing its end —
+// waits up to 2 s for the daemon to ack by closing its end —
 // the drain protocol documented in src/trace/README.md. If the collector
 // is unreachable, close() gives up after one connect attempt and accounts
 // every undelivered span as dropped: a dead daemon must never wedge
@@ -67,19 +67,17 @@ namespace xsp::trace {
 
 struct RemoteSinkOptions {
   /// Outbox bound: total spans queued for the sender before newly sealed
-  /// batches drop with accounting.
+  /// batches drop with accounting. Kept for
+  /// RemoteSinkSampling.BackpressureShedsSelectivelyBeforeBlindDrops, whose
+  /// 20,000 spans must overflow it.
   std::size_t max_outbox_spans = 64 * 1024;
-  int connect_timeout_ms = 1000;
-  /// Reconnect backoff: initial delay, doubling to the cap.
-  int backoff_initial_ms = 20;
-  int backoff_max_ms = 2000;
-  /// How long close() waits for the daemon's end-of-stream ack.
-  int drain_timeout_ms = 2000;
   /// Cadence of wire Heartbeat frames carrying the sink's live
   /// counters, sent from the sender thread while a connection is up —
   /// the signal the collector turns into per-producer staleness (a
   /// producer whose heartbeats stop mid-connection is dead or stalled).
-  /// <= 0 disables heartbeats entirely.
+  /// <= 0 disables heartbeats entirely. Kept for
+  /// RemoteSinkMetrics.ScrapesAndHeartbeatsLeaveAPartialBatchWhole, which
+  /// needs heartbeats every 2 ms.
   int heartbeat_interval_ms = 1000;
 };
 

@@ -12,9 +12,10 @@
 //    shares a correlation id, so a whole launch/execution pair — and any
 //    future request-scoped span group — is kept or shed coherently, and the
 //    same stream re-publishes to the same decisions (replay-stable).
-//  - Per-level and per-tracer rate control. Each stack level can carry its
-//    own rate (keep every model span, 1% of kernel spans), and a per-tracer
-//    override wins over the level rate.
+//  - One policy for every span. The rate, the tail threshold and the
+//    pressure fraction apply alike at every stack level and for every
+//    tracer, so a request's one draw holds for its model, layer and kernel
+//    spans together.
 //  - Tail-keep escape hatch. Spans whose duration meets `tail_keep_ns` are
 //    force-admitted regardless of the hash — slow outliers are exactly the
 //    spans a profiler exists to catch, so rate control never hides them.
@@ -32,22 +33,14 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "xsp/trace/span.hpp"
 
 namespace xsp::trace {
 
 struct SamplerOptions {
-  /// Base keep probability in [0, 1]. Values >= 1 keep everything.
+  /// Keep probability in [0, 1]. Values >= 1 keep everything.
   double rate = 1.0;
-  /// Per-level overrides as (level, rate) pairs; a level not listed uses the
-  /// base rate. Levels outside [0, 8) share one "custom" slot.
-  std::vector<std::pair<int, double>> level_rates;
-  /// Per-tracer overrides, matched on the tracer StrId; wins over the level
-  /// rate. Intended for a handful of tracers (linear scan).
-  std::vector<std::pair<StrId, double>> tracer_rates;
   /// Force-admit spans with duration >= this many ns; 0 disables. Tail-kept
   /// spans have inclusion probability 1.0 (they bypass the hash entirely).
   Ns tail_keep_ns = 0;
@@ -69,7 +62,7 @@ class Sampler {
   [[nodiscard]] bool admit(const Span& span) const noexcept;
 
   /// Exact inclusion probability `admit` used for this span: 1.0 for
-  /// force-admitted tails and keep-all policies, the configured rate
+  /// force-admitted tails and a keep-all policy, the configured rate
   /// otherwise. Never returns 0 for an admitted span.
   [[nodiscard]] double effective_rate(const Span& span) const noexcept;
 
@@ -83,9 +76,9 @@ class Sampler {
   /// rejects, preserving order. Returns the number removed.
   std::size_t shed_low_value(SpanBatch& batch) const;
 
-  /// True when every admission decision is "keep" (rate 1.0 everywhere):
-  /// callers may skip per-span consultation entirely.
-  [[nodiscard]] bool pass_through() const noexcept { return pass_through_; }
+  /// True when every admission decision is "keep" (rate 1.0): callers may
+  /// skip per-span consultation entirely.
+  [[nodiscard]] bool pass_through() const noexcept { return threshold_ == kAlways; }
 
   [[nodiscard]] const SamplerOptions& options() const noexcept { return options_; }
 
@@ -102,16 +95,7 @@ class Sampler {
   /// Sentinel threshold meaning "admit unconditionally" (a plain `hash <
   /// threshold` compare cannot express probability exactly 1).
   static constexpr std::uint64_t kAlways = ~0ull;
-  /// Levels 0..6 get their own slot; everything else shares slot 7.
-  static constexpr int kLevelSlots = 8;
 
-  struct Policy {
-    std::uint64_t threshold = kAlways;           ///< admission bound
-    std::uint64_t pressure_threshold = kAlways;  ///< congestion-shed bound
-    double rate = 1.0;                           ///< inclusion probability
-  };
-
-  [[nodiscard]] const Policy& policy_for(const Span& span) const noexcept;
   [[nodiscard]] std::uint64_t key_of(const Span& span) const noexcept {
     const std::uint64_t key =
         span.correlation_id != 0 ? span.correlation_id : span.id;
@@ -122,11 +106,11 @@ class Sampler {
   }
 
   SamplerOptions options_;
-  Policy levels_[kLevelSlots];
-  std::vector<std::pair<std::uint32_t, Policy>> tracers_;
+  std::uint64_t threshold_ = kAlways;           ///< admission bound
+  std::uint64_t pressure_threshold_ = kAlways;  ///< congestion-shed bound
+  double rate_ = 1.0;                           ///< inclusion probability
   Ns tail_keep_ns_ = 0;
   std::uint64_t seed_ = 0;
-  bool pass_through_ = true;
 };
 
 }  // namespace xsp::trace

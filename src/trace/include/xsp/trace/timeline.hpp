@@ -59,12 +59,6 @@ struct TimelineNode {
   bool ambiguous_parent = false;
 };
 
-struct AssembleOptions {
-  /// When true, spans with an explicit parent reference keep it even if
-  /// interval containment would disagree.
-  bool trust_explicit_parents = true;
-};
-
 class Timeline {
  public:
   Timeline() = default;
@@ -76,14 +70,16 @@ class Timeline {
   /// Assemble a hierarchy from the raw spans of one run, in the publication
   /// batches TraceServer::take_batches() hands off. The timeline keeps the
   /// batches: nodes refer to their spans in place, and each correlated
-  /// launch/execution pair is merged into its execution span.
-  static Timeline assemble(SpanBatches batches, const AssembleOptions& options = {});
+  /// launch/execution pair is merged into its execution span. A span with
+  /// an explicit parent keeps it; every other span takes the smallest
+  /// interval that encloses it one level up.
+  static Timeline assemble(SpanBatches batches);
 
   /// Convenience overload for tests and benches: copies `spans` into one SpanBatch.
-  static Timeline assemble(const std::vector<Span>& spans, const AssembleOptions& options = {}) {
+  static Timeline assemble(const std::vector<Span>& spans) {
     SpanBatches batches;
     batches.emplace_back(spans.begin(), spans.end());
-    return assemble(std::move(batches), options);
+    return assemble(std::move(batches));
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }

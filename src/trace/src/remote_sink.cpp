@@ -19,6 +19,15 @@ constexpr std::size_t kMaxWirePendingBytes = 1 << 20;
 /// Per-attempt bound on waiting for socket writability before a short
 /// write returns to the FrameSink buffer.
 constexpr int kIoWaitMs = 20;
+/// Bound on one connect attempt (a TCP handshake; a Unix socket connect
+/// never waits).
+constexpr int kConnectTimeoutMs = 1000;
+/// Reconnect backoff: the first delay, doubling up to the cap.
+constexpr int kBackoffInitialMs = 20;
+constexpr int kBackoffMaxMs = 2000;
+/// How long close() waits for the footer to drain and the daemon's
+/// end-of-stream ack.
+constexpr int kDrainTimeoutMs = 2000;
 
 }  // namespace
 
@@ -129,8 +138,7 @@ void RemoteSink::enqueue_locked(SpanBatch&& batch) {
 
 bool RemoteSink::connect_once(Conn& conn) {
   std::string error;
-  net::Socket sock =
-      net::try_connect(endpoint_, opts_.connect_timeout_ms, &error);
+  net::Socket sock = net::try_connect(endpoint_, kConnectTimeoutMs, &error);
   if (!sock.valid()) return false;
   conn.sock = std::move(sock);
   conn.spans_in_flight = 0;
@@ -176,7 +184,7 @@ bool RemoteSink::connect_once(Conn& conn) {
 void RemoteSink::sender_loop() {
   using Clock = std::chrono::steady_clock;
   Conn conn;
-  int backoff_ms = opts_.backoff_initial_ms;
+  int backoff_ms = kBackoffInitialMs;
   bool ever_connected = false;
   const auto next_tick = [this] {  // the next heartbeat; never, with them off
     return opts_.heartbeat_interval_ms > 0
@@ -246,10 +254,10 @@ void RemoteSink::sender_loop() {
           server_->collect(until);
           lk.lock();
         }
-        backoff_ms = std::min(backoff_ms * 2, opts_.backoff_max_ms);
+        backoff_ms = std::min(backoff_ms * 2, kBackoffMaxMs);
         continue;
       }
-      backoff_ms = opts_.backoff_initial_ms;
+      backoff_ms = kBackoffInitialMs;
       if (ever_connected) reconnects_.fetch_add(1, std::memory_order_relaxed);
       ever_connected = true;
       next_hb = next_tick();
@@ -319,9 +327,9 @@ void RemoteSink::finish_stream(Conn& conn) {
   conn.writer->set_meta(meta);
   conn.writer->finish();
 
-  // Let a saturated socket drain the footer, bounded by drain_timeout_ms.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(opts_.drain_timeout_ms);
+  // Let a saturated socket drain the footer, bounded by kDrainTimeoutMs.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(kDrainTimeoutMs);
   while (!conn.writer->sink_failed() && conn.writer->sink_pending_bytes() > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     conn.sock.wait_writable(kIoWaitMs);

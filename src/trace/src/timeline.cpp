@@ -190,7 +190,7 @@ struct NodePlan {
   std::size_t unmatched = 0;
 };
 
-NodePlan plan_nodes(SpanBatches& batches, const AssembleOptions& options) {
+NodePlan plan_nodes(SpanBatches& batches) {
   std::size_t span_count = 0;
   for (const auto& batch : batches) span_count += batch.size();
 
@@ -203,7 +203,7 @@ NodePlan plan_nodes(SpanBatches& batches, const AssembleOptions& options) {
     plan.levels.add(span->level);
     const bool has_parent =
         span->parent != kNoSpan || (launch != nullptr && launch->parent != kNoSpan);
-    if (!(options.trust_explicit_parents && has_parent)) plan.searching.add(span->level);
+    if (!has_parent) plan.searching.add(span->level);
   };
 
   // --- Step 1: correlate launch/execution pairs. -------------------------
@@ -346,7 +346,7 @@ void fenwick_parents(const std::vector<Entry>& entries, std::vector<Search>& sea
 
 }  // namespace
 
-Timeline Timeline::assemble(SpanBatches batches, const AssembleOptions& options) {
+Timeline Timeline::assemble(SpanBatches batches) {
   static_assert(kNoParent == kAbsent);
   Timeline tl;
   tl.batches_ = std::move(batches);
@@ -360,7 +360,7 @@ Timeline Timeline::assemble(SpanBatches batches, const AssembleOptions& options)
   std::vector<bool> searched;
 
   {  // The plan (keys, sources) is scratch: freed once the nodes exist.
-    NodePlan plan = plan_nodes(tl.batches_, options);
+    NodePlan plan = plan_nodes(tl.batches_);
     levels = std::move(plan.levels);
     tl.correlated_async_ = plan.correlated;
     tl.unmatched_async_ = plan.unmatched;
@@ -407,7 +407,7 @@ Timeline Timeline::assemble(SpanBatches batches, const AssembleOptions& options)
       const std::size_t l = levels.index_of(s.level);
       if (searched[l]) entries[l].push_back({s.begin, s.end, i});
 
-      if (options.trust_explicit_parents && s.parent != kNoSpan) {
+      if (s.parent != kNoSpan) {
         node.parent = tl.position(s.parent);
         if (node.parent == kAbsent) node.parent = kUnresolved;
       } else if (const std::size_t target = levels.parent_of(s.level);

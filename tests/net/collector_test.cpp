@@ -490,11 +490,7 @@ TEST(RemoteSinkLifecycle, ReconnectOpensFreshStreamAndStringDeltaEpoch) {
   const Endpoint ep = uds_endpoint("col_epoch");
   Listener listener(ep);  // this test plays the daemon, byte-level
 
-  trace::RemoteSinkOptions opts;
-  opts.backoff_initial_ms = 10;
-  opts.backoff_max_ms = 100;
-  opts.drain_timeout_ms = 300;
-  trace::RemoteSink sink(ep, opts);
+  trace::RemoteSink sink(ep);
 
   Span first;
   first.id = sink.next_span_id();
@@ -557,10 +553,6 @@ TEST(RemoteSinkLifecycle, DaemonDeathLeavesProducerAliveWithAccountedDrops) {
 
   trace::RemoteSinkOptions opts;
   opts.max_outbox_spans = 128;  // small: drops surface quickly once dead
-  opts.connect_timeout_ms = 100;
-  opts.backoff_initial_ms = 10;
-  opts.backoff_max_ms = 50;
-  opts.drain_timeout_ms = 200;
   trace::RemoteSink sink(ep, opts);
 
   publish_fleet_member(sink, 0, 100);
@@ -1100,10 +1092,6 @@ TEST(RemoteSinkSampling, BackpressureShedsSelectivelyBeforeBlindDrops) {
   const Endpoint ep = uds_endpoint("col_shed_none");
   trace::RemoteSinkOptions opts;
   opts.max_outbox_spans = 4 * trace::kBatchCapacity;
-  opts.connect_timeout_ms = 50;
-  opts.backoff_initial_ms = 10;
-  opts.backoff_max_ms = 50;
-  opts.drain_timeout_ms = 100;
   trace::RemoteSink sink(ep, opts);
   trace::SamplerOptions sopts;
   sopts.rate = 1.0;  // admit everything; shedding is the pressure path

@@ -17,6 +17,17 @@ framework::Graph small_graph(std::int64_t batch = 4) {
   return std::move(b).build();
 }
 
+/// Indices of the kernels merge_runs attached to `layer`: those carrying
+/// its (non-negative) layer index.
+std::vector<std::size_t> kernels_of(const ModelProfile& profile, const LayerView& layer) {
+  std::vector<std::size_t> out;
+  if (layer.index < 0) return out;
+  for (std::size_t k = 0; k < profile.kernels.size(); ++k) {
+    if (profile.kernels[k].layer_index == layer.index) out.push_back(k);
+  }
+  return out;
+}
+
 TEST(Leveled, OverheadsArePositiveAndQuantified) {
   LeveledRunner runner(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
   const auto result = runner.run(small_graph());
@@ -81,7 +92,7 @@ TEST(Leveled, KernelsCorrelateToLayers) {
   // Layer kernel aggregates are consistent with the kernel list.
   for (const auto& l : result.profile.layers) {
     Ns sum = 0;
-    for (const auto kid : l.kernel_ids) {
+    for (const auto kid : kernels_of(result.profile, l)) {
       const auto& k = result.profile.kernels[kid];
       if (!k.is_memcpy) sum += k.latency;
     }
@@ -199,11 +210,13 @@ TEST(MergeRuns, KernelsAttachByLayerIndexOnly) {
   // layer, 5 is past the last one, and -1 matches no layer, not even the
   // one without an index.
   EXPECT_EQ(profile.layers[0].index, 0);
-  EXPECT_EQ(profile.layers[0].kernel_ids, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(kernels_of(profile, profile.layers[0]), (std::vector<std::size_t>{0}));
   EXPECT_EQ(profile.layers[0].kernel_latency, 5);
-  EXPECT_TRUE(profile.layers[1].kernel_ids.empty());
+  EXPECT_TRUE(kernels_of(profile, profile.layers[1]).empty());
+  EXPECT_EQ(profile.layers[1].kernel_latency, 0);
   EXPECT_EQ(profile.layers[2].index, -1);
-  EXPECT_TRUE(profile.layers[2].kernel_ids.empty());
+  EXPECT_TRUE(kernels_of(profile, profile.layers[2]).empty());
+  EXPECT_EQ(profile.layers[2].kernel_latency, 0);
 }
 
 }  // namespace

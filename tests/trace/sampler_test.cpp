@@ -119,29 +119,41 @@ TEST(Sampler, SpansWithoutCorrelationFallBackToSpanId) {
   EXPECT_LT(kept, 2500);
 }
 
-TEST(Sampler, PerLevelRatesApply) {
+TEST(Sampler, VerdictIgnoresLevelAndTracer) {
+  const StrId tracers[] = {StrId{"framework"}, StrId{"cupti"}};
   SamplerOptions opts;
-  opts.rate = 1.0;
-  opts.level_rates = {{kKernelLevel, 0.0}};
+  opts.rate = 0.1;
+  opts.tail_keep_ns = 1000;
   Sampler sampler(opts);
   EXPECT_FALSE(sampler.pass_through());
-  for (std::uint64_t c = 1; c < 500; ++c) {
-    EXPECT_TRUE(sampler.admit(make_span(c, 100, kModelLevel)));
-    EXPECT_FALSE(sampler.admit(make_span(c, 100, kKernelLevel)));
+  // One request's spans share a correlation id; the verdict, the inclusion
+  // probability and the pressure verdict are the same at every level and
+  // under every tracer, for short spans and for tail-kept ones alike.
+  int kept = 0;
+  int pressure_kept = 0;
+  for (std::uint64_t corr = 1; corr <= 2000; ++corr) {
+    const Ns dur = corr % 50 == 0 ? 1000 : 100;
+    const Span ref = make_span(corr, dur, kModelLevel);
+    const bool verdict = sampler.admit(ref);
+    const double rate = sampler.effective_rate(ref);
+    const bool pressure = sampler.keep_under_pressure(ref);
+    kept += verdict ? 1 : 0;
+    pressure_kept += pressure ? 1 : 0;
+    for (const int level : {kModelLevel, kLayerLevel, kKernelLevel}) {
+      for (const StrId tracer : tracers) {
+        Span s = make_span(corr, dur, level);
+        s.tracer = tracer;
+        EXPECT_EQ(sampler.admit(s), verdict) << "corr " << corr << " level " << level;
+        EXPECT_DOUBLE_EQ(sampler.effective_rate(s), rate) << "corr " << corr;
+        EXPECT_EQ(sampler.keep_under_pressure(s), pressure) << "corr " << corr;
+      }
+    }
   }
-}
-
-TEST(Sampler, PerTracerOverrideWinsOverLevel) {
-  const StrId cupti{"cupti"};
-  SamplerOptions opts;
-  opts.rate = 1.0;
-  opts.level_rates = {{kKernelLevel, 0.0}};
-  opts.tracer_rates = {{cupti, 1.0}};
-  Sampler sampler(opts);
-  Span s = make_span(7, 100, kKernelLevel);
-  EXPECT_FALSE(sampler.admit(s));
-  s.tracer = cupti;
-  EXPECT_TRUE(sampler.admit(s));
+  // Both verdicts split the ids: the check compared keeps and drops.
+  EXPECT_GT(kept, 0);
+  EXPECT_LT(kept, 2000);
+  EXPECT_GT(pressure_kept, 0);
+  EXPECT_LT(pressure_kept, 2000);
 }
 
 TEST(Sampler, TailKeepForceAdmitsLongSpans) {
@@ -160,10 +172,8 @@ TEST(Sampler, TailKeepForceAdmitsLongSpans) {
 TEST(Sampler, EffectiveRateMatchesPolicy) {
   SamplerOptions opts;
   opts.rate = 0.25;
-  opts.level_rates = {{kModelLevel, 1.0}};
   Sampler sampler(opts);
   EXPECT_DOUBLE_EQ(sampler.effective_rate(make_span(3, 100, kKernelLevel)), 0.25);
-  EXPECT_DOUBLE_EQ(sampler.effective_rate(make_span(3, 100, kModelLevel)), 1.0);
 }
 
 TEST(Sampler, ShedLowValueKeepsTailsAndHighPrioritySlice) {

@@ -306,10 +306,10 @@ OracleNode regular_node(const Span& s) {
 
 /// Brute force: per correlation id, the first launch and the first
 /// execution in arrival order form the pair; every other async span stays
-/// a regular node and counts as unmatched. Parents: a trusted explicit
+/// a regular node and counts as unmatched. Parents: an explicit
 /// reference if it names a node, else the smallest enclosing span at the
 /// nearest present lower level; a tie on duration is ambiguous.
-OracleResult oracle(const SpanBatches& batches, const AssembleOptions& options) {
+OracleResult oracle(const SpanBatches& batches) {
   OracleResult out;
   std::map<std::uint64_t, std::vector<const Span*>> groups;
   for (const auto& batch : batches) {
@@ -357,7 +357,7 @@ OracleResult oracle(const SpanBatches& batches, const AssembleOptions& options) 
   }
   for (const auto& n : out.nodes) {
     std::set<SpanId>& best = out.parents[n.id];
-    if (options.trust_explicit_parents && n.explicit_parent != kNoSpan) {
+    if (n.explicit_parent != kNoSpan) {
       best.insert(ids.count(n.explicit_parent) != 0 ? n.explicit_parent : kNoSpan);
       continue;
     }
@@ -384,9 +384,9 @@ OracleResult oracle(const SpanBatches& batches, const AssembleOptions& options) 
   return out;
 }
 
-void expect_matches_oracle(const SpanBatches& batches, const AssembleOptions& options) {
-  const OracleResult want = oracle(batches, options);
-  const Timeline tl = Timeline::assemble(batches, options);
+void expect_matches_oracle(const SpanBatches& batches) {
+  const OracleResult want = oracle(batches);
+  const Timeline tl = Timeline::assemble(batches);
 
   ASSERT_EQ(tl.size(), want.nodes.size());
   EXPECT_EQ(tl.correlated_async_count(), want.correlated);
@@ -424,16 +424,6 @@ void expect_matches_oracle(const SpanBatches& batches, const AssembleOptions& op
   }
 }
 
-/// expect_matches_oracle under every combination of the assembly options.
-void expect_matches_oracle_for_all_options(const SpanBatches& batches) {
-  for (const bool trust : {true, false}) {
-    SCOPED_TRACE(::testing::Message() << "trust=" << trust);
-    AssembleOptions options;
-    options.trust_explicit_parents = trust;
-    expect_matches_oracle(batches, options);
-  }
-}
-
 /// Whether two spans of one level partially overlap, on a level some
 /// other span searches (the nearest present level below its own), found
 /// by brute force: such a level is not laminar.
@@ -464,12 +454,12 @@ bool has_partial_overlap_on_searched_level(const SpanBatches& batches) {
 class TimelineOracle : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TimelineOracle, MatchesBruteForce) {
-  expect_matches_oracle_for_all_options(
+  expect_matches_oracle(
       random_async_trace(GetParam(), /*duplicate_correlation_ids=*/false));
 }
 
 TEST_P(TimelineOracle, MatchesBruteForceWithDuplicateCorrelationIds) {
-  expect_matches_oracle_for_all_options(
+  expect_matches_oracle(
       random_async_trace(GetParam(), /*duplicate_correlation_ids=*/true));
 }
 
@@ -499,8 +489,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TimelineOracle,
 // --- Fixed cases for both shapes of level ------------------------------------
 // Levels whose intervals are all nested or disjoint (laminar) and levels
 // whose intervals partially overlap resolve by the same Fenwick sweep.
-// Each case runs under every option set against the oracle, except where
-// the oracle's own arithmetic would overflow.
+// Each case runs against the oracle, except where the oracle's own
+// arithmetic would overflow.
 
 /// `spans` published in the given order, `per_batch` spans to a batch.
 SpanBatches batches_of(const std::vector<Span>& spans, std::size_t per_batch) {
@@ -559,7 +549,7 @@ TEST(TimelineOracleFixed, LaminarLevelNestedDeepWithDuplicatesAndLateLaunches) {
   EXPECT_EQ(tl.node(22).parent, kNoSpan);
   EXPECT_EQ(tl.node(27).parent, 2u);
   EXPECT_EQ(tl.ambiguous_count(), 2u);
-  expect_matches_oracle_for_all_options(batches);
+  expect_matches_oracle(batches);
 }
 
 TEST(TimelineOracleFixed, NonLaminarLevelWithPartialOverlapsAndEqualWidthTies) {
@@ -585,7 +575,7 @@ TEST(TimelineOracleFixed, NonLaminarLevelWithPartialOverlapsAndEqualWidthTies) {
   EXPECT_EQ(tl.node(16).parent, 2u);
   EXPECT_EQ(tl.node(18).parent, 1u);
   EXPECT_EQ(tl.ambiguous_count(), 1u);
-  expect_matches_oracle_for_all_options(batches);
+  expect_matches_oracle(batches);
 }
 
 TEST(TimelineOracleFixed, NonLaminarLevelWithExtremeTimesComparesTrueDurations) {
@@ -643,7 +633,7 @@ TEST(TimelineOracleFixed, TouchingClosedIntervalsOverlapAtTheirSharedPoint) {
     if (k.parent != kNoSpan) {
       EXPECT_EQ(tl.node(3).parent, k.parent);
     }
-    expect_matches_oracle_for_all_options(batches);
+    expect_matches_oracle(batches);
   }
 }
 

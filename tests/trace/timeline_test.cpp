@@ -65,15 +65,6 @@ TEST(Timeline, ExplicitParentOverridesIntervals) {
   EXPECT_EQ(k3.parent, 2u);
 }
 
-TEST(Timeline, ExplicitParentsCanBeDistrusted) {
-  auto spans = nested_trace();
-  spans[5].parent = 2;
-  AssembleOptions opts;
-  opts.trust_explicit_parents = false;
-  auto tl = Timeline::assemble(spans, opts);
-  EXPECT_EQ(tl.node(6).parent, 3u);  // back to interval containment
-}
-
 TEST(Timeline, AbsentLevelsAreSkippedInParentSearch) {
   // A kernel-level span with no layer or library profiling enabled:
   // those levels are empty, so the parent search falls through to the
