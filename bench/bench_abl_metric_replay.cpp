@@ -15,12 +15,18 @@ int main() {
   const auto& model = bench::resnet50();
   const auto graph = model.build(64, true);
 
+  // Only the replay's simulated time is measured; the records are dropped.
+  struct DiscardRecords final : cupti::RecordConsumer {
+    void on_api(const cupti::ApiRecord&) override {}
+    void on_activity(const sim::ActivityRecord&, const cupti::MetricValues&) override {}
+  };
   const auto run_with_metrics = [&](const std::vector<std::string>& metrics) {
     profile::Session session(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
     auto& device = session.device();
     cupti::CuptiOptions copts;
     copts.metrics = metrics;
-    cupti::CuptiProfiler prof(device, copts);
+    DiscardRecords discard;
+    cupti::CuptiProfiler prof(device, copts, discard);
     prof.start();
     const auto result = session.executor().run(graph);
     prof.stop();

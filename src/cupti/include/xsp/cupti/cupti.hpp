@@ -13,6 +13,13 @@
 //                     replay, which is what makes metric profiling expensive
 //                     ("GPU memory metrics ... can slow down execution by
 //                     over 100x" — Section III-C).
+//
+// The profiler keeps no records. It hands each one to a RecordConsumer as
+// CUPTI delivers it: an API record from inside its callback, and an
+// activity record, with the kernel's metric values, when the activity
+// buffer is flushed. Flushes happen at every synchronize callback (where
+// CUPTI drains completed buffers and the flush cost is charged) and in
+// stop(), so a consumer has seen every record once stop() returns.
 #pragma once
 
 #include <array>
@@ -91,13 +98,30 @@ struct MetricValues {
   [[nodiscard]] double at(common::StrId name) const;
 };
 
+/// Receives a profiling session's records as they are delivered, on the
+/// thread driving the device. Records are passed by reference and are not
+/// kept: a consumer copies what it needs before returning.
+class RecordConsumer {
+ public:
+  virtual ~RecordConsumer() = default;
+  /// Every runtime API call (launches, copies, synchronizes), from inside
+  /// its callback.
+  virtual void on_api(const ApiRecord& record) = 0;
+  /// One device activity at a flush, oldest first, with its metric values
+  /// (empty for memcpys and when no metrics were requested). Delivered
+  /// whenever activities or metrics are enabled: metric values belong to
+  /// the record they were read for.
+  virtual void on_activity(const sim::ActivityRecord& record, const MetricValues& metrics) = 0;
+};
+
 /// RAII profiling session. Construction validates options; start() attaches
 /// to the device (and charges the attach cost); stop() detaches and charges
-/// the flush cost. Records remain readable after stop().
+/// the flush cost. Records go to the consumer as they are delivered.
 class CuptiProfiler {
  public:
-  /// Throws std::invalid_argument on an unknown metric name.
-  CuptiProfiler(sim::GpuDevice& device, CuptiOptions options);
+  /// Throws std::invalid_argument on an unknown metric name. `consumer`
+  /// must outlive the profiler.
+  CuptiProfiler(sim::GpuDevice& device, CuptiOptions options, RecordConsumer& consumer);
   ~CuptiProfiler();
 
   CuptiProfiler(const CuptiProfiler&) = delete;
@@ -119,32 +143,14 @@ class CuptiProfiler {
   /// (1 when no metrics are collected).
   [[nodiscard]] int replay_count() const noexcept { return replay_count_; }
 
-  /// Captured runtime API call records, in capture order.
-  [[nodiscard]] const std::vector<ApiRecord>& api_records() const noexcept {
-    return api_records_;
-  }
-
-  /// Drain captured device-side activity records from the device.
-  /// (Also called internally by stop().)
+ private:
+  /// Drain the device's buffered activity records to the consumer. The
+  /// synchronize callbacks and stop() call it.
   void flush_activities();
 
-  /// Activity records captured so far (after flush_activities()/stop()).
-  /// Kept whenever activities or metrics are enabled: metric values belong
-  /// to the record they were read for.
-  [[nodiscard]] const std::vector<sim::ActivityRecord>& activity_records() const noexcept {
-    return activities_;
-  }
-
-  /// Metric values, one entry per activity_records() entry at the same
-  /// index (memcpy records carry none). Empty unless metrics were
-  /// requested.
-  [[nodiscard]] const std::vector<MetricValues>& metric_records() const noexcept {
-    return metrics_;
-  }
-
- private:
   sim::GpuDevice* device_;
   CuptiOptions options_;
+  RecordConsumer* consumer_;
   int replay_count_ = 1;
   bool running_ = false;
   int subscription_ = 0;
@@ -158,9 +164,9 @@ class CuptiProfiler {
     double (*read)(const sim::ActivityRecord&) = nullptr;
   };
   std::vector<MetricSlot> metric_set_;
-  std::vector<ApiRecord> api_records_;
-  std::vector<sim::ActivityRecord> activities_;
-  std::vector<MetricValues> metrics_;
+  /// The device drains into this buffer; it keeps its capacity across
+  /// flushes.
+  std::vector<sim::ActivityRecord> drained_;
 };
 
 }  // namespace xsp::cupti

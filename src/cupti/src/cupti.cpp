@@ -63,8 +63,9 @@ const std::vector<std::string>& known_metrics() {
   return names;
 }
 
-CuptiProfiler::CuptiProfiler(sim::GpuDevice& device, CuptiOptions options)
-    : device_(&device), options_(std::move(options)) {
+CuptiProfiler::CuptiProfiler(sim::GpuDevice& device, CuptiOptions options,
+                             RecordConsumer& consumer)
+    : device_(&device), options_(std::move(options)), consumer_(&consumer) {
   int passes = 0;
   for (const auto& m : options_.metrics) {
     const MetricInfo* info = find_metric(m);
@@ -108,44 +109,33 @@ void CuptiProfiler::start() {
   subscription_ = device_->subscribe([this](const sim::ApiCallbackInfo& info) {
     // Callback body runs on the simulated CPU: charge its cost.
     device_->clock().advance(options_.callback_overhead_ns);
-    ApiRecord rec;
-    rec.api = info.api;
-    rec.correlation_id = info.correlation_id;
-    rec.name = info.name;
-    rec.begin = info.begin;
-    rec.end = device_->clock().now();
-    api_records_.push_back(rec);
+    consumer_->on_api(
+        {info.api, info.correlation_id, info.name, info.begin, device_->clock().now()});
     if (info.api == sim::ApiCallbackInfo::Api::kLaunchKernel ||
         info.api == sim::ApiCallbackInfo::Api::kMemcpy) {
       // Activity-buffer bookkeeping happens on the launch path too.
       if (options_.enable_activities) {
         device_->clock().advance(options_.activity_overhead_ns);
       }
-    } else if (options_.enable_activities) {
-      // Synchronize entry points drain completed activity buffers.
-      device_->clock().advance(kSyncFlushOverheadNs);
+      return;
     }
+    // Synchronize entry points drain completed activity buffers.
+    flush_activities();
+    if (options_.enable_activities) device_->clock().advance(kSyncFlushOverheadNs);
   });
 }
 
 void CuptiProfiler::flush_activities() {
-  std::vector<sim::ActivityRecord> drained = device_->drain_activities();
+  device_->drain_activities(drained_);
   if (!options_.enable_activities && metric_set_.empty()) return;
-  const std::size_t first = activities_.size();
-  if (first == 0) {
-    activities_ = std::move(drained);
-  } else {
-    activities_.insert(activities_.end(), drained.begin(), drained.end());
-  }
-  if (metric_set_.empty()) return;
-  metrics_.resize(activities_.size());
-  for (std::size_t i = first; i < activities_.size(); ++i) {
-    const sim::ActivityRecord& rec = activities_[i];
-    if (rec.type != sim::ActivityRecord::Type::kKernel) continue;
-    MetricValues& values = metrics_[i];
-    for (const MetricSlot& slot : metric_set_) {
-      values.entries[values.count++] = {slot.name, slot.read(rec)};
+  for (const sim::ActivityRecord& rec : drained_) {
+    MetricValues values;
+    if (rec.type == sim::ActivityRecord::Type::kKernel) {
+      for (const MetricSlot& slot : metric_set_) {
+        values.entries[values.count++] = {slot.name, slot.read(rec)};
+      }
     }
+    consumer_->on_activity(rec, values);
   }
 }
 

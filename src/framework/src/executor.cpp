@@ -187,6 +187,9 @@ RunResult Executor::run(const Graph& graph, const RunOptions& options) {
 
   RunResult result;
   result.begin = clock.now();
+  // At most one record per layer at each level: no doubling mid-run.
+  if (options.enable_layer_profiling) result.layer_records.reserve(graph.layers.size());
+  if (options.enable_library_profiling) result.library_records.reserve(graph.layers.size());
 
   // Session entry cost (graph lookup, input binding, engine setup).
   clock.advance(traits_.fixed_run_overhead_ns);

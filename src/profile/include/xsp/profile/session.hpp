@@ -8,7 +8,8 @@
 //   2. layer-level — the framework profiler's records converted to spans
 //      offline and parented onto the model-prediction span;
 //   3. GPU-kernel-level — CUPTI callback records become launch spans and
-//      CUPTI activity records become execution spans, joined by
+//      CUPTI activity records become execution spans as CUPTI delivers
+//      them, built straight into pooled batch blocks and joined by
 //      correlation_id; metric values attach to the execution spans.
 //
 // No framework modification happens anywhere: the layer tracer consumes

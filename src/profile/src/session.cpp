@@ -38,6 +38,64 @@ void set_metric(trace::Span& s, trace::StrId key, double value) {
 // never drop one to capacity.
 static_assert(trace::MetricMap::capacity() >= cupti::MetricValues::kCapacity);
 
+/// A new span at the end of `batches`. Each block is reserved at
+/// kBatchCapacity and never grown past it, so every block comes from (and
+/// goes back to) the batch pool.
+trace::Span& append_span(trace::SpanBatches& batches) {
+  if (batches.empty() || batches.back().size() == trace::kBatchCapacity) {
+    batches.emplace_back().reserve(trace::kBatchCapacity);
+  }
+  return batches.back().emplace_back();
+}
+
+/// The GPU tracer's CUPTI consumer: a launch span per launch or copy, built
+/// in its API callback, and an execution span per activity, built at the
+/// flush that delivers it, with the kernel's metric values.
+struct GpuCapture final : cupti::RecordConsumer {
+  trace::SpanBatches launches;
+  trace::SpanBatches executions;
+
+  void on_api(const cupti::ApiRecord& api) override {
+    if (api.api != sim::ApiCallbackInfo::Api::kLaunchKernel &&
+        api.api != sim::ApiCallbackInfo::Api::kMemcpy) {
+      return;
+    }
+    trace::Span& s = append_span(launches);
+    s.name = api.api == sim::ApiCallbackInfo::Api::kLaunchKernel ? keys().launch_kernel
+                                                                  : keys().memcpy_async;
+    s.kind = trace::SpanKind::kLaunch;
+    s.begin = api.begin;
+    s.end = api.end;
+    s.correlation_id = api.correlation_id;
+    set_tag(s, keys().kernel, api.name);
+  }
+
+  void on_activity(const sim::ActivityRecord& act, const cupti::MetricValues& metrics) override {
+    trace::Span& s = append_span(executions);
+    s.name = act.name;
+    s.kind = trace::SpanKind::kExecution;
+    s.begin = act.begin;
+    s.end = act.end;
+    s.correlation_id = act.correlation_id;
+    if (act.type == sim::ActivityRecord::Type::kKernel) {
+      // Grid/block dims are the canonical high-cardinality composed
+      // values (the ROADMAP's unbounded-interning concern): inline tags
+      // keep them out of the process-lifetime StringTable. No aggregation
+      // keys on them (analysis keys on kernel/layer_type/shape), so
+      // nothing downstream loses its StrId.
+      const sim::Dim3& g = act.kernel.grid;
+      const sim::Dim3& b = act.kernel.block;
+      DimsText dims;
+      set_inline_tag(s, keys().grid, format_dims(dims, {g.x, g.y, g.z}, '[', ",", ']'));
+      set_inline_tag(s, keys().block, format_dims(dims, {b.x, b.y, b.z}, '[', ",", ']'));
+      set_tag(s, keys().kind, keys().kind_kernel);
+    } else {
+      set_tag(s, keys().kind, keys().kind_memcpy);
+    }
+    for (const auto& [metric, value] : metrics) set_metric(s, metric, value);
+  }
+};
+
 }  // namespace
 
 std::string ProfileOptions::level_string() const {
@@ -281,6 +339,9 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   device_.set_timing_jitter(options.timing_jitter, options.jitter_seed);
 
   // Attach the GPU profiler before any device work, as nvprof/Nsight do.
+  // Its records become spans as they are delivered; the capture outlives
+  // the profiler, whose stop() (also on the exception path) still flushes.
+  GpuCapture gpu_capture;
   std::unique_ptr<cupti::CuptiProfiler> cupti_profiler;
   if (options.gpu_level) {
     cupti::CuptiOptions copts;
@@ -288,7 +349,7 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
       copts.metrics = {cupti::kFlopCountSp, cupti::kDramReadBytes, cupti::kDramWriteBytes,
                        cupti::kAchievedOccupancy};
     }
-    cupti_profiler = std::make_unique<cupti::CuptiProfiler>(device_, copts);
+    cupti_profiler = std::make_unique<cupti::CuptiProfiler>(device_, copts, gpu_capture);
     cupti_profiler->start();
   }
 
@@ -314,15 +375,18 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   finish_span(post);
 
   const TimePoint pipeline_end = clock_.now();
+  if (cupti_profiler != nullptr) cupti_profiler->stop();
 
   // --- offline conversion: framework profiler records -> layer spans ------
   // Layer spans are explicit children of the model-prediction span
   // (Section III-B point 2), so no interval search is needed for them.
+  // Each level's spans are published in pooled blocks, layer, library,
+  // launch, execution, so ids follow that order.
   if (options.layer_level) {
+    trace::SpanBatches spans;
     for (const auto& rec : run.layer_records) {
-      trace::Span s;
+      trace::Span& s = append_span(spans);
       s.name = rec.name;
-      s.kind = trace::SpanKind::kRegular;
       s.begin = rec.begin;
       s.end = rec.end;
       s.parent = predict;
@@ -330,76 +394,28 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
       set_tag(s, keys().shape, rec.shape);
       set_metric(s, keys().layer_index, rec.index);
       set_metric(s, keys().alloc_bytes, rec.alloc_bytes);
-      layer_tracer_->publish_completed(std::move(s));
     }
+    layer_tracer_->publish_completed(std::move(spans));
   }
 
   // --- offline conversion: library-call records -> library spans ----------
   // Library spans carry no explicit parent; interval containment nests them
   // under their layer (and kernels under them, when this level is on).
   if (options.library_level) {
+    trace::SpanBatches spans;
     for (const auto& rec : run.library_records) {
-      trace::Span s;
+      trace::Span& s = append_span(spans);
       s.name = rec.name;
       s.begin = rec.begin;
       s.end = rec.end;
       set_metric(s, keys().layer_index, rec.layer_index);
-      library_tracer_->publish_completed(std::move(s));
     }
+    library_tracer_->publish_completed(std::move(spans));
   }
 
-  // --- offline conversion: CUPTI records -> launch/execution spans --------
-  if (options.gpu_level) {
-    cupti_profiler->stop();
-
-    for (const auto& api : cupti_profiler->api_records()) {
-      if (api.api != sim::ApiCallbackInfo::Api::kLaunchKernel &&
-          api.api != sim::ApiCallbackInfo::Api::kMemcpy) {
-        continue;
-      }
-      trace::Span s;
-      s.name = api.api == sim::ApiCallbackInfo::Api::kLaunchKernel ? keys().launch_kernel
-                                                                    : keys().memcpy_async;
-      s.kind = trace::SpanKind::kLaunch;
-      s.begin = api.begin;
-      s.end = api.end;
-      s.correlation_id = api.correlation_id;
-      set_tag(s, keys().kernel, api.name);
-      gpu_tracer_->publish_completed(std::move(s));
-    }
-
-    // metric_records() is empty, or runs in step with activity_records().
-    const auto& activities = cupti_profiler->activity_records();
-    const auto& metric_records = cupti_profiler->metric_records();
-    for (std::size_t i = 0; i < activities.size(); ++i) {
-      const sim::ActivityRecord& act = activities[i];
-      trace::Span s;
-      s.name = act.name;
-      s.kind = trace::SpanKind::kExecution;
-      s.begin = act.begin;
-      s.end = act.end;
-      s.correlation_id = act.correlation_id;
-      if (act.type == sim::ActivityRecord::Type::kKernel) {
-        // Grid/block dims are the canonical high-cardinality composed
-        // values (the ROADMAP's unbounded-interning concern): inline
-        // tags keep them out of the process-lifetime StringTable. No
-        // aggregation keys on them (analysis keys on kernel/layer_type/
-        // shape), so nothing downstream loses its StrId.
-        const sim::Dim3& g = act.kernel.grid;
-        const sim::Dim3& b = act.kernel.block;
-        DimsText dims;
-        set_inline_tag(s, keys().grid, format_dims(dims, {g.x, g.y, g.z}, '[', ",", ']'));
-        set_inline_tag(s, keys().block, format_dims(dims, {b.x, b.y, b.z}, '[', ",", ']'));
-        set_tag(s, keys().kind, keys().kind_kernel);
-      } else {
-        set_tag(s, keys().kind, keys().kind_memcpy);
-      }
-      if (!metric_records.empty()) {
-        for (const auto& [metric, value] : metric_records[i]) set_metric(s, metric, value);
-      }
-      gpu_tracer_->publish_completed(std::move(s));
-    }
-  }
+  // --- CUPTI records -> launch/execution spans, built during the run -------
+  gpu_tracer_->publish_completed(std::move(gpu_capture.launches));
+  gpu_tracer_->publish_completed(std::move(gpu_capture.executions));
 
   RunTrace result;
   // One flush drains the server into the subscribers: the admission

@@ -131,8 +131,11 @@ class GpuDevice {
   }
   void clear_subscribers() { callbacks_.clear(); }
 
-  /// Move out all buffered activity records (oldest first).
-  [[nodiscard]] std::vector<ActivityRecord> drain_activities();
+  /// Move all buffered activity records (oldest first) into `into`,
+  /// replacing its contents. The two buffers trade places, so a caller
+  /// that drains into the same vector every time allocates nothing once
+  /// both have grown.
+  void drain_activities(std::vector<ActivityRecord>& into);
 
   /// Buffered activity records without draining.
   [[nodiscard]] const std::vector<ActivityRecord>& activities() const noexcept {

@@ -172,8 +172,9 @@ void GpuDevice::synchronize() {
   fire_callbacks(info);
 }
 
-std::vector<ActivityRecord> GpuDevice::drain_activities() {
-  return std::exchange(activities_, {});
+void GpuDevice::drain_activities(std::vector<ActivityRecord>& into) {
+  into.clear();
+  into.swap(activities_);
 }
 
 void GpuDevice::reset() {

@@ -1,7 +1,8 @@
 // SpanSink: the minimal interface a tracer needs from a span collector.
 //
 // The paper's tracers only ever do three things against the tracing server
-// (Section III-A): obtain ids and publish completed spans. Everything else
+// (Section III-A): obtain ids and publish completed spans, one at a time
+// or a batch at once. Everything else
 // — aggregation, flushing, trace hand-off — is a consumer-side concern.
 // Splitting that producer surface out lets Tracer/ScopedSpan publish
 // through a TraceServer or a RemoteSink without
@@ -37,6 +38,14 @@ class SpanSink {
   /// Publish one completed span. Thread-safe. By reference: the sink's
   /// own batch append is the one copy of the record publication makes.
   virtual void publish(const Span& span) = 0;
+
+  /// Publish spans built in a batch, in order, leaving `batch` empty.
+  /// Thread-safe. This default publishes them one by one; TraceServer
+  /// takes the block whole, so the spans are never copied.
+  virtual void publish_batch(SpanBatch&& batch) {
+    for (const Span& span : batch) publish(span);
+    batch.clear();
+  }
 };
 
 }  // namespace xsp::trace

@@ -143,12 +143,15 @@ class TraceServer final : public SpanSink {
   /// Publish a whole batch: it joins the calling thread's slot as one
   /// sealed batch, its spans unmoved, and calls wake() as a seal does. The
   /// hand-off for a caller that already holds spans in batches (the
-  /// collector, one batch per decoded frame). Annotation drops are
+  /// collector, one batch per decoded frame; a Session, one per pooled
+  /// block of capture spans). The thread's partial batch, if any, is
+  /// sealed first, so a thread's spans drain in the order it published
+  /// them. Annotation drops are
   /// counted as publish() counts them; an attached sampler admits span by
   /// span and the rejected spans are removed, so `published == admitted +
   /// sampled_dropped` holds exactly. Leaves `batch` empty; an empty batch
   /// is a no-op.
-  void publish_batch(SpanBatch&& batch);
+  void publish_batch(SpanBatch&& batch) override;
 
   /// Attach (or clear, with nullptr) the head-sampling admission policy
   /// consulted by publish(). The hot path reads one raw pointer: with no

@@ -70,6 +70,13 @@ class Tracer {
   /// level are stamped on. Returns the assigned id, or kNoSpan if disabled.
   SpanId publish_completed(Span span);
 
+  /// Publish spans formed elsewhere in batches (a profiler's records built
+  /// straight into pooled blocks): ids are assigned, and tracer name and
+  /// level stamped, in batch order, exactly as publish_completed(Span)
+  /// would one span at a time; each batch then goes to the sink whole.
+  /// Leaves `batches` empty; a disabled tracer drops them.
+  void publish_completed(SpanBatches&& batches);
+
   /// Number of spans currently open (started, not yet finished).
   [[nodiscard]] std::size_t open_count() const noexcept { return open_.size(); }
 

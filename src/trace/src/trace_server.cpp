@@ -444,7 +444,14 @@ void TraceServer::publish_batch(SpanBatch&& batch) {
     slot.sampled_dropped += rejected;
   }
   slot.dropped += dropped;
-  if (sealed) slot.sealed.push_back(std::move(batch));
+  if (sealed) {
+    // Spans this thread published before the batch must drain before it.
+    if (!slot.active.empty()) {
+      slot.sealed.push_back(std::move(slot.active));
+      slot.active.reserve(kBatchCapacity);
+    }
+    slot.sealed.push_back(std::move(batch));
+  }
   slot.release();
   if (sealed) wake();
 }

@@ -66,4 +66,18 @@ SpanId Tracer::publish_completed(Span span) {
   return id;
 }
 
+void Tracer::publish_completed(SpanBatches&& batches) {
+  if (enabled_) {
+    for (SpanBatch& batch : batches) {
+      for (Span& span : batch) {
+        span.id = server_->next_span_id();
+        span.tracer = name_;
+        span.level = level_;
+      }
+      server_->publish_batch(std::move(batch));
+    }
+  }
+  batches.clear();
+}
+
 }  // namespace xsp::trace

@@ -5,6 +5,7 @@
 #include <bit>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "../trace/test_alloc_count.hpp"
 
@@ -22,6 +23,22 @@ sim::KernelDesc test_kernel(const std::string& name = "k") {
   k.dram_write_bytes = 50e6;
   return k;
 }
+
+/// Keeps every record the profiler delivers, in delivery order. An
+/// activity keeps its metric values beside it.
+struct CollectingConsumer final : RecordConsumer {
+  struct Activity {
+    sim::ActivityRecord record;
+    MetricValues metrics;
+  };
+  std::vector<ApiRecord> api;
+  std::vector<Activity> activities;
+
+  void on_api(const ApiRecord& record) override { api.push_back(record); }
+  void on_activity(const sim::ActivityRecord& record, const MetricValues& metrics) override {
+    activities.push_back({record, metrics});
+  }
+};
 
 TEST(Cupti, KnownMetricsMatchPaperSet) {
   // The four metrics the paper's analyses use (Section III-D3).
@@ -44,28 +61,31 @@ TEST(Cupti, UnknownMetricThrows) {
   sim::GpuDevice dev(sim::tesla_v100(), clock);
   CuptiOptions opts;
   opts.metrics = {"no_such_counter"};
-  EXPECT_THROW(CuptiProfiler(dev, opts), std::invalid_argument);
+  CollectingConsumer records;
+  EXPECT_THROW(CuptiProfiler(dev, opts, records), std::invalid_argument);
 }
 
 TEST(Cupti, CapturesApiAndActivityRecords) {
   SimClock clock;
   sim::GpuDevice dev(sim::tesla_v100(), clock);
-  CuptiProfiler prof(dev, {});
+  CollectingConsumer records;
+  CuptiProfiler prof(dev, {}, records);
   prof.start();
   const auto r = dev.launch_kernel(sim::kDefaultStream, test_kernel("conv"));
   prof.stop();
 
-  ASSERT_GE(prof.api_records().size(), 1u);
-  EXPECT_EQ(prof.api_records()[0].correlation_id, r.correlation_id);
-  ASSERT_EQ(prof.activity_records().size(), 1u);
-  EXPECT_EQ(prof.activity_records()[0].name, "conv");
-  EXPECT_EQ(prof.activity_records()[0].correlation_id, r.correlation_id);
+  ASSERT_GE(records.api.size(), 1u);
+  EXPECT_EQ(records.api[0].correlation_id, r.correlation_id);
+  ASSERT_EQ(records.activities.size(), 1u);
+  EXPECT_EQ(records.activities[0].record.name, "conv");
+  EXPECT_EQ(records.activities[0].record.correlation_id, r.correlation_id);
 }
 
 TEST(Cupti, NoMetricsMeansNoReplay) {
   SimClock clock;
   sim::GpuDevice dev(sim::tesla_v100(), clock);
-  CuptiProfiler prof(dev, {});
+  CollectingConsumer records;
+  CuptiProfiler prof(dev, {}, records);
   EXPECT_EQ(prof.replay_count(), 1);
   prof.start();
   EXPECT_EQ(dev.replay_count(), 1);
@@ -78,7 +98,8 @@ TEST(Cupti, MetricsConfigureReplayAndSerialization) {
   sim::GpuDevice dev(sim::tesla_v100(), clock);
   CuptiOptions opts;
   opts.metrics = {kFlopCountSp, kDramReadBytes};
-  CuptiProfiler prof(dev, opts);
+  CollectingConsumer records;
+  CuptiProfiler prof(dev, opts, records);
   EXPECT_EQ(prof.replay_count(), 1 + metric_replay_passes(kFlopCountSp) +
                                      metric_replay_passes(kDramReadBytes));
   prof.start();
@@ -94,17 +115,17 @@ TEST(Cupti, MetricValuesComeFromHardwareCounters) {
   sim::GpuDevice dev(sim::tesla_v100(), clock);
   CuptiOptions opts;
   opts.metrics = {kFlopCountSp, kDramReadBytes, kDramWriteBytes, kAchievedOccupancy};
-  CuptiProfiler prof(dev, opts);
+  CollectingConsumer records;
+  CuptiProfiler prof(dev, opts, records);
   prof.start();
   const auto r = dev.launch_kernel(sim::kDefaultStream, test_kernel());
   prof.stop();
 
-  // One entry per activity record, at the same index.
-  const auto& metrics = prof.metric_records();
-  ASSERT_EQ(prof.activity_records().size(), 1u);
-  ASSERT_EQ(metrics.size(), 1u);
-  EXPECT_EQ(prof.activity_records()[0].correlation_id, r.correlation_id);
-  const auto& values = metrics[0];
+  // The values travel with their activity record.
+  ASSERT_EQ(records.activities.size(), 1u);
+  EXPECT_EQ(records.activities[0].record.correlation_id, r.correlation_id);
+  const auto& values = records.activities[0].metrics;
+  ASSERT_EQ(values.size(), 4u);
   EXPECT_DOUBLE_EQ(values.at(kFlopCountSp), 1e7);
   EXPECT_DOUBLE_EQ(values.at(kDramReadBytes), 50e6);
   EXPECT_DOUBLE_EQ(values.at(kDramWriteBytes), 50e6);
@@ -118,17 +139,18 @@ TEST(Cupti, MetricValuesAreNameOrderedAndDeduplicated) {
   sim::GpuDevice dev(sim::tesla_v100(), clock);
   CuptiOptions opts;
   opts.metrics = {kFlopCountSp, kAchievedOccupancy, kDramWriteBytes, kFlopCountSp};
-  CuptiProfiler prof(dev, opts);
+  CollectingConsumer records;
+  CuptiProfiler prof(dev, opts, records);
   prof.start();
   dev.enqueue_memcpy(sim::kDefaultStream, {sim::MemcpyDesc::Direction::kHostToDevice, 1e6});
   dev.launch_kernel(sim::kDefaultStream, test_kernel());
   prof.stop();
 
-  const auto& metrics = prof.metric_records();
-  ASSERT_EQ(metrics.size(), 2u);
-  EXPECT_TRUE(metrics[0].empty()) << "a memcpy has no kernel counters";
+  const auto& activities = records.activities;
+  ASSERT_EQ(activities.size(), 2u);
+  EXPECT_TRUE(activities[0].metrics.empty()) << "a memcpy has no kernel counters";
   std::vector<std::string> names;
-  for (const auto& e : metrics[1]) names.push_back(e.name.str());
+  for (const auto& e : activities[1].metrics) names.push_back(e.name.str());
   EXPECT_EQ(names, (std::vector<std::string>{kAchievedOccupancy, kDramWriteBytes, kFlopCountSp}));
 }
 
@@ -144,7 +166,8 @@ TEST(Cupti, MetricCollectionSlowsExecutionDramatically) {
     if (with_metrics) {
       opts.metrics = {kFlopCountSp, kDramReadBytes, kDramWriteBytes, kAchievedOccupancy};
     }
-    CuptiProfiler prof(dev, opts);
+    CollectingConsumer records;
+    CuptiProfiler prof(dev, opts, records);
     prof.start();
     const TimePoint begin = clock.now();
     for (int i = 0; i < 50; ++i) dev.launch_kernel(sim::kDefaultStream, test_kernel());
@@ -163,20 +186,22 @@ TEST(Cupti, ReportedKernelDurationUnaffectedByReplay) {
   SimClock clock;
   sim::GpuDevice dev(sim::tesla_v100(), clock);
 
-  CuptiProfiler plain(dev, {});
+  CollectingConsumer plain_records;
+  CuptiProfiler plain(dev, {}, plain_records);
   plain.start();
   dev.launch_kernel(sim::kDefaultStream, test_kernel());
   plain.stop();
-  const Ns plain_duration = plain.activity_records().at(0).duration();
+  const Ns plain_duration = plain_records.activities.at(0).record.duration();
 
   dev.reset();
   CuptiOptions opts;
   opts.metrics = {kDramReadBytes};
-  CuptiProfiler with_metrics(dev, opts);
+  CollectingConsumer metric_records;
+  CuptiProfiler with_metrics(dev, opts, metric_records);
   with_metrics.start();
   dev.launch_kernel(sim::kDefaultStream, test_kernel());
   with_metrics.stop();
-  EXPECT_EQ(with_metrics.activity_records().at(0).duration(), plain_duration);
+  EXPECT_EQ(metric_records.activities.at(0).record.duration(), plain_duration);
 }
 
 TEST(Cupti, CallbacksChargeCpuOverhead) {
@@ -193,7 +218,8 @@ TEST(Cupti, CallbacksChargeCpuOverhead) {
   const Ns unprofiled_cpu = clock.now() - t0;
 
   dev.reset();
-  CuptiProfiler prof(dev, opts);
+  CollectingConsumer records;
+  CuptiProfiler prof(dev, opts, records);
   prof.start();
   const TimePoint t1 = clock.now();
   dev.launch_kernel(sim::kDefaultStream, test_kernel());
@@ -211,7 +237,8 @@ TEST(Cupti, StopRestoresDeviceState) {
   {
     CuptiOptions opts;
     opts.metrics = {kFlopCountSp};
-    CuptiProfiler prof(dev, opts);
+    CollectingConsumer records;
+    CuptiProfiler prof(dev, opts, records);
     prof.start();
     prof.stop();
   }
@@ -227,7 +254,8 @@ TEST(Cupti, StopRestoresActivityRecordingState) {
     sim::GpuDevice dev(sim::tesla_v100(), clock);
     dev.set_record_activities(owner_setting);
     {
-      CuptiProfiler prof(dev, {});
+      CollectingConsumer records;
+      CuptiProfiler prof(dev, {}, records);
       prof.start();
       EXPECT_TRUE(dev.record_activities());
       prof.stop();
@@ -243,19 +271,21 @@ TEST(Cupti, LaunchRecordsCarryKernelNameWithoutActivities) {
   sim::GpuDevice dev(sim::tesla_v100(), clock);
   CuptiOptions opts;
   opts.enable_activities = false;
-  CuptiProfiler prof(dev, opts);
+  CollectingConsumer records;
+  CuptiProfiler prof(dev, opts, records);
   prof.start();
   dev.launch_kernel(sim::kDefaultStream, test_kernel("conv"));
   prof.stop();
-  ASSERT_FALSE(prof.api_records().empty());
-  EXPECT_EQ(prof.api_records()[0].api, sim::ApiCallbackInfo::Api::kLaunchKernel);
-  EXPECT_EQ(prof.api_records()[0].name, "conv");
+  ASSERT_FALSE(records.api.empty());
+  EXPECT_EQ(records.api[0].api, sim::ApiCallbackInfo::Api::kLaunchKernel);
+  EXPECT_EQ(records.api[0].name, "conv");
 }
 
 TEST(Cupti, MetricCaptureAllocationsGrowLogarithmically) {
-  // Capturing four metrics per kernel stores them in fixed-capacity
-  // entries of one flat array: 10x the kernels may only add the doublings
-  // of the record vectors, never an allocation per kernel.
+  // Capturing four metrics per kernel hands them over in fixed-capacity
+  // entries beside their record: 10x the kernels may only add the
+  // doublings of the device's activity buffer and of the collecting
+  // consumer's vectors, never an allocation per kernel.
   const sim::KernelDesc kernel =
       test_kernel("a_kernel_name_longer_than_any_small_string_buffer");
   const auto allocations = [&kernel](int kernels) {
@@ -263,13 +293,14 @@ TEST(Cupti, MetricCaptureAllocationsGrowLogarithmically) {
     sim::GpuDevice dev(sim::tesla_v100(), clock);
     CuptiOptions opts;
     opts.metrics = {kFlopCountSp, kDramReadBytes, kDramWriteBytes, kAchievedOccupancy};
-    CuptiProfiler prof(dev, opts);
+    CollectingConsumer records;
+    CuptiProfiler prof(dev, opts, records);
     const std::uint64_t before = g_xsp_test_alloc_count.load(std::memory_order_relaxed);
     prof.start();
     for (int i = 0; i < kernels; ++i) dev.launch_kernel(sim::kDefaultStream, kernel);
     prof.stop();
     const std::uint64_t during = g_xsp_test_alloc_count.load(std::memory_order_relaxed) - before;
-    EXPECT_EQ(prof.metric_records().size(), static_cast<std::size_t>(kernels));
+    EXPECT_EQ(records.activities.size(), static_cast<std::size_t>(kernels));
     return during;
   };
   constexpr int kFew = 100;
@@ -283,8 +314,9 @@ TEST(Cupti, MetricCaptureAllocationsGrowLogarithmically) {
 TEST(Cupti, DestructorStopsRunningProfiler) {
   SimClock clock;
   sim::GpuDevice dev(sim::tesla_v100(), clock);
+  CollectingConsumer records;
   {
-    CuptiProfiler prof(dev, {});
+    CuptiProfiler prof(dev, {}, records);
     prof.start();
     dev.launch_kernel(sim::kDefaultStream, test_kernel());
   }  // destructor must stop and detach
@@ -297,12 +329,13 @@ TEST(Cupti, ActivitiesCanBeDisabled) {
   sim::GpuDevice dev(sim::tesla_v100(), clock);
   CuptiOptions opts;
   opts.enable_activities = false;
-  CuptiProfiler prof(dev, opts);
+  CollectingConsumer records;
+  CuptiProfiler prof(dev, opts, records);
   prof.start();
   dev.launch_kernel(sim::kDefaultStream, test_kernel());
   prof.stop();
-  EXPECT_TRUE(prof.activity_records().empty());
-  EXPECT_FALSE(prof.api_records().empty());
+  EXPECT_TRUE(records.activities.empty());
+  EXPECT_FALSE(records.api.empty());
 }
 
 }  // namespace

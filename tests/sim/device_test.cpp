@@ -80,7 +80,8 @@ TEST(GpuDevice, ActivityRecordsMatchLaunches) {
   dev.set_record_activities(true);
   const auto r1 = dev.launch_kernel(kDefaultStream, small_kernel("x"));
   const auto r2 = dev.launch_kernel(kDefaultStream, small_kernel("y"));
-  auto acts = dev.drain_activities();
+  std::vector<ActivityRecord> acts;
+  dev.drain_activities(acts);
   ASSERT_EQ(acts.size(), 2u);
   EXPECT_EQ(acts[0].correlation_id, r1.correlation_id);
   EXPECT_EQ(acts[0].name, "x");
@@ -88,7 +89,8 @@ TEST(GpuDevice, ActivityRecordsMatchLaunches) {
   EXPECT_EQ(acts[0].end, r1.exec_end);
   EXPECT_EQ(acts[1].correlation_id, r2.correlation_id);
   // Draining clears the buffer.
-  EXPECT_TRUE(dev.drain_activities().empty());
+  dev.drain_activities(acts);
+  EXPECT_TRUE(acts.empty());
 }
 
 TEST(GpuDevice, ActivityRecordingIsOffUntilEnabled) {
@@ -161,7 +163,8 @@ TEST(GpuDevice, ReplayMultipliesStreamOccupancy) {
   const Ns one_run = r.exec_end - r.exec_begin;
   // Device busy until 4 replays complete; reported window is one run.
   EXPECT_EQ(clock.now(), r.exec_begin + 4 * one_run);
-  auto acts = dev.drain_activities();
+  std::vector<ActivityRecord> acts;
+  dev.drain_activities(acts);
   ASSERT_EQ(acts.size(), 1u);
   EXPECT_EQ(acts[0].duration(), one_run);
 }
@@ -174,7 +177,8 @@ TEST(GpuDevice, MemcpyActivitiesRecorded) {
   const auto r = dev.enqueue_memcpy(kDefaultStream, copy);
   dev.synchronize_stream(kDefaultStream);
   EXPECT_EQ(clock.now(), r.exec_end);
-  auto acts = dev.drain_activities();
+  std::vector<ActivityRecord> acts;
+  dev.drain_activities(acts);
   ASSERT_EQ(acts.size(), 1u);
   EXPECT_EQ(acts[0].type, ActivityRecord::Type::kMemcpy);
   EXPECT_EQ(acts[0].name, "MemcpyHtoD");
@@ -202,7 +206,8 @@ TEST(GpuDevice, KernelOrderOnStreamPreservedInActivities) {
   for (int i = 0; i < 10; ++i) {
     dev.launch_kernel(kDefaultStream, small_kernel("k" + std::to_string(i)));
   }
-  auto acts = dev.drain_activities();
+  std::vector<ActivityRecord> acts;
+  dev.drain_activities(acts);
   ASSERT_EQ(acts.size(), 10u);
   for (std::size_t i = 1; i < acts.size(); ++i) {
     EXPECT_GE(acts[i].begin, acts[i - 1].end) << "stream must serialize kernels";

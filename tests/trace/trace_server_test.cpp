@@ -132,6 +132,25 @@ TEST(TraceServer, PublishBatchDeliversTheBatchOnceWithItsSpansInPlace) {
   EXPECT_EQ(server.span_count(), 0u);
 }
 
+TEST(TraceServer, PublishBatchKeepsThreadOrder) {
+  // Spans a thread published one by one, still in its partial batch, were
+  // published before the batch it hands over, and must drain first.
+  TraceServer server(PublishMode::kSync);
+  std::vector<SpanId> published;
+  for (int i = 0; i < 3; ++i) {
+    published.push_back(server.next_span_id());
+    server.publish(make_span(published.back(), i, i + 1));
+  }
+  SpanBatch batch = batch_of(server, 2);
+  for (const Span& s : batch) published.push_back(s.id);
+  server.publish_batch(std::move(batch));
+  std::vector<SpanId> drained;
+  for (const SpanBatch& b : server.take_batches()) {
+    for (const Span& s : b) drained.push_back(s.id);
+  }
+  EXPECT_EQ(drained, published);
+}
+
 TEST(TraceServer, PublishBatchCountsItsDroppedAnnotations) {
   TraceServer server(PublishMode::kSync);
   Span a = make_span(server.next_span_id(), 0, 1);

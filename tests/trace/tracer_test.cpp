@@ -98,6 +98,42 @@ TEST(Tracer, PublishCompletedStampsTracerAndLevel) {
   EXPECT_EQ(trace[0].id, id);
 }
 
+TEST(Tracer, PublishCompletedBatchesStampsInOrderAndHandsBlocksOver) {
+  TraceServer server(PublishMode::kSync);
+  Tracer tracer(server, "cupti", kKernelLevel);
+  SpanBatches batches(2);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    batches[b].reserve(kBatchCapacity);
+    for (std::size_t i = 0; i < 3 - b; ++i) {
+      Span& s = batches[b].emplace_back();
+      s.level = kModelLevel;  // wrong on purpose; must be overwritten
+    }
+  }
+  const Span* first_block = batches[0].data();
+  tracer.publish_completed(std::move(batches));
+  EXPECT_TRUE(batches.empty());
+
+  const SpanBatches taken = server.take_batches();
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken[0].data(), first_block) << "the block is taken whole, not copied";
+  SpanId previous = kNoSpan;
+  for (const SpanBatch& batch : taken) {
+    for (const Span& s : batch) {
+      EXPECT_GT(s.id, previous) << "ids follow batch order";
+      previous = s.id;
+      EXPECT_EQ(s.level, kKernelLevel);
+      EXPECT_EQ(s.tracer, "cupti");
+    }
+  }
+
+  tracer.set_enabled(false);
+  SpanBatches dropped(1);
+  dropped[0].emplace_back();
+  tracer.publish_completed(std::move(dropped));
+  EXPECT_TRUE(dropped.empty());
+  EXPECT_EQ(server.span_count(), 0u);
+}
+
 TEST(Tracer, OpenCountTracksUnfinishedSpans) {
   TraceServer server(PublishMode::kSync);
   Tracer tracer(server, "t", kModelLevel);
